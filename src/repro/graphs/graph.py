@@ -576,6 +576,10 @@ class EdgeView:
         """Canonical key of base edge ``index``."""
         return (int(self.u[index]), int(self.v[index]))
 
+    def edge_keys(self, indices: np.ndarray) -> List[Tuple[int, int]]:
+        """Canonical keys of the base edges ``indices``, in their order."""
+        return list(zip(self.u[indices].tolist(), self.v[indices].tolist()))
+
     def adjacency_lists(self) -> List[List[Tuple[int, float, int]]]:
         """Per-vertex ``(neighbour, weight, edge_index)`` lists over alive edges.
 

@@ -10,16 +10,26 @@ or ``F-``) by the previous call, exactly as in Algorithm 3:
     B    <-  union of the F+_i        (the bundle)
     C    <-  union of the F-_i        (the edges sampled out)
 
-The residual edge sets ``E_i`` are represented as boolean masks over the base
-edge columns of an :class:`repro.graphs.graph.EdgeView` -- each layer is a
-fresh subview, and removing the decided edges is one bulk index assignment
-instead of a per-edge graph rebuild.  The rng call sequence matches the
-historical rebuild-a-graph implementation exactly.
+Data model
+----------
+The residual edge sets ``E_i`` are boolean masks over the base edge columns of
+an :class:`repro.graphs.graph.EdgeView`: each layer runs on a fresh subview,
+and removing what it decided is two index assignments with the arrays the
+spanner returns (``f_plus_idx`` / ``f_minus_idx``).  The result carries ``B``
+and ``C`` the same way, as base index arrays in layer order -- the layers are
+edge-disjoint, so no index repeats -- and derives the key sets and the
+orientation only when somebody asks.  No set of edge keys is built on the way
+from the spanner to the sparsification loop.
+
+The layers share one generator and run one after the other, so the random
+stream is the concatenation of the per-spanner streams; what each spanner
+draws, and in which order, is the contract documented in
+:mod:`repro.spanners.probabilistic`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -34,32 +44,40 @@ from repro.spanners.probabilistic import (
 EdgeKey = Tuple[int, int]
 
 
-@dataclass
 class BundleResult:
     """Output of ``BundleSpanner``: the bundle ``B`` and the rejected set ``C``.
 
-    ``bundle`` / ``rejected`` hold canonical edge keys; ``bundle_idx`` /
-    ``rejected_idx`` hold the same edges as base indices of the view the
-    bundle ran on (for bulk mask updates in the sparsification loop).
+    ``bundle_idx`` / ``rejected_idx`` hold the edges as base indices of the
+    view the bundle ran on (for bulk mask updates in the sparsification loop);
+    ``bundle`` / ``rejected`` are the same edges as canonical keys, built on
+    first access.
     """
 
-    bundle: Set[EdgeKey] = field(default_factory=set)
-    rejected: Set[EdgeKey] = field(default_factory=set)
-    bundle_idx: Set[int] = field(default_factory=set)
-    rejected_idx: Set[int] = field(default_factory=set)
-    per_spanner: List[SpannerResult] = field(default_factory=list)
-    rounds: int = 0
+    def __init__(self, view: EdgeView, per_spanner: List[SpannerResult]):
+        self.per_spanner = per_spanner
+        self.rounds = sum(spanner.rounds for spanner in per_spanner)
+        none = np.zeros(0, dtype=np.int64)  # concatenate refuses an empty list
+        self.bundle_idx = np.concatenate([none] + [s.f_plus_idx for s in per_spanner])
+        self.rejected_idx = np.concatenate([none] + [s.f_minus_idx for s in per_spanner])
+        self._view = view
+
+    @cached_property
+    def bundle(self) -> Set[EdgeKey]:
+        return set(self._view.edge_keys(self.bundle_idx))
+
+    @cached_property
+    def rejected(self) -> Set[EdgeKey]:
+        return set(self._view.edge_keys(self.rejected_idx))
 
     def bundle_graph(self, graph: WeightedGraph) -> WeightedGraph:
         """The bundle as a reweighted subgraph of ``graph``."""
         return graph.subgraph_with_edges(self.bundle)
 
     def orientation(self) -> Dict[EdgeKey, Tuple[int, int]]:
-        """Union of the per-spanner orientations (first writer wins)."""
+        """Union of the per-spanner orientations (the layers are edge-disjoint)."""
         combined: Dict[EdgeKey, Tuple[int, int]] = {}
         for result in self.per_spanner:
-            for key, arc in result.orientation.items():
-                combined.setdefault(key, arc)
+            combined.update(result.orientation)
         return combined
 
 
@@ -99,7 +117,7 @@ def bundle_spanner(
     # Resolve dict/None probabilities once; every layer shares the array.
     prob = resolve_edge_probabilities(view, probabilities)
 
-    result = BundleResult()
+    per_spanner: List[SpannerResult] = []
     alive = view.alive
     for _ in range(t):
         if not alive.any():
@@ -111,14 +129,8 @@ def bundle_spanner(
             rng=rng,
             record_broadcasts=record_broadcasts,
         ).run()
-        result.per_spanner.append(spanner)
-        result.bundle |= spanner.f_plus
-        result.rejected |= spanner.f_minus
-        result.bundle_idx |= spanner.f_plus_idx
-        result.rejected_idx |= spanner.f_minus_idx
-        result.rounds += spanner.rounds
-        decided = spanner.f_plus_idx | spanner.f_minus_idx
+        per_spanner.append(spanner)
         alive = alive.copy()
-        if decided:
-            alive[np.fromiter(decided, dtype=np.int64, count=len(decided))] = False
-    return result
+        alive[spanner.f_plus_idx] = False
+        alive[spanner.f_minus_idx] = False
+    return BundleResult(view, per_spanner)

@@ -6,59 +6,87 @@ maintained probability ``p_e``, and ``S = (V, F+)`` is a ``(2k-1)``-spanner of
 ``(V, F+ | E'')`` for every ``E'' subseteq E \\ F`` (Lemma 3.1).  Setting
 ``p === 1`` recovers the Baswana-Sen algorithm of Appendix A.
 
-The algorithm is executed phase by phase with per-vertex local state exactly as
-in the paper (cluster marking, ``Connect`` to marked clusters, connections
-between unmarked clusters split by cluster-identifier order, and the final
-connections to the surviving clusters ``R_k``).  Every decision a vertex takes
-is also emitted as the broadcast message the paper prescribes, and the
-Broadcast-CONGEST round cost is accounted following Lemma 3.2: one round per
-word per broadcast, broadcasts of different vertices in the same step run in
-parallel, and the per-phase cluster-marking dissemination costs ``k - 1``
-rounds.  The bookkeeping of the *receiving* endpoint (the "implicit
-communication" of the sampling outcome) is applied symmetrically; the test
-suite checks that the receiver could have reconstructed it from the broadcast
-alone (the three rules of Section 3.1).
+The algorithm has ``k - 1`` phases of three ``Connect`` steps (2: vertices of
+unmarked clusters to the marked clusters; 3.1 / 3.2: between unmarked
+clusters, towards smaller / larger cluster identifiers) and a final round of
+three more (4.1: unclustered vertices to the surviving clusters; 4.2 / 4.3:
+between surviving clusters).  Rounds are charged following Lemma 3.2: one
+round per word per broadcast, broadcasts of different vertices in one step
+run in parallel, and the per-phase dissemination of the marking costs
+``k - 1`` rounds.  Every ``Connect`` is also recorded as the broadcast the
+paper prescribes; ``tests/spanners/test_broadcast_reconstruction.py`` replays
+that transcript and rebuilds ``F+`` / ``F-`` from it by the receiver rules of
+Section 3.1, so the "implicit communication" of the sampling outcome is a
+checked property, not a remark.
 
 Data model
 ----------
-The executor runs on an :class:`repro.graphs.graph.EdgeView` -- three aligned
-``(u, v, w)`` edge columns plus an alive mask -- rather than on a dict-based
-:class:`WeightedGraph`.  The bundle/sparsify layers call the spanner
-``t * ceil(log m)`` times per run on ever-shrinking residual edge sets;
-with views each call shares the base arrays and only carries a fresh mask,
-instead of rebuilding a graph edge by edge.  A plain ``WeightedGraph`` input
-is wrapped into a full view transparently, and the decided edges are reported
-both as canonical keys (``f_plus`` / ``f_minus``) and as base edge indices
-(``f_plus_idx`` / ``f_minus_idx``) so callers can update masks in bulk.
+The executor runs each step for *all* vertices at once.  Per run it builds
+the ``2 m'`` half-edges ``(src, dst, w, edge)`` of the alive edges of the
+:class:`repro.graphs.graph.EdgeView` it is given and sorts them once by
+``(src, w, dst)`` -- Algorithm 2's ``(weight, identifier)`` scan order inside
+every vertex.  The state is five arrays: ``cluster[v]`` (``-1`` =
+unclustered), ``dead[e]`` (``F-``), ``in_plus[e]`` (``F+``), ``tail[e]`` (who
+added the edge: the orientation) and, per phase, the step-2 threshold
+``(W_v, u)``.  A step is a boolean mask over the half-edges (acting vertex,
+alive edge, target-cluster predicate, threshold, smaller / larger cluster
+identifier), a stable sort of the selected ones by ``(src, cluster[dst])``
+into ``Connect`` groups, one resolution of all groups, and a bulk update of
+the state arrays.  Results are carried as base edge index arrays
+(``f_plus_idx`` / ``f_minus_idx``); the key sets, the per-vertex views, the
+orientation dict, the transcript and the per-phase cluster dicts are derived
+from the arrays on first access.
 
-The rng call sequence is identical to the historical dict-of-edges
-implementation (per-centre marking in sorted order, per-candidate coin flips
-inside ``Connect``), which ``tests/sparsify/test_vectorized_equivalence.py``
-pins on seeded graphs.
+Why step-level batching is exact
+--------------------------------
+The candidates of a step depend only on the state at its start: within one
+step the edges scanned by one vertex are never scanned by another.  In step 2
+only vertices of unmarked clusters scan, and only into marked clusters; in
+3.1 / 4.2 an edge between two clusters is scanned from the larger identifier
+only, in 3.2 / 4.3 from the smaller; in 4.1 only unclustered vertices scan,
+and only into clusters.  One vertex's groups lead into different clusters, so
+they are disjoint too.  This is the reason Section 3.1 splits the steps by
+cluster identifier in the first place: no two endpoints ever decide the same
+edge in the same step.
+
+The rng-order contract
+----------------------
+Seeded outputs are pinned (``tests/spanners/test_executor_equivalence.py``)
+to the per-vertex executor this module used to contain, which now lives in
+``tests/spanners/reference_executor.py``: equal decisions, orientation,
+rounds, transcript *and* generator state after the run.  The contract is
+
+* marking: one uniform per cluster centre and phase, centres ascending;
+* ``Connect``: one uniform per *inspected* candidate -- also when its
+  probability is 1, and an edge already in ``F+`` counts as 1 -- groups in
+  ``(vertex, cluster)`` order, candidates in ``(weight, identifier)`` order,
+  a group stopping at its first acceptance.
+
+So where a group's draws start depends on how much every earlier group
+consumed.  :func:`_resolve_connect` keeps that exactly: a group whose first
+candidate is certain consumes one draw whatever its value; only the other
+groups are walked one after the other, with a running offset into one batch
+of uniforms, and the generator is then put where scalar draws would have
+left it by restoring its state and drawing the consumed count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from operator import itemgetter
-
-from repro.graphs.graph import EdgeView, WeightedGraph, canonical_edge
+from repro.graphs.graph import EdgeView, WeightedGraph
 
 EdgeKey = Tuple[int, int]
 
 #: Sentinel broadcast when Connect fails (the paper's bottom symbol).
 BOTTOM = None
 
-#: (neighbour, edge weight, base edge index) as stored in the adjacency lists.
-AdjEntry = Tuple[int, float, int]
-
-#: Connect's scan order, line 1 of Algorithm 2: ascending (weight, identifier).
-_by_weight_then_id = itemgetter(1, 0)
+_NO_INDEX = np.zeros(0, dtype=np.int64)
 
 
 def resolve_edge_probabilities(
@@ -116,30 +144,103 @@ class BroadcastRecord:
     weight: Optional[float]
 
 
-@dataclass
+#: One step of the transcript as arrays: (phase, step, senders, target clusters,
+#: accepted neighbours, accepted weights); ``-1`` stands for the bottom symbol.
+_StepRecord = Tuple[int, str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 class SpannerResult:
     """Output of the probabilistic spanner algorithm.
 
-    ``f_plus`` / ``f_minus`` are the global edge sets; ``f_plus_of`` /
-    ``f_minus_of`` are the per-vertex views (``u in f_plus_of[v]`` iff the edge
-    ``(u, v)`` is in ``F+``), which is the local form in which a distributed
-    execution would hold the output.  ``f_plus_idx`` / ``f_minus_idx`` hold the
-    same decisions as base edge indices of the view the spanner ran on, which
-    is what the bundle/sparsify layers consume for bulk mask updates.
+    The run hands over arrays: ``f_plus_idx`` / ``f_minus_idx`` are the
+    decided edges as ascending base edge indices of the view the spanner ran
+    on, which is what the bundle / sparsify layers consume for bulk mask
+    updates.  Everything else is derived from them on first access:
+    ``f_plus`` / ``f_minus`` are the same edges as canonical keys;
+    ``f_plus_of`` / ``f_minus_of`` are the per-vertex views (``u in
+    f_plus_of[v]`` iff the edge ``(u, v)`` is in ``F+``), the local form in
+    which a distributed execution would hold the output; ``orientation`` maps
+    each ``F+`` edge to ``(tail, head)``, the tail being the vertex that added
+    it; ``broadcasts`` is the transcript (empty unless it was recorded) and
+    ``clusters_per_phase`` the clustering at the start of each phase.
     """
 
-    n: int
-    k: int
-    f_plus: Set[EdgeKey] = field(default_factory=set)
-    f_minus: Set[EdgeKey] = field(default_factory=set)
-    f_plus_idx: Set[int] = field(default_factory=set)
-    f_minus_idx: Set[int] = field(default_factory=set)
-    f_plus_of: Dict[int, Set[int]] = field(default_factory=dict)
-    f_minus_of: Dict[int, Set[int]] = field(default_factory=dict)
-    orientation: Dict[EdgeKey, Tuple[int, int]] = field(default_factory=dict)
-    broadcasts: List[BroadcastRecord] = field(default_factory=list)
-    rounds: int = 0
-    clusters_per_phase: List[Dict[int, int]] = field(default_factory=list)
+    def __init__(
+        self,
+        view: EdgeView,
+        k: int,
+        f_plus_idx: np.ndarray,
+        f_minus_idx: np.ndarray,
+        tails: np.ndarray,
+        rounds: int,
+        clusters: List[np.ndarray],
+        steps: List[_StepRecord],
+    ):
+        self.n = view.n
+        self.k = k
+        self.f_plus_idx = f_plus_idx
+        self.f_minus_idx = f_minus_idx
+        self.rounds = rounds
+        self._view = view
+        self._tails = tails
+        self._clusters = clusters
+        self._steps = steps
+
+    def _per_vertex(self, idx: np.ndarray) -> Dict[int, Set[int]]:
+        views: Dict[int, Set[int]] = {v: set() for v in range(self.n)}
+        for a, b in self._view.edge_keys(idx):
+            views[a].add(b)
+            views[b].add(a)
+        return views
+
+    @cached_property
+    def f_plus(self) -> Set[EdgeKey]:
+        return set(self._view.edge_keys(self.f_plus_idx))
+
+    @cached_property
+    def f_minus(self) -> Set[EdgeKey]:
+        return set(self._view.edge_keys(self.f_minus_idx))
+
+    @cached_property
+    def f_plus_of(self) -> Dict[int, Set[int]]:
+        return self._per_vertex(self.f_plus_idx)
+
+    @cached_property
+    def f_minus_of(self) -> Dict[int, Set[int]]:
+        return self._per_vertex(self.f_minus_idx)
+
+    @cached_property
+    def orientation(self) -> Dict[EdgeKey, Tuple[int, int]]:
+        idx = self.f_plus_idx
+        heads = self._view.u[idx] + self._view.v[idx] - self._tails
+        return dict(zip(self._view.edge_keys(idx), zip(self._tails.tolist(), heads.tolist())))
+
+    @cached_property
+    def broadcasts(self) -> List[BroadcastRecord]:
+        records: List[BroadcastRecord] = []
+        for phase, step, senders, targets, accepted, weights in self._steps:
+            for sender, target, neighbour, weight in zip(
+                senders.tolist(), targets.tolist(), accepted.tolist(), weights.tolist()
+            ):
+                records.append(
+                    BroadcastRecord(
+                        phase=phase,
+                        step=step,
+                        sender=sender,
+                        target_cluster=target if target >= 0 else BOTTOM,
+                        accepted=neighbour if neighbour >= 0 else BOTTOM,
+                        weight=weight if neighbour >= 0 else BOTTOM,
+                    )
+                )
+        return records
+
+    @cached_property
+    def clusters_per_phase(self) -> List[Dict[int, int]]:
+        per_phase = []
+        for cluster in self._clusters:
+            members = np.flatnonzero(cluster >= 0)
+            per_phase.append(dict(zip(members.tolist(), cluster[members].tolist())))
+        return per_phase
 
     @property
     def f(self) -> Set[EdgeKey]:
@@ -152,18 +253,82 @@ class SpannerResult:
 
     def out_degrees(self) -> Dict[int, int]:
         """Out-degree of every vertex under the computed orientation."""
-        degrees = {v: 0 for v in range(self.n)}
-        for tail, _head in self.orientation.values():
-            degrees[tail] += 1
-        return degrees
+        return dict(enumerate(np.bincount(self._tails, minlength=self.n).tolist()))
 
     def max_out_degree(self) -> int:
-        degrees = self.out_degrees()
-        return max(degrees.values()) if degrees else 0
+        return int(np.bincount(self._tails).max()) if self._tails.size else 0
+
+
+def _ragged_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the ``(s, l)`` pairs."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
+
+
+def _resolve_connect(
+    p: np.ndarray, starts: np.ndarray, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run ``Connect`` (Algorithm 2) on every group, consuming ``rng`` like scalar calls.
+
+    ``p`` holds the probabilities of all candidates, groups one after the
+    other in broadcast order and each group in scan order; ``starts`` the
+    position of every group's first candidate.  Returns the position of the
+    accepted candidate per group (``-1`` for bottom) and the positions of all
+    rejected candidates (the sets ``N^-``).
+
+    A uniform ``r`` lies in ``[0, 1)``, so ``r < p`` alone decides a
+    candidate, and one with ``p >= 1`` is accepted whatever it draws.  Groups
+    led by such a candidate therefore take exactly one draw each and need no
+    look at it; the others are walked in order, each starting where the
+    groups before it stopped.
+    """
+    groups = starts.size
+    open_groups = np.flatnonzero(p[starts] < 1.0)
+    if open_groups.size == 0:
+        rng.random(groups)
+        return starts, _NO_INDEX
+    first = starts[open_groups]
+    # an open group can be inspected up to its first certain candidate at most
+    certain = np.flatnonzero(p >= 1.0)
+    stop = np.append(certain + 1, p.size)[np.searchsorted(certain, first)]
+    lengths = np.minimum(np.append(starts[1:], p.size)[open_groups], stop) - first
+    closed_before = open_groups - np.arange(open_groups.size)
+
+    state = rng.bit_generator.state
+    drawn = groups - open_groups.size + int(lengths.sum())
+    draws = rng.random(drawn).tolist()
+    odds = p[_ragged_ranges(first, lengths)].tolist()
+    inspected = []  # per open group: candidates looked at
+    accepted_open = []  # per open group: did the last one looked at succeed
+    consumed = 0  # draws taken by the open groups so far
+    base = 0  # position of the current group in `odds`
+    for length, before in zip(lengths.tolist(), closed_before.tolist()):
+        offset = before + consumed
+        looked = 0
+        hit = False
+        while looked < length and not hit:
+            hit = draws[offset + looked] < odds[base + looked]
+            looked += 1
+        inspected.append(looked)
+        accepted_open.append(hit)
+        consumed += looked
+        base += length
+    consumed += groups - open_groups.size
+    if consumed != drawn:
+        rng.bit_generator.state = state
+        rng.random(consumed)
+
+    inspected = np.array(inspected, dtype=np.int64)
+    hit = np.array(accepted_open, dtype=bool)
+    accepted = starts.copy()
+    accepted[open_groups] = np.where(hit, first + inspected - 1, -1)
+    rejected = _ragged_ranges(first, inspected - hit)
+    return accepted, rejected
 
 
 class ProbabilisticSpanner:
-    """Stateful executor of the Section 3.1 spanner algorithm."""
+    """Step-parallel executor of the Section 3.1 spanner algorithm."""
 
     def __init__(
         self,
@@ -186,24 +351,7 @@ class ProbabilisticSpanner:
         # sets and round counts; they opt out (rng draws are unaffected).
         self.record_broadcasts = bool(record_broadcasts)
         self._prob = resolve_edge_probabilities(self.view, probabilities)
-        # hot per-candidate reads go through plain Python floats, not numpy scalars
-        self._prob_list = self._prob.tolist()
-        self._adj = self.view.adjacency_lists()
-
         n = self.view.n
-        self.result = SpannerResult(
-            n=n,
-            k=self.k,
-            f_plus_of={v: set() for v in range(n)},
-            f_minus_of={v: set() for v in range(n)},
-        )
-        # cluster_of[v] = identifier (centre) of the R_i cluster containing v.
-        self.cluster_of: Dict[int, int] = {v: v for v in range(n)}
-        # list mirror of cluster_of for O(1) hot-loop lookups (-1 = unclustered)
-        # and the sorted vertex scan order, both rebuilt whenever cluster_of is
-        # replaced (it is constant within a phase).
-        self._cluster_list: List[int] = list(range(n))
-        self._sorted_clustered: List[int] = list(range(n))
         self.word_bits = max(1, math.ceil(math.log2(max(2, n))))
         max_weight = max(2.0, self.view.max_weight())
         self.words_per_message = 1 + math.ceil(math.log2(max_weight) / self.word_bits)
@@ -212,301 +360,206 @@ class ProbabilisticSpanner:
 
     def run(self) -> SpannerResult:
         """Execute all ``k - 1`` phases plus the final step and return the result."""
-        mark_probability = self.view.n ** (-1.0 / self.k)
-        for phase in range(self.k - 1):
-            self.result.clusters_per_phase.append(dict(self.cluster_of))
-            marked = self._mark_clusters(phase, mark_probability)
-            new_cluster_of = {
-                v: c for v, c in self.cluster_of.items() if c in marked
-            }
-            self._step_connect_to_marked(phase, marked, new_cluster_of)
-            self._step_unmarked_to_unmarked(phase, marked, smaller_ids=True)
-            self._step_unmarked_to_unmarked(phase, marked, smaller_ids=False)
-            self.cluster_of = new_cluster_of
-            self._rebuild_cluster_list()
-            # Step 1 dissemination of the marking through the cluster trees.
-            self.result.rounds += max(1, self.k - 1)
-        self.result.clusters_per_phase.append(dict(self.cluster_of))
-        self._final_step()
-        return self.result
+        view = self.view
+        n = view.n
+        base_idx = view.alive_indices()
+        m = base_idx.size
+        local = np.arange(m)
+        src = np.concatenate((view.u[base_idx], view.v[base_idx]))
+        dst = np.concatenate((view.v[base_idx], view.u[base_idx]))
+        weight = np.tile(view.w[base_idx], 2)
+        order = np.lexsort((dst, weight, src))
+        self._src, self._dst, self._w = src[order], dst[order], weight[order]
+        self._edge = np.tile(local, 2)[order]
+        self._p = self._prob[base_idx]
+        self._cluster = np.arange(n)
+        self._dead = np.zeros(m, dtype=bool)
+        self._in_plus = np.zeros(m, dtype=bool)
+        self._tail = np.zeros(m, dtype=np.int64)
+        self._rounds = 0
+        self._steps: List[_StepRecord] = []
+        clusters: List[np.ndarray] = []
 
-    def _rebuild_cluster_list(self) -> None:
-        lst = [-1] * self.view.n
-        for v, c in self.cluster_of.items():
-            lst[v] = c
-        self._cluster_list = lst
-        self._sorted_clustered = sorted(self.cluster_of)
+        mark_probability = n ** (-1.0 / self.k)
+        for phase in range(self.k - 1):
+            clusters.append(self._cluster)
+            self._run_phase(phase, self._mark_clusters(phase, mark_probability))
+            # Step 1 dissemination of the marking through the cluster trees.
+            self._rounds += max(1, self.k - 1)
+        clusters.append(self._cluster)
+        self._final_step()
+
+        plus = np.flatnonzero(self._in_plus)
+        return SpannerResult(
+            view,
+            self.k,
+            f_plus_idx=base_idx[plus],
+            f_minus_idx=base_idx[self._dead],
+            tails=self._tail[plus],
+            rounds=self._rounds,
+            clusters=clusters,
+            steps=self._steps,
+        )
 
     # -- phase steps ------------------------------------------------------------
 
-    def _mark_clusters(self, phase: int, mark_probability: float) -> Set[int]:
-        """Step 1: every cluster centre marks itself with probability ``n^{-1/k}``."""
-        centres = sorted(set(self.cluster_of.values()))
+    def _mark_clusters(self, phase: int, mark_probability: float) -> np.ndarray:
+        """Step 1: every cluster centre marks itself with probability ``n^{-1/k}``.
+
+        Returns a boolean array over cluster identifiers with one spare slot at
+        the end that stays ``False``, so that indexing it with ``-1`` (an
+        unclustered vertex) reads "not marked".
+        """
+        n = self.view.n
+        cluster = self._cluster
+        centres = np.flatnonzero(np.bincount(cluster[cluster >= 0], minlength=n))
         if self.marking_bits is not None and phase < len(self.marking_bits):
-            return {c for c in centres if self.marking_bits[phase].get(c, False)}
-        return {c for c in centres if self.rng.random() < mark_probability}
-
-    def _step_connect_to_marked(
-        self, phase: int, marked: Set[int], new_cluster_of: Dict[int, int]
-    ) -> None:
-        """Step 2: vertices of unmarked clusters try to join a marked cluster.
-
-        ``self.w_threshold[v]`` records the (weight, identifier) pair of the
-        accepted connection ``(W_v, u)``, or ``(inf, inf)`` when ``Connect``
-        returned bottom; step 3 only considers strictly lighter edges (ties
-        broken by identifier, as in the Baswana-Sen algorithm of Appendix A).
-        """
-        self.w_threshold: Dict[int, Tuple[float, float]] = {}
-        messages_per_vertex: Dict[int, int] = {}
-        cluster_of = self.cluster_of
-        cluster_list = self._cluster_list
-        for v in self._sorted_clustered:
-            if cluster_of[v] in marked:
-                continue
-            candidates = [
-                entry
-                for entry in self._alive_neighbours(v)
-                if cluster_list[entry[0]] in marked
-            ]
-            accepted, rejected = (
-                self._run_connect(candidates) if candidates else (None, ())
-            )
-            messages_per_vertex[v] = 1
-            if accepted is None:
-                self.w_threshold[v] = (math.inf, math.inf)
-                self._record_broadcast(phase, "step2", v, None, None, None)
-            else:
-                u, w_uv, ei = accepted
-                self.w_threshold[v] = (w_uv, u)
-                new_cluster_of[v] = cluster_list[u]
-                self._add_spanner_edge(v, u, ei)
-                self._record_broadcast(phase, "step2", v, cluster_list[u], u, w_uv)
-            if rejected:
-                self._reject_edges(v, rejected)
-        self._charge_step(messages_per_vertex)
-
-    def _clustered_neighbours(
-        self, v: int, threshold: Optional[Tuple[float, float]] = None
-    ) -> Dict[int, List[AdjEntry]]:
-        """Alive neighbours of ``v`` grouped by their cluster, one pass.
-
-        Entry order within each group follows the adjacency lists (ascending
-        identifier), matching what a per-cluster scan would produce.  With a
-        ``threshold``, only entries with ``(w, u) < threshold`` are kept (the
-        step-3 restriction).  Grouping once per vertex replaces the historical
-        scan-all-neighbours-per-adjacent-cluster loop, which was quadratic in
-        the degree; it is safe because the edges a vertex rejects while
-        processing one cluster all lead *into* that cluster and therefore
-        never alter the candidate lists of the clusters still to come.
-        """
-        cluster_list = self._cluster_list
-        groups: Dict[int, List[AdjEntry]] = {}
-        if threshold is None:
-            for entry in self._alive_neighbours(v):
-                cluster = cluster_list[entry[0]]
-                if cluster < 0:
-                    continue
-                group = groups.get(cluster)
-                if group is None:
-                    groups[cluster] = [entry]
-                else:
-                    group.append(entry)
+            bits = self.marking_bits[phase]
+            chosen = np.array([bits.get(c, False) for c in centres.tolist()], dtype=bool)
         else:
-            for entry in self._alive_neighbours(v):
-                cluster = cluster_list[entry[0]]
-                if cluster < 0 or (entry[1], entry[0]) >= threshold:
-                    continue
-                group = groups.get(cluster)
-                if group is None:
-                    groups[cluster] = [entry]
-                else:
-                    group.append(entry)
-        return groups
+            chosen = self.rng.random(centres.size) < mark_probability
+        marked = np.zeros(n + 1, dtype=bool)
+        marked[centres[chosen]] = True
+        return marked
 
-    def _step_unmarked_to_unmarked(
-        self, phase: int, marked: Set[int], smaller_ids: bool
-    ) -> None:
-        """Steps 3.1 / 3.2: connections between unmarked clusters, split by ID."""
-        step_name = "step3.1" if smaller_ids else "step3.2"
-        messages_per_vertex: Dict[int, int] = {}
-        cluster_of = self.cluster_of
-        for v in self._sorted_clustered:
-            own_cluster = cluster_of[v]
-            if own_cluster in marked:
-                continue
-            threshold = self.w_threshold.get(v, (math.inf, math.inf))
-            groups = self._clustered_neighbours(v, threshold=threshold)
-            for cluster in sorted(groups):
-                if cluster in marked or cluster == own_cluster:
-                    continue
-                if smaller_ids and cluster > own_cluster:
-                    continue
-                if (not smaller_ids) and cluster <= own_cluster:
-                    continue
-                accepted, rejected = self._run_connect(groups[cluster])
-                messages_per_vertex[v] = messages_per_vertex.get(v, 0) + 1
-                if accepted is None:
-                    self._record_broadcast(phase, step_name, v, cluster, None, None)
-                else:
-                    u, w_uv, ei = accepted
-                    self._add_spanner_edge(v, u, ei)
-                    self._record_broadcast(phase, step_name, v, cluster, u, w_uv)
-                self._reject_edges(v, rejected)
-        self._charge_step(messages_per_vertex)
+    def _run_phase(self, phase: int, marked: np.ndarray) -> None:
+        """Steps 2, 3.1 and 3.2 of one phase, then the move to the next clustering."""
+        n = self.view.n
+        cluster = self._cluster
+        src, dst, weight = self._src, self._dst, self._w
+        own, other = cluster[src], cluster[dst]
+        # half-edges an acting vertex (one in an unmarked cluster) may scan
+        scan = np.flatnonzero(~marked[own] & (own >= 0) & (other >= 0) & ~self._dead[self._edge])
+        to_marked = marked[other[scan]]
+
+        # Step 2: one Connect per acting vertex over all its neighbours in
+        # marked clusters.  The accepted connection (W_v, u) -- (inf, inf) after
+        # bottom -- is the threshold of step 3, which only considers strictly
+        # lighter edges (ties broken by identifier, as in Appendix A).
+        actors = np.flatnonzero(~marked[cluster] & (cluster >= 0))
+        candidates = scan[to_marked]
+        _starts, accepted = self._connect(candidates, src[candidates])
+        joined = accepted[accepted >= 0]
+        threshold_w = np.full(n, np.inf)
+        threshold_id = np.full(n, np.inf)
+        threshold_w[src[joined]] = weight[joined]
+        threshold_id[src[joined]] = dst[joined]
+        next_cluster = np.where(marked[cluster], cluster, -1)
+        next_cluster[src[joined]] = cluster[dst[joined]]
+        self._rounds += self.words_per_message if actors.size else 1
+        if self.record_broadcasts:
+            neighbour = np.full(n, -1)
+            accepted_weight = np.zeros(n)
+            neighbour[src[joined]] = dst[joined]
+            accepted_weight[src[joined]] = weight[joined]
+            self._steps.append(
+                (
+                    phase,
+                    "step2",
+                    actors,
+                    next_cluster[actors],
+                    neighbour[actors],
+                    accepted_weight[actors],
+                )
+            )
+
+        # Steps 3.1 / 3.2: one Connect per (acting vertex, adjacent unmarked
+        # cluster other than its own), towards smaller identifiers first.
+        rest = scan[~to_marked]
+        s, d, w = src[rest], dst[rest], weight[rest]
+        below = (w < threshold_w[s]) | ((w == threshold_w[s]) & (d < threshold_id[s]))
+        rest = rest[below & (other[rest] != own[rest])]
+        self._connect_by_cluster(phase, ("step3.1", "step3.2"), rest, own, other)
+        self._cluster = next_cluster
 
     def _final_step(self) -> None:
         """Step 4: connect every vertex to all adjacent surviving clusters ``R_k``."""
-        surviving = set(self.cluster_of.values())
+        cluster = self._cluster
+        own, other = cluster[self._src], cluster[self._dst]
+        scan = np.flatnonzero((other >= 0) & (other != own) & ~self._dead[self._edge])
+        outside = own[scan] < 0
         phase = self.k - 1
-
         # 4.1 -- vertices outside any surviving cluster.
-        messages_per_vertex: Dict[int, int] = {}
-        for v in range(self.view.n):
-            if v in self.cluster_of:
-                continue
-            groups = self._clustered_neighbours(v)
-            self._connect_to_each_cluster(
-                v, groups, surviving, phase, "step4.1", messages_per_vertex
-            )
-        self._charge_step(messages_per_vertex)
-
+        self._connect_by_cluster(phase, ("step4.1",), scan[outside], own, other)
         # 4.2 / 4.3 -- vertices inside surviving clusters, split by cluster ID.
-        for smaller_ids, step_name in ((True, "step4.2"), (False, "step4.3")):
-            messages_per_vertex = {}
-            for v in self._sorted_clustered:
-                own_cluster = self.cluster_of[v]
-                groups = self._clustered_neighbours(v)
-                targets = {
-                    c
-                    for c in groups
-                    if c != own_cluster
-                    and c in surviving
-                    and ((c <= own_cluster) if smaller_ids else (c > own_cluster))
-                }
-                self._connect_to_each_cluster(
-                    v, groups, targets, phase, step_name, messages_per_vertex
-                )
-            self._charge_step(messages_per_vertex)
+        self._connect_by_cluster(phase, ("step4.2", "step4.3"), scan[~outside], own, other)
 
-    def _connect_to_each_cluster(
+    def _connect_by_cluster(
         self,
-        v: int,
-        groups: Dict[int, List[AdjEntry]],
-        clusters: Set[int],
         phase: int,
-        step_name: str,
-        messages_per_vertex: Dict[int, int],
+        steps: Tuple[str, ...],
+        scan: np.ndarray,
+        own: np.ndarray,
+        other: np.ndarray,
     ) -> None:
-        for cluster in sorted(clusters):
-            candidates = groups.get(cluster)
-            if not candidates:
-                continue
-            accepted, rejected = self._run_connect(candidates)
-            messages_per_vertex[v] = messages_per_vertex.get(v, 0) + 1
-            if accepted is None:
-                self._record_broadcast(phase, step_name, v, cluster, None, None)
-            else:
-                u, w_uv, ei = accepted
-                self._add_spanner_edge(v, u, ei)
-                self._record_broadcast(phase, step_name, v, cluster, u, w_uv)
-            self._reject_edges(v, rejected)
+        """One ``Connect`` per (vertex, adjacent cluster) over the half-edges ``scan``.
 
-    # -- local state helpers -------------------------------------------------------
-
-    def _alive_neighbours(self, v: int) -> List[AdjEntry]:
-        """``N_v`` as ``(u, w, edge_index)`` entries, sorted by identifier.
-
-        The adjacency lists already exclude edges dead in the view; only the
-        edges declared non-existent *during this run* are filtered here.
+        Two names in ``steps`` split the work by cluster identifier: the first
+        step takes the groups towards smaller identifiers, the second
+        afterwards those towards larger ones, seeing what the first decided.
+        The stable sort keeps the ``(weight, identifier)`` order of the
+        half-edges inside every group.
         """
-        deleted = self.result.f_minus_of[v]
-        entries = self._adj[v]
-        if not deleted:
-            return entries
-        return [entry for entry in entries if entry[0] not in deleted]
+        key = self._src[scan] * self.view.n + other[scan]
+        order = np.argsort(key, kind="stable")
+        scan, key = scan[order], key[order]
+        if len(steps) == 1:
+            sides = [np.ones(scan.size, dtype=bool)]
+        else:
+            smaller = other[scan] < own[scan]
+            sides = [smaller, ~smaller]
+        for name, side in zip(steps, sides):
+            chosen = side & ~self._dead[self._edge[scan]]
+            candidates, groups = scan[chosen], key[chosen]
+            starts, accepted = self._connect(candidates, groups)
+            senders = self._src[candidates[starts]]
+            self._rounds += (
+                int(np.bincount(senders).max()) * self.words_per_message if starts.size else 1
+            )
+            if self.record_broadcasts:
+                won = np.maximum(accepted, 0)
+                self._steps.append(
+                    (
+                        phase,
+                        name,
+                        senders,
+                        other[candidates[starts]],
+                        np.where(accepted >= 0, self._dst[won], -1),
+                        self._w[won],
+                    )
+                )
 
-    def _run_connect(
-        self, candidates: Sequence[AdjEntry]
-    ) -> Tuple[Optional[AdjEntry], List[Tuple[int, int]]]:
-        """Inline ``Connect`` (Algorithm 2) over ``(u, w, edge_index)`` entries.
+    def _connect(self, candidates: np.ndarray, key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Resolve one step's ``Connect`` groups and apply their outcome to the state.
 
-        Scans the candidates in ascending ``(weight, identifier)`` order,
-        flipping one coin per inspected candidate with its maintained
-        probability (edges already in ``F+`` count as probability 1), and
-        returns the accepted entry -- or ``None``, the paper's bottom symbol
-        -- plus the rejected prefix ``N^-`` as ``(u, edge_index)`` pairs.
-
-        This draws exactly the rng sequence of the standalone reference
-        :func:`repro.spanners.connect.connect` (one uniform per inspected
-        candidate, drawn *before* the ``p >= 1`` short-circuit is evaluated);
-        inlining merely avoids building three dicts and a result object per
-        call on the hot path.
+        ``candidates`` are half-edge positions, grouped by ``key`` (equal keys
+        adjacent, groups in broadcast order, scan order inside a group).
+        Returns the offset of every group's first candidate and, per group,
+        the accepted half-edge (``-1`` for bottom).  Accepted edges enter
+        ``F+`` -- the first vertex to add an edge is its tail -- and the
+        rejected prefixes ``N^-`` enter ``F-``.
         """
-        ordered = sorted(candidates, key=_by_weight_then_id)
-        rejected: List[Tuple[int, int]] = []
-        rng_random = self.rng.random
-        f_plus_idx = self.result.f_plus_idx
-        prob = self._prob_list
-        for entry in ordered:
-            ei = entry[2]
-            p = 1.0 if ei in f_plus_idx else prob[ei]
-            if rng_random() < p or p >= 1.0:
-                return entry, rejected
-            rejected.append((entry[0], ei))
-        return None, rejected
-
-    def _add_spanner_edge(self, adder: int, other: int, edge_index: int) -> None:
-        if edge_index not in self.result.f_plus_idx:
-            key = canonical_edge(adder, other)
-            self.result.orientation[key] = (adder, other)
-            self.result.f_plus_idx.add(edge_index)
-            self.result.f_plus.add(key)
-        self.result.f_plus_of[adder].add(other)
-        self.result.f_plus_of[other].add(adder)
-
-    def _reject_edges(self, v: int, rejected: Sequence[Tuple[int, int]]) -> None:
-        result = self.result
-        for u, ei in rejected:
-            if ei in result.f_plus_idx:
+        if candidates.size == 0:
+            return _NO_INDEX, _NO_INDEX
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        edges = self._edge[candidates]
+        p = np.where(self._in_plus[edges], 1.0, self._p[edges])
+        accepted_at, rejected_at = _resolve_connect(p, starts, self.rng)
+        accepted = np.where(accepted_at >= 0, candidates[accepted_at], -1)
+        won = accepted[accepted >= 0]
+        fresh = won[~self._in_plus[self._edge[won]]]
+        self._tail[self._edge[fresh]] = self._src[fresh]
+        self._in_plus[self._edge[fresh]] = True
+        if rejected_at.size:
+            lost = edges[rejected_at]
+            if self._in_plus[lost].any():
+                bad = self.view.alive_indices()[lost[self._in_plus[lost]][0]]
                 raise RuntimeError(
-                    f"edge {canonical_edge(u, v)} was sampled out after having "
+                    f"edge {self.view.edge_key(int(bad))} was sampled out after having "
                     "been accepted; this indicates a bookkeeping bug"
                 )
-            result.f_minus_idx.add(ei)
-            result.f_minus.add(canonical_edge(u, v))
-            result.f_minus_of[v].add(u)
-            result.f_minus_of[u].add(v)
-
-    def _record_broadcast(
-        self,
-        phase: int,
-        step: str,
-        sender: int,
-        target_cluster: Optional[int],
-        accepted: Optional[int],
-        weight: Optional[float],
-    ) -> None:
-        if not self.record_broadcasts:
-            return
-        self.result.broadcasts.append(
-            BroadcastRecord(
-                phase=phase,
-                step=step,
-                sender=sender,
-                target_cluster=target_cluster,
-                accepted=accepted,
-                weight=weight,
-            )
-        )
-
-    def _charge_step(self, messages_per_vertex: Dict[int, int]) -> None:
-        """Charge rounds for one step: broadcasts of different vertices run in
-        parallel, so the cost is the maximum number of messages any vertex sends,
-        times the number of words per message (Lemma 3.2)."""
-        if not messages_per_vertex:
-            self.result.rounds += 1
-            return
-        self.result.rounds += max(messages_per_vertex.values()) * self.words_per_message
+            self._dead[lost] = True
+        return starts, accepted
 
 
 def probabilistic_spanner(

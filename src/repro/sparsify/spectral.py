@@ -180,9 +180,9 @@ def spectral_sparsify(
     alive = np.ones(base_m, dtype=bool)
     probability = np.ones(base_m)
     result = SparsifierResult(sparsifier=WeightedGraph(n), backend=backend)
-    last_bundle_idx = np.zeros(0, dtype=np.int64)
-    last_orientation: Dict[EdgeKey, Tuple[int, int]] = {}
 
+    # runs at least once: `bundle` and `bundle_mask` of the last iteration are
+    # what the final step below keeps
     for iteration in range(1, _iteration_count(graph.m) + 1):
         # the bundle keeps the mask it was handed (EdgeView contract), so give
         # it a copy: this loop mutates `alive` in place right below
@@ -194,14 +194,7 @@ def spectral_sparsify(
             rng=rng,
             record_broadcasts=False,
         )
-        bundle_idx = np.fromiter(
-            bundle.bundle_idx, dtype=np.int64, count=len(bundle.bundle_idx)
-        )
-        rejected_idx = np.fromiter(
-            bundle.rejected_idx, dtype=np.int64, count=len(bundle.rejected_idx)
-        )
-        last_bundle_idx = bundle_idx
-        last_orientation = bundle.orientation()
+        bundle_idx, rejected_idx = bundle.bundle_idx, bundle.rejected_idx
         result.rounds += bundle.rounds
 
         # E_i <- E_{i-1} \ C_i ; p <- 1 on the bundle, p/4 and w*4 elsewhere.
@@ -215,8 +208,8 @@ def spectral_sparsify(
         result.iterations.append(
             IterationRecord(
                 iteration=iteration,
-                bundle_edges=len(bundle.bundle),
-                rejected_edges=len(bundle.rejected),
+                bundle_edges=int(bundle_idx.size),
+                rejected_edges=int(rejected_idx.size),
                 remaining_edges=int(np.count_nonzero(alive)),
                 rounds=bundle.rounds,
             )
@@ -227,8 +220,6 @@ def spectral_sparsify(
     # drawn in one batch over the non-bundle edges in canonical order, which
     # consumes the rng stream exactly like per-edge draws would.
     alive_idx = np.flatnonzero(alive)
-    bundle_mask = np.zeros(base_m, dtype=bool)
-    bundle_mask[last_bundle_idx] = True
     in_bundle = bundle_mask[alive_idx]
     kept_bundle = alive_idx[in_bundle]
     candidates = alive_idx[~in_bundle]
@@ -239,6 +230,8 @@ def spectral_sparsify(
     sparsifier = WeightedGraph(n)
     sparsifier.add_edges(edge_u[keep_idx], edge_v[keep_idx], weights[keep_idx])
 
+    # only the last bundle's orientation is ever read: build it here, once
+    last_orientation = bundle.orientation()
     orientation: Dict[EdgeKey, Tuple[int, int]] = {}
     for a, b in zip(edge_u[kept_bundle].tolist(), edge_v[kept_bundle].tolist()):
         orientation[(a, b)] = last_orientation.get((a, b), (a, b))
@@ -305,9 +298,7 @@ def spectral_sparsify_apriori(
         for key in sorted(bundle.bundle):
             orientation[key] = bundle_orientation.get(key, key)
 
-        bundle_idx = np.fromiter(
-            bundle.bundle_idx, dtype=np.int64, count=len(bundle.bundle_idx)
-        )
+        bundle_idx = bundle.bundle_idx
         bundle_mask = np.zeros(base_m, dtype=bool)
         bundle_mask[bundle_idx] = True
         alive_idx = np.flatnonzero(alive)
@@ -324,7 +315,7 @@ def spectral_sparsify_apriori(
         result.iterations.append(
             IterationRecord(
                 iteration=iteration,
-                bundle_edges=len(bundle.bundle),
+                bundle_edges=int(bundle_idx.size),
                 rejected_edges=0,
                 remaining_edges=int(np.count_nonzero(alive)),
                 rounds=bundle.rounds,

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
+
+# tests/spanners/reference_executor.py (the frozen per-vertex spanner executor)
+# is also the base of the historical references in tests/sparsify
+sys.path.insert(0, str(Path(__file__).resolve().parent / "spanners"))
 
 
 @pytest.fixture

@@ -100,6 +100,12 @@ class TestEdgeView:
         assert view.subview(alive).max_weight() == float(np.max(view.w[alive]))
         assert view.subview(np.zeros(view.base_m, dtype=bool)).max_weight() == 0.0
 
+    def test_edge_keys_follow_the_index_order(self, graph):
+        view = EdgeView.from_graph(graph)
+        indices = np.array([5, 0, 3])
+        assert view.edge_keys(indices) == [view.edge_key(i) for i in (5, 0, 3)]
+        assert view.edge_keys(np.zeros(0, dtype=np.int64)) == []
+
     def test_adjacency_lists_sorted_and_consistent(self, graph):
         view = EdgeView.from_graph(graph)
         adj = view.adjacency_lists()

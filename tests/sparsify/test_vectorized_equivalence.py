@@ -6,14 +6,18 @@ implementations for any seed: they must consume the random stream in exactly
 the same order.  These tests pin that promise by re-implementing the
 pre-vectorisation ``bundle_spanner`` / ``spectral_sparsify`` /
 ``spectral_sparsify_apriori`` outer loops verbatim (rebuild-a-graph-per-layer,
-dict-of-probabilities, scalar coin flips) on top of the shared
-``ProbabilisticSpanner`` and comparing every output field on seeded graphs.
+dict-of-probabilities, scalar coin flips) and comparing every output field on
+seeded graphs.  The references run on the frozen per-vertex executor of
+``tests/spanners/reference_executor.py``, not on the ``ProbabilisticSpanner``
+under test, so a change of executor cannot hide from them.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from reference_executor import ReferenceProbabilisticSpanner
 
 from repro.graphs import generators
 from repro.graphs.graph import EdgeView, WeightedGraph
@@ -39,7 +43,7 @@ def reference_bundle_spanner(graph, probabilities=None, k=2, t=1, rng=None):
             restricted_p = {
                 edge.key: probabilities.get(edge.key, 1.0) for edge in remaining.edges()
             }
-        spanner = ProbabilisticSpanner(
+        spanner = ReferenceProbabilisticSpanner(
             remaining, probabilities=restricted_p, k=k, rng=rng
         ).run()
         per_spanner.append(spanner)
@@ -171,7 +175,7 @@ def test_spanner_on_view_matches_materialised_subgraph(seed):
         k=3,
         rng=np.random.default_rng(seed + 7),
     ).run()
-    on_graph = ProbabilisticSpanner(
+    on_graph = ReferenceProbabilisticSpanner(
         subgraph, probabilities=probs, k=3, rng=np.random.default_rng(seed + 7)
     ).run()
     assert on_view.f_plus == on_graph.f_plus
