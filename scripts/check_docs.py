@@ -1,6 +1,6 @@
 """Documentation gate run by the CI ``docs`` job.
 
-Two checks, both fast and dependency-free beyond the package's own imports:
+Three checks, all fast and dependency-free beyond the package's own imports:
 
 1. **Markdown link check** -- every relative link target in the repo's
    markdown files (root-level ``*.md`` and ``docs/*.md``) must resolve to an
@@ -11,6 +11,15 @@ Two checks, both fast and dependency-free beyond the package's own imports:
    ``repro.linalg`` (module, function, class, and the methods/properties a
    class itself defines) must carry a non-empty docstring.  Public means
    "not underscore-prefixed"; inherited members are the parent's problem.
+
+3. **Decision tables** -- two docs tables are checked against the code they
+   describe, so neither can go stale again: the query kinds listed in
+   ``docs/serving.md`` (section *Query kinds*) must equal
+   ``repro.serve.planner.QUERY_KINDS``, and the artifact kinds in the
+   ``### Repair`` table of ``docs/architecture.md`` must equal the kinds a
+   service actually caches -- the rows with a repair primitive matching the
+   cached kinds whose class defines ``apply_delta``, the "never repaired"
+   rows matching the rest.  A missing or an extra row fails.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
@@ -130,14 +139,96 @@ def check_docstrings() -> list:
     return problems
 
 
+def table_rows(md_name: str, heading: str) -> dict:
+    """``{first-cell code span: rest of the row}`` of the table under ``heading``."""
+    lines = (REPO_ROOT / "docs" / md_name).read_text(encoding="utf-8").splitlines()
+    start = lines.index(heading) + 1
+    rows = {}
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        match = re.match(r"\| `([a-z_]+)`[^|]*\|(.*)", line)
+        if match:
+            rows[match.group(1)] = match.group(2)
+    return rows
+
+
+def cached_artifact_kinds() -> dict:
+    """``{cache kind: its class defines apply_delta}``, read off a live service.
+
+    One tiny query of every kind in ``QUERY_KINDS`` (and every resistance
+    routing rung) through a real :class:`LaplacianService`; what lands in the
+    cache is, by construction, what the serving tier caches.
+    """
+    import numpy as np
+
+    from repro.graphs import generators
+    from repro.serve import LaplacianService
+    from repro.serve.planner import QUERY_KINDS
+
+    service = LaplacianService(t_override=2, auto_flush=False)
+    graph = generators.grid_graph(5, 5)
+    key = service.register(graph)
+    b = np.zeros(graph.n)
+    b[0], b[-1] = 1.0, -1.0
+    service.solve(key, b)
+    service.certify(key)
+    service.effective_resistance(key, 0, 1)  # dense oracle + grounded
+    service.planner.oracle_limit = 0  # above the gate: the sketched rung
+    service.effective_resistances(key, [(0, v) for v in range(1, 20)], eta=0.5)
+    network = generators.random_flow_network(6, seed=1)
+    net_key = service.register(network)
+    service.min_cost_flow(net_key, memoise_result=True)
+    service.solve_gram(net_key, np.ones(network.m), np.zeros(network.n - 1))
+    served = set(service.metrics_snapshot()["queries_by_kind"])
+    if served != set(QUERY_KINDS):
+        raise AssertionError(
+            f"check_docs probes {sorted(served)} but QUERY_KINDS is "
+            f"{sorted(QUERY_KINDS)}: teach cached_artifact_kinds the new kind"
+        )
+    return {
+        entry.kind: hasattr(entry.value, "apply_delta")
+        for entry in service.cache.entries()
+    }
+
+
+def check_decision_tables() -> list:
+    from repro.serve.planner import QUERY_KINDS
+
+    problems = []
+
+    def compare(where: str, documented: set, actual: set) -> None:
+        for kind in sorted(actual - documented):
+            problems.append(f"{where}: missing row for `{kind}`")
+        for kind in sorted(documented - actual):
+            problems.append(f"{where}: row for `{kind}` matches nothing in the code")
+
+    compare(
+        "docs/serving.md query-kind table",
+        set(table_rows("serving.md", "## Query kinds")),
+        set(QUERY_KINDS),
+    )
+    rows = table_rows("architecture.md", "### Repair")
+    never = {kind for kind, rest in rows.items() if "never repaired" in rest}
+    cached = cached_artifact_kinds()
+    repairable = {kind for kind, has_protocol in cached.items() if has_protocol}
+    table = "docs/architecture.md repair table"
+    compare(f"{table} (repairable rows)", set(rows) - never, repairable)
+    compare(f"{table} (never-repaired rows)", never, set(cached) - repairable)
+    return problems
+
+
 def main() -> int:
-    problems = check_markdown_links() + check_docstrings()
+    problems = check_markdown_links() + check_docstrings() + check_decision_tables()
     for problem in problems:
         print(problem)
     if problems:
         print(f"\nFAIL: {len(problems)} documentation problem(s)")
         return 1
-    print("PASS: markdown links resolve, public API fully docstringed")
+    print(
+        "PASS: markdown links resolve, public API fully docstringed, "
+        "decision tables match the code"
+    )
     return 0
 
 

@@ -415,6 +415,50 @@ class SketchedResistanceOracle:
             self.reweighted += 1
         return True
 
+    def apply_delta(self, delta, *, graph, grounded, on_step) -> bool:
+        """Absorb a whole mutation ``delta``; ``False`` = drop and rebuild.
+
+        The repair protocol of
+        :meth:`~repro.linalg.sparse_backend.RepairableGroundedSolver.apply_delta`.
+        Insertions append a fresh column (:meth:`append_edge`), reweights and
+        removals re-derive the edge's own column (:meth:`repair_edge`); both
+        need the post-record solve ``z`` of every record, which the grounded
+        solver recorded when it absorbed the same delta
+        (:meth:`~repro.linalg.sparse_backend.RepairableGroundedSolver.update_log`),
+        so no solve happens here.  Refused when that log does not cover the
+        delta (the grounded solver was rebuilt, not repaired), when a record
+        split a component (``e_u - e_v`` is inconsistent across the
+        re-grounding), or when the widened :attr:`eta_effective` no longer
+        honours the ``eta`` the oracle was built -- and is cached -- for.
+        """
+        solver = grounded()
+        log = solver.update_log() if hasattr(solver, "update_log") else []
+        if len(log) < len(delta):
+            return False
+        tail = log[len(log) - len(delta) :]
+        for step, (record, logged) in enumerate(zip(delta, tail)):
+            log_u, log_v, log_delta, z, split = logged
+            if split:
+                return False
+            if {log_u, log_v} != {record.u, record.v} or not np.isclose(
+                log_delta, record.weight_delta
+            ):
+                return False
+            on_step(step)
+            if record.op == "add":
+                ok = self.append_edge(record.u, record.v, record.weight, z=z)
+            else:
+                ok = self.repair_edge(
+                    record.u,
+                    record.v,
+                    record.prev_weight,
+                    0.0 if record.weight is None else record.weight,
+                    z=z,
+                )
+            if not ok:
+                return False
+        return self.eta_effective <= self.eta
+
     def pair_resistances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``(1 +/- eta_effective)``-approximate resistances for arbitrary pairs."""
         u, v = validate_pair_indices(u, v, self.n)

@@ -389,6 +389,42 @@ class _IndicatorUpdate:
         return X[self.idx].sum(axis=0)
 
 
+def _split_side(graph: WeightedGraph, delta, step: int) -> Optional[set]:
+    """Vertex set cut off by the bridge removal at ``delta[step]``.
+
+    ``graph`` already reflects the *whole* delta, so the topology right
+    after record ``step`` is reconstructed by undoing the later records
+    (existence only -- reweights don't move edges), then the split side is
+    the BFS component of the removed edge's ``v`` endpoint.  Returns ``None``
+    when ``u`` is still reachable: the removal was no bridge and the solver's
+    refusal was numerical, which re-grounding cannot fix.
+    """
+    u_arr, v_arr, _ = graph.edge_array()
+    adjacency: Dict[int, set] = {}
+    for a, b in zip(u_arr.tolist(), v_arr.tolist()):
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    for record in reversed(delta[step + 1 :]):
+        if record.op == "add":
+            adjacency.setdefault(record.u, set()).discard(record.v)
+            adjacency.setdefault(record.v, set()).discard(record.u)
+        elif record.op == "remove":
+            adjacency.setdefault(record.u, set()).add(record.v)
+            adjacency.setdefault(record.v, set()).add(record.u)
+    target = delta[step]
+    seen = {target.v}
+    frontier = [target.v]
+    while frontier:
+        x = frontier.pop()
+        for y in adjacency.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    if target.u in seen:
+        return None
+    return seen
+
+
 class RepairableGroundedSolver(GroundedLaplacianSolver):
     """Grounded ``splu`` solver that absorbs edge mutations as rank-1 updates.
 
@@ -579,6 +615,44 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         self._component_label = None  # labels changed: rebuild lazily
         return True
 
+    def apply_delta(self, delta, *, graph, grounded, on_step) -> bool:
+        """Absorb a whole mutation ``delta``; ``False`` = drop and rebuild.
+
+        The artifact repair protocol, shared by every repairable cached
+        artifact (:class:`ResistanceOracle`,
+        :class:`~repro.linalg.resistance.SketchedResistanceOracle`,
+        :class:`~repro.solvers.laplacian.SolverPreprocessing`): ``delta`` is
+        the :class:`~repro.graphs.graph.MutationRecord` sequence bridging the
+        content this artifact was built for to ``graph`` (which already
+        reflects all of it); ``grounded()`` returns the graph's cached
+        grounded solver, itself already repaired across the same delta;
+        ``on_step(step)`` is called before each record (the serving tier's
+        fault-injection seam).  Each artifact reads what it needs and
+        ignores the rest.  A ``False`` return -- or an exception -- leaves
+        the artifact possibly half-updated: the caller must discard it.
+
+        Here: any op via :meth:`apply_update`; a refused *removal* is
+        retried with the component it cuts off (:func:`_split_side`), so a
+        bridge removal re-grounds the new component instead of rebuilding.
+        A split removal consumes two update slots (regulariser + removal),
+        so the worst case is budgeted up front instead of dying mid-walk.
+        """
+        removals = sum(1 for record in delta if record.op == "remove")
+        if self.update_budget_remaining < len(delta) + removals:
+            return False
+        for step, record in enumerate(delta):
+            on_step(step)
+            if self.apply_update(record.u, record.v, record.weight_delta):
+                continue
+            if record.op != "remove":
+                return False
+            side = _split_side(graph, delta, step)
+            if side is None or not self.apply_update(
+                record.u, record.v, record.weight_delta, split_side=side
+            ):
+                return False
+        return True
+
     def update_log(self):
         """Absorbed edge mutations, oldest first, for dependent repairs.
 
@@ -710,6 +784,23 @@ class ResistanceOracle:
             return False
         self._S -= np.outer((delta / denom) * y, y)
         self._repairs += 1
+        return True
+
+    def apply_delta(self, delta, *, graph, grounded, on_step) -> bool:
+        """Absorb a whole mutation ``delta``; ``False`` = drop and rebuild.
+
+        The repair protocol of :meth:`RepairableGroundedSolver.apply_delta`.
+        Every record (add / reweight / remove) goes through
+        :meth:`apply_update`, whose denominator guard refuses bridge
+        removals; a delta longer than the remaining update budget is refused
+        before any ``O(n^2)`` work.
+        """
+        if self.max_updates - self._repairs < len(delta):
+            return False
+        for step, record in enumerate(delta):
+            on_step(step)
+            if not self.apply_update(record.u, record.v, record.weight_delta):
+                return False
         return True
 
     def share_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:

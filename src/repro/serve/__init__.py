@@ -8,17 +8,18 @@ something:
 * :mod:`repro.serve.registry` -- content-fingerprinted graph handles with
   mutation (version) tracking, so stale artifacts are detected, not served.
 * :mod:`repro.serve.artifacts` -- byte-accounted LRU cache of sparsifiers,
-  grounded factorisations and solver preprocessing, with
-  :meth:`ArtifactCache.repair_graph` migrating a mutated graph's artifacts
-  to its new identity via low-rank repair instead of a rebuild.
+  grounded factorisations and solver preprocessing, with a pending-delta
+  ledger (:meth:`ArtifactCache.defer_repair`) from which a mutated graph's
+  artifacts migrate to its new identity one by one, each on its first
+  lookup, via the artifact's own ``apply_delta`` instead of a rebuild.
 * :mod:`repro.serve.planner` -- coalesces heterogeneous queries into the
   blocked ``solve_many`` / batched effective-resistance kernels, with
   eps-aware routing of resistance queries (exact dense oracle below the
   size gate, JL-sketched oracle for ``eta``-bounded queries above it, splu
-  fallback until a sketch build has amortised) and incremental artifact
-  repair for short mutation deltas (Sherman-Morrison on factorisations and
-  the dense oracle, embedding row-appends on the sketched oracle,
-  kappa-preserving sparsifier edge-adds on solver preprocessing).
+  fallback until a sketch build has amortised), one ``kind -> (validate,
+  coalesce, execute)`` table for the query kinds, and lazy artifact repair
+  for short mutation deltas (what each artifact absorbs is decided by its
+  own ``apply_delta``, not by the planner).
 * :mod:`repro.serve.service` -- the :class:`LaplacianService` front door:
   thread-safe submission queue, flush policy with admission control
   (``max_pending`` -> :class:`ServiceOverloadedError`), serving metrics,

@@ -12,9 +12,11 @@ others) and memoised certification reports.
 Keys embed the graph's **version** at build time, so a mutated graph can never
 hit an artifact built against its earlier content -- the lookup simply misses
 and the stale entry is either swept by :meth:`ArtifactCache.invalidate_graph`
-or, when the mutation delta is short enough for low-rank repair, migrated to
-the new ``(fingerprint, version)`` identity by
-:meth:`ArtifactCache.repair_graph`.
+or, when the mutation delta is short enough for low-rank repair, parked in
+the pending-delta ledger (:meth:`ArtifactCache.defer_repair`) and migrated
+to the new ``(fingerprint, version)`` identity one artifact at a time, each
+on its first lookup (:meth:`ArtifactCache.take_stale_entry` ->
+``value.apply_delta(...)`` -> :meth:`ArtifactCache.adopt_repaired`).
 Eviction is LRU over *estimated bytes* (``max_bytes``) and entry count
 (``max_entries``): factorisations of ``n = 10^4`` grids weigh megabytes while
 tiny sparsifiers weigh kilobytes, so counting entries alone would let the
@@ -158,9 +160,6 @@ class ArtifactCache:
         self._entries: "OrderedDict[Tuple[Hashable, ...], CacheEntry]" = OrderedDict()
         self._total_bytes = 0
         self._lock = threading.RLock()
-        # serialises repair_graph calls (repairs mutate artifacts in place);
-        # separate from _lock so multi-ms repairs never block plain lookups
-        self._repair_lock = threading.Lock()
         # pending-delta ledger for lazy repair: maps a *target* identity
         # (new fingerprint, new version) to the stale source generations a
         # first lookup can migrate artifacts from, each with the mutation
@@ -252,98 +251,6 @@ class ArtifactCache:
                     del self._pending[target]
             return len(doomed)
 
-    def repair_graph(
-        self,
-        graph_key: str,
-        from_version: int,
-        new_graph_key: str,
-        new_version: int,
-        repair_fn: Callable[[List[CacheEntry]], Dict[Tuple[Hashable, ...], Any]],
-    ) -> Tuple[int, int]:
-        """Migrate a mutated graph's artifacts to its new identity via repair.
-
-        The alternative to :meth:`invalidate_graph` when the registry hands
-        the planner a short :class:`~repro.graphs.graph.MutationRecord` delta.
-        Every entry of ``graph_key`` is first removed from the cache
-        *atomically*; the entries at ``from_version`` are then handed to
-        ``repair_fn`` in one call, which returns a mapping from old cache key
-        to repaired value (typically the same object, mutated in place by
-        low-rank updates) -- omitted entries count as "not repairable,
-        drop".  Survivors are re-inserted under
-        ``(new_graph_key, new_version, kind, params)`` -- the mutated
-        content's fingerprint and version -- with freshly estimated byte
-        sizes; everything else (including entries at versions other than
-        ``from_version``, which the delta does not describe) stays dropped
-        and is counted as an invalidation.
-
-        Returns ``(repaired, dropped)``.  Concurrency: repairs are
-        serialised on a dedicated per-cache mutex, and the old entries are
-        popped *before* ``repair_fn`` runs, so two services sharing one
-        cache can never hand the same artifact to two repair walks (the
-        loser finds no candidates and rebuilds instead of double-applying
-        updates).  ``repair_fn`` runs outside the main lock, like builders,
-        so repairs never block unrelated lookups; a reader that fetched an
-        artifact reference *before* the repair started may still observe the
-        in-place mutation, which is why mutating a registered graph must be
-        fenced from concurrent queries of that graph (see
-        :class:`~repro.serve.service.LaplacianService`).  If a racing thread
-        built an entry under a repaired value's new key first, the racing
-        entry wins, mirroring ``get_or_build``'s adopt-first semantics.
-        """
-        with self._repair_lock:
-            with self._lock:
-                doomed = [
-                    entry
-                    for entry in self._entries.values()
-                    if entry.graph_key == graph_key
-                ]
-                for entry in doomed:
-                    self._remove_locked(entry.key)
-            candidates = [entry for entry in doomed if entry.version == from_version]
-            start = time.perf_counter()
-            try:
-                survivors = repair_fn(candidates) if candidates else {}
-            except BaseException:
-                # a repair walk that raises mid-delta is fail-safe by
-                # construction -- the stale entries are already popped, so
-                # nothing half-updated can be served -- but the books must
-                # still balance: every doomed entry is an invalidation, and
-                # the partial walk's cost is accounted before re-raising
-                with self._lock:
-                    self.stats.invalidations += len(doomed)
-                    self.stats.build_seconds += time.perf_counter() - start
-                raise
-            repair_seconds = time.perf_counter() - start
-            with self._lock:
-                migrated = 0
-                for entry in candidates:
-                    value = survivors.get(entry.key)
-                    if value is None:
-                        continue
-                    params = entry.key[3]
-                    new_key = self.make_key(
-                        new_graph_key, new_version, entry.kind, params
-                    )
-                    if new_key in self._entries:
-                        continue  # lost a repair/build race: adopt the racing value
-                    self._entries[new_key] = CacheEntry(
-                        key=new_key,
-                        value=value,
-                        nbytes=estimate_nbytes(value),
-                        graph_key=new_graph_key,
-                        version=int(new_version),
-                        kind=entry.kind,
-                        build_seconds=entry.build_seconds,
-                    )
-                    self._total_bytes += self._entries[new_key].nbytes
-                    migrated += 1
-                dropped = len(doomed) - migrated
-                self.stats.repairs += migrated
-                self.stats.invalidations += dropped
-                self.stats.build_seconds += repair_seconds
-                self._evict_locked()
-        return migrated, dropped
-
     # -- pending-delta ledger (lazy repair) -------------------------------------
 
     def defer_repair(
@@ -357,11 +264,11 @@ class ArtifactCache:
     ) -> bool:
         """Record that the stale generation can be *lazily* repaired later.
 
-        Instead of walking every cached artifact of ``(from_graph_key,
-        from_version)`` eagerly at mutation-detection time, the planner
-        stashes the mutation ``delta`` here; each stale artifact is then
-        migrated individually on its *first lookup* under the new identity
-        (or never, if it is never looked up again).  Chained mutations
+        No artifact of ``(from_graph_key, from_version)`` is touched at
+        mutation-detection time: the planner stashes the mutation ``delta``
+        here, and each stale artifact is migrated individually on its *first
+        lookup* under the new identity (or never, if it is never looked up
+        again).  Chained mutations
         coalesce: if the stale identity is itself a pending target, its
         source generations are re-targeted at the new identity with the
         concatenated delta -- sources whose combined delta exceeds ``limit``
@@ -442,12 +349,15 @@ class ArtifactCache:
         services sharing the cache can never hand the same artifact to two
         repair walks (the loser finds nothing and rebuilds).  The caller
         must finish the story: :meth:`adopt_repaired` on success,
-        :meth:`note_dropped` on failure.
+        :meth:`note_dropped` on failure.  Only values that implement the
+        repair protocol (``apply_delta``) are handed out; anything else
+        (certifications, gram structures, flow results memoise exact
+        old-content computations) is never repaired and stays where it is.
         """
         with self._lock:
             key = self.make_key(graph_key, version, kind, params)
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or not hasattr(entry.value, "apply_delta"):
                 return None
             self._remove_locked(key)
             return entry

@@ -57,23 +57,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serve.faults import FaultInjector, FaultPlan, disarmed_injector
-from repro.serve.planner import (
-    Query,
-    certify_query,
-    flow_query,
-    gram_query,
-    resistance_batch_query,
-    resistance_query,
-    solve_query,
-)
+from repro.serve.faults import FaultInjector, FaultPlan, as_injector
+from repro.serve.planner import Query, solve_query
 from repro.serve.registry import graph_fingerprint
 from repro.serve.resilience import DrainRateTracker, estimate_retry_after
-from repro.serve.service import ServiceOverloadedError
+from repro.serve.service import QueryFrontDoor, ServiceOverloadedError
 from repro.serve.shm import SharedArtifactStore, ShmArtifactSpec
 from repro.serve.worker import RemoteResult, WorkerConfig, worker_main
 
@@ -306,7 +298,7 @@ class _WorkerHandle:
             ) from error
 
 
-class ClusterService:
+class ClusterService(QueryFrontDoor):
     """Replicated, sharded multi-process front door.
 
     Spawns ``num_workers`` processes (``spawn`` start method: fork-safety
@@ -367,13 +359,7 @@ class ClusterService:
         self._workers: Dict[str, _WorkerHandle] = {}
         self.ring = HashRing(replicas=replicas)
         self._worker_counter = num_workers
-        self._worker_injector = (
-            worker_faults
-            if isinstance(worker_faults, FaultInjector)
-            else FaultInjector(worker_faults)
-            if worker_faults is not None
-            else disarmed_injector()
-        )
+        self._worker_injector = as_injector(worker_faults)
         # parent-side counters (worker counters are merged on top)
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._queries_total = 0
@@ -934,14 +920,8 @@ class ClusterService:
         tick, in sorted worker order, so a seeded plan produces a
         deterministic fault schedule.
         """
-        if plan is None:
-            injector = disarmed_injector()
-        elif isinstance(plan, FaultInjector):
-            injector = plan
-        else:
-            injector = FaultInjector(plan)
-        self._worker_injector = injector
-        return injector
+        self._worker_injector = as_injector(plan)
+        return self._worker_injector
 
     def wedge_worker(self, name: str, seconds: float) -> None:
         """Make one worker sleep in its message loop (health-monitor drills).
@@ -1012,75 +992,12 @@ class ClusterService:
     def _submit_and_wait(self, query: Query) -> RemoteResult:
         return self.submit(query).result(timeout=None)
 
-    # -- front doors (mirror LaplacianService) ---------------------------------
-
-    def solve(self, graph_key: str, b: np.ndarray, eps: float = 1e-6):
-        """Solve ``L_G x = b`` on the owning shard (coalesced there)."""
-        return self._submit_and_wait(solve_query(graph_key, b, eps=eps)).value
+    # -- front doors (the rest: QueryFrontDoor) ---------------------------------
 
     def solve_many(self, graph_key: str, rhs: Sequence[np.ndarray], eps: float = 1e-6):
         """Solve many right-hand sides; they coalesce into one shard batch."""
         tickets = [self.submit(solve_query(graph_key, b, eps=eps)) for b in rhs]
         return [t.result().value for t in tickets]
-
-    def effective_resistance(
-        self, graph_key: str, u: int, v: int, eta: Optional[float] = None
-    ) -> float:
-        """Effective resistance between two vertices (``eta`` as in-process)."""
-        return self._submit_and_wait(resistance_query(graph_key, u, v, eta=eta)).value
-
-    def effective_resistances(
-        self,
-        graph_key: str,
-        pairs: Iterable[Tuple[int, int]],
-        eta: Optional[float] = None,
-    ) -> np.ndarray:
-        """Batched effective resistances as one shard kernel call."""
-        pair_list = list(pairs)
-        if not pair_list:
-            return np.zeros(0)
-        return np.asarray(
-            self._submit_and_wait(
-                resistance_batch_query(graph_key, pair_list, eta=eta)
-            ).value
-        )
-
-    def certify(self, graph_key: str, eps: float = 0.5):
-        """Certify the shard's cached sparsifier (Definition 2.1)."""
-        return self._submit_and_wait(certify_query(graph_key, eps=eps)).value
-
-    def min_cost_flow(
-        self,
-        graph_key: str,
-        engine: str = "barrier",
-        seed: Optional[int] = None,
-        eps_scale: float = 1e-6,
-        perturb: bool = True,
-        memoise_result: bool = False,
-    ):
-        """Exact min-cost max-flow on the owning shard (params as in-process)."""
-        return self._submit_and_wait(
-            flow_query(
-                graph_key,
-                engine=engine,
-                seed=seed,
-                eps_scale=eps_scale,
-                perturb=perturb,
-                memoise_result=memoise_result,
-            )
-        ).value
-
-    def solve_gram(
-        self,
-        graph_key: str,
-        d: np.ndarray,
-        rhs: np.ndarray,
-        formulation: str = "fixed-value",
-    ) -> np.ndarray:
-        """One gram solve of the registered network's flow LP on its shard."""
-        return self._submit_and_wait(
-            gram_query(graph_key, d, rhs, formulation=formulation)
-        ).value
 
     # -- metrics / lifecycle ---------------------------------------------------
 

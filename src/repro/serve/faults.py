@@ -394,3 +394,22 @@ class FaultInjector:
 def disarmed_injector() -> FaultInjector:
     """The no-op injector an unarmed planner holds (empty plan, never fires)."""
     return FaultInjector(FaultPlan())
+
+
+def as_injector(faults) -> FaultInjector:
+    """Coerce what an ``arm_*faults`` call accepts into an injector.
+
+    ``None`` disarms (a fresh no-op injector), a :class:`FaultPlan` is wrapped,
+    an armed :class:`FaultInjector` is used as-is so callers can keep reading
+    its fire counters.
+    """
+    if faults is None:
+        return disarmed_injector()
+    if isinstance(faults, FaultInjector):
+        return faults
+    if isinstance(faults, FaultPlan):
+        return FaultInjector(faults)
+    raise TypeError(
+        f"arm_faults wants a FaultPlan, FaultInjector or None, "
+        f"got {type(faults).__name__}"
+    )

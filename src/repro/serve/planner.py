@@ -10,8 +10,9 @@ while preserving per-group submission order, then executes each group with a
 single blocked call against artifacts from the
 :class:`~repro.serve.artifacts.ArtifactCache`.
 
-Three query kinds exist (the service constructs them via
-:func:`solve_query` / :func:`resistance_query` / :func:`certify_query`):
+Five query kinds exist, one row each in the ``kind -> (validate, coalesce,
+execute)`` table at the bottom of this module (:data:`QUERY_KINDS` is derived
+from it); clients construct them via the ``*_query`` functions:
 
 ``solve``
     ``L_G x = b`` to relative error ``eps``; same-graph same-``eps`` queries
@@ -44,25 +45,15 @@ Three query kinds exist (the service constructs them via
     spread ``BENCH_flow.json`` measures.
 
 Staleness: before executing a batch the planner checks the registry entry's
-version.  A drifted graph triggers ``registry.revalidate``, after which the
-outdated artifacts are either *repairable* or dropped -- the stale artifact
-is refused, never served.  Repair is lazy: when the graph's mutation journal
-yields a short delta (at most ``repair_delta_limit`` records, see
-:meth:`repro.graphs.graph.WeightedGraph.delta_since`), the planner stashes
-it in the cache's pending ledger (:meth:`ArtifactCache.defer_repair`) and
-returns without touching any artifact.  The first *lookup* of each stale
-artifact under the new identity (:meth:`QueryPlanner._try_lazy_repair`,
-invoked from the one build seam) walks the delta for that artifact alone --
-Sherman-Morrison on the grounded ``splu`` solver and the dense resistance
-oracle (with component-split re-grounding for bridge removals on the
-grounded solver), per-column rank-1 embedding repair on the JL-sketched
-oracle (insertions append, reweights/removals re-derive the edge's own
-Kane-Nelson column), a sparsifier edge-add on the solver preprocessing --
-and rekeys it via :meth:`ArtifactCache.adopt_repaired`.  An artifact never
-queried after the mutation never pays its repair.  Anything the delta cannot
-express as a low-rank update (cross-component insertions, bridge removals
-for oracles, exhausted ``O(sqrt(n))`` update budgets) drops that artifact
-and rebuilds it from scratch, so repair never trades correctness for speed.
+version.  A drifted graph is revalidated and its outdated artifacts are
+refused, never served.  A short mutation delta (at most ``repair_delta_limit``
+journal records) is parked in the cache's pending ledger and each stale
+artifact is repaired lazily, alone, on its first lookup under the new
+identity -- by its own ``apply_delta``, the protocol documented at
+:meth:`repro.linalg.sparse_backend.RepairableGroundedSolver.apply_delta` --
+so an artifact never queried again never pays; anything else is invalidated
+and rebuilt, as is an artifact whose walk refuses or dies.  See
+:meth:`QueryPlanner._current_entry` and :meth:`QueryPlanner._try_lazy_repair`.
 """
 
 from __future__ import annotations
@@ -70,27 +61,27 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import api
 from repro.flow.baselines import edmonds_karp_max_flow
 from repro.flow.mincostflow import min_cost_max_flow
-from repro.graphs.graph import MutationRecord
+from repro.graphs.digraph import FlowNetwork
+from repro.graphs.laplacian import spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
 from repro.linalg.resistance import SketchedResistanceOracle
 from repro.linalg.sparse_backend import (
     RESISTANCE_ORACLE_LIMIT,
-    GroundedLaplacianSolver,
     RepairableGroundedSolver,
     ResistanceOracle,
     default_update_budget,
     resolve_backend,
 )
 from repro.lp.gram import GRAM_FORMULATIONS, GramSolverBridge, flow_gram_structure
-from repro.serve.artifacts import ArtifactCache, CacheEntry
-from repro.serve.faults import FaultInjector, FaultPlan, disarmed_injector
+from repro.serve.artifacts import ArtifactCache
+from repro.serve.faults import FaultInjector, as_injector
 from repro.serve.registry import GraphRegistry, RegisteredGraph
 from repro.serve.resilience import (
     ArtifactBreakerOpenError,
@@ -100,9 +91,7 @@ from repro.serve.resilience import (
     ResiliencePolicy,
     call_with_retries,
 )
-from repro.solvers.laplacian import BCCLaplacianSolver, SolverPreprocessing
-
-QUERY_KINDS = ("solve", "resistance", "certify", "gram", "flow")
+from repro.solvers.laplacian import BCCLaplacianSolver
 
 #: Longest mutation delta the planner routes through artifact repair; longer
 #: deltas (or an overflowed journal) rebuild from scratch.  The routed
@@ -140,6 +129,32 @@ def _validated_eta(eta) -> Optional[float]:
     return eta
 
 
+@dataclass(frozen=True)
+class QueryKind:
+    """One row of the kind table at the bottom of this module.
+
+    ``validate(graph, payload)`` raises ``ValueError`` on a malformed query
+    (at submit time, before it can poison a shared batch);
+    ``coalesce(payload)`` is what queries must agree on to share a kernel
+    call; ``execute(planner, entry, batch)`` answers a coalesced batch with
+    ``(values, cache_hit, degraded)``.
+    """
+
+    validate: Callable[[Any, Dict[str, Any]], None]
+    coalesce: Callable[[Dict[str, Any]], Tuple[Hashable, ...]]
+    execute: Callable[..., Tuple[List[Any], bool, bool]]
+
+
+def query_kind(kind: str) -> QueryKind:
+    """The table row of ``kind``; ``ValueError`` naming it when there is none."""
+    try:
+        return _KIND_TABLE[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown query kind {kind!r}; use one of {QUERY_KINDS}"
+        ) from None
+
+
 @dataclass
 class Query:
     """One client request against a registered graph."""
@@ -150,13 +165,27 @@ class Query:
     query_id: int = field(default_factory=_query_ids.__next__)
 
     def __post_init__(self):
-        if self.kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {self.kind!r}; use one of {QUERY_KINDS}")
+        query_kind(self.kind)
 
 
 def solve_query(graph_key: str, b: np.ndarray, eps: float = 1e-6) -> Query:
     """``L_G x = b`` to relative error ``eps`` in the ``L_G``-norm."""
     return Query("solve", graph_key, {"b": np.asarray(b, dtype=float), "eps": float(eps)})
+
+
+def _validate_solve(graph, payload: Dict[str, Any]) -> None:
+    b = payload["b"]
+    if b.shape != (graph.n,):
+        raise ValueError(
+            f"right-hand side must have shape ({graph.n},), got {b.shape}"
+        )
+    # a b with one NaN would coalesce into the shared blocked solve_many and
+    # poison every column of the block
+    if not np.all(np.isfinite(b)):
+        raise ValueError(
+            "right-hand side contains non-finite entries (NaN/inf); "
+            "a poisoned b would corrupt the shared blocked solve"
+        )
 
 
 def resistance_query(
@@ -199,9 +228,33 @@ def resistance_batch_query(
     )
 
 
+def _validate_resistance(graph, payload: Dict[str, Any]) -> None:
+    u = np.asarray(payload["u"])
+    v = np.asarray(payload["v"])
+    if u.size and (
+        int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= graph.n
+    ):
+        raise ValueError(f"pair endpoints out of range [0, {graph.n})")
+
+
 def certify_query(graph_key: str, eps: float = 0.5) -> Query:
     """Certify the cached ``(1 +/- eps)``-sparsifier against the graph."""
     return Query("certify", graph_key, {"eps": float(eps)})
+
+
+def _validate_network(kind: str, graph) -> None:
+    """The graph-side precondition shared by the ``flow`` and ``gram`` kinds."""
+    if not isinstance(graph, FlowNetwork):
+        raise ValueError(
+            f"{kind!r} queries need a registered FlowNetwork, "
+            f"got {type(graph).__name__}"
+        )
+    # edge construction checks capacity > 0 / cost finite-ish, but a NaN
+    # passes every ordered comparison: refuse it explicitly
+    if not np.all(np.isfinite(graph.capacities())) or not np.all(
+        np.isfinite(graph.costs())
+    ):
+        raise ValueError("registered flow network has non-finite capacities or costs")
 
 
 def gram_query(
@@ -231,6 +284,32 @@ def gram_query(
             "formulation": formulation,
         },
     )
+
+
+def _validate_gram(graph, payload: Dict[str, Any]) -> None:
+    _validate_network("gram", graph)
+    n, m = graph.n, graph.m
+    formulation = payload["formulation"]
+    rows = m if formulation == "fixed-value" else m + 2 * (n - 1) + 1
+    d = payload["d"]
+    rhs = payload["rhs"]
+    if d.shape != (rows,):
+        raise ValueError(
+            f"gram diagonal must have shape ({rows},) for the "
+            f"{formulation} formulation, got {d.shape}"
+        )
+    if rhs.shape != (n - 1,):
+        raise ValueError(
+            f"gram right-hand side must have shape ({n - 1},), got {rhs.shape}"
+        )
+    # isfinite first: a NaN d slips through `d <= 0` (NaN compares false) and
+    # would poison the aggregated weights
+    if not np.all(np.isfinite(d)):
+        raise ValueError("gram diagonal contains non-finite entries (NaN/inf)")
+    if np.any(d <= 0.0):
+        raise ValueError("gram diagonal must be strictly positive")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("gram right-hand side contains non-finite entries (NaN/inf)")
 
 
 def flow_query(
@@ -371,7 +450,7 @@ class QueryPlanner:
             ttl_seconds=self.resilience.breaker_ttl_seconds,
         )
         #: fault-injection seams (a disarmed no-op injector by default)
-        self.faults = faults if faults is not None else disarmed_injector()
+        self.faults = as_injector(faults)
         self._retry_rng = np.random.default_rng(self.resilience.seed)
         #: optional off-flush-path sketch builder (duck-typed: ``submit(key,
         #: fn) -> bool``, deduplicating in-flight keys).  The cluster worker
@@ -395,19 +474,8 @@ class QueryPlanner:
         breaker).  Swapped atomically enough for tests -- arming while a
         flush is executing is not a supported pattern.
         """
-        if faults is None:
-            injector = disarmed_injector()
-        elif isinstance(faults, FaultInjector):
-            injector = faults
-        elif isinstance(faults, FaultPlan):
-            injector = FaultInjector(faults)
-        else:
-            raise TypeError(
-                f"arm_faults wants a FaultPlan, FaultInjector or None, "
-                f"got {type(faults).__name__}"
-            )
-        self.faults = injector
-        return injector
+        self.faults = as_injector(faults)
+        return self.faults
 
     # -- planning --------------------------------------------------------------
 
@@ -420,7 +488,7 @@ class QueryPlanner:
         """
         batches: "Dict[Tuple[Hashable, ...], QueryBatch]" = {}
         for query in queries:
-            params = self._coalesce_params(query)
+            params = query_kind(query.kind).coalesce(query.payload)
             group = (query.graph_key, query.kind, params)
             batch = batches.get(group)
             if batch is None:
@@ -433,27 +501,6 @@ class QueryPlanner:
             else:
                 batch.queries.append(query)
         return list(batches.values())
-
-    @staticmethod
-    def _coalesce_params(query: Query) -> Tuple[Hashable, ...]:
-        if query.kind == "solve":
-            return (query.payload["eps"],)
-        if query.kind == "certify":
-            return (query.payload["eps"],)
-        if query.kind == "gram":
-            return (query.payload["formulation"],)
-        if query.kind == "flow":
-            payload = query.payload
-            return (
-                payload["engine"],
-                payload["seed"],
-                payload["eps_scale"],
-                payload["perturb"],
-                payload.get("memoise_result", False),
-            )
-        # resistance: exact (None) and approximate queries, or two different
-        # accuracy bounds, must never share a kernel call
-        return (query.payload.get("eta"),)
 
     # -- execution -------------------------------------------------------------
 
@@ -468,22 +515,13 @@ class QueryPlanner:
         """Execute one coalesced batch with a single blocked kernel call.
 
         Resolves registry staleness first (repair or rebuild, see
-        :meth:`_current_entry`), then dispatches on the batch kind; the
+        :meth:`_current_entry`), then dispatches through the kind table; the
         returned results carry per-query shares of the batch wall-clock.
         """
         entry = self._current_entry(batch.graph_key)
         self.faults.on_execute(batch)
         start = time.perf_counter()
-        if batch.kind == "solve":
-            values, cache_hit, degraded = self._execute_solve(entry, batch)
-        elif batch.kind == "resistance":
-            values, cache_hit, degraded = self._execute_resistance(entry, batch)
-        elif batch.kind == "gram":
-            values, cache_hit, degraded = self._execute_gram(entry, batch)
-        elif batch.kind == "flow":
-            values, cache_hit, degraded = self._execute_flow(entry, batch)
-        else:
-            values, cache_hit, degraded = self._execute_certify(entry, batch)
+        values, cache_hit, degraded = query_kind(batch.kind).execute(self, entry, batch)
         per_query_seconds = (time.perf_counter() - start) / max(1, batch.size)
         return [
             QueryResult(
@@ -621,16 +659,6 @@ class QueryPlanner:
             }
         return entry
 
-    #: artifact kinds the lazy-repair path knows how to migrate; everything
-    #: else (certification, gram structures, flow results) memoises exact
-    #: old-content computations and is never repaired
-    _REPAIRABLE_KINDS = (
-        "grounded",
-        "resistance_oracle",
-        "sketched_resistance",
-        "preprocessing",
-    )
-
     def _try_lazy_repair(
         self, entry: RegisteredGraph, kind: str, params: Tuple[Hashable, ...]
     ) -> None:
@@ -638,18 +666,16 @@ class QueryPlanner:
 
         The lazy half of the repair path: :meth:`_current_entry` stashed the
         mutation delta in the cache's pending ledger; here -- called from
-        :meth:`_build` just before every cache lookup -- the artifact that is
-        about to be looked up is repaired across that delta if a stale
-        generation of it is still cached.  Sources are tried closest
-        (shortest delta) first.  The stale entry is popped *before* the walk
-        (:meth:`ArtifactCache.take_stale_entry`), so a concurrent repairer
-        can never double-apply updates to the same object; a walk that
-        refuses or dies drops the popped artifact (the books balance via
-        ``note_dropped``) and the lookup falls through to an ordinary
-        rebuild, counting the degradation only when the walk *raised*.
+        :meth:`_build` just before every cache lookup -- a still-cached stale
+        generation of the artifact about to be looked up is popped (closest
+        source first; popped *before* the walk, so a concurrent repairer can
+        never double-apply updates to the same object) and handed the delta
+        through its own ``apply_delta``.  How the delta is absorbed is the
+        artifact's business; the planner adopts on ``True`` and drops on
+        ``False`` or an exception (the books balance via ``note_dropped``),
+        after which the lookup falls through to an ordinary rebuild.  Only a
+        walk that *raised* counts as a degradation.
         """
-        if kind not in self._REPAIRABLE_KINDS:
-            return
         sources = self.cache.pending_repair(entry.fingerprint, entry.version)
         if not sources:
             return
@@ -661,333 +687,23 @@ class QueryPlanner:
                 continue
             start = time.perf_counter()
             try:
-                value = self._repair_artifact(entry, stale, delta, kind, params)
+                repaired = stale.value.apply_delta(
+                    delta,
+                    graph=entry.graph,
+                    grounded=lambda: self._grounded(entry)[0],
+                    on_step=self.faults.on_repair,
+                )
             except Exception:
                 self.health.increment("degraded_total")
-                self.cache.note_dropped()
-                return
-            if value is None:
-                self.cache.note_dropped()
-                return
-            self.cache.adopt_repaired(
-                entry.fingerprint,
-                entry.version,
-                kind,
-                params,
-                value,
-                repair_seconds=time.perf_counter() - start,
-            )
-            return
-
-    def _repair_artifact(
-        self,
-        entry: RegisteredGraph,
-        stale: CacheEntry,
-        delta: Sequence[MutationRecord],
-        kind: str,
-        params: Tuple[Hashable, ...],
-    ):
-        """Walk ``delta`` over one popped stale artifact; repaired value or None.
-
-        Per-kind policy (the lazy counterpart of :meth:`_repair_survivors`):
-
-        * ``grounded`` -- any op via :meth:`RepairableGroundedSolver.apply_update`;
-          a refused *removal* is retried with the component ``split_side``
-          (see :meth:`_split_side`), so bridge removals re-ground the new
-          component instead of rebuilding;
-        * ``resistance_oracle`` -- any op; the Sherman-Morrison denominator
-          guard inside :meth:`ResistanceOracle.apply_update` refuses bridge
-          removals itself, so removals no longer force a conservative rebuild;
-        * ``sketched_resistance`` -- insertions append a fresh column,
-          reweights/removals re-derive the edge's own column
-          (:meth:`SketchedResistanceOracle.repair_edge`); both reuse the
-          post-record solves the freshly repaired grounded solver recorded
-          (:meth:`RepairableGroundedSolver.update_log`), and the walk refuses
-          when the log does not cover the delta (the grounded was rebuilt) or
-          a record split a component;
-        * ``preprocessing`` -- weight increases only, via
-          :meth:`SolverPreprocessing.apply_insertion`.
-        """
-        if kind == "grounded":
-            return self._repair_grounded(entry, stale.value, delta)
-        if kind == "resistance_oracle":
-            return self._repair_dense(stale.value, delta)
-        if kind == "sketched_resistance":
-            return self._repair_sketch(entry, stale.value, delta, params)
-        return self._repair_preprocessing(stale.value, delta)
-
-    def _repair_grounded(
-        self,
-        entry: RegisteredGraph,
-        solver,
-        delta: Sequence[MutationRecord],
-    ):
-        if not isinstance(solver, RepairableGroundedSolver):
-            return None
-        # a split removal consumes two update slots (regulariser + removal):
-        # budget for the worst case up front instead of dying mid-walk
-        removals = sum(1 for record in delta if record.op == "remove")
-        if solver.update_budget_remaining < len(delta) + removals:
-            return None
-        for step, record in enumerate(delta):
-            self.faults.on_repair(step)
-            if solver.apply_update(record.u, record.v, record.weight_delta):
-                continue
-            if record.op != "remove":
-                return None
-            side = self._split_side(entry, delta, step)
-            if side is None or not solver.apply_update(
-                record.u, record.v, record.weight_delta, split_side=side
-            ):
-                return None
-        return solver
-
-    @staticmethod
-    def _split_side(
-        entry: RegisteredGraph, delta: Sequence[MutationRecord], step: int
-    ) -> Optional[set]:
-        """Vertex set cut off by the bridge removal at ``delta[step]``.
-
-        The registered graph already reflects the *whole* delta, so the
-        topology right after record ``step`` is reconstructed by undoing the
-        later records (existence only -- reweights don't move edges), then
-        the split side is the BFS component of the removed edge's ``v``
-        endpoint.  Returns ``None`` when ``u`` is still reachable: the
-        removal was no bridge and the solver's refusal was numerical, which
-        re-grounding cannot fix.
-        """
-        u_arr, v_arr, _ = entry.graph.edge_array()
-        adjacency: Dict[int, set] = {}
-        for a, b in zip(u_arr.tolist(), v_arr.tolist()):
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-        for record in reversed(delta[step + 1 :]):
-            if record.op == "add":
-                adjacency.setdefault(record.u, set()).discard(record.v)
-                adjacency.setdefault(record.v, set()).discard(record.u)
-            elif record.op == "remove":
-                adjacency.setdefault(record.u, set()).add(record.v)
-                adjacency.setdefault(record.v, set()).add(record.u)
-        target = delta[step]
-        seen = {target.v}
-        frontier = [target.v]
-        while frontier:
-            x = frontier.pop()
-            for y in adjacency.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if target.u in seen:
-            return None
-        return seen
-
-    def _repair_dense(self, oracle, delta: Sequence[MutationRecord]):
-        if not isinstance(oracle, ResistanceOracle):
-            return None
-        if oracle.max_updates - oracle.repairs_applied < len(delta):
-            return None
-        for step, record in enumerate(delta):
-            self.faults.on_repair(step)
-            if not oracle.apply_update(record.u, record.v, record.weight_delta):
-                return None
-        return oracle
-
-    def _repair_sketch(
-        self,
-        entry: RegisteredGraph,
-        oracle,
-        delta: Sequence[MutationRecord],
-        params: Tuple[Hashable, ...],
-    ):
-        if not isinstance(oracle, SketchedResistanceOracle):
-            return None
-        # the sketch's rank-1 repairs need the post-record solve z for every
-        # record; the grounded solver -- itself lazily repaired through this
-        # same delta a moment ago (or right now, via this _grounded call) --
-        # recorded exactly those, so no re-solving happens here
-        solver, _ = self._grounded(entry)
-        log = (
-            solver.update_log()
-            if isinstance(solver, RepairableGroundedSolver)
-            else []
-        )
-        if len(log) < len(delta):
-            return None  # grounded was rebuilt, not repaired: no z-chain
-        tail = log[len(log) - len(delta) :]
-        for step, (record, logged) in enumerate(zip(delta, tail)):
-            log_u, log_v, log_delta, z, split = logged
-            if split:
-                # the removal split a component: e_u - e_v is inconsistent
-                # across the re-grounding, so the sketch cannot follow
-                return None
-            if {log_u, log_v} != {record.u, record.v} or not np.isclose(
-                log_delta, record.weight_delta
-            ):
-                return None
-            self.faults.on_repair(step)
-            if record.op == "add":
-                ok = oracle.append_edge(record.u, record.v, record.weight, z=z)
-            else:
-                ok = oracle.repair_edge(
-                    record.u,
-                    record.v,
-                    record.prev_weight,
-                    0.0 if record.weight is None else record.weight,
-                    z=z,
+                repaired = False
+            if repaired:
+                seconds = time.perf_counter() - start
+                self.cache.adopt_repaired(
+                    entry.fingerprint, entry.version, kind, params, stale.value, seconds
                 )
-            if not ok:
-                return None
-        # key params are (eta, seed): the repaired oracle survives only
-        # while its (possibly widened) bound still honours the promised eta
-        if oracle.eta_effective > params[0]:
-            return None
-        return oracle
-
-    def _repair_preprocessing(self, prep, delta: Sequence[MutationRecord]):
-        if not isinstance(prep, SolverPreprocessing):
-            return None
-        grounded = prep.grounded
-        if (
-            isinstance(grounded, RepairableGroundedSolver)
-            and grounded.update_budget_remaining < len(delta)
-        ):
-            return None
-        for step, record in enumerate(delta):
-            self.faults.on_repair(step)
-            if not prep.apply_insertion(record.u, record.v, record.weight_delta):
-                return None
-        return prep
-
-    def _repair_survivors(
-        self,
-        candidates: Sequence[CacheEntry],
-        delta: Sequence[MutationRecord],
-    ) -> Dict[Tuple[Hashable, ...], Any]:
-        """Apply ``delta`` to every repairable cached artifact, in lockstep.
-
-        The one-shot callback of :meth:`ArtifactCache.repair_graph`:
-        ``candidates`` are the stale entries the cache has already atomically
-        removed (so a concurrent repairer of the same graph can never walk
-        the same objects).  Walks the journal record by record and keeps the
-        whole artifact stack consistent at each step: the grounded solver
-        absorbs the record first (one Sherman-Morrison update), because the
-        sketched oracles need a solver that already reflects that record to
-        append their embedding row; the dense oracle and the solver
-        preprocessing update independently.  An artifact that refuses a
-        record -- unsupported op, cross-component edge, bridge removal,
-        exhausted budget -- drops out (it is half-updated and must not be
-        served) without stopping the others.
-
-        Per-kind policy:
-
-        * ``grounded`` -- any op, via :meth:`RepairableGroundedSolver.apply_update`;
-        * ``resistance_oracle`` -- insertions/reweights only; a delta that
-          contains *any* removal conservatively rebuilds the dense oracle
-          rather than risking a silently stale ``R(u, v)``;
-        * ``sketched_resistance`` -- pure insertions only (an existing edge's
-          sketch column is not recoverable), and the repaired oracle is kept
-          only while its widened ``eta_effective`` still honours the accuracy
-          bound its cache key promises;
-        * ``preprocessing`` -- weight increases only, via
-          :meth:`SolverPreprocessing.apply_insertion` (kappa-preserving);
-        * ``certification`` -- never repaired (it memoises an eigensolver run
-          against the exact old content).
-
-        Returns the mapping from surviving (old) cache keys to repaired
-        values; the cache rekeys them to the new identity.
-        """
-        if not candidates:
-            return {}
-        grounded_entry: Optional[CacheEntry] = None
-        sketches: List[CacheEntry] = []
-        denses: List[CacheEntry] = []
-        preps: List[CacheEntry] = []
-        for cached in candidates:
-            if cached.kind == "grounded" and isinstance(
-                cached.value, RepairableGroundedSolver
-            ):
-                grounded_entry = cached
-            elif cached.kind == "sketched_resistance" and isinstance(
-                cached.value, SketchedResistanceOracle
-            ):
-                sketches.append(cached)
-            elif cached.kind == "resistance_oracle" and isinstance(
-                cached.value, ResistanceOracle
-            ):
-                denses.append(cached)
-            elif cached.kind == "preprocessing" and isinstance(
-                cached.value, SolverPreprocessing
-            ):
-                preps.append(cached)
-
-        grounded = grounded_entry.value if grounded_entry is not None else None
-        # artifacts repaired before may not have enough update budget left
-        # for this whole delta: refuse up front rather than paying a partial
-        # O(n)/O(n^2) walk whose half-updated result is dropped anyway
-        grounded_ok = (
-            grounded is not None and grounded.update_budget_remaining >= len(delta)
-        )
-        has_removal = any(record.op == "remove" for record in delta)
-        sketch_ok = {c.key: grounded_ok for c in sketches}
-        # the satellite bugfix: a delta containing removals must never leave
-        # a repaired dense oracle behind -- conservative rebuild instead of
-        # silently serving resistances of the pre-removal graph
-        dense_ok = {
-            c.key: not has_removal
-            and c.value.max_updates - c.value.repairs_applied >= len(delta)
-            for c in denses
-        }
-        prep_ok = {
-            c.key: not isinstance(c.value.grounded, RepairableGroundedSolver)
-            or c.value.grounded.update_budget_remaining >= len(delta)
-            for c in preps
-        }
-
-        for step, record in enumerate(delta):
-            # fault-injection seam: a ``repair`` rule models a walk crashing
-            # at this record; the exception falls back to rebuild upstream
-            self.faults.on_repair(step)
-            delta_w = record.weight_delta
-            if grounded_ok and not grounded.apply_update(record.u, record.v, delta_w):
-                grounded_ok = False
-                # sketches repaired so far used the pre-refusal solver states
-                # (still consistent), but this record and the rest of the
-                # delta cannot reach them: they die with the solver
-                sketch_ok = {key: False for key in sketch_ok}
-            for cached in sketches:
-                if not sketch_ok[cached.key]:
-                    continue
-                if record.op != "add" or not cached.value.append_edge(
-                    record.u, record.v, record.weight, grounded
-                ):
-                    sketch_ok[cached.key] = False
-            for cached in denses:
-                if dense_ok[cached.key] and not cached.value.apply_update(
-                    record.u, record.v, delta_w
-                ):
-                    dense_ok[cached.key] = False
-            for cached in preps:
-                if prep_ok[cached.key] and not cached.value.apply_insertion(
-                    record.u, record.v, delta_w
-                ):
-                    prep_ok[cached.key] = False
-
-        survivors: Dict[Tuple[Hashable, ...], Any] = {}
-        if grounded_ok:
-            survivors[grounded_entry.key] = grounded
-        for cached in sketches:
-            # key params are (eta, seed): the repaired oracle survives only
-            # while its widened bound still honours the eta it is keyed by
-            promised_eta = cached.key[3][0]
-            if sketch_ok[cached.key] and cached.value.eta_effective <= promised_eta:
-                survivors[cached.key] = cached.value
-        for cached in denses:
-            if dense_ok[cached.key]:
-                survivors[cached.key] = cached.value
-        for cached in preps:
-            if prep_ok[cached.key]:
-                survivors[cached.key] = cached.value
-        return survivors
+            else:
+                self.cache.note_dropped()
+            return
 
     def _solver_params(self) -> Tuple[Hashable, ...]:
         return (self.solver_seed, self.t_override, self.bundle_scale, self.backend)
@@ -1105,7 +821,7 @@ class QueryPlanner:
 
     def _grounded(
         self, entry: RegisteredGraph, rng=None
-    ) -> Tuple[GroundedLaplacianSolver, bool]:
+    ) -> Tuple[RepairableGroundedSolver, bool]:
         """Cached grounded ``splu`` factorisation: ``(solver, cache_hit)``.
 
         The single owner of the ``"grounded"`` cache identity -- every
@@ -1150,6 +866,22 @@ class QueryPlanner:
         fallbacks are flagged and counted in ``degraded_total``.
         """
         params = (eta, self.solver_seed)
+
+        def build_sketch(rng=None):
+            # ``rng`` as in :meth:`_build`: the background thread passes its own
+            return self._build(
+                entry,
+                "sketched_resistance",
+                params,
+                lambda: SketchedResistanceOracle(
+                    entry.graph,
+                    eta=eta,
+                    seed=self.solver_seed,
+                    grounded=self._grounded(entry, rng=rng)[0],
+                ),
+                rng=rng,
+            )
+
         # repair a pending stale sketch before the residency check below:
         # a lazily migrated sketch must count as "cached" for the demand
         # accounting, not trigger a redundant build decision
@@ -1183,31 +915,12 @@ class QueryPlanner:
                 # trivially satisfy eta, so this is not a degradation.
                 self.background_builder.submit(
                     (entry.fingerprint, entry.version, "sketched_resistance", params),
-                    lambda: self._build(
-                        entry,
-                        "sketched_resistance",
-                        params,
-                        lambda: SketchedResistanceOracle(
-                            entry.graph,
-                            eta=eta,
-                            seed=self.solver_seed,
-                            grounded=self._grounded(entry, rng=self._background_rng)[0],
-                        ),
-                        rng=self._background_rng,
-                    ),
+                    lambda: build_sketch(self._background_rng),
                 )
                 solver, cache_hit = self._grounded(entry)
                 return solver, cache_hit, False
-        builder = lambda: SketchedResistanceOracle(  # noqa: E731 -- reused below
-            entry.graph,
-            eta=eta,
-            seed=self.solver_seed,
-            grounded=self._grounded(entry)[0],
-        )
         try:
-            oracle, cache_hit = self._build(
-                entry, "sketched_resistance", params, builder
-            )
+            oracle, cache_hit = build_sketch()
             if oracle.eta_effective > eta:
                 # a repaired oracle's widened bound can drift past the
                 # requested eta (the repair path already drops most such
@@ -1216,9 +929,7 @@ class QueryPlanner:
                 self.cache.discard(
                     entry.fingerprint, entry.version, "sketched_resistance", params
                 )
-                oracle, cache_hit = self._build(
-                    entry, "sketched_resistance", params, builder
-                )
+                oracle, cache_hit = build_sketch()
         except Exception:
             self.health.increment("degraded_total")
             solver, cache_hit = self._grounded(entry)
@@ -1339,8 +1050,6 @@ class QueryPlanner:
     def _execute_certify(
         self, entry: RegisteredGraph, batch: QueryBatch
     ) -> Tuple[List[Any], bool, bool]:
-        from repro.graphs.laplacian import spectral_approximation_factor
-
         graph = entry.graph
         eps = batch.coalesce_params[0]
         backend = resolve_backend(graph, self.backend)
@@ -1398,3 +1107,39 @@ class QueryPlanner:
         report, cache_hit = self._build(entry, "certification", params, build_report)
         # one certification answers every query in the batch
         return [report] * batch.size, cache_hit, False
+
+
+#: The one place a query kind is defined; planner and service reach it only
+#: through :func:`query_kind`.  Adding or removing a kind touches this table
+#: (and the kind's constructor / validator above) and nothing else.
+_KIND_TABLE: Dict[str, QueryKind] = {
+    "solve": QueryKind(
+        _validate_solve, lambda p: (p["eps"],), QueryPlanner._execute_solve
+    ),
+    # exact (None) and approximate queries, or two different accuracy
+    # bounds, must never share a kernel call
+    "resistance": QueryKind(
+        _validate_resistance,
+        lambda p: (p.get("eta"),),
+        QueryPlanner._execute_resistance,
+    ),
+    "certify": QueryKind(
+        lambda graph, p: None, lambda p: (p["eps"],), QueryPlanner._execute_certify
+    ),
+    "gram": QueryKind(
+        _validate_gram, lambda p: (p["formulation"],), QueryPlanner._execute_gram
+    ),
+    "flow": QueryKind(
+        lambda graph, p: _validate_network("flow", graph),
+        lambda p: (
+            p["engine"],
+            p["seed"],
+            p["eps_scale"],
+            p["perturb"],
+            p.get("memoise_result", False),
+        ),
+        QueryPlanner._execute_flow,
+    ),
+}
+
+QUERY_KINDS = tuple(_KIND_TABLE)

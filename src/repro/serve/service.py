@@ -31,8 +31,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.digraph import FlowNetwork
-from repro.graphs.graph import WeightedGraph
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.faults import FaultInjector
 from repro.serve.planner import (
@@ -44,6 +42,7 @@ from repro.serve.planner import (
     certify_query,
     flow_query,
     gram_query,
+    query_kind,
     resistance_batch_query,
     resistance_query,
     solve_query,
@@ -220,7 +219,110 @@ class ServiceMetrics:
             return self.queries_total / self.batches_total
 
 
-class LaplacianService:
+class QueryFrontDoor:
+    """The synchronous conveniences shared by every serving front door.
+
+    One definition for :class:`LaplacianService` and
+    :class:`~repro.serve.cluster.ClusterService`: each method builds its
+    query and returns the ``.value`` of what the host's
+    ``_submit_and_wait(query)`` resolves to (a ``QueryResult`` in-process, a
+    ``RemoteResult`` from a shard).  ``solve_many`` stays per class: the
+    in-process one drains its own queue on overload.
+    """
+
+    def solve(self, graph_key: str, b: np.ndarray, eps: float = 1e-6) -> LaplacianSolveReport:
+        """Solve ``L_G x = b`` on the registered graph (coalesced if possible)."""
+        return self._submit_and_wait(solve_query(graph_key, b, eps=eps)).value
+
+    def effective_resistance(
+        self, graph_key: str, u: int, v: int, eta: Optional[float] = None
+    ) -> float:
+        """Effective resistance between two vertices of a registered graph.
+
+        ``eta=None`` demands the exact value.  A float in ``(0, 1)`` accepts
+        a ``(1 +/- eta)``-approximate answer, which lets graphs above the
+        dense-oracle gate serve from the cached JL-sketched oracle in O(k)
+        instead of a triangular solve; below the gate exact answers are
+        served either way.  Approximate queries never share a batch with
+        exact ones.
+        """
+        return self._submit_and_wait(resistance_query(graph_key, u, v, eta=eta)).value
+
+    def effective_resistances(
+        self, graph_key: str, pairs: Iterable[Tuple[int, int]], eta: Optional[float] = None
+    ) -> np.ndarray:
+        """Batched effective resistances: one queue entry, one kernel call.
+
+        ``eta`` as in :meth:`effective_resistance`; the accuracy bound
+        applies to every pair of the batch.
+        """
+        pair_list = list(pairs)
+        if not pair_list:
+            return np.zeros(0)
+        return np.asarray(
+            self._submit_and_wait(
+                resistance_batch_query(graph_key, pair_list, eta=eta)
+            ).value
+        )
+
+    def certify(self, graph_key: str, eps: float = 0.5) -> CertificationReport:
+        """Certify the cached sparsifier of the graph (Definition 2.1)."""
+        return self._submit_and_wait(certify_query(graph_key, eps=eps)).value
+
+    def min_cost_flow(
+        self,
+        graph_key: str,
+        engine: str = "barrier",
+        seed: Optional[int] = None,
+        eps_scale: float = 1e-6,
+        perturb: bool = True,
+        memoise_result: bool = False,
+    ):
+        """Exact min-cost max-flow of a registered ``FlowNetwork``.
+
+        The pipeline consumes cached serving artifacts -- the phase-1 max
+        flow and the gram (``A^T D A``) factorisations of every Newton step
+        -- so repeated solves on the same network run against warm
+        preprocessing.  Returns the same
+        :class:`~repro.flow.mincostflow.MinCostFlowResult` as the direct
+        path, with :attr:`~repro.flow.mincostflow.MinCostFlowResult.gram_stats`
+        describing how the bridge served the run.
+
+        ``memoise_result=True`` additionally caches the final result under
+        the network's content identity, so repeat queries on an unchanged
+        network skip the IPM entirely (read-heavy traffic); the default
+        stays off so a warm query still measures gram amortisation.
+        """
+        return self._submit_and_wait(
+            flow_query(
+                graph_key,
+                engine=engine,
+                seed=seed,
+                eps_scale=eps_scale,
+                perturb=perturb,
+                memoise_result=memoise_result,
+            )
+        ).value
+
+    def solve_gram(
+        self,
+        graph_key: str,
+        d: np.ndarray,
+        rhs: np.ndarray,
+        formulation: str = "fixed-value",
+    ) -> np.ndarray:
+        """One ``(A^T D A) y = rhs`` solve of the registered network's flow LP.
+
+        ``d`` is the positive Newton diagonal over the LP rows, ``rhs`` a
+        vector over the non-source vertices; the answer comes off the cached
+        grounded ``splu`` factorisation family of Lemma 5.1.
+        """
+        return self._submit_and_wait(
+            gram_query(graph_key, d, rhs, formulation=formulation)
+        ).value
+
+
+class LaplacianService(QueryFrontDoor):
     """Batched Laplacian query service over registered graphs.
 
     Parameters mirror :class:`BCCLaplacianSolver` preprocessing knobs
@@ -330,9 +432,11 @@ class LaplacianService:
     def submit(self, query: Query) -> QueryTicket:
         """Enqueue ``query``; returns immediately with a ticket.
 
-        Malformed queries (unknown graph, wrong right-hand-side shape,
-        out-of-range vertices) are rejected here, before they can coalesce
-        with -- and fail -- other clients' queries in a shared batch.  When
+        Malformed queries (unknown graph or kind, wrong right-hand-side shape,
+        out-of-range vertices, non-finite inputs) are rejected here, before
+        they can coalesce with -- and fail -- other clients' queries in a
+        shared batch: submit time is the only place the blast radius is still
+        one client.  When
         ``flush_policy.max_pending`` is set and the queue is full, the
         submission is shed with :class:`ServiceOverloadedError` (counted in
         the metrics) instead of growing the queue without bound.
@@ -342,7 +446,10 @@ class LaplacianService:
         next synchronous call) picks the query up within
         ``flush_policy.max_wait_seconds``.
         """
-        self._validate(query)
+        # UnknownGraphError (a KeyError subclass) for an unknown key, ValueError
+        # for an unknown kind or a payload the kind's validator refuses
+        entry = self.registry.get(query.graph_key)
+        query_kind(query.kind).validate(entry.graph, query.payload)
         ticket = QueryTicket(query)
         max_pending = self.flush_policy.max_pending
         with self._lock:
@@ -484,11 +591,7 @@ class LaplacianService:
             return
         results.extend(batch_results)
 
-    # -- synchronous front door ------------------------------------------------
-
-    def solve(self, graph_key: str, b: np.ndarray, eps: float = 1e-6) -> LaplacianSolveReport:
-        """Solve ``L_G x = b`` on the registered graph (coalesced if possible)."""
-        return self._submit_and_wait(solve_query(graph_key, b, eps=eps)).value
+    # -- synchronous front door (the rest: QueryFrontDoor) ---------------------
 
     def solve_many(
         self, graph_key: str, rhs: Sequence[np.ndarray], eps: float = 1e-6
@@ -513,172 +616,11 @@ class LaplacianService:
         self.flush()
         return [t.result().value for t in tickets]
 
-    def effective_resistance(
-        self, graph_key: str, u: int, v: int, eta: Optional[float] = None
-    ) -> float:
-        """Effective resistance between two vertices of a registered graph.
-
-        ``eta=None`` demands the exact value.  A float in ``(0, 1)`` accepts
-        a ``(1 +/- eta)``-approximate answer, which lets graphs above the
-        dense-oracle gate serve from the cached JL-sketched oracle in O(k)
-        instead of a triangular solve; below the gate exact answers are
-        served either way.  Approximate queries never share a batch with
-        exact ones.
-        """
-        return self._submit_and_wait(resistance_query(graph_key, u, v, eta=eta)).value
-
-    def effective_resistances(
-        self, graph_key: str, pairs: Iterable[Tuple[int, int]], eta: Optional[float] = None
-    ) -> np.ndarray:
-        """Batched effective resistances: one queue entry, one kernel call.
-
-        ``eta`` as in :meth:`effective_resistance`; the accuracy bound
-        applies to every pair of the batch.
-        """
-        pair_list = list(pairs)
-        if not pair_list:
-            return np.zeros(0)
-        return np.asarray(
-            self._submit_and_wait(
-                resistance_batch_query(graph_key, pair_list, eta=eta)
-            ).value
-        )
-
-    def certify(self, graph_key: str, eps: float = 0.5) -> CertificationReport:
-        """Certify the cached sparsifier of the graph (Definition 2.1)."""
-        return self._submit_and_wait(certify_query(graph_key, eps=eps)).value
-
-    def min_cost_flow(
-        self,
-        graph_key: str,
-        engine: str = "barrier",
-        seed: Optional[int] = None,
-        eps_scale: float = 1e-6,
-        perturb: bool = True,
-        memoise_result: bool = False,
-    ):
-        """Exact min-cost max-flow of a registered :class:`FlowNetwork`.
-
-        The pipeline consumes cached serving artifacts -- the phase-1 max
-        flow and the gram (``A^T D A``) factorisations of every Newton step
-        -- so repeated solves on the same network run against warm
-        preprocessing.  Returns the same
-        :class:`~repro.flow.mincostflow.MinCostFlowResult` as the direct
-        path, with :attr:`~repro.flow.mincostflow.MinCostFlowResult.gram_stats`
-        describing how the bridge served the run.
-
-        ``memoise_result=True`` additionally caches the final result under
-        the network's content identity, so repeat queries on an unchanged
-        network skip the IPM entirely (read-heavy traffic); the default
-        stays off so a warm query still measures gram amortisation.
-        """
-        return self._submit_and_wait(
-            flow_query(
-                graph_key,
-                engine=engine,
-                seed=seed,
-                eps_scale=eps_scale,
-                perturb=perturb,
-                memoise_result=memoise_result,
-            )
-        ).value
-
-    def solve_gram(
-        self,
-        graph_key: str,
-        d: np.ndarray,
-        rhs: np.ndarray,
-        formulation: str = "fixed-value",
-    ) -> np.ndarray:
-        """One ``(A^T D A) y = rhs`` solve of the registered network's flow LP.
-
-        ``d`` is the positive Newton diagonal over the LP rows, ``rhs`` a
-        vector over the non-source vertices; the answer comes off the cached
-        grounded ``splu`` factorisation family of Lemma 5.1.
-        """
-        return self._submit_and_wait(
-            gram_query(graph_key, d, rhs, formulation=formulation)
-        ).value
-
     def _submit_and_wait(self, query: Query) -> QueryResult:
         ticket = self.submit(query)
         self.flush()
         # the flush may have raced another thread's; wait for whichever ran it
         return ticket.result(timeout=None)
-
-    def _validate(self, query: Query) -> None:
-        """Reject malformed queries before they can poison a shared batch.
-
-        Beyond shapes and ranges, *non-finite inputs* are rejected here: a
-        ``b`` with one NaN would coalesce into the shared blocked
-        ``solve_many`` and poison every column of the block -- submit-time
-        is the only place the blast radius is still one client.
-        """
-        # UnknownGraphError (a KeyError subclass) for unknown keys
-        entry = self.registry.get(query.graph_key)
-        n = entry.graph.n
-        if query.kind == "solve":
-            b = query.payload["b"]
-            if b.shape != (n,):
-                raise ValueError(
-                    f"right-hand side must have shape ({n},), got {b.shape}"
-                )
-            if not np.all(np.isfinite(b)):
-                raise ValueError(
-                    "right-hand side contains non-finite entries (NaN/inf); "
-                    "a poisoned b would corrupt the shared blocked solve"
-                )
-        elif query.kind == "resistance":
-            u = np.asarray(query.payload["u"])
-            v = np.asarray(query.payload["v"])
-            if u.size and (
-                int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= n
-            ):
-                raise ValueError(f"pair endpoints out of range [0, {n})")
-        elif query.kind in ("flow", "gram"):
-            if not isinstance(entry.graph, FlowNetwork):
-                raise ValueError(
-                    f"{query.kind!r} queries need a registered FlowNetwork, "
-                    f"got {type(entry.graph).__name__}"
-                )
-            # edge construction checks capacity > 0 / cost finite-ish, but a
-            # NaN passes every ordered comparison: refuse it explicitly
-            if not np.all(np.isfinite(entry.graph.capacities())) or not np.all(
-                np.isfinite(entry.graph.costs())
-            ):
-                raise ValueError(
-                    "registered flow network has non-finite capacities or costs"
-                )
-            if query.kind == "gram":
-                m = entry.graph.m
-                rows = (
-                    m
-                    if query.payload["formulation"] == "fixed-value"
-                    else m + 2 * (n - 1) + 1
-                )
-                d = query.payload["d"]
-                rhs = query.payload["rhs"]
-                if d.shape != (rows,):
-                    raise ValueError(
-                        f"gram diagonal must have shape ({rows},) for the "
-                        f"{query.payload['formulation']} formulation, got {d.shape}"
-                    )
-                if rhs.shape != (n - 1,):
-                    raise ValueError(
-                        f"gram right-hand side must have shape ({n - 1},), got {rhs.shape}"
-                    )
-                # isfinite first: a NaN d slips through `d <= 0` (NaN
-                # compares false) and would poison the aggregated weights
-                if not np.all(np.isfinite(d)):
-                    raise ValueError(
-                        "gram diagonal contains non-finite entries (NaN/inf)"
-                    )
-                if np.any(d <= 0.0):
-                    raise ValueError("gram diagonal must be strictly positive")
-                if not np.all(np.isfinite(rhs)):
-                    raise ValueError(
-                        "gram right-hand side contains non-finite entries (NaN/inf)"
-                    )
 
     # -- fault injection -------------------------------------------------------
 

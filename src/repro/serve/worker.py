@@ -60,12 +60,10 @@ from repro.serve.resilience import ResiliencePolicy
 from repro.serve.service import FlushPolicy, LaplacianService
 from repro.serve.shm import SharedArtifactStore, ShmArtifactSpec
 
-#: artifact kinds the worker publishes to shared memory: read-only after
-#: build, array-backed, and worth sharing (the dense inverse and the JL
-#: embedding dominate a shard's resident bytes)
-SHARED_ARTIFACT_KINDS = ("resistance_oracle", "sketched_resistance")
-
-#: reconstruction hooks per shared kind -- ``from_shared(arrays, meta)``
+#: the artifact kinds the worker publishes to shared memory -- read-only
+#: after build, array-backed, and worth sharing (the dense inverse and the JL
+#: embedding dominate a shard's resident bytes) -- each with its
+#: reconstruction hook ``from_shared(arrays, meta)``
 SHM_REBUILDERS: Dict[str, Callable[..., Any]] = {
     "resistance_oracle": ResistanceOracle.from_shared,
     "sketched_resistance": SketchedResistanceOracle.from_shared,
@@ -206,7 +204,7 @@ def publish_ready_artifacts(
 ) -> int:
     """Publish freshly built oracle artifacts to shared memory.
 
-    Walks the service's cache for :data:`SHARED_ARTIFACT_KINDS` entries not
+    Walks the service's cache for entries of a :data:`SHM_REBUILDERS` kind not
     yet published, packs each one's arrays into a segment, notifies the
     parent (``("published", spec)``) so it adopts unlink ownership, and
     swaps the cache entry's value for the shm-backed reconstruction --- the

@@ -129,6 +129,28 @@ class SolverPreprocessing:
         self.sparsifier_result = None
         return True
 
+    def apply_delta(self, delta, *, graph, grounded, on_step) -> bool:
+        """Absorb a whole mutation ``delta``; ``False`` = drop and rebuild.
+
+        The repair protocol of
+        :meth:`~repro.linalg.sparse_backend.RepairableGroundedSolver.apply_delta`.
+        Weight increases only, one :meth:`apply_insertion` per record; a
+        delta longer than the sparsifier factorisation's remaining update
+        budget is refused before any work.  (``grounded`` is the *graph's*
+        solver and is not used: the artifact owns the sparsifier's.)
+        """
+        own = self.grounded
+        if (
+            isinstance(own, RepairableGroundedSolver)
+            and own.update_budget_remaining < len(delta)
+        ):
+            return False
+        for step, record in enumerate(delta):
+            on_step(step)
+            if not self.apply_insertion(record.u, record.v, record.weight_delta):
+                return False
+        return True
+
 
 class BCCLaplacianSolver:
     """High-precision Laplacian solver in the Broadcast Congested Clique.

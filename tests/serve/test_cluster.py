@@ -6,6 +6,7 @@ heavy for the fast suite; CI runs them as a dedicated step).  The
 everywhere.
 """
 
+import inspect
 import threading
 import time
 from multiprocessing import shared_memory
@@ -22,6 +23,7 @@ from repro.serve import (
     TrafficConfig,
     WorkerConfig,
     WorkerCrashedError,
+    certify_query,
     compare_answers,
     generate_trace,
     resistance_query,
@@ -142,6 +144,27 @@ class TestHashRing:
                 assert after[key] == before[key]
 
 
+FRONT_DOOR = (
+    "solve",
+    "effective_resistance",
+    "effective_resistances",
+    "certify",
+    "min_cost_flow",
+    "solve_gram",
+)
+
+
+@pytest.mark.parametrize("method", FRONT_DOOR)
+def test_front_door_is_one_definition_for_both_services(method):
+    # true by construction while both inherit QueryFrontDoor; pins the
+    # shared front door against a future re-fork of either class
+    in_process = getattr(LaplacianService, method)
+    clustered = getattr(ClusterService, method)
+    assert inspect.signature(in_process) == inspect.signature(clustered)
+    assert in_process is clustered
+    assert method not in vars(LaplacianService) and method not in vars(ClusterService)
+
+
 @pytest.mark.cluster
 class TestClusterServing:
     @pytest.fixture(scope="class")
@@ -189,6 +212,16 @@ class TestClusterServing:
         assert metrics["registered_graphs"] == len(keys)
         assert len(metrics["per_worker"]) == 2
         assert metrics["queries_by_kind"].get("solve", 0) >= 1
+
+    def test_unknown_kind_fails_its_ticket_with_a_value_error(self, cluster, keys):
+        # the parent-side submit does not validate; the worker's service
+        # does.  Before the kind table the bogus query validated as nothing
+        # and executed as certify, resolving to a CertificationReport.
+        query = certify_query(keys[0])
+        query.kind = "bogus"
+        ticket = cluster.submit(query)
+        with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+            ticket.result(timeout=60)
 
     def test_duplicate_name_with_different_content_is_rejected(self, cluster, keys):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.serve import (
     ArtifactCache,
     FlushPolicy,
     LaplacianService,
+    certify_query,
     resistance_query,
     solve_query,
 )
@@ -285,6 +286,21 @@ class TestQueueing:
             service.submit(solve_query(key, np.zeros(graph.n + 3)))
         # an innocent query co-submitted around the rejected ones still works
         assert service.effective_resistance(key, 0, 1) > 0.0
+
+    def test_unknown_kind_rejected_at_submit(self, graph):
+        # Query.__post_init__ is bypassed by pickle and by mutation after
+        # construction: a kind with no table row must fail its own client
+        # with an error naming it, not validate as nothing, coalesce as
+        # resistance and execute as certify
+        service = make_service()
+        key = service.register(graph)
+        query = certify_query(key)
+        query.kind = "bogus"
+        with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+            service.submit(query)
+        assert service.flush() == 0  # nothing was queued
+        with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+            service.planner.plan([query])
 
     def test_failed_batch_propagates_to_tickets(self, graph, rng, monkeypatch):
         service = make_service()
