@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every module ``bench_*.py`` regenerates one experiment of EXPERIMENTS.md
-(E1-E10).  pytest-benchmark measures wall-clock time of the building blocks;
+Every module ``bench_*.py`` regenerates one experiment (E1-E10; the series
+they feed are listed in ``docs/benchmarks.md``).  pytest-benchmark measures wall-clock time of the building blocks;
 the quantities the paper actually bounds (rounds, sizes, iteration counts) are
 attached to each benchmark through ``benchmark.extra_info`` and printed in the
 saved benchmark JSON, so `pytest benchmarks/ --benchmark-only` reproduces the

@@ -1,6 +1,6 @@
 """Documentation gate run by the CI ``docs`` job.
 
-Three checks, all fast and dependency-free beyond the package's own imports:
+Four checks, all fast and dependency-free beyond the package's own imports:
 
 1. **Markdown link check** -- every relative link target in the repo's
    markdown files (root-level ``*.md`` and ``docs/*.md``) must resolve to an
@@ -20,6 +20,13 @@ Three checks, all fast and dependency-free beyond the package's own imports:
    service actually caches -- the rows with a repair primitive matching the
    cached kinds whose class defines ``apply_delta``, the "never repaired"
    rows matching the rest.  A missing or an extra row fails.
+4. **Docstring file references** -- every file a docstring names
+   (``docs/substitutions.md``, ``tests/linalg/test_resistance.py``,
+   ``BENCH_flow.json`` ...) must exist: a path with a directory part relative
+   to the repo root, ``src/`` or the citing file; a bare name anywhere in the
+   tree.  Walks ``src/``, ``scripts/``, ``examples/``, ``setup.py`` and
+   ``benchmarks/`` (not ``benchmarks/suite``, whose usage strings name
+   placeholder files).
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
@@ -28,6 +35,7 @@ Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -218,8 +226,59 @@ def check_decision_tables() -> list:
     return problems
 
 
+#: a file name as docstrings write them: optional directories, a known suffix
+FILE_REFERENCE = re.compile(
+    r"(?<![\w/.-])((?:[\w.-]+/)*[\w.-]+\.(?:md|py|json|jsonl|yml|yaml|toml|ini|cfg|txt))(?!\w)"
+)
+
+#: where docstrings are held to it (see the module docstring)
+REFERENCE_ROOTS = ("src", "scripts", "examples", "benchmarks", "setup.py")
+REFERENCE_SKIP = REPO_ROOT / "benchmarks" / "suite"
+
+
+def python_sources():
+    for root in REFERENCE_ROOTS:
+        path = REPO_ROOT / root
+        for source in [path] if path.is_file() else sorted(path.rglob("*.py")):
+            if REFERENCE_SKIP not in source.parents:
+                yield source
+
+
+def check_docstring_file_references() -> list:
+    basenames = {
+        path.name
+        for path in REPO_ROOT.rglob("*")
+        if path.is_file() and ".git" not in path.parts
+    }
+    problems = []
+    for source in python_sources():
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            for reference in FILE_REFERENCE.findall(ast.get_docstring(node) or ""):
+                if "/" in reference:
+                    bases = (REPO_ROOT, REPO_ROOT / "src", source.parent)
+                    found = any((base / reference).exists() for base in bases)
+                else:
+                    found = reference in basenames
+                if not found:
+                    problems.append(
+                        f"{source.relative_to(REPO_ROOT)}:{getattr(node, 'lineno', 1)}: "
+                        f"docstring names a file that does not exist -> {reference}"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_markdown_links() + check_docstrings() + check_decision_tables()
+    problems = (
+        check_markdown_links()
+        + check_docstrings()
+        + check_decision_tables()
+        + check_docstring_file_references()
+    )
     for problem in problems:
         print(problem)
     if problems:
@@ -227,7 +286,7 @@ def main() -> int:
         return 1
     print(
         "PASS: markdown links resolve, public API fully docstringed, "
-        "decision tables match the code"
+        "decision tables match the code, docstring file references resolve"
     )
     return 0
 

@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata; this file is the only place it lives.
 
 The environment's setuptools predates full PEP 660 editable-install support, so
-``pip install -e .`` falls back to this ``setup.py`` (invoked with
-``--no-use-pep517`` / legacy develop mode).  All metadata lives in
-``pyproject.toml``; this file only mirrors what the legacy path needs.
+``pip install -e .`` runs this file in legacy develop mode
+(``--no-use-pep517``).  ``pip install -e .[test]`` adds what the test suite
+imports beyond the runtime dependencies.
 """
 
 from setuptools import find_packages, setup
@@ -19,4 +19,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy>=1.21", "scipy>=1.7", "networkx>=2.6"],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "pytest-cov", "hypothesis"],
+    },
 )

@@ -13,7 +13,7 @@ This subpackage implements the four models of Section 2.1 of the paper:
   Congested Clique (BCC): one ``O(log n)``-bit message per vertex per round,
   delivered to everyone (the "shared blackboard" view).
 
-Two layers of fidelity are provided, matching DESIGN.md:
+Two layers of fidelity are provided (``docs/substitutions.md``, 7):
 
 * a genuine per-vertex simulation (:class:`~repro.congest.network.Network` plus
   :class:`~repro.congest.vertex.VertexAlgorithm`) used by the combinatorial

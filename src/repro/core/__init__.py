@@ -7,7 +7,7 @@
     min_cost_max_flow  -> Theorem 1.1   (Broadcast Congested Clique)
 
 Each function returns the result object of the underlying subsystem, which
-carries the round accounting used by the experiments in EXPERIMENTS.md.
+carries the round accounting used by the experiments in ``docs/benchmarks.md``.
 """
 
 from repro.core.api import (

@@ -167,7 +167,7 @@ def build_flow_lp(
     lam = 440.0 * (m_edges ** 4) * (m_tilde ** 2) * (M ** 3) / max(1.0, m_tilde)
     # The literal lambda of the paper overflows float64 head-room on anything
     # but trivial instances; any lambda large enough to dominate the slack
-    # usage works for the reduction, so it is capped (documented in DESIGN.md).
+    # usage works for the reduction, so it is capped (docs/substitutions.md, 6).
     lam = min(lam, 1e6 * float(np.max(np.abs(perturbed)) + 1.0))
     flow_reward = 2.0 * n_vertices * m_tilde
     flow_reward = min(flow_reward, 1e7 * float(np.max(np.abs(perturbed)) + 1.0))

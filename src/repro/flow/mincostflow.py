@@ -6,7 +6,7 @@ SDD/Laplacian machinery of Lemma 5.1, and finally rounds the near-optimal
 fractional solution to an exact integral flow.
 
 The default engine here follows the same outline with the numerically robust
-pieces documented in DESIGN.md:
+pieces documented in ``docs/substitutions.md`` (sections 3 and 6):
 
 1. the maximum flow value ``F*`` is fixed (combinatorially, or by an LP phase
    maximising ``F`` -- the paper folds this into one LP via the large reward on

@@ -1,7 +1,7 @@
 """Graph generators for tests, examples and benchmark workloads.
 
 All generators take a ``seed`` (or a ``numpy.random.Generator``) so that every
-experiment in EXPERIMENTS.md is reproducible.
+experiment in ``docs/benchmarks.md`` is reproducible.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 #: Default bound on the per-graph mutation journal (see
 #: :meth:`WeightedGraph.delta_since`).  Repair consumers only ever care about
@@ -98,6 +99,7 @@ class WeightedGraph:
         self._weights: Dict[Tuple[int, int], float] = {}
         self._adj: Dict[int, Set[int]] = {v: set() for v in range(self._n)}
         self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._laplacian_csr: Optional[sp.csr_matrix] = None
         self._version = 0
         self._journal: Deque[MutationRecord] = deque()
         self._journal_floor = 0
@@ -118,8 +120,7 @@ class WeightedGraph:
         self._weights[key] = float(weight)
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._edge_arrays = None
-        self._version += 1
+        self._touch()
         self._journal_append(
             MutationRecord(
                 version=self._version,
@@ -160,8 +161,7 @@ class WeightedGraph:
         lo = np.minimum(u, v).tolist()
         hi = np.maximum(u, v).tolist()
         weights = w.tolist()
-        self._edge_arrays = None
-        self._version += 1
+        self._touch()
         if len(lo) > JOURNAL_LIMIT:
             # a bulk mutation larger than the journal window cannot be
             # replayed anyway: drop the journal and mark deltas reaching past
@@ -204,8 +204,7 @@ class WeightedGraph:
         prev = self._weights.pop(key)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._edge_arrays = None
-        self._version += 1
+        self._touch()
         self._journal_append(
             MutationRecord(
                 version=self._version,
@@ -216,6 +215,12 @@ class WeightedGraph:
                 prev_weight=prev,
             )
         )
+
+    def _touch(self) -> None:
+        """The one mutation hook: drop the cached array views, bump the version."""
+        self._edge_arrays = None
+        self._laplacian_csr = None
+        self._version += 1
 
     def copy(self) -> "WeightedGraph":
         """Deep copy of this graph."""
@@ -347,6 +352,25 @@ class WeightedGraph:
                 arr.setflags(write=False)
             self._edge_arrays = (u, v, w)
         return self._edge_arrays
+
+    def laplacian_csr(self) -> sp.csr_matrix:
+        """CSR Laplacian ``L = B^T W B``, built by one ``coo_matrix`` call.
+
+        Cached until the next mutation beside :meth:`edge_array` and, like it,
+        read-only (``data`` / ``indices`` / ``indptr`` are not writeable):
+        every solver front, factorisation and certification over the same
+        content shares one matrix; callers that need to modify it must copy.
+        """
+        if self._laplacian_csr is None:
+            u, v, w = self.edge_array()
+            rows = np.concatenate([u, v, u, v])
+            cols = np.concatenate([u, v, v, u])
+            data = np.concatenate([w, w, -w, -w])
+            L = sp.coo_matrix((data, (rows, cols)), shape=(self._n, self._n)).tocsr()
+            for arr in (L.data, L.indices, L.indptr):
+                arr.setflags(write=False)
+            self._laplacian_csr = L
+        return self._laplacian_csr
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` exists."""

@@ -27,8 +27,9 @@ resistances, and the spectral certification trio
 ``spectral_approximation_factor`` / ``is_spectral_sparsifier`` /
 ``relative_condition_number``) default to ``'auto'``.  The sparse
 certification path solves the grounded generalized eigenproblem with
-``scipy.sparse.linalg.eigsh`` instead of a dense ``eigh``, removing the
-``O(n^3)`` bottleneck at ``n >= 2000``.
+``scipy.sparse.linalg.eigsh`` over two grounded ``splu`` factorisations
+instead of a dense ``eigh``, removing the ``O(n^3)`` bottleneck at
+``n >= 2000``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def _restricted_generalised_eigenvalues(
 
 
 def _spectral_approximation_factor_sparse(
-    graph: WeightedGraph, sparsifier: WeightedGraph
+    graph: WeightedGraph,
+    sparsifier: WeightedGraph,
+    graph_solver=None,
+    sparsifier_solver=None,
 ) -> Tuple[float, float]:
     """Sparse certification: reduced generalized eigenproblem via ARPACK.
 
@@ -171,12 +175,20 @@ def _spectral_approximation_factor_sparse(
     if partition_g != partition_h:
         return (0.0, float("inf"))
     return sparse_backend.pencil_extreme_eigenvalues(
-        graph, sparsifier, components=components
+        graph,
+        sparsifier,
+        components=components,
+        graph_solver=graph_solver,
+        sparsifier_solver=sparsifier_solver,
     )
 
 
 def spectral_approximation_factor(
-    graph: WeightedGraph, sparsifier: WeightedGraph, backend: str = "auto"
+    graph: WeightedGraph,
+    sparsifier: WeightedGraph,
+    backend: str = "auto",
+    graph_solver=None,
+    sparsifier_solver=None,
 ) -> Tuple[float, float]:
     """Return ``(lambda_min, lambda_max)`` with ``lambda_min L_H <= L_G <= lambda_max L_H``.
 
@@ -195,11 +207,20 @@ def spectral_approximation_factor(
     and reads both pencil extremes off ``scipy.sparse.linalg.eigsh``, which is
     what keeps certification tractable at ``n >= 2000``.  ``'auto'`` (the
     default) resolves by graph size like every other backend switch.
+
+    The sparse path inverts both grounded Laplacians.  A caller that already
+    holds a :class:`~repro.linalg.sparse_backend.GroundedLaplacianSolver` of
+    either graph passes it as ``graph_solver`` / ``sparsifier_solver`` and that
+    matrix is not factorised again (see
+    :func:`~repro.linalg.sparse_backend.pencil_extreme_eigenvalues`); the
+    dense path ignores both.
     """
     if graph.n != sparsifier.n:
         raise ValueError("graph and sparsifier must share the vertex set")
     if resolve_backend(graph, backend) == "sparse":
-        return _spectral_approximation_factor_sparse(graph, sparsifier)
+        return _spectral_approximation_factor_sparse(
+            graph, sparsifier, graph_solver, sparsifier_solver
+        )
     L_G = laplacian_matrix(graph)
     L_H = laplacian_matrix(sparsifier)
     eigs, kernel_leak = _restricted_generalised_eigenvalues(L_G, L_H)

@@ -12,7 +12,7 @@ the JL-sketched ``ComputeLeverageScores`` -- using the Cohen-Peng contraction
 ``w <- w^{1-p/2} sigma(W^{1/2-1/p} M)^{p/2}``, which converges geometrically for
 ``p < 4`` from any positive start.  (The exact update of Lee-Sidford is an
 equivalent damped step; the contraction form is used here for numerical
-robustness at float64, see DESIGN.md.)  ``compute_initial_weights`` mirrors
+robustness at float64, see ``docs/substitutions.md``, 5.)  ``compute_initial_weights`` mirrors
 Algorithm 8's homotopy from ``p = 2`` down to the target ``p``; because the
 contraction is global the homotopy is optional (``faithful=False`` skips it)
 but its ``O(sqrt(n) log(mn))`` outer-iteration count is what enters the round

@@ -103,13 +103,8 @@ def resolve_backend(graph: WeightedGraph, backend: str) -> str:
 
 
 def laplacian_csr(graph: WeightedGraph) -> sp.csr_matrix:
-    """CSR Laplacian ``L = B^T W B`` built by one ``coo_matrix`` call."""
-    u, v, w = graph.edge_array()
-    n = graph.n
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([u, v, v, u])
-    data = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    """CSR Laplacian ``L = B^T W B``: the graph's cached, read-only matrix."""
+    return graph.laplacian_csr()
 
 
 def incidence_csr(graph: WeightedGraph) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -887,24 +882,6 @@ PENCIL_EIG_TOL = 1e-12
 PENCIL_EIG_TOL_RELAXED = 1e-8
 
 
-def _reduced_pencil(
-    graph: WeightedGraph, sparsifier: WeightedGraph, components
-) -> Tuple[sp.csc_matrix, sp.csc_matrix, int]:
-    """Ground one vertex per component and return the reduced SPD pencil.
-
-    Assumes (caller-checked) that ``graph`` and ``sparsifier`` have identical
-    connected-component partitions (``components`` is that shared partition):
-    the generalized Rayleigh quotient ``x^T L_G x / x^T L_H x`` is invariant
-    under per-component shifts, so every nontrivial direction can be
-    represented with the grounded coordinates zeroed and the reduced pencil
-    has exactly the restricted generalized eigenvalues of ``(L_G, L_H)``.
-    """
-    keep_idx = grounding_keep_indices(graph.n, components)
-    A = laplacian_csr(graph)[keep_idx][:, keep_idx].tocsc()
-    B = laplacian_csr(sparsifier)[keep_idx][:, keep_idx].tocsc()
-    return A, B, keep_idx.size
-
-
 def _dense_pencil_extremes(A, B) -> Tuple[float, float]:
     import scipy.linalg as sla
 
@@ -917,6 +894,8 @@ def pencil_extreme_eigenvalues(
     sparsifier: WeightedGraph,
     tol: float = PENCIL_EIG_TOL,
     components=None,
+    graph_solver: Optional[GroundedLaplacianSolver] = None,
+    sparsifier_solver: Optional[GroundedLaplacianSolver] = None,
 ) -> Tuple[float, float]:
     """Extreme generalized eigenvalues ``(lo, hi)`` of ``(L_G, L_H)``.
 
@@ -925,25 +904,53 @@ def pencil_extreme_eigenvalues(
     i.e. the tightest pair with ``lo L_H <= L_G <= hi L_H``.  Both graphs must
     have the same connected-component partition (the caller guarantees this,
     and passes it as ``components`` when already computed -- the certification
-    front-end builds it anyway for the partition-equality check), which makes
-    the grounded pencil SPD on both sides.
+    front-end builds it anyway for the partition-equality check).  Grounding
+    the minimum vertex of every component then leaves an SPD pencil with
+    exactly the restricted eigenvalues: the generalized Rayleigh quotient is
+    invariant under per-component shifts.
 
     The largest eigenvalue of an SPD pencil is where Lanczos shines, so
     ``hi`` comes from ``eigsh(A, M=B, which='LA')`` directly and ``lo`` from
     the reversed pencil as ``1 / max-eig(B, A)`` -- no shift-invert and never
-    a dense ``n x n`` matrix.  Tiny reduced systems fall back to the LAPACK
+    a dense ``n x n`` matrix.  Each run needs the inverse of its ``M``; both
+    come from :class:`GroundedLaplacianSolver` factorisations (``Minv=`` over
+    ``_reduced_solve``), never from ``eigsh``'s own ``splu``.  Pass
+    ``graph_solver`` / ``sparsifier_solver`` when the caller already holds
+    them (the Laplacian solver's preprocessing does: the sparsifier's is its
+    preconditioner, the graph's its exact reference), so each matrix is
+    factorised once; a supplied solver must ground the same vertices, which
+    a repaired one that re-grounded a split component does not
+    (``ValueError``).  Tiny reduced systems fall back to the LAPACK
     generalized solver, as does an ARPACK convergence failure up to
     ``DENSE_EIG_FALLBACK_LIMIT`` unknowns; beyond that size a failure retries
     with a relaxed tolerance and a larger Krylov basis rather than densify.
     """
     if components is None:
         components = graph.connected_components()
-    A, B, n_reduced = _reduced_pencil(graph, sparsifier, components)
+    keep_idx = grounding_keep_indices(graph.n, components)
+    n_reduced = keep_idx.size
     if n_reduced == 0:
         # every component is a singleton: both Laplacians are identically zero
         return (1.0, 1.0)
+    A = laplacian_csr(graph)[keep_idx][:, keep_idx]
+    B = laplacian_csr(sparsifier)[keep_idx][:, keep_idx]
     if n_reduced <= DENSE_EIG_FALLBACK:
         return _dense_pencil_extremes(A, B)
+
+    def inverse(solver: Optional[GroundedLaplacianSolver], of: WeightedGraph):
+        if solver is None:
+            solver = GroundedLaplacianSolver(of)
+        if not np.array_equal(solver._keep_idx, keep_idx):
+            raise ValueError(
+                "grounded solver and pencil ground different vertices "
+                "(was the solver re-grounded by a component-split repair?)"
+            )
+        return spla.LinearOperator(
+            (n_reduced, n_reduced), matvec=solver._reduced_solve, dtype=float
+        )
+
+    A_inv = inverse(graph_solver, graph)
+    B_inv = inverse(sparsifier_solver, sparsifier)
     # seeded starting vector: ARPACK otherwise randomises v0, which would make
     # repeated certifications of the same pair differ within the tolerance
     v0 = np.random.default_rng(0x5EED).standard_normal(n_reduced)
@@ -951,13 +958,13 @@ def pencil_extreme_eigenvalues(
     def extremes(eig_tol: float, ncv: Optional[int] = None) -> Tuple[float, float]:
         hi = float(
             spla.eigsh(
-                A, k=1, M=B, which="LA", tol=eig_tol, v0=v0, ncv=ncv,
+                A, k=1, M=B, Minv=B_inv, which="LA", tol=eig_tol, v0=v0, ncv=ncv,
                 return_eigenvectors=False,
             )[0]
         )
         lo_inv = float(
             spla.eigsh(
-                B, k=1, M=A, which="LA", tol=eig_tol, v0=v0, ncv=ncv,
+                B, k=1, M=A, Minv=A_inv, which="LA", tol=eig_tol, v0=v0, ncv=ncv,
                 return_eigenvectors=False,
             )[0]
         )

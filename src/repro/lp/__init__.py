@@ -14,7 +14,7 @@ solves in ``A^T D A`` are cheap (graph-structured).
   helpers.
 * :mod:`repro.lp.barrier_ipm` -- a robust primal log-barrier interior point
   method whose Newton systems are ``A^T D A`` solves; the default engine for
-  the flow pipeline (see DESIGN.md, substitutions).
+  the flow pipeline (see ``docs/substitutions.md``, 3).
 * :mod:`repro.lp.lee_sidford` -- the faithful structure of Lee-Sidford
   weighted path finding: ``LPSolve``, ``PathFollowing`` and
   ``CenteringInexact`` (Algorithms 9-11) built on regularised Lewis weights and

@@ -1,8 +1,9 @@
 """A robust primal log-barrier interior point method.
 
-This is the engineering fallback engine described in DESIGN.md: it solves the
-same LPs as the Lee-Sidford solver (``min c^T x, A^T x = b, l <= x <= u``),
-uses the *same* linear-system primitive per Newton step -- one solve with
+This is the engineering fallback engine of ``docs/substitutions.md`` (section
+3): it solves the same LPs as the Lee-Sidford solver
+(``min c^T x, A^T x = b, l <= x <= u``), uses the *same* linear-system
+primitive per Newton step -- one solve with
 ``A^T D A`` for a positive diagonal ``D`` -- and is charged with the same
 Broadcast Congested Clique communication primitives, but follows the classical
 (unweighted) central path with damped Newton steps and a long-step barrier

@@ -19,7 +19,7 @@ Two kinds of parameters exist:
   ``1/(8 sqrt(n))`` -- the same ``Theta(1/sqrt(n))`` dependence that gives the
   ``O(sqrt(n) log(1/eps))`` iteration count of Theorem 1.4 -- and re-centers
   with as many ``CenteringInexact`` steps as needed (measured and reported).
-  This substitution is recorded in DESIGN.md.
+  This substitution is recorded in ``docs/substitutions.md``, 4.
 """
 
 from __future__ import annotations

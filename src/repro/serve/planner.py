@@ -722,12 +722,15 @@ class QueryPlanner:
                 t_override=self.t_override,
                 bundle_scale=self.bundle_scale,
                 backend=self.backend,
+                # measuring kappa inverts L_G: that is the cached grounded
+                # artifact, never a second factorisation of the same matrix
+                grounded=lambda: self._grounded(entry)[0],
             ),
         )
-        # the solver front object is rebuilt per batch (cheap: one CSR
-        # assembly); caching it would both double-account the preprocessing
-        # bytes it references and share one communication ledger across
-        # unrelated clients
+        # the solver front object is rebuilt per batch (cheap: the CSR
+        # Laplacian is cached on the graph); caching it would both
+        # double-account the preprocessing bytes it references and share one
+        # communication ledger across unrelated clients
         solver = BCCLaplacianSolver(graph, preprocessing=preprocessing)
         eps = batch.coalesce_params[0]
         reports = api.solve_many(
@@ -1057,9 +1060,11 @@ class QueryPlanner:
 
         def build_sparsifier_result():
             # the solve path's preprocessing artifact embeds a sparsifier
-            # built with SPARSIFIER_EPS and the same knobs: when the certify
-            # eps matches, reuse it instead of re-paying the multi-second
-            # sparsification and storing the same content twice
+            # built with SPARSIFIER_EPS and the same knobs -- and its window,
+            # when kappa was measured: when the certify eps matches, reuse
+            # them instead of re-paying the multi-second sparsification and
+            # the eigensolver, and storing the same content twice.  (A
+            # repaired artifact has dropped both.)
             if eps == BCCLaplacianSolver.SPARSIFIER_EPS:
                 solver_params = self._solver_params()
                 if self.cache.contains(
@@ -1073,8 +1078,11 @@ class QueryPlanner:
                         lambda: None,  # never runs: the entry is present
                     )
                     if preprocessing.sparsifier_result is not None:
-                        return preprocessing.sparsifier_result
-            return api.spectral_sparsifier(
+                        return (
+                            preprocessing.sparsifier_result,
+                            preprocessing.spectral_window,
+                        )
+            sparsifier_result = api.spectral_sparsifier(
                 graph,
                 eps=eps,
                 seed=self.solver_seed,
@@ -1082,13 +1090,14 @@ class QueryPlanner:
                 bundle_scale=self.bundle_scale,
                 backend=backend,
             )
+            return sparsifier_result, None
 
         def build_report() -> CertificationReport:
             # no separate 'sparsifier' cache entry: the report below is
             # memoised, so the sparsifier is only ever needed right here,
             # and an extra cache reference would double-count its bytes
-            sparsifier_result = build_sparsifier_result()
-            lo, hi = spectral_approximation_factor(
+            sparsifier_result, window = build_sparsifier_result()
+            lo, hi = window or spectral_approximation_factor(
                 graph, sparsifier_result.sparsifier, backend=backend
             )
             slack = 1e-7

@@ -5,7 +5,10 @@ Given symmetric positive semi-definite ``A`` and ``B`` with ``A <= B <= kappa A`
 ``eps`` in the ``A``-norm using ``O(sqrt(kappa) log(1/eps))`` iterations, each
 consisting of one multiplication by ``A``, one linear solve in ``B`` and a
 constant number of vector operations -- exactly the operation profile the
-paper's round analysis charges for.
+paper's round analysis charges for.  The theorem fixes the length only up to
+a constant; :func:`chebyshev_iteration_count` is the sharp one, the least
+degree at which the Chebyshev polynomial meets ``eps`` (see
+``docs/substitutions.md``, "Chebyshev iteration constant").
 
 The implementation is the classical Chebyshev acceleration (Saad, *Iterative
 Methods for Sparse Linear Systems*, Alg. 12.1) applied to the preconditioned
@@ -41,13 +44,56 @@ class ChebyshevReport:
         return self.residual_norms[-1] if self.residual_norms else float("nan")
 
 
+def _contraction(kappa: float) -> float:
+    """``q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``, so ``sigma_1 = (1 + q^2) / 2q``."""
+    root = math.sqrt(kappa)
+    return (root - 1.0) / (root + 1.0)
+
+
+def chebyshev_error_bound(kappa: float, iterations: int) -> float:
+    """Exact ``A``-norm error factor ``1 / T_k(sigma_1)`` after ``k`` iterations.
+
+    The error polynomial of the iteration is the shifted Chebyshev polynomial
+    ``T_k((theta - lambda) / delta) / T_k(sigma_1)`` with
+    ``sigma_1 = (kappa + 1) / (kappa - 1)``: it is at most ``1 / T_k(sigma_1)``
+    in modulus on the whole spectrum ``[1/kappa, 1]`` of ``B^+ A`` and attains
+    that value at ``1/kappa``.  In closed form ``1 / T_k(sigma_1) =
+    2 q^k / (1 + q^{2k})`` with ``q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``
+    (the textbook ``2 q^k`` drops the denominator).
+    """
+    if kappa < 1:
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    qk = _contraction(kappa) ** iterations
+    return 2.0 * qk / (1.0 + qk * qk)
+
+
 def chebyshev_iteration_count(kappa: float, eps: float) -> int:
-    """The ``O(sqrt(kappa) log(1/eps))`` iteration bound of Theorem 2.3."""
+    """The minimal degree meeting Theorem 2.3: least ``k`` with ``1/T_k(sigma_1) <= eps``.
+
+    ``ceil(arccosh(1/eps) / arccosh((kappa + 1) / (kappa - 1)))``, at least 1
+    (``kappa = 1`` is one exact preconditioner solve).  This is the sharp
+    constant inside the theorem's ``O(sqrt(kappa) log(1/eps))``: one iteration
+    fewer leaves the eigenvector at ``1/kappa`` with relative ``A``-norm error
+    above ``eps`` (see :func:`chebyshev_error_bound`).
+    """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if not (0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-    return max(1, math.ceil(math.sqrt(kappa) * (math.log(1.0 / eps) + 1.0)))
+    q = _contraction(kappa)
+    if q == 0.0:  # kappa == 1 to rounding: one preconditioner solve is exact
+        return 1
+    # arccosh(sigma_1) = -log(q), written so that huge kappa loses no digits
+    k = math.ceil(math.acosh(1.0 / eps) / -math.log(q))
+    # the quotient can land within rounding of an integer: settle it against
+    # the bound itself so count and bound can never disagree
+    while chebyshev_error_bound(kappa, k) > eps:
+        k += 1
+    while k > 1 and chebyshev_error_bound(kappa, k - 1) <= eps:
+        k -= 1
+    return k
 
 
 def preconditioned_chebyshev(
@@ -83,7 +129,8 @@ def preconditioned_chebyshev(
     x0:
         Optional initial iterate (defaults to zero).
     max_iterations:
-        Override of the iteration budget (defaults to the theorem's bound).
+        Override of the iteration budget (defaults to
+        :func:`chebyshev_iteration_count`, the minimal sufficient degree).
     residual_stop:
         Optional early-stopping threshold on ``||b - A x||_2 / ||b||_2``.
 
@@ -143,14 +190,3 @@ def preconditioned_chebyshev(
         d = rho_next * rho * d + (2.0 * rho_next / delta) * z
         rho = rho_next
     return x, report
-
-
-def chebyshev_error_bound(kappa: float, iterations: int) -> float:
-    """Theoretical ``A``-norm error factor after ``iterations`` steps.
-
-    The Chebyshev polynomial bound ``2 ((sqrt(kappa)-1)/(sqrt(kappa)+1))^k``.
-    """
-    if kappa <= 1:
-        return 0.0
-    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    return 2.0 * (q ** iterations)

@@ -8,26 +8,47 @@ internally.  Each solve instance ``(b, eps)`` then runs the preconditioned
 Chebyshev iteration of Corollary 2.4 with ``A = L_G``, ``B = (3/2) L_H`` and
 ``kappa = 3``; the only communication per iteration is one multiplication of
 ``L_G`` by a vector, costing ``O(log(nU/eps))`` bits per vertex.
+
+With experiment knobs (``t_override`` / ``bundle_scale``) the window of ``H``
+is *measured* instead of assumed; ``kappa`` is then ``hi / lo`` inflated by
+:data:`KAPPA_MARGIN`, and the iteration runs for exactly
+:func:`~repro.solvers.chebyshev.chebyshev_iteration_count` steps -- the
+minimal degree that meets ``eps`` for that ``kappa``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.congest.ledger import CommunicationPrimitives, RoundLedger
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.laplacian import laplacian_matrix, laplacian_norm
+from repro.graphs.laplacian import (
+    laplacian_matrix,
+    laplacian_norm,
+    spectral_approximation_factor,
+)
 from repro.linalg.sparse_backend import (
+    PENCIL_EIG_TOL_RELAXED,
     GroundedLaplacianSolver,
     RepairableGroundedSolver,
     resolve_backend,
 )
 from repro.sparsify.spectral import SparsifierResult, spectral_sparsify
 from repro.solvers.chebyshev import ChebyshevReport, preconditioned_chebyshev
+
+#: Relative inflation of a *measured* ``kappa = hi / lo``.  The Chebyshev
+#: iteration runs for the minimal degree that meets ``eps`` on ``[1/kappa, 1]``,
+#: so an underestimated ``kappa`` would leave the spectrum's lower end outside
+#: the interval the polynomial is small on.  Lanczos returns each extreme from
+#: inside the spectrum, off by at most the tolerance ``eigsh`` was asked for --
+#: :data:`~repro.linalg.sparse_backend.PENCIL_EIG_TOL_RELAXED` on its loosest
+#: path -- so ``hi / lo`` can be short by a relative ``2 * tol`` and no more;
+#: the margin is five times that.
+KAPPA_MARGIN = 10 * PENCIL_EIG_TOL_RELAXED
 
 
 @dataclass
@@ -81,6 +102,10 @@ class SolverPreprocessing:
     grounded: Optional[GroundedLaplacianSolver] = None
     #: dense backend: pseudoinverse of ``B = scale * L_H``
     B_pinv: Optional[np.ndarray] = None
+    #: measured ``(lo, hi)`` with ``lo L_H <= L_G <= hi L_H`` when ``kappa``
+    #: was measured (``None`` under the paper's parameters); describes
+    #: ``sparsifier_result`` and is cleared with it
+    spectral_window: Optional[Tuple[float, float]] = None
 
     def nbytes(self) -> int:
         """Approximate resident size (for cache byte accounting)."""
@@ -113,9 +138,10 @@ class SolverPreprocessing:
         sparsifier below the lower spectral bound), for the dense backend
         (no rank-1 path through the pseudoinverse), or when the grounded
         update itself refuses (cross-component edge, exhausted budget).  On
-        success ``sparsifier_result`` is cleared: the construction transcript
-        no longer describes the repaired sparsifier, and consumers (the
-        certify path) must not treat it as current.
+        success ``sparsifier_result`` and ``spectral_window`` are cleared: the
+        construction transcript and its measured window no longer describe
+        the repaired sparsifier, and consumers (the certify path) must not
+        treat them as current.
         """
         if delta_w <= 0:
             return False
@@ -127,6 +153,7 @@ class SolverPreprocessing:
         existing = self.sparsifier.weight(u, v) if self.sparsifier.has_edge(u, v) else 0.0
         self.sparsifier.add_edge(u, v, existing + weight)
         self.sparsifier_result = None
+        self.spectral_window = None
         return True
 
     def apply_delta(self, delta, *, graph, grounded, on_step) -> bool:
@@ -179,7 +206,10 @@ class BCCLaplacianSolver:
         ``spectral_approximation_factor``, which itself resolves its backend
         by graph size: above the auto threshold the measurement runs through
         the sparse generalized eigensolver, so large-``n`` instances no longer
-        pay a dense ``O(n^3)`` ``eigh`` at construction time.
+        pay a dense ``O(n^3)`` ``eigh`` at construction time.  On the sparse
+        backend that measurement inverts ``L_H`` through the preconditioner's
+        own factorisation and ``L_G`` through the one :meth:`exact_solution`
+        uses afterwards: each matrix is factorised once.
     """
 
     #: quality of the preprocessing sparsifier, fixed to 1/2 as in Theorem 1.3
@@ -248,6 +278,7 @@ class BCCLaplacianSolver:
                 bundle_scale=bundle_scale,
                 exact_preconditioner=exact_preconditioner,
                 backend=self.backend,
+                grounded=self._graph_solver,
             )
         self.prepared = preprocessing
         self._sparsifier_result = preprocessing.sparsifier_result
@@ -293,6 +324,7 @@ class BCCLaplacianSolver:
         bundle_scale: float = 1.0,
         exact_preconditioner: bool = False,
         backend: str = "auto",
+        grounded: Optional[Callable[[], GroundedLaplacianSolver]] = None,
     ) -> SolverPreprocessing:
         """Run the preprocessing phase once; return a reusable artifact.
 
@@ -302,10 +334,20 @@ class BCCLaplacianSolver:
         back via ``BCCLaplacianSolver(graph, preprocessing=artifact)`` skips
         the whole phase, which is what the serving layer's artifact cache
         amortises across queries.
+
+        ``grounded()`` -- as in the artifacts' ``apply_delta`` protocol --
+        returns the *graph's* grounded solver.  It is called only when kappa
+        is measured on the sparse backend, whose eigensolver needs ``L_G``
+        inverted; a caller that keeps that factorisation anyway (the solver
+        for :meth:`exact_solution`, the serving layer as its ``grounded``
+        artifact) hands it over instead of having it built and dropped here.
+        The artifact never holds it.
         """
         if not graph.is_connected():
             raise ValueError("the Laplacian solver requires a connected graph")
         backend = resolve_backend(graph, backend)
+        spectral_window: Optional[Tuple[float, float]] = None
+        kappa: Optional[float] = None
         if exact_preconditioner:
             sparsifier_result: Optional[SparsifierResult] = None
             sparsifier = graph.copy()
@@ -328,41 +370,47 @@ class BCCLaplacianSolver:
                 # B = (3/2) L_H satisfies L_G <= B <= 3 L_G (Corollary 2.4).
                 kappa = 3.0
                 scale = 1.5
-            else:
-                # Experiment knobs weaken the guarantee; measure the actual
-                # approximation factor and scale the preconditioner
-                # accordingly, on the same backend as the solver so large-n
-                # construction never falls back to dense certification.
-                from repro.graphs.laplacian import spectral_approximation_factor
 
-                lo, hi = spectral_approximation_factor(
-                    graph, sparsifier, backend=backend
-                )
-                if lo <= 0 or not np.isfinite(hi):
-                    raise ValueError(
-                        "sparsifier computed with overridden parameters does not "
-                        "spectrally approximate the graph; increase t_override"
-                    )
-                scale = hi
-                kappa = max(1.0, hi / lo) * (1.0 + 1e-9)
-
-        grounded: Optional[GroundedLaplacianSolver] = None
-        B_pinv: Optional[np.ndarray] = None
+        solver: Optional[GroundedLaplacianSolver] = None
         if backend == "sparse":
-            # One grounded splu factorisation of L_H, reused by every solve:
-            # B^+ r = (1/scale) L_H^+ r.  The Chebyshev residuals are
-            # consistent because the sparsifier of a connected graph must be
-            # connected for the kappa guarantee to hold at all.
+            # The Chebyshev residuals are consistent because the sparsifier of
+            # a connected graph must be connected for the kappa guarantee to
+            # hold at all.
             if not sparsifier.is_connected():
                 raise ValueError(
                     "sparse backend requires a connected sparsifier "
                     "(a disconnected one cannot precondition a connected graph)"
                 )
-            # repairable subclass: identical until the serving layer routes an
+            # One grounded splu factorisation of L_H, reused by every solve
+            # (B^+ r = (1/scale) L_H^+ r) and by the kappa measurement below.
+            # Repairable subclass: identical until the serving layer routes an
             # edge insertion through apply_insertion, which then absorbs the
-            # mutation as a rank-1 update instead of a refactorisation
-            grounded = RepairableGroundedSolver(sparsifier)
-        else:
+            # mutation as a rank-1 update instead of a refactorisation.
+            solver = RepairableGroundedSolver(sparsifier)
+        if kappa is None:
+            # Experiment knobs weaken the guarantee; measure the actual
+            # approximation factor and scale the preconditioner accordingly,
+            # on the same backend as the solver so large-n construction never
+            # falls back to dense certification.
+            hand_over = backend == "sparse" and grounded is not None
+            spectral_window = spectral_approximation_factor(
+                graph,
+                sparsifier,
+                backend=backend,
+                graph_solver=grounded() if hand_over else None,
+                sparsifier_solver=solver,
+            )
+            lo, hi = spectral_window
+            if lo <= 0 or not np.isfinite(hi):
+                raise ValueError(
+                    "sparsifier computed with overridden parameters does not "
+                    "spectrally approximate the graph; increase t_override"
+                )
+            scale = hi
+            kappa = max(1.0, hi / lo) * (1.0 + KAPPA_MARGIN)
+
+        B_pinv: Optional[np.ndarray] = None
+        if backend == "dense":
             B_pinv = np.linalg.pinv(scale * laplacian_matrix(sparsifier, backend="dense"))
         return SolverPreprocessing(
             n=graph.n,
@@ -373,8 +421,9 @@ class BCCLaplacianSolver:
             rounds=preprocessing_rounds,
             kappa=kappa,
             scale=scale,
-            grounded=grounded,
+            grounded=solver,
             B_pinv=B_pinv,
+            spectral_window=spectral_window,
         )
 
     def nbytes(self) -> int:
@@ -541,6 +590,16 @@ class BCCLaplacianSolver:
 
     # -- exact reference -------------------------------------------------------------
 
+    def _graph_solver(self) -> GroundedLaplacianSolver:
+        """The one grounded factorisation of ``L_G`` this solver ever builds.
+
+        Built on first use: by :meth:`prepare` when kappa is measured, by the
+        exact reference otherwise.
+        """
+        if self._exact_solver is None:
+            self._exact_solver = GroundedLaplacianSolver(self.graph)
+        return self._exact_solver
+
     def exact_solution(self, b: np.ndarray) -> np.ndarray:
         """Minimum-norm exact solution of ``L_G x = b``.
 
@@ -551,9 +610,7 @@ class BCCLaplacianSolver:
         b = np.asarray(b, dtype=float)
         b = b - np.mean(b)
         if self.backend == "sparse":
-            if self._exact_solver is None:
-                self._exact_solver = GroundedLaplacianSolver(self.graph)
-            return self._exact_solver.solve(b)
+            return self._graph_solver().solve(b)
         return np.linalg.pinv(self._L) @ b
 
     def exact_solution_many(self, B: np.ndarray) -> np.ndarray:
@@ -561,7 +618,5 @@ class BCCLaplacianSolver:
         B = np.asarray(B, dtype=float)
         B = B - B.mean(axis=0)
         if self.backend == "sparse":
-            if self._exact_solver is None:
-                self._exact_solver = GroundedLaplacianSolver(self.graph)
-            return self._exact_solver.solve_many(B)
+            return self._graph_solver().solve_many(B)
         return np.linalg.pinv(self._L) @ B

@@ -47,7 +47,7 @@ def bundle_size(n: int, eps: float, scale: float = 1.0) -> int:
 
     ``scale`` scales the leading constant only; it exists because at
     laptop-scale ``n`` the literal constant makes the bundle swallow the whole
-    graph (see DESIGN.md, substitutions).  ``scale=1.0`` is the paper's value.
+    graph (see ``docs/substitutions.md``, 1).  ``scale=1.0`` is the paper's value.
     """
     if eps <= 0:
         raise ValueError(f"error parameter eps must be positive, got {eps}")

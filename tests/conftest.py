@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -48,3 +49,29 @@ def triangle() -> WeightedGraph:
 def path4() -> WeightedGraph:
     """A path on four vertices with unit weights."""
     return generators.path_graph(4)
+
+
+@pytest.fixture
+def linalg_counts(monkeypatch) -> Counter:
+    """Counts every ``splu`` factorisation and every ``eigsh`` run in the process.
+
+    ``eigsh`` factorises its ``M`` with a ``splu`` its own module imported by
+    name, so that binding is wrapped too: ``counts["splu"]`` sees the
+    factorisations an eigensolver runs internally as well as the repo's own.
+    """
+    import scipy.sparse.linalg as spla
+
+    counts: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    arpack = sys.modules[spla.eigsh.__module__]
+    monkeypatch.setattr(arpack, "splu", counting("splu", arpack.splu))
+    monkeypatch.setattr(spla, "splu", counting("splu", spla.splu))
+    monkeypatch.setattr(spla, "eigsh", counting("eigsh", spla.eigsh))
+    return counts

@@ -92,6 +92,33 @@ class TestWeightedGraphBasics:
         with pytest.raises(ValueError):
             g.edge_array()[2][0] = 9.0  # cached views are read-only
 
+    def test_laplacian_csr_cached_read_only_and_dropped_by_every_mutator(self):
+        g = WeightedGraph(4)
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 2, 2.0)
+
+        def fresh_after(mutate):
+            before = g.laplacian_csr()
+            assert g.laplacian_csr() is before  # cached between mutations
+            mutate()
+            after = g.laplacian_csr()
+            assert after is not before
+            expected = np.zeros((g.n, g.n))
+            for u, v, w in g.edge_list():
+                expected[u, u] += w
+                expected[v, v] += w
+                expected[u, v] -= w
+                expected[v, u] -= w
+            np.testing.assert_array_equal(after.toarray(), expected)
+
+        fresh_after(lambda: g.add_edge(2, 3, 3.0))  # add
+        fresh_after(lambda: g.add_edge(1, 2, 5.0))  # reweight
+        fresh_after(lambda: g.remove_edge(0, 1))  # remove
+        fresh_after(lambda: g.add_edges([0, 0], [1, 3], [1.5, 2.5]))  # bulk add
+        with pytest.raises(ValueError):
+            g.laplacian_csr().data[0] = 9.0  # shared by every consumer: read-only
+        assert g.copy().laplacian_csr() is not g.laplacian_csr()
+
     def test_edge_array_empty_graph(self):
         g = WeightedGraph(2)
         u, v, w = g.edge_array()

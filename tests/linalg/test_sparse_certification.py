@@ -128,3 +128,78 @@ class TestPencilHelper:
         assert result.certify(g, eps=2.0, backend="dense") == result.certify(
             g, eps=2.0, backend="sparse"
         )
+
+
+def _eigsh_owned_factorisations(graph, sparsifier):
+    """The pre-sharing path, frozen: ``eigsh`` inverts each ``M`` with its own ``splu``."""
+    import scipy.sparse.linalg as spla
+
+    keep = sparse_backend.grounding_keep_indices(graph.n, graph.connected_components())
+    A = sparse_backend.laplacian_csr(graph)[keep][:, keep].tocsc()
+    B = sparse_backend.laplacian_csr(sparsifier)[keep][:, keep].tocsc()
+    v0 = np.random.default_rng(0x5EED).standard_normal(keep.size)
+    kwargs = dict(k=1, which="LA", tol=sparse_backend.PENCIL_EIG_TOL, v0=v0)
+    hi = spla.eigsh(A, M=B, return_eigenvectors=False, **kwargs)[0]
+    lo_inv = spla.eigsh(B, M=A, return_eigenvectors=False, **kwargs)[0]
+    return 1.0 / float(lo_inv), float(hi)
+
+
+def _two_component_graph():
+    left = generators.random_weighted_graph(70, average_degree=6, max_weight=8, seed=2)
+    right = generators.grid_graph(8, 9)
+    g = WeightedGraph(left.n + right.n)
+    u, v, w = left.edge_array()
+    g.add_edges(u, v, w)
+    u, v, w = right.edge_array()
+    g.add_edges(u + left.n, v + left.n, w)
+    return g
+
+
+class TestSharedFactorisations:
+    """``Minv=`` over the grounded solvers: same window, no hidden ``splu``."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.random_weighted_graph(140, average_degree=8, max_weight=8, seed=5),
+            generators.grid_graph(12, 13),
+            _two_component_graph(),
+        ],
+        ids=["random", "grid", "two-components"],
+    )
+    def test_window_equals_the_eigsh_owned_path(self, graph, linalg_counts):
+        sparsifier = spectral_sparsify(graph, eps=0.5, seed=9, t_override=2).sparsifier
+        expected = _eigsh_owned_factorisations(graph, sparsifier)
+        linalg_counts.clear()
+        graph_solver = sparse_backend.GroundedLaplacianSolver(graph)
+        sparsifier_solver = sparse_backend.RepairableGroundedSolver(sparsifier)
+        shared = sparse_backend.pencil_extreme_eigenvalues(
+            graph,
+            sparsifier,
+            graph_solver=graph_solver,
+            sparsifier_solver=sparsifier_solver,
+        )
+        assert linalg_counts["splu"] == 2 and linalg_counts["eigsh"] == 2
+        np.testing.assert_allclose(shared, expected, rtol=1e-10, atol=0)
+        # without solvers the helper builds the same two factorisations itself
+        linalg_counts.clear()
+        own = sparse_backend.pencil_extreme_eigenvalues(graph, sparsifier)
+        assert linalg_counts["splu"] == 2
+        assert own == shared
+
+    def test_solver_grounding_other_vertices_is_refused(self):
+        g = generators.random_weighted_graph(80, average_degree=6, seed=3)
+        sparsifier = spectral_sparsify(g, eps=0.5, seed=1, t_override=2).sparsifier
+        # a solver of a different graph grounds a different vertex set ...
+        split = g.copy()
+        for neighbour in list(split.neighbours(79)):
+            split.remove_edge(79, neighbour)
+        with pytest.raises(ValueError, match="ground different vertices"):
+            sparse_backend.pencil_extreme_eigenvalues(
+                g, sparsifier, graph_solver=sparse_backend.GroundedLaplacianSolver(split)
+            )
+        # ... on either side of the pencil
+        with pytest.raises(ValueError, match="ground different vertices"):
+            sparse_backend.pencil_extreme_eigenvalues(
+                g, sparsifier, sparsifier_solver=sparse_backend.GroundedLaplacianSolver(split)
+            )

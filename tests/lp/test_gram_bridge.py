@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
+from repro.lp import gram
 from repro.lp.gram import (
     GramFactorisation,
     GramSolverBridge,
@@ -17,6 +18,7 @@ from repro.lp.gram import (
     flow_gram_structure,
 )
 from repro.serve import ArtifactCache
+from repro.solvers.chebyshev import preconditioned_chebyshev
 
 
 @pytest.fixture
@@ -132,6 +134,44 @@ class TestBridge:
         strategies = {s for s, _ in bridge.stats.per_solve}
         assert strategies == {"factorise", "reuse", "chebyshev", "rank1"}
         assert bridge.stats.solves == 5
+
+    def test_chebyshev_rung_keeps_its_residual_contract(self, network, rng, monkeypatch):
+        structure = flow_gram_structure(network, "fixed-value")
+        d = rng.uniform(0.5, 2.0, size=structure.m)
+        drifted = d * (1.0 + 1e-2 * rng.uniform(-1.0, 1.0, size=structure.m))
+        rhs = rng.normal(size=structure.n)
+        reduced = structure.reduced_matrix(structure.aggregate(drifted))
+
+        def relative_residual(y):
+            return np.linalg.norm(rhs - reduced @ y) / np.linalg.norm(rhs)
+
+        # target reached inside the (minimal-degree) budget: served by the rung
+        bridge = GramSolverBridge(structure)
+        bridge(d, rhs)
+        y = bridge(drifted, rhs)
+        assert bridge.stats.per_solve[-1][0] == "chebyshev"
+        assert bridge.stats.chebyshev_solves == 1 and bridge.stats.factorisations == 1
+        assert relative_residual(y) <= bridge.chebyshev_residual
+
+        # a budget that runs out above the target (here: cut to two steps): the
+        # solve is answered by a fresh factorisation, not by whatever the
+        # iteration held at the cap
+        monkeypatch.setattr(
+            gram,
+            "preconditioned_chebyshev",
+            lambda *args, **kwargs: preconditioned_chebyshev(
+                *args, max_iterations=2, **kwargs
+            ),
+        )
+        short = GramSolverBridge(structure)
+        short(d, rhs)
+        y = short(drifted, rhs)
+        assert short.stats.per_solve[-1][0] == "factorise"
+        assert short.stats.chebyshev_solves == 0 and short.stats.chebyshev_iterations == 2
+        assert short.stats.factorisations == 2
+        assert relative_residual(y) <= short.chebyshev_residual
+        short(drifted, rhs)
+        assert short.stats.per_solve[-1][0] == "reuse"  # state moved to the new weights
 
     def test_nonpositive_weights_rejected(self, network):
         structure = flow_gram_structure(network, "fixed-value")

@@ -371,3 +371,35 @@ class TestCertifyReuse:
             e.value for e in service.cache.entries() if e.kind == "preprocessing"
         )
         assert report.sparsifier_edges == prep.sparsifier.m
+
+    def test_certify_after_solve_reads_the_measured_window(self, rng, linalg_counts):
+        # sparse backend (n above the auto threshold): measuring kappa inverts
+        # L_H through the preconditioner and L_G through the grounded artifact
+        graph = generators.random_weighted_graph(300, average_degree=6, seed=22)
+        service = make_service()
+        key = service.register(graph)
+        service.solve(key, rng.normal(size=graph.n))
+        assert linalg_counts["splu"] == 2 and linalg_counts["eigsh"] == 2
+        by_kind = {entry.kind: entry.value for entry in service.cache.entries()}
+        assert set(by_kind) == {"preprocessing", "grounded"}
+        window = by_kind["preprocessing"].spectral_window
+
+        linalg_counts.clear()
+        report = service.certify(key, eps=0.5)
+        assert linalg_counts["eigsh"] == 0 and linalg_counts["splu"] == 0
+        assert (report.lo, report.hi) == window
+
+        # an insertion is absorbed by repair, which drops the stored window
+        # with the transcript it described: certify measures again
+        graph.add_edge(0, 150, 2.0)
+        service.solve(key, rng.normal(size=graph.n))
+        assert service.cache.stats.repairs >= 1
+        repaired = next(
+            e.value for e in service.cache.entries() if e.kind == "preprocessing"
+        )
+        assert repaired is by_kind["preprocessing"]
+        assert repaired.spectral_window is None
+        linalg_counts.clear()
+        again = service.certify(key, eps=0.5)
+        assert linalg_counts["eigsh"] == 2
+        assert again is not report and again.graph_edges == graph.m

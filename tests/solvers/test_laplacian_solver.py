@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators, laplacian_matrix
-from repro.graphs.laplacian import laplacian_norm
+from repro.graphs.laplacian import laplacian_norm, spectral_approximation_factor
+from repro.linalg.sparse_backend import (
+    PENCIL_EIG_TOL_RELAXED,
+    GroundedLaplacianSolver,
+)
 from repro.solvers import BCCLaplacianSolver
+from repro.solvers.chebyshev import chebyshev_iteration_count
+from repro.solvers.laplacian import KAPPA_MARGIN
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +243,103 @@ class TestBackendThreading:
         assert BCCLaplacianSolver(
             solver_graph, preprocessing=prepared, backend="sparse"
         ).backend == "sparse"
+
+
+class TestSharpBudget:
+    """The minimal Chebyshev degree still meets ``eps`` end to end."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"t_override": 2}, {"t_override": 3}], ids=["paper", "t2", "t3"]
+    )
+    def test_error_bound_holds_with_the_minimal_budget(self, seed, knobs):
+        g = generators.random_weighted_graph(
+            18 + seed % 7, average_degree=5, max_weight=8, seed=100 + seed
+        )
+        backend = "sparse" if seed % 2 else "dense"
+        solver = BCCLaplacianSolver(g, seed=seed, backend=backend, **knobs)
+        rng = np.random.default_rng(seed)
+        single = solver.solve(rng.normal(size=g.n), eps=1e-6, check=True)
+        assert single.error_bound_holds, single.measured_relative_error
+        assert single.chebyshev.iterations == chebyshev_iteration_count(
+            solver.preprocessing.kappa, 1e-6
+        )
+        many = solver.solve_many(
+            [rng.normal(size=g.n) for _ in range(3)], eps=1e-8, check=True
+        )
+        assert all(r.error_bound_holds for r in many), [
+            r.measured_relative_error for r in many
+        ]
+        assert many[0].chebyshev.iterations == chebyshev_iteration_count(
+            solver.preprocessing.kappa, 1e-8
+        )
+
+    def test_measured_kappa_carries_the_stated_margin(self):
+        g = generators.random_weighted_graph(120, average_degree=7, max_weight=8, seed=9)
+        # twice the loosest eigsh tolerance is the most hi / lo can be short by
+        assert KAPPA_MARGIN > 2 * PENCIL_EIG_TOL_RELAXED
+        for backend in ("dense", "sparse"):
+            prepared = BCCLaplacianSolver.prepare(g, seed=3, t_override=2, backend=backend)
+            lo, hi = prepared.spectral_window
+            assert prepared.scale == hi
+            assert prepared.kappa == (hi / lo) * (1.0 + KAPPA_MARGIN)
+            true_lo, true_hi = spectral_approximation_factor(
+                g, prepared.sparsifier, backend="dense"
+            )
+            assert prepared.kappa > true_hi / true_lo
+
+    def test_paper_parameters_record_no_measured_window(self):
+        g = generators.random_weighted_graph(16, average_degree=5, seed=7)
+        prepared = BCCLaplacianSolver.prepare(g, seed=2)
+        assert prepared.kappa == 3.0 and prepared.spectral_window is None
+
+
+class TestOneFactorisationPerMatrix:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # above DENSE_EIG_FALLBACK unknowns, so the measurement runs eigsh
+        return generators.random_weighted_graph(150, average_degree=7, max_weight=8, seed=21)
+
+    def test_construct_and_checked_solves_factorise_each_matrix_once(
+        self, graph, linalg_counts
+    ):
+        solver = BCCLaplacianSolver(graph, seed=1, t_override=2, backend="sparse")
+        assert linalg_counts["splu"] == 2  # L_H and L_G, none inside eigsh
+        assert linalg_counts["eigsh"] == 2
+        rng = np.random.default_rng(0)
+        assert solver.solve(rng.normal(size=graph.n), eps=1e-6, check=True).error_bound_holds
+        reports = solver.solve_many(
+            [rng.normal(size=graph.n) for _ in range(4)], eps=1e-8, check=True
+        )
+        assert all(r.error_bound_holds for r in reports)
+        assert linalg_counts["splu"] == 2
+        assert solver._exact_solver is not solver.prepared.grounded
+
+    def test_prepare_takes_the_graph_factorisation_it_is_handed(
+        self, graph, linalg_counts
+    ):
+        graph_solver = GroundedLaplacianSolver(graph)
+        linalg_counts.clear()
+        handed = BCCLaplacianSolver.prepare(
+            graph, seed=1, t_override=2, backend="sparse", grounded=lambda: graph_solver
+        )
+        assert linalg_counts["splu"] == 1  # the sparsifier's only
+        own = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2, backend="sparse")
+        assert linalg_counts["splu"] == 3
+        assert handed.spectral_window == own.spectral_window
+        assert handed.kappa == own.kappa
+
+    def test_paper_parameters_never_ask_for_the_graph_factorisation(self, linalg_counts):
+        g = generators.random_weighted_graph(16, average_degree=5, seed=7)
+
+        def unexpected():
+            raise AssertionError("kappa is not measured under the paper's parameters")
+
+        BCCLaplacianSolver.prepare(g, seed=2, backend="sparse", grounded=unexpected)
+        assert linalg_counts["splu"] == 1 and linalg_counts["eigsh"] == 0
+
+    def test_insertion_repair_drops_the_window(self, graph):
+        prepared = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2, backend="sparse")
+        assert prepared.spectral_window is not None
+        assert prepared.apply_insertion(0, 1, 0.5)
+        assert prepared.spectral_window is None and prepared.sparsifier_result is None
