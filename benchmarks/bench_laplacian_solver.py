@@ -43,18 +43,18 @@ def test_preprocessing_rounds(benchmark):
 
 @pytest.mark.parametrize("n", [2000, 5000])
 def test_large_instance_sparse_backend(benchmark, n):
-    """The sizes the dense path cannot touch: n >= 2000, m >= 10000.
+    """The sizes a dense pseudoinverse cannot touch: n >= 2000, m >= 10000.
 
-    Runs one high-precision solve end to end on the sparse CSR backend
-    (grounded splu preconditioner); the dense path at n=5000 would need a
-    ~200 MB Laplacian plus an O(n^3) pseudoinverse.
+    Runs one high-precision solve end to end (CSR Laplacian, grounded splu
+    preconditioner); at n=5000 a dense Laplacian alone would be ~200 MB, its
+    pseudoinverse O(n^3).
     """
     graph = generators.random_weighted_graph(n, average_degree=11.0, max_weight=16, seed=5)
     rng = np.random.default_rng(7)
     b = rng.normal(size=graph.n)
 
     def run():
-        solver = BCCLaplacianSolver(graph, exact_preconditioner=True, backend="sparse")
+        solver = BCCLaplacianSolver(graph, exact_preconditioner=True)
         return solver.solve(b, eps=1e-8, check=True)
 
     report = benchmark(run)

@@ -58,7 +58,7 @@ def run_case(n: int, seed: int = 7, eps: float = 0.5, t_override: int = 2) -> di
         lambda: spectral_sparsify(graph, eps=eps, seed=seed + 4, t_override=t_override)
     )
     (lo, hi), certify_seconds = _timed(
-        lambda: spectral_approximation_factor(graph, result.sparsifier, backend="sparse")
+        lambda: spectral_approximation_factor(graph, result.sparsifier)
     )
     return {
         "n": n,

@@ -10,8 +10,7 @@ from repro.flow.mincostflow import MinCostFlowResult
 from repro.flow.mincostflow import min_cost_max_flow as _min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.laplacian import effective_resistances as _edge_effective_resistances
-from repro.linalg.sparse_backend import GroundedLaplacianSolver, resolve_backend
+from repro.linalg.sparse_backend import GroundedLaplacianSolver
 from repro.lp.barrier_ipm import BarrierIPM
 from repro.lp.lee_sidford import LeeSidfordSolver
 from repro.lp.problem import LPProblem, LPSolution
@@ -88,7 +87,6 @@ def solve_many(
 def effective_resistances(
     graph: WeightedGraph,
     pairs: Optional[Iterable[Tuple[int, int]]] = None,
-    backend: str = "auto",
     solver=None,
     eta: Optional[float] = None,
     seed: Optional[int] = 0,
@@ -96,12 +94,11 @@ def effective_resistances(
     """Effective resistances, batched through one Laplacian factorisation.
 
     With ``pairs=None`` this returns the resistance of every edge in
-    canonical order (delegating to
+    canonical order (like
     :func:`repro.graphs.laplacian.effective_resistances`).  With an iterable
     of ``(u, v)`` vertex pairs -- which need not be edges -- all queries are
-    answered from a single factorisation (sparse backend) or pseudoinverse
-    (dense backend): ``u == v`` pairs report ``0`` and cross-component pairs
-    ``inf``.  Pass ``solver`` to reuse an already-built
+    answered from a single factorisation: ``u == v`` pairs report ``0`` and
+    cross-component pairs ``inf``.  Pass ``solver`` to reuse an already-built
     :class:`GroundedLaplacianSolver`,
     :class:`~repro.linalg.sparse_backend.ResistanceOracle` or
     :class:`~repro.linalg.resistance.SketchedResistanceOracle` (the serving
@@ -120,8 +117,6 @@ def effective_resistances(
     it as ``solver`` (its own accuracy contract then applies; ``eta`` is
     ignored).
     """
-    if pairs is None and solver is None and eta is None:
-        return _edge_effective_resistances(graph, backend=backend)
     if pairs is None:
         u, v, _ = graph.edge_array()
         if u.size == 0:
@@ -144,22 +139,7 @@ def effective_resistances(
             return oracle.pair_resistances(u, v)
         # fall through: fewer pairs than sketch rows, exact per-pair solves
         # are cheaper than the build and exact answers satisfy any eta
-    if resolve_backend(graph, backend) == "sparse":
-        return GroundedLaplacianSolver(graph).pair_resistances(u, v)
-    # dense reference: read all pair resistances off the pseudoinverse, with
-    # the same cross-component semantics as the grounded path
-    if u.size and (int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= graph.n):
-        raise ValueError(f"pair endpoints out of range [0, {graph.n})")
-    from repro.graphs.laplacian import laplacian_pseudoinverse
-
-    labels = np.empty(graph.n, dtype=np.int64)
-    for i, component in enumerate(graph.connected_components()):
-        labels[sorted(component)] = i
-    Lplus = laplacian_pseudoinverse(graph)
-    resistances = Lplus[u, u] + Lplus[v, v] - 2.0 * Lplus[u, v]
-    resistances[labels[u] != labels[v]] = np.inf
-    resistances[u == v] = 0.0
-    return resistances
+    return GroundedLaplacianSolver(graph).pair_resistances(u, v)
 
 
 def solve_lp(

@@ -46,15 +46,12 @@ def run_full_pipeline(
     network: FlowNetwork,
     seed: Optional[int] = None,
     sparsifier_t_override: Optional[int] = 2,
-    backend: str = "auto",
 ) -> PipelineReport:
     """Run spanner -> sparsifier -> Laplacian solver -> LP solver -> min-cost flow.
 
     The undirected support of ``network`` (unit weights) is used for the
     spanner/sparsifier/Laplacian stages; the flow stages run on ``network``
-    itself.  ``backend`` selects the linear-algebra path of the Laplacian
-    solver stage (``'auto'``/``'dense'``/``'sparse'``; see
-    :mod:`repro.linalg.sparse_backend`).
+    itself.
     """
     rng = np.random.default_rng(seed)
     report = PipelineReport()
@@ -79,9 +76,7 @@ def run_full_pipeline(
     report.sparsifier_rounds = sparsifier_result.rounds
     report.stage_rounds["sparsifier"] = float(sparsifier_result.rounds)
 
-    solver = BCCLaplacianSolver(
-        support, seed=seed, t_override=sparsifier_t_override, backend=backend
-    )
+    solver = BCCLaplacianSolver(support, seed=seed, t_override=sparsifier_t_override)
     b = rng.normal(size=support.n)
     solve_report = solver.solve(b, eps=1e-6, check=True)
     report.laplacian_solve_rounds = solve_report.rounds

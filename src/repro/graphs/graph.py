@@ -339,7 +339,7 @@ class WeightedGraph:
 
         Rows follow the canonical :meth:`edges` order.  The arrays are cached
         until the next mutation and returned read-only, so repeated calls from
-        the vectorised Laplacian/backend kernels are O(1); callers that need to
+        the vectorised Laplacian kernels are O(1); callers that need to
         modify them must copy.
         """
         if self._edge_arrays is None:

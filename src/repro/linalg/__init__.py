@@ -13,10 +13,10 @@
   ``||x||_2 + ||l^{-1} x||_inf <= 1`` (Section 4.3, Lemma 4.10): the BCC
   binary-search algorithm and a dense reference maximiser.
 * :mod:`repro.linalg.sparse_backend` -- the scipy.sparse CSR Laplacian
-  backend: vectorised matrix construction from cached edge arrays, grounded
-  ``splu`` factorisations, batched effective-resistance solves and the
-  ``backend={'auto','dense','sparse'}`` selection used across the graphs,
-  solvers and sparsify layers.
+  kernels every layer computes with, at every graph size: vectorised matrix
+  construction from cached edge arrays, grounded ``splu`` factorisations
+  (repairable by rank-1 updates), batched effective-resistance solves and the
+  ``eigsh`` spectral certifier.
 * :mod:`repro.linalg.resistance` -- the JL-sketched effective-resistance
   oracle (Spielman-Srivastava over Theorem 4.4): ``O(n log m / eta^2)``
   memory, O(k) pair queries, built by blocked grounded solves against the
@@ -56,7 +56,6 @@ from repro.linalg.sparse_backend import (
     incidence_csr,
     laplacian_csr,
     laplacian_solver,
-    resolve_backend,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "incidence_csr",
     "laplacian_csr",
     "laplacian_solver",
-    "resolve_backend",
 ]

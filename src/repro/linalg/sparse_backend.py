@@ -1,26 +1,22 @@
-"""Sparse CSR Laplacian backend (scaling substrate for the Figure-1 pipeline).
+"""CSR Laplacian kernels: the one linear-algebra path of the Figure-1 pipeline.
 
 Every numerical stage of the reproduction (spanner -> sparsifier -> Laplacian
 solver -> LP/min-cost flow) consumes Laplacians, incidence matrices, quadratic
-forms and effective resistances.  The dense ``np.zeros((n, n))`` kernels in
-:mod:`repro.graphs.laplacian` are fine as numerical references but cap the
-pipeline at toy sizes: building the Laplacian is ``Theta(n^2)`` memory and the
-per-edge Python loops make ``effective_resistances`` ``Theta(m n^2)``.
-
-This module is the sparse counterpart.  It builds ``scipy.sparse`` CSR
-matrices straight from the cached edge-array views of
+forms, effective resistances and the spectral window of a sparsifier.  This
+module computes all of them, at every graph size, the way Theorem 1.3's
+vertices do once they hold the sparsifier: ``scipy.sparse`` CSR matrices built
+straight from the cached edge-array views of
 :meth:`repro.graphs.graph.WeightedGraph.edge_array` (three aligned numpy
-columns, no Python-level edge iteration), factorises grounded Laplacians once
-with ``splu`` and solves many right-hand sides in batches.
+columns, no Python-level edge iteration), grounded Laplacians factorised once
+with ``splu``, many right-hand sides solved in batches, and pencil extremes
+read off ``eigsh`` over those same factorisations.
 
-Backend selection
------------------
-Public entry points in :mod:`repro.graphs.laplacian` accept
-``backend={'auto', 'dense', 'sparse'}``.  ``'auto'`` (the default where
-offered) picks the sparse path once ``graph.n > DENSE_BACKEND_LIMIT``; both
-explicit values force the matter.  The dense path remains the numerical
-reference -- ``tests/linalg/test_sparse_backend.py`` pins dense/sparse
-agreement to ~1e-8 on path/cycle/grid/barbell graphs.
+These kernels have no dense twin and no option or size gate selects one: the
+textbook ``pinv`` / ``eigh`` formulas are the test oracle
+``tests/linalg/reference_dense.py``, which
+``tests/linalg/test_sparse_backend.py`` and
+``tests/linalg/test_sparse_certification.py`` pin this module against to 1e-8
+on path/cycle/grid/barbell/two-component graphs.
 
 Disconnected graphs are handled by grounding one vertex per connected
 component; solves then require (and assume) right-hand sides that are
@@ -42,14 +38,9 @@ if TYPE_CHECKING:  # import only for annotations: repro.graphs.laplacian
     # imports this module, so a runtime import here would be circular.
     from repro.graphs.graph import WeightedGraph
 
-#: Vertex count above which ``backend='auto'`` switches to the sparse path.
-DENSE_BACKEND_LIMIT = 256
-
 #: Number of right-hand sides per batched grounded solve (memory knob: each
 #: batch materialises an ``(n - #components) x batch`` dense block).
 DEFAULT_BATCH_SIZE = 512
-
-BACKENDS = ("auto", "dense", "sparse")
 
 
 class NumericalHealthError(ArithmeticError):
@@ -85,20 +76,6 @@ def check_finite(values, what: str, allow_inf: bool = False) -> None:
         )
 
 
-def resolve_backend_for_size(n: int, backend: str) -> str:
-    """Resolve ``'auto'`` to a concrete backend for a system of ``n`` unknowns."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
-    if backend == "auto":
-        return "sparse" if n > DENSE_BACKEND_LIMIT else "dense"
-    return backend
-
-
-def resolve_backend(graph: WeightedGraph, backend: str) -> str:
-    """Resolve ``'auto'`` to a concrete backend based on the graph size."""
-    return resolve_backend_for_size(graph.n, backend)
-
-
 # -- matrix construction -------------------------------------------------------
 
 
@@ -110,8 +87,8 @@ def laplacian_csr(graph: WeightedGraph) -> sp.csr_matrix:
 def incidence_csr(graph: WeightedGraph) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Sparse edge-vertex incidence ``B`` (m x n) and the weight vector ``w``.
 
-    Orientation matches the dense reference: the larger endpoint is the head
-    (+1), the smaller the tail (-1); rows follow canonical edge order.
+    The larger endpoint is the head (+1), the smaller the tail (-1); rows
+    follow canonical edge order.
     """
     u, v, w = graph.edge_array()
     m, n = graph.m, graph.n
@@ -845,8 +822,8 @@ def effective_resistances_sparse(
 ) -> np.ndarray:
     """Effective resistance of every edge via one factorisation + batched solves.
 
-    Instead of the dense reference's ``m`` separate ``chi^T L^+ chi`` products
-    (each ``Theta(n^2)``), this grounds the Laplacian, factorises it once and
+    Instead of reading ``m`` separate ``chi^T L^+ chi`` products off a dense
+    pseudoinverse, this grounds the Laplacian, factorises it once and
     solves ``L x_e = chi_e`` for ``batch_size`` edges at a time;
     ``R_e = chi_e^T x_e = x_e[u] - x_e[v]``.  Total cost is one ``splu`` plus
     ``m`` triangular solves.
@@ -875,7 +852,7 @@ DENSE_EIG_FALLBACK = 64
 DENSE_EIG_FALLBACK_LIMIT = 2048
 
 #: Relative accuracy requested from ARPACK for the pencil extremes; small
-#: enough that dense/sparse certification agree to ~1e-8.
+#: enough that the certifier agrees with the dense test reference to ~1e-8.
 PENCIL_EIG_TOL = 1e-12
 
 #: Tolerance of the large-system retry after an ARPACK convergence failure.

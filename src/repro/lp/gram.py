@@ -417,9 +417,10 @@ class GramSolverBridge:
       immutable), then solve exactly;
     * ``chebyshev`` -- the drift stays inside ``[1/DRIFT_BAND, DRIFT_BAND]``
       per pair (after any overlays): preconditioned Chebyshev with the held
-      factorisation as ``B``, condition number at most ``band**2``, stopped
-      at relative residual :attr:`chebyshev_residual`; a run that exhausts
-      its iteration budget above that residual falls through to the next rung;
+      factorisation as ``B``, condition number at most ``DRIFT_BAND**2``,
+      stopped at relative residual :attr:`chebyshev_residual`; a run that
+      exhausts its iteration budget above that residual falls through to the
+      next rung;
     * ``factorise`` -- otherwise: fetch a factorisation at ``w`` through the
       :class:`~repro.serve.artifacts.ArtifactCache` (a repeat solve of the
       same instance replays the same deterministic ``w`` sequence and hits
@@ -436,22 +437,13 @@ class GramSolverBridge:
         cache=None,
         graph_key: str = "",
         version: int = 0,
-        drift_band: float = DRIFT_BAND,
-        rank1_budget: Optional[int] = None,
         chebyshev_residual: float = CHEBYSHEV_RESIDUAL,
     ):
-        if drift_band < 1.0:
-            raise ValueError(f"drift_band must be >= 1, got {drift_band}")
         self.structure = structure
         self.cache = cache
         self.graph_key = graph_key or structure.fingerprint
         self.version = int(version)
-        self.drift_band = float(drift_band)
-        self.rank1_budget = (
-            int(rank1_budget)
-            if rank1_budget is not None
-            else max(4, math.isqrt(max(1, structure.n)))
-        )
+        self.rank1_budget = max(4, math.isqrt(max(1, structure.n)))
         self.chebyshev_residual = float(chebyshev_residual)
         self.stats = GramBridgeStats()
         self._fact: Optional[GramFactorisation] = None
@@ -491,8 +483,7 @@ class GramSolverBridge:
             return "reuse", self._overlay_solve(rhs)
 
         ratios = w / self._w_state
-        band = self.drift_band
-        out = (ratios > band) | (ratios < 1.0 / band)
+        out = (ratios > DRIFT_BAND) | (ratios < 1.0 / DRIFT_BAND)
         n_out = int(np.count_nonzero(out))
         if n_out and (
             n_out > self.rank1_budget

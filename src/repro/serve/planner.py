@@ -77,7 +77,6 @@ from repro.linalg.sparse_backend import (
     RepairableGroundedSolver,
     ResistanceOracle,
     default_update_budget,
-    resolve_backend,
 )
 from repro.lp.gram import GRAM_FORMULATIONS, GramSolverBridge, flow_gram_structure
 from repro.serve.artifacts import ArtifactCache
@@ -407,7 +406,6 @@ class QueryPlanner:
         solver_seed: Optional[int] = 0,
         t_override: Optional[int] = None,
         bundle_scale: float = 1.0,
-        backend: str = "auto",
         oracle_limit: int = RESISTANCE_ORACLE_LIMIT,
         repair_enabled: bool = True,
         repair_delta_limit: int = REPAIR_DELTA_LIMIT,
@@ -420,7 +418,6 @@ class QueryPlanner:
         self.solver_seed = solver_seed
         self.t_override = t_override
         self.bundle_scale = bundle_scale
-        self.backend = backend
         #: route short mutation deltas through low-rank artifact repair
         #: instead of invalidate-and-rebuild; ``False`` restores the
         #: pre-repair behaviour (every mutation rebuilds), which the mutation
@@ -706,7 +703,7 @@ class QueryPlanner:
             return
 
     def _solver_params(self) -> Tuple[Hashable, ...]:
-        return (self.solver_seed, self.t_override, self.bundle_scale, self.backend)
+        return (self.solver_seed, self.t_override, self.bundle_scale)
 
     def _execute_solve(
         self, entry: RegisteredGraph, batch: QueryBatch
@@ -721,7 +718,6 @@ class QueryPlanner:
                 seed=self.solver_seed,
                 t_override=self.t_override,
                 bundle_scale=self.bundle_scale,
-                backend=self.backend,
                 # measuring kappa inverts L_G: that is the cached grounded
                 # artifact, never a second factorisation of the same matrix
                 grounded=lambda: self._grounded(entry)[0],
@@ -1055,8 +1051,7 @@ class QueryPlanner:
     ) -> Tuple[List[Any], bool, bool]:
         graph = entry.graph
         eps = batch.coalesce_params[0]
-        backend = resolve_backend(graph, self.backend)
-        params = (eps, self.solver_seed, self.t_override, self.bundle_scale, backend)
+        params = (eps, *self._solver_params())
 
         def build_sparsifier_result():
             # the solve path's preprocessing artifact embeds a sparsifier
@@ -1088,7 +1083,6 @@ class QueryPlanner:
                 seed=self.solver_seed,
                 t_override=self.t_override,
                 bundle_scale=self.bundle_scale,
-                backend=backend,
             )
             return sparsifier_result, None
 
@@ -1098,7 +1092,7 @@ class QueryPlanner:
             # and an extra cache reference would double-count its bytes
             sparsifier_result, window = build_sparsifier_result()
             lo, hi = window or spectral_approximation_factor(
-                graph, sparsifier_result.sparsifier, backend=backend
+                graph, sparsifier_result.sparsifier
             )
             slack = 1e-7
             return CertificationReport(

@@ -326,7 +326,7 @@ class LaplacianService(QueryFrontDoor):
     """Batched Laplacian query service over registered graphs.
 
     Parameters mirror :class:`BCCLaplacianSolver` preprocessing knobs
-    (``solver_seed``, ``t_override``, ``bundle_scale``, ``backend``); they are
+    (``solver_seed``, ``t_override``, ``bundle_scale``); they are
     part of every artifact's cache identity, so two services sharing one
     cache but configured differently never alias artifacts.
 
@@ -373,7 +373,6 @@ class LaplacianService(QueryFrontDoor):
         solver_seed: Optional[int] = 0,
         t_override: Optional[int] = None,
         bundle_scale: float = 1.0,
-        backend: str = "auto",
         auto_flush: bool = True,
         repair: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
@@ -393,7 +392,6 @@ class LaplacianService(QueryFrontDoor):
             solver_seed=solver_seed,
             t_override=t_override,
             bundle_scale=bundle_scale,
-            backend=backend,
             repair_enabled=repair,
             resilience=self.resilience,
             health=self.health,

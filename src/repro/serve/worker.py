@@ -76,23 +76,18 @@ class WorkerConfig:
 
     Mirrors the :class:`~repro.serve.service.LaplacianService` constructor
     (spawned workers cannot share closures with the parent, so everything
-    rides in this dataclass).  ``background_builds`` arms the off-flush-path
-    sketch builder; ``publish_shared`` turns on shared-memory publication of
-    oracle artifacts after each flush.
+    rides in this dataclass).
     """
 
     name: str = "worker"
     solver_seed: Optional[int] = 0
     t_override: Optional[int] = None
     bundle_scale: float = 1.0
-    backend: str = "auto"
     repair: bool = True
     max_batch: int = 64
     max_pending: Optional[int] = None
     cache_max_bytes: int = DEFAULT_MAX_BYTES
     resilience: Optional[ResiliencePolicy] = None
-    background_builds: bool = True
-    publish_shared: bool = True
 
 
 @dataclass
@@ -294,15 +289,12 @@ def worker_main(conn, config: WorkerConfig) -> None:
         solver_seed=config.solver_seed,
         t_override=config.t_override,
         bundle_scale=config.bundle_scale,
-        backend=config.backend,
         auto_flush=False,
         repair=config.repair,
         resilience=config.resilience,
     )
-    builder: Optional[BackgroundBuilder] = None
-    if config.background_builds:
-        builder = BackgroundBuilder()
-        service.planner.background_builder = builder
+    builder = BackgroundBuilder()
+    service.planner.background_builder = builder
     store = SharedArtifactStore()
     published: set = set()
     pending: List[Tuple[int, Any]] = []
@@ -332,8 +324,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     ),
                 )
         pending.clear()
-        if config.publish_shared:
-            publish_ready_artifacts(service, store, conn, published)
+        publish_ready_artifacts(service, store, conn, published)
 
     def handle_control(message: Tuple) -> bool:
         """Dispatch one non-query message; returns False on shutdown."""
@@ -350,8 +341,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 reply(seq, True, adopted)
             elif tag == "unregister":
                 _, _, key = message
-                if builder is not None:
-                    builder.drain()
+                builder.drain()
                 service.registry.unregister(key)
                 reply(seq, True, None)
             elif tag == "adopt":
@@ -366,8 +356,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                 reply(seq, True, None)
             elif tag == "mutate":
                 _, _, key, op, u, v, weight = message
-                if builder is not None:
-                    builder.drain()
+                builder.drain()
                 graph = service.registry.get(key).graph
                 if op == "add":
                     graph.add_edge(u, v, weight)
@@ -414,8 +403,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
                     break
             flush_pending()
     finally:
-        if builder is not None:
-            builder.close()
+        builder.close()
         try:
             service.close()
         except Exception:

@@ -26,16 +26,11 @@ import numpy as np
 
 from repro.congest.ledger import CommunicationPrimitives, RoundLedger
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.laplacian import (
-    laplacian_matrix,
-    laplacian_norm,
-    spectral_approximation_factor,
-)
+from repro.graphs.laplacian import laplacian_norm, spectral_approximation_factor
 from repro.linalg.sparse_backend import (
     PENCIL_EIG_TOL_RELAXED,
     GroundedLaplacianSolver,
     RepairableGroundedSolver,
-    resolve_backend,
 )
 from repro.sparsify.spectral import SparsifierResult, spectral_sparsify
 from repro.solvers.chebyshev import ChebyshevReport, preconditioned_chebyshev
@@ -78,9 +73,9 @@ class SolverPreprocessing:
     """Reusable preprocessing artifact (the expensive half of Theorem 1.3).
 
     The paper's amortisation story is that one preprocessing pass -- the
-    spectral sparsifier broadcast plus, on the sparse backend, one grounded
-    ``splu`` factorisation of its Laplacian -- pays for arbitrarily many cheap
-    solve instances.  Build this once with :meth:`BCCLaplacianSolver.prepare`
+    spectral sparsifier broadcast plus one grounded ``splu`` factorisation of
+    its Laplacian -- pays for arbitrarily many cheap solve instances.  Build
+    this once with :meth:`BCCLaplacianSolver.prepare`
     and hand it to any number of :class:`BCCLaplacianSolver` constructions
     over the same graph content via the ``preprocessing=`` keyword; the
     serving layer's :class:`repro.serve.artifacts.ArtifactCache` holds these
@@ -91,17 +86,14 @@ class SolverPreprocessing:
     """
 
     n: int
-    backend: str
     exact_preconditioner: bool
     sparsifier: WeightedGraph
     sparsifier_result: Optional[SparsifierResult]
     rounds: float
     kappa: float
     scale: float
-    #: sparse backend: grounded ``splu`` factorisation of the sparsifier
-    grounded: Optional[GroundedLaplacianSolver] = None
-    #: dense backend: pseudoinverse of ``B = scale * L_H``
-    B_pinv: Optional[np.ndarray] = None
+    #: grounded ``splu`` factorisation of the sparsifier: ``B^+ = L_H^+ / scale``
+    grounded: RepairableGroundedSolver
     #: measured ``(lo, hi)`` with ``lo L_H <= L_G <= hi L_H`` when ``kappa``
     #: was measured (``None`` under the paper's parameters); describes
     #: ``sparsifier_result`` and is cleared with it
@@ -114,11 +106,7 @@ class SolverPreprocessing:
         # edge dict + adjacency sets dominate the graph itself; ~100 bytes
         # per edge is a measured CPython figure for small-int keyed dicts.
         total += 100 * self.sparsifier.m + u.nbytes + v.nbytes + w.nbytes
-        if self.grounded is not None:
-            total += self.grounded.nbytes()
-        if self.B_pinv is not None:
-            total += int(self.B_pinv.nbytes)
-        return total
+        return total + self.grounded.nbytes()
 
     def apply_insertion(self, u: int, v: int, delta_w: float) -> bool:
         """Repair the artifact for a weight *increase* of edge ``{u, v}``.
@@ -135,8 +123,7 @@ class SolverPreprocessing:
 
         Returns ``False`` -- artifact unchanged, caller must rebuild -- for
         non-positive ``delta_w`` (a weight *decrease* or removal can push the
-        sparsifier below the lower spectral bound), for the dense backend
-        (no rank-1 path through the pseudoinverse), or when the grounded
+        sparsifier below the lower spectral bound) or when the grounded
         update itself refuses (cross-component edge, exhausted budget).  On
         success ``sparsifier_result`` and ``spectral_window`` are cleared: the
         construction transcript and its measured window no longer describe
@@ -144,8 +131,6 @@ class SolverPreprocessing:
         treat them as current.
         """
         if delta_w <= 0:
-            return False
-        if self.backend != "sparse" or not isinstance(self.grounded, RepairableGroundedSolver):
             return False
         weight = delta_w / self.scale
         if not self.grounded.apply_update(u, v, weight):
@@ -166,11 +151,7 @@ class SolverPreprocessing:
         budget is refused before any work.  (``grounded`` is the *graph's*
         solver and is not used: the artifact owns the sparsifier's.)
         """
-        own = self.grounded
-        if (
-            isinstance(own, RepairableGroundedSolver)
-            and own.update_budget_remaining < len(delta)
-        ):
+        if self.grounded.update_budget_remaining < len(delta):
             return False
         for step, record in enumerate(delta):
             on_step(step)
@@ -193,23 +174,16 @@ class BCCLaplacianSolver:
     exact_preconditioner:
         If True, skip the sparsifier and precondition with ``L_G`` itself
         (kappa = 1).  Useful to isolate Chebyshev behaviour in tests/ablations.
-    backend:
-        ``'auto'``, ``'dense'`` or ``'sparse'``.  The dense path stores
-        ``L_G`` as an ndarray and preconditions through a dense pseudoinverse;
-        the sparse path stores ``L_G`` as a CSR matrix and solves in the
-        preconditioner through one cached ``splu`` factorisation of the
-        sparsifier's grounded Laplacian, which is what makes ``n >= 10^3``
-        instances run in seconds.  ``'auto'`` switches on graph size.
 
-        When ``t_override``/``bundle_scale`` deviate from the paper's
-        parameters the constructor *measures* kappa via
-        ``spectral_approximation_factor``, which itself resolves its backend
-        by graph size: above the auto threshold the measurement runs through
-        the sparse generalized eigensolver, so large-``n`` instances no longer
-        pay a dense ``O(n^3)`` ``eigh`` at construction time.  On the sparse
-        backend that measurement inverts ``L_H`` through the preconditioner's
-        own factorisation and ``L_G`` through the one :meth:`exact_solution`
-        uses afterwards: each matrix is factorised once.
+    Notes
+    -----
+    ``L_G`` is held as the graph's CSR matrix and every solve in the
+    preconditioner goes through one ``splu`` factorisation of the sparsifier's
+    grounded Laplacian.  When ``t_override``/``bundle_scale`` deviate from the
+    paper's parameters the constructor *measures* kappa via
+    ``spectral_approximation_factor``; that measurement inverts ``L_H``
+    through the preconditioner's own factorisation and ``L_G`` through the one
+    :meth:`exact_solution` uses afterwards, so each matrix is factorised once.
     """
 
     #: quality of the preprocessing sparsifier, fixed to 1/2 as in Theorem 1.3
@@ -223,7 +197,6 @@ class BCCLaplacianSolver:
         bundle_scale: float = 1.0,
         exact_preconditioner: bool = False,
         ledger: Optional[RoundLedger] = None,
-        backend: str = "auto",
         preprocessing: Optional[SolverPreprocessing] = None,
     ):
         self.graph = graph
@@ -251,18 +224,10 @@ class BCCLaplacianSolver:
                     "into the preprocessing artifact; do not pass them together "
                     "with preprocessing="
                 )
-            if backend != "auto" and backend != preprocessing.backend:
-                raise ValueError(
-                    f"preprocessing artifact was built for backend="
-                    f"{preprocessing.backend!r}, cannot honour backend={backend!r}"
-                )
-            self.backend = preprocessing.backend
-        else:
-            if not graph.is_connected():
-                raise ValueError("the Laplacian solver requires a connected graph")
-            self.backend = resolve_backend(graph, backend)
+        elif not graph.is_connected():
+            raise ValueError("the Laplacian solver requires a connected graph")
         self.ledger = ledger if ledger is not None else RoundLedger()
-        self._L = laplacian_matrix(graph, backend=self.backend)
+        self._L = graph.laplacian_csr()
         self._U = max(1.0, graph.max_weight())
         self._exact_solver: Optional[GroundedLaplacianSolver] = None
         self._comm = CommunicationPrimitives(
@@ -277,7 +242,6 @@ class BCCLaplacianSolver:
                 t_override=t_override,
                 bundle_scale=bundle_scale,
                 exact_preconditioner=exact_preconditioner,
-                backend=self.backend,
                 grounded=self._graph_solver,
             )
         self.prepared = preprocessing
@@ -293,21 +257,17 @@ class BCCLaplacianSolver:
 
         # B = scale * L_H; every vertex knows H, so solves in B are local.
         # _solve_B accepts an (n,) vector or an (n, k) block: the grounded
-        # factorisation and the dense pseudoinverse both batch over columns,
-        # which is what makes solve_many one block iteration instead of k runs.
+        # factorisation batches over columns, which is what makes solve_many
+        # one block iteration instead of k runs.
         scale = preprocessing.scale
-        if self.backend == "sparse":
-            grounded = preprocessing.grounded
-            self._solve_B = lambda r: (
-                grounded.solve_many(r) if r.ndim == 2 else grounded.solve(r)
-            ) / scale
-            if preprocessing.exact_preconditioner:
-                # the sparsifier IS the graph here: reuse the factorisation
-                # instead of running a second identical splu in exact_solution
-                self._exact_solver = grounded
-        else:
-            B_pinv = preprocessing.B_pinv
-            self._solve_B = lambda r: B_pinv @ r
+        grounded = preprocessing.grounded
+        self._solve_B = lambda r: (
+            grounded.solve_many(r) if r.ndim == 2 else grounded.solve(r)
+        ) / scale
+        if preprocessing.exact_preconditioner:
+            # the sparsifier IS the graph here: reuse the factorisation
+            # instead of running a second identical splu in exact_solution
+            self._exact_solver = grounded
         self.preprocessing = PreprocessingReport(
             sparsifier=preprocessing.sparsifier,
             rounds=preprocessing.rounds,
@@ -323,29 +283,27 @@ class BCCLaplacianSolver:
         t_override: Optional[int] = None,
         bundle_scale: float = 1.0,
         exact_preconditioner: bool = False,
-        backend: str = "auto",
         grounded: Optional[Callable[[], GroundedLaplacianSolver]] = None,
     ) -> SolverPreprocessing:
         """Run the preprocessing phase once; return a reusable artifact.
 
         The artifact bundles the sparsifier, its measured (or theorem-given)
-        ``kappa``/``scale``, and the backend-specific preconditioner state
-        (grounded ``splu`` factorisation or dense pseudoinverse).  Passing it
-        back via ``BCCLaplacianSolver(graph, preprocessing=artifact)`` skips
-        the whole phase, which is what the serving layer's artifact cache
-        amortises across queries.
+        ``kappa``/``scale``, and the preconditioner state (the sparsifier's
+        grounded ``splu`` factorisation).  Passing it back via
+        ``BCCLaplacianSolver(graph, preprocessing=artifact)`` skips the whole
+        phase, which is what the serving layer's artifact cache amortises
+        across queries.
 
         ``grounded()`` -- as in the artifacts' ``apply_delta`` protocol --
         returns the *graph's* grounded solver.  It is called only when kappa
-        is measured on the sparse backend, whose eigensolver needs ``L_G``
-        inverted; a caller that keeps that factorisation anyway (the solver
-        for :meth:`exact_solution`, the serving layer as its ``grounded``
+        is measured, because the eigensolver needs ``L_G`` inverted; a caller
+        that keeps that factorisation anyway (the solver for
+        :meth:`exact_solution`, the serving layer as its ``grounded``
         artifact) hands it over instead of having it built and dropped here.
         The artifact never holds it.
         """
         if not graph.is_connected():
             raise ValueError("the Laplacian solver requires a connected graph")
-        backend = resolve_backend(graph, backend)
         spectral_window: Optional[Tuple[float, float]] = None
         kappa: Optional[float] = None
         if exact_preconditioner:
@@ -361,7 +319,6 @@ class BCCLaplacianSolver:
                 seed=seed,
                 t_override=t_override,
                 bundle_scale=bundle_scale,
-                backend=backend,
             )
             sparsifier = sparsifier_result.sparsifier
             preprocessing_rounds = float(sparsifier_result.rounds)
@@ -371,33 +328,27 @@ class BCCLaplacianSolver:
                 kappa = 3.0
                 scale = 1.5
 
-        solver: Optional[GroundedLaplacianSolver] = None
-        if backend == "sparse":
-            # The Chebyshev residuals are consistent because the sparsifier of
-            # a connected graph must be connected for the kappa guarantee to
-            # hold at all.
-            if not sparsifier.is_connected():
-                raise ValueError(
-                    "sparse backend requires a connected sparsifier "
-                    "(a disconnected one cannot precondition a connected graph)"
-                )
-            # One grounded splu factorisation of L_H, reused by every solve
-            # (B^+ r = (1/scale) L_H^+ r) and by the kappa measurement below.
-            # Repairable subclass: identical until the serving layer routes an
-            # edge insertion through apply_insertion, which then absorbs the
-            # mutation as a rank-1 update instead of a refactorisation.
-            solver = RepairableGroundedSolver(sparsifier)
+        # The Chebyshev residuals are consistent because the sparsifier of a
+        # connected graph must be connected for the kappa guarantee to hold at
+        # all.
+        if not sparsifier.is_connected():
+            raise ValueError(
+                "the preconditioner requires a connected sparsifier "
+                "(a disconnected one cannot precondition a connected graph)"
+            )
+        # One grounded splu factorisation of L_H, reused by every solve
+        # (B^+ r = (1/scale) L_H^+ r) and by the kappa measurement below.
+        # Repairable subclass: identical until the serving layer routes an
+        # edge insertion through apply_insertion, which then absorbs the
+        # mutation as a rank-1 update instead of a refactorisation.
+        solver = RepairableGroundedSolver(sparsifier)
         if kappa is None:
             # Experiment knobs weaken the guarantee; measure the actual
-            # approximation factor and scale the preconditioner accordingly,
-            # on the same backend as the solver so large-n construction never
-            # falls back to dense certification.
-            hand_over = backend == "sparse" and grounded is not None
+            # approximation factor and scale the preconditioner accordingly.
             spectral_window = spectral_approximation_factor(
                 graph,
                 sparsifier,
-                backend=backend,
-                graph_solver=grounded() if hand_over else None,
+                graph_solver=grounded() if grounded is not None else None,
                 sparsifier_solver=solver,
             )
             lo, hi = spectral_window
@@ -409,12 +360,8 @@ class BCCLaplacianSolver:
             scale = hi
             kappa = max(1.0, hi / lo) * (1.0 + KAPPA_MARGIN)
 
-        B_pinv: Optional[np.ndarray] = None
-        if backend == "dense":
-            B_pinv = np.linalg.pinv(scale * laplacian_matrix(sparsifier, backend="dense"))
         return SolverPreprocessing(
             n=graph.n,
-            backend=backend,
             exact_preconditioner=exact_preconditioner,
             sparsifier=sparsifier,
             sparsifier_result=sparsifier_result,
@@ -422,19 +369,13 @@ class BCCLaplacianSolver:
             kappa=kappa,
             scale=scale,
             grounded=solver,
-            B_pinv=B_pinv,
             spectral_window=spectral_window,
         )
 
     def nbytes(self) -> int:
         """Approximate resident size (cache accounting in the serving layer)."""
         total = self.prepared.nbytes()
-        if isinstance(self._L, np.ndarray):
-            total += int(self._L.nbytes)
-        else:
-            total += int(
-                self._L.data.nbytes + self._L.indices.nbytes + self._L.indptr.nbytes
-            )
+        total += int(self._L.data.nbytes + self._L.indices.nbytes + self._L.indptr.nbytes)
         if self._exact_solver is not None and self._exact_solver is not self.prepared.grounded:
             total += self._exact_solver.nbytes()
         return total
@@ -518,11 +459,11 @@ class BCCLaplacianSolver:
         block (``k`` coordinate broadcasts are charged -- the same rounds per
         instance as ``k`` separate solves) and one preconditioner solve with
         ``k`` right-hand sides through the cached grounded factorisation
-        (:meth:`GroundedLaplacianSolver.solve_many`) or the dense
-        pseudoinverse.  This replaces the historical loop of full per-vector
-        ``solve`` calls; at ``k = 32`` right-hand sides the batched path is
-        several times faster because the factorisation's triangular solves and
-        the matvecs amortise across columns.
+        (:meth:`GroundedLaplacianSolver.solve_many`).  This replaces the
+        historical loop of full per-vector ``solve`` calls; at ``k = 32``
+        right-hand sides the batched path is several times faster because the
+        factorisation's triangular solves and the matvecs amortise across
+        columns.
 
         Returns one report per instance; the instances share a single
         :class:`ChebyshevReport` (the block iteration is one run, its residual
@@ -603,20 +544,14 @@ class BCCLaplacianSolver:
     def exact_solution(self, b: np.ndarray) -> np.ndarray:
         """Minimum-norm exact solution of ``L_G x = b``.
 
-        Dense backend: pseudoinverse reference.  Sparse backend: one cached
-        grounded ``splu`` factorisation of ``L_G`` (the graph is connected, so
-        the re-centred grounded solution *is* the minimum-norm solution).
+        One cached grounded ``splu`` factorisation of ``L_G`` (the graph is
+        connected, so the re-centred grounded solution *is* the minimum-norm
+        solution).
         """
         b = np.asarray(b, dtype=float)
-        b = b - np.mean(b)
-        if self.backend == "sparse":
-            return self._graph_solver().solve(b)
-        return np.linalg.pinv(self._L) @ b
+        return self._graph_solver().solve(b - np.mean(b))
 
     def exact_solution_many(self, B: np.ndarray) -> np.ndarray:
         """Column-wise :meth:`exact_solution` for a dense ``(n, k)`` block."""
         B = np.asarray(B, dtype=float)
-        B = B - B.mean(axis=0)
-        if self.backend == "sparse":
-            return self._graph_solver().solve_many(B)
-        return np.linalg.pinv(self._L) @ B
+        return self._graph_solver().solve_many(B - B.mean(axis=0))

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.laplacian import graph_from_laplacian, is_symmetric_diagonally_dominant
-from repro.linalg.sparse_backend import GroundedLaplacianSolver, resolve_backend_for_size
+from repro.linalg.sparse_backend import GroundedLaplacianSolver
 from repro.solvers.laplacian import BCCLaplacianSolver
 
 
@@ -91,10 +91,9 @@ class SDDSolver:
     BCC method are doubled because each virtual vertex pair is simulated by one
     real vertex (Lemma 5.1).
 
-    The direct path accepts ``backend={'auto', 'dense', 'sparse'}``: dense is
-    a cached pseudoinverse; sparse grounds the expansion Laplacian per
-    component and factorises it once with ``splu`` (right-hand sides must be
-    consistent for singular ``M``, which the theorems promise anyway).
+    The direct path grounds the expansion Laplacian per component and
+    factorises it once with ``splu`` (right-hand sides must be consistent for
+    singular ``M``, which the theorems promise anyway).
     """
 
     def __init__(
@@ -103,7 +102,6 @@ class SDDSolver:
         method: str = "direct",
         seed: Optional[int] = None,
         t_override: Optional[int] = None,
-        backend: str = "auto",
     ):
         if method not in ("direct", "bcc"):
             raise ValueError(f"unknown method {method!r}; use 'direct' or 'bcc'")
@@ -112,11 +110,9 @@ class SDDSolver:
             raise ValueError("SDDSolver requires a symmetric diagonally dominant matrix")
         self.method = method
         self.reduction = GrembanReduction.from_sdd(self.M)
-        # the solved system is the 2n x 2n expansion, so resolve on that size
-        self.backend = resolve_backend_for_size(2 * self.reduction.n, backend)
         self.rounds = 0.0
         self._bcc_solver: Optional[BCCLaplacianSolver] = None
-        self._direct_solver = None
+        self._direct_solver: Optional[GroundedLaplacianSolver] = None
         if method == "bcc":
             graph = self.reduction.expansion_graph()
             if graph.is_connected():
@@ -124,7 +120,7 @@ class SDDSolver:
                 self.rounds += 2.0 * self._bcc_solver.preprocessing.rounds
             else:
                 # Disconnected expansion (e.g. a pure Laplacian input): fall back
-                # to the dense reference, the reduction is not needed there.
+                # to the direct path, the reduction is not needed there.
                 self.method = "direct"
 
     def solve(self, b: np.ndarray, eps: float = 1e-9) -> np.ndarray:
@@ -139,14 +135,8 @@ class SDDSolver:
             report = self._bcc_solver.solve(lifted, eps=eps)
             self.rounds += 2.0 * report.rounds
             return self.reduction.restrict_solution(report.solution)
-        # direct reference path (factorisation / pseudoinverse cached across solves)
-        lifted = self.reduction.lift_rhs(b)
-        if self.backend == "sparse":
-            if self._direct_solver is None:
-                self._direct_solver = GroundedLaplacianSolver(self.reduction.expansion_graph())
-            xy = self._direct_solver.solve(lifted)
-        else:
-            if self._direct_solver is None:
-                self._direct_solver = np.linalg.pinv(self.reduction.laplacian)
-            xy = self._direct_solver @ lifted
+        # direct reference path (factorisation cached across solves)
+        if self._direct_solver is None:
+            self._direct_solver = GroundedLaplacianSolver(self.reduction.expansion_graph())
+        xy = self._direct_solver.solve(self.reduction.lift_rhs(b))
         return self.reduction.restrict_solution(xy)

@@ -79,9 +79,7 @@ class SparsifierResult:
     ``sparsifier`` is the reweighted subgraph ``H``; ``rounds`` is the
     Broadcast-CONGEST round count (only meaningful for the ad-hoc variant);
     ``orientation`` maps each sparsifier edge to a ``(tail, head)`` pair such
-    that out-degrees are small (Theorem 1.2).  ``backend`` records the
-    linear-algebra backend the producer was asked to use and is the default
-    certification path of :meth:`certify`.
+    that out-degrees are small (Theorem 1.2).
     """
 
     sparsifier: WeightedGraph
@@ -89,43 +87,22 @@ class SparsifierResult:
     iterations: List[IterationRecord] = field(default_factory=list)
     orientation: Dict[EdgeKey, Tuple[int, int]] = field(default_factory=dict)
     final_probabilities: Dict[EdgeKey, float] = field(default_factory=dict)
-    backend: str = "auto"
 
     @property
     def size(self) -> int:
         """Number of edges of the sparsifier."""
         return self.sparsifier.m
 
-    def certify(
-        self,
-        graph: WeightedGraph,
-        eps: float,
-        slack: float = 1e-7,
-        backend: Optional[str] = None,
-    ) -> bool:
+    def certify(self, graph: WeightedGraph, eps: float, slack: float = 1e-7) -> bool:
         """Empirically verify Definition 2.1 against ``graph``.
 
         Degenerate sparsifiers (empty or disconnected relative to a connected
-        input) are reported as failures, never certified vacuously.
-
-        ``backend`` selects the certification path (see
-        :func:`repro.graphs.laplacian.spectral_approximation_factor`):
-        ``'dense'`` is the ``np.linalg.eigh`` reference, ``'sparse'`` solves
-        the reduced generalised eigenproblem with ``scipy.sparse.linalg`` and
-        is the scalable route for ``n >= 10^3``, and ``'auto'`` switches on
-        graph size.  ``None`` (default) uses the backend this result was
-        produced with, so a large-``n`` sparsifier built on the sparse path
-        never falls back to dense certification.
+        input) are reported as failures, never certified vacuously (see
+        :func:`repro.graphs.laplacian.spectral_approximation_factor`).
         """
         from repro.graphs.laplacian import is_spectral_sparsifier
 
-        return is_spectral_sparsifier(
-            graph,
-            self.sparsifier,
-            eps,
-            slack=slack,
-            backend=self.backend if backend is None else backend,
-        )
+        return is_spectral_sparsifier(graph, self.sparsifier, eps, slack=slack)
 
     def max_out_degree(self) -> int:
         if not self.orientation:
@@ -146,7 +123,6 @@ def spectral_sparsify(
     t_override: Optional[int] = None,
     bundle_scale: float = 1.0,
     k_override: Optional[int] = None,
-    backend: str = "auto",
 ) -> SparsifierResult:
     """Algorithm 5: Broadcast-CONGEST spectral sparsification with ad-hoc sampling.
 
@@ -162,13 +138,9 @@ def spectral_sparsify(
         Target quality of the sparsifier.
     t_override / bundle_scale / k_override:
         Experiment knobs; the defaults follow the paper exactly.
-    backend:
-        Linear-algebra backend recorded on the result and used as the default
-        certification path of :meth:`SparsifierResult.certify`.  The
-        sparsification itself is combinatorial and backend-independent.
     """
     if graph.m == 0:
-        return SparsifierResult(sparsifier=graph.copy(), backend=backend)
+        return SparsifierResult(sparsifier=graph.copy())
     rng = rng if rng is not None else np.random.default_rng(seed)
     n = graph.n
     k = k_override if k_override is not None else stretch_parameter(n)
@@ -179,7 +151,7 @@ def spectral_sparsify(
     edge_u, edge_v, weights = view.u, view.v, view.w
     alive = np.ones(base_m, dtype=bool)
     probability = np.ones(base_m)
-    result = SparsifierResult(sparsifier=WeightedGraph(n), backend=backend)
+    result = SparsifierResult(sparsifier=WeightedGraph(n))
 
     # runs at least once: `bundle` and `bundle_mask` of the last iteration are
     # what the final step below keeps
@@ -262,7 +234,6 @@ def spectral_sparsify_apriori(
     t_override: Optional[int] = None,
     bundle_scale: float = 1.0,
     k_override: Optional[int] = None,
-    backend: str = "auto",
 ) -> SparsifierResult:
     """Algorithm 4: the a-priori sampling variant (CONGEST-only reference).
 
@@ -271,7 +242,7 @@ def spectral_sparsify_apriori(
     unicast communication of the sampling outcome.
     """
     if graph.m == 0:
-        return SparsifierResult(sparsifier=graph.copy(), backend=backend)
+        return SparsifierResult(sparsifier=graph.copy())
     rng = rng if rng is not None else np.random.default_rng(seed)
     n = graph.n
     k = k_override if k_override is not None else stretch_parameter(n)
@@ -281,7 +252,7 @@ def spectral_sparsify_apriori(
     base_m = view.base_m
     edge_u, edge_v, weights = view.u, view.v, view.w
     alive = np.ones(base_m, dtype=bool)
-    result = SparsifierResult(sparsifier=WeightedGraph(n), backend=backend)
+    result = SparsifierResult(sparsifier=WeightedGraph(n))
     orientation: Dict[EdgeKey, Tuple[int, int]] = {}
 
     for iteration in range(1, _iteration_count(graph.m) + 1):

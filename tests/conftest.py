@@ -13,8 +13,11 @@ from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 
 # tests/spanners/reference_executor.py (the frozen per-vertex spanner executor)
-# is also the base of the historical references in tests/sparsify
-sys.path.insert(0, str(Path(__file__).resolve().parent / "spanners"))
+# is also the base of the historical references in tests/sparsify, and
+# tests/linalg/reference_dense.py (the frozen pinv / eigh linear algebra) is
+# the oracle of the solver and api tests too
+for _reference_dir in ("spanners", "linalg"):
+    sys.path.insert(0, str(Path(__file__).resolve().parent / _reference_dir))
 
 
 @pytest.fixture

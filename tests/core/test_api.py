@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_dense
 from repro import core
 from repro.graphs import generators, is_spectral_sparsifier
 from repro.lp import LPProblem
@@ -98,8 +99,8 @@ class TestBatchedFacades:
         graph = generators.random_weighted_graph(40, average_degree=6, seed=5)
         rng = np.random.default_rng(2)
         pairs = [(int(u), int(v)) for u, v in rng.integers(0, graph.n, (25, 2))]
-        dense = core.effective_resistances(graph, pairs=pairs, backend="dense")
-        sparse = core.effective_resistances(graph, pairs=pairs, backend="sparse")
+        dense = reference_dense.pair_resistances(graph, *np.transpose(pairs))
+        sparse = core.effective_resistances(graph, pairs=pairs)
         np.testing.assert_allclose(dense, sparse, rtol=1e-8, atol=1e-10)
 
     def test_effective_resistances_pair_semantics(self):
@@ -111,18 +112,13 @@ class TestBatchedFacades:
         graph.add_edge(1, 2, 1.0)
         graph.add_edge(0, 2, 1.0)
         graph.add_edge(3, 4, 2.0)
-        for backend in ("dense", "sparse"):
-            values = core.effective_resistances(
-                graph, pairs=[(0, 0), (0, 3), (3, 4)], backend=backend
-            )
-            assert values[0] == 0.0
-            assert np.isinf(values[1])
-            np.testing.assert_allclose(values[2], 0.5)
+        values = core.effective_resistances(graph, pairs=[(0, 0), (0, 3), (3, 4)])
+        assert values[0] == 0.0
+        assert np.isinf(values[1])
+        np.testing.assert_allclose(values[2], 0.5)
 
     def test_effective_resistances_validates_pairs(self):
         graph = generators.grid_graph(3, 3)
         with pytest.raises(ValueError):
-            core.effective_resistances(graph, pairs=[(0, 99)], backend="dense")
-        with pytest.raises(ValueError):
-            core.effective_resistances(graph, pairs=[(0, 99)], backend="sparse")
+            core.effective_resistances(graph, pairs=[(0, 99)])
         assert core.effective_resistances(graph, pairs=[]).shape == (0,)

@@ -41,7 +41,7 @@ def build_sketch(graph, **kwargs):
 
 
 def build_preprocessing(graph):
-    return BCCLaplacianSolver.prepare(graph, seed=0, t_override=2, backend="sparse")
+    return BCCLaplacianSolver.prepare(graph, seed=0, t_override=2)
 
 
 BUILDERS = {

@@ -3,7 +3,11 @@
 The three invariants the resilience layer promises, asserted under fire:
 
 * **no hang** -- every ticket is done within a bounded wait;
-* **no silent wrong answer** -- every ticket that *resolved* matches a
+* **no silent wrong answer** -- every solve ticket that *resolved* meets its
+  ``eps`` contract in the ``L_G``-norm against an exact factorisation (a
+  repaired preprocessing and a rebuilt one are both valid eps-approximations,
+  up to ~1e-7 apart at ``eps = 1e-6``, so comparing them to each other would
+  test nothing the contract promises), and every resistance ticket matches a
   fault-free recompute (fresh service, rebuilt artifacts) to 1e-8;
 * **no unfailed ticket** -- a ticket either resolves or carries an error;
   failures are loud (typed exceptions) and ledgered (``failures_total``).
@@ -17,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
+from repro.graphs.laplacian import laplacian_norm
+from repro.linalg.sparse_backend import GroundedLaplacianSolver
 from repro.serve import FaultPlan, LaplacianService, ResiliencePolicy, resistance_batch_query, solve_query
 
 pytestmark = pytest.mark.chaos
@@ -41,10 +47,11 @@ def _mutate(graph, rng):
 
 
 def _fault_free_answers(graph, solve_rhs, pair_lists):
-    """Recompute every query on a fresh, unarmed service (rebuilt artifacts)."""
+    """Exact solutions, and resistances from a fresh, unarmed service."""
+    exact = GroundedLaplacianSolver(graph)
+    solutions = [exact.solve(b - b.mean()) for b in solve_rhs]
     verifier = make_service()
     key = verifier.register(graph)
-    solutions = [verifier.solve(key, b).solution for b in solve_rhs]
     resistances = [
         np.asarray(verifier.effective_resistances(key, pairs))
         for pairs in pair_lists
@@ -101,15 +108,17 @@ def test_chaos_workload_contains_failures(seed):
                 outcomes.append(None)
                 total_failed += 1
 
-        # no silent wrong answer: survivors match a fault-free rebuild
+        # no silent wrong answer: surviving solves meet eps in the L-norm,
+        # surviving resistances match a fault-free rebuild
         expected_solutions, expected_resistances = _fault_free_answers(
             graph, solve_rhs, pair_lists
         )
-        for outcome, want in zip(outcomes[: len(solve_rhs)], expected_solutions):
+        L = graph.laplacian_csr()
+        for outcome, exact in zip(outcomes[: len(solve_rhs)], expected_solutions):
             if outcome is not None:
-                np.testing.assert_allclose(
-                    outcome.value.solution, want, atol=1e-8, rtol=1e-8
-                )
+                report = outcome.value
+                error = laplacian_norm(L, report.solution - exact)
+                assert error <= report.eps * laplacian_norm(L, exact)
         for outcome, want in zip(outcomes[len(solve_rhs):], expected_resistances):
             if outcome is not None:
                 np.testing.assert_allclose(

@@ -134,8 +134,15 @@ class TestWedgeChaos:
                     break
                 time.sleep(0.05)
             assert cluster._health_kills_total >= 1, "monitor never killed the wedge"
-            assert cluster.wait_recovered(timeout=30.0)
+            # the counter moves just before SIGKILL lands, while every worker
+            # still looks alive to wait_recovered: wait for the respawn itself
+            while (
+                time.monotonic() < deadline
+                and cluster._workers[victim].process.pid == pid_before
+            ):
+                time.sleep(0.05)
             assert cluster._workers[victim].process.pid != pid_before
+            assert cluster.wait_recovered(timeout=30.0)
             # the shard serves again, identically
             got = cluster.solve(key, b).solution
             np.testing.assert_allclose(got, expected, atol=1e-8)

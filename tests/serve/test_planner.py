@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import api
+import reference_dense
 from repro.graphs import generators
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.planner import (
@@ -91,7 +91,7 @@ class TestExecution:
         pairs = [(int(u), int(v)) for u, v in rng.integers(0, graph.n, (20, 2))]
         queries = [resistance_query(key, u, v) for u, v in pairs]
         results = planner.execute(planner.plan(queries))
-        reference = api.effective_resistances(graph, pairs=pairs, backend="dense")
+        reference = reference_dense.pair_resistances(graph, *np.transpose(pairs))
         np.testing.assert_allclose(
             [r.value for r in results], reference, rtol=1e-7, atol=1e-9
         )
@@ -104,9 +104,7 @@ class TestExecution:
         results = planner.execute_batch(batch)
         assert isinstance(results[0].value, np.ndarray) and results[0].value.shape == (2,)
         assert isinstance(results[1].value, float)
-        reference = api.effective_resistances(
-            graph, pairs=[(0, 1), (2, 3), (4, 5)], backend="dense"
-        )
+        reference = reference_dense.pair_resistances(graph, [0, 2, 4], [1, 3, 5])
         np.testing.assert_allclose(
             np.append(results[0].value, results[1].value), reference, rtol=1e-7
         )

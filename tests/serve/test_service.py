@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import api
+import reference_dense
 from repro.graphs import generators
 from repro.serve import (
     ArtifactCache,
@@ -16,6 +16,7 @@ from repro.serve import (
     resistance_query,
     solve_query,
 )
+from repro.linalg.sparse_backend import GroundedLaplacianSolver
 from repro.solvers.laplacian import BCCLaplacianSolver
 
 
@@ -57,7 +58,9 @@ class TestSolveFrontDoor:
         key = service.register(graph)
         service.solve(key, rng.normal(size=graph.n))
         kinds = {entry.kind for entry in service.cache.entries()}
-        assert kinds == {"preprocessing"}
+        # t_override measures kappa, which inverts L_G through the graph's
+        # grounded artifact -- at every n
+        assert kinds == {"preprocessing", "grounded"}
         assert service.cache.total_bytes == sum(
             entry.nbytes for entry in service.cache.entries()
         )
@@ -92,7 +95,7 @@ class TestResistanceAndCertify:
         key = service.register(graph)
         pairs = [(int(u), int(v)) for u, v in rng.integers(0, graph.n, (32, 2))]
         batched = service.effective_resistances(key, pairs)
-        reference = api.effective_resistances(graph, pairs=pairs, backend="dense")
+        reference = reference_dense.pair_resistances(graph, *np.transpose(pairs))
         np.testing.assert_allclose(batched, reference, rtol=1e-7, atol=1e-9)
         # scalar front door agrees with the batch
         single = service.effective_resistance(key, *pairs[0])
@@ -121,20 +124,36 @@ class TestCacheInvalidation:
         b = rng.normal(size=graph.n)
         service.solve(key, b, eps=1e-8)
         version_before = service.registry.get(key).version
-        misses_before = service.cache.stats.misses
 
+        def preprocessing_entries():
+            return [e for e in service.cache.entries() if e.kind == "preprocessing"]
+
+        def exact():
+            return GroundedLaplacianSolver(graph).solve(b - b.mean())
+
+        (built,) = preprocessing_entries()
         graph.add_edge(0, graph.n - 1, 9.0)  # mutate registered content
         report = service.solve(key, b, eps=1e-8)
 
-        # rebuilt, not served from the stale artifact
-        assert service.cache.stats.misses > misses_before
+        # a weight increase is absorbed as a repair: the same artifact, moved
+        # to the new version -- never served as it was
+        assert service.cache.stats.repairs >= 1
         entry = service.registry.get(key)
         assert entry.version > version_before and entry.is_current()
+        (repaired,) = preprocessing_entries()
+        assert repaired.value is built.value and repaired.version == entry.version
+        assert repaired.value.sparsifier.has_edge(0, graph.n - 1)
         # and the answer reflects the *mutated* graph
-        reference = BCCLaplacianSolver(graph, seed=0, t_override=2)
-        np.testing.assert_allclose(
-            report.solution, reference.exact_solution(b), atol=1e-6
-        )
+        np.testing.assert_allclose(report.solution, exact(), atol=1e-6)
+
+        # a removal cannot be absorbed by the preprocessing: dropped, rebuilt
+        misses_before = service.cache.stats.misses
+        graph.remove_edge(0, graph.n - 1)
+        report = service.solve(key, b, eps=1e-8)
+        assert service.cache.stats.misses > misses_before
+        (rebuilt,) = preprocessing_entries()
+        assert rebuilt.value is not built.value
+        np.testing.assert_allclose(report.solution, exact(), atol=1e-6)
 
     def test_mutation_drops_stale_cache_entries(self, graph, rng):
         service = make_service()
@@ -169,7 +188,7 @@ class TestCacheInvalidation:
         graph.add_edge(w, v, 50.0)
         after = service.effective_resistance(key, u, v)
         assert after < before
-        reference = api.effective_resistances(graph, pairs=[(u, v)], backend="dense")
+        reference = reference_dense.pair_resistances(graph, [u], [v])
         np.testing.assert_allclose(after, reference[0], rtol=1e-7)
 
     def test_reused_handle_never_serves_previous_graphs_artifacts(self, rng):
@@ -252,9 +271,7 @@ class TestQueueing:
             flush_policy=FlushPolicy(max_batch=8, max_wait_seconds=0.005),
         )
         key = service.register(graph)
-        reference = api.effective_resistances(
-            graph, pairs=[(0, v) for v in range(1, 17)], backend="dense"
-        )
+        reference = reference_dense.pair_resistances(graph, [0] * 16, range(1, 17))
         answers = {}
         errors = []
 
@@ -373,8 +390,8 @@ class TestCertifyReuse:
         assert report.sparsifier_edges == prep.sparsifier.m
 
     def test_certify_after_solve_reads_the_measured_window(self, rng, linalg_counts):
-        # sparse backend (n above the auto threshold): measuring kappa inverts
-        # L_H through the preconditioner and L_G through the grounded artifact
+        # measuring kappa inverts L_H through the preconditioner and L_G
+        # through the grounded artifact (n above DENSE_EIG_FALLBACK: eigsh runs)
         graph = generators.random_weighted_graph(300, average_degree=6, seed=22)
         service = make_service()
         key = service.register(graph)

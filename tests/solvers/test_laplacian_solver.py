@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import reference_dense
 from repro.graphs import generators, laplacian_matrix
-from repro.graphs.laplacian import laplacian_norm, spectral_approximation_factor
+from repro.graphs.laplacian import laplacian_norm
 from repro.linalg.sparse_backend import (
     PENCIL_EIG_TOL_RELAXED,
     GroundedLaplacianSolver,
@@ -117,30 +118,26 @@ class TestValidation:
 
 
 class TestSparseBackend:
-    def test_backend_attribute_resolution(self, solver_graph):
-        dense = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="dense")
-        sparse = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="sparse")
-        assert dense.backend == "dense" and sparse.backend == "sparse"
-        # small graph: auto resolves to dense
-        assert BCCLaplacianSolver(solver_graph, seed=1, t_override=2).backend == "dense"
-
     def test_sparse_backend_matches_dense(self, solver_graph):
         rng = np.random.default_rng(17)
         b = rng.normal(size=solver_graph.n)
-        dense = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="dense")
-        sparse = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="sparse")
-        rd = dense.solve(b, eps=1e-8, check=True)
-        rs = sparse.solve(b, eps=1e-8, check=True)
-        assert rd.error_bound_holds and rs.error_bound_holds
-        np.testing.assert_allclose(rs.solution, rd.solution, atol=1e-7)
+        expected = reference_dense.solve(solver_graph, b - b.mean())
+        solver = BCCLaplacianSolver(solver_graph, seed=1, t_override=2)
+        report = solver.solve(b, eps=1e-8, check=True)
+        assert report.error_bound_holds
+        np.testing.assert_allclose(report.solution, expected, atol=1e-7)
+        np.testing.assert_allclose(solver.exact_solution(b), expected, atol=1e-8)
+        block = rng.normal(size=(solver_graph.n, 3))
         np.testing.assert_allclose(
-            sparse.exact_solution(b), dense.exact_solution(b), atol=1e-8
+            solver.exact_solution_many(block),
+            reference_dense.solve(solver_graph, block - block.mean(axis=0)),
+            atol=1e-8,
         )
 
     def test_sparse_exact_preconditioner(self, solver_graph):
         rng = np.random.default_rng(18)
         b = rng.normal(size=solver_graph.n)
-        solver = BCCLaplacianSolver(solver_graph, exact_preconditioner=True, backend="sparse")
+        solver = BCCLaplacianSolver(solver_graph, exact_preconditioner=True)
         report = solver.solve(b, eps=1e-8, check=True)
         assert report.error_bound_holds
         L = laplacian_matrix(solver_graph)
@@ -173,14 +170,11 @@ class TestReusablePreprocessing:
         assert reused.preprocessing.rounds == scratch.preprocessing.rounds > 0
 
     def test_preprocessing_shared_across_constructions(self, solver_graph):
-        prepared = BCCLaplacianSolver.prepare(
-            solver_graph, seed=1, t_override=2, backend="sparse"
-        )
+        prepared = BCCLaplacianSolver.prepare(solver_graph, seed=1, t_override=2)
         a = BCCLaplacianSolver(solver_graph, preprocessing=prepared)
         c = BCCLaplacianSolver(solver_graph, preprocessing=prepared)
-        assert a.backend == c.backend == "sparse"
         assert a.prepared is c.prepared is prepared
-        assert prepared.grounded is not None  # one factorisation, shared
+        assert isinstance(prepared.grounded, GroundedLaplacianSolver)  # one, shared
 
     def test_wrong_size_preprocessing_rejected(self, solver_graph):
         prepared = BCCLaplacianSolver.prepare(solver_graph, seed=1, t_override=2)
@@ -197,52 +191,20 @@ class TestReusablePreprocessing:
             BCCLaplacianSolver.prepare(g)
 
     def test_nbytes_accounting(self, solver_graph):
-        for backend in ("dense", "sparse"):
-            prepared = BCCLaplacianSolver.prepare(
-                solver_graph, seed=1, t_override=2, backend=backend
-            )
-            solver = BCCLaplacianSolver(solver_graph, preprocessing=prepared)
-            assert solver.nbytes() >= prepared.nbytes() > 0
-
-
-class TestBackendThreading:
-    def test_sparsifier_result_records_solver_backend(self, solver_graph):
-        sparse = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="sparse")
-        dense = BCCLaplacianSolver(solver_graph, seed=1, t_override=2, backend="dense")
-        assert sparse._sparsifier_result.backend == "sparse"
-        assert dense._sparsifier_result.backend == "dense"
-
-    def test_certify_defaults_to_producer_backend(self, solver_graph):
-        from repro.sparsify import spectral_sparsify
-
-        forced = spectral_sparsify(
-            solver_graph, eps=0.5, seed=1, t_override=2, backend="sparse"
-        )
-        default = spectral_sparsify(solver_graph, eps=0.5, seed=1, t_override=2)
-        assert forced.backend == "sparse" and default.backend == "auto"
-        # same rng stream: the backend knob must not perturb the sparsifier
-        assert forced.sparsifier == default.sparsifier
-        assert forced.certify(solver_graph, eps=0.5) == default.certify(
-            solver_graph, eps=0.5
-        )
+        prepared = BCCLaplacianSolver.prepare(solver_graph, seed=1, t_override=2)
+        solver = BCCLaplacianSolver(solver_graph, preprocessing=prepared)
+        assert solver.nbytes() >= prepared.nbytes() > 0
 
     def test_conflicting_knobs_with_preprocessing_rejected(self, solver_graph):
-        prepared = BCCLaplacianSolver.prepare(
-            solver_graph, seed=1, t_override=2, backend="sparse"
-        )
+        prepared = BCCLaplacianSolver.prepare(solver_graph, seed=1, t_override=2)
         for kwargs in (
             {"seed": 1},
             {"t_override": 2},
             {"bundle_scale": 2.0},
             {"exact_preconditioner": True},
-            {"backend": "dense"},
         ):
             with pytest.raises(ValueError):
                 BCCLaplacianSolver(solver_graph, preprocessing=prepared, **kwargs)
-        # backend='auto' and the artifact's own backend are both honoured
-        assert BCCLaplacianSolver(
-            solver_graph, preprocessing=prepared, backend="sparse"
-        ).backend == "sparse"
 
 
 class TestSharpBudget:
@@ -256,8 +218,7 @@ class TestSharpBudget:
         g = generators.random_weighted_graph(
             18 + seed % 7, average_degree=5, max_weight=8, seed=100 + seed
         )
-        backend = "sparse" if seed % 2 else "dense"
-        solver = BCCLaplacianSolver(g, seed=seed, backend=backend, **knobs)
+        solver = BCCLaplacianSolver(g, seed=seed, **knobs)
         rng = np.random.default_rng(seed)
         single = solver.solve(rng.normal(size=g.n), eps=1e-6, check=True)
         assert single.error_bound_holds, single.measured_relative_error
@@ -278,15 +239,14 @@ class TestSharpBudget:
         g = generators.random_weighted_graph(120, average_degree=7, max_weight=8, seed=9)
         # twice the loosest eigsh tolerance is the most hi / lo can be short by
         assert KAPPA_MARGIN > 2 * PENCIL_EIG_TOL_RELAXED
-        for backend in ("dense", "sparse"):
-            prepared = BCCLaplacianSolver.prepare(g, seed=3, t_override=2, backend=backend)
-            lo, hi = prepared.spectral_window
-            assert prepared.scale == hi
-            assert prepared.kappa == (hi / lo) * (1.0 + KAPPA_MARGIN)
-            true_lo, true_hi = spectral_approximation_factor(
-                g, prepared.sparsifier, backend="dense"
-            )
-            assert prepared.kappa > true_hi / true_lo
+        prepared = BCCLaplacianSolver.prepare(g, seed=3, t_override=2)
+        lo, hi = prepared.spectral_window
+        assert prepared.scale == hi
+        assert prepared.kappa == (hi / lo) * (1.0 + KAPPA_MARGIN)
+        true_lo, true_hi = reference_dense.spectral_approximation_factor(
+            g, prepared.sparsifier
+        )
+        assert prepared.kappa > true_hi / true_lo
 
     def test_paper_parameters_record_no_measured_window(self):
         g = generators.random_weighted_graph(16, average_degree=5, seed=7)
@@ -303,7 +263,7 @@ class TestOneFactorisationPerMatrix:
     def test_construct_and_checked_solves_factorise_each_matrix_once(
         self, graph, linalg_counts
     ):
-        solver = BCCLaplacianSolver(graph, seed=1, t_override=2, backend="sparse")
+        solver = BCCLaplacianSolver(graph, seed=1, t_override=2)
         assert linalg_counts["splu"] == 2  # L_H and L_G, none inside eigsh
         assert linalg_counts["eigsh"] == 2
         rng = np.random.default_rng(0)
@@ -321,10 +281,10 @@ class TestOneFactorisationPerMatrix:
         graph_solver = GroundedLaplacianSolver(graph)
         linalg_counts.clear()
         handed = BCCLaplacianSolver.prepare(
-            graph, seed=1, t_override=2, backend="sparse", grounded=lambda: graph_solver
+            graph, seed=1, t_override=2, grounded=lambda: graph_solver
         )
         assert linalg_counts["splu"] == 1  # the sparsifier's only
-        own = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2, backend="sparse")
+        own = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2)
         assert linalg_counts["splu"] == 3
         assert handed.spectral_window == own.spectral_window
         assert handed.kappa == own.kappa
@@ -335,11 +295,11 @@ class TestOneFactorisationPerMatrix:
         def unexpected():
             raise AssertionError("kappa is not measured under the paper's parameters")
 
-        BCCLaplacianSolver.prepare(g, seed=2, backend="sparse", grounded=unexpected)
+        BCCLaplacianSolver.prepare(g, seed=2, grounded=unexpected)
         assert linalg_counts["splu"] == 1 and linalg_counts["eigsh"] == 0
 
     def test_insertion_repair_drops_the_window(self, graph):
-        prepared = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2, backend="sparse")
+        prepared = BCCLaplacianSolver.prepare(graph, seed=1, t_override=2)
         assert prepared.spectral_window is not None
         assert prepared.apply_insertion(0, 1, 0.5)
         assert prepared.spectral_window is None and prepared.sparsifier_result is None
