@@ -22,7 +22,7 @@ Four checks, all fast and dependency-free beyond the package's own imports:
    rows matching the rest.  A missing or an extra row fails.
 4. **Docstring file references** -- every file a docstring names
    (``docs/substitutions.md``, ``tests/linalg/test_resistance.py``,
-   ``BENCH_flow.json`` ...) must exist: a path with a directory part relative
+   ``BENCH_serve.json`` ...) must exist: a path with a directory part relative
    to the repo root, ``src/`` or the citing file; a bare name anywhere in the
    tree.  Walks ``src/``, ``scripts/``, ``examples/``, ``setup.py`` and
    ``benchmarks/`` (not ``benchmarks/suite``, whose usage strings name

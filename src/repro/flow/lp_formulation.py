@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.problem import LPProblem
@@ -40,7 +39,9 @@ class FlowLP:
     problem: LPProblem
     network: FlowNetwork
     edge_keys: List[EdgeKey]
-    interior_point: np.ndarray
+    #: the paper's explicit interior point (Section 5 formulation); ``None``
+    #: for the fixed-value formulation, which starts from a witness flow.
+    interior_point: Optional[np.ndarray]
     #: slice boundaries of (x, y, z, F) inside the variable vector; the
     #: fixed-value formulation has only the x block.
     blocks: Dict[str, slice]
@@ -83,7 +84,6 @@ def build_fixed_value_lp(
     flow_value: float,
     costs: Optional[np.ndarray] = None,
     box_relaxation: float = 0.0,
-    sparse: bool = False,
 ) -> FlowLP:
     """The Section 2.4 formulation ``min q^T x`` s.t. ``B x = F e_t``, ``0 <= x <= c``.
 
@@ -94,9 +94,8 @@ def build_fixed_value_lp(
     tiny ``delta`` the rounded optimum is unaffected (the pipeline validates
     this and falls back to an exact correction otherwise).
 
-    With ``sparse=True`` the incidence matrix is kept in CSR form (two nonzeros
-    per row), which drops the per-Newton-step matvec cost from ``O(m n)`` to
-    ``O(m)`` -- the representation the serving path uses.
+    The incidence matrix is kept in CSR form (two nonzeros per row): a
+    Newton-step matvec costs ``O(m)``, not ``O(m n)``.
     """
     keys = network.edge_keys()
     B = network.incidence_matrix(drop_vertex=network.source)  # m x (n-1)
@@ -107,24 +106,19 @@ def build_fixed_value_lp(
     capacities = network.capacities()
     delta = float(box_relaxation)
 
-    A = sp.csr_matrix(B) if sparse else B
     problem = LPProblem(
-        A=A,
+        A=sp.csr_matrix(B),
         b=b,
         c=q,
         lower=-delta * np.ones(network.m),
         upper=capacities + delta,
         name="min-cost-flow(fixed value)",
     )
-    if sparse:
-        x_ls = spla.lsqr(sp.csr_matrix(B.T), b, atol=1e-12, btol=1e-12)[0]
-    else:
-        x_ls, *_ = np.linalg.lstsq(B.T, b, rcond=None)
     return FlowLP(
         problem=problem,
         network=network,
         edge_keys=keys,
-        interior_point=x_ls,
+        interior_point=None,
         blocks={"x": slice(0, network.m)},
     )
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.congest.ledger import CommunicationPrimitives, RoundLedger
 from repro.flow.baselines import edmonds_karp_max_flow, successive_shortest_paths
-from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
+from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.barrier_ipm import BarrierIPM
 from repro.lp.lee_sidford import LeeSidfordSolver
@@ -136,9 +136,10 @@ def min_cost_max_flow(
         Serving hook: called with the built :class:`FlowLP` and expected to
         return a ``gram_solver`` callable (typically a
         :class:`~repro.lp.gram.GramSolverBridge` wired to an artifact cache)
-        that is plugged into the LP before solving.  The LP constraint matrix
-        is kept sparse on this path and the bridge's serving statistics are
-        reported in :attr:`MinCostFlowResult.gram_stats`.
+        that is plugged into the LP before solving; its serving statistics
+        are reported in :attr:`MinCostFlowResult.gram_stats`.  Without it the
+        LP solves through the same bridge with no cache attached
+        (:func:`~repro.lp.gram.default_gram_solver`).
     phase_one:
         Optional precomputed ``(max_flow_value, witness_flow)`` pair (a cached
         serving artifact); the communication ledger is still charged at the
@@ -183,11 +184,7 @@ def min_cost_max_flow(
         perturbed = costs.copy()
     box_delta = 1e-3
     flow_lp = build_fixed_value_lp(
-        network,
-        target_value,
-        costs=perturbed,
-        box_relaxation=box_delta,
-        sparse=gram_solver_factory is not None,
+        network, target_value, costs=perturbed, box_relaxation=box_delta
     )
     bridge = None
     if gram_solver_factory is not None:

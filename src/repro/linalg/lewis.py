@@ -343,32 +343,14 @@ def _graph_iteration_scores(
     return s2 * row_norm2 * resist[row_pair]
 
 
-#: below this vertex count, exact resistances go through a dense eigh-based
-#: pseudoinverse of the Laplacian -- far cheaper than a sparse factorisation
-#: at the sizes the LP solver's auxiliary graphs actually have
-_DENSE_RESISTANCE_LIMIT = 128
-
-
 def _pair_resistances_from_edges(
     n: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray, graph=None
 ) -> np.ndarray:
     """Effective resistance of every edge of the weighted edge list.
 
-    Small vertex sets assemble the dense Laplacian and read resistances off
-    its pseudoinverse (exact for any component structure, and an order of
-    magnitude cheaper than setting up a sparse factorisation at these
-    sizes); larger ones go through the sparse grounded factorisation,
+    One sparse grounded factorisation (exact for any component structure),
     reusing ``graph`` when the caller already has one.
     """
-    if n <= _DENSE_RESISTANCE_LIMIT:
-        L = np.zeros((n, n))
-        np.add.at(L, (u, u), weights)
-        np.add.at(L, (v, v), weights)
-        np.add.at(L, (u, v), -weights)
-        np.add.at(L, (v, u), -weights)
-        pinv = np.linalg.pinv(L, hermitian=True)
-        diag = np.diag(pinv)
-        return diag[u] + diag[v] - 2.0 * pinv[u, v]
     from repro.graphs.graph import WeightedGraph
     from repro.linalg.sparse_backend import GroundedLaplacianSolver
 

@@ -21,8 +21,8 @@ solves in ``A^T D A`` are cheap (graph-structured).
   the mixed-norm-ball projection.
 * :mod:`repro.lp.gram` -- the SDD Gram-solve machinery of Lemma 5.1:
   incidence-structure detection, grounded-Laplacian factorisations, and the
-  :class:`GramSolverBridge` that answers Newton systems through the serving
-  tier's artifact cache.
+  :class:`GramSolverBridge` that solves every incidence-structured Newton
+  system -- through the serving tier's artifact cache when one is wired.
 """
 
 from repro.lp.barriers import BarrierFunction, make_barrier

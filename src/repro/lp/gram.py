@@ -4,9 +4,8 @@ Every Newton system of the flow LP engines is a solve with ``A^T D A`` for a
 positive diagonal ``D``.  Lemma 5.1 observes that for the flow formulations
 ``A`` is (an augmentation of) an edge-vertex incidence matrix, so ``A^T D A``
 is a *grounded Laplacian* of an auxiliary graph whose edge weights are sums of
-entries of ``D`` -- symmetric, diagonally dominant, and solvable with the
-sparse ``splu`` + Chebyshev machinery of Section 3 instead of a dense
-``O(n^3)`` factorisation per Newton step.
+entries of ``D`` -- symmetric, diagonally dominant, and solvable with one
+sparse ``splu`` instead of a dense ``O(n^3)`` factorisation per Newton step.
 
 This module provides three layers on top of that observation:
 
@@ -19,22 +18,19 @@ This module provides three layers on top of that observation:
 * :class:`GramFactorisation` -- one immutable sparse ``splu`` factorisation of
   ``A^T D A`` at a fixed aggregated weight vector; what the
   :class:`~repro.serve.artifacts.ArtifactCache` stores.
-* :class:`GramSolverBridge` -- the ``LPProblem.gram_solver`` plug-in that
-  answers each solve through cached factorisations.  Between Newton steps only
-  the diagonal ``D`` drifts, so the bridge serves each request by the cheapest
-  sufficient strategy: exact reuse of the current factorisation, bridge-local
-  Sherman-Morrison rank-1 overlays for a few *big movers* (the reweight-delta
-  analogue of the PR-5 repair path -- the cached base factorisation is never
-  mutated), preconditioned Chebyshev against the held factorisation while the
-  residual drift stays inside a spectral band, and a fresh factorisation
-  (cache :meth:`~repro.serve.artifacts.ArtifactCache.get_or_build`, so repeat
-  solves on the same instance hit warm artifacts) once the drift leaves it.
+* :class:`GramSolverBridge` -- the one way an incidence-structured ``A^T D A``
+  is solved, on the direct path (:func:`default_gram_solver`, no cache) and on
+  the served path (the planner wires the artifact cache) alike.  Each solve
+  has one of two outcomes: ``reuse`` -- the factorisation the bridge holds is
+  at exactly these aggregated weights -- or ``factorise`` -- one at these
+  weights is taken from the cache
+  (:meth:`~repro.serve.artifacts.ArtifactCache.get_or_build`, so repeat
+  solves on the same instance hit warm artifacts) or, with no cache, built.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -45,29 +41,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from repro.linalg.sparse_backend import NumericalHealthError
-from repro.solvers.chebyshev import preconditioned_chebyshev
-
-#: multiplicative per-weight drift band served by Chebyshev against the held
-#: factorisation; drift beyond it (on more pairs than the rank-1 budget
-#: absorbs) refactorises.  The band is deliberately tight: inside it the
-#: preconditioned condition number is at most ``DRIFT_BAND**2 ~ 1.1``, so a
-#: handful of Chebyshev iterations (one matvec + one triangular solve each)
-#: answers exactly, while the big inter-stage moves of an IPM refactorise and
-#: land in the artifact cache where repeat solves find them warm.
-DRIFT_BAND = 1.05
-
-#: Chebyshev relative-residual target for in-band solves; comfortably below
-#: what the IPM's infeasible-start correction absorbs per Newton step.
-CHEBYSHEV_RESIDUAL = 1e-12
-
-#: refuse a Sherman-Morrison overlay whose denominator is this close to
-#: singular (mirrors the sparse-backend repair tolerance).
-OVERLAY_DENOM_TOL = 1e-6
-
-#: columns below this gate keep the dense fallback in
-#: :func:`default_gram_solver`: a dense ``solve`` on a tiny Gram matrix beats
-#: the per-call sparse assembly + ``splu`` overhead.
-SPARSE_GRAM_MIN_COLS = 48
 
 
 def scale_rows(A, s: np.ndarray):
@@ -211,14 +184,6 @@ class IncidenceStructure:
             (data, (self._entry_rows, self._entry_cols)), shape=(self.n, self.n)
         )
 
-    def pair_indicator(self, pair: int) -> np.ndarray:
-        """The reduced vector ``c`` with ``c c^T`` the pair's Laplacian term."""
-        c = np.zeros(self.n)
-        c[self.pair_u[pair]] = 1.0
-        if self.pair_v[pair] < self.n:
-            c[self.pair_v[pair]] = -1.0
-        return c
-
 
 def detect_incidence_structure(A) -> Optional[IncidenceStructure]:
     """Recognise an incidence-structured ``A`` (Lemma 5.1) or return ``None``.
@@ -330,9 +295,8 @@ class GramFactorisation:
     """Immutable sparse ``splu`` factorisation of ``A^T D A`` at fixed weights.
 
     This is the artifact the serving cache stores: it is never mutated after
-    construction (bridge-local Sherman-Morrison overlays live in the
-    :class:`GramSolverBridge`, not here), so one cached instance can serve any
-    number of concurrent bridges.
+    construction, so one cached instance can serve any number of concurrent
+    bridges.
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray):
@@ -352,23 +316,6 @@ class GramFactorisation:
 
 
 @dataclass
-class _Overlay:
-    """One bridge-local Sherman-Morrison correction on top of the base LU."""
-
-    u: int
-    v: int  #: == structure.n for ground pairs (no second endpoint)
-    delta: float
-    z: np.ndarray
-    denom: float
-
-    def c_dot(self, x: np.ndarray, n: int) -> float:
-        value = float(x[self.u])
-        if self.v < n:
-            value -= float(x[self.v])
-        return value
-
-
-@dataclass
 class GramBridgeStats:
     """Per-bridge serving statistics (one bridge = one IPM run)."""
 
@@ -376,59 +323,44 @@ class GramBridgeStats:
     factorisations: int = 0
     cache_hits: int = 0
     reuse_solves: int = 0
-    rank1_updates: int = 0
-    chebyshev_solves: int = 0
-    chebyshev_iterations: int = 0
     seconds_total: float = 0.0
     seconds_factorise: float = 0.0
-    #: per-solve trajectory ``(strategy, seconds)`` -- the bench's
-    #: per-iteration gram-solve cost signal
+    #: per-solve trajectory ``(outcome, seconds)``
     per_solve: List[Tuple[str, float]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly summary (the per-solve list is aggregated)."""
-        seconds = [s for _, s in self.per_solve]
+        """JSON-friendly summary (without the per-solve trajectory)."""
         return {
             "solves": self.solves,
             "factorisations": self.factorisations,
             "cache_hits": self.cache_hits,
             "reuse_solves": self.reuse_solves,
-            "rank1_updates": self.rank1_updates,
-            "chebyshev_solves": self.chebyshev_solves,
-            "chebyshev_iterations": self.chebyshev_iterations,
+            # constant: benchmarks/suite/workloads.py still reads these two keys
+            "rank1_updates": 0,
+            "chebyshev_solves": 0,
             "seconds_total": self.seconds_total,
             "seconds_factorise": self.seconds_factorise,
-            "per_solve_mean_seconds": float(np.mean(seconds)) if seconds else 0.0,
-            "per_solve_max_seconds": float(np.max(seconds)) if seconds else 0.0,
         }
 
 
 class GramSolverBridge:
-    """``LPProblem.gram_solver`` plug-in serving solves from cached artifacts.
+    """The ``LPProblem`` Gram solver for incidence-structured ``A``.
 
     Per solve the bridge aggregates the Newton diagonal ``d`` into auxiliary
-    edge weights ``w`` and picks the cheapest sufficient strategy against the
-    factorisation it currently holds:
+    edge weights ``w`` and answers exactly, with one of two outcomes:
 
-    * ``reuse`` -- ``w`` unchanged: two triangular solves;
-    * ``rank1`` -- at most :attr:`rank1_budget` pairs drifted outside the
-      spectral band while the rest are unchanged: absorb the big movers with
-      bridge-local Sherman-Morrison overlays (the cached base stays
-      immutable), then solve exactly;
-    * ``chebyshev`` -- the drift stays inside ``[1/DRIFT_BAND, DRIFT_BAND]``
-      per pair (after any overlays): preconditioned Chebyshev with the held
-      factorisation as ``B``, condition number at most ``DRIFT_BAND**2``,
-      stopped at relative residual :attr:`chebyshev_residual`; a run that
-      exhausts its iteration budget above that residual falls through to the
-      next rung;
-    * ``factorise`` -- otherwise: fetch a factorisation at ``w`` through the
-      :class:`~repro.serve.artifacts.ArtifactCache` (a repeat solve of the
-      same instance replays the same deterministic ``w`` sequence and hits
-      every one of these warm -- the cold-vs-warm spread ``BENCH_flow.json``
-      records).
+    * ``reuse`` -- the factorisation it holds is at exactly ``w``: two
+      triangular solves;
+    * ``factorise`` -- otherwise: a :class:`GramFactorisation` at ``w``, through
+      :meth:`~repro.serve.artifacts.ArtifactCache.get_or_build` when a cache is
+      wired (a repeat solve of the same instance replays the same
+      deterministic ``w`` sequence and hits every one of these warm), built
+      and held by the bridge alone when not.
 
-    Without a cache the bridge still works (factorisations are simply not
-    shared across bridges).
+    Nothing cheaper sits in between because an IPM moves every weight every
+    Newton step: approximate reuse of a drifted factorisation was measured to
+    answer 15 of 667 solves on the suite's ``flow`` instance
+    (``docs/serving.md``).
     """
 
     def __init__(
@@ -437,20 +369,13 @@ class GramSolverBridge:
         cache=None,
         graph_key: str = "",
         version: int = 0,
-        chebyshev_residual: float = CHEBYSHEV_RESIDUAL,
     ):
         self.structure = structure
         self.cache = cache
         self.graph_key = graph_key or structure.fingerprint
         self.version = int(version)
-        self.rank1_budget = max(4, math.isqrt(max(1, structure.n)))
-        self.chebyshev_residual = float(chebyshev_residual)
         self.stats = GramBridgeStats()
         self._fact: Optional[GramFactorisation] = None
-        self._overlays: List[_Overlay] = []
-        self._w_state: Optional[np.ndarray] = None
-
-    # -- gram_solver protocol --------------------------------------------------
 
     def __call__(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^T diag(d) A) y = rhs``."""
@@ -458,7 +383,13 @@ class GramSolverBridge:
         w = self.structure.aggregate(d)
         if np.any(w <= 0.0):
             raise ValueError("gram diagonal must aggregate to positive pair weights")
-        strategy, y = self._solve(w, np.asarray(rhs, dtype=float))
+        if self._fact is not None and np.array_equal(w, self._fact.w):
+            strategy = "reuse"
+            self.stats.reuse_solves += 1
+        else:
+            strategy = "factorise"
+            self._factorise(w)
+        y = self._fact.solve(rhs)
         if not np.all(np.isfinite(y)):
             # numerical-health guard: an IPM fed a NaN Newton direction
             # diverges silently many steps later -- refuse loudly here instead
@@ -471,61 +402,7 @@ class GramSolverBridge:
         self.stats.per_solve.append((strategy, elapsed))
         return y
 
-    # -- internals -------------------------------------------------------------
-
-    def _solve(self, w: np.ndarray, rhs: np.ndarray) -> Tuple[str, np.ndarray]:
-        if self._fact is None:
-            self._refactorise(w)
-            return "factorise", self._overlay_solve(rhs)
-        assert self._w_state is not None
-        if np.array_equal(w, self._w_state):
-            self.stats.reuse_solves += 1
-            return "reuse", self._overlay_solve(rhs)
-
-        ratios = w / self._w_state
-        out = (ratios > DRIFT_BAND) | (ratios < 1.0 / DRIFT_BAND)
-        n_out = int(np.count_nonzero(out))
-        if n_out and (
-            n_out > self.rank1_budget
-            or len(self._overlays) + n_out > self.rank1_budget
-        ):
-            self._refactorise(w)
-            return "factorise", self._overlay_solve(rhs)
-        if n_out and not self._apply_overlays(np.flatnonzero(out), w):
-            self._refactorise(w)
-            return "factorise", self._overlay_solve(rhs)
-
-        in_band = ~out
-        r_hi = 1.0
-        r_lo = 1.0
-        if in_band.any():
-            r_hi = max(r_hi, float(ratios[in_band].max()))
-            r_lo = min(r_lo, float(ratios[in_band].min()))
-        if r_hi == r_lo == 1.0:
-            # the overlays absorbed every change exactly
-            return "rank1", self._overlay_solve(rhs)
-        kappa = r_hi / r_lo
-        # contract A <= B <= kappa A with A = L(w), B = r_hi * L(w_state):
-        # every pair weight satisfies r_lo w_state <= w <= r_hi w_state
-        reduced = self.structure.reduced_matrix(w)
-        y, report = preconditioned_chebyshev(
-            lambda x: reduced @ x,
-            lambda r: self._overlay_solve(r) / r_hi,
-            rhs,
-            kappa=kappa,
-            eps=self.chebyshev_residual,
-            residual_stop=self.chebyshev_residual,
-        )
-        self.stats.chebyshev_iterations += report.iterations
-        if report.final_residual <= self.chebyshev_residual:
-            self.stats.chebyshev_solves += 1
-            return "chebyshev", y
-        # the iteration budget bounds the A-norm error, not the residual this
-        # rung promises: out of budget above the target, answer exactly
-        self._refactorise(w)
-        return "factorise", self._overlay_solve(rhs)
-
-    def _refactorise(self, w: np.ndarray) -> None:
+    def _factorise(self, w: np.ndarray) -> None:
         start = time.perf_counter()
         if self.cache is None:
             fact = GramFactorisation(self.structure, w)
@@ -543,75 +420,14 @@ class GramSolverBridge:
             self.stats.cache_hits += 1
         self.stats.seconds_factorise += time.perf_counter() - start
         self._fact = fact
-        self._overlays = []
-        self._w_state = fact.w.copy()
-
-    def _overlay_solve(self, rhs: np.ndarray) -> np.ndarray:
-        assert self._fact is not None
-        x = self._fact.solve(rhs)
-        n = self.structure.n
-        for overlay in self._overlays:
-            coeff = overlay.delta * overlay.c_dot(x, n) / overlay.denom
-            if coeff != 0.0:
-                x = x - coeff * overlay.z
-        return x
-
-    def _apply_overlays(self, pairs: np.ndarray, w: np.ndarray) -> bool:
-        """Absorb the out-of-band pairs with rank-1 overlays; False on refusal."""
-        assert self._w_state is not None
-        n = self.structure.n
-        applied: List[_Overlay] = []
-        for pair in pairs:
-            delta = float(w[pair] - self._w_state[pair])
-            c = self.structure.pair_indicator(int(pair))
-            z = self._overlay_solve(c)
-            denom = 1.0 + delta * float(c @ z)
-            if denom <= OVERLAY_DENOM_TOL:
-                # roll back this batch: the solve must refactorise instead
-                del self._overlays[len(self._overlays) - len(applied):]
-                return False
-            overlay = _Overlay(
-                u=int(self.structure.pair_u[pair]),
-                v=int(self.structure.pair_v[pair]),
-                delta=delta,
-                z=z,
-                denom=denom,
-            )
-            self._overlays.append(overlay)
-            applied.append(overlay)
-            self._w_state[pair] = w[pair]
-            self.stats.rank1_updates += 1
-        return True
-
-
-class _IncidenceGramSolver:
-    """Per-call sparse fallback for incidence-structured ``A`` (no cache).
-
-    The structural half of the ``solve_gram`` satellite fix: when ``A`` is
-    incidence-structured and wide enough, each default Gram solve assembles
-    the grounded Laplacian in CSR and factorises it with ``splu`` --
-    ``O(nnz)`` assembly plus a sparse factorisation instead of the dense
-    ``O(m n^2)`` Gram build and ``O(n^3)`` solve.
-    """
-
-    def __init__(self, structure: IncidenceStructure):
-        self.structure = structure
-
-    def __call__(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        w = self.structure.aggregate(d)
-        reduced = self.structure.reduced_matrix(w).tocsc()
-        return spla.splu(reduced, permc_spec="MMD_AT_PLUS_A").solve(
-            np.asarray(rhs, dtype=float)
-        )
 
 
 class _DenseGramSolver:
-    """Dense fallback with the rebuild waste removed (satellite fix).
+    """Dense solve for a generic (not incidence-structured) ``A``.
 
-    The Gram matrix itself must be recomputed (``d`` changes every Newton
-    step), but the old fallback also allocated a fresh ``n x n`` identity and
-    a second ``n x n`` temporary per call just to add the ridge; the ridge is
-    now added in place on the Gram diagonal.
+    The Gram matrix is recomputed every call (``d`` changes every Newton
+    step); a tiny ridge, added in place on its diagonal, keeps nearly singular
+    Gram matrices solvable.
     """
 
     def __init__(self, A):
@@ -632,14 +448,12 @@ class _DenseGramSolver:
 def default_gram_solver(A):
     """Build the default ``solve_gram`` backend for a constraint matrix ``A``.
 
-    Incidence-structured matrices (Lemma 5.1) with enough columns route
-    through the sparse grounded-Laplacian path; everything else keeps the
-    dense solve, minus the per-call ridge-matrix allocation.  Called once per
-    :class:`~repro.lp.problem.LPProblem` and cached there.
+    Every incidence-structured matrix (Lemma 5.1), dense or sparse, at any
+    size, gets a cache-less :class:`GramSolverBridge` -- the same object the
+    serving path plugs in with a cache; generic matrices get the dense solve.
+    Called once per :class:`~repro.lp.problem.LPProblem` and cached there.
     """
     structure = detect_incidence_structure(A)
-    if structure is not None and (
-        structure.n >= SPARSE_GRAM_MIN_COLS or sp.issparse(A)
-    ):
-        return _IncidenceGramSolver(structure)
+    if structure is not None:
+        return GramSolverBridge(structure)
     return _DenseGramSolver(A)

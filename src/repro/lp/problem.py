@@ -29,7 +29,8 @@ class LPProblem:
     lower: np.ndarray
     upper: np.ndarray
     #: optional solver for (A^T D A) y = rhs given the diagonal D (m-vector);
-    #: defaults to a dense solve.  The flow pipeline plugs the SDD solver here.
+    #: defaults to :func:`~repro.lp.gram.default_gram_solver`.  The serving
+    #: path plugs a cache-wired :class:`~repro.lp.gram.GramSolverBridge` here.
     gram_solver: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "lp"
 
@@ -104,12 +105,13 @@ class LPProblem:
     def solve_gram(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^T D A) y = rhs`` with the diagonal ``D = diag(d)``.
 
-        Without a plugged ``gram_solver`` the default backend is chosen once
-        per problem from the structure of ``A``: incidence-structured or
-        sparse matrices (Lemma 5.1) route through the sparse grounded
-        Laplacian; the rest use a dense solve with an in-place ridge (a tiny
-        ridge keeps nearly singular Gram matrices solvable; the LP
-        formulations used here always have full column rank).
+        Without a plugged ``gram_solver`` the default is chosen once per
+        problem from the structure of ``A``: an incidence-structured matrix
+        (Lemma 5.1), dense or sparse, gets a cache-less
+        :class:`~repro.lp.gram.GramSolverBridge` (one sparse grounded-Laplacian
+        factorisation per distinct ``d``); a generic one gets a dense solve
+        with a tiny in-place ridge (the LP formulations used here always have
+        full column rank).
         """
         if self.gram_solver is not None:
             return self.gram_solver(d, rhs)

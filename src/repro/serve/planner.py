@@ -39,10 +39,11 @@ from it); clients construct them via the ``*_query`` functions:
 ``flow``
     a full :func:`~repro.flow.mincostflow.min_cost_max_flow` run on a
     registered network, with the phase-1 max flow served from a cached
-    artifact and every Newton system routed through the gram bridge.  The
-    final flow itself is deliberately *not* memoised -- a repeat solve re-runs
-    the IPM against warm gram artifacts, which is exactly the cold-vs-warm
-    spread ``BENCH_flow.json`` measures.
+    artifact and every Newton system solved by a cache-wired gram bridge
+    (the direct path runs the same bridge without a cache).  The final flow
+    itself is deliberately *not* memoised -- a repeat solve re-runs the IPM
+    against warm gram artifacts, the cold-vs-warm spread the suite's ``flow``
+    workload reports as ``flow_cold_s`` / ``flow_warm_s``.
 
 Staleness: before executing a batch the planner checks the registry entry's
 version.  A drifted graph is revalidated and its outdated artifacts are
@@ -944,8 +945,8 @@ class QueryPlanner:
 
         The compiled :class:`~repro.lp.gram.IncidenceStructure` is itself a
         cached artifact (kind ``"gram_structure"``); the bridge is per-call
-        state (its Sherman-Morrison overlays are private to one IPM run) but
-        every factorisation it takes goes through
+        state (the factorisation it holds and its statistics belong to one
+        IPM run) but every factorisation it takes goes through
         :meth:`ArtifactCache.get_or_build` under the entry's content
         identity, which is where repeat solves find warm ``splu`` factors.
         """

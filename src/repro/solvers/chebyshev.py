@@ -104,7 +104,6 @@ def preconditioned_chebyshev(
     eps: float,
     x0: Optional[np.ndarray] = None,
     max_iterations: Optional[int] = None,
-    residual_stop: Optional[float] = None,
 ) -> Tuple[np.ndarray, ChebyshevReport]:
     """Solve ``A x = b`` with preconditioner ``B`` satisfying ``A <= B <= kappa A``.
 
@@ -131,8 +130,6 @@ def preconditioned_chebyshev(
     max_iterations:
         Override of the iteration budget (defaults to
         :func:`chebyshev_iteration_count`, the minimal sufficient degree).
-    residual_stop:
-        Optional early-stopping threshold on ``||b - A x||_2 / ||b||_2``.
 
     Returns
     -------
@@ -178,10 +175,7 @@ def preconditioned_chebyshev(
         r = r - apply_A(d)
         report.matvec_count += 1
         report.iterations = k + 1
-        rel_res = float(np.linalg.norm(r)) / max(b_norm, 1e-300)
-        report.residual_norms.append(rel_res)
-        if residual_stop is not None and rel_res <= residual_stop:
-            break
+        report.residual_norms.append(float(np.linalg.norm(r)) / max(b_norm, 1e-300))
         if k == iterations - 1:
             break
         z = solve_B(r)

@@ -428,7 +428,6 @@ class BCCLaplacianSolver:
             b,
             kappa=self.preprocessing.kappa,
             eps=eps,
-            residual_stop=None,
         )
         for _ in range(cheb_report.iterations):
             comm.vector_op("Chebyshev vector updates")
@@ -504,7 +503,6 @@ class BCCLaplacianSolver:
             block,
             kappa=self.preprocessing.kappa,
             eps=eps,
-            residual_stop=None,
         )
         for _ in range(cheb_report.iterations):
             comm.vector_op("Chebyshev vector updates (batched)")

@@ -65,14 +65,16 @@ class TestFixedValueLP:
         x = np.array([witness[key] for key in flow_lp.edge_keys])
         np.testing.assert_allclose(flow_lp.problem.equality_residual(x), 0.0, atol=1e-9)
         assert flow_lp.problem.is_strictly_feasible(x, tol=1e-6)
+        # the witness flow is the start; this formulation names no interior point
+        assert flow_lp.interior_point is None
 
     def test_gram_matrix_is_sdd(self):
         net = generators.random_flow_network(8, seed=11)
         flow_lp = build_fixed_value_lp(net, 1.0)
         rng = np.random.default_rng(12)
         D = rng.uniform(0.5, 2.0, size=flow_lp.problem.m)
-        gram = flow_lp.problem.A.T @ (D[:, None] * flow_lp.problem.A)
-        assert is_symmetric_diagonally_dominant(gram)
+        A = flow_lp.problem.A.toarray()  # the formulation always builds CSR
+        assert is_symmetric_diagonally_dominant(A.T @ (D[:, None] * A))
 
     def test_box_relaxation_widens_bounds(self):
         net = generators.random_flow_network(8, seed=13)

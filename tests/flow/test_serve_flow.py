@@ -2,12 +2,24 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import api
+from repro.flow import mincostflow, networkx_min_cost_max_flow
 from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs import generators
+from repro.lp.gram import GramSolverBridge
 from repro.serve import LaplacianService
+
+#: network -> (lp_iterations, rounds) of the served run at seed 0, recorded
+#: before the direct path moved onto the bridge and the bridge lost its
+#: rank-1 / Chebyshev rungs; neither change may move them
+PINNED = {
+    "random-24": (lambda: generators.random_flow_network(24, seed=3), 207, 9282.088922795228),
+    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 188, 7628.246949479196),
+    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 375, 17542.06278065414),
+}
 
 
 @pytest.fixture
@@ -32,18 +44,43 @@ class TestServedFlow:
         assert served.gram_stats is not None
         assert served.gram_stats["solves"] > 0
 
-    def test_warm_run_hits_gram_cache(self, network):
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_warm_run_hits_gram_cache(self, name, monkeypatch):
+        """One Gram-solve path: direct, cold and warm differ only in the cache."""
+        factory, lp_iterations, rounds = PINNED[name]
+        network = factory()
+        built = []
+
+        def recording_build(*args, **kwargs):
+            built.append(build_fixed_value_lp(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(mincostflow, "build_fixed_value_lp", recording_build)
+        direct = min_cost_max_flow(network, seed=0)
+        problem = built[0].problem
+        assert sp.issparse(problem.A)
+        direct_solver = problem.__dict__["_gram_fallback"]
+        assert isinstance(direct_solver, GramSolverBridge) and direct_solver.cache is None
+
         service = make_service()
         key = service.register(network)
         cold = service.min_cost_flow(key, seed=0)
         warm = service.min_cost_flow(key, seed=0)
-        assert warm.value == pytest.approx(cold.value, abs=1e-8)
-        assert warm.cost == pytest.approx(cold.cost, abs=1e-8)
+        value, cost, _ = networkx_min_cost_max_flow(network)
+        for run in (direct, cold, warm):
+            assert run.flow == direct.flow
+            assert run.value == value and run.cost == cost
+            # the values recorded at the commit before the ladder was deleted
+            assert run.lp_iterations == lp_iterations
+            assert run.rounds == pytest.approx(rounds, rel=1e-12)
         # the deterministic rerun replays the same weight trajectory, so every
         # factorisation (and the phase-1 max flow) comes out of the cache
-        assert warm.gram_stats["factorisations"] > 0
-        assert warm.gram_stats["cache_hits"] == warm.gram_stats["factorisations"]
+        stats = warm.gram_stats
+        assert stats["factorisations"] > 0
+        assert stats["cache_hits"] == stats["factorisations"]
+        assert stats["factorisations"] == stats["solves"] - stats["reuse_solves"]
         assert cold.gram_stats["cache_hits"] < cold.gram_stats["factorisations"]
+        assert direct_solver.stats.solves == stats["solves"]
         kinds = service.metrics_snapshot()["queries_by_kind"]
         assert kinds.get("flow") == 2
 
@@ -115,7 +152,7 @@ class TestGramFrontDoor:
     def test_solve_gram_matches_dense_reference(self, network, rng):
         service = make_service()
         key = service.register(network)
-        A = np.asarray(build_fixed_value_lp(network, flow_value=1.0).problem.A)
+        A = build_fixed_value_lp(network, flow_value=1.0).problem.A.toarray()
         d = rng.uniform(0.5, 2.0, size=network.m)
         rhs = rng.normal(size=network.n - 1)
         y = service.solve_gram(key, d, rhs)

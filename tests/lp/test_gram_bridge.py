@@ -1,24 +1,29 @@
 """Gram structure detection and the cached Gram solver bridge (Lemma 5.1)."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.flow
+import repro.lp
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
-from repro.lp import gram
 from repro.lp.gram import (
     GramFactorisation,
     GramSolverBridge,
     IncidenceStructure,
     _DenseGramSolver,
-    _IncidenceGramSolver,
     default_gram_solver,
     detect_incidence_structure,
     flow_gram_structure,
 )
 from repro.serve import ArtifactCache
-from repro.solvers.chebyshev import preconditioned_chebyshev
 
 
 @pytest.fixture
@@ -40,7 +45,7 @@ class TestDetection:
         assert structure.m == network.m
         # the compiled reduced matrix IS A^T D A for any positive diagonal
         d = rng.uniform(0.5, 2.0, size=structure.m)
-        A = np.asarray(flow_lp.problem.A)
+        A = flow_lp.problem.A.toarray()
         np.testing.assert_allclose(
             structure.reduced_matrix(structure.aggregate(d)).toarray(),
             A.T @ (d[:, None] * A),
@@ -75,8 +80,8 @@ class TestDetection:
 
     def test_sparse_and_dense_matrices_detect_identically(self, network):
         flow_lp = build_fixed_value_lp(network, flow_value=3.0)
-        dense = detect_incidence_structure(flow_lp.problem.A)
-        sparse = detect_incidence_structure(sp.csr_matrix(flow_lp.problem.A))
+        dense = detect_incidence_structure(flow_lp.problem.A.toarray())
+        sparse = detect_incidence_structure(flow_lp.problem.A)
         assert dense.fingerprint == sparse.fingerprint
 
     def test_unknown_formulation_rejected(self, network):
@@ -111,67 +116,40 @@ class TestDetection:
 
 
 class TestBridge:
-    def test_strategy_ladder_stays_exact(self, network, rng):
+    def test_drifting_weights_answered_exactly_by_reuse_or_factorise(self, network, rng):
         flow_lp = build_fixed_value_lp(network, flow_value=3.0)
-        A = np.asarray(flow_lp.problem.A)
+        A = flow_lp.problem.A
         structure = detect_incidence_structure(A)
-        bridge = GramSolverBridge(structure)
+        cache = ArtifactCache()
+        bridge = GramSolverBridge(structure, cache=cache, graph_key="g", version=0)
         d = rng.uniform(0.5, 2.0, size=structure.m)
         big_mover = d.copy()
-        big_mover[0] *= 50.0  # one pair out of band, every other pair untouched
+        big_mover[0] *= 50.0  # one pair far out, every other pair untouched
         sequence = [
-            d,  # factorise (cold)
-            d,  # reuse
-            d * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=structure.m)),  # chebyshev
-            big_mover,  # rank1 (state is still the factorised d)
-            d * rng.uniform(0.1, 10.0, size=structure.m),  # factorise (left the band)
+            d,
+            d,  # the only repeat: the only reuse
+            d * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=structure.m)),  # 0.1 % drift
+            big_mover,
+            d * rng.uniform(0.1, 10.0, size=structure.m),
         ]
         for d_step in sequence:
             rhs = rng.normal(size=structure.n)
             np.testing.assert_allclose(
                 bridge(d_step, rhs), dense_gram_solve(A, d_step, rhs), atol=1e-8
             )
-        strategies = {s for s, _ in bridge.stats.per_solve}
-        assert strategies == {"factorise", "reuse", "chebyshev", "rank1"}
-        assert bridge.stats.solves == 5
-
-    def test_chebyshev_rung_keeps_its_residual_contract(self, network, rng, monkeypatch):
-        structure = flow_gram_structure(network, "fixed-value")
-        d = rng.uniform(0.5, 2.0, size=structure.m)
-        drifted = d * (1.0 + 1e-2 * rng.uniform(-1.0, 1.0, size=structure.m))
+        assert [s for s, _ in bridge.stats.per_solve] == [
+            "factorise", "reuse", "factorise", "factorise", "factorise",
+        ]
+        assert bridge.stats.solves == 5 and bridge.stats.reuse_solves == 1
+        assert bridge.stats.factorisations == 4 and bridge.stats.cache_hits == 0
+        # cached artifacts are immutable: the first one still sits at the
+        # weights it was built for, whatever the bridge solved afterwards
+        first = next(entry.value for entry in cache.entries() if entry.kind == "gram")
+        np.testing.assert_array_equal(first.w, structure.aggregate(d))
         rhs = rng.normal(size=structure.n)
-        reduced = structure.reduced_matrix(structure.aggregate(drifted))
-
-        def relative_residual(y):
-            return np.linalg.norm(rhs - reduced @ y) / np.linalg.norm(rhs)
-
-        # target reached inside the (minimal-degree) budget: served by the rung
-        bridge = GramSolverBridge(structure)
-        bridge(d, rhs)
-        y = bridge(drifted, rhs)
-        assert bridge.stats.per_solve[-1][0] == "chebyshev"
-        assert bridge.stats.chebyshev_solves == 1 and bridge.stats.factorisations == 1
-        assert relative_residual(y) <= bridge.chebyshev_residual
-
-        # a budget that runs out above the target (here: cut to two steps): the
-        # solve is answered by a fresh factorisation, not by whatever the
-        # iteration held at the cap
-        monkeypatch.setattr(
-            gram,
-            "preconditioned_chebyshev",
-            lambda *args, **kwargs: preconditioned_chebyshev(
-                *args, max_iterations=2, **kwargs
-            ),
+        np.testing.assert_allclose(
+            first.solve(rhs), dense_gram_solve(A, d, rhs), atol=1e-8
         )
-        short = GramSolverBridge(structure)
-        short(d, rhs)
-        y = short(drifted, rhs)
-        assert short.stats.per_solve[-1][0] == "factorise"
-        assert short.stats.chebyshev_solves == 0 and short.stats.chebyshev_iterations == 2
-        assert short.stats.factorisations == 2
-        assert relative_residual(y) <= short.chebyshev_residual
-        short(drifted, rhs)
-        assert short.stats.per_solve[-1][0] == "reuse"  # state moved to the new weights
 
     def test_nonpositive_weights_rejected(self, network):
         structure = flow_gram_structure(network, "fixed-value")
@@ -192,47 +170,21 @@ class TestBridge:
         assert warm.stats.factorisations == 1 and warm.stats.cache_hits == 1
         np.testing.assert_allclose(y, cold(d, rhs), atol=1e-12)
 
-    def test_cached_factorisation_is_never_mutated_by_overlays(self, network, rng):
-        # the rank-1 path must stay bridge-local: a second bridge reading the
-        # same cached artifact sees the original weights
-        structure = flow_gram_structure(network, "fixed-value")
-        cache = ArtifactCache()
-        d = rng.uniform(0.5, 2.0, size=structure.m)
-        bridge = GramSolverBridge(structure, cache=cache, graph_key="g", version=0)
-        bridge(d, rng.normal(size=structure.n))
-        d2 = d.copy()
-        d2[0] *= 40.0
-        bridge(d2, rng.normal(size=structure.n))
-        assert bridge.stats.rank1_updates > 0
-        artifact = next(
-            entry.value for entry in cache.entries() if entry.kind == "gram"
-        )
-        np.testing.assert_array_equal(artifact.w, structure.aggregate(d))
-
 
 class TestDefaultGramSolver:
-    def test_incidence_sparse_routes_to_grounded_laplacian(self, network):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0, sparse=True)
-        assert isinstance(default_gram_solver(flow_lp.problem.A), _IncidenceGramSolver)
-
-    def test_small_dense_incidence_keeps_dense_fallback(self, network):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0)
-        assert isinstance(default_gram_solver(flow_lp.problem.A), _DenseGramSolver)
+    @pytest.mark.parametrize("vertices", [9, 60])  # n = 8 and 59 LP columns
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_every_incidence_matrix_gets_the_bridge(self, rng, vertices, dense):
+        network = generators.random_flow_network(vertices, seed=3)
+        A = build_fixed_value_lp(network, flow_value=3.0).problem.A
+        solver = default_gram_solver(A.toarray() if dense else A)
+        assert isinstance(solver, GramSolverBridge) and solver.cache is None
+        d = rng.uniform(0.5, 2.0, size=network.m)
+        rhs = rng.normal(size=network.n - 1)
+        np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
 
     def test_generic_matrix_keeps_dense_fallback(self, rng):
         assert isinstance(default_gram_solver(rng.normal(size=(8, 5))), _DenseGramSolver)
-
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_fallbacks_agree_with_reference(self, network, rng, sparse):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0, sparse=sparse)
-        solver = default_gram_solver(flow_lp.problem.A)
-        d = rng.uniform(0.5, 2.0, size=network.m)
-        rhs = rng.normal(size=network.n - 1)
-        np.testing.assert_allclose(
-            solver(d, rhs),
-            dense_gram_solve(flow_lp.problem.A, d, rhs),
-            atol=1e-8,
-        )
 
     def test_dense_fallback_handles_generic_matrices(self, rng):
         A = rng.normal(size=(12, 5))
@@ -253,3 +205,54 @@ class TestFactorisation:
             structure.reduced_matrix(w) @ fact.solve(rhs), rhs, atol=1e-10
         )
         assert fact.nbytes() > 0
+
+
+DELETED_NAMES = (
+    "_Overlay",
+    "_apply_overlays",
+    "_overlay_solve",
+    "DRIFT_BAND",
+    "CHEBYSHEV_RESIDUAL",
+    "OVERLAY_DENOM_TOL",
+    "rank1_budget",
+    "chebyshev_residual",
+    "chebyshev_iterations",
+    "_w_state",
+    "_IncidenceGramSolver",
+    "SPARSE_GRAM_MIN_COLS",
+)
+
+
+def _modules(*packages):
+    for package in packages:
+        yield package
+        for info in pkgutil.walk_packages(package.__path__, prefix=package.__name__ + "."):
+            yield importlib.import_module(info.name)
+
+
+class TestOnePath:
+    """The rungs, the per-call solver and the dense-vs-CSR fork stay deleted."""
+
+    def test_deleted_names_and_the_sparse_switch_are_gone(self):
+        offenders = []
+        for module in _modules(repro.lp, repro.flow):
+            source = inspect.getsource(module)
+            offenders += [
+                f"{module.__name__}: {name}"
+                for name in DELETED_NAMES
+                if re.search(rf"\b{name}\b", source)
+            ]
+            for name, obj in vars(module).items():
+                if inspect.isfunction(obj) and "sparse" in inspect.signature(obj).parameters:
+                    offenders.append(f"{module.__name__}.{name}(sparse=)")
+        assert offenders == []
+
+    def test_lp_layer_does_not_import_the_solver_layer(self):
+        for module in _modules(repro.lp):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(n.startswith("repro.solvers") for n in names), module.__name__
