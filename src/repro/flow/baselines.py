@@ -125,62 +125,63 @@ def successive_shortest_paths(
     Uses Bellman-Ford shortest augmenting paths on the residual graph (costs
     may become negative on reverse arcs), which is exact for integral
     capacities.  Returns ``(value, cost, flow)``.
+
+    The residual graph is a set of arc arrays: arc ``i < m`` is edge ``i`` of
+    ``edge_keys`` order and arc ``i + m`` its reverse, whose residual capacity
+    is the flow on the edge.  A relaxation round is vectorised over all arcs;
+    among the arcs that offer a vertex the same best distance, the first in
+    (head, arc index) order becomes its parent.
     """
     original = network
     network, mapping = _split_antiparallel(network)
-    source, sink, n = network.source, network.sink, network.n
-    capacity: Dict[EdgeKey, float] = {}
-    cost: Dict[EdgeKey, float] = {}
-    for edge in network.edges():
-        capacity[(edge.u, edge.v)] = capacity.get((edge.u, edge.v), 0.0) + edge.capacity
-        cost[(edge.u, edge.v)] = edge.cost
-        capacity.setdefault((edge.v, edge.u), 0.0)
-        cost.setdefault((edge.v, edge.u), -edge.cost)
-    adjacency: Dict[int, set] = {v: set() for v in range(n)}
-    for (u, v) in capacity:
-        adjacency[u].add(v)
+    source, sink, n, m = network.source, network.sink, network.n, network.m
+    u, v, capacity, edge_cost = network.edge_array()
+    residual = np.concatenate([capacity, np.zeros(m)])
+    head = np.concatenate([v, u])
+    # arcs grouped by head, so that one reduceat finds the best arc into each vertex
+    by_head = np.argsort(head, kind="stable")
+    arc_tail = np.concatenate([u, v])
+    tail = arc_tail[by_head]
+    cost = np.concatenate([edge_cost, -edge_cost])[by_head]
+    heads, starts, counts = np.unique(head[by_head], return_index=True, return_counts=True)
+    position = np.arange(2 * m)
 
-    flow: Dict[EdgeKey, float] = {key: 0.0 for key in capacity}
     value = 0.0
     remaining = float("inf") if target_value is None else float(target_value)
-
     while remaining > 1e-12:
         # Bellman-Ford from the source on the residual graph
-        dist = {v: float("inf") for v in range(n)}
-        parent: Dict[int, Optional[int]] = {v: None for v in range(n)}
+        closed = residual[by_head] <= 1e-12
+        dist = np.full(n, np.inf)
         dist[source] = 0.0
+        parent = np.full(n, -1, dtype=np.int64)  # arc into each reached vertex
         for _ in range(n - 1):
-            updated = False
-            for (u, v), cap in capacity.items():
-                if cap - flow[(u, v)] > 1e-12 and dist[u] + cost[(u, v)] < dist[v] - 1e-15:
-                    dist[v] = dist[u] + cost[(u, v)]
-                    parent[v] = u
-                    updated = True
-            if not updated:
+            offer = dist[tail] + cost
+            offer[closed] = np.inf
+            best = np.minimum.reduceat(offer, starts)
+            improved = best < dist[heads] - 1e-15
+            if not improved.any():
                 break
+            first = np.minimum.reduceat(
+                np.where(offer == np.repeat(best, counts), position, 2 * m), starts
+            )
+            dist[heads[improved]] = best[improved]
+            parent[heads[improved]] = by_head[first[improved]]
         if not np.isfinite(dist[sink]):
             break
-        # bottleneck along the path
-        bottleneck = remaining
-        v = sink
-        while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, capacity[(u, v)] - flow[(u, v)])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            flow[(u, v)] += bottleneck
-            flow[(v, u)] -= bottleneck
-            v = u
+        path = []
+        vertex = sink
+        while vertex != source:
+            path.append(parent[vertex])
+            vertex = arc_tail[path[-1]]
+        path = np.array(path)
+        bottleneck = min(remaining, float(residual[path].min()))
+        residual[path] -= bottleneck
+        residual[(path + m) % (2 * m)] += bottleneck
         value += bottleneck
         if target_value is not None:
             remaining -= bottleneck
 
-    split_flow: Dict[EdgeKey, float] = {}
-    for edge in network.edges():
-        f = max(0.0, flow[(edge.u, edge.v)])
-        split_flow[(edge.u, edge.v)] = float(min(f, edge.capacity))
+    split_flow = dict(zip(network.edge_keys(), np.clip(residual[m:], 0.0, capacity).tolist()))
     result_flow = _map_back(original, mapping, split_flow)
     return float(value), float(original.flow_cost(result_flow)), result_flow
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,8 +74,11 @@ class BarrierIPM:
 
     def _newton_direction(
         self, barrier: BarrierFunction, x: np.ndarray, t: float
-    ) -> np.ndarray:
-        """Projected Newton direction for ``t c^T x + phi(x)`` on ``A^T x = b``."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Projected Newton direction for ``t c^T x + phi(x)`` on ``A^T x = b``.
+
+        Returns ``(dx, h)`` with ``h`` the barrier Hessian at ``x``.
+        """
         problem = self.problem
         g = t * problem.c + barrier.gradient(x)
         h = barrier.hessian(x)
@@ -83,7 +86,7 @@ class BarrierIPM:
         # infeasible-start Newton: aim for A^T (x + dx) = b so that numerical
         # drift in the equality constraints is corrected at every step
         residual = problem.equality_residual(x)
-        rhs = residual - problem.A.T @ (h_inv * g)
+        rhs = residual - problem.AT @ (h_inv * g)
         y = problem.solve_gram(h_inv, rhs)
         dx = -h_inv * (g + problem.A @ y)
         self.report.gram_solves += 1
@@ -92,7 +95,7 @@ class BarrierIPM:
             self.comm.matvec("A y")
             self.comm.laplacian_solve(1.0, "Newton system A^T H^{-1} A")
             self.comm.vector_op("Newton update")
-        return dx
+        return dx, h
 
     @staticmethod
     def _max_step_inside(
@@ -162,8 +165,7 @@ class BarrierIPM:
         """Damped Newton until the Newton decrement drops below ``tolerance``."""
         x = self._restore_equality(x)
         for _ in range(self.max_newton_per_stage):
-            dx = self._newton_direction(barrier, x, t)
-            h = barrier.hessian(x)
+            dx, h = self._newton_direction(barrier, x, t)
             decrement = math.sqrt(max(0.0, float(dx @ (h * dx))))
             self.report.newton_iterations += 1
             self.report.final_decrement = decrement

@@ -6,17 +6,23 @@ positive diagonal ``D``.  Lemma 5.1 observes that for the flow formulations
 is a *grounded Laplacian* of an auxiliary graph whose edge weights are sums of
 entries of ``D`` -- symmetric, diagonally dominant, and solvable with one
 sparse ``splu`` instead of a dense ``O(n^3)`` factorisation per Newton step.
+Its sparsity pattern is the network and never changes -- only ``D`` does --
+so the work splits into a symbolic half done once per network and a numeric
+half done per Newton step:
 
-This module provides three layers on top of that observation:
-
-* :func:`detect_incidence_structure` -- recognise, from ``A`` alone, that every
-  row is ``+/- s (e_j - e_k)`` or ``+/- s e_j`` (the fixed-value LP's incidence
-  rows and the Section 5 LP's slack rows respectively) and compile the
-  row -> vertex-pair mapping into an :class:`IncidenceStructure`.  Single-entry
-  rows become edges to a synthetic *ground* vertex; ``A^T D A`` is then exactly
-  the ground-grounded Laplacian of the auxiliary graph.
-* :class:`GramFactorisation` -- one immutable sparse ``splu`` factorisation of
-  ``A^T D A`` at a fixed aggregated weight vector; what the
+* :class:`IncidenceStructure` (the symbolic half) -- compiled by
+  :func:`detect_incidence_structure`, which recognises from ``A`` alone that
+  every row is ``+/- s (e_j - e_k)`` or ``+/- s e_j`` (the fixed-value LP's
+  incidence rows and the Section 5 LP's slack rows respectively), or by
+  :func:`flow_gram_structure` straight from the network.  Single-entry rows
+  become edges to a synthetic *ground* vertex; ``A^T D A`` is then exactly
+  the ground-grounded Laplacian of the auxiliary graph.  Compiling fixes the
+  row -> vertex-pair mapping, a fill-reducing symmetric ordering and the CSC
+  pattern of the reordered matrix.
+* :class:`GramFactorisation` (the numeric half) -- one immutable sparse
+  ``splu`` factorisation of ``A^T D A`` at a fixed aggregated weight vector:
+  one scatter of the weights into the precompiled pattern and one
+  factorisation with no ordering step; what the
   :class:`~repro.serve.artifacts.ArtifactCache` stores.
 * :class:`GramSolverBridge` -- the one way an incidence-structured ``A^T D A``
   is solved, on the direct path (:func:`default_gram_solver`, no cache) and on
@@ -77,6 +83,15 @@ class IncidenceStructure:
     _entry_cols: np.ndarray = field(repr=False)
     _entry_sign: np.ndarray = field(repr=False)
     _entry_pair: np.ndarray = field(repr=False)
+    #: symbolic half of every factorisation (precompiled once): a fill-reducing
+    #: symmetric ordering (``_order[i]`` is the position of LP column ``i``,
+    #: ``_order_inv`` its inverse), the CSC pattern of the reordered matrix,
+    #: and the slot of its ``data`` each COO entry above adds into
+    _order: np.ndarray = field(repr=False)
+    _order_inv: np.ndarray = field(repr=False)
+    _csc_indices: np.ndarray = field(repr=False)
+    _csc_indptr: np.ndarray = field(repr=False)
+    _entry_slot: np.ndarray = field(repr=False)
 
     @property
     def ground(self) -> int:
@@ -150,6 +165,17 @@ class IncidenceStructure:
         )
         entry_pair = np.concatenate([ipair, ipair, ipair, ipair, gpair])
 
+        # the pattern never changes, so order it once: keep the candidate with
+        # the least fill on the unit-weight matrix (ties to the first)
+        unit = sp.csc_matrix((entry_sign, (entry_rows, entry_cols)), shape=(n, n))
+        trials = [spla.splu(unit, permc_spec=spec) for spec in ORDERING_CANDIDATES]
+        order = min(trials, key=lambda lu: lu.nnz).perm_c.astype(np.int64)
+        # CSC pattern of the reordered matrix: slots sorted by (column, row)
+        codes = order[entry_cols] * n + order[entry_rows]
+        slot_codes, entry_slot = np.unique(codes, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(slot_codes // n, minlength=n), out=indptr[1:])
+
         digest = hashlib.sha256()
         digest.update(str(n).encode("ascii"))
         digest.update(pair_u.tobytes())
@@ -168,6 +194,11 @@ class IncidenceStructure:
             _entry_cols=entry_cols.astype(np.int64),
             _entry_sign=entry_sign,
             _entry_pair=entry_pair.astype(np.int64),
+            _order=order,
+            _order_inv=np.argsort(order),
+            _csc_indices=(slot_codes % n).astype(np.intc),
+            _csc_indptr=indptr,
+            _entry_slot=entry_slot.astype(np.int64),
         )
 
     def aggregate(self, d: np.ndarray) -> np.ndarray:
@@ -285,6 +316,9 @@ def flow_gram_structure(network, formulation: str = "fixed-value") -> IncidenceS
 
 GRAM_FORMULATIONS = ("fixed-value", "section5")
 
+#: column orderings tried once per compiled structure
+ORDERING_CANDIDATES = ("NATURAL", "MMD_AT_PLUS_A", "COLAMD")
+
 
 def weights_digest(w: np.ndarray) -> str:
     """Content digest of an aggregated pair-weight vector (cache identity)."""
@@ -296,23 +330,41 @@ class GramFactorisation:
 
     This is the artifact the serving cache stores: it is never mutated after
     construction, so one cached instance can serve any number of concurrent
-    bridges.
+    bridges.  Only numeric work happens here: the weights are scattered into
+    the CSC pattern the structure compiled, in the ordering it fixed, and
+    ``splu`` is told to keep that ordering.
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray):
         self.structure = structure
         self.w = np.array(w, dtype=float)
-        reduced = structure.reduced_matrix(self.w).tocsc()
-        self._lu = spla.splu(reduced, permc_spec="MMD_AT_PLUS_A")
-        self._nnz = int(self._lu.L.nnz + self._lu.U.nnz)
+        data = np.bincount(
+            structure._entry_slot,
+            weights=structure._entry_sign * self.w[structure._entry_pair],
+            minlength=structure._csc_indices.size,
+        )
+        reordered = sp.csc_matrix(
+            (data, structure._csc_indices, structure._csc_indptr),
+            shape=(structure.n, structure.n),
+        )
+        self._lu = spla.splu(reordered, permc_spec="NATURAL")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Exact solve against the factorised weights (triangular solves only)."""
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+        structure = self.structure
+        rhs = np.asarray(rhs, dtype=float)
+        return self._lu.solve(rhs[structure._order_inv])[structure._order]
 
     def nbytes(self) -> int:
-        """Resident size for cache accounting (LU factors + weights)."""
-        return int(12 * self._nnz + 2 * self.structure.n * 4 + self.w.nbytes)
+        """Size for cache accounting: LU factors, SuperLU's permutations, weights.
+
+        The factors are priced at 12 B per stored nonzero, which is well below
+        what SuperLU keeps resident; pricing them honestly is the gram-cache
+        ROADMAP item's, because at the default budget it would start evicting
+        inside one flow solve.  The symmetric ordering is the structure's, not
+        this object's: a factorisation holds no permutation of its own.
+        """
+        return int(12 * self._lu.nnz + 2 * self.structure.n * 4 + self.w.nbytes)
 
 
 @dataclass

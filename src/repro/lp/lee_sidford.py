@@ -160,14 +160,14 @@ class LeeSidfordSolver:
         phi2 = barrier.hessian(x)
         sqrt_phi2 = np.sqrt(phi2)
         v = (t * cost + w * phi1) / (w * sqrt_phi2)
-        # A_x = (Phi'')^{-1/2} A ; the projection matrix is
+        # A_x = (Phi'')^{-1/2} A is never formed (the row scaling is applied
+        # to the vectors instead); the projection matrix is
         # P = I - W^{-1} A_x (A_x^T W^{-1} A_x)^{-1} A_x^T
-        A_x = scale_rows(problem.A, 1.0 / sqrt_phi2)
         d = 1.0 / (w * phi2)  # diagonal of (Phi'')^{-1/2} W^{-1} (Phi'')^{-1/2}
-        rhs = A_x.T @ v
+        rhs = problem.AT @ (v / sqrt_phi2)
         y = problem.solve_gram(d, rhs)
         self.report.gram_solves += 1
-        projected = v - (A_x @ y) / w
+        projected = v - (problem.A @ y) / (w * sqrt_phi2)
         if self.comm is not None:
             self.comm.matvec("A_x^T v")
             self.comm.matvec("A_x y")

@@ -33,12 +33,17 @@ class LPProblem:
     #: path plugs a cache-wired :class:`~repro.lp.gram.GramSolverBridge` here.
     gram_solver: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "lp"
+    #: ``A^T``, transposed once (CSR when ``A`` is sparse): every Newton step
+    #: of both engines multiplies by it
+    AT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sp.issparse(self.A):
             self.A = self.A.tocsr().astype(float)
+            self.AT = self.A.T.tocsr()
         else:
             self.A = np.asarray(self.A, dtype=float)
+            self.AT = self.A.T
         self.b = np.asarray(self.b, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
@@ -70,7 +75,7 @@ class LPProblem:
 
     def equality_residual(self, x: np.ndarray) -> np.ndarray:
         """``A^T x - b``."""
-        return self.A.T @ np.asarray(x, dtype=float) - self.b
+        return self.AT @ np.asarray(x, dtype=float) - self.b
 
     def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Feasibility w.r.t. both the equality and the box constraints."""

@@ -81,6 +81,57 @@ class TestSuccessiveShortestPaths:
         assert cost == pytest.approx(nx_cost)
 
 
+def with_antiparallel_edges(seed):
+    net = generators.random_flow_network(12, seed=seed, max_capacity=6, max_cost=7)
+    rng = np.random.default_rng(seed)
+    for u, v in net.edge_keys()[::3]:
+        if not net.has_edge(v, u) and v != net.source and u != net.sink:
+            net.add_edge(v, u, float(rng.integers(1, 7)), float(rng.integers(0, 8)))
+    return net
+
+
+def with_negative_costs(seed):
+    # a layered network is a DAG, so negative costs make no negative cycle
+    net = generators.layered_flow_network(4, 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    for edge in list(net.edges()):
+        net.add_edge(edge.u, edge.v, edge.capacity, edge.cost - float(rng.integers(0, 6)))
+    return net
+
+
+SSP_FAMILIES = {
+    "layered": lambda seed: generators.layered_flow_network(5, 4, seed=seed),
+    "random": lambda seed: generators.random_flow_network(14, seed=seed),
+    "antiparallel": with_antiparallel_edges,
+    "negative-cost": with_negative_costs,
+}
+
+
+def networkx_min_cost_at_value(net, value):
+    import networkx as nx
+
+    graph = net.to_networkx()
+    graph.nodes[net.source]["demand"] = -value
+    graph.nodes[net.sink]["demand"] = value
+    return nx.cost_of_flow(graph, nx.min_cost_flow(graph))
+
+
+class TestSuccessiveShortestPathsAgainstNetworkx:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("family", sorted(SSP_FAMILIES))
+    def test_value_and_cost_match_at_the_maximum_and_below_it(self, family, seed):
+        net = SSP_FAMILIES[family](seed)
+        value, cost, flow = successive_shortest_paths(net)
+        nx_value, nx_cost, _ = networkx_min_cost_max_flow(net)
+        assert value == nx_value and cost == nx_cost
+        assert net.is_feasible_flow(flow) and net.flow_value(flow) == value
+        assert all(f == round(f) for f in flow.values())
+        target = float(max(1, int(value) // 2))
+        value, cost, flow = successive_shortest_paths(net, target_value=target)
+        assert value == target and cost == networkx_min_cost_at_value(net, target)
+        assert net.is_feasible_flow(flow) and net.flow_value(flow) == target
+
+
 class TestNetworkxWrapper:
     def test_returns_flow_on_network_edges_only(self):
         net = generators.random_flow_network(8, seed=9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.core import api
 from repro.flow import mincostflow, networkx_min_cost_max_flow
@@ -27,6 +28,19 @@ def network():
     return generators.random_flow_network(9, seed=5)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The flow LPs ``min_cost_max_flow`` builds during the test, in order."""
+    lps = []
+
+    def recording_build(*args, **kwargs):
+        lps.append(build_fixed_value_lp(*args, **kwargs))
+        return lps[-1]
+
+    monkeypatch.setattr(mincostflow, "build_fixed_value_lp", recording_build)
+    return lps
+
+
 def make_service(**kwargs):
     kwargs.setdefault("t_override", 2)
     return LaplacianService(**kwargs)
@@ -45,17 +59,10 @@ class TestServedFlow:
         assert served.gram_stats["solves"] > 0
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_warm_run_hits_gram_cache(self, name, monkeypatch):
+    def test_warm_run_hits_gram_cache(self, name, built):
         """One Gram-solve path: direct, cold and warm differ only in the cache."""
         factory, lp_iterations, rounds = PINNED[name]
         network = factory()
-        built = []
-
-        def recording_build(*args, **kwargs):
-            built.append(build_fixed_value_lp(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(mincostflow, "build_fixed_value_lp", recording_build)
         direct = min_cost_max_flow(network, seed=0)
         problem = built[0].problem
         assert sp.issparse(problem.A)
@@ -83,6 +90,44 @@ class TestServedFlow:
         assert direct_solver.stats.solves == stats["solves"]
         kinds = service.metrics_snapshot()["queries_by_kind"]
         assert kinds.get("flow") == 2
+
+    def test_suite_instance_is_pinned_on_the_fallback_path(self):
+        """The ``flow`` workload's own network, which does fall back to the exact SSP."""
+        network = generators.layered_flow_network(16, 12, seed=7)
+        run = min_cost_max_flow(network, seed=1)
+        assert run.lp_iterations == 671
+        assert run.rounds == pytest.approx(35529.95057821853, rel=1e-12)
+        assert run.cost == 747.0 and run.rounding_fallback
+
+    def test_symbolic_work_happens_once_per_solve(self, built, monkeypatch):
+        """Count guard: per Newton step one ``NATURAL`` splu and no transpose."""
+        splu, transpose = spla.splu, sp.csr_matrix.transpose
+        steps = []  # (permc_spec, the problem's A^T object) per splu call
+        late_transposes = []  # CSR transposes made after the first splu
+
+        def recording_splu(A, permc_spec=None, **kwargs):
+            steps.append((permc_spec, built[0].problem.AT))
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        def recording_transpose(self, *args, **kwargs):
+            if steps:
+                late_transposes.append(len(steps))
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        monkeypatch.setattr(sp.csr_matrix, "transpose", recording_transpose)
+        run = min_cost_max_flow(generators.layered_flow_network(10, 8, seed=3), seed=0)
+        problem = built[0].problem
+        bridge = problem.__dict__["_gram_fallback"]
+        specs = [spec for spec, _ in steps]
+        # the one compile tries its candidate orderings; nothing after it orders
+        assert sum(spec != "NATURAL" for spec in specs) <= 2
+        assert specs[3:] == ["NATURAL"] * bridge.stats.factorisations
+        assert bridge.stats.factorisations >= run.lp_iterations
+        # A^T is the one CSR matrix made with the problem, on every step
+        assert sp.issparse(problem.AT) and problem.AT.format == "csr"
+        assert all(AT is problem.AT for _, AT in steps)
+        assert late_transposes == []
 
     def test_registering_same_content_twice_shares_artifacts(self, network):
         service = make_service()

@@ -3,18 +3,22 @@
 import ast
 import importlib
 import inspect
+import pickle
 import pkgutil
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 import repro.flow
 import repro.lp
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
 from repro.lp.gram import (
+    GRAM_FORMULATIONS,
     GramFactorisation,
     GramSolverBridge,
     IncidenceStructure,
@@ -205,6 +209,106 @@ class TestFactorisation:
             structure.reduced_matrix(w) @ fact.solve(rhs), rhs, atol=1e-10
         )
         assert fact.nbytes() > 0
+
+
+#: ``flow_gram_structure(network, "fixed-value").fingerprint`` at the commit
+#: before structures carried an ordering: cache keys must not move with it
+PINNED_FINGERPRINTS = {
+    "random-24": (
+        lambda: generators.random_flow_network(24, seed=3),
+        "65239702a4db7bb4ff99d27b8bad5a9ebda3b092e43c39a957a93dc953e0b668",
+    ),
+    "layered-6x5": (
+        lambda: generators.layered_flow_network(6, 5, seed=3),
+        "7ef938f34fb8cf7701d7fd7d360da1c748757e2f73170945e2301e1929de4a1a",
+    ),
+    "layered-10x8": (
+        lambda: generators.layered_flow_network(10, 8, seed=3),
+        "0c1b7386edeb0938f9ad3c84f034669df87f94426dd16a713eadcfa71f1a49d8",
+    ),
+}
+
+COMPILED_FIELDS = ("_order", "_order_inv", "_csc_indices", "_csc_indptr", "_entry_slot")
+
+
+@st.composite
+def incidence_rows(draw):
+    """``(n, row_a, row_b, scale)``: interior and ground rows, repeated pairs, scales != 1."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 3 * n + 2))
+    row_a = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    row_b = [
+        draw(st.integers(0, n).filter(lambda b, a=a: b != a)) for a in row_a
+    ]  # b == n is the ground vertex
+    scale = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=m, max_size=m))
+    return n, np.array(row_a), np.array(row_b), np.array(scale)
+
+
+def assert_factorisation_exact(structure, seed):
+    rng = np.random.default_rng(seed)
+    w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
+    rhs = rng.normal(size=structure.n)
+    y = GramFactorisation(structure, w).solve(rhs)
+    reduced = structure.reduced_matrix(w)
+    np.testing.assert_allclose(reduced @ y, rhs, atol=1e-10)
+    np.testing.assert_allclose(y, np.linalg.solve(reduced.toarray(), rhs), atol=1e-10)
+
+
+class TestCompiledOrdering:
+    """Symbolic work once per structure, numeric work per factorisation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=incidence_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_random_structures_factorise_exactly(self, rows, seed):
+        n, row_a, row_b, scale = rows
+        structure = IncidenceStructure.from_rows(n, row_a, row_b, scale=scale)
+        adjacency = sp.coo_matrix((np.ones(row_a.size), (row_a, row_b)), shape=(n + 1, n + 1))
+        connected = csgraph.connected_components(adjacency, directed=False)[0] == 1
+        assert (structure is not None) == connected
+        if structure is None:
+            return
+        assert_factorisation_exact(structure, seed)
+        # the same pattern compiles to the same ordering, pattern and slot map
+        again = IncidenceStructure.from_rows(n, row_a, row_b, scale=scale)
+        for name in COMPILED_FIELDS:
+            np.testing.assert_array_equal(getattr(again, name), getattr(structure, name))
+        assert again.fingerprint == structure.fingerprint
+
+    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_flow_structures_factorise_exactly(self, name, formulation):
+        structure = flow_gram_structure(PINNED_FINGERPRINTS[name][0](), formulation)
+        assert_factorisation_exact(structure, seed=11)
+        # a permutation of the LP columns, and the CSC pattern of the
+        # grounded Laplacian under it
+        np.testing.assert_array_equal(np.sort(structure._order), np.arange(structure.n))
+        np.testing.assert_array_equal(structure._order[structure._order_inv], np.arange(structure.n))
+        unit = structure.reduced_matrix(np.ones(structure.n_pairs))
+        assert structure._csc_indices.size == unit.nnz
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprints_did_not_move(self, name):
+        factory, fingerprint = PINNED_FINGERPRINTS[name]
+        assert flow_gram_structure(factory(), "fixed-value").fingerprint == fingerprint
+
+    def test_pickled_structure_factorises_without_recompiling(self, network, rng, linalg_counts):
+        structure = flow_gram_structure(network, "fixed-value")
+        compiles = linalg_counts["splu"]
+        clone = pickle.loads(pickle.dumps(structure))
+        for name in COMPILED_FIELDS:
+            np.testing.assert_array_equal(getattr(clone, name), getattr(structure, name))
+        w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
+        rhs = rng.normal(size=structure.n)
+        np.testing.assert_array_equal(
+            GramFactorisation(clone, w).solve(rhs), GramFactorisation(structure, w).solve(rhs)
+        )
+        assert compiles == 3  # the trial orderings of the one compile
+        assert linalg_counts["splu"] == compiles + 2  # one numeric splu per factorisation
+
+    def test_nbytes_prices_the_factors_superlu_reports(self, network):
+        structure = flow_gram_structure(network, "fixed-value")
+        fact = GramFactorisation(structure, structure.aggregate(np.ones(structure.m)))
+        assert fact.nbytes() == 12 * fact._lu.nnz + 8 * structure.n + fact.w.nbytes
 
 
 DELETED_NAMES = (
