@@ -13,6 +13,7 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 #: Default bound on the per-graph mutation journal (see
 #: :meth:`WeightedGraph.delta_since`).  Repair consumers only ever care about
@@ -98,7 +99,8 @@ class WeightedGraph:
         self._n = int(n)
         self._weights: Dict[Tuple[int, int], float] = {}
         self._adj: Dict[int, Set[int]] = {v: set() for v in range(self._n)}
-        self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # (version, packed keys u*n+v, u, v, w): see edge_array and _touch
+        self._edge_arrays: Optional[tuple] = None
         self._laplacian_csr: Optional[sp.csr_matrix] = None
         self._version = 0
         self._journal: Deque[MutationRecord] = deque()
@@ -120,7 +122,7 @@ class WeightedGraph:
         self._weights[key] = float(weight)
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._touch()
+        self._touch(key, float(weight))
         self._journal_append(
             MutationRecord(
                 version=self._version,
@@ -161,22 +163,27 @@ class WeightedGraph:
         lo = np.minimum(u, v).tolist()
         hi = np.maximum(u, v).tolist()
         weights = w.tolist()
-        self._touch()
+        # content first, version bump second, as in the single-edge mutators:
+        # an edge_array snapshot a reader takes mid-batch carries the old
+        # version, so it is never cached as the new content
         if len(lo) > JOURNAL_LIMIT:
             # a bulk mutation larger than the journal window cannot be
             # replayed anyway: drop the journal and mark deltas reaching past
             # this version as unavailable, instead of paying a per-edge
             # record on the vectorised path
             self._journal.clear()
-            self._journal_floor = self._version
+            self._journal_floor = self._version + 1
             self._weights.update(zip(zip(lo, hi), weights))
+            self._touch()
         else:
             weight_dict = self._weights
-            version = self._version
-            for a, b, weight in zip(lo, hi, weights):
-                key = (a, b)
-                prev = weight_dict.get(key)
+            prevs = []
+            for key, weight in zip(zip(lo, hi), weights):
+                prevs.append(weight_dict.get(key))
                 weight_dict[key] = weight
+            self._touch()
+            version = self._version
+            for a, b, weight, prev in zip(lo, hi, weights, prevs):
                 self._journal_append(
                     MutationRecord(
                         version=version,
@@ -204,7 +211,7 @@ class WeightedGraph:
         prev = self._weights.pop(key)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._touch()
+        self._touch(key)
         self._journal_append(
             MutationRecord(
                 version=self._version,
@@ -216,11 +223,41 @@ class WeightedGraph:
             )
         )
 
-    def _touch(self) -> None:
-        """The one mutation hook: drop the cached array views, bump the version."""
-        self._edge_arrays = None
+    def _touch(self, key: Optional[Tuple[int, int]] = None, weight: Optional[float] = None) -> None:
+        """The one mutation hook: bump the version, drop the CSR Laplacian.
+
+        The cached :meth:`edge_array` columns are patched for a single-edge
+        mutation of ``key`` (set to ``weight``; ``None`` removes it) in O(m)
+        C-level copies -- one ``searchsorted`` on the packed key ``u*n + v``,
+        then one insert, delete or assign into fresh read-only columns, so a
+        holder of the old columns keeps an immutable snapshot.  Bulk
+        mutations (``key=None``) drop them.  Columns tagged with another
+        version than the one this mutation starts from (a concurrent reader
+        cached them mid-mutation) are dropped rather than patched.
+        """
+        cached = self._edge_arrays
+        version = self._version + 1
+        self._version = version
         self._laplacian_csr = None
-        self._version += 1
+        self._edge_arrays = None
+        if key is None or cached is None or cached[0] != version - 1:
+            return
+        keys, u, v, w = cached[1:]
+        packed = key[0] * self._n + key[1]
+        pos = int(np.searchsorted(keys, packed))
+        present = pos < keys.size and keys[pos] == packed
+        if weight is None:
+            columns = [np.delete(c, pos) for c in (keys, u, v, w)] if present else [keys, u, v, w]
+        elif present:
+            w = w.copy()
+            w[pos] = weight
+            columns = [keys, u, v, w]
+        else:
+            row = (packed, key[0], key[1], weight)
+            columns = [np.insert(c, pos, x) for c, x in zip((keys, u, v, w), row)]
+        for column in columns:
+            column.setflags(write=False)
+        self._edge_arrays = (version, *columns)
 
     def copy(self) -> "WeightedGraph":
         """Deep copy of this graph."""
@@ -338,20 +375,31 @@ class WeightedGraph:
         """Edges as three aligned numpy columns ``(u, v, w)`` with ``u < v``.
 
         Rows follow the canonical :meth:`edges` order.  The arrays are cached
-        until the next mutation and returned read-only, so repeated calls from
-        the vectorised Laplacian kernels are O(1); callers that need to
-        modify them must copy.
+        and returned read-only, so repeated calls from the vectorised
+        Laplacian kernels are O(1); callers that need to modify them must
+        copy.  :meth:`add_edge` and :meth:`remove_edge` patch the cache in
+        place of dropping it (see :meth:`_touch`), so only the first call and
+        the first call after a bulk :meth:`add_edges` sort the weight dict.
         """
-        if self._edge_arrays is None:
-            keys = sorted(self._weights)
-            m = len(keys)
-            u = np.fromiter((k[0] for k in keys), dtype=np.int64, count=m)
-            v = np.fromiter((k[1] for k in keys), dtype=np.int64, count=m)
-            w = np.fromiter((self._weights[k] for k in keys), dtype=np.float64, count=m)
-            for arr in (u, v, w):
-                arr.setflags(write=False)
-            self._edge_arrays = (u, v, w)
-        return self._edge_arrays
+        cached = self._edge_arrays
+        if cached is None or cached[0] != self._version:
+            cached = self._edge_arrays = self._sorted_edge_arrays()
+        return cached[2:]
+
+    def _sorted_edge_arrays(self) -> tuple:
+        """``(version, packed keys, u, v, w)`` rebuilt by sorting the weight dict."""
+        version = self._version
+        # copy first: one C-level snapshot, so a mutator on another thread
+        # cannot change the dict while it is iterated
+        items = sorted(self._weights.copy().items())
+        m = len(items)
+        u = np.fromiter((key[0] for key, _ in items), dtype=np.int64, count=m)
+        v = np.fromiter((key[1] for key, _ in items), dtype=np.int64, count=m)
+        w = np.fromiter((weight for _, weight in items), dtype=np.float64, count=m)
+        columns = (u * self._n + v, u, v, w)
+        for arr in columns:
+            arr.setflags(write=False)
+        return (version, *columns)
 
     def laplacian_csr(self) -> sp.csr_matrix:
         """CSR Laplacian ``L = B^T W B``, built by one ``coo_matrix`` call.
@@ -421,37 +469,22 @@ class WeightedGraph:
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (single-vertex graphs count as connected)."""
-        if self._n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self._n
+        return csgraph.connected_components(
+            self.laplacian_csr(), directed=False, return_labels=False
+        ) == 1
 
     def connected_components(self) -> List[Set[int]]:
-        """List of vertex sets, one per connected component."""
-        seen: Set[int] = set()
-        components: List[Set[int]] = []
-        for start in range(self._n):
-            if start in seen:
-                continue
-            component = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for u in self._adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        component.add(u)
-                        stack.append(u)
-            components.append(component)
-        return components
+        """List of vertex sets, one per connected component, by least vertex.
+
+        ``scipy.sparse.csgraph`` over the cached CSR Laplacian; it numbers
+        components in order of their least vertex, the order
+        :func:`repro.graphs.generators._connect_components` relies on for seed
+        stability.
+        """
+        count, labels = csgraph.connected_components(self.laplacian_csr(), directed=False)
+        members = np.argsort(labels, kind="stable")
+        bounds = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+        return [set(part.tolist()) for part in np.split(members, bounds)]
 
     def subgraph_with_edges(self, edge_keys: Iterable[Tuple[int, int]]) -> "WeightedGraph":
         """Subgraph on the same vertex set containing exactly ``edge_keys``."""

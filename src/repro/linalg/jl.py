@@ -208,44 +208,6 @@ def kane_nelson_sketch(
     return sp.coo_matrix((data, (rows.ravel(), cols)), shape=(k, m)).tocsr()
 
 
-def kane_nelson_built_columns(
-    k: int,
-    m: int,
-    seed_bits: int,
-    column_indices,
-    column_sparsity: Optional[int] = None,
-) -> np.ndarray:
-    """Re-derive columns of the *built* :func:`kane_nelson_sketch` matrix.
-
-    Returns a dense ``(k, len(column_indices))`` block equal (exactly) to the
-    selected columns of ``kane_nelson_sketch(k, m, seed_bits)``, without
-    materialising the whole sparse matrix as an object the caller must keep
-    alive.  The batched construction consumes its PRG jointly across all
-    ``m`` columns, so a single column cannot be drawn in isolation; this
-    replays the same vectorised draws (``O(m s)`` work, no factorisation, no
-    ``k x m`` dense scratch) and slices out the requested columns.  This is
-    what lets a sketched resistance oracle that only stored ``(seed_bits,
-    ambient index)`` per edge recover the exact column a *built* edge
-    contributed, turning a reweight or removal into a rank-1 embedding
-    repair; appended edges use :func:`kane_nelson_column` instead.
-    """
-    if k < 1 or m < 1:
-        raise ValueError(f"matrix dimensions must be positive, got k={k}, m={m}")
-    indices = np.asarray(list(column_indices), dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= m):
-        raise ValueError(f"column indices out of range [0, {m})")
-    s = column_sparsity if column_sparsity is not None else max(1, math.ceil(math.sqrt(k)))
-    s = min(s, k)
-    prg = np.random.default_rng(int(seed_bits) & ((1 << 63) - 1))
-    rows = _floyd_distinct_rows(prg, m, k, s)
-    signs = prg.integers(0, 2, size=(m, s)) * 2 - 1
-    block = np.zeros((k, indices.size))
-    scale = 1.0 / math.sqrt(s)
-    for j, column in enumerate(indices):
-        block[rows[column], j] = signs[column] * scale
-    return block
-
-
 def kane_nelson_column(
     k: int,
     seed_bits: int,

@@ -39,7 +39,6 @@ import scipy.sparse as sp
 import math
 
 from repro.linalg.jl import (
-    kane_nelson_built_columns,
     kane_nelson_column,
     kane_nelson_random_bits,
     kane_nelson_sketch,
@@ -132,16 +131,19 @@ class SketchedResistanceOracle:
         self.reweighted = 0
         self.removed = 0
         # Per-edge sketch-column identity: a built edge owns the column at its
-        # position in canonical (sorted) edge order, re-derivable from
-        # (seed_bits, index) alone; an appended edge owns the fresh column
-        # append_edge drew for it.  This is what turns a reweight/removal into
-        # a rank-1 repair (subtract the old column contribution, add the new)
-        # instead of a k-solve rebuild.  Kept as one int64 key array plus a
-        # retirement mask (8+1 bytes/edge) rather than a dict (~100x that).
+        # position in canonical (sorted) edge order, stored below as its rows
+        # and signs; an appended edge owns the fresh column append_edge drew
+        # for it from (seed_bits, ambient index).  This is what turns a
+        # reweight/removal into a rank-1 repair (subtract the old column
+        # contribution, add the new) instead of a k-solve rebuild.  Kept as
+        # one int64 key array plus a retirement mask (8+1 bytes/edge) rather
+        # than a dict (~100x that).
         u_arr, v_arr, _ = graph.edge_array()
         self._built_keys = u_arr.astype(np.int64) * self.n + v_arr.astype(np.int64)
         self._built_retired = np.zeros(m, dtype=bool)
         self._appended_cols = {}
+        self._column_rows: Optional[np.ndarray] = None
+        self._column_signs: Optional[np.ndarray] = None
         if self.exact:
             # the identity sketch promises *exact* answers, and a tight eta
             # (below float32 rounding) can only reach this branch: store in
@@ -166,6 +168,14 @@ class SketchedResistanceOracle:
         else:
             Q = kane_nelson_sketch(self.k, m, self.seed_bits)
             sketched_incidence = (Q @ sqrt_w @ B).tocsr()
+            # every built column, kept compact (rows in the smallest unsigned
+            # type holding k - 1, int8 signs) so repair_edge reads a built
+            # edge's column in O(s) instead of replaying the O(m s) draws
+            Q = Q.tocsc()
+            s = int(Q.indptr[1])
+            self._column_rows = Q.indices.reshape(m, s).astype(np.min_scalar_type(self.k - 1))
+            self._column_signs = np.sign(Q.data).reshape(m, s).astype(np.int8)
+            del Q  # not held through the embedding solves, the build's peak
         # E^T = L^+ S^T, built by blocked grounded solves: each column of S^T
         # is a signed combination of edge indicator differences, hence
         # consistent per component as solve_many requires; the per-component
@@ -236,8 +246,7 @@ class SketchedResistanceOracle:
         oracle stays exact.  Returns ``False`` (oracle unchanged) for
         cross-component insertions, which change the component structure the
         stored labels encode.  Reweights and removals of *existing* edges go
-        through :meth:`repair_edge`, which re-derives the edge's column from
-        its recorded ``(seed_bits, ambient index)`` identity.  Not
+        through :meth:`repair_edge`, which reads the edge's own column.  Not
         thread-safe against concurrent queries; the serving layer serialises
         repairs behind its execute lock.
         """
@@ -324,6 +333,13 @@ class SketchedResistanceOracle:
             return None
         return pos, -1.0
 
+    def _built_column(self, index: int) -> np.ndarray:
+        """Dense Kane-Nelson column of built edge ``index``, read in ``O(s)``."""
+        q = np.zeros(self.k)
+        signs = self._column_signs[index]
+        q[self._column_rows[index]] = signs * (1.0 / math.sqrt(signs.size))
+        return q
+
     def repair_edge(self, u, v, old_weight, new_weight, solver=None, z=None) -> bool:
         """Repair the oracle in place for a *reweight or removal* of ``{u, v}``.
 
@@ -336,10 +352,10 @@ class SketchedResistanceOracle:
           embedding);
         * the edge's incidence row was rescaled: ``E += sigma (sqrt(w_new) -
           sqrt(w_old)) z q^T`` where ``q`` is the edge's own Kane-Nelson
-          column re-derived from ``(seed_bits, ambient index)`` --
-          :func:`kane_nelson_built_columns` for built edges,
-          :func:`kane_nelson_column` for appended ones, the identity column
-          in exact mode.
+          column -- read in ``O(s)`` from the rows and signs stored at build
+          for built edges, re-derived by :func:`kane_nelson_column` from
+          ``(seed_bits, ambient index)`` for appended ones, the identity
+          column in exact mode.
 
         The result equals (to rounding) the same-seed sketch of the mutated
         graph over the surviving columns, so :attr:`eta_effective` does not
@@ -393,9 +409,7 @@ class SketchedResistanceOracle:
             q = np.zeros(self.k)
             q[index] = 1.0
         elif index < self._built_m:
-            q = kane_nelson_built_columns(
-                self.k, self._built_m, self.seed_bits, [index]
-            )[:, 0]
+            q = self._built_column(index)
         else:
             q = kane_nelson_column(self.k, self.seed_bits, index)
         row = (scale * q - delta * duv).astype(self._embedding.dtype)
@@ -421,7 +435,7 @@ class SketchedResistanceOracle:
         The repair protocol of
         :meth:`~repro.linalg.sparse_backend.RepairableGroundedSolver.apply_delta`.
         Insertions append a fresh column (:meth:`append_edge`), reweights and
-        removals re-derive the edge's own column (:meth:`repair_edge`); both
+        removals read the edge's own column (:meth:`repair_edge`); both
         need the post-record solve ``z`` of every record, which the grounded
         solver recorded when it absorbed the same delta
         (:meth:`~repro.linalg.sparse_backend.RepairableGroundedSolver.update_log`),
@@ -530,11 +544,14 @@ class SketchedResistanceOracle:
         oracle.seed_bits = int(meta["seed_bits"])
         oracle._embedding = arrays["embedding"]
         oracle._labels = arrays["labels"]
-        # column-identity map not shipped: an attached oracle serves queries
-        # only (repairs are refused on the read-only view anyway)
+        # column-identity map and stored columns not shipped: an attached
+        # oracle serves queries only (repairs are refused on the read-only
+        # view anyway)
         oracle._built_keys = None
         oracle._built_retired = None
         oracle._appended_cols = None
+        oracle._column_rows = None
+        oracle._column_signs = None
         return oracle
 
     def nbytes(self) -> int:
@@ -542,6 +559,8 @@ class SketchedResistanceOracle:
         total = int(self._embedding.nbytes + self._labels.nbytes)
         if self._built_keys is not None:
             total += int(self._built_keys.nbytes + self._built_retired.nbytes)
+        if self._column_rows is not None:
+            total += int(self._column_rows.nbytes + self._column_signs.nbytes)
         return total
 
     def __repr__(self) -> str:

@@ -27,12 +27,13 @@ statements make.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dger
+from scipy.sparse import csgraph
 
 if TYPE_CHECKING:  # import only for annotations: repro.graphs.laplacian
     # imports this module, so a runtime import here would be circular.
@@ -318,83 +319,54 @@ def default_update_budget(n: int) -> int:
     return max(4, math.isqrt(max(0, int(n))))
 
 
-@dataclass
-class _RankOneUpdate:
-    """One applied Sherman-Morrison correction, in reduced coordinates."""
+class _Correction(NamedTuple):
+    """One accepted Sherman-Morrison correction ``A += delta chi chi^T``.
 
-    pu: int  # reduced position of u (-1 = grounded)
-    pv: int  # reduced position of v (-1 = grounded)
-    delta: float  # weight change on the Laplacian
-    z: np.ndarray  # (inverse after previous updates) @ chi
-    denom: float  # 1 + delta * chi^T z
-    u: int = -1  # global endpoint ids (kept for the repair log)
-    v: int = -1
-    split: bool = False  # True when this removal re-grounded a split
-
-    def chi_dot(self, X: np.ndarray) -> np.ndarray:
-        """``chi^T X`` for a ``(k,)`` vector or ``(k, j)`` block."""
-        xu = X[self.pu] if self.pu >= 0 else 0.0
-        xv = X[self.pv] if self.pv >= 0 else 0.0
-        return xu - xv
-
-
-@dataclass
-class _IndicatorUpdate:
-    """Rank-1 regulariser ``A += rho kappa kappa^T`` over an index set.
-
-    ``kappa`` is the (reduced-coordinate) indicator of a freshly split-off
-    component that has no grounded vertex of its own: adding ``rho kappa
-    kappa^T`` before the bridge-removal correction keeps the composed system
-    invertible and pins the new component's solutions to mean zero over
-    ``idx`` -- exactly the normalisation the per-component re-centring
-    expects.  Never exposed in the repair log (it is the *grounding* half of
-    a split removal, not an edge mutation).
+    ``chi`` is ``coeff`` at the reduced positions ``idx``: ``(+1, -1)`` at an
+    edge's ungrounded endpoints, or the all-ones indicator of a freshly
+    split-off side -- the rank-1 regulariser ``rho kappa kappa^T`` that keeps
+    a bridge removal invertible and pins the new component to mean zero.
+    ``log`` is ``(u, v, delta, denom, split)`` for an edge record and
+    ``None`` for a regulariser, which the repair log never lists.
     """
 
-    idx: np.ndarray  # reduced positions of the ungrounded side, all >= 0
-    delta: float  # rho > 0
-    z: np.ndarray  # (inverse after previous updates) @ kappa
-    denom: float  # 1 + rho * kappa^T z
-
-    def chi_dot(self, X: np.ndarray) -> np.ndarray:
-        """``kappa^T X`` for a ``(k,)`` vector or ``(k, j)`` block."""
-        return X[self.idx].sum(axis=0)
+    idx: np.ndarray
+    coeff: np.ndarray
+    log: Optional[tuple]
 
 
-def _split_side(graph: WeightedGraph, delta, step: int) -> Optional[set]:
-    """Vertex set cut off by the bridge removal at ``delta[step]``.
+def _split_side(graph: WeightedGraph, delta, step: int) -> Optional[np.ndarray]:
+    """Vertices cut off by the bridge removal at ``delta[step]``.
 
     ``graph`` already reflects the *whole* delta, so the topology right
-    after record ``step`` is reconstructed by undoing the later records
-    (existence only -- reweights don't move edges), then the split side is
-    the BFS component of the removed edge's ``v`` endpoint.  Returns ``None``
-    when ``u`` is still reachable: the removal was no bridge and the solver's
-    refusal was numerical, which re-grounding cannot fix.
+    after record ``step`` is its edge set with the later records undone
+    (existence only -- reweights don't move edges); the split side is the
+    ``csgraph`` component of the removed edge's ``v`` endpoint.  Returns
+    ``None`` when ``u`` is still reachable: the removal was no bridge and the
+    solver's refusal was numerical, which re-grounding cannot fix.
     """
-    u_arr, v_arr, _ = graph.edge_array()
-    adjacency: Dict[int, set] = {}
-    for a, b in zip(u_arr.tolist(), v_arr.tolist()):
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+    present = {}  # edge -> exists right after ``step`` (its earliest later record decides)
     for record in reversed(delta[step + 1 :]):
-        if record.op == "add":
-            adjacency.setdefault(record.u, set()).discard(record.v)
-            adjacency.setdefault(record.v, set()).discard(record.u)
-        elif record.op == "remove":
-            adjacency.setdefault(record.u, set()).add(record.v)
-            adjacency.setdefault(record.v, set()).add(record.u)
+        if record.op != "update":
+            present[(record.u, record.v)] = record.op == "remove"
+    u_arr, v_arr, _ = graph.edge_array()
+    rows, cols, data = [u_arr], [v_arr], [np.ones(u_arr.size)]
+    for (a, b), there in present.items():
+        if there != graph.has_edge(a, b):
+            # +1 restores a later-removed edge, -1 cancels a later-added one
+            rows.append([a])
+            cols.append([b])
+            data.append([1.0 if there else -1.0])
+    adjacency = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(graph.n, graph.n),
+    ).tocsr()
+    adjacency.eliminate_zeros()
+    _, labels = csgraph.connected_components(adjacency, directed=False)
     target = delta[step]
-    seen = {target.v}
-    frontier = [target.v]
-    while frontier:
-        x = frontier.pop()
-        for y in adjacency.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    if target.u in seen:
+    if labels[target.u] == labels[target.v]:
         return None
-    return seen
+    return np.flatnonzero(labels == labels[target.v])
 
 
 class RepairableGroundedSolver(GroundedLaplacianSolver):
@@ -413,6 +385,15 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
     compose sequentially, so a chain of mutations stays exact (to rounding)
     relative to a from-scratch rebuild -- the property the repair tests pin
     to 1e-8.
+
+    The ``u`` accepted corrections are applied as one blocked Woodbury step,
+    the same arithmetic as the sequential loop: the ``z_i`` are the columns
+    of one block ``Z`` (grown geometrically), and the sequential coefficients
+    ``a`` solve the unit-lower-triangular system ``T a = diag(s) chi^T X``
+    with ``s_i = delta_i / denom_i`` and ``T_ij = s_i chi_i^T z_j``
+    (``j < i``), whose solution operator ``W = T^{-1} diag(s)`` is stored and
+    extended by one row per update in ``O(n + u^2)``.  A solve is then
+    ``X = lu.solve(B)``, one gather ``G = chi^T X``, and ``X -= Z (W G)``.
 
     :meth:`apply_update` *refuses* (returns ``False``, caller must rebuild)
     when the mutation changes what a rank-1 update can express:
@@ -451,17 +432,65 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         self.max_updates = (
             int(max_updates) if max_updates is not None else default_update_budget(self.n)
         )
-        self._updates: List[_RankOneUpdate] = []
+        self._corrections: List[_Correction] = []
+        self._Z = np.zeros((self._keep_idx.size, 0))  # z_i columns, capacity grows
+        self._W = np.zeros((0, 0))  # T^{-1} diag(s), lower triangular
+        self._refresh()
 
     @property
     def updates_applied(self) -> int:
         """Number of rank-1 corrections currently riding on the factorisation."""
-        return len(self._updates)
+        return len(self._corrections)
 
     @property
     def update_budget_remaining(self) -> int:
         """Updates left before :meth:`apply_update` starts refusing."""
-        return max(0, self.max_updates - len(self._updates))
+        return max(0, self.max_updates - len(self._corrections))
+
+    def _edge_chi(self, u: int, v: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``e_u - e_v`` in reduced coordinates: its ungrounded positions and signs."""
+        positions = self._position[[u, v]]
+        kept = positions >= 0
+        return positions[kept], np.array([1.0, -1.0])[kept]
+
+    def _solve_chi(self, idx: np.ndarray, coeff: np.ndarray) -> Tuple[np.ndarray, float]:
+        """``z = A^{-1} chi`` against the current state, and ``chi^T z``."""
+        chi = np.zeros(self._keep_idx.size)
+        chi[idx] = coeff
+        z = self._reduced_solve(chi)
+        return z, float(coeff @ z[idx])
+
+    def _push(self, correction: _Correction, delta: float, z: np.ndarray, denom: float) -> None:
+        """Accept one correction: one column of ``Z``, one row of ``W``."""
+        i = len(self._corrections)
+        if i == self._Z.shape[1]:
+            capacity = min(self.max_updates, max(4, 2 * i))
+            Z, W = np.zeros((z.size, capacity)), np.zeros((capacity, capacity))
+            Z[:, :i], W[:i, :i] = self._Z, self._W
+            self._Z, self._W = Z, W
+        s = delta / denom
+        self._Z[:, i] = z
+        t = correction.coeff @ self._Z[correction.idx, :i]  # chi_i^T z_j, j < i
+        self._W[i, :i] = -s * (t @ self._W[:i, :i])
+        self._W[i, i] = s
+        self._corrections.append(correction)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        """Per-solve views of the accepted corrections (after a push or pop).
+
+        Edge corrections with both endpoints ungrounded gather as
+        ``X[pu] - X[pv]`` in one shot; the rest (a grounded endpoint, a split
+        regulariser) are patched into ``G`` one by one.
+        """
+        u = len(self._corrections)
+        self._Zu, self._Wu = self._Z[:, :u], self._W[:u, :u]
+        plain = [c.log is not None and c.idx.size == 2 for c in self._corrections]
+        pairs = [c.idx if ok else (0, 0) for c, ok in zip(self._corrections, plain)]
+        self._pu, self._pv = np.array(pairs, dtype=np.int64).reshape(u, 2).T
+        self._special = [
+            (i, c.idx, c.coeff) for i, (c, ok) in enumerate(zip(self._corrections, plain)) if not ok
+        ]
 
     def apply_update(self, u: int, v: int, delta: float, split_side=None) -> bool:
         """Absorb ``L += delta (e_u - e_v)(e_u - e_v)^T``; ``False`` = rebuild.
@@ -493,21 +522,13 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
             # merging (or having merged) components changes which vertices are
             # grounded: structurally not a rank-1 update of the reduced system
             return False
-        if len(self._updates) >= self.max_updates or self._lu is None:
+        if len(self._corrections) >= self.max_updates or self._lu is None:
             return False
-        pu, pv = int(self._position[u]), int(self._position[v])
-        c = np.zeros(self._keep_idx.size)
-        if pu >= 0:
-            c[pu] += 1.0
-        if pv >= 0:
-            c[pv] -= 1.0
-        z = self._reduced_solve(c)
-        ctz = (z[pu] if pu >= 0 else 0.0) - (z[pv] if pv >= 0 else 0.0)
+        idx, coeff = self._edge_chi(u, v)
+        z, ctz = self._solve_chi(idx, coeff)
         denom = 1.0 + delta * ctz
         if denom > REPAIR_DENOM_TOL:
-            self._updates.append(
-                _RankOneUpdate(pu=pu, pv=pv, delta=delta, z=z, denom=denom, u=u, v=v)
-            )
+            self._push(_Correction(idx, coeff, (u, v, delta, denom, False)), delta, z, denom)
             return True
         if delta < 0.0 and split_side is not None:
             return self._apply_split_removal(u, v, delta, split_side)
@@ -525,9 +546,9 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         Updates ``self._components`` / component labels to the post-split
         structure; consumes two update slots.
         """
-        if self.max_updates - len(self._updates) < 2:
+        if self.max_updates - len(self._corrections) < 2:
             return False
-        side = np.unique(np.asarray(list(split_side), dtype=np.int64))
+        side = np.unique(np.fromiter(split_side, dtype=np.int64))
         if side.size == 0 or side.min() < 0 or side.max() >= self.n:
             return False
         labels = self.component_labels()
@@ -557,31 +578,19 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
             if not (ungrounded_pos >= 0).all():
                 return False  # both sides grounded: not a single-component split
         rho = abs(float(delta))
-        kappa = np.zeros(self._keep_idx.size)
-        kappa[ungrounded_pos] = 1.0
-        y = self._reduced_solve(kappa)
-        denom_ground = 1.0 + rho * float(y[ungrounded_pos].sum())
-        ground = _IndicatorUpdate(
-            idx=ungrounded_pos, delta=rho, z=y, denom=denom_ground
-        )
-        self._updates.append(ground)
-        pu, pv = int(self._position[u]), int(self._position[v])
-        c = np.zeros(self._keep_idx.size)
-        if pu >= 0:
-            c[pu] += 1.0
-        if pv >= 0:
-            c[pv] -= 1.0
-        z = self._reduced_solve(c)
-        ctz = (z[pu] if pu >= 0 else 0.0) - (z[pv] if pv >= 0 else 0.0)
+        ground = _Correction(ungrounded_pos, np.ones(ungrounded_pos.size), None)
+        y, kty = self._solve_chi(ground.idx, ground.coeff)
+        self._push(ground, rho, y, 1.0 + rho * kty)
+        idx, coeff = self._edge_chi(u, v)
+        z, ctz = self._solve_chi(idx, coeff)
         denom = 1.0 + delta * ctz
         if not denom > REPAIR_DENOM_TOL:
-            self._updates.pop()  # not actually (only) a bridge: leave unchanged
+            # not actually (only) a bridge: roll the regulariser back, which
+            # leaves every later solve bit-identical to before this call
+            self._corrections.pop()
+            self._refresh()
             return False
-        self._updates.append(
-            _RankOneUpdate(
-                pu=pu, pv=pv, delta=delta, z=z, denom=denom, u=u, v=v, split=True
-            )
-        )
+        self._push(_Correction(idx, coeff, (u, v, delta, denom, True)), delta, z, denom)
         self._components[comp_index] = np.sort(other)
         self._components.append(np.sort(side))
         self._component_label = None  # labels changed: rebuild lazily
@@ -637,27 +646,28 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         rather than listed.
         """
         log = []
-        for update in self._updates:
-            if isinstance(update, _IndicatorUpdate):
+        for i, correction in enumerate(self._corrections):
+            if correction.log is None:
                 continue
+            u, v, delta, denom, split = correction.log
             z_full = np.zeros(self.n)
-            z_full[self._keep_idx] = update.z / update.denom
-            log.append((update.u, update.v, update.delta, z_full, update.split))
+            z_full[self._keep_idx] = self._Z[:, i] / denom
+            log.append((u, v, delta, z_full, split))
         return log
 
     def _reduced_solve(self, rhs: np.ndarray) -> np.ndarray:
         X = self._lu.solve(rhs)
-        for update in self._updates:
-            coeff = (update.delta / update.denom) * update.chi_dot(X)
-            if X.ndim == 1:
-                X -= coeff * update.z
-            else:
-                X -= np.outer(update.z, coeff)
+        if self._corrections:
+            X2 = X.reshape(X.shape[0], -1)  # a view: (k,) solves update in place
+            G = X2[self._pu] - X2[self._pv]
+            for i, idx, coeff in self._special:
+                G[i] = coeff @ X2[idx]
+            X2 -= self._Zu @ (self._Wu @ G)
         return X
 
     def nbytes(self) -> int:
         """Factorisation size plus the pending rank-1 correction vectors."""
-        return super().nbytes() + sum(update.z.nbytes for update in self._updates)
+        return super().nbytes() + self._Zu.nbytes
 
 
 #: Largest n for which the serving layer precomputes a dense resistance
@@ -754,7 +764,9 @@ class ResistanceOracle:
         denom = 1.0 + delta * (y[u] - y[v])
         if not denom > REPAIR_DENOM_TOL:
             return False
-        self._S -= np.outer((delta / denom) * y, y)
+        # one in-place BLAS rank-1 update, no n x n temporary: the update is
+        # symmetric, so S^T (Fortran-ordered over S's buffer) can take it
+        self._S = dger(-delta / denom, y, y, a=self._S.T, overwrite_a=True).T
         self._repairs += 1
         return True
 

@@ -367,8 +367,15 @@ class ProbabilisticSpanner:
         local = np.arange(m)
         src = np.concatenate((view.u[base_idx], view.v[base_idx]))
         dst = np.concatenate((view.v[base_idx], view.u[base_idx]))
+        distinct, rank = np.unique(view.w[base_idx], return_inverse=True)
         weight = np.tile(view.w[base_idx], 2)
-        order = np.lexsort((dst, weight, src))
+        # half-edges by (src, weight, dst) as one argsort of a composite key
+        # with the weight rank-encoded; keys are unique (no parallel edges)
+        # and below n^2 * #weights <= n^2 m, far inside int64 for any graph
+        # held in memory
+        if n * n * max(1, distinct.size) >= 2**63:
+            raise OverflowError(f"half-edge sort key overflows int64 at n={n}, m={m}")
+        order = np.argsort((src * distinct.size + np.tile(rank, 2)) * n + dst)
         self._src, self._dst, self._w = src[order], dst[order], weight[order]
         self._edge = np.tile(local, 2)[order]
         self._p = self._prob[base_idx]

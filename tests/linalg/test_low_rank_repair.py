@@ -10,7 +10,9 @@ removal, cross-component insertion, exhausted update budgets.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference_repair import SequentialRepairableSolver, kane_nelson_built_columns
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.jl import resistance_sketch_dimension, resistance_sketch_eta
@@ -380,3 +382,155 @@ def test_eta_effective_widens_with_ambient_dimension():
     assert resistance_sketch_dimension(2 * m, widened) <= k
     # a hopeless k honours no bound at all
     assert resistance_sketch_eta(1, 10**9) is None
+
+
+# -- the blocked Woodbury step against the frozen sequential loop -------------------
+
+
+def random_connected_graph(n, rng):
+    """A random spanning tree plus chords: bridges and cycles side by side."""
+    graph = WeightedGraph(n)
+    for v in range(1, n):
+        graph.add_edge(int(rng.integers(0, v)), v, float(rng.uniform(0.5, 2.0)))
+    for _ in range(int(rng.integers(0, n))):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            graph.add_edge(u, v, float(rng.uniform(0.5, 2.0)))
+    return graph
+
+
+def side_after_removal(graph, u, v):
+    """Component of ``v`` once ``{u, v}`` is removed (graph left unchanged)."""
+    w = graph.weight(u, v)
+    graph.remove_edge(u, v)
+    side = next(c for c in graph.connected_components() if v in c)
+    graph.add_edge(u, v, w)
+    return side
+
+
+def reduced_outputs(solver, rhs):
+    return [solver._reduced_solve(r.copy()) for r in rhs]
+
+
+def assert_blocked_matches(blocked, sequential, graph, rng):
+    """1e-12 against the sequential loop, 1e-8 against a fresh factorisation."""
+    k = blocked._keep_idx.size
+    rhs = [rng.normal(size=k), rng.normal(size=(k, 3))]
+    for got, want in zip(reduced_outputs(blocked, rhs), reduced_outputs(sequential, rhs)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    B = rng.normal(size=(graph.n, 3))
+    for component in graph.connected_components():
+        rows = sorted(component)
+        B[rows] -= B[rows].mean(axis=0)
+    fresh = GroundedLaplacianSolver(graph)
+    want = fresh.solve_many(B)
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(blocked.solve_many(B), want, rtol=0, atol=1e-8 * scale)
+    np.testing.assert_allclose(blocked.solve(B[:, 0]), want[:, 0], rtol=0, atol=1e-8 * scale)
+    got_log, want_log = blocked.update_log(), sequential.update_log()
+    assert len(got_log) == len(want_log)
+    for got, want in zip(got_log, want_log):
+        assert got[:3] == want[:3] and got[4] == want[4]
+        np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12 * np.abs(want[3]).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=6, max_value=28),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ops=st.lists(
+        st.sampled_from(["add", "reweight", "remove", "split", "refused-split"]),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_blocked_corrections_match_sequential_reference(n, seed, ops):
+    rng = np.random.default_rng(seed)
+    graph = random_connected_graph(n, rng)
+    blocked = RepairableGroundedSolver(graph, max_updates=16)
+    sequential = SequentialRepairableSolver(graph, max_updates=16)
+
+    def both(u, v, delta, split_side=None):
+        accepted = blocked.apply_update(u, v, delta, split_side=split_side)
+        assert sequential.apply_update(u, v, delta, split_side=split_side) == accepted
+        return accepted
+
+    for op in ops:
+        if blocked.update_budget_remaining < 2:
+            break
+        labels = blocked.component_labels()
+        edges = graph.edge_list()
+        u, v, w = edges[int(rng.integers(0, len(edges)))]
+        if op == "add":
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            if u == v or graph.has_edge(u, v) or labels[u] != labels[v]:
+                continue
+            w = float(rng.uniform(0.5, 2.0))
+            graph.add_edge(u, v, w)
+            assert both(u, v, w)
+        elif op == "reweight":
+            new = w * float(rng.uniform(0.3, 3.0))
+            graph.add_edge(u, v, new)
+            assert both(u, v, new - w)
+        elif op == "remove":
+            if u in side_after_removal(graph, u, v):
+                graph.remove_edge(u, v)
+                assert both(u, v, -w)
+        elif op == "split":
+            side = side_after_removal(graph, u, v)
+            if u in side:
+                continue
+            graph.remove_edge(u, v)
+            assert not both(u, v, -w)  # the denominator guard sees the bridge
+            assert both(u, v, -w, split_side=side)
+        else:
+            # a bridge of the grounded component offered with a wrong side:
+            # the grounded endpoint alone.  The regulariser then pins the
+            # wrong vertices, the second denominator check refuses, and the
+            # rollback must leave every later solve bit-identical.
+            side = side_after_removal(graph, u, v)
+            if u in side or labels[u] != labels[0]:
+                continue
+            near = u if 0 not in side else v
+            if near == 0:
+                continue
+            assert not both(u, v, -w)
+            k = blocked._keep_idx.size
+            rhs = [rng.normal(size=k), rng.normal(size=(k, 3))]
+            before = reduced_outputs(blocked, rhs)
+            assert not both(u, v, -w, split_side={near})
+            for got, want in zip(reduced_outputs(blocked, rhs), before):
+                assert np.array_equal(got, want)
+        assert_blocked_matches(blocked, sequential, graph, rng)
+
+
+@pytest.mark.parametrize("name,graph", workloads())
+def test_dense_oracle_blas_update_matches_outer_product(name, graph):
+    rng = np.random.default_rng(29)
+    oracle = ResistanceOracle(graph)
+    for _ in range(6):
+        u, v, delta = mutate(graph, rng, ops=("add", "update"))
+        S = oracle._S.copy()
+        y = S[:, u] - S[:, v]
+        expected = S - np.outer((delta / (1.0 + delta * (y[u] - y[v]))) * y, y)
+        assert oracle.apply_update(u, v, delta)
+        assert oracle._S.flags.c_contiguous
+        np.testing.assert_allclose(
+            oracle._S, expected, rtol=0, atol=1e-12 * np.abs(expected).max()
+        )
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: generators.random_weighted_graph(400, average_degree=8, seed=5),
+        lambda: generators.grid_graph(20, 20),
+    ],
+)
+def test_stored_sketch_columns_equal_replayed_draws(factory):
+    graph = factory()
+    oracle = SketchedResistanceOracle(graph, eta=0.5, seed=0)
+    assert not oracle.exact
+    expected = kane_nelson_built_columns(oracle.k, graph.m, oracle.seed_bits, range(graph.m))
+    stored = np.column_stack([oracle._built_column(index) for index in range(graph.m)])
+    np.testing.assert_array_equal(stored, expected)
