@@ -58,9 +58,18 @@ pytest-benchmark module (directory collection only picks up ``test_*.py``):
 """
 
 import json
+import os
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+# One BLAS thread, pinned before numpy loads, as benchmarks/suite/run.py does:
+# on two cores a threaded gemm contends with SuperLU, and the grid cliff ratio
+# then measures the box (3.4x and 5.8x against the 5x ceiling in two runs with
+# default threads on a 2-core box, 1.5x and 1.7x pinned).  Run as a script for
+# this to hold; under pytest numpy is loaded before this line.
+for _variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
 import numpy as np
 import pytest

@@ -1,6 +1,6 @@
 """Documentation gate run by the CI ``docs`` job.
 
-Four checks, all fast and dependency-free beyond the package's own imports:
+Five checks, all fast and dependency-free beyond the package's own imports:
 
 1. **Markdown link check** -- every relative link target in the repo's
    markdown files (root-level ``*.md`` and ``docs/*.md``) must resolve to an
@@ -27,6 +27,11 @@ Four checks, all fast and dependency-free beyond the package's own imports:
    tree.  Walks ``src/``, ``scripts/``, ``examples/``, ``setup.py`` and
    ``benchmarks/`` (not ``benchmarks/suite``, whose usage strings name
    placeholder files).
+5. **Dotted names** -- every backticked dotted ``repro.…`` name in
+   ``docs/*.md``, ``README.md`` and the docstrings under ``src/`` -- also
+   inside a ``:mod:`` / ``:class:`` role, ``~``-prefixed or ending in ``.*``
+   -- must resolve to an importable module or an attribute of one, so a
+   deleted module or symbol cannot survive in prose.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
@@ -244,6 +249,14 @@ def python_sources():
                 yield source
 
 
+def docstrings(source: Path):
+    """``(line, docstring)`` of the module and every class and function in ``source``."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield getattr(node, "lineno", 1), ast.get_docstring(node) or ""
+
+
 def check_docstring_file_references() -> list:
     basenames = {
         path.name
@@ -252,13 +265,8 @@ def check_docstring_file_references() -> list:
     }
     problems = []
     for source in python_sources():
-        tree = ast.parse(source.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if not isinstance(
-                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            for reference in FILE_REFERENCE.findall(ast.get_docstring(node) or ""):
+        for line, doc in docstrings(source):
+            for reference in FILE_REFERENCE.findall(doc):
                 if "/" in reference:
                     bases = (REPO_ROOT, REPO_ROOT / "src", source.parent)
                     found = any((base / reference).exists() for base in bases)
@@ -266,10 +274,49 @@ def check_docstring_file_references() -> list:
                     found = reference in basenames
                 if not found:
                     problems.append(
-                        f"{source.relative_to(REPO_ROOT)}:{getattr(node, 'lineno', 1)}: "
+                        f"{source.relative_to(REPO_ROOT)}:{line}: "
                         f"docstring names a file that does not exist -> {reference}"
                     )
     return problems
+
+
+#: a backticked dotted name, optionally ``~``-prefixed or ending in ``.*``
+DOTTED_NAME = re.compile(r"`~?(repro(?:\.\w+)+)(?:\.\*)?`")
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path inside one."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(obj, attribute):
+                return False
+            obj = getattr(obj, attribute)
+        return True
+    return False
+
+
+def check_dotted_names() -> list:
+    texts = [
+        (f"{path.relative_to(REPO_ROOT)}:{number}", line)
+        for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    ]
+    texts += [
+        (f"{source.relative_to(REPO_ROOT)}:{number}", doc)
+        for source in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for number, doc in docstrings(source)
+    ]
+    return [
+        f"{where}: names `{name}`, which does not resolve"
+        for where, text in texts
+        for name in DOTTED_NAME.findall(text)
+        if not resolves(name)
+    ]
 
 
 def main() -> int:
@@ -278,6 +325,7 @@ def main() -> int:
         + check_docstrings()
         + check_decision_tables()
         + check_docstring_file_references()
+        + check_dotted_names()
     )
     for problem in problems:
         print(problem)
@@ -286,7 +334,8 @@ def main() -> int:
         return 1
     print(
         "PASS: markdown links resolve, public API fully docstringed, "
-        "decision tables match the code, docstring file references resolve"
+        "decision tables match the code, docstring file references and dotted "
+        "names resolve"
     )
     return 0
 

@@ -10,9 +10,10 @@ and performs the corresponding numerical operation with numpy.
 
 This mirrors how the paper itself reasons about these algorithms -- it never
 serialises the IPM state into log-n-bit words either -- while keeping the round
-accounting faithful to the stated complexities.  The combinatorial algorithms
-(spanners, sparsifiers) do *not* use this layer; they run on the genuine
-per-vertex simulator in :mod:`repro.congest.network`.
+accounting faithful to the stated complexities.  The spanner does *not* use
+this layer: :class:`repro.spanners.probabilistic.ProbabilisticSpanner` charges
+its Broadcast-CONGEST rounds per step (``SpannerResult.charges``), and a test
+replays its broadcast transcript under the model's rules to check them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""High-level public API: the paper's pipeline behind five functions.
+"""High-level public API: the paper's pipeline behind one-call facades.
 
-    spanner            -> Section 3.1   (Broadcast CONGEST)
-    spectral_sparsifier-> Theorem 1.2   (Broadcast CONGEST)
-    solve_laplacian    -> Theorem 1.3   (Broadcast Congested Clique)
-    solve_lp           -> Theorem 1.4   (Broadcast Congested Clique)
-    min_cost_max_flow  -> Theorem 1.1   (Broadcast Congested Clique)
+    spanner               -> Section 3.1   (Broadcast CONGEST)
+    spectral_sparsifier   -> Theorem 1.2   (Broadcast CONGEST)
+    solve_laplacian       -> Theorem 1.3   (Broadcast Congested Clique)
+    solve_many            -> Theorem 1.3, one preprocessing for many right-hand sides
+    effective_resistances -> resistances through the same factorisation
+    solve_lp              -> Theorem 1.4   (Broadcast Congested Clique)
+    min_cost_max_flow     -> Theorem 1.1   (Broadcast Congested Clique)
 
 Each function returns the result object of the underlying subsystem, which
 carries the round accounting used by the experiments in ``docs/benchmarks.md``.
@@ -19,7 +21,6 @@ from repro.core.api import (
     spanner,
     spectral_sparsifier,
 )
-from repro.core.pipeline import PipelineReport, run_full_pipeline
 
 __all__ = [
     "spanner",
@@ -29,6 +30,4 @@ __all__ = [
     "effective_resistances",
     "solve_lp",
     "min_cost_max_flow",
-    "run_full_pipeline",
-    "PipelineReport",
 ]

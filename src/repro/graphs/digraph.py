@@ -115,7 +115,7 @@ class FlowNetwork:
         """Mutation counter (incremented by every :meth:`add_edge`).
 
         The serving tier's registry uses it for cheap staleness checks, the
-        same contract :class:`~repro.graphs.weighted.WeightedGraph` offers.
+        same contract :class:`~repro.graphs.graph.WeightedGraph` offers.
         Flow networks keep no mutation journal, so a stale serve entry is
         always rebuilt rather than repaired.
         """

@@ -159,14 +159,3 @@ def is_symmetric_diagonally_dominant(M: np.ndarray, tol: float = 1e-9) -> bool:
         return False
     off_diag = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
     return bool(np.all(np.diag(M) >= off_diag - tol))
-
-
-def graph_from_laplacian(L: np.ndarray, tol: float = 1e-12) -> WeightedGraph:
-    """Reconstruct a weighted graph from a Laplacian matrix (for round-tripping)."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    graph = WeightedGraph(n)
-    weights = -np.triu(L, k=1)
-    rows, cols = np.nonzero(weights > tol)
-    graph.add_edges(rows, cols, weights[rows, cols])
-    return graph

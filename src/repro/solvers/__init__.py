@@ -1,4 +1,4 @@
-"""Laplacian and SDD solvers (Sections 2.3, 3.3 and the reduction used in Section 5).
+"""Laplacian solvers (Sections 2.3 and 3.3).
 
 * :mod:`repro.solvers.chebyshev` -- preconditioned Chebyshev iteration
   (Theorem 2.3) and its specialisation to sparsifier preconditioners
@@ -8,9 +8,9 @@
   sparsifier which every vertex learns, each solve then runs Chebyshev
   iterations whose only communication is a matrix-vector product with the true
   Laplacian per iteration.
-* :mod:`repro.solvers.sdd` -- the Gremban reduction from symmetric diagonally
-  dominant systems to Laplacian systems, needed for the ``A^T D A`` systems of
-  the flow LP (Lemma 5.1).
+
+The ``A^T D A`` systems of the flow LP (Lemma 5.1) are solved by
+:mod:`repro.lp.gram`, not here.
 """
 
 from repro.solvers.chebyshev import ChebyshevReport, preconditioned_chebyshev
@@ -19,7 +19,6 @@ from repro.solvers.laplacian import (
     LaplacianSolveReport,
     SolverPreprocessing,
 )
-from repro.solvers.sdd import GrembanReduction, SDDSolver, gremban_expand, is_sdd_matrix
 
 __all__ = [
     "preconditioned_chebyshev",
@@ -27,8 +26,4 @@ __all__ = [
     "BCCLaplacianSolver",
     "LaplacianSolveReport",
     "SolverPreprocessing",
-    "GrembanReduction",
-    "SDDSolver",
-    "gremban_expand",
-    "is_sdd_matrix",
 ]

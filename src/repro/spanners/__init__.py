@@ -1,24 +1,18 @@
-"""Spanner algorithms (Section 3.1 and Appendix A).
+"""Spanner algorithms (Section 3.1).
 
-* :mod:`repro.spanners.connect` -- the ``Connect`` procedure (Algorithm 2).
-* :mod:`repro.spanners.baswana_sen` -- the classical Baswana-Sen
-  ``(2k-1)``-spanner (Appendix A), used as the correctness reference.
 * :mod:`repro.spanners.probabilistic` -- the paper's spanner on graphs with
-  probabilistic edges (Section 3.1), with implicit communication of the
-  sampling outcomes and Broadcast-CONGEST round accounting.
+  probabilistic edges (Section 3.1), with ``Connect`` (Algorithm 2) resolved
+  for all vertices of a step at once, implicit communication of the sampling
+  outcomes and Broadcast-CONGEST round accounting.  With ``p === 1`` it is
+  the deterministic ``(2k-1)``-spanner of Appendix A.
 * :mod:`repro.spanners.bundle` -- ``BundleSpanner`` (Algorithm 3), t-bundles of
   ``(2k-1)``-spanners.
 """
 
-from repro.spanners.connect import ConnectResult, connect
-from repro.spanners.baswana_sen import baswana_sen_spanner
 from repro.spanners.probabilistic import ProbabilisticSpanner, SpannerResult, probabilistic_spanner
 from repro.spanners.bundle import BundleResult, bundle_spanner
 
 __all__ = [
-    "connect",
-    "ConnectResult",
-    "baswana_sen_spanner",
     "probabilistic_spanner",
     "ProbabilisticSpanner",
     "SpannerResult",

@@ -13,11 +13,13 @@ three more (4.1: unclustered vertices to the surviving clusters; 4.2 / 4.3:
 between surviving clusters).  Rounds are charged following Lemma 3.2: one
 round per word per broadcast, broadcasts of different vertices in one step
 run in parallel, and the per-phase dissemination of the marking costs
-``k - 1`` rounds.  Every ``Connect`` is also recorded as the broadcast the
-paper prescribes; ``tests/spanners/test_broadcast_reconstruction.py`` replays
-that transcript and rebuilds ``F+`` / ``F-`` from it by the receiver rules of
-Section 3.1, so the "implicit communication" of the sampling outcome is a
-checked property, not a remark.
+``k - 1`` rounds; each charge is kept per step (``SpannerResult.charges``).
+Every ``Connect`` is also recorded as the broadcast the paper prescribes;
+``tests/spanners/test_broadcast_reconstruction.py`` replays that transcript,
+rebuilds ``F+`` / ``F-`` from it by the receiver rules of Section 3.1, and
+sends it again under Broadcast CONGEST to hold every charge against the rounds
+it takes (``docs/substitutions.md``, 7).  So the "implicit communication" of
+the sampling outcome and the round count are checked properties, not remarks.
 
 Data model
 ----------
@@ -148,6 +150,10 @@ class BroadcastRecord:
 #: accepted neighbours, accepted weights); ``-1`` stands for the bottom symbol.
 _StepRecord = Tuple[int, str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: One charge of Lemma 3.2's accounting: (phase, step, rounds), where the step
+#: is a ``Connect`` step's name or ``"marking"`` for the phase's dissemination.
+StepCharge = Tuple[int, str, int]
+
 
 class SpannerResult:
     """Output of the probabilistic spanner algorithm.
@@ -163,6 +169,8 @@ class SpannerResult:
     each ``F+`` edge to ``(tail, head)``, the tail being the vertex that added
     it; ``broadcasts`` is the transcript (empty unless it was recorded) and
     ``clusters_per_phase`` the clustering at the start of each phase.
+    ``charges`` lists the rounds charged per step in execution order, and
+    ``rounds`` is their sum.
     """
 
     def __init__(
@@ -172,7 +180,7 @@ class SpannerResult:
         f_plus_idx: np.ndarray,
         f_minus_idx: np.ndarray,
         tails: np.ndarray,
-        rounds: int,
+        charges: List[StepCharge],
         clusters: List[np.ndarray],
         steps: List[_StepRecord],
     ):
@@ -180,7 +188,8 @@ class SpannerResult:
         self.k = k
         self.f_plus_idx = f_plus_idx
         self.f_minus_idx = f_minus_idx
-        self.rounds = rounds
+        self.charges = charges
+        self.rounds = sum(rounds for _, _, rounds in charges)
         self._view = view
         self._tails = tails
         self._clusters = clusters
@@ -383,7 +392,7 @@ class ProbabilisticSpanner:
         self._dead = np.zeros(m, dtype=bool)
         self._in_plus = np.zeros(m, dtype=bool)
         self._tail = np.zeros(m, dtype=np.int64)
-        self._rounds = 0
+        self._charges: List[StepCharge] = []
         self._steps: List[_StepRecord] = []
         clusters: List[np.ndarray] = []
 
@@ -392,7 +401,7 @@ class ProbabilisticSpanner:
             clusters.append(self._cluster)
             self._run_phase(phase, self._mark_clusters(phase, mark_probability))
             # Step 1 dissemination of the marking through the cluster trees.
-            self._rounds += max(1, self.k - 1)
+            self._charges.append((phase, "marking", max(1, self.k - 1)))
         clusters.append(self._cluster)
         self._final_step()
 
@@ -403,7 +412,7 @@ class ProbabilisticSpanner:
             f_plus_idx=base_idx[plus],
             f_minus_idx=base_idx[self._dead],
             tails=self._tail[plus],
-            rounds=self._rounds,
+            charges=self._charges,
             clusters=clusters,
             steps=self._steps,
         )
@@ -453,7 +462,7 @@ class ProbabilisticSpanner:
         threshold_id[src[joined]] = dst[joined]
         next_cluster = np.where(marked[cluster], cluster, -1)
         next_cluster[src[joined]] = cluster[dst[joined]]
-        self._rounds += self.words_per_message if actors.size else 1
+        self._charges.append((phase, "step2", self.words_per_message if actors.size else 1))
         if self.record_broadcasts:
             neighbour = np.full(n, -1)
             accepted_weight = np.zeros(n)
@@ -520,9 +529,8 @@ class ProbabilisticSpanner:
             candidates, groups = scan[chosen], key[chosen]
             starts, accepted = self._connect(candidates, groups)
             senders = self._src[candidates[starts]]
-            self._rounds += (
-                int(np.bincount(senders).max()) * self.words_per_message if starts.size else 1
-            )
+            rounds = int(np.bincount(senders).max()) * self.words_per_message if starts.size else 1
+            self._charges.append((phase, name, rounds))
             if self.record_broadcasts:
                 won = np.maximum(accepted, 0)
                 self._steps.append(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import is_hypothesis_test, settings
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -18,6 +19,28 @@ from repro.graphs.graph import WeightedGraph
 # the oracle of the solver and api tests too
 for _reference_dir in ("spanners", "linalg"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _reference_dir))
+
+# Every property runs the same examples on every box (derandomised, no example
+# database), so a red run is reproducible by anyone.  Loading the profile here
+# also overrides the one hypothesis picks by itself on CI.  `pytest
+# --hypothesis-profile=explore` draws fresh random examples instead, with every
+# property's pinned max_examples multiplied by EXPLORE_SCALE.
+settings.register_profile("default", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", derandomize=False, deadline=None)
+settings.load_profile("default")
+EXPLORE_SCALE = 25
+
+
+def pytest_collection_modifyitems(items):
+    if settings.get_current_profile_name() != "explore":
+        return
+    # parametrised items share one function: scale each function once
+    tests = {getattr(item, "function", None) for item in items}
+    for test in filter(is_hypothesis_test, tests):
+        pinned = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            pinned, max_examples=EXPLORE_SCALE * pinned.max_examples
+        )
 
 
 @pytest.fixture

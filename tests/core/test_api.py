@@ -1,4 +1,4 @@
-"""Tests for the public facade API and the Figure-1 pipeline."""
+"""Tests for the public facade API."""
 
 import numpy as np
 import pytest
@@ -46,23 +46,6 @@ class TestFacade:
         net = generators.random_flow_network(9, seed=10)
         result = core.min_cost_max_flow(net, seed=10, verify_against_baseline=True)
         assert result.value > 0
-
-
-class TestPipeline:
-    def test_figure_one_pipeline_runs_end_to_end(self):
-        net = generators.random_flow_network(10, seed=11, max_capacity=6, max_cost=4)
-        report = core.run_full_pipeline(net, seed=11)
-        assert report.spanner_edges > 0
-        assert report.sparsifier_edges > 0
-        assert report.laplacian_relative_error <= 1e-6
-        assert report.flow_value > 0
-        assert report.total_rounds > 0
-        assert set(report.stage_rounds) == {
-            "spanner",
-            "sparsifier",
-            "laplacian_solver",
-            "lp_and_flow",
-        }
 
 
 class TestBatchedFacades:

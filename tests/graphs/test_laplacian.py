@@ -16,7 +16,6 @@ from repro.graphs import (
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.laplacian import (
-    graph_from_laplacian,
     is_symmetric_diagonally_dominant,
     laplacian_norm,
     laplacian_pseudoinverse,
@@ -57,11 +56,6 @@ class TestLaplacianMatrix:
         L = laplacian_matrix(g)
         x = rng.normal(size=g.n)
         assert laplacian_norm(L, x) >= 0.0
-
-    def test_graph_from_laplacian_roundtrip(self):
-        g = generators.random_weighted_graph(9, seed=7)
-        back = graph_from_laplacian(laplacian_matrix(g))
-        assert back == g
 
 
 class TestEffectiveResistances:

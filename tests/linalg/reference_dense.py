@@ -6,8 +6,8 @@
 against -- ``tests/linalg/test_sparse_backend.py`` and
 ``tests/linalg/test_sparse_certification.py`` to 1e-8 -- and shares no code
 with it beyond ``laplacian_matrix`` (``graph.laplacian_csr().toarray()``).
-They were ``src/``'s dense fork (resistances, solves, SDD direct path,
-certification) until that fork was deleted.
+They were ``src/``'s dense fork (resistances, solves, certification) until
+that fork was deleted.
 
 The one place the two certifiers differ by design: for a sparsifier whose
 component partition differs from the graph's, this reference still reports
@@ -29,16 +29,6 @@ from repro.graphs.laplacian import laplacian_matrix
 def solve(graph: WeightedGraph, b: np.ndarray) -> np.ndarray:
     """Minimum-norm solution ``L^+ b`` (``b`` a vector or an ``(n, k)`` block)."""
     return np.linalg.pinv(laplacian_matrix(graph)) @ b
-
-
-def sdd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``M x = b`` through the pseudoinverse of the Gremban expansion."""
-    from repro.solvers.sdd import GrembanReduction
-
-    reduction = GrembanReduction.from_sdd(M)
-    return reduction.restrict_solution(
-        np.linalg.pinv(reduction.laplacian) @ reduction.lift_rhs(b)
-    )
 
 
 def effective_resistances(graph: WeightedGraph) -> np.ndarray:

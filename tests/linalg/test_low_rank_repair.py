@@ -10,7 +10,7 @@ removal, cross-component insertion, exhausted update budgets.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_repair import SequentialRepairableSolver, kane_nelson_built_columns
 from repro.graphs import generators
@@ -444,6 +444,7 @@ def assert_blocked_matches(blocked, sequential, graph, rng):
         max_size=14,
     ),
 )
+@example(n=6, seed=1, ops=["split"] * 5 + ["add"])  # the splits leave no edge
 def test_blocked_corrections_match_sequential_reference(n, seed, ops):
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(n, rng)
@@ -460,6 +461,8 @@ def test_blocked_corrections_match_sequential_reference(n, seed, ops):
             break
         labels = blocked.component_labels()
         edges = graph.edge_list()
+        if not edges:
+            continue
         u, v, w = edges[int(rng.integers(0, len(edges)))]
         if op == "add":
             u, v = (int(x) for x in rng.integers(0, n, 2))

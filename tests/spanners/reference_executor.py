@@ -357,11 +357,10 @@ class ReferenceProbabilisticSpanner:
         returns the accepted entry -- or ``None``, the paper's bottom symbol
         -- plus the rejected prefix ``N^-`` as ``(u, edge_index)`` pairs.
 
-        This draws exactly the rng sequence of the standalone reference
-        :func:`repro.spanners.connect.connect` (one uniform per inspected
-        candidate, drawn *before* the ``p >= 1`` short-circuit is evaluated);
-        inlining merely avoids building three dicts and a result object per
-        call on the hot path.
+        One uniform is drawn per inspected candidate, *before* the ``p >= 1``
+        short-circuit is evaluated: the rng contract
+        :func:`repro.spanners.probabilistic._resolve_connect` keeps for whole
+        steps at once.
         """
         ordered = sorted(candidates, key=_by_weight_then_id)
         rejected: List[Tuple[int, int]] = []

@@ -15,9 +15,31 @@ and demand the executor's own bookkeeping.  The addressed clusters of a step-2
 broadcast are the marked ones, which a receiver knows as the clusters that
 are still there in the next phase; step 3 only scans below the threshold the
 sender's own step-2 broadcast of that phase announced.
+
+The same transcript is then sent again under the rules of Broadcast CONGEST
+(Section 2.1), the model Lemma 3.2 charges in, and the rounds it takes are
+held against the executor's per-step charges (``SpannerResult.charges``):
+
+* every vertex sends one word of ``ceil(log2 n)`` bits per round, heard by
+  all its neighbours, so a step lasts as many rounds as the most words one
+  vertex has to send in it;
+* an accepted edge is sent as the neighbour's identifier (one word) and its
+  weight ``w`` in ``[1, W]`` as ``w - 1`` in a fixed ``ceil(log2 W)``-bit
+  field; a bottom is one word;
+* each phase's marking is flooded down the cluster trees (the step-2 edges a
+  vertex joined its cluster by): centres speak first, then every vertex the
+  round after it heard, until the deepest member has told its neighbours.
+
+A charge may never be below the replay.  It equals it on every step where a
+vertex with the most broadcasts accepted an edge with each of them, except at
+``W = 1``: there the weight needs no bit but is charged a word, so every such
+step costs exactly twice the replay.  The over-charges on the other steps -- a bottom charged as
+a full broadcast, the ``k - 1`` rounds charged for a shallower flood -- are
+measured in ``docs/substitutions.md`` (section 7).
 """
 
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -72,11 +94,85 @@ def replay(view: EdgeView, result):
     return f_plus, f_minus
 
 
+def connect_step_rounds(view: EdgeView, result):
+    """``{(phase, step): (rounds, tight)}`` of the ``Connect`` broadcasts under Broadcast CONGEST.
+
+    ``tight`` says a vertex with the most broadcasts in the step accepted an
+    edge with each of them, the case in which charging every broadcast as an
+    accepted edge is exact.
+    """
+    word_bits = math.ceil(math.log2(view.n))
+    top = int(view.max_weight())  # W
+    edge_words = math.ceil((word_bits + math.ceil(math.log2(top))) / word_bits)
+    words, sent, bottoms = Counter(), Counter(), set()  # per (phase, step, sender)
+    for record in result.broadcasts:
+        key = (record.phase, record.step, record.sender)
+        sent[key] += 1
+        if record.accepted is None:
+            words[key] += 1
+            bottoms.add(key)
+        else:
+            assert record.accepted < 2**word_bits, "an identifier must fit one word"
+            assert record.weight == int(record.weight) and 1 <= record.weight <= top
+            words[key] += edge_words
+    senders = defaultdict(list)
+    for key in sent:
+        senders[key[:2]].append(key)
+    rounds = {}
+    for step, keys in senders.items():
+        busiest = max(sent[key] for key in keys)
+        tight = any(sent[key] == busiest and key not in bottoms for key in keys)
+        rounds[step] = (max(words[key] for key in keys), tight)
+    return rounds
+
+
+def marking_rounds(result):
+    """Rounds per phase to flood every centre's marking down its cluster tree."""
+    joins = defaultdict(dict)  # phase -> {vertex: the neighbour it joined through}
+    for record in result.broadcasts:
+        if record.step == "step2" and record.accepted is not None:
+            joins[record.phase][record.sender] = record.accepted
+    parent = {}
+    rounds = []
+    for phase in range(result.k - 1):
+        members = result.clusters_per_phase[phase]
+        speaking = {v for v, centre in members.items() if v == centre}
+        heard = set(speaking)
+        elapsed = 0
+        while speaking:
+            elapsed += 1
+            speaking = {v for v in members if v not in heard and parent.get(v) in speaking}
+            heard |= speaking
+        assert heard == set(members), "a cluster member is cut off from its centre"
+        rounds.append(elapsed)
+        parent.update(joins[phase])
+    return rounds
+
+
+def check_rounds(view: EdgeView, result):
+    """Hold every charge of ``result`` against the broadcast replay of its step."""
+    connect = connect_step_rounds(view, result)
+    flood = marking_rounds(result)
+    charged_steps = [(phase, step) for phase, step, _ in result.charges]
+    assert len(set(charged_steps)) == len(charged_steps)
+    assert set(connect) <= set(charged_steps)
+    unit_weights = view.max_weight() == 1
+    for phase, step, charged in result.charges:
+        if step == "marking":
+            assert flood[phase] <= charged
+            continue
+        rounds, tight = connect.get((phase, step), (0, False))
+        assert rounds <= charged, f"{step} of phase {phase} is under-charged"
+        if tight:
+            assert charged == (2 * rounds if unit_weights else rounds)
+
+
 def run_and_replay(view, probabilities, k, seed):
     result = ProbabilisticSpanner(view, probabilities, k=k, seed=seed).run()
     f_plus, f_minus = replay(view, result)
     assert f_plus == result.f_plus
     assert f_minus == result.f_minus
+    check_rounds(view, result)
     return result
 
 

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import generators
-from repro.spanners.probabilistic import ProbabilisticSpanner, probabilistic_spanner
+from repro.spanners.probabilistic import (
+    ProbabilisticSpanner,
+    _resolve_connect,
+    probabilistic_spanner,
+)
 
 
 def max_stretch(reference_graph, spanner_graph):
@@ -52,6 +56,27 @@ class TestDeterministicCase:
         result = probabilistic_spanner(g, k=3, seed=23)
         assert result.rounds > 0
         assert len(result.broadcasts) > 0
+
+    def test_k1_returns_whole_graph(self):
+        g = generators.random_weighted_graph(15, seed=1)
+        result = probabilistic_spanner(g, k=1, seed=2)
+        assert result.f_plus == {e.key for e in g.edges()}
+
+    def test_tree_input_is_preserved(self):
+        # a tree is its own unique spanner: all edges must survive
+        g = generators.path_graph(10)
+        result = probabilistic_spanner(g, k=3, seed=3)
+        assert result.f_plus == {e.key for e in g.edges()}
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_uniform_marking_bits_keep_the_whole_graph(self, marked):
+        """No cluster marked: every vertex leaves in phase 1 and connects to
+        every neighbouring singleton.  All marked: the phase does nothing and
+        the final step connects every vertex to every other cluster."""
+        g = generators.complete_graph(6)
+        bits = [{v: marked for v in range(6)}]
+        result = probabilistic_spanner(g, k=2, marking_bits=bits)
+        assert result.f_plus == {e.key for e in g.edges()}
 
 
 class TestProbabilisticCase:
@@ -122,6 +147,87 @@ class TestProbabilisticCase:
         degrees = result.out_degrees()
         assert result.max_out_degree() == max(degrees.values())
         assert sum(degrees.values()) == len(result.f_plus)
+
+
+def scalar_connect(p, starts, rng):
+    """Algorithm 2 one group after the other: one draw per inspected candidate."""
+    ends = np.append(starts[1:], p.size)
+    accepted, rejected = [], []
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        hit = -1
+        for i in range(start, end):
+            if rng.random() < p[i] or p[i] >= 1.0:
+                hit = i
+                break
+            rejected.append(i)
+        accepted.append(hit)
+    return np.array(accepted, dtype=np.int64), np.array(rejected, dtype=np.int64)
+
+
+class TestConnect:
+    """``_resolve_connect``: every ``Connect`` group of one step at once."""
+
+    def test_certain_candidate_accepts_the_first(self, rng):
+        accepted, rejected = _resolve_connect(np.ones(3), np.array([0]), rng)
+        assert accepted.tolist() == [0]
+        assert rejected.size == 0
+
+    def test_probability_zero_gives_bottom(self, rng):
+        accepted, rejected = _resolve_connect(np.zeros(2), np.array([0]), rng)
+        assert accepted.tolist() == [-1]
+        assert rejected.tolist() == [0, 1]
+
+    def test_empty_input_draws_nothing(self, rng):
+        state = rng.bit_generator.state
+        accepted, rejected = _resolve_connect(np.zeros(0), np.zeros(0, dtype=np.int64), rng)
+        assert accepted.size == 0 and rejected.size == 0
+        assert rng.bit_generator.state == state
+
+    def test_candidates_after_the_acceptance_are_never_inspected(self, rng):
+        # the first candidate never exists, the second always does
+        twin = np.random.default_rng(12345)
+        accepted, rejected = _resolve_connect(np.array([0.0, 1.0, 0.5]), np.array([0]), rng)
+        assert accepted.tolist() == [1]
+        assert rejected.tolist() == [0]
+        twin.random(2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_acceptance_rate_matches_probability(self):
+        """A single candidate with probability p is accepted ~p of the time."""
+        trials, p = 4000, 0.3
+        accepted, _ = _resolve_connect(
+            np.full(trials, p), np.arange(trials), np.random.default_rng(0)
+        )
+        assert np.mean(accepted >= 0) == pytest.approx(p, abs=0.03)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), min_size=1, max_size=6),
+        max_size=8,
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_property_tried_candidates_are_a_prefix_of_the_scan_order(groups, seed):
+    """Each group tries a prefix of its candidates: the rejected ones, then the
+    accepted one, which every rejected one precedes -- and the generator ends
+    where one scalar draw per inspected candidate leaves it."""
+    p = np.array([q for group in groups for q in group])
+    starts = np.cumsum([0] + [len(group) for group in groups[:-1]]).astype(np.int64)
+    if not groups:
+        starts = starts[:0]
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    accepted, rejected = _resolve_connect(p, starts, rng)
+    want_accepted, want_rejected = scalar_connect(p, starts, twin)
+    assert accepted.tolist() == want_accepted.tolist()
+    assert rejected.tolist() == want_rejected.tolist()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    ends = np.append(starts[1:], p.size)
+    for start, end, hit in zip(starts.tolist(), ends.tolist(), accepted.tolist()):
+        tried = rejected[(rejected >= start) & (rejected < end)].tolist()
+        stop = end if hit < 0 else hit
+        assert tried == list(range(start, stop))
 
 
 class TestValidation:
