@@ -6,6 +6,7 @@ import pytest
 import reference_dense
 from repro import core
 from repro.graphs import generators, is_spectral_sparsifier
+from repro.graphs.graph import WeightedGraph
 from repro.lp import LPProblem
 from repro.solvers import BCCLaplacianSolver
 
@@ -46,6 +47,45 @@ class TestFacade:
         net = generators.random_flow_network(9, seed=10)
         result = core.min_cost_max_flow(net, seed=10, verify_against_baseline=True)
         assert result.value > 0
+
+
+class TestPipeline:
+    def test_figure_one_pipeline_runs_end_to_end(self):
+        """Every box of Figure 1 through the facades, on one flow network: the
+        spanner, sparsifier and Laplacian solver on its undirected unit-weight
+        support, then the exact flow on the network itself."""
+        net = generators.random_flow_network(10, seed=11, max_capacity=6, max_cost=4)
+        support = WeightedGraph(net.n)
+        for u, v in sorted({tuple(sorted(key)) for key in net.edge_keys()}):
+            support.add_edge(u, v, 1.0)
+
+        spanner = core.spanner(support, k=2, seed=11)
+        assert spanner.spanner_graph(support).is_connected()
+        # t_override=2 keeps the bundles thin: a preconditioner, not a certified sparsifier
+        sparsifier = core.spectral_sparsifier(support, eps=0.5, seed=11, t_override=2)
+        assert 0 < sparsifier.size <= support.m
+        assert sparsifier.sparsifier.is_connected()
+        solver = BCCLaplacianSolver(support, seed=11, t_override=2)
+        b = np.random.default_rng(11).normal(size=support.n)
+        report = core.solve_laplacian(support, b, eps=1e-6, solver=solver)
+        np.testing.assert_allclose(report.solution, solver.exact_solution(b), atol=1e-4)
+        flow = core.min_cost_max_flow(net, seed=11, verify_against_baseline=True)
+        assert flow.value > 0
+
+        stage_rounds = [
+            spanner.rounds,
+            sparsifier.rounds,
+            solver.preprocessing.rounds + report.rounds,
+            flow.rounds,
+        ]
+        assert all(rounds > 0 for rounds in stage_rounds)
+
+    def test_spanner_facade_splits_decided_edges(self):
+        g = generators.random_weighted_graph(20, seed=12)
+        probabilities = {e.key: 0.5 for e in g.edges()}
+        result = core.spanner(g, k=2, probabilities=probabilities, seed=13)
+        assert result.f_plus.isdisjoint(result.f_minus)
+        assert len(result.f_minus) > 0
 
 
 class TestBatchedFacades:

@@ -17,6 +17,7 @@ import repro.flow
 import repro.lp
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
+from repro.graphs.laplacian import is_symmetric_diagonally_dominant
 from repro.lp.gram import (
     GRAM_FORMULATIONS,
     GramFactorisation,
@@ -187,6 +188,14 @@ class TestDefaultGramSolver:
         rhs = rng.normal(size=network.n - 1)
         np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
 
+    def test_section5_matrix_gets_the_bridge(self, network, rng):
+        A = build_flow_lp(network, seed=0, perturb=False).problem.A
+        solver = default_gram_solver(A)
+        assert isinstance(solver, GramSolverBridge)
+        d = rng.uniform(0.5, 2.0, size=A.shape[0])
+        rhs = rng.normal(size=A.shape[1])
+        np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
+
     def test_generic_matrix_keeps_dense_fallback(self, rng):
         assert isinstance(default_gram_solver(rng.normal(size=(8, 5))), _DenseGramSolver)
 
@@ -209,6 +218,32 @@ class TestFactorisation:
             structure.reduced_matrix(w) @ fact.solve(rhs), rhs, atol=1e-10
         )
         assert fact.nbytes() > 0
+
+
+class TestGroundedLaplacian:
+    """Lemma 5.1: a flow LP's ``A^T D A`` is a grounded Laplacian, hence SDD."""
+
+    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    def test_reduced_matrix_is_sdd_with_nonpositive_off_diagonal(self, network, rng, formulation):
+        structure = flow_gram_structure(network, formulation)
+        M = structure.reduced_matrix(structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m)))
+        M = M.toarray()
+        assert is_symmetric_diagonally_dominant(M)
+        assert np.all(M - np.diag(np.diag(M)) <= 0.0)
+
+    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    def test_row_excess_is_the_ground_edge_weight(self, network, rng, formulation):
+        """Each row's diagonal excess is the weight of its column's edge to the
+        ground; some column has one, so the matrix is positive definite."""
+        structure = flow_gram_structure(network, formulation)
+        w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
+        excess = structure.reduced_matrix(w) @ np.ones(structure.n)
+        grounded = structure.pair_v == structure.ground
+        ground_weight = np.bincount(
+            structure.pair_u[grounded], weights=w[grounded], minlength=structure.n
+        )
+        np.testing.assert_allclose(excess, ground_weight, atol=1e-12)
+        assert ground_weight.sum() > 0.0
 
 
 #: ``flow_gram_structure(network, "fixed-value").fingerprint`` at the commit

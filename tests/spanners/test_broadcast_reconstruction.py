@@ -40,13 +40,17 @@ measured in ``docs/substitutions.md`` (section 7).
 
 import math
 from collections import Counter, defaultdict
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.graphs import generators
 from repro.graphs.graph import EdgeView, canonical_edge
-from repro.spanners.probabilistic import ProbabilisticSpanner
+from repro.spanners.bundle import bundle_spanner
+from repro.spanners.probabilistic import BroadcastRecord, ProbabilisticSpanner
 
 NO_LIMIT = (math.inf, math.inf)
 
@@ -94,6 +98,17 @@ def replay(view: EdgeView, result):
     return f_plus, f_minus
 
 
+def word_bits(n: int) -> int:
+    """Bits of one word: ``ceil(log2 n)``, at least one."""
+    return max(1, math.ceil(math.log2(n)))
+
+
+def edge_words(n: int, top: int) -> int:
+    """Words of an accepted edge: an identifier plus a ``ceil(log2 W)``-bit weight field."""
+    bits = word_bits(n)
+    return math.ceil((bits + math.ceil(math.log2(top))) / bits)
+
+
 def connect_step_rounds(view: EdgeView, result):
     """``{(phase, step): (rounds, tight)}`` of the ``Connect`` broadcasts under Broadcast CONGEST.
 
@@ -101,9 +116,9 @@ def connect_step_rounds(view: EdgeView, result):
     edge with each of them, the case in which charging every broadcast as an
     accepted edge is exact.
     """
-    word_bits = math.ceil(math.log2(view.n))
+    bits = word_bits(view.n)
     top = int(view.max_weight())  # W
-    edge_words = math.ceil((word_bits + math.ceil(math.log2(top))) / word_bits)
+    accepted_words = edge_words(view.n, top)
     words, sent, bottoms = Counter(), Counter(), set()  # per (phase, step, sender)
     for record in result.broadcasts:
         key = (record.phase, record.step, record.sender)
@@ -112,9 +127,9 @@ def connect_step_rounds(view: EdgeView, result):
             words[key] += 1
             bottoms.add(key)
         else:
-            assert record.accepted < 2**word_bits, "an identifier must fit one word"
+            assert record.accepted < 2**bits, "an identifier must fit one word"
             assert record.weight == int(record.weight) and 1 <= record.weight <= top
-            words[key] += edge_words
+            words[key] += accepted_words
     senders = defaultdict(list)
     for key in sent:
         senders[key[:2]].append(key)
@@ -159,12 +174,13 @@ def check_rounds(view: EdgeView, result):
     unit_weights = view.max_weight() == 1
     for phase, step, charged in result.charges:
         if step == "marking":
-            assert flood[phase] <= charged
+            assert flood[phase] <= charged, f"the marking of phase {phase} is under-charged"
             continue
         rounds, tight = connect.get((phase, step), (0, False))
         assert rounds <= charged, f"{step} of phase {phase} is under-charged"
         if tight:
-            assert charged == (2 * rounds if unit_weights else rounds)
+            exact = 2 * rounds if unit_weights else rounds
+            assert charged == exact, f"{step} of phase {phase} is tight but not charged exactly"
 
 
 def run_and_replay(view, probabilities, k, seed):
@@ -176,7 +192,7 @@ def run_and_replay(view, probabilities, k, seed):
     return result
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_deterministic_input(k, seed):
     """``p === 1``: the transcript names every spanner edge and nothing fails."""
@@ -186,7 +202,7 @@ def test_deterministic_input(k, seed):
     assert len(result.f_plus) > 0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7])
 def test_constant_probability(k, p):
     graph = generators.random_weighted_graph(40, average_degree=8, max_weight=3, seed=k)
@@ -213,3 +229,133 @@ def test_grid_with_unit_weights():
     graph = generators.grid_graph(6, 7)
     view = EdgeView.from_graph(graph)
     run_and_replay(view, np.full(view.base_m, 0.5), k=3, seed=5)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_bundle_layer_replays(k):
+    """Algorithm 3 runs the spanner again on what the earlier layers left
+    undecided; each layer's transcript is replayed on that residual view."""
+    graph = generators.random_weighted_graph(40, average_degree=10, max_weight=4, seed=k)
+    view = EdgeView.from_graph(graph)
+    bundle = bundle_spanner(view, np.full(view.base_m, 0.5), k=k, t=3, seed=k + 40)
+    assert len(bundle.per_spanner) >= 2  # at least one layer runs on a residual view
+    alive = view.alive.copy()
+    for layer in bundle.per_spanner:
+        residual = view.subview(alive.copy())
+        assert replay(residual, layer) == (layer.f_plus, layer.f_minus)
+        check_rounds(residual, layer)
+        alive[layer.f_plus_idx] = False
+        alive[layer.f_minus_idx] = False
+
+
+# -- the replay's own rules -------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, bits", [(1, 1), (2, 1), (16, 4), (1024, 10), (1025, 11)])
+def test_a_word_is_log_n_bits(n, bits):
+    assert word_bits(n) == bits
+
+
+@given(st.integers(min_value=2, max_value=10**6))
+def test_every_identifier_fits_one_word(n):
+    assert (n - 1).bit_length() <= word_bits(n)
+
+
+@pytest.mark.parametrize(
+    "n, top, words", [(16, 1, 1), (16, 2, 2), (16, 16, 2), (16, 17, 3), (1024, 1024, 2)]
+)
+def test_accepted_edge_words(n, top, words):
+    """The weight field is sized from ``W`` alone: at ``W = 1`` it is empty."""
+    assert edge_words(n, top) == words
+
+
+@pytest.mark.parametrize("max_weight", [1, 2, 5, 64, 200])
+def test_the_executor_charges_an_accepted_edge_its_words(max_weight):
+    """``words_per_message`` is the replay's size of an accepted edge, except
+    at ``W = 1``, where the empty weight field is charged a word."""
+    if max_weight == 1:
+        graph = generators.grid_graph(6, 7)
+    else:
+        graph = generators.random_weighted_graph(40, average_degree=8, max_weight=max_weight, seed=max_weight)
+    view = EdgeView.from_graph(graph)
+    top = int(view.max_weight())
+    charged = ProbabilisticSpanner(view).words_per_message
+    assert charged == (2 if top == 1 else edge_words(view.n, top))
+
+
+def join(phase, sender, through):
+    """The step-2 broadcast by which ``sender`` joins the cluster of ``through``."""
+    return BroadcastRecord(
+        phase=phase, step="step2", sender=sender, target_cluster=0, accepted=through, weight=1.0
+    )
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_the_marking_flood_takes_one_round_per_tree_level(depth):
+    """One cluster that grows into a path hanging off centre 0, one vertex per
+    phase: phase ``p``'s tree has depth ``p``, so its flood takes ``p + 1`` rounds."""
+    clusters = [{v: v for v in range(depth + 1)}]
+    clusters += [{v: 0 for v in range(phase + 1)} for phase in range(1, depth + 1)]
+    joins = [join(phase, phase + 1, phase) for phase in range(depth)]
+    result = SimpleNamespace(k=depth + 2, clusters_per_phase=clusters, broadcasts=joins)
+    assert marking_rounds(result) == list(range(1, depth + 2))
+
+
+def test_a_member_cut_off_from_its_centre_is_caught():
+    clusters = [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 0, 2: 0}]  # vertex 2 never joined
+    result = SimpleNamespace(k=3, clusters_per_phase=clusters, broadcasts=[join(0, 1, 0)])
+    with pytest.raises(AssertionError, match="cut off"):
+        marking_rounds(result)
+
+
+def replayed_run():
+    """A run whose transcript uses every step of the algorithm."""
+    graph = generators.random_weighted_graph(40, average_degree=8, max_weight=3, seed=3)
+    view = EdgeView.from_graph(graph)
+    return view, run_and_replay(view, np.full(view.base_m, 0.5), k=3, seed=23)
+
+
+def with_charge(result, phase, step, rounds):
+    result.charges = [
+        (p, s, rounds if (p, s) == (phase, step) else charged) for p, s, charged in result.charges
+    ]
+
+
+STEPS = ["marking", "step2", "step3.1", "step3.2", "step4.1", "step4.2", "step4.3"]
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_an_under_charge_is_caught(step):
+    view, result = replayed_run()
+    if step == "marking":
+        replayed = {(phase, step): rounds for phase, rounds in enumerate(marking_rounds(result))}
+    else:
+        replayed = {key: rounds for key, (rounds, _) in connect_step_rounds(view, result).items()}
+    rounds, phase = max((rounds, key[0]) for key, rounds in replayed.items() if key[1] == step)
+    assert rounds >= 1
+    with_charge(result, phase, step, rounds - 1)
+    with pytest.raises(AssertionError, match="under-charged"):
+        check_rounds(view, result)
+
+
+def test_an_over_charge_of_a_tight_step_is_caught():
+    view, result = replayed_run()
+    tight = [(key, rounds) for key, (rounds, is_tight) in connect_step_rounds(view, result).items() if is_tight]
+    assert tight
+    (phase, step), rounds = tight[0]
+    with_charge(result, phase, step, rounds + 1)
+    with pytest.raises(AssertionError, match="not charged exactly"):
+        check_rounds(view, result)
+
+
+def test_a_forged_acceptance_is_caught():
+    """A receiver cannot place an accepted neighbour that is not adjacent to the sender."""
+    view, result = replayed_run()
+    edges = {view.edge_key(i) for i in view.alive_indices().tolist()}
+    index, record = next((i, r) for i, r in enumerate(result.broadcasts) if r.accepted is not None)
+    stranger = next(
+        u for u in range(view.n) if u != record.sender and canonical_edge(u, record.sender) not in edges
+    )
+    result.broadcasts[index] = replace(record, accepted=stranger)
+    with pytest.raises(AssertionError, match="cannot place"):
+        replay(view, result)

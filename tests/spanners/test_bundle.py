@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import generators
+from repro.graphs.graph import EdgeView
 from repro.spanners.bundle import bundle_spanner
 
 
@@ -77,6 +78,36 @@ class TestBundleStructure:
         result = bundle_spanner(g, k=2, t=2, seed=12)
         orientation = result.orientation()
         assert set(orientation) >= result.bundle
+
+    def test_fixed_seed_reproducible(self):
+        g = generators.random_weighted_graph(25, average_degree=8, seed=14)
+        probs = {e.key: 0.5 for e in g.edges()}
+        a = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=15)
+        b = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=15)
+        np.testing.assert_array_equal(a.bundle_idx, b.bundle_idx)
+        np.testing.assert_array_equal(a.rejected_idx, b.rejected_idx)
+        assert a.rounds == b.rounds
+
+    def test_view_array_and_graph_dict_inputs_agree(self):
+        """The sparsifier's form (EdgeView + aligned array) and the public one
+        (graph + dict) are the same input and draw the same stream."""
+        g = generators.random_weighted_graph(25, average_degree=8, seed=16)
+        view = EdgeView.from_graph(g)
+        probs = np.full(view.base_m, 0.25)
+        by_view = bundle_spanner(view, probabilities=probs, k=3, t=2, seed=17)
+        by_graph = bundle_spanner(g, probabilities={e.key: 0.25 for e in g.edges()}, k=3, t=2, seed=17)
+        assert by_view.bundle == by_graph.bundle
+        assert by_view.rejected == by_graph.rejected
+        assert by_view.rounds == by_graph.rounds
+
+    def test_unrecorded_transcript_changes_nothing_else(self):
+        g = generators.random_weighted_graph(25, average_degree=8, seed=18)
+        probs = {e.key: 0.5 for e in g.edges()}
+        recorded = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=19)
+        silent = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=19, record_broadcasts=False)
+        assert silent.bundle == recorded.bundle and silent.rejected == recorded.rejected
+        assert silent.rounds == recorded.rounds
+        assert all(layer.broadcasts == [] for layer in silent.per_spanner)
 
     def test_stops_early_when_graph_exhausted(self):
         g = generators.path_graph(6)

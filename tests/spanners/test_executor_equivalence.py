@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from reference_executor import ReferenceProbabilisticSpanner
 
 from repro.graphs import generators
-from repro.graphs.graph import EdgeView
+from repro.graphs.graph import EdgeView, WeightedGraph
 from repro.spanners.probabilistic import ProbabilisticSpanner
 
 PROBABILITY_COLUMNS = ("none", "constant", "quarter-powers", "zeros", "ones", "dict")
@@ -122,6 +122,41 @@ def test_explicit_marking_bits(n, k, column, listed_phases, seed):
     ]
     probabilities = draw_probabilities(column, view, rng)
     assert_same_run(view, probabilities, k, seed + 2, marking_bits=marking_bits)
+
+
+#: fixed graphs pinned beside the drawn ones: weight ties, a dense and a tree input
+WORKLOADS = {
+    "random-40": lambda: generators.random_weighted_graph(40, average_degree=6, max_weight=8, seed=3),
+    "erdos-renyi-30": lambda: generators.erdos_renyi(30, 0.4, max_weight=5, seed=5),
+    "complete-20": lambda: generators.complete_graph(20),
+    "path-25": lambda: generators.path_graph(25),
+}
+
+
+@pytest.mark.parametrize("column", ["none", "quarter-powers"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_named_workload(k, name, column):
+    view = EdgeView.from_graph(WORKLOADS[name]())
+    for seed in range(4):
+        probabilities = draw_probabilities(column, view, np.random.default_rng(seed))
+        assert_same_run(view, probabilities, k, seed)
+
+
+def test_named_marking_bits():
+    view = EdgeView.from_graph(generators.random_weighted_graph(30, average_degree=5, seed=11))
+    bits = [{v: v % 3 == 0 for v in range(30)}, {v: v % 5 == 0 for v in range(30)}]
+    assert_same_run(view, None, 3, seed=1, marking_bits=bits)
+
+
+def test_disconnected_graph():
+    graph = WeightedGraph(12)
+    for u, v, w in [(0, 1, 2.0), (1, 2, 1.0), (3, 4, 5.0), (5, 6, 1.5), (6, 7, 2.5)]:
+        graph.add_edge(u, v, w)
+    view = EdgeView.from_graph(graph)
+    for seed in range(3):
+        result = assert_same_run(view, None, 2, seed)
+        assert result.f_plus == {e.key for e in graph.edges()}
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -25,7 +25,7 @@ def max_stretch(reference_graph, spanner_graph):
 class TestDeterministicCase:
     """With p === 1 the algorithm is the Baswana-Sen algorithm (Lemma 3.1)."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_stretch_bound(self, k):
         for seed in range(3):
             g = generators.random_weighted_graph(22, average_degree=6, max_weight=8, seed=seed)
@@ -77,6 +77,31 @@ class TestDeterministicCase:
         bits = [{v: marked for v in range(6)}]
         result = probabilistic_spanner(g, k=2, marking_bits=bits)
         assert result.f_plus == {e.key for e in g.edges()}
+
+    def test_marking_bits_decide_the_next_clustering(self):
+        """Marked centres keep their clusters; every other vertex joins one or leaves."""
+        g = generators.random_weighted_graph(24, average_degree=6, seed=14)
+        marked = {v for v in range(g.n) if v % 4 == 0}
+        bits = [{v: v in marked for v in range(g.n)}]
+        result = probabilistic_spanner(g, k=3, seed=15, marking_bits=bits)
+        after = result.clusters_per_phase[1]
+        assert set(after.values()) <= marked
+        assert all(after[c] == c for c in marked)
+
+    def test_spanner_is_subgraph(self):
+        g = generators.random_weighted_graph(30, seed=4)
+        result = probabilistic_spanner(g, k=3, seed=5)
+        assert result.f_plus <= {e.key for e in g.edges()}
+        spanner = result.spanner_graph(g)
+        assert all(spanner.weight(*key) == g.weight(*key) for key in result.f_plus)
+
+    def test_fixed_seed_reproducible(self):
+        g = generators.random_weighted_graph(20, seed=6)
+        a = probabilistic_spanner(g, k=3, seed=9)
+        b = probabilistic_spanner(g, k=3, seed=9)
+        assert a.f_plus == b.f_plus
+        assert a.charges == b.charges
+        assert a.broadcasts == b.broadcasts
 
 
 class TestProbabilisticCase:
@@ -240,6 +265,16 @@ class TestValidation:
         g = generators.path_graph(4)
         with pytest.raises(ValueError):
             ProbabilisticSpanner(g, probabilities={(0, 1): 2.0}, k=2)
+
+    def test_negative_probability_array(self):
+        g = generators.path_graph(4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbabilisticSpanner(g, probabilities=np.array([0.5, -0.1, 0.5]), k=2)
+
+    def test_probability_array_must_cover_every_edge(self):
+        g = generators.path_graph(4)
+        with pytest.raises(ValueError, match="shape"):
+            ProbabilisticSpanner(g, probabilities=np.full(2, 0.5), k=2)
 
 
 @settings(max_examples=15, deadline=None)
