@@ -151,7 +151,7 @@ def solve_lp(
     **kwargs,
 ) -> LPSolution:
     """Solve ``min c^T x, A^T x = b, l <= x <= u`` from the interior point ``x0``
-    (Theorem 1.4).  ``engine`` selects the robust log-barrier IPM (default) or
+    (Theorem 1.4).  ``engine`` selects the primal-dual barrier IPM (default) or
     the faithful Lee-Sidford weighted path following (``"lee-sidford"``)."""
     if engine == "barrier":
         return BarrierIPM(problem, **kwargs).solve(x0, eps=eps)

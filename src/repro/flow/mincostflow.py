@@ -14,14 +14,18 @@ pieces documented in ``docs/substitutions.md`` (sections 3 and 6):
 2. the fixed-value LP ``min q~^T x, B x = F* e_t, 0 <= x <= c`` with
    Daitch-Spielman-perturbed costs is solved by an interior point engine whose
    Newton systems are ``A^T D A`` solves (chargeable to the SDD solver of
-   Lemma 5.1);
-3. the fractional solution is rounded edge-wise to the nearest integer; if the
-   rounded vector is not a feasible optimal flow (which the paper's uniqueness
-   argument rules out w.h.p., but float64 can spoil), an exact combinatorial
-   correction step repairs it and the event is reported.
+   Lemma 5.1) -- by default the primal-dual predictor-corrector of
+   :mod:`repro.lp.barrier_ipm`, stopped on its measured duality gap;
+3. the fractional solution is rounded edge-wise to the nearest integer and
+   certified optimal in O(m) with the engine's duals as potentials
+   (Goldberg-Tarjan eps-optimality).  If the rounded vector is not a
+   certified feasible optimal flow (which the paper's uniqueness argument
+   rules out w.h.p., but float64 can spoil, and an engine without duals
+   cannot certify), an exact combinatorial correction replaces it and the
+   event is reported.
 
 Round accounting follows Theorem 1.1: ``Õ(sqrt(n))`` path-following iterations,
-each costing ``Õ(log M)`` rounds of matrix-vector products plus one SDD solve.
+each costing ``Õ(log M)`` rounds of matrix-vector products plus SDD solves.
 """
 
 from __future__ import annotations
@@ -34,12 +38,18 @@ import numpy as np
 
 from repro.congest.ledger import CommunicationPrimitives, RoundLedger
 from repro.flow.baselines import edmonds_karp_max_flow, successive_shortest_paths
-from repro.flow.lp_formulation import build_fixed_value_lp
+from repro.flow.lp_formulation import FlowLP, build_fixed_value_lp
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.barrier_ipm import BarrierIPM
 from repro.lp.lee_sidford import LeeSidfordSolver
+from repro.lp.problem import LPSolution
 
 EdgeKey = Tuple[int, int]
+
+#: default LP accuracy relative to the cost scale: one decade inside the
+#: loosest value at which the rounded optimum still certified on every
+#: network of the tests' seeded families (``docs/substitutions.md`` section 6)
+DEFAULT_EPS_SCALE = 1e-9
 
 
 @dataclass
@@ -90,17 +100,37 @@ def _phase_one_max_flow(
     return float(round(value)), flow
 
 
-def _round_and_validate(
+def _round_and_certify(
     network: FlowNetwork,
-    fractional: Dict[EdgeKey, float],
+    flow_lp: FlowLP,
+    solution: LPSolution,
     target_value: float,
 ) -> Tuple[Dict[EdgeKey, float], bool]:
-    """Round the fractional flow edge-wise and check it is a feasible flow of the
-    right value; returns ``(flow, ok)``."""
-    rounded = {key: float(round(f)) for key, f in fractional.items()}
-    ok = network.is_feasible_flow(rounded, tol=1e-6) and math.isclose(
-        network.flow_value(rounded), target_value, abs_tol=1e-6
+    """Round the LP flow edge-wise and certify it; returns ``(flow, ok)``.
+
+    ``ok`` means the rounded flow is feasible, has the right value and is
+    optimal.  Optimality is certified in O(m) by Goldberg-Tarjan
+    eps-optimality with the LP duals as potentials (source 0): the reduced
+    costs ``c - A y`` of the *integral* costs are the arc costs up to a
+    potential difference, so when every residual arc has reduced cost
+    ``> -1/n``, every residual cycle (at most ``n`` arcs) costs ``> -1``,
+    hence ``>= 0`` -- and no negative residual cycle means optimal.  A
+    solution without duals is uncertified.
+    """
+    # the fixed-value LP's variables are the edge flows; + 0.0 turns -0.0 into 0.0
+    x = np.round(solution.x) + 0.0
+    rounded = dict(zip(flow_lp.edge_keys, x.tolist()))
+    ok = (
+        solution.y is not None
+        and network.is_feasible_flow(rounded, tol=1e-6)
+        and math.isclose(network.flow_value(rounded), target_value, abs_tol=1e-6)
     )
+    if ok:
+        reduced = network.costs() - flow_lp.problem.A @ solution.y
+        slack = 1.0 / network.n
+        ok = bool(
+            np.all(reduced[x < network.capacities()] > -slack) and np.all(reduced[x > 0] < slack)
+        )
     return rounded, ok
 
 
@@ -108,7 +138,7 @@ def min_cost_max_flow(
     network: FlowNetwork,
     engine: str = "barrier",
     seed: Optional[int] = None,
-    eps_scale: float = 1e-6,
+    eps_scale: float = DEFAULT_EPS_SCALE,
     perturb: bool = True,
     verify_against_baseline: bool = False,
     gram_solver_factory: Optional[Callable[..., Any]] = None,
@@ -122,13 +152,15 @@ def min_cost_max_flow(
     network:
         Directed graph with integral capacities and costs.
     engine:
-        ``"barrier"`` (robust log-barrier IPM, default) or ``"lee-sidford"``
-        (the faithful weighted-path-following solver; slower, small instances).
+        ``"barrier"`` (the primal-dual predictor-corrector, default) or
+        ``"lee-sidford"`` (the faithful weighted-path-following solver;
+        slower, small instances; it keeps no duals, so its rounded flow is
+        never certified and always takes the exact correction).
     seed:
         Seed for the cost perturbation and any randomised subroutine.
     eps_scale:
-        The LP is solved to additive error ``eps_scale`` times the cost scale;
-        the default leaves ample room for exact rounding on integral instances.
+        The LP is solved to duality gap ``eps_scale`` times the cost scale;
+        at the default the rounded optimum certifies on integral instances.
     verify_against_baseline:
         If True, cross-check the result against the successive-shortest-path
         baseline and raise if they disagree (used in tests and experiments).
@@ -200,8 +232,7 @@ def min_cost_max_flow(
 
     lp_iterations = 0
     fractional_cost = None
-    fractional = dict(witness_flow)
-    solved = False
+    ok = False
     if flow_lp.problem.is_strictly_feasible(interior, tol=1e-6):
         if engine == "barrier":
             solver = BarrierIPM(flow_lp.problem, comm=comm)
@@ -212,19 +243,13 @@ def min_cost_max_flow(
             )
             solution = solver.solve(interior, eps=eps)
         lp_iterations = solution.iterations
-        fractional = flow_lp.extract_flow(solution.x)
-        fractional_cost = network.flow_cost(fractional)
-        solved = True
+        fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
+        flow, ok = _round_and_certify(network, flow_lp, solution, target_value)
 
-    rounded, ok = _round_and_validate(network, fractional, target_value)
-    fallback = False
-    if solved and ok:
-        flow = rounded
-    else:
+    if not ok:
         # Exact combinatorial correction (the event the paper's uniqueness
         # argument makes unlikely; reported so experiments can count it).
         _v, _c, flow = successive_shortest_paths(network, target_value=target_value)
-        fallback = True
 
     cost = network.flow_cost(flow)
     if verify_against_baseline:
@@ -244,7 +269,7 @@ def min_cost_max_flow(
         cost=float(cost),
         rounds=ledger.total_rounds,
         lp_iterations=lp_iterations,
-        rounding_fallback=fallback,
+        rounding_fallback=not ok,
         fractional_cost=fractional_cost,
         ledger=ledger,
         gram_stats=gram_stats,

@@ -12,9 +12,9 @@ solves in ``A^T D A`` are cheap (graph-structured).
   barrier for two-sided ones).
 * :mod:`repro.lp.problem` -- the :class:`LPProblem` container and feasibility
   helpers.
-* :mod:`repro.lp.barrier_ipm` -- a robust primal log-barrier interior point
-  method whose Newton systems are ``A^T D A`` solves; the default engine for
-  the flow pipeline (see ``docs/substitutions.md``, 3).
+* :mod:`repro.lp.barrier_ipm` -- Mehrotra's primal-dual predictor-corrector,
+  whose Newton systems are ``A^T D A`` solves and which returns the duals;
+  the default engine for the flow pipeline (see ``docs/substitutions.md``, 3).
 * :mod:`repro.lp.lee_sidford` -- the faithful structure of Lee-Sidford
   weighted path finding: ``LPSolve``, ``PathFollowing`` and
   ``CenteringInexact`` (Algorithms 9-11) built on regularised Lewis weights and

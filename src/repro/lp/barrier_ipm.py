@@ -1,242 +1,188 @@
-"""A robust primal log-barrier interior point method.
+"""A primal-dual interior point method: Mehrotra's predictor-corrector.
 
-This is the engineering fallback engine of ``docs/substitutions.md`` (section
-3): it solves the same LPs as the Lee-Sidford solver
-(``min c^T x, A^T x = b, l <= x <= u``), uses the *same* linear-system
-primitive per Newton step -- one solve with
-``A^T D A`` for a positive diagonal ``D`` -- and is charged with the same
-Broadcast Congested Clique communication primitives, but follows the classical
-(unweighted) central path with damped Newton steps and a long-step barrier
-update.  At float64 on laptop-scale instances it reaches duality gaps around
-``1e-9``, which is what the exact min-cost-flow rounding of Section 5 needs.
+This is the engineering engine of ``docs/substitutions.md`` (section 3): it
+solves the same LPs as the Lee-Sidford solver
+(``min c^T x, A^T x = b, l <= x <= u``), its Newton systems are the *same*
+primitive -- one solve with ``A^T D A`` for a positive diagonal ``D`` -- and
+it is charged with the same Broadcast Congested Clique communication
+primitives.  It runs the infeasible-start predictor-corrector of Mehrotra
+(*SIAM J. Optim.* 1992; Wright, *Primal-Dual Interior-Point Methods*, 1997)
+on the box: primal slacks ``p = x - l`` and ``q = u - x``, dual slacks
+``z1, z2 > 0`` and free duals ``y``.  The predictor and the corrector share
+one Newton matrix ``A^T diag(theta) A`` with ``theta = 1 / (z1/p + z2/q)``.
 
-The number of Newton iterations of this engine is ``O(sqrt(m) log(1/eps))`` in
-theory (standard path following); the Lee-Sidford solver improves the ``m`` to
-``n = rank(A)``, which is the point of the paper.  Experiment E4 compares the
-two iteration counts.
+The run stops on the *measured* duality gap ``p^T z1 + q^T z2 <= eps`` with
+both residuals at most ``1e-9`` relative, and returns the duals ``y`` with
+``x`` so a caller can certify what it makes of the answer.  The
+``O(sqrt(m) log(1/eps))`` bound of :func:`theoretical_iteration_bound_sqrt_m`
+is the Mizuno-Todd-Ye predictor-corrector's; Mehrotra's heuristic carries no
+bound but needs tens of iterations in practice.  The Lee-Sidford solver
+improves the ``m`` to ``n = rank(A)``, which is the point of the paper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.congest.ledger import CommunicationPrimitives, RoundLedger
-from repro.lp.barriers import BarrierFunction
+from repro.congest.ledger import CommunicationPrimitives
+from repro.linalg.sparse_backend import NumericalHealthError
 from repro.lp.problem import LPProblem, LPSolution
+
+#: iteration cap; Mehrotra's method needs tens on the flow LPs
+MAX_ITERATIONS = 200
+#: relative tolerance on both residuals
+RESIDUAL_TOLERANCE = 1e-9
+#: fraction of the largest feasible step actually taken
+STEP_FRACTION = 0.995
+#: iterations without a better iterate before the run counts as stalled
+STALL_ITERATIONS = 10
 
 
 @dataclass
 class IPMReport:
     """Per-run diagnostics of the barrier IPM."""
 
+    #: predictor-corrector iterations; each is two Gram solves
     newton_iterations: int = 0
-    outer_iterations: int = 0
-    gram_solves: int = 0
-    final_t: float = 0.0
-    final_decrement: float = 0.0
-    objective_history: List[float] = field(default_factory=list)
+
+
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest ``alpha <= 1`` with ``v + alpha dv >= 0`` (``v > 0``)."""
+    falling = dv < 0
+    return min(1.0, float(np.min(-v[falling] / dv[falling]))) if falling.any() else 1.0
 
 
 class BarrierIPM:
-    """Primal log-barrier path following with ``A^T D A`` Newton systems.
+    """Mehrotra's primal-dual predictor-corrector with ``A^T D A`` Newton systems.
 
     Parameters
     ----------
     problem:
-        The LP in Lee-Sidford form.
+        The LP in Lee-Sidford form; its box must be finite.
     comm:
-        Optional communication tracker; every Newton step charges two
-        matrix-vector products and one Gram solve (``T(n, m)`` rounds).
-    t_increase:
-        Multiplicative barrier-parameter update (long steps by default).
+        Optional communication tracker; every iteration charges two Gram
+        solves (predictor and corrector) and four matrix-vector products.
     """
 
-    def __init__(
-        self,
-        problem: LPProblem,
-        comm: Optional[CommunicationPrimitives] = None,
-        t_increase: float = 8.0,
-        centering_tolerance: float = 0.25,
-        max_newton_per_stage: int = 200,
-    ):
+    def __init__(self, problem: LPProblem, comm: Optional[CommunicationPrimitives] = None):
         self.problem = problem
         self.comm = comm
-        self.t_increase = float(t_increase)
-        self.centering_tolerance = float(centering_tolerance)
-        self.max_newton_per_stage = int(max_newton_per_stage)
         self.report = IPMReport()
 
-    # -- internals -----------------------------------------------------------------
-
-    def _newton_direction(
-        self, barrier: BarrierFunction, x: np.ndarray, t: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Projected Newton direction for ``t c^T x + phi(x)`` on ``A^T x = b``.
-
-        Returns ``(dx, h)`` with ``h`` the barrier Hessian at ``x``.
+    def _direction(self, theta, r_p, r_d, r1, r2, p, q, z1, z2):
+        """Newton step for ``A^T dx = r_p``, ``A dy + dz1 - dz2 = r_d`` and the
+        linearised complementarity ``z1 dx + p dz1 = r1``, ``q dz2 - z2 dx = r2``.
         """
         problem = self.problem
-        g = t * problem.c + barrier.gradient(x)
-        h = barrier.hessian(x)
-        h_inv = 1.0 / h
-        # infeasible-start Newton: aim for A^T (x + dx) = b so that numerical
-        # drift in the equality constraints is corrected at every step
-        residual = problem.equality_residual(x)
-        rhs = residual - problem.AT @ (h_inv * g)
-        y = problem.solve_gram(h_inv, rhs)
-        dx = -h_inv * (g + problem.A @ y)
-        self.report.gram_solves += 1
+        g = r_d - r1 / p + r2 / q
+        dy = problem.solve_gram(theta, r_p + problem.AT @ (theta * g))
+        dx = theta * (problem.A @ dy - g)
         if self.comm is not None:
-            self.comm.matvec("A^T (H^{-1} g)")
-            self.comm.matvec("A y")
-            self.comm.laplacian_solve(1.0, "Newton system A^T H^{-1} A")
-            self.comm.vector_op("Newton update")
-        return dx, h
+            self.comm.matvec("A^T (theta g)")
+            self.comm.laplacian_solve(1.0, "Newton system A^T theta A")
+            self.comm.matvec("A dy")
+        return dx, dy, (r1 - z1 * dx) / p, (r2 + z2 * dx) / q
 
-    @staticmethod
-    def _max_step_inside(
-        barrier: BarrierFunction, x: np.ndarray, dx: np.ndarray
-    ) -> float:
-        """Largest step alpha with ``x + alpha dx`` still strictly inside the box."""
-        alpha = 1.0
-        lower, upper = barrier.lower, barrier.upper
-        with np.errstate(divide="ignore", invalid="ignore"):
-            down = np.where(dx < 0, (x - lower) / (-dx), np.inf)
-            up = np.where(dx > 0, (upper - x) / dx, np.inf)
-        limit = float(min(np.min(down), np.min(up)))
-        return min(alpha, 0.99 * limit)
+    def solve(self, x0: np.ndarray, eps: float = 1e-8) -> LPSolution:
+        """Run from ``x0`` until the measured duality gap is ``<= eps``.
 
-    def _least_norm_correction(self, residual: np.ndarray) -> np.ndarray:
-        """Minimum-norm ``delta`` with ``A^T delta = residual``.
-
-        ``delta = A (A^T A)^{-1} residual`` -- one unweighted Gram solve, so it
-        reuses whatever backend (sparse grounded Laplacian, serving bridge)
-        ``solve_gram`` is wired to, and works for sparse ``A`` where
-        ``np.linalg.lstsq`` would not.
+        ``x0`` must lie strictly inside the box and satisfy ``A^T x0 = b``; the
+        flow formulation of Section 5 provides one explicitly.  On a stall, or
+        when a slack underflows, the best iterate is returned with
+        ``converged=False`` instead of raising.
         """
         problem = self.problem
-        ones = np.ones(problem.m)
-        return problem.A @ problem.solve_gram(ones, residual)
-
-    def _restore_equality(self, x: np.ndarray) -> np.ndarray:
-        """Project ``x`` back onto ``A^T x = b`` (least-squares correction).
-
-        Newton directions live in the null space of ``A^T`` up to the accuracy
-        of the Gram solve; this correction removes the accumulated drift so the
-        certified duality gap refers to a genuinely feasible point.
-        """
-        residual = self.problem.equality_residual(x)
-        if float(np.linalg.norm(residual, ord=np.inf)) < 1e-13:
-            return x
-        corrected = x - self._least_norm_correction(residual)
-        barrier = self.problem.barrier()
-        return corrected if barrier.contains(corrected) else x
-
-    def _polish_feasibility(self, x: np.ndarray, iterations: int = 50) -> np.ndarray:
-        """Alternating projections onto ``{A^T x = b}`` and the box.
-
-        The extreme barrier parameter of the final centering stage leaves a
-        small equality residual (the Gram systems are nearly singular there);
-        a few alternating projections push it below 1e-9 while staying inside
-        the box, without noticeably moving the objective.
-        """
-        problem = self.problem
-        best = x
-        for _ in range(iterations):
-            residual = problem.equality_residual(best)
-            if float(np.linalg.norm(residual, ord=np.inf)) < 1e-10:
-                break
-            best = np.clip(
-                best - self._least_norm_correction(residual), problem.lower, problem.upper
-            )
-        return best
-
-    def _center(
-        self,
-        barrier: BarrierFunction,
-        x: np.ndarray,
-        t: float,
-        tolerance: float,
-    ) -> np.ndarray:
-        """Damped Newton until the Newton decrement drops below ``tolerance``."""
-        x = self._restore_equality(x)
-        for _ in range(self.max_newton_per_stage):
-            dx, h = self._newton_direction(barrier, x, t)
-            decrement = math.sqrt(max(0.0, float(dx @ (h * dx))))
-            self.report.newton_iterations += 1
-            self.report.final_decrement = decrement
-            if decrement <= tolerance:
-                break
-            step = 1.0 / (1.0 + decrement) if decrement > 0.25 else 1.0
-            step = min(step, self._max_step_inside(barrier, x, dx))
-            if step <= 1e-16:
-                break
-            x = x + step * dx
-        return x
-
-    # -- public API ------------------------------------------------------------------
-
-    def solve(
-        self,
-        x0: np.ndarray,
-        eps: float = 1e-8,
-        t0: Optional[float] = None,
-        max_outer: int = 200,
-    ) -> LPSolution:
-        """Follow the central path from ``x0`` until the duality-gap bound is ``<= eps``.
-
-        ``x0`` must be strictly feasible (``A^T x0 = b`` and strictly inside the
-        box); the flow formulation of Section 5 provides one explicitly.
-        """
-        problem = self.problem
-        barrier = problem.barrier()
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if not (np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper))):
+            raise ValueError("the barrier IPM needs a finite box")
         x = np.array(x0, dtype=float)
         if not problem.is_strictly_feasible(x, tol=1e-6):
             raise ValueError("the barrier IPM needs a strictly feasible starting point")
 
+        c, lower, upper = problem.c, problem.lower, problem.upper
         m = problem.m
-        # nu = m: every coordinate carries a 1-self-concordant barrier.
-        cost_scale = max(1.0, float(np.max(np.abs(problem.c))))
-        t = t0 if t0 is not None else 1.0 / cost_scale
-        t_final = (m + 1) / max(eps, 1e-300)
+        # y = 0 with z1 - z2 = c starts dual feasible; the shift keeps both
+        # dual slacks as large as the costs, so the start is roughly centred
+        shift = max(1.0, float(np.max(np.abs(c))))
+        y = np.zeros(problem.n)
+        z1 = np.maximum(c, 0.0) + shift
+        z2 = np.maximum(-c, 0.0) + shift
+        tol_p = RESIDUAL_TOLERANCE * (1.0 + float(np.max(np.abs(problem.b), initial=0.0)))
+        tol_d = RESIDUAL_TOLERANCE * (1.0 + shift)
 
         self.report = IPMReport()
-        history: List[float] = []
-        outer = 0
-        while t < t_final and outer < max_outer:
-            outer += 1
-            x = self._center(barrier, x, t, self.centering_tolerance)
-            history.append(problem.objective(x))
-            t *= self.t_increase
-        # final centering at t >= t_final for a certified gap
-        t = max(t, t_final)
-        x = self._center(barrier, x, t, self.centering_tolerance / 2.0)
-        x = self._polish_feasibility(x)
-        history.append(problem.objective(x))
+        best = (math.inf, x, y, math.inf)  # (merit, x, y, gap); merit <= 1 is converged
+        since_best = 0
+        while self.report.newton_iterations < MAX_ITERATIONS:
+            p, q = x - lower, upper - x
+            with np.errstate(divide="ignore", over="ignore"):
+                theta = 1.0 / (z1 / p + z2 / q)
+            if not (np.all(p > 0) and np.all(q > 0) and np.all(np.isfinite(theta) & (theta > 0))):
+                break  # a slack underflowed: the Newton matrix is no longer defined
+            r_p = problem.b - problem.AT @ x
+            r_d = c - problem.A @ y - z1 + z2
+            gap = float(p @ z1 + q @ z2)
+            merit = max(
+                gap / eps,
+                float(np.max(np.abs(r_p), initial=0.0)) / tol_p,
+                float(np.max(np.abs(r_d))) / tol_d,
+            )
+            if merit < best[0]:
+                best, since_best = (merit, x, y, gap), 0
+            else:
+                since_best += 1
+            if merit <= 1.0 or since_best >= STALL_ITERATIONS:
+                break
+            self.report.newton_iterations += 1
 
-        self.report.outer_iterations = outer
-        self.report.final_t = t
-        self.report.objective_history = history
-        gap_bound = (m + math.sqrt(m)) / t
+            def direction(r1, r2):
+                return self._direction(theta, r_p, r_d, r1, r2, p, q, z1, z2)
 
+            def step_lengths(dx, dz1, dz2):
+                return (
+                    min(_max_step(p, dx), _max_step(q, -dx)),
+                    min(_max_step(z1, dz1), _max_step(z2, dz2)),
+                )
+
+            try:
+                # predictor: the affine-scaling direction, aiming at zero gap
+                dx, dy, dz1, dz2 = direction(-p * z1, -q * z2)
+                alpha_p, alpha_d = step_lengths(dx, dz1, dz2)
+                gap_aff = float(
+                    (p + alpha_p * dx) @ (z1 + alpha_d * dz1)
+                    + (q - alpha_p * dx) @ (z2 + alpha_d * dz2)
+                )
+                sigma_mu = (gap_aff / gap) ** 3 * gap / (2 * m)
+                # corrector: centring plus the second-order term, same Newton matrix
+                dx, dy, dz1, dz2 = direction(
+                    sigma_mu - p * z1 - dx * dz1, sigma_mu - q * z2 + dx * dz2
+                )
+            except (RuntimeError, NumericalHealthError):
+                break  # the Newton matrix is numerically singular: a stall
+            alpha_p, alpha_d = (STEP_FRACTION * alpha for alpha in step_lengths(dx, dz1, dz2))
+            x = x + alpha_p * dx
+            y, z1, z2 = y + alpha_d * dy, z1 + alpha_d * dz1, z2 + alpha_d * dz2
+
+        merit, x, y, gap = best
         rounds = self.comm.ledger.total_rounds if self.comm is not None else 0.0
         return LPSolution(
             x=x,
+            y=y,
             objective=problem.objective(x),
             iterations=self.report.newton_iterations,
             rounds=rounds,
-            converged=bool(problem.is_feasible(x, tol=1e-6)),
-            duality_gap=gap_bound,
-            history=history,
+            converged=merit <= 1.0,
+            duality_gap=gap,
         )
 
 
 def theoretical_iteration_bound_sqrt_m(m: int, eps: float) -> float:
-    """Classical path following needs ``O(sqrt(m) log(m/eps))`` Newton steps."""
+    """Mizuno-Todd-Ye path following needs ``O(sqrt(m) log(m/eps))`` Newton steps."""
     m = max(2, int(m))
     eps = max(1e-300, float(eps))
     return math.sqrt(m) * math.log(m / eps)

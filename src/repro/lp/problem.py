@@ -140,3 +140,5 @@ class LPSolution:
     converged: bool = True
     duality_gap: Optional[float] = None
     history: list = field(default_factory=list)
+    #: dual variables of ``A^T x = b`` (None when the engine keeps none)
+    y: Optional[np.ndarray] = None

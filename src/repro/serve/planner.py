@@ -68,7 +68,7 @@ import numpy as np
 
 from repro.core import api
 from repro.flow.baselines import edmonds_karp_max_flow
-from repro.flow.mincostflow import min_cost_max_flow
+from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.laplacian import spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
@@ -316,7 +316,7 @@ def flow_query(
     graph_key: str,
     engine: str = "barrier",
     seed: Optional[int] = None,
-    eps_scale: float = 1e-6,
+    eps_scale: float = DEFAULT_EPS_SCALE,
     perturb: bool = True,
     memoise_result: bool = False,
 ) -> Query:

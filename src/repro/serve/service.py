@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.flow.mincostflow import DEFAULT_EPS_SCALE
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.faults import FaultInjector
 from repro.serve.planner import (
@@ -274,7 +275,7 @@ class QueryFrontDoor:
         graph_key: str,
         engine: str = "barrier",
         seed: Optional[int] = None,
-        eps_scale: float = 1e-6,
+        eps_scale: float = DEFAULT_EPS_SCALE,
         perturb: bool = True,
         memoise_result: bool = False,
     ):

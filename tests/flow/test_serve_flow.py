@@ -8,18 +8,18 @@ import scipy.sparse.linalg as spla
 from repro.core import api
 from repro.flow import mincostflow, networkx_min_cost_max_flow
 from repro.flow.lp_formulation import build_fixed_value_lp
-from repro.flow.mincostflow import min_cost_max_flow
+from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
 from repro.graphs import generators
 from repro.lp.gram import GramSolverBridge
 from repro.serve import LaplacianService
 
 #: network -> (lp_iterations, rounds) of the served run at seed 0, recorded
-#: before the direct path moved onto the bridge and the bridge lost its
-#: rank-1 / Chebyshev rungs; neither change may move them
+#: when the barrier engine became the primal-dual predictor-corrector at
+#: eps_scale 1e-9 (the primal loop at 1e-6 took 207 / 188 / 375 iterations)
 PINNED = {
-    "random-24": (lambda: generators.random_flow_network(24, seed=3), 207, 9282.088922795228),
-    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 188, 7628.246949479196),
-    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 375, 17542.06278065414),
+    "random-24": (lambda: generators.random_flow_network(24, seed=3), 16, 7135.088922795229),
+    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 15, 5694.246949479196),
+    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 20, 13937.062780654142),
 }
 
 
@@ -77,9 +77,9 @@ class TestServedFlow:
         for run in (direct, cold, warm):
             assert run.flow == direct.flow
             assert run.value == value and run.cost == cost
-            # the values recorded at the commit before the ladder was deleted
             assert run.lp_iterations == lp_iterations
             assert run.rounds == pytest.approx(rounds, rel=1e-12)
+            assert not run.rounding_fallback
         # the deterministic rerun replays the same weight trajectory, so every
         # factorisation (and the phase-1 max flow) comes out of the cache
         stats = warm.gram_stats
@@ -91,13 +91,13 @@ class TestServedFlow:
         kinds = service.metrics_snapshot()["queries_by_kind"]
         assert kinds.get("flow") == 2
 
-    def test_suite_instance_is_pinned_on_the_fallback_path(self):
-        """The ``flow`` workload's own network, which does fall back to the exact SSP."""
+    def test_suite_instance_is_pinned_without_fallback(self):
+        """The ``flow`` workload's own network: the IPM's rounded flow is the answer."""
         network = generators.layered_flow_network(16, 12, seed=7)
         run = min_cost_max_flow(network, seed=1)
-        assert run.lp_iterations == 671
-        assert run.rounds == pytest.approx(35529.95057821853, rel=1e-12)
-        assert run.cost == 747.0 and run.rounding_fallback
+        assert run.lp_iterations == 23
+        assert run.rounds == pytest.approx(30088.95057821853, rel=1e-12)
+        assert run.cost == 747.0 and not run.rounding_fallback
 
     def test_symbolic_work_happens_once_per_solve(self, built, monkeypatch):
         """Count guard: per Newton step one ``NATURAL`` splu and no transpose."""
@@ -157,7 +157,7 @@ class TestResultMemoisation:
         service.min_cost_flow(key, seed=0)
         entry = service.registry.get(key)
         assert not service.cache.contains(
-            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, 1e-6, True)
+            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, DEFAULT_EPS_SCALE, True)
         )
 
     def test_memoised_rerun_skips_the_lp(self, network):
@@ -166,7 +166,7 @@ class TestResultMemoisation:
         cold = service.min_cost_flow(key, seed=0, memoise_result=True)
         entry = service.registry.get(key)
         assert service.cache.contains(
-            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, 1e-6, True)
+            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, DEFAULT_EPS_SCALE, True)
         )
         hits_before = service.cache.stats.hits
         warm = service.min_cost_flow(key, seed=0, memoise_result=True)

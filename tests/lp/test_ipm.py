@@ -110,6 +110,35 @@ class TestBarrierIPM:
         assert solution.rounds > 0
         assert comm.ledger.rounds_by_operation()["laplacian_solve"] > 0
 
+    def test_both_solves_of_every_iteration_are_charged(self):
+        problem, x0 = random_box_lp(12, 3, seed=8)
+        comm = CommunicationPrimitives(6)
+        solution = BarrierIPM(problem, comm=comm).solve(x0, eps=1e-6)
+        assert comm.ledger.rounds_by_operation()["laplacian_solve"] == 2 * solution.iterations
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duals_match_highs(self, seed):
+        problem, x0 = random_box_lp(25, 5, seed=seed)
+        reference = linprog(
+            problem.c,
+            A_eq=problem.A.T,
+            b_eq=problem.b,
+            bounds=list(zip(problem.lower, problem.upper)),
+            method="highs",
+        )
+        solution = BarrierIPM(problem).solve(x0, eps=1e-9)
+        np.testing.assert_allclose(solution.y, reference.eqlin.marginals, atol=1e-5)
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-30])
+    def test_unreachable_gap_stops_without_raising(self, eps):
+        """Past float64's reach the run stalls, returns its best iterate and
+        says it did not converge."""
+        problem, x0 = random_box_lp(25, 5, seed=3)
+        solution = BarrierIPM(problem).solve(x0, eps=eps)
+        assert problem.is_feasible(solution.x, tol=1e-6)
+        assert solution.objective == pytest.approx(scipy_optimum(problem), abs=1e-6)
+        assert not solution.converged or solution.duality_gap <= eps
+
     def test_iteration_bounds_helpers(self):
         assert theoretical_iteration_bound_sqrt_m(100, 1e-3) > theoretical_iteration_bound_sqrt_n(
             10, 2.0, 1e-3
