@@ -192,7 +192,6 @@ def cached_artifact_kinds() -> dict:
     network = generators.random_flow_network(6, seed=1)
     net_key = service.register(network)
     service.min_cost_flow(net_key, memoise_result=True)
-    service.solve_gram(net_key, np.ones(network.m), np.zeros(network.n - 1))
     served = set(service.metrics_snapshot()["queries_by_kind"])
     if served != set(QUERY_KINDS):
         raise AssertionError(

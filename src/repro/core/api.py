@@ -171,8 +171,9 @@ def min_cost_max_flow(
     Pass ``service`` (a :class:`~repro.serve.service.LaplacianService`) to
     route the solve through the serving tier: the network is registered (a
     content-level no-op when already registered) and the pipeline consumes
-    cached artifacts -- the phase-1 max flow and every Newton system's gram
-    factorisation -- so repeated solves of the same network run warm.
+    cached artifacts -- the phase-1 max flow and the compiled Gram
+    structure of the flow LP -- so repeated solves of the same network skip
+    that preprocessing.
     """
     if service is not None:
         key = service.register(network)

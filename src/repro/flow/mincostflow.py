@@ -51,6 +51,9 @@ EdgeKey = Tuple[int, int]
 #: network of the tests' seeded families (``docs/substitutions.md`` section 6)
 DEFAULT_EPS_SCALE = 1e-9
 
+#: the LP engines ``min_cost_max_flow`` accepts
+ENGINES = ("barrier", "lee-sidford")
+
 
 @dataclass
 class MinCostFlowResult:
@@ -167,10 +170,10 @@ def min_cost_max_flow(
     gram_solver_factory:
         Serving hook: called with the built :class:`FlowLP` and expected to
         return a ``gram_solver`` callable (typically a
-        :class:`~repro.lp.gram.GramSolverBridge` wired to an artifact cache)
-        that is plugged into the LP before solving; its serving statistics
-        are reported in :attr:`MinCostFlowResult.gram_stats`.  Without it the
-        LP solves through the same bridge with no cache attached
+        :class:`~repro.lp.gram.GramSolverBridge` on a cached structure) that
+        is plugged into the LP before solving; its serving statistics are
+        reported in :attr:`MinCostFlowResult.gram_stats`.  Without it the LP
+        solves through the same bridge, built from ``A``
         (:func:`~repro.lp.gram.default_gram_solver`).
     phase_one:
         Optional precomputed ``(max_flow_value, witness_flow)`` pair (a cached
@@ -181,8 +184,8 @@ def min_cost_max_flow(
         Lewis-weight computations (ignored by ``"barrier"``); see
         :class:`~repro.lp.lee_sidford.LeeSidfordSolver`.
     """
-    if engine not in ("barrier", "lee-sidford"):
-        raise ValueError(f"unknown engine {engine!r}; use 'barrier' or 'lee-sidford'")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
     rng = np.random.default_rng(seed)
     ledger = RoundLedger()
     M = max(2.0, network.max_capacity(), network.max_cost_magnitude())

@@ -22,7 +22,7 @@ solves in ``A^T D A`` are cheap (graph-structured).
 * :mod:`repro.lp.gram` -- the SDD Gram-solve machinery of Lemma 5.1:
   incidence-structure detection, grounded-Laplacian factorisations, and the
   :class:`GramSolverBridge` that solves every incidence-structured Newton
-  system -- through the serving tier's artifact cache when one is wired.
+  system, served or direct.
 """
 
 from repro.lp.barriers import BarrierFunction, make_barrier

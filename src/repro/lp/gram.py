@@ -14,7 +14,8 @@ half done per Newton step:
   :func:`detect_incidence_structure`, which recognises from ``A`` alone that
   every row is ``+/- s (e_j - e_k)`` or ``+/- s e_j`` (the fixed-value LP's
   incidence rows and the Section 5 LP's slack rows respectively), or by
-  :func:`flow_gram_structure` straight from the network.  Single-entry rows
+  :func:`flow_gram_structure` straight from the network (the fixed-value
+  LP's structure, which the serving tier caches).  Single-entry rows
   become edges to a synthetic *ground* vertex; ``A^T D A`` is then exactly
   the ground-grounded Laplacian of the auxiliary graph.  Compiling fixes the
   row -> vertex-pair mapping, a fill-reducing symmetric ordering and the CSC
@@ -22,16 +23,14 @@ half done per Newton step:
 * :class:`GramFactorisation` (the numeric half) -- one immutable sparse
   ``splu`` factorisation of ``A^T D A`` at a fixed aggregated weight vector:
   one scatter of the weights into the precompiled pattern and one
-  factorisation with no ordering step; what the
-  :class:`~repro.serve.artifacts.ArtifactCache` stores.
+  factorisation with no ordering step.
 * :class:`GramSolverBridge` -- the one way an incidence-structured ``A^T D A``
-  is solved, on the direct path (:func:`default_gram_solver`, no cache) and on
-  the served path (the planner wires the artifact cache) alike.  Each solve
-  has one of two outcomes: ``reuse`` -- the factorisation the bridge holds is
-  at exactly these aggregated weights -- or ``factorise`` -- one at these
-  weights is taken from the cache
-  (:meth:`~repro.serve.artifacts.ArtifactCache.get_or_build`, so repeat
-  solves on the same instance hit warm artifacts) or, with no cache, built.
+  is solved, on the direct path (:func:`default_gram_solver`) and on the
+  served path (the planner hands it the cached structure) alike.  It holds
+  the single factorisation it last took, and each solve has one of two
+  outcomes: ``reuse`` -- that factorisation is at exactly these aggregated
+  weights -- or ``factorise`` -- one at these weights is built and replaces
+  it.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ class IncidenceStructure:
     endpoint order, lexicographically sorted), so two structures built from
     the same pattern -- whether detected from ``A`` or compiled directly from
     a :class:`~repro.graphs.digraph.FlowNetwork` -- are bit-identical and
-    share one :attr:`fingerprint` (and hence one family of cached
-    factorisations).
+    share one :attr:`fingerprint`.
     """
 
     n: int
@@ -266,46 +264,24 @@ def detect_incidence_structure(A) -> Optional[IncidenceStructure]:
     return IncidenceStructure.from_rows(n, row_a, row_b, scale=scale)
 
 
-def flow_gram_structure(network, formulation: str = "fixed-value") -> IncidenceStructure:
-    """Compile the Gram structure of a flow LP directly from the network.
+def flow_gram_structure(network) -> IncidenceStructure:
+    """Compile the Gram structure of the flow LP directly from the network.
 
     Produces exactly the structure :func:`detect_incidence_structure` finds on
-    the constraint matrix of :func:`~repro.flow.lp_formulation.build_fixed_value_lp`
-    (``formulation="fixed-value"``) or
-    :func:`~repro.flow.lp_formulation.build_flow_lp` (``"section5"``) -- same
-    fingerprint, so gram queries and full flow solves share one family of
-    cached factorisations.  LP columns are the non-source vertices in sorted
-    order and the ground vertex is the dropped source.
+    the constraint matrix of
+    :func:`~repro.flow.lp_formulation.build_fixed_value_lp` -- same
+    fingerprint -- without building the LP, so the serving tier can cache it
+    per network.  LP columns are the non-source vertices in sorted order and
+    the ground vertex is the dropped source.
     """
-    if formulation not in GRAM_FORMULATIONS:
-        raise ValueError(
-            f"unknown gram formulation {formulation!r}; use one of {GRAM_FORMULATIONS}"
-        )
     columns = [v for v in range(network.n) if v != network.source]
     col_index = {v: i for i, v in enumerate(columns)}
     n = len(columns)
-    ground = n
-
-    def col(vertex: int) -> int:
-        return col_index.get(vertex, ground)
-
-    row_a: List[int] = []
-    row_b: List[int] = []
-    for (u, v) in network.edge_keys():
-        row_a.append(col(u))
-        row_b.append(col(v))
-    if formulation == "section5":
-        # y and z slack rows are +/- e_i (one per non-source vertex, twice),
-        # the F row is -e_t: all edges from an LP column to ground
-        for _ in range(2):
-            for i in range(n):
-                row_a.append(i)
-                row_b.append(ground)
-        row_a.append(col(network.sink))
-        row_b.append(ground)
-    structure = IncidenceStructure.from_rows(
-        n, np.asarray(row_a, dtype=np.int64), np.asarray(row_b, dtype=np.int64)
-    )
+    rows = np.array(
+        [(col_index.get(u, n), col_index.get(v, n)) for (u, v) in network.edge_keys()],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    structure = IncidenceStructure.from_rows(n, rows[:, 0], rows[:, 1])
     if structure is None:
         raise ValueError(
             "flow network's auxiliary gram graph is disconnected; the LP "
@@ -314,25 +290,17 @@ def flow_gram_structure(network, formulation: str = "fixed-value") -> IncidenceS
     return structure
 
 
-GRAM_FORMULATIONS = ("fixed-value", "section5")
-
 #: column orderings tried once per compiled structure
 ORDERING_CANDIDATES = ("NATURAL", "MMD_AT_PLUS_A", "COLAMD")
-
-
-def weights_digest(w: np.ndarray) -> str:
-    """Content digest of an aggregated pair-weight vector (cache identity)."""
-    return hashlib.sha256(np.ascontiguousarray(w, dtype=float).tobytes()).hexdigest()
 
 
 class GramFactorisation:
     """Immutable sparse ``splu`` factorisation of ``A^T D A`` at fixed weights.
 
-    This is the artifact the serving cache stores: it is never mutated after
-    construction, so one cached instance can serve any number of concurrent
-    bridges.  Only numeric work happens here: the weights are scattered into
-    the CSC pattern the structure compiled, in the ordering it fixed, and
-    ``splu`` is told to keep that ordering.
+    Only numeric work happens here: the weights are scattered into the CSC
+    pattern the structure compiled, in the ordering it fixed, and ``splu`` is
+    told to keep that ordering.  A :class:`GramSolverBridge` holds one at a
+    time, for as long as the Newton weights stay put.
     """
 
     def __init__(self, structure: IncidenceStructure, w: np.ndarray):
@@ -355,17 +323,6 @@ class GramFactorisation:
         rhs = np.asarray(rhs, dtype=float)
         return self._lu.solve(rhs[structure._order_inv])[structure._order]
 
-    def nbytes(self) -> int:
-        """Size for cache accounting: LU factors, SuperLU's permutations, weights.
-
-        The factors are priced at 12 B per stored nonzero, which is well below
-        what SuperLU keeps resident; pricing them honestly is the gram-cache
-        ROADMAP item's, because at the default budget it would start evicting
-        inside one flow solve.  The symmetric ordering is the structure's, not
-        this object's: a factorisation holds no permutation of its own.
-        """
-        return int(12 * self._lu.nnz + 2 * self.structure.n * 4 + self.w.nbytes)
-
 
 @dataclass
 class GramBridgeStats:
@@ -373,7 +330,6 @@ class GramBridgeStats:
 
     solves: int = 0
     factorisations: int = 0
-    cache_hits: int = 0
     reuse_solves: int = 0
     seconds_total: float = 0.0
     seconds_factorise: float = 0.0
@@ -385,9 +341,9 @@ class GramBridgeStats:
         return {
             "solves": self.solves,
             "factorisations": self.factorisations,
-            "cache_hits": self.cache_hits,
             "reuse_solves": self.reuse_solves,
-            # constant: benchmarks/suite/workloads.py still reads these two keys
+            # constant: benchmarks/suite/workloads.py still reads these keys
+            "cache_hits": 0,
             "rank1_updates": 0,
             "chebyshev_solves": 0,
             "seconds_total": self.seconds_total,
@@ -403,29 +359,18 @@ class GramSolverBridge:
 
     * ``reuse`` -- the factorisation it holds is at exactly ``w``: two
       triangular solves;
-    * ``factorise`` -- otherwise: a :class:`GramFactorisation` at ``w``, through
-      :meth:`~repro.serve.artifacts.ArtifactCache.get_or_build` when a cache is
-      wired (a repeat solve of the same instance replays the same
-      deterministic ``w`` sequence and hits every one of these warm), built
-      and held by the bridge alone when not.
+    * ``factorise`` -- otherwise: a :class:`GramFactorisation` at ``w``, which
+      replaces the one it held.
 
     Nothing cheaper sits in between because an IPM moves every weight every
     Newton step: approximate reuse of a drifted factorisation was measured to
     answer 15 of 667 solves on the suite's ``flow`` instance
-    (``docs/serving.md``).
+    (``docs/serving.md``), and a cache of past factorisations only ever hit
+    on an exact replay of the same run (``docs/benchmarks.md``).
     """
 
-    def __init__(
-        self,
-        structure: IncidenceStructure,
-        cache=None,
-        graph_key: str = "",
-        version: int = 0,
-    ):
+    def __init__(self, structure: IncidenceStructure):
         self.structure = structure
-        self.cache = cache
-        self.graph_key = graph_key or structure.fingerprint
-        self.version = int(version)
         self.stats = GramBridgeStats()
         self._fact: Optional[GramFactorisation] = None
 
@@ -440,7 +385,10 @@ class GramSolverBridge:
             self.stats.reuse_solves += 1
         else:
             strategy = "factorise"
-            self._factorise(w)
+            built = time.perf_counter()
+            self._fact = GramFactorisation(self.structure, w)
+            self.stats.factorisations += 1
+            self.stats.seconds_factorise += time.perf_counter() - built
         y = self._fact.solve(rhs)
         if not np.all(np.isfinite(y)):
             # numerical-health guard: an IPM fed a NaN Newton direction
@@ -453,25 +401,6 @@ class GramSolverBridge:
         self.stats.seconds_total += elapsed
         self.stats.per_solve.append((strategy, elapsed))
         return y
-
-    def _factorise(self, w: np.ndarray) -> None:
-        start = time.perf_counter()
-        if self.cache is None:
-            fact = GramFactorisation(self.structure, w)
-            hit = False
-        else:
-            fact, hit = self.cache.get_or_build(
-                self.graph_key,
-                self.version,
-                "gram",
-                (self.structure.fingerprint, weights_digest(w)),
-                lambda: GramFactorisation(self.structure, w),
-            )
-        self.stats.factorisations += 1
-        if hit:
-            self.stats.cache_hits += 1
-        self.stats.seconds_factorise += time.perf_counter() - start
-        self._fact = fact
 
 
 class _DenseGramSolver:
@@ -501,8 +430,8 @@ def default_gram_solver(A):
     """Build the default ``solve_gram`` backend for a constraint matrix ``A``.
 
     Every incidence-structured matrix (Lemma 5.1), dense or sparse, at any
-    size, gets a cache-less :class:`GramSolverBridge` -- the same object the
-    serving path plugs in with a cache; generic matrices get the dense solve.
+    size, gets a :class:`GramSolverBridge` -- the same object the serving path
+    plugs in; generic matrices get the dense solve.
     Called once per :class:`~repro.lp.problem.LPProblem` and cached there.
     """
     structure = detect_incidence_structure(A)

@@ -30,7 +30,8 @@ class LPProblem:
     upper: np.ndarray
     #: optional solver for (A^T D A) y = rhs given the diagonal D (m-vector);
     #: defaults to :func:`~repro.lp.gram.default_gram_solver`.  The serving
-    #: path plugs a cache-wired :class:`~repro.lp.gram.GramSolverBridge` here.
+    #: path plugs a :class:`~repro.lp.gram.GramSolverBridge` on its cached
+    #: structure here.
     gram_solver: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "lp"
     #: ``A^T``, transposed once (CSR when ``A`` is sparse): every Newton step

@@ -98,7 +98,6 @@ from repro.serve.planner import (
     QueryResult,
     certify_query,
     flow_query,
-    gram_query,
     resistance_batch_query,
     resistance_query,
     solve_query,
@@ -193,7 +192,6 @@ __all__ = [
     "resistance_batch_query",
     "certify_query",
     "flow_query",
-    "gram_query",
     "FingerprintCollisionError",
     "GraphRegistry",
     "RegisteredGraph",

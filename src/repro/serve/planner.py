@@ -10,7 +10,7 @@ while preserving per-group submission order, then executes each group with a
 single blocked call against artifacts from the
 :class:`~repro.serve.artifacts.ArtifactCache`.
 
-Five query kinds exist, one row each in the ``kind -> (validate, coalesce,
+Four query kinds exist, one row each in the ``kind -> (validate, coalesce,
 execute)`` table at the bottom of this module (:data:`QUERY_KINDS` is derived
 from it); clients construct them via the ``*_query`` functions:
 
@@ -31,19 +31,15 @@ from it); clients construct them via the ``*_query`` functions:
 ``certify``
     is the cached ``(1 +/- eps)``-sparsifier of this graph valid?  Same-graph
     same-``eps`` queries collapse to a single certification.
-``gram``
-    one ``(A^T D A) y = rhs`` solve for a registered flow network's LP
-    (Lemma 5.1): answered by a :class:`~repro.lp.gram.GramSolverBridge` whose
-    structure and factorisations live in the artifact cache, so repeated
-    diagonals hit warm ``splu`` factors.
 ``flow``
     a full :func:`~repro.flow.mincostflow.min_cost_max_flow` run on a
-    registered network, with the phase-1 max flow served from a cached
-    artifact and every Newton system solved by a cache-wired gram bridge
-    (the direct path runs the same bridge without a cache).  The final flow
-    itself is deliberately *not* memoised -- a repeat solve re-runs the IPM
-    against warm gram artifacts, the cold-vs-warm spread the suite's ``flow``
-    workload reports as ``flow_cold_s`` / ``flow_warm_s``.
+    registered network, with the phase-1 max flow and the compiled Gram
+    structure served from cached artifacts and every Newton system solved by
+    a :class:`~repro.lp.gram.GramSolverBridge` on that structure -- the same
+    bridge the direct path builds, holding the one factorisation each Newton
+    step takes.  The final flow is memoised only on request
+    (``memoise_result``); otherwise a repeat solve re-runs the IPM with only
+    the structure and the max flow warm.
 
 Staleness: before executing a batch the planner checks the registry entry's
 version.  A drifted graph is revalidated and its outdated artifacts are
@@ -68,7 +64,7 @@ import numpy as np
 
 from repro.core import api
 from repro.flow.baselines import edmonds_karp_max_flow
-from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
+from repro.flow.mincostflow import DEFAULT_EPS_SCALE, ENGINES, min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.laplacian import spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
@@ -79,7 +75,7 @@ from repro.linalg.sparse_backend import (
     ResistanceOracle,
     default_update_budget,
 )
-from repro.lp.gram import GRAM_FORMULATIONS, GramSolverBridge, flow_gram_structure
+from repro.lp.gram import GramSolverBridge, flow_gram_structure
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.faults import FaultInjector, as_injector
 from repro.serve.registry import GraphRegistry, RegisteredGraph
@@ -242,76 +238,6 @@ def certify_query(graph_key: str, eps: float = 0.5) -> Query:
     return Query("certify", graph_key, {"eps": float(eps)})
 
 
-def _validate_network(kind: str, graph) -> None:
-    """The graph-side precondition shared by the ``flow`` and ``gram`` kinds."""
-    if not isinstance(graph, FlowNetwork):
-        raise ValueError(
-            f"{kind!r} queries need a registered FlowNetwork, "
-            f"got {type(graph).__name__}"
-        )
-    # edge construction checks capacity > 0 / cost finite-ish, but a NaN
-    # passes every ordered comparison: refuse it explicitly
-    if not np.all(np.isfinite(graph.capacities())) or not np.all(
-        np.isfinite(graph.costs())
-    ):
-        raise ValueError("registered flow network has non-finite capacities or costs")
-
-
-def gram_query(
-    graph_key: str,
-    d: np.ndarray,
-    rhs: np.ndarray,
-    formulation: str = "fixed-value",
-) -> Query:
-    """One ``(A^T D A) y = rhs`` solve for the registered network's flow LP.
-
-    ``formulation`` selects the constraint matrix ``A``: ``"fixed-value"``
-    (the Section 2.4 incidence matrix, ``d`` of length ``m``) or
-    ``"section5"`` (the slack-augmented Section 5 matrix, ``d`` of length
-    ``m + 2(n-1) + 1``).  Same-graph same-formulation queries share one
-    :class:`~repro.lp.gram.GramSolverBridge` per batch.
-    """
-    if formulation not in GRAM_FORMULATIONS:
-        raise ValueError(
-            f"unknown gram formulation {formulation!r}; use one of {GRAM_FORMULATIONS}"
-        )
-    return Query(
-        "gram",
-        graph_key,
-        {
-            "d": np.asarray(d, dtype=float),
-            "rhs": np.asarray(rhs, dtype=float),
-            "formulation": formulation,
-        },
-    )
-
-
-def _validate_gram(graph, payload: Dict[str, Any]) -> None:
-    _validate_network("gram", graph)
-    n, m = graph.n, graph.m
-    formulation = payload["formulation"]
-    rows = m if formulation == "fixed-value" else m + 2 * (n - 1) + 1
-    d = payload["d"]
-    rhs = payload["rhs"]
-    if d.shape != (rows,):
-        raise ValueError(
-            f"gram diagonal must have shape ({rows},) for the "
-            f"{formulation} formulation, got {d.shape}"
-        )
-    if rhs.shape != (n - 1,):
-        raise ValueError(
-            f"gram right-hand side must have shape ({n - 1},), got {rhs.shape}"
-        )
-    # isfinite first: a NaN d slips through `d <= 0` (NaN compares false) and
-    # would poison the aggregated weights
-    if not np.all(np.isfinite(d)):
-        raise ValueError("gram diagonal contains non-finite entries (NaN/inf)")
-    if np.any(d <= 0.0):
-        raise ValueError("gram diagonal must be strictly positive")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("gram right-hand side contains non-finite entries (NaN/inf)")
-
-
 def flow_query(
     graph_key: str,
     engine: str = "barrier",
@@ -323,21 +249,18 @@ def flow_query(
     """An exact min-cost max-flow of the registered network (Theorem 1.1).
 
     Identical-parameter queries on the same network coalesce to one pipeline
-    run.  The run consumes cached serving artifacts (phase-1 max flow, gram
-    factorisations) but its result is recomputed per batch -- see the module
-    docstring -- unless ``memoise_result=True``, which additionally caches
-    the final :class:`~repro.flow.mincostflow.MinCostFlowResult` under the
-    network's content identity so read-heavy traffic on an unchanging
-    network is a dictionary lookup.  The default stays off so warm flow
-    benchmarks keep measuring gram amortisation, not memoisation.
-    Memoising and non-memoising queries never share a batch (a client that
-    asked for a fresh run must get one).
+    run.  The run consumes cached serving artifacts (phase-1 max flow, Gram
+    structure) but its result is recomputed per batch unless
+    ``memoise_result=True``, which additionally caches the final
+    :class:`~repro.flow.mincostflow.MinCostFlowResult` under the network's
+    content identity so read-heavy traffic on an unchanging network is a
+    dictionary lookup.  Memoising and non-memoising queries never share a
+    batch (a client that asked for a fresh run must get one).
 
     ``seed=None`` is served as seed ``0``: the served path is deterministic
-    by default, so a repeat query replays the same cost-perturbation and
-    Newton-weight trajectory and finds every gram factorisation warm (an
-    entropy-seeded perturbation would silently defeat the cache).  Pass an
-    explicit seed to vary the perturbation.
+    by default, so a repeat query replays the same cost perturbation and
+    returns the same flow.  Pass an explicit seed to vary the perturbation.  ``engine`` and
+    ``eps_scale`` are validated at submit time.
     """
     return Query(
         "flow",
@@ -350,6 +273,24 @@ def flow_query(
             "memoise_result": bool(memoise_result),
         },
     )
+
+
+def _validate_flow(graph, payload: Dict[str, Any]) -> None:
+    if not isinstance(graph, FlowNetwork):
+        raise ValueError(
+            f"'flow' queries need a registered FlowNetwork, got {type(graph).__name__}"
+        )
+    # edge construction checks capacity > 0 / cost finite-ish, but a NaN
+    # passes every ordered comparison: refuse it explicitly
+    if not np.all(np.isfinite(graph.capacities())) or not np.all(
+        np.isfinite(graph.costs())
+    ):
+        raise ValueError("registered flow network has non-finite capacities or costs")
+    if payload["engine"] not in ENGINES:
+        raise ValueError(f"unknown engine {payload['engine']!r}; use one of {ENGINES}")
+    eps_scale = payload["eps_scale"]
+    if not (np.isfinite(eps_scale) and eps_scale > 0.0):
+        raise ValueError(f"eps_scale must be finite and > 0, got {eps_scale}")
 
 
 @dataclass
@@ -936,58 +877,20 @@ class QueryPlanner:
             return solver, cache_hit, True
         return oracle, cache_hit, False
 
-    # -- flow / gram workloads -------------------------------------------------
+    # -- flow workloads --------------------------------------------------------
 
-    def gram_bridge(
-        self, entry: RegisteredGraph, formulation: str = "fixed-value"
-    ) -> GramSolverBridge:
-        """A cache-wired gram bridge for the entry's flow LP (Lemma 5.1).
+    def gram_bridge(self, entry: RegisteredGraph) -> Tuple[GramSolverBridge, bool]:
+        """A gram bridge for the entry's flow LP (Lemma 5.1), and its cache hit.
 
-        The compiled :class:`~repro.lp.gram.IncidenceStructure` is itself a
-        cached artifact (kind ``"gram_structure"``); the bridge is per-call
-        state (the factorisation it holds and its statistics belong to one
-        IPM run) but every factorisation it takes goes through
-        :meth:`ArtifactCache.get_or_build` under the entry's content
-        identity, which is where repeat solves find warm ``splu`` factors.
+        The compiled :class:`~repro.lp.gram.IncidenceStructure` is a cached
+        artifact (kind ``"gram_structure"``); the bridge is per-call state --
+        the one factorisation it holds and its statistics belong to one IPM
+        run -- exactly as on the direct path.
         """
-        structure, _ = self._build(
-            entry,
-            "gram_structure",
-            (formulation,),
-            lambda: flow_gram_structure(entry.graph, formulation),
+        structure, cache_hit = self._build(
+            entry, "gram_structure", (), lambda: flow_gram_structure(entry.graph)
         )
-        return GramSolverBridge(
-            structure,
-            cache=self.cache,
-            graph_key=entry.fingerprint,
-            version=entry.version,
-        )
-
-    def _execute_gram(
-        self, entry: RegisteredGraph, batch: QueryBatch
-    ) -> Tuple[List[Any], bool, bool]:
-        formulation = batch.coalesce_params[0]
-        bridge = self.gram_bridge(entry, formulation)
-        values: List[Any] = []
-        for query in batch.queries:
-            y = bridge(query.payload["d"], query.payload["rhs"])
-            if self.faults.nan_output(query):
-                y = np.full_like(np.asarray(y, dtype=float), np.nan)
-            values.append(y)
-        # the bridge refuses genuinely sick solves itself (see
-        # GramSolverBridge.__call__); this guard catches injected poison at
-        # the same contract boundary
-        poisoned = [
-            q.query_id
-            for q, y in zip(batch.queries, values)
-            if not np.all(np.isfinite(y))
-        ]
-        if poisoned:
-            raise NumericalHealthError(
-                f"gram solve produced non-finite output for queries {poisoned}"
-            )
-        cache_hit = bridge.stats.cache_hits > 0
-        return values, cache_hit, False
+        return GramSolverBridge(structure), cache_hit
 
     def _execute_flow(
         self, entry: RegisteredGraph, batch: QueryBatch
@@ -995,9 +898,10 @@ class QueryPlanner:
         """One pipeline run answers every identical-parameter flow query.
 
         Warm serving artifacts: the phase-1 max flow (kind ``"maxflow"``,
-        content-addressed like everything else) and the gram factorisations
-        the bridge takes during the IPM.  The pipeline itself is deterministic
-        given the parameters, so one run is the answer for the whole batch.
+        content-addressed like everything else) and the compiled Gram
+        structure (kind ``"gram_structure"``); the batch counts as a cache hit
+        when either was warm.  The pipeline itself is deterministic given the
+        parameters, so one run is the answer for the whole batch.
 
         With ``memoise_result=True`` on the queries, the final
         :class:`~repro.flow.mincostflow.MinCostFlowResult` is itself a cached
@@ -1015,11 +919,11 @@ class QueryPlanner:
                 (),
                 lambda: edmonds_karp_max_flow(entry.graph),
             )
-            bridges: List[GramSolverBridge] = []
+            hits = [phase_hit]
 
             def factory(flow_lp):
-                bridge = self.gram_bridge(entry, "fixed-value")
-                bridges.append(bridge)
+                bridge, structure_hit = self.gram_bridge(entry)
+                hits.append(structure_hit)
                 return bridge
 
             result = min_cost_max_flow(
@@ -1031,7 +935,7 @@ class QueryPlanner:
                 gram_solver_factory=factory,
                 phase_one=phase_one,
             )
-            warm.append(phase_hit or any(b.stats.cache_hits > 0 for b in bridges))
+            warm.append(any(hits))
             return result
 
         if memoise:
@@ -1130,11 +1034,8 @@ _KIND_TABLE: Dict[str, QueryKind] = {
     "certify": QueryKind(
         lambda graph, p: None, lambda p: (p["eps"],), QueryPlanner._execute_certify
     ),
-    "gram": QueryKind(
-        _validate_gram, lambda p: (p["formulation"],), QueryPlanner._execute_gram
-    ),
     "flow": QueryKind(
-        lambda graph, p: _validate_network("flow", graph),
+        _validate_flow,
         lambda p: (
             p["engine"],
             p["seed"],

@@ -42,7 +42,6 @@ from repro.serve.planner import (
     QueryResult,
     certify_query,
     flow_query,
-    gram_query,
     query_kind,
     resistance_batch_query,
     resistance_query,
@@ -282,17 +281,18 @@ class QueryFrontDoor:
         """Exact min-cost max-flow of a registered ``FlowNetwork``.
 
         The pipeline consumes cached serving artifacts -- the phase-1 max
-        flow and the gram (``A^T D A``) factorisations of every Newton step
-        -- so repeated solves on the same network run against warm
-        preprocessing.  Returns the same
+        flow and the compiled Gram structure every Newton step's
+        ``A^T D A`` factorisation scatters into -- so repeated solves on the
+        same network skip that preprocessing.  Returns the same
         :class:`~repro.flow.mincostflow.MinCostFlowResult` as the direct
         path, with :attr:`~repro.flow.mincostflow.MinCostFlowResult.gram_stats`
         describing how the bridge served the run.
 
         ``memoise_result=True`` additionally caches the final result under
         the network's content identity, so repeat queries on an unchanged
-        network skip the IPM entirely (read-heavy traffic); the default
-        stays off so a warm query still measures gram amortisation.
+        network skip the IPM entirely (read-heavy traffic).  ``engine`` and
+        ``eps_scale`` are rejected with ``ValueError`` at submit when
+        malformed.
         """
         return self._submit_and_wait(
             flow_query(
@@ -303,23 +303,6 @@ class QueryFrontDoor:
                 perturb=perturb,
                 memoise_result=memoise_result,
             )
-        ).value
-
-    def solve_gram(
-        self,
-        graph_key: str,
-        d: np.ndarray,
-        rhs: np.ndarray,
-        formulation: str = "fixed-value",
-    ) -> np.ndarray:
-        """One ``(A^T D A) y = rhs`` solve of the registered network's flow LP.
-
-        ``d`` is the positive Newton diagonal over the LP rows, ``rhs`` a
-        vector over the non-source vertices; the answer comes off the cached
-        grounded ``splu`` factorisation family of Lemma 5.1.
-        """
-        return self._submit_and_wait(
-            gram_query(graph_key, d, rhs, formulation=formulation)
         ).value
 
 
@@ -421,7 +404,7 @@ class LaplacianService(QueryFrontDoor):
 
         Accepts the undirected :class:`~repro.graphs.graph.WeightedGraph`
         (solve/resistance/certify workloads) and the directed
-        :class:`~repro.graphs.digraph.FlowNetwork` (flow/gram workloads);
+        :class:`~repro.graphs.digraph.FlowNetwork` (flow workloads);
         both are content-fingerprinted the same way.
         """
         return self.registry.register(graph, name=name)

@@ -1,6 +1,5 @@
-"""Flow and gram queries through the serving tier (fast end-to-end path)."""
+"""Flow queries through the serving tier (fast end-to-end path)."""
 
-import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -11,7 +10,7 @@ from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
 from repro.graphs import generators
 from repro.lp.gram import GramSolverBridge
-from repro.serve import LaplacianService
+from repro.serve import LaplacianService, flow_query
 
 #: network -> (lp_iterations, rounds) of the served run at seed 0, recorded
 #: when the barrier engine became the primal-dual predictor-corrector at
@@ -59,19 +58,20 @@ class TestServedFlow:
         assert served.gram_stats["solves"] > 0
 
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_warm_run_hits_gram_cache(self, name, built):
-        """One Gram-solve path: direct, cold and warm differ only in the cache."""
+    def test_direct_cold_and_warm_are_one_gram_path(self, name, built):
+        """Direct, cold and warm solve through one bridge with the same outcomes."""
         factory, lp_iterations, rounds = PINNED[name]
         network = factory()
         direct = min_cost_max_flow(network, seed=0)
         problem = built[0].problem
         assert sp.issparse(problem.A)
         direct_solver = problem.__dict__["_gram_fallback"]
-        assert isinstance(direct_solver, GramSolverBridge) and direct_solver.cache is None
+        assert isinstance(direct_solver, GramSolverBridge)
 
         service = make_service()
         key = service.register(network)
         cold = service.min_cost_flow(key, seed=0)
+        cold_bytes = service.cache.total_bytes
         warm = service.min_cost_flow(key, seed=0)
         value, cost, _ = networkx_min_cost_max_flow(network)
         for run in (direct, cold, warm):
@@ -80,16 +80,29 @@ class TestServedFlow:
             assert run.lp_iterations == lp_iterations
             assert run.rounds == pytest.approx(rounds, rel=1e-12)
             assert not run.rounding_fallback
-        # the deterministic rerun replays the same weight trajectory, so every
-        # factorisation (and the phase-1 max flow) comes out of the cache
-        stats = warm.gram_stats
-        assert stats["factorisations"] > 0
-        assert stats["cache_hits"] == stats["factorisations"]
-        assert stats["factorisations"] == stats["solves"] - stats["reuse_solves"]
-        assert cold.gram_stats["cache_hits"] < cold.gram_stats["factorisations"]
-        assert direct_solver.stats.solves == stats["solves"]
-        kinds = service.metrics_snapshot()["queries_by_kind"]
-        assert kinds.get("flow") == 2
+        # every bridge holds the one factorisation per Newton weight vector:
+        # each solve either reuses it or takes a new one, served or not
+        direct_stats = direct_solver.stats.as_dict()
+        for stats in (direct_stats, cold.gram_stats, warm.gram_stats):
+            assert stats["factorisations"] == stats["solves"] - stats["reuse_solves"]
+            assert stats["factorisations"] >= lp_iterations
+        assert cold.gram_stats["solves"] == warm.gram_stats["solves"] == direct_stats["solves"]
+        # the warm run finds the max flow and the structure; it stores nothing
+        kinds = sorted(entry.kind for entry in service.cache.entries())
+        assert kinds == ["gram_structure", "maxflow"]
+        assert service.cache.total_bytes == cold_bytes
+        assert service.metrics_snapshot()["queries_by_kind"].get("flow") == 2
+
+    def test_warm_flag_is_the_structure_and_max_flow_hit(self, network):
+        service = make_service(auto_flush=False)
+        key = service.register(network)
+        tickets = []
+        for _ in range(2):
+            tickets.append(service.submit(flow_query(key)))
+            service.flush()
+        cold, warm = (ticket.result() for ticket in tickets)
+        assert not cold.cache_hit and warm.cache_hit
+        assert warm.value.flow == cold.value.flow
 
     def test_suite_instance_is_pinned_without_fallback(self):
         """The ``flow`` workload's own network: the IPM's rounded flow is the answer."""
@@ -131,10 +144,18 @@ class TestServedFlow:
 
     def test_registering_same_content_twice_shares_artifacts(self, network):
         service = make_service()
-        api.min_cost_max_flow(network, seed=0, service=service)
+        cold = api.min_cost_max_flow(network, seed=0, service=service)
+        hits_before = service.cache.stats.hits
         clone = generators.random_flow_network(9, seed=5)
         warm = api.min_cost_max_flow(clone, seed=0, service=service)
-        assert warm.gram_stats["cache_hits"] == warm.gram_stats["factorisations"]
+        # the clone's max flow and structure come out of the cache
+        assert service.cache.stats.hits - hits_before == 2
+        assert sorted(entry.kind for entry in service.cache.entries()) == [
+            "gram_structure",
+            "maxflow",
+        ]
+        assert warm.flow == cold.flow
+        assert warm.gram_stats["factorisations"] == cold.gram_stats["factorisations"]
 
     def test_mutated_network_is_not_served_stale(self, network):
         service = make_service()
@@ -193,76 +214,22 @@ class TestResultMemoisation:
         assert after.cost == pytest.approx(direct.cost, abs=1e-8)
 
 
-class TestGramFrontDoor:
-    def test_solve_gram_matches_dense_reference(self, network, rng):
-        service = make_service()
-        key = service.register(network)
-        A = build_fixed_value_lp(network, flow_value=1.0).problem.A.toarray()
-        d = rng.uniform(0.5, 2.0, size=network.m)
-        rhs = rng.normal(size=network.n - 1)
-        y = service.solve_gram(key, d, rhs)
-        np.testing.assert_allclose(
-            y, np.linalg.solve(A.T @ (d[:, None] * A), rhs), atol=1e-8
-        )
-
-    def test_gram_queries_share_the_flow_solve_cache(self, network, rng):
-        service = make_service()
-        key = service.register(network)
-        service.min_cost_flow(key, seed=0)
-        hits_before = service.cache.stats.hits
-        d = np.ones(network.m)
-        service.solve_gram(key, d, rng.normal(size=network.n - 1))
-        # the structure artifact is shared; a repeated diagonal also shares
-        # the factorisation itself
-        service.solve_gram(key, d, rng.normal(size=network.n - 1))
-        assert service.cache.stats.hits > hits_before
-
-
 class TestValidation:
     def test_flow_query_needs_a_flow_network(self, small_graph):
         service = make_service()
         key = service.register(small_graph)
         with pytest.raises(ValueError, match="FlowNetwork"):
             service.min_cost_flow(key)
-        with pytest.raises(ValueError, match="FlowNetwork"):
-            service.solve_gram(
-                key, np.ones(small_graph.m), np.zeros(small_graph.n - 1)
-            )
 
-    def test_gram_shape_and_sign_rejections(self, network, rng):
+    def test_direct_and_served_paths_share_one_engine_list(self, network):
         service = make_service()
         key = service.register(network)
-        good_d = np.ones(network.m)
-        good_rhs = np.zeros(network.n - 1)
-        with pytest.raises(ValueError, match="diagonal must have shape"):
-            service.solve_gram(key, np.ones(network.m + 1), good_rhs)
-        with pytest.raises(ValueError, match="right-hand side"):
-            service.solve_gram(key, good_d, np.zeros(network.n))
-        with pytest.raises(ValueError, match="strictly positive"):
-            bad = good_d.copy()
-            bad[0] = 0.0
-            service.solve_gram(key, bad, good_rhs)
-        with pytest.raises(ValueError, match="formulation"):
-            service.solve_gram(key, good_d, good_rhs, formulation="newton")
-
-    def test_section5_gram_shape_is_the_augmented_row_count(self, network, rng):
-        service = make_service()
-        key = service.register(network)
-        rows = network.m + 2 * (network.n - 1) + 1
-        y = service.solve_gram(
-            key,
-            rng.uniform(0.5, 2.0, size=rows),
-            rng.normal(size=network.n - 1),
-            formulation="section5",
-        )
-        assert y.shape == (network.n - 1,)
-        with pytest.raises(ValueError, match="diagonal must have shape"):
-            service.solve_gram(
-                key,
-                np.ones(network.m),
-                np.zeros(network.n - 1),
-                formulation="section5",
-            )
+        with pytest.raises(ValueError) as direct:
+            min_cost_max_flow(network, engine="newton")
+        with pytest.raises(ValueError) as served:
+            service.min_cost_flow(key, engine="newton")
+        assert str(direct.value) == str(served.value)
+        assert str(mincostflow.ENGINES) in str(served.value)
 
     def test_unknown_key_raises(self):
         service = make_service()

@@ -1,4 +1,4 @@
-"""Gram structure detection and the cached Gram solver bridge (Lemma 5.1)."""
+"""Gram structure detection and the Gram solver bridge (Lemma 5.1)."""
 
 import ast
 import importlib
@@ -15,11 +15,11 @@ from scipy.sparse import csgraph
 
 import repro.flow
 import repro.lp
+import repro.serve
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
 from repro.graphs.laplacian import is_symmetric_diagonally_dominant
 from repro.lp.gram import (
-    GRAM_FORMULATIONS,
     GramFactorisation,
     GramSolverBridge,
     IncidenceStructure,
@@ -28,12 +28,23 @@ from repro.lp.gram import (
     detect_incidence_structure,
     flow_gram_structure,
 )
-from repro.serve import ArtifactCache
+from repro.serve.service import QueryFrontDoor
+from repro.serve.planner import QUERY_KINDS
 
 
 @pytest.fixture
 def network():
     return generators.random_flow_network(9, seed=3)
+
+
+#: how each flow LP's Gram structure is compiled: the fixed-value LP's
+#: straight from the network, the Section 5 LP's by detection on its ``A``
+STRUCTURES = {
+    "fixed-value": flow_gram_structure,
+    "section5": lambda network: detect_incidence_structure(
+        build_flow_lp(network, seed=0, perturb=False).problem.A
+    ),
+}
 
 
 def dense_gram_solve(A, d, rhs):
@@ -70,17 +81,12 @@ class TestDetection:
         )
 
     def test_flow_gram_structure_matches_detection(self, network):
-        # byte-identical fingerprints: gram queries compiled straight from the
-        # network share cache keys with factorisations made inside flow solves
+        # byte-identical fingerprints: the structure the serving tier compiles
+        # straight from the network is the one the direct path detects
         fixed = build_fixed_value_lp(network, flow_value=3.0)
         assert (
-            flow_gram_structure(network, "fixed-value").fingerprint
+            flow_gram_structure(network).fingerprint
             == detect_incidence_structure(fixed.problem.A).fingerprint
-        )
-        section5 = build_flow_lp(network, seed=0, perturb=False)
-        assert (
-            flow_gram_structure(network, "section5").fingerprint
-            == detect_incidence_structure(section5.problem.A).fingerprint
         )
 
     def test_sparse_and_dense_matrices_detect_identically(self, network):
@@ -88,10 +94,6 @@ class TestDetection:
         dense = detect_incidence_structure(flow_lp.problem.A.toarray())
         sparse = detect_incidence_structure(flow_lp.problem.A)
         assert dense.fingerprint == sparse.fingerprint
-
-    def test_unknown_formulation_rejected(self, network):
-        with pytest.raises(ValueError, match="formulation"):
-            flow_gram_structure(network, "newton")
 
     def test_non_incidence_matrices_return_none(self, rng):
         assert detect_incidence_structure(rng.normal(size=(6, 4))) is None
@@ -125,8 +127,7 @@ class TestBridge:
         flow_lp = build_fixed_value_lp(network, flow_value=3.0)
         A = flow_lp.problem.A
         structure = detect_incidence_structure(A)
-        cache = ArtifactCache()
-        bridge = GramSolverBridge(structure, cache=cache, graph_key="g", version=0)
+        bridge = GramSolverBridge(structure)
         d = rng.uniform(0.5, 2.0, size=structure.m)
         big_mover = d.copy()
         big_mover[0] *= 50.0  # one pair far out, every other pair untouched
@@ -146,34 +147,27 @@ class TestBridge:
             "factorise", "reuse", "factorise", "factorise", "factorise",
         ]
         assert bridge.stats.solves == 5 and bridge.stats.reuse_solves == 1
-        assert bridge.stats.factorisations == 4 and bridge.stats.cache_hits == 0
-        # cached artifacts are immutable: the first one still sits at the
-        # weights it was built for, whatever the bridge solved afterwards
-        first = next(entry.value for entry in cache.entries() if entry.kind == "gram")
-        np.testing.assert_array_equal(first.w, structure.aggregate(d))
-        rhs = rng.normal(size=structure.n)
-        np.testing.assert_allclose(
-            first.solve(rhs), dense_gram_solve(A, d, rhs), atol=1e-8
-        )
+        assert bridge.stats.factorisations == 4
+        # the bridge holds exactly one factorisation: the latest weights'
+        np.testing.assert_array_equal(bridge._fact.w, structure.aggregate(sequence[-1]))
 
     def test_nonpositive_weights_rejected(self, network):
-        structure = flow_gram_structure(network, "fixed-value")
+        structure = flow_gram_structure(network)
         bridge = GramSolverBridge(structure)
         with pytest.raises(ValueError, match="positive"):
             bridge(np.zeros(structure.m), np.ones(structure.n))
 
-    def test_two_bridges_share_cached_factorisations(self, network, rng):
-        structure = flow_gram_structure(network, "fixed-value")
-        cache = ArtifactCache()
+    def test_two_bridges_on_one_structure_each_factorise_once(self, network, rng):
+        structure = flow_gram_structure(network)
         d = rng.uniform(0.5, 2.0, size=structure.m)
         rhs = rng.normal(size=structure.n)
-        cold = GramSolverBridge(structure, cache=cache, graph_key="g", version=0)
-        cold(d, rhs)
-        assert cold.stats.factorisations == 1 and cold.stats.cache_hits == 0
-        warm = GramSolverBridge(structure, cache=cache, graph_key="g", version=0)
-        y = warm(d, rhs)
-        assert warm.stats.factorisations == 1 and warm.stats.cache_hits == 1
-        np.testing.assert_allclose(y, cold(d, rhs), atol=1e-12)
+        first, second = GramSolverBridge(structure), GramSolverBridge(structure)
+        y = first(d, rhs)
+        np.testing.assert_array_equal(second(d, rhs), y)
+        np.testing.assert_array_equal(first(d, rhs), y)
+        assert [b.stats.factorisations for b in (first, second)] == [1, 1]
+        assert [b.stats.reuse_solves for b in (first, second)] == [1, 0]
+        assert first.stats.as_dict()["cache_hits"] == 0  # constant key
 
 
 class TestDefaultGramSolver:
@@ -183,7 +177,7 @@ class TestDefaultGramSolver:
         network = generators.random_flow_network(vertices, seed=3)
         A = build_fixed_value_lp(network, flow_value=3.0).problem.A
         solver = default_gram_solver(A.toarray() if dense else A)
-        assert isinstance(solver, GramSolverBridge) and solver.cache is None
+        assert isinstance(solver, GramSolverBridge)
         d = rng.uniform(0.5, 2.0, size=network.m)
         rhs = rng.normal(size=network.n - 1)
         np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
@@ -209,33 +203,32 @@ class TestDefaultGramSolver:
 
 
 class TestFactorisation:
-    def test_solve_is_exact_and_accounted(self, network, rng):
-        structure = flow_gram_structure(network, "fixed-value")
+    def test_solve_is_exact(self, network, rng):
+        structure = flow_gram_structure(network)
         w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
         fact = GramFactorisation(structure, w)
         rhs = rng.normal(size=structure.n)
         np.testing.assert_allclose(
             structure.reduced_matrix(w) @ fact.solve(rhs), rhs, atol=1e-10
         )
-        assert fact.nbytes() > 0
 
 
 class TestGroundedLaplacian:
     """Lemma 5.1: a flow LP's ``A^T D A`` is a grounded Laplacian, hence SDD."""
 
-    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    @pytest.mark.parametrize("formulation", sorted(STRUCTURES))
     def test_reduced_matrix_is_sdd_with_nonpositive_off_diagonal(self, network, rng, formulation):
-        structure = flow_gram_structure(network, formulation)
+        structure = STRUCTURES[formulation](network)
         M = structure.reduced_matrix(structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m)))
         M = M.toarray()
         assert is_symmetric_diagonally_dominant(M)
         assert np.all(M - np.diag(np.diag(M)) <= 0.0)
 
-    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    @pytest.mark.parametrize("formulation", sorted(STRUCTURES))
     def test_row_excess_is_the_ground_edge_weight(self, network, rng, formulation):
         """Each row's diagonal excess is the weight of its column's edge to the
         ground; some column has one, so the matrix is positive definite."""
-        structure = flow_gram_structure(network, formulation)
+        structure = STRUCTURES[formulation](network)
         w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
         excess = structure.reduced_matrix(w) @ np.ones(structure.n)
         grounded = structure.pair_v == structure.ground
@@ -246,8 +239,8 @@ class TestGroundedLaplacian:
         assert ground_weight.sum() > 0.0
 
 
-#: ``flow_gram_structure(network, "fixed-value").fingerprint`` at the commit
-#: before structures carried an ordering: cache keys must not move with it
+#: ``flow_gram_structure(network).fingerprint`` at the commit before
+#: structures carried an ordering: compiling must not move it
 PINNED_FINGERPRINTS = {
     "random-24": (
         lambda: generators.random_flow_network(24, seed=3),
@@ -309,10 +302,10 @@ class TestCompiledOrdering:
             np.testing.assert_array_equal(getattr(again, name), getattr(structure, name))
         assert again.fingerprint == structure.fingerprint
 
-    @pytest.mark.parametrize("formulation", GRAM_FORMULATIONS)
+    @pytest.mark.parametrize("formulation", sorted(STRUCTURES))
     @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
     def test_flow_structures_factorise_exactly(self, name, formulation):
-        structure = flow_gram_structure(PINNED_FINGERPRINTS[name][0](), formulation)
+        structure = STRUCTURES[formulation](PINNED_FINGERPRINTS[name][0]())
         assert_factorisation_exact(structure, seed=11)
         # a permutation of the LP columns, and the CSC pattern of the
         # grounded Laplacian under it
@@ -324,10 +317,10 @@ class TestCompiledOrdering:
     @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
     def test_fingerprints_did_not_move(self, name):
         factory, fingerprint = PINNED_FINGERPRINTS[name]
-        assert flow_gram_structure(factory(), "fixed-value").fingerprint == fingerprint
+        assert flow_gram_structure(factory()).fingerprint == fingerprint
 
     def test_pickled_structure_factorises_without_recompiling(self, network, rng, linalg_counts):
-        structure = flow_gram_structure(network, "fixed-value")
+        structure = flow_gram_structure(network)
         compiles = linalg_counts["splu"]
         clone = pickle.loads(pickle.dumps(structure))
         for name in COMPILED_FIELDS:
@@ -339,11 +332,6 @@ class TestCompiledOrdering:
         )
         assert compiles == 3  # the trial orderings of the one compile
         assert linalg_counts["splu"] == compiles + 2  # one numeric splu per factorisation
-
-    def test_nbytes_prices_the_factors_superlu_reports(self, network):
-        structure = flow_gram_structure(network, "fixed-value")
-        fact = GramFactorisation(structure, structure.aggregate(np.ones(structure.m)))
-        assert fact.nbytes() == 12 * fact._lu.nnz + 8 * structure.n + fact.w.nbytes
 
 
 DELETED_NAMES = (
@@ -359,6 +347,9 @@ DELETED_NAMES = (
     "_w_state",
     "_IncidenceGramSolver",
     "SPARSE_GRAM_MIN_COLS",
+    "weights_digest",
+    "GRAM_FORMULATIONS",
+    "get_or_build",
 )
 
 
@@ -395,3 +386,12 @@ class TestOnePath:
                 elif isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
                 assert not any(n.startswith("repro.solvers") for n in names), module.__name__
+
+    def test_the_gram_cache_and_the_gram_kind_are_gone(self):
+        # a bridge holds the one factorisation it takes: nothing to wire
+        assert list(inspect.signature(GramSolverBridge).parameters) == ["structure"]
+        assert list(inspect.signature(flow_gram_structure).parameters) == ["network"]
+        assert not hasattr(GramFactorisation, "nbytes")
+        assert "gram" not in QUERY_KINDS
+        assert not hasattr(repro.serve, "gram_query")
+        assert not hasattr(QueryFrontDoor, "solve_gram")

@@ -150,7 +150,6 @@ FRONT_DOOR = (
     "effective_resistances",
     "certify",
     "min_cost_flow",
-    "solve_gram",
 )
 
 

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs import generators
 from repro.graphs.digraph import FlowNetwork
+from repro.lp.gram import GramFactorisation, GramSolverBridge
 from repro.serve import (
     ArtifactBreakerOpenError,
     CircuitBreaker,
@@ -23,7 +25,7 @@ from repro.serve import (
     UnknownGraphError,
     call_with_retries,
     estimate_retry_after,
-    gram_query,
+    flow_query,
     solve_query,
 )
 
@@ -399,20 +401,39 @@ class TestNumericalHealth:
             else:
                 assert np.all(np.isfinite(ticket.result().value.solution))
 
-    def test_nan_gram_output_refused(self, rng):
-        service = make_service()
-        key = service.register(small_network())
+    def test_nan_gram_output_refused(self, monkeypatch):
+        """The bridge refuses a NaN Newton direction on both paths; the IPM
+        takes the refusal as a stall and the exact correction answers."""
         net = small_network()
-        d = np.ones(net.m)
-        rhs = rng.normal(size=net.n - 1)
-        query = gram_query(key, d, rhs)
-        service.arm_faults(
-            FaultPlan((FaultRule(op="nan", query_id=query.query_id),))
-        )
-        ticket = service.submit(query)
-        service.flush()
-        with pytest.raises(NumericalHealthError):
-            ticket.result()
+        expected = min_cost_max_flow(net, seed=0)
+        service = make_service()
+        key = service.register(net)
+        refusals = []
+        call = GramSolverBridge.__call__
+
+        def recording_call(bridge, d, rhs):
+            try:
+                return call(bridge, d, rhs)
+            except NumericalHealthError:
+                refusals.append(bridge)
+                raise
+
+        monkeypatch.setattr(GramSolverBridge, "__call__", recording_call)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                GramFactorisation, "solve", lambda self, rhs: np.full(self.structure.n, np.nan)
+            )
+            direct = min_cost_max_flow(net, seed=0)
+            assert len(refusals) == 1
+            served = service.min_cost_flow(key, seed=0)
+            assert len(refusals) == 2
+        for run in (direct, served):
+            assert run.rounding_fallback
+            assert run.flow == expected.flow and run.cost == expected.cost
+        # the service answers the next flow query from a healthy bridge
+        healthy = service.min_cost_flow(key, seed=0)
+        assert len(refusals) == 2 and not healthy.rounding_fallback
+        assert healthy.flow == expected.flow and healthy.cost == expected.cost
 
 
 class TestDeadlines:
@@ -480,23 +501,16 @@ class TestSubmitTimeRejection:
         with pytest.raises(ValueError, match="non-finite"):
             service.solve(key, b)
 
-    def test_nan_gram_diagonal_rejected(self, rng):
-        service = make_service()
+    @pytest.mark.parametrize("field", ["capacity", "cost"])
+    def test_nan_network_rejected_at_submit(self, field):
         net = small_network()
-        key = service.register(net)
-        d = np.ones(net.m)
-        d[1] = np.nan  # passes `d <= 0` (NaN compares false) -- must not pass here
-        with pytest.raises(ValueError, match="non-finite"):
-            service.submit(gram_query(key, d, rng.normal(size=net.n - 1)))
-
-    def test_nan_gram_rhs_rejected(self):
+        # a NaN passes every ordered comparison the edge constructor makes
+        net.add_edge(0, 1, **{"capacity": 2.0, "cost": 1.0, field: np.nan})
         service = make_service()
-        net = small_network()
         key = service.register(net)
-        rhs = np.zeros(net.n - 1)
-        rhs[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            service.submit(gram_query(key, np.ones(net.m), rhs))
+            service.submit(flow_query(key))
+        assert service.flush() == 0
 
     def test_rejected_query_never_reaches_the_queue(self, graph):
         service = make_service()
@@ -504,6 +518,24 @@ class TestSubmitTimeRejection:
         b = np.full(graph.n, np.nan)
         with pytest.raises(ValueError):
             service.submit(solve_query(key, b))
+        assert service.flush() == 0
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"engine": "bogus"}, "unknown engine"),
+            ({"eps_scale": float("nan")}, "eps_scale"),
+            ({"eps_scale": float("inf")}, "eps_scale"),
+            ({"eps_scale": -1.0}, "eps_scale"),
+            ({"eps_scale": 0.0}, "eps_scale"),
+        ],
+        ids=["engine-bogus", "eps-nan", "eps-inf", "eps-negative", "eps-zero"],
+    )
+    def test_malformed_flow_query_rejected_at_submit(self, params, match):
+        service = make_service()
+        key = service.register(small_network())
+        with pytest.raises(ValueError, match=match):
+            service.submit(flow_query(key, **params))
         assert service.flush() == 0
 
 
