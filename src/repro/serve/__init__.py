@@ -43,8 +43,7 @@ something:
   on a dying worker are resubmitted, not lost), health-checks workers on a
   cadence (:class:`HealthPolicy`: suspect -> dead ladder, wedged workers
   killed and respawned), supports runtime ``add_worker``/``remove_worker``
-  membership changes, sheds with a ``retry_after_seconds`` hint, and merges
-  per-worker metrics.
+  membership changes, and merges per-worker metrics.
 * :mod:`repro.serve.worker` -- one shard process: an in-process service
   behind a pipe, a :class:`BackgroundBuilder` that moves sketch builds off
   the flush path (the grounded exact fallback serves, non-degraded, until
@@ -75,7 +74,6 @@ Quickstart::
 from repro.serve.artifacts import ArtifactCache, CacheStats, estimate_nbytes
 from repro.serve.cluster import (
     ClusterService,
-    ClusterTicket,
     HashRing,
     HealthPolicy,
     WorkerCrashedError,
@@ -132,8 +130,6 @@ from repro.serve.shm import (
     SharedArtifactStore,
     ShmArraySpec,
     ShmArtifactSpec,
-    csr_from_arrays,
-    csr_to_arrays,
 )
 from repro.serve.traffic import (
     ClientRetryPolicy,
@@ -155,7 +151,6 @@ from repro.serve.worker import (
 
 __all__ = [
     "ClusterService",
-    "ClusterTicket",
     "HashRing",
     "HealthPolicy",
     "WorkerCrashedError",
@@ -163,8 +158,6 @@ __all__ = [
     "SharedArtifactStore",
     "ShmArraySpec",
     "ShmArtifactSpec",
-    "csr_from_arrays",
-    "csr_to_arrays",
     "ClientRetryPolicy",
     "TraceEvent",
     "TrafficConfig",

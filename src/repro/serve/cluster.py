@@ -33,18 +33,12 @@ a fixed cadence over the ordinary control pipe.  A worker that misses
 its replicas, and ``metrics_snapshot`` stops querying it -- and one that
 misses ``dead_misses`` is declared wedged and proactively killed, which
 funnels into the ordinary crash-respawn path (so a worker stuck in a loop,
-not just a dead one, self-heals without operator action).  Membership is
-dynamic: :meth:`ClusterService.add_worker` / :meth:`remove_worker` move
+not just a dead one, self-heals without operator action).  The monitor is
+the cluster's only liveness rule: a control round-trip waits for its reply
+with no timeout of its own, since killing a worker fails every request
+pending on it with :class:`WorkerCrashedError`.  Membership is dynamic: :meth:`ClusterService.add_worker` / :meth:`remove_worker` move
 only the ring-mandated keys, re-registering them cheaply from the parent's
 lockstep copies plus the already-published shared-memory artifacts.
-
-Backpressure
-------------
-
-Parent-side admission control per shard (``max_inflight``) sheds with
-:class:`~repro.serve.service.ServiceOverloadedError` carrying a
-``retry_after_seconds`` hint computed from the shard's queue depth and its
-observed drain rate -- the same contract as the single-process front door.
 """
 
 from __future__ import annotations
@@ -64,15 +58,9 @@ import numpy as np
 from repro.serve.faults import FaultInjector, FaultPlan, as_injector
 from repro.serve.planner import Query, solve_query
 from repro.serve.registry import graph_fingerprint
-from repro.serve.resilience import DrainRateTracker, estimate_retry_after
-from repro.serve.service import QueryFrontDoor, ServiceOverloadedError
+from repro.serve.service import QueryFrontDoor, QueryTicket
 from repro.serve.shm import SharedArtifactStore, ShmArtifactSpec
 from repro.serve.worker import RemoteResult, WorkerConfig, worker_main
-
-#: how long a control round-trip (register/mutate/metrics/shutdown) may take
-#: before the worker is declared unresponsive (and killed -- see
-#: :meth:`ClusterService._request`)
-CONTROL_TIMEOUT_SECONDS = 120.0
 
 #: parent-side end-to-end latency window (matches ServiceMetrics)
 LATENCY_WINDOW = 8192
@@ -113,8 +101,6 @@ class HealthPolicy:
     #: freshly spawned worker spends this long importing before it can
     #: answer anything, and must not be declared wedged for it
     startup_grace_seconds: float = 15.0
-    #: whether the monitor thread runs at all
-    enabled: bool = True
 
     def __post_init__(self):
         if self.probe_interval_seconds <= 0:
@@ -179,21 +165,12 @@ class HashRing:
         """The current node set, sorted."""
         return tuple(sorted(self._nodes))
 
-    def owner(self, key: str) -> str:
-        """The node owning ``key`` (first ring point at/after its hash)."""
-        if not self._points:
-            raise ValueError("hash ring has no nodes")
-        index = bisect.bisect_left(self._points, (self._hash(key), ""))
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
-
     def owners(self, key: str, count: int) -> Tuple[str, ...]:
         """The first ``count`` distinct nodes at/after ``key``'s hash.
 
-        ``owners(key, count)[0] == owner(key)`` always holds; the walk
-        continues clockwise collecting distinct nodes, so the result is the
-        replica set for ``key``.  When the ring has fewer than ``count``
+        ``owners(key, 1)[0]`` is the node owning ``key`` (first ring point
+        at/after its hash); the walk continues clockwise collecting distinct
+        nodes, so the result is the replica set for ``key``.  When the ring has fewer than ``count``
         nodes, every node is returned (a cluster smaller than the
         replication factor degrades gracefully).
         """
@@ -211,38 +188,6 @@ class HashRing:
                 if len(found) == count:
                     break
         return tuple(found)
-
-
-class ClusterTicket:
-    """Parent-side future for one forwarded query (or control request)."""
-
-    def __init__(self, query: Optional[Query] = None):
-        self.query = query
-        self.submitted_at = time.perf_counter()
-        self._event = threading.Event()
-        self._result: Optional[RemoteResult] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def done(self) -> bool:
-        """Whether a reply (or failure) has arrived."""
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> RemoteResult:
-        """Block for the outcome; re-raises the worker's typed error."""
-        if not self._event.wait(timeout=timeout):
-            raise TimeoutError("cluster query still in flight")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def _resolve(self, result: RemoteResult) -> None:
-        self._result = result
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
 
 
 @dataclass
@@ -267,9 +212,11 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         self.send_lock = threading.Lock()
-        self.inflight: Dict[int, ClusterTicket] = {}
+        self._seq = itertools.count()
+        self.inflight: Dict[int, QueryTicket] = {}
         self.inflight_lock = threading.Lock()
-        self.alive = True
+        # set by the receiver thread once the pipe is gone
+        self.down = threading.Event()
         self.receiver: Optional[threading.Thread] = None
         # graph keys whose register round-trip THIS process acknowledged; a
         # respawned replacement starts empty and must not serve a shard's
@@ -278,24 +225,70 @@ class _WorkerHandle:
         # health-monitor state (touched only by the monitor thread)
         self.suspect = False
         self.missed_probes = 0
-        self.ping_ticket: Optional[Tuple[int, ClusterTicket]] = None
+        self.ping_ticket: Optional[QueryTicket] = None
         self.spawned_at = time.monotonic()
         self.ever_answered = False  # has any ping come back from this process
-        # backpressure state
-        self.drain = DrainRateTracker()
-        self.query_inflight = 0  # query tickets only, guarded by inflight_lock
 
-    def send(self, message: Tuple) -> None:
-        """Thread-safe pipe send; raises WorkerCrashedError if the shard died."""
-        if not self.alive:
-            raise WorkerCrashedError(f"worker {self.name!r} is down (respawn pending)")
+    @property
+    def alive(self) -> bool:
+        """Whether the receiver thread still reads this worker's pipe."""
+        return not self.down.is_set()
+
+    def send(self, tag: str, *args, ticket: Optional[QueryTicket] = None) -> None:
+        """Send ``(tag, seq, *args)`` under a fresh seq; the one pipe send.
+
+        A ``ticket`` is put into ``inflight`` under that seq first, so the
+        receiver thread resolves it with the reply -- or, if the worker
+        dies, hands it to the orphan path.  Raises
+        :class:`WorkerCrashedError` if the shard is down or the pipe breaks,
+        after taking the ticket back; a ticket the orphan path already took
+        is its to resolve, and the send counts as delivered.
+        """
+        seq = next(self._seq)
+        if ticket is not None:
+            with self.inflight_lock:
+                self.inflight[seq] = ticket
         try:
-            with self.send_lock:
-                self.conn.send(message)
-        except (BrokenPipeError, OSError) as error:
-            raise WorkerCrashedError(
-                f"worker {self.name!r} pipe closed mid-send"
-            ) from error
+            if not self.alive:
+                raise WorkerCrashedError(f"worker {self.name!r} is down")
+            try:
+                with self.send_lock:
+                    self.conn.send((tag, seq) + args)
+            except (BrokenPipeError, OSError) as error:
+                raise WorkerCrashedError(
+                    f"worker {self.name!r} pipe closed mid-send"
+                ) from error
+        except WorkerCrashedError:
+            if ticket is None:
+                raise
+            with self.inflight_lock:
+                if self.inflight.pop(seq, None) is None:
+                    return
+            raise
+
+    def kill(self) -> None:
+        """SIGKILL the process; returns once the receiver has marked it down."""
+        self.process.kill()
+        self.process.join(timeout=10.0)
+        self.down.wait(timeout=10.0)
+
+    def retire(self) -> None:
+        """Shut the worker down without waiting on any reply.
+
+        Sends ``shutdown``, gives the process 5 s to exit and kills it if
+        it has not (a wedged worker never reads the message).  The receiver
+        thread then reads the pipe to EOF -- adopting any ``published``
+        segment still queued on it -- before the pipe is closed.
+        """
+        try:
+            self.send("shutdown")
+        except WorkerCrashedError:
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.kill()
+        self.receiver.join(timeout=5.0)
+        self.conn.close()
 
 
 class ClusterService(QueryFrontDoor):
@@ -307,12 +300,9 @@ class ClusterService(QueryFrontDoor):
     :class:`~repro.serve.service.LaplacianService` configured by
     ``worker_config``.  Each registered graph lives on
     ``replication_factor`` distinct workers; reads fail over between them
-    and mutations apply to all of them in lockstep.  ``max_inflight`` is
-    parent-side admission control per shard: submissions beyond it shed
-    with :class:`~repro.serve.service.ServiceOverloadedError` carrying a
-    ``retry_after_seconds`` hint.  ``health`` configures the background
-    probe thread (pass ``HealthPolicy(enabled=False)`` to disable it);
-    ``worker_faults`` arms deterministic cluster-level chaos (see
+    and mutations apply to all of them in lockstep.  ``health`` configures
+    the background probe thread, the only thing that kills a wedged
+    worker; ``worker_faults`` arms deterministic cluster-level chaos (see
     :meth:`arm_worker_faults`).
 
     Registered graphs are *copied* into the cluster: the caller's object is
@@ -326,12 +316,9 @@ class ClusterService(QueryFrontDoor):
         self,
         num_workers: int = 4,
         worker_config: Optional[WorkerConfig] = None,
-        replicas: int = 64,
-        max_inflight: Optional[int] = None,
         respawn: bool = True,
         replication_factor: int = 2,
         health: Optional[HealthPolicy] = None,
-        control_timeout_seconds: float = CONTROL_TIMEOUT_SECONDS,
         worker_faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     ):
         if num_workers < 1:
@@ -340,30 +327,22 @@ class ClusterService(QueryFrontDoor):
             raise ValueError(
                 f"replication_factor must be >= 1, got {replication_factor}"
             )
-        if control_timeout_seconds <= 0:
-            raise ValueError(
-                f"control_timeout_seconds must be > 0, got {control_timeout_seconds}"
-            )
         self._config = worker_config if worker_config is not None else WorkerConfig()
         self._ctx = mp.get_context("spawn")
-        self._seq = itertools.count()
         self._lock = threading.RLock()
         self._closed = False
         self.respawn_enabled = respawn
-        self.max_inflight = max_inflight
         self.replication_factor = int(replication_factor)
-        self.control_timeout_seconds = float(control_timeout_seconds)
         self.health_policy = health if health is not None else HealthPolicy()
         self._store = SharedArtifactStore()
         self._graphs: Dict[str, _GraphRecord] = {}
         self._workers: Dict[str, _WorkerHandle] = {}
-        self.ring = HashRing(replicas=replicas)
+        self.ring = HashRing()
         self._worker_counter = num_workers
         self._worker_injector = as_injector(worker_faults)
         # parent-side counters (worker counters are merged on top)
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._queries_total = 0
-        self._rejected_total = 0
         self._failures_total = 0
         self._crashes_total = 0
         self._respawns_total = 0
@@ -376,12 +355,10 @@ class ClusterService(QueryFrontDoor):
             self.ring.add(name)
             self._workers[name] = self._spawn(name)
         self._health_stop = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
-        if self.health_policy.enabled:
-            self._monitor = threading.Thread(
-                target=self._health_loop, name="cluster-health", daemon=True
-            )
-            self._monitor.start()
+        self._monitor = threading.Thread(
+            target=self._health_loop, name="cluster-health", daemon=True
+        )
+        self._monitor.start()
 
     # -- process management ----------------------------------------------------
 
@@ -418,35 +395,27 @@ class ClusterService(QueryFrontDoor):
                 _, seq, ok, payload = message
                 with handle.inflight_lock:
                     ticket = handle.inflight.pop(seq, None)
-                    if ticket is not None and ticket.query is not None:
-                        handle.query_inflight = max(0, handle.query_inflight - 1)
                 if ticket is None:
-                    continue  # fire-and-forget control (adopt/wedge) or stale seq
+                    continue  # fire-and-forget control (adopt/wedge/shutdown)
                 if ok:
                     ticket._resolve(payload)
                     if ticket.query is not None:
-                        handle.drain.observe()
-                        self._latencies.append(
-                            time.perf_counter() - ticket.submitted_at
-                        )
+                        self._latencies.append(time.monotonic() - ticket.submitted_at)
                 else:
                     if ticket.query is not None:
                         self._failures_total += 1
                     ticket._fail(payload)
 
     def _on_worker_down(self, handle: _WorkerHandle) -> None:
-        handle.alive = False
+        handle.down.set()
         with handle.inflight_lock:
             orphans = list(handle.inflight.values())
             handle.inflight.clear()
-            handle.query_inflight = 0
             handle.ping_ticket = None
         for ticket in orphans:
-            if ticket.done:
+            if ticket.done():
                 continue
-            if ticket.query is not None and self._resubmit(
-                ticket, exclude=handle.name
-            ):
+            if ticket.query is not None and self._forward(ticket, exclude=handle.name):
                 # transparently failed over to a live replica; the ticket
                 # keeps its original submission time for honest latency
                 self._failovers_total += 1
@@ -492,34 +461,28 @@ class ClusterService(QueryFrontDoor):
             with self._lock:
                 self._recovery_inflight -= 1
 
-    def _resubmit(self, ticket: ClusterTicket, exclude: str) -> bool:
-        """Re-send an orphaned query ticket to a live replica.
+    def _forward(self, ticket: QueryTicket, exclude: Optional[str] = None) -> bool:
+        """Send a query ticket to the first replica that takes it.
 
-        Only queries fail over (they are idempotent reads against
-        deterministic replicas); the original ticket object is reused so
-        the caller's ``result()`` wait and the submission timestamp both
-        survive the hop.  Excludes the dead worker's *name* -- its
-        respawned replacement shares it and may not have re-registered yet.
+        The one routing loop behind :meth:`submit` and the failover of a
+        dead worker's orphans (queries are idempotent reads against
+        deterministic replicas).  The ticket object travels unchanged, so
+        the caller's ``result()`` wait and the submission time survive the
+        hop.  ``exclude`` is the dead worker's *name*: its respawned
+        replacement shares it and may not have re-registered yet.
         """
-        query = ticket.query
         with self._lock:
-            record = self._graphs.get(query.graph_key)
+            record = self._graphs.get(ticket.query.graph_key)
         if record is None:
             return False
         for handle in self._route(record):
             if handle.name == exclude:
                 continue
-            seq = next(self._seq)
-            with handle.inflight_lock:
-                handle.inflight[seq] = ticket
-                handle.query_inflight += 1
             try:
-                handle.send(("query", seq, query))
+                handle.send("query", ticket.query, ticket=ticket)
                 return True
             except WorkerCrashedError:
-                with handle.inflight_lock:
-                    if handle.inflight.pop(seq, None) is not None:
-                        handle.query_inflight = max(0, handle.query_inflight - 1)
+                continue
         return False
 
     def _register_on_worker(self, handle: _WorkerHandle, record: _GraphRecord) -> None:
@@ -557,44 +520,22 @@ class ClusterService(QueryFrontDoor):
                         targets.append(handle)
         for handle in targets:
             try:
-                handle.send(("adopt", next(self._seq), [spec]))
+                handle.send("adopt", [spec])
             except WorkerCrashedError:
                 continue
 
     # -- plumbing --------------------------------------------------------------
 
     def _request(self, handle: _WorkerHandle, tag: str, *args) -> Any:
-        """Synchronous control round-trip with a liveness timeout.
+        """Synchronous control round-trip; waits for the reply, however long.
 
-        A worker that does not answer within ``control_timeout_seconds`` is
-        not merely reported crashed -- it is **killed**: a wedged process
-        would otherwise keep owning its shard forever while every control
-        request times out against it.  Killing it closes the pipe, which
-        drives the ordinary crash-respawn recovery.
+        Only handles in ``_workers`` are asked, and the health monitor
+        probes each of them: a wedged worker is killed there, which fails
+        this request with :class:`WorkerCrashedError`.
         """
-        seq = next(self._seq)
-        ticket = ClusterTicket(query=None)
-        with handle.inflight_lock:
-            handle.inflight[seq] = ticket
-        try:
-            handle.send((tag, seq) + args)
-        except WorkerCrashedError:
-            with handle.inflight_lock:
-                handle.inflight.pop(seq, None)
-            raise
-        try:
-            result = ticket.result(timeout=self.control_timeout_seconds)
-        except TimeoutError:
-            with handle.inflight_lock:
-                handle.inflight.pop(seq, None)
-            # reclaim the shard: pipe EOF funnels into _on_worker_down
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
-            raise WorkerCrashedError(
-                f"worker {handle.name!r} did not answer a {tag!r} request within "
-                f"{self.control_timeout_seconds:.0f}s; killed for respawn"
-            ) from None
-        return result
+        ticket = QueryTicket()
+        handle.send(tag, *args, ticket=ticket)
+        return ticket.result()
 
     def _record_for(self, graph_key: str) -> _GraphRecord:
         with self._lock:
@@ -763,14 +704,12 @@ class ClusterService(QueryFrontDoor):
                 moved.append(record.key)
         return moved
 
-    def remove_worker(self, name: str, drain: bool = True) -> List[str]:
+    def remove_worker(self, name: str) -> List[str]:
         """Retire one worker and rebalance; returns the moved graph keys.
 
-        With ``drain=True`` (the default) the worker keeps serving while
-        its keys are re-homed, then shuts down gracefully; with
-        ``drain=False`` it is killed first and its keys re-home afterwards
-        (replicas cover reads in the gap).  Removing the last worker
-        raises.
+        The worker keeps serving while its keys are re-homed, then retires
+        without waiting on a reply (a wedged one is killed after 5 s).
+        Removing the last worker raises.
         """
         with self._lock:
             if name not in self._workers:
@@ -779,33 +718,10 @@ class ClusterService(QueryFrontDoor):
                 raise ValueError("cannot remove the last worker")
             self.ring.remove(name)
             records = [r for r in self._graphs.values() if name in r.workers]
-            if not drain:
-                handle = self._workers.pop(name)
-        moved = []
-        if drain:
-            for record in records:
-                if self._rebalance_record(record):
-                    moved.append(record.key)
-            with self._lock:
-                handle = self._workers.pop(name)
-            try:
-                self._request(handle, "shutdown")
-            except Exception:
-                pass
-        else:
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
-            for record in records:
-                if self._rebalance_record(record):
-                    moved.append(record.key)
-        handle.process.join(timeout=5.0)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=5.0)
-        try:
-            handle.conn.close()
-        except Exception:
-            pass
+        moved = [record.key for record in records if self._rebalance_record(record)]
+        with self._lock:
+            handle = self._workers.pop(name)
+        handle.retire()
         return moved
 
     def _rebalance_record(self, record: _GraphRecord) -> bool:
@@ -857,12 +773,12 @@ class ClusterService(QueryFrontDoor):
             return
         injector = self._worker_injector
         if injector.worker_kill(handle.name):
-            handle.process.kill()
+            handle.kill()
             return
         wedge_seconds = injector.worker_wedge(handle.name)
         if wedge_seconds is not None:
             try:
-                handle.send(("wedge", next(self._seq), float(wedge_seconds)))
+                handle.send("wedge", float(wedge_seconds))
             except WorkerCrashedError:
                 return
         policy = self.health_policy
@@ -870,10 +786,9 @@ class ClusterService(QueryFrontDoor):
             not handle.ever_answered
             and time.monotonic() - handle.spawned_at < policy.startup_grace_seconds
         )
-        outstanding = handle.ping_ticket
-        if outstanding is not None:
-            _, ticket = outstanding
-            if ticket.done:
+        ticket = handle.ping_ticket
+        if ticket is not None:
+            if ticket.done():
                 handle.ping_ticket = None
                 ok = ticket._error is None
                 if ok:
@@ -890,23 +805,18 @@ class ClusterService(QueryFrontDoor):
         if handle.missed_probes >= policy.dead_misses:
             # wedged, not crashed: kill it so the pipe EOF drives respawn
             self._health_kills_total += 1
-            handle.process.kill()
+            handle.kill()
             return
         if handle.missed_probes >= policy.suspect_misses and not handle.suspect:
             handle.suspect = True
             self._suspected_total += 1
         if handle.ping_ticket is None:
-            seq = next(self._seq)
-            ticket = ClusterTicket(query=None)
-            with handle.inflight_lock:
-                handle.inflight[seq] = ticket
+            ticket = QueryTicket()
             try:
-                handle.send(("ping", seq))
+                handle.send("ping", ticket=ticket)
             except WorkerCrashedError:
-                with handle.inflight_lock:
-                    handle.inflight.pop(seq, None)
                 return
-            handle.ping_ticket = (seq, ticket)
+            handle.ping_ticket = ticket
 
     def arm_worker_faults(
         self, plan: Optional[Union[FaultPlan, FaultInjector]] = None
@@ -932,62 +842,26 @@ class ClusterService(QueryFrontDoor):
         """
         with self._lock:
             handle = self._workers[name]
-        handle.send(("wedge", next(self._seq), float(seconds)))
+        handle.send("wedge", float(seconds))
 
     # -- submission ------------------------------------------------------------
 
-    def submit(self, query: Query) -> ClusterTicket:
+    def submit(self, query: Query) -> QueryTicket:
         """Forward ``query`` to a replica of its graph; returns a ticket.
 
         Routes to the primary, failing over to live replicas when the
-        primary is down or suspect.  Sheds with
-        :class:`~repro.serve.service.ServiceOverloadedError` -- carrying a
-        ``retry_after_seconds`` estimate from the shard's queue depth and
-        drain rate -- when the chosen shard already has ``max_inflight``
-        parent-side queries pending; raises :class:`WorkerCrashedError` if
-        no replica is up.  Every accepted submission is counted exactly
-        once, regardless of how many replicas were tried.
+        primary is down or suspect; raises :class:`WorkerCrashedError` if
+        no replica takes it.  A submission counts in ``queries_total`` once
+        it has reached a replica, exactly once however many were tried.
         """
-        record = self._record_for(query.graph_key)
-        ticket = ClusterTicket(query=query)
-        accepted = False
-        last_error: Optional[WorkerCrashedError] = None
-        for handle in self._route(record):
-            with handle.inflight_lock:
-                if (
-                    self.max_inflight is not None
-                    and handle.query_inflight >= self.max_inflight
-                ):
-                    self._rejected_total += 1
-                    retry_after = estimate_retry_after(
-                        handle.query_inflight, handle.drain.rate()
-                    )
-                    raise ServiceOverloadedError(
-                        f"shard {handle.name!r} has {handle.query_inflight} queries "
-                        f"in flight >= max_inflight={self.max_inflight}; retry in "
-                        f"~{retry_after:.3f}s",
-                        retry_after_seconds=retry_after,
-                    )
-                seq = next(self._seq)
-                handle.inflight[seq] = ticket
-                handle.query_inflight += 1
-            if not accepted:
-                accepted = True
-                self._queries_total += 1
-            try:
-                handle.send(("query", seq, query))
-                return ticket
-            except WorkerCrashedError as error:
-                last_error = error
-                with handle.inflight_lock:
-                    if handle.inflight.pop(seq, None) is not None:
-                        handle.query_inflight = max(0, handle.query_inflight - 1)
-        if accepted:
-            self._failures_total += 1
-            raise last_error
-        raise WorkerCrashedError(
-            f"no live replica for graph {query.graph_key!r} (respawn pending)"
-        )
+        self._record_for(query.graph_key)  # unknown key: KeyError
+        ticket = QueryTicket(query)
+        if not self._forward(ticket):
+            raise WorkerCrashedError(
+                f"no live replica for graph {query.graph_key!r} (respawn pending)"
+            )
+        self._queries_total += 1
+        return ticket
 
     def _submit_and_wait(self, query: Query) -> RemoteResult:
         return self.submit(query).result(timeout=None)
@@ -1028,7 +902,6 @@ class ClusterService(QueryFrontDoor):
             "workers": len(handles),
             "replication_factor": self.replication_factor,
             "queries_total": self._queries_total,
-            "rejected_total": self._rejected_total,
             "failures_total": self._failures_total,
             "failover_resubmits": self._failovers_total,
             "worker_crashes": self._crashes_total,
@@ -1061,16 +934,16 @@ class ClusterService(QueryFrontDoor):
     def kill_worker(self, name: str) -> None:
         """Hard-kill one shard process (crash-recovery tests and drills).
 
-        The receiver thread observes the dead pipe, resubmits that shard's
-        in-flight queries to live replicas (failing over transparently) and
-        -- when respawning is enabled -- brings up a replacement that
-        re-registers the shard's graphs and re-attaches its shared
-        artifacts.
+        Returns once the receiver thread has marked the worker down, so the
+        next submission already routes around it.  That thread resubmits
+        the shard's in-flight queries to live replicas (failing over
+        transparently) and -- when respawning is enabled -- brings up a
+        replacement that re-registers the shard's graphs and re-attaches
+        its shared artifacts.
         """
         with self._lock:
             handle = self._workers[name]
-        handle.process.kill()
-        handle.process.join(timeout=10.0)
+        handle.kill()
 
     def wait_recovered(self, timeout: float = 30.0) -> bool:
         """Block until every shard is alive *and* fully re-registered.
@@ -1092,30 +965,19 @@ class ClusterService(QueryFrontDoor):
         return False
 
     def close(self) -> None:
-        """Shut every worker down and unlink all shared-memory segments."""
+        """Retire every worker and unlink all shared-memory segments.
+
+        Never waits on a reply: a wedged worker is killed after 5 s.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             handles = list(self._workers.values())
         self._health_stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
+        self._monitor.join(timeout=5.0)
         for handle in handles:
-            if handle.alive:
-                try:
-                    self._request(handle, "shutdown")
-                except Exception:
-                    pass
-        for handle in handles:
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
-            try:
-                handle.conn.close()
-            except Exception:
-                pass
+            handle.retire()
         self._store.close(unlink=True)
 
     def __enter__(self) -> "ClusterService":

@@ -17,13 +17,13 @@ from four small pieces that live here:
 * :class:`HealthStats` -- thread-safe counters surfaced through
   ``metrics_snapshot`` (``retries_total``, ``breaker_open_total``,
   ``degraded_total``, ``deadline_misses``).
-* :class:`DrainRateTracker` / :func:`estimate_retry_after` -- the shared
-  backpressure-hint machinery: both front doors (the in-process service and
-  the cluster) track how fast their queue actually drains and attach
-  ``retry_after_seconds = depth / drain_rate`` to every
-  :class:`~repro.serve.service.ServiceOverloadedError` they shed, so a
-  well-behaved client backs off for exactly as long as the overload is
-  expected to last instead of guessing.
+* :class:`DrainRateTracker` / :func:`estimate_retry_after` -- the
+  backpressure-hint machinery: the in-process service's queue (the only
+  thing that sheds load; a cluster worker's queue is one) tracks how fast
+  it actually drains and attaches ``retry_after_seconds = depth /
+  drain_rate`` to every :class:`~repro.serve.service.ServiceOverloadedError`
+  it sheds, so a well-behaved client backs off for exactly as long as the
+  overload is expected to last instead of guessing.
 
 The typed errors clients can observe are also defined (or re-exported)
 here: :class:`DeadlineExceededError`, :class:`ArtifactBreakerOpenError`, and
@@ -242,11 +242,10 @@ class CircuitBreaker:
 class DrainRateTracker:
     """Observed completion rate of a queue, over a sliding event window.
 
-    Both front doors record ``observe(count)`` whenever completions land
-    (a flush in-process, a query reply in the cluster) and read ``rate()``
-    when they must shed: the current queue depth divided by this rate is
-    how long an honest *retry-after* hint says the backlog will take to
-    drain.  Thread-safe; ``rate()`` returns ``None`` until the window holds
+    The in-process service records ``observe(count)`` whenever a flush
+    completes queries and reads ``rate()`` when it must shed: the current
+    queue depth divided by this rate is how long an honest *retry-after*
+    hint says the backlog will take to drain.  Thread-safe; ``rate()`` returns ``None`` until the window holds
     observations spanning a positive time interval (a cold or idle queue
     has no defensible estimate -- callers fall back to a default hint).
     """
@@ -296,9 +295,9 @@ def estimate_retry_after(
     ``depth / drain_rate``, clamped to ``[min_seconds, max_seconds]`` so a
     momentary rate glitch cannot tell clients to wait an hour; with no
     usable rate (``None`` or non-positive) the conservative
-    ``default_seconds`` is returned.  This is the one formula both the
-    in-process and the cluster front door use, so the contract documented
-    in ``docs/resilience.md`` cannot fork between them.
+    ``default_seconds`` is returned, whatever the depth.  The service's
+    queue is the only thing that sheds, and this is the formula behind the
+    contract documented in ``docs/resilience.md``.
     """
     if drain_rate is None or drain_rate <= 0:
         return default_seconds

@@ -70,10 +70,11 @@ class ServiceOverloadedError(RuntimeError):
     ``retry_after_seconds`` is the server's backpressure hint: the current
     queue depth divided by the observed drain rate (see
     :func:`~repro.serve.resilience.estimate_retry_after`), i.e. how long the
-    backlog is expected to take to clear.  Both the in-process service and
-    the cluster front door attach it; ``None`` means the shedding side had
-    no estimate (clients fall back to their own backoff, as the traffic
-    harness's :class:`~repro.serve.traffic.ClientRetryPolicy` does).
+    backlog is expected to take to clear.  The in-process queue is the only
+    thing that sheds (behind a cluster, a worker's queue sheds and the error
+    reaches the ticket); ``None`` means the shedding side had no estimate
+    (clients fall back to their own backoff, as the traffic harness's
+    :class:`~repro.serve.traffic.ClientRetryPolicy` does).
     """
 
     def __init__(self, message: str, retry_after_seconds: Optional[float] = None):
@@ -112,9 +113,13 @@ class FlushPolicy:
 
 
 class QueryTicket:
-    """Handle for one submitted query; blocks on :meth:`result`."""
+    """Handle for one submitted query; blocks on :meth:`result`.
 
-    def __init__(self, query: Query):
+    Both front doors return it.  The cluster also tracks its control
+    requests (register, ping, ...) with one, ``query=None``.
+    """
+
+    def __init__(self, query: Optional[Query] = None):
         self.query = query
         #: monotonic submission timestamp; deadlines are measured from here
         self.submitted_at = time.monotonic()

@@ -3,11 +3,11 @@
 The cluster's big serving artifacts -- the dense
 :class:`~repro.linalg.sparse_backend.ResistanceOracle` inverse (``n x n``
 float64), the :class:`~repro.linalg.resistance.SketchedResistanceOracle`
-embedding (``n x k`` float32) and CSR factor arrays -- are read-only after
-they are built.  Keeping one private copy per worker process would multiply
-their resident cost by the worker count and force a multi-megabyte pickle
-over the control pipe on every respawn.  This module instead publishes each
-artifact's numpy arrays into one POSIX shared-memory segment
+embedding (``n x k`` float32) -- are read-only after they are built.
+Keeping one private copy per worker process would multiply their resident
+cost by the worker count and force a multi-megabyte pickle over the control
+pipe on every respawn.  This module instead publishes each artifact's numpy
+arrays into one POSIX shared-memory segment
 (:mod:`multiprocessing.shared_memory`): the publishing worker packs the
 arrays once, any process that holds the picklable :class:`ShmArtifactSpec`
 attaches zero-copy ``np.ndarray`` views, and a respawned worker re-serves
@@ -16,17 +16,15 @@ the artifact without rebuilding it.
 Ownership and lifecycle
 -----------------------
 
-Segments are refcounted inside each :class:`SharedArtifactStore`: every
-:meth:`~SharedArtifactStore.attach` bumps the segment's count and every
-:meth:`AttachedArtifact.close` drops it, so a store can tell live
-attachments from garbage.  *Unlinking* (removing the segment name from the
-kernel) is the cluster parent's job alone: workers publish segments and
-immediately report the spec to the parent, which :meth:`adopts
-<SharedArtifactStore.adopt>` them; ``ClusterService.close()`` then unlinks
-every adopted segment exactly once.  A worker that crashes between creating
-a segment and the parent's adopt leaks at most the artifacts of one flush
-round -- the parent closes that window by adopting specs as soon as the
-``published`` notification arrives, before the query replies that follow it.
+Each :class:`SharedArtifactStore` closes the attachments it opened.
+*Unlinking* (removing the segment name from the kernel) is the cluster
+parent's job alone: workers publish segments and immediately report the
+spec to the parent, which :meth:`adopts <SharedArtifactStore.adopt>` them;
+``ClusterService.close()`` then unlinks every adopted segment exactly once.
+A worker that crashes between creating a segment and the parent's adopt
+leaks at most the artifacts of one flush round -- the parent closes that
+window by adopting specs as soon as the ``published`` notification arrives,
+before the query replies that follow it.
 
 CPython interaction: the ``multiprocessing.resource_tracker`` process is
 shared between the parent and every spawned worker (the tracker fd is
@@ -50,7 +48,6 @@ from multiprocessing import shared_memory
 from typing import Any, Dict, Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ShmArraySpec(NamedTuple):
@@ -132,7 +129,7 @@ class AttachedArtifact:
 
 
 class SharedArtifactStore:
-    """Publish/attach/unlink shared-memory artifacts with refcounting.
+    """Publish/attach/unlink shared-memory artifacts.
 
     One store per process.  Workers ``publish`` and ``attach``; the cluster
     parent additionally ``adopt``s worker-published segments, becoming the
@@ -144,8 +141,6 @@ class SharedArtifactStore:
         self._lock = threading.Lock()
         #: segments this store created or adopted -- the ones unlink_all removes
         self._owned: Dict[str, ShmArtifactSpec] = {}
-        #: live attachment count per segment name
-        self._refcounts: Dict[str, int] = {}
         #: attachments opened through this store, for close()
         self._attachments: list = []
 
@@ -206,14 +201,13 @@ class SharedArtifactStore:
     def attach(self, spec: ShmArtifactSpec) -> AttachedArtifact:
         """Map an existing segment and return read-only views over it.
 
-        The attachment is refcounted per store; attaching never transfers
-        unlink responsibility (the tracker's set-ledger makes the extra
-        registration a no-op).
+        The store closes the attachment on :meth:`close`; attaching never
+        transfers unlink responsibility (the tracker's set-ledger makes the
+        extra registration a no-op).
         """
         shm = shared_memory.SharedMemory(name=spec.segment)
         attached = AttachedArtifact(spec, shm)
         with self._lock:
-            self._refcounts[spec.segment] = self._refcounts.get(spec.segment, 0) + 1
             self._attachments.append(attached)
         return attached
 
@@ -226,25 +220,6 @@ class SharedArtifactStore:
         """
         with self._lock:
             self._owned[spec.segment] = spec
-
-    def release(self, attached: AttachedArtifact) -> None:
-        """Close one attachment and drop its refcount."""
-        with self._lock:
-            count = self._refcounts.get(attached.spec.segment, 0)
-            if count > 1:
-                self._refcounts[attached.spec.segment] = count - 1
-            else:
-                self._refcounts.pop(attached.spec.segment, None)
-            try:
-                self._attachments.remove(attached)
-            except ValueError:
-                pass
-        attached.close()
-
-    def refcount(self, segment: str) -> int:
-        """Live attachments of ``segment`` opened through this store."""
-        with self._lock:
-            return self._refcounts.get(segment, 0)
 
     def owned_specs(self) -> Tuple[ShmArtifactSpec, ...]:
         """Specs of every segment this store would unlink."""
@@ -302,41 +277,8 @@ class SharedArtifactStore:
         with self._lock:
             attachments = list(self._attachments)
             self._attachments = []
-            self._refcounts = {}
         for attached in attachments:
             attached.close()
         if unlink:
             self.unlink_all()
 
-
-# -- CSR helpers ---------------------------------------------------------------
-
-
-def csr_to_arrays(matrix: sp.csr_matrix, prefix: str) -> Dict[str, np.ndarray]:
-    """Flatten a CSR matrix into the three arrays ``publish`` wants.
-
-    The shape rides along in the array names' companion metadata (callers
-    store ``f"{prefix}_shape"`` in the spec meta); the arrays are the
-    standard ``data``/``indices``/``indptr`` triple.
-    """
-    matrix = sp.csr_matrix(matrix)
-    return {
-        f"{prefix}_data": matrix.data,
-        f"{prefix}_indices": matrix.indices,
-        f"{prefix}_indptr": matrix.indptr,
-    }
-
-
-def csr_from_arrays(
-    arrays: Dict[str, np.ndarray], prefix: str, shape: Tuple[int, int]
-) -> sp.csr_matrix:
-    """Rebuild a CSR matrix over shared views without copying the payload."""
-    return sp.csr_matrix(
-        (
-            arrays[f"{prefix}_data"],
-            arrays[f"{prefix}_indices"],
-            arrays[f"{prefix}_indptr"],
-        ),
-        shape=shape,
-        copy=False,
-    )

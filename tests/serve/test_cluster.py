@@ -28,6 +28,7 @@ from repro.serve import (
     generate_trace,
     resistance_query,
     run_trace,
+    solve_query,
 )
 
 SIZES = [40, 24, 30]
@@ -61,25 +62,25 @@ class TestHashRing:
 
     def test_every_key_has_exactly_one_deterministic_owner(self):
         ring = HashRing(["w0", "w1", "w2"])
-        owners = {key: ring.owner(key) for key in self.KEYS}
+        owners = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         assert set(owners.values()) <= {"w0", "w1", "w2"}
         fresh = HashRing(["w2", "w0", "w1"])  # insertion order must not matter
-        assert {key: fresh.owner(key) for key in self.KEYS} == owners
+        assert {key: fresh.owners(key, 1)[0] for key in self.KEYS} == owners
 
     def test_adding_a_node_only_moves_keys_onto_it(self):
         ring = HashRing(["w0", "w1", "w2"])
-        before = {key: ring.owner(key) for key in self.KEYS}
+        before = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         ring.add("w3")
-        after = {key: ring.owner(key) for key in self.KEYS}
+        after = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         moved = {key for key in self.KEYS if before[key] != after[key]}
         assert moved, "a new node should take over some keys"
         assert all(after[key] == "w3" for key in moved)
 
     def test_removing_a_node_only_moves_its_keys(self):
         ring = HashRing(["w0", "w1", "w2"])
-        before = {key: ring.owner(key) for key in self.KEYS}
+        before = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         ring.remove("w1")
-        after = {key: ring.owner(key) for key in self.KEYS}
+        after = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         assert "w1" not in set(after.values())
         for key in self.KEYS:
             if before[key] != "w1":
@@ -89,24 +90,25 @@ class TestHashRing:
         ring = HashRing(["w0", "w1", "w2"], replicas=64)
         counts = {}
         for key in self.KEYS:
-            counts[ring.owner(key)] = counts.get(ring.owner(key), 0) + 1
+            owner = ring.owners(key, 1)[0]
+            counts[owner] = counts.get(owner, 0) + 1
         assert min(counts.values()) > len(self.KEYS) * 0.1
 
     def test_nodes_property_and_empty_ring(self):
         ring = HashRing()
         assert ring.nodes == ()
         with pytest.raises(ValueError):
-            ring.owner("anything")
+            ring.owners("anything", 1)
         with pytest.raises(ValueError):
             ring.owners("anything", 2)
         ring.add("solo")
-        assert ring.owner("anything") == "solo"
+        assert ring.owners("anything", 1)[0] == "solo"
 
     def test_owners_are_distinct_and_prefixed_by_owner(self):
         ring = HashRing(["w0", "w1", "w2"])
         for key in self.KEYS[:60]:
             owners = ring.owners(key, 2)
-            assert owners[0] == ring.owner(key)
+            assert owners[0] == ring.owners(key, 1)[0]
             assert len(owners) == len(set(owners)) == 2
         # asking for more replicas than nodes degrades to every node
         assert set(ring.owners("key", 7)) == {"w0", "w1", "w2"}
@@ -180,7 +182,8 @@ class TestClusterServing:
         from repro.serve import graph_fingerprint
 
         for key, graph in zip(keys, make_graphs()):
-            assert cluster.shard_of(key) == cluster.ring.owner(graph_fingerprint(graph))
+            owner = cluster.ring.owners(graph_fingerprint(graph), 1)[0]
+            assert cluster.shard_of(key) == owner
         assert set(cluster.keys()) == set(keys)
 
     def test_answers_match_single_process_service(self, cluster, keys):
@@ -230,6 +233,21 @@ class TestClusterServing:
         again = cluster.register(make_graphs()[0], name="g0")
         assert again == keys[0]
 
+    def test_both_front_doors_return_one_ticket_class(self, cluster, keys):
+        single = LaplacianService(t_override=2)
+        single_key = single.register(make_graphs()[0], name="g0")
+        b = np.zeros(SIZES[0])
+        b[0], b[-1] = 1.0, -1.0
+        tickets = [
+            single.submit(solve_query(single_key, b)),
+            cluster.submit(solve_query(keys[0], b)),
+        ]
+        assert type(tickets[0]) is type(tickets[1])
+        for ticket in tickets:
+            ticket.result(timeout=60)
+            assert ticket.done() is True
+        single.close()
+
 
 @pytest.mark.cluster
 class TestCrashRecovery:
@@ -271,7 +289,6 @@ class TestCrashRecovery:
             key = cluster.register(make_graphs()[0], name="g0")
             victim = cluster.shard_of(key)
             cluster.kill_worker(victim)
-            time.sleep(0.3)  # let the receiver thread observe the dead pipe
             b = np.zeros(SIZES[0])
             b[0], b[-1] = 1.0, -1.0
             with pytest.raises(WorkerCrashedError):
@@ -293,6 +310,20 @@ class TestShmLifecycle:
         self._exercise(cluster)
         specs = cluster._store.owned_specs()
         cluster.close()
+        leaked = [spec.segment for spec in specs if segment_exists(spec.segment)]
+        assert leaked == []
+
+    def test_close_does_not_wait_on_a_wedged_worker(self):
+        cluster = make_cluster(num_workers=2)
+        self._exercise(cluster)
+        victim = cluster.shard_of("g0")
+        process = cluster._workers[victim].process
+        cluster.wedge_worker(victim, 60.0)
+        specs = cluster._store.owned_specs()
+        start = time.monotonic()
+        cluster.close()
+        assert time.monotonic() - start < 20.0
+        assert not process.is_alive()
         leaked = [spec.segment for spec in specs if segment_exists(spec.segment)]
         assert leaked == []
 
@@ -345,7 +376,6 @@ class TestReplication:
             b[0], b[-1] = 1.0, -1.0
             cluster.solve(key, b)
             cluster.kill_worker(cluster.shard_of(key))
-            time.sleep(0.3)  # let the receiver thread observe the dead pipe
             for _ in range(5):
                 with pytest.raises(WorkerCrashedError):
                     cluster.solve(key, b)
@@ -403,7 +433,7 @@ class TestMembership:
             graphs = self._many_graphs()
             keys = [cluster.register(g, name=f"m{i}") for i, g in enumerate(graphs)]
             victim = cluster.shard_of(keys[0])
-            moved = cluster.remove_worker(victim, drain=True)
+            moved = cluster.remove_worker(victim)
             assert victim not in cluster.ring.nodes
             assert keys[0] in moved
             b = None
@@ -417,9 +447,9 @@ class TestMembership:
                 b[0], b[-1] = 1.0, -1.0
                 assert cluster.solve(key, b).solution.shape == (graph.n,)
             remaining = list(cluster.ring.nodes)
-            cluster.remove_worker(remaining[0], drain=True)
+            cluster.remove_worker(remaining[0])
             with pytest.raises(ValueError):
-                cluster.remove_worker(remaining[1], drain=True)
+                cluster.remove_worker(remaining[1])
         finally:
             cluster.close()
 
@@ -435,28 +465,33 @@ class TestMembership:
 
 
 @pytest.mark.cluster
-class TestControlTimeout:
-    def test_wedged_worker_is_killed_not_leaked(self):
-        # the timeout must stay well under the 8s wedge so the wedged control
-        # round-trip kills, but not so tight that a loaded single-core CI box
-        # trips it on the ordinary register round-trip (observed at 1.0s)
+class TestWedgedRequest:
+    def test_monitor_kill_fails_a_request_pending_on_a_wedged_shard(self):
+        # the health monitor is the only liveness rule: the mutate waits
+        # with no timeout of its own until the dead ladder (6 misses at a
+        # 0.1 s cadence) kills the wedged process
         cluster = make_cluster(
             num_workers=2,
             replication_factor=1,
-            control_timeout_seconds=3.0,
-            health=HealthPolicy(enabled=False),
+            health=HealthPolicy(
+                probe_interval_seconds=0.1, suspect_misses=2, dead_misses=6
+            ),
         )
         try:
             key = cluster.register(make_graphs()[0], name="g0")
             victim = cluster.shard_of(key)
-            pid_before = cluster._workers[victim].process.pid
-            cluster.wedge_worker(victim, 8.0)
-            # the control round-trip times out at 1s and *kills* the wedged
-            # process instead of leaving it alive owning the shard
+            handle = cluster._workers[victim]
+            deadline = time.monotonic() + 30.0
+            while not handle.ever_answered and time.monotonic() < deadline:
+                time.sleep(0.05)  # wait out the startup grace
+            assert handle.ever_answered, "the victim never answered a ping"
+            pid_before = handle.process.pid
+            cluster.wedge_worker(victim, 60.0)
             with pytest.raises(WorkerCrashedError):
                 cluster.mutate(key, "add", 0, 7, 1.5)
             assert cluster.wait_recovered(timeout=30.0)
             assert cluster._workers[victim].process.pid != pid_before
+            assert cluster.metrics_snapshot()["health_kills"] >= 1
             b = np.zeros(SIZES[0])
             b[0], b[-1] = 1.0, -1.0
             assert cluster.solve(key, b).solution.shape == (SIZES[0],)

@@ -601,12 +601,23 @@ class TestRetryAfterEstimation:
         # only the last 4 observations (t=6..9) remain: 3 drains over 3s
         assert tracker.rate(now=9.0) == pytest.approx(1.0)
 
+    def test_tracker_has_no_rate_over_a_zero_time_span(self):
+        tracker = DrainRateTracker()
+        tracker.observe(count=3, now=5.0)
+        tracker.observe(count=3, now=5.0)
+        assert tracker.rate(now=5.0) is None  # two observations, no elapsed time
+        assert tracker.rate(now=6.0) == pytest.approx(3.0)
+
     def test_estimate_falls_back_without_a_rate(self):
         assert estimate_retry_after(5, None) == pytest.approx(0.05)
         assert estimate_retry_after(5, 0.0) == pytest.approx(0.05)
         assert estimate_retry_after(5, -1.0) == pytest.approx(0.05)
+        # a constant, not proportional to the backlog
+        assert estimate_retry_after(0, None) == pytest.approx(0.05)
+        assert estimate_retry_after(10_000, None) == pytest.approx(0.05)
 
     def test_estimate_tracks_depth_over_drain_rate_with_clamps(self):
         assert estimate_retry_after(10, 100.0) == pytest.approx(0.1)
         assert estimate_retry_after(1, 1e6) == pytest.approx(0.001)  # floor
         assert estimate_retry_after(1000, 0.1) == pytest.approx(5.0)  # ceiling
+        assert estimate_retry_after(0, 100.0) == pytest.approx(0.001)  # empty queue

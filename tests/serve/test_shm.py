@@ -1,16 +1,11 @@
-"""SharedArtifactStore: publish/attach round trips, refcounts, unlink lifecycle."""
+"""SharedArtifactStore: publish/attach round trips, unlink lifecycle."""
 
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from repro.serve import (
-    SharedArtifactStore,
-    csr_from_arrays,
-    csr_to_arrays,
-)
+from repro.serve import SharedArtifactStore
 
 
 @pytest.fixture
@@ -76,17 +71,7 @@ class TestPublishAttach:
         assert clone == spec
 
 
-class TestRefcounts:
-    def test_attach_release_refcounting(self, store):
-        spec, _ = publish_sample(store)
-        first = store.attach(spec)
-        second = store.attach(spec)
-        assert store.refcount(spec.segment) == 2
-        store.release(first)
-        assert store.refcount(spec.segment) == 1
-        store.release(second)
-        assert store.refcount(spec.segment) == 0
-
+class TestOwnedSpecs:
     def test_owned_specs_reports_published(self, store):
         spec, _ = publish_sample(store)
         assert spec in store.owned_specs()
@@ -129,16 +114,3 @@ class TestLifecycle:
         assert not segment_exists(spec.segment)
         publisher.close(unlink=True)  # already gone; must not raise
 
-
-class TestCsrHelpers:
-    def test_round_trip_through_shared_memory(self, store):
-        matrix = sp.random(17, 13, density=0.2, format="csr", random_state=3)
-        arrays = csr_to_arrays(matrix, "factor")
-        spec = store.publish(
-            "solver_preproc", "fp", 1, (), arrays, meta={"factor_shape": (17, 13)}
-        )
-        attached = store.attach(spec)
-        rebuilt = csr_from_arrays(
-            attached.arrays, "factor", spec.meta_dict()["factor_shape"]
-        )
-        np.testing.assert_allclose(rebuilt.toarray(), matrix.toarray())
