@@ -18,9 +18,12 @@ pair distance to relative error ``eta`` with high probability:
 
 Building ``E`` costs ``k`` *blocked* grounded solves against the sketched
 incidence (one ``splu`` factorisation shared with the rest of the serving
-layer, right-hand sides in batches), after which the oracle stores ``n x k``
-floats -- ``O(n log m / eta^2)`` memory instead of ``O(n^2)`` -- and answers a
-batch of pair queries with one vectorised einsum.
+layer, right-hand sides in blocks of
+:func:`~repro.linalg.sparse_backend.block_columns` columns, so the build's
+float64 transients stay near :data:`~repro.linalg.sparse_backend.BLOCK_BYTES`
+per copy whatever ``k`` is), after which the oracle stores ``n x k`` floats
+-- ``O(n log m / eta^2)`` memory instead of ``O(n^2)`` -- and answers a batch
+of pair queries with one vectorised einsum.
 
 The same sketch is exactly what ``ComputeLeverageScores`` (Algorithm 6) wants
 for edge leverage scores ``sigma_e = w_e R(u_e, v_e)``:
@@ -46,9 +49,9 @@ from repro.linalg.jl import (
     resistance_sketch_eta,
 )
 from repro.linalg.sparse_backend import (
-    DEFAULT_BATCH_SIZE,
     GroundedLaplacianSolver,
     apply_pair_semantics,
+    block_columns,
     check_finite,
     incidence_csr,
     validate_pair_indices,
@@ -92,8 +95,6 @@ class SketchedResistanceOracle:
         ``1/m^2`` so a union bound covers poly(m) queried pairs.
     k_override:
         Explicit sketch dimension (experiment knob; bypasses ``delta``).
-    batch_size:
-        Right-hand sides per blocked grounded solve during the build.
     """
 
     def __init__(
@@ -104,7 +105,6 @@ class SketchedResistanceOracle:
         grounded: Optional[GroundedLaplacianSolver] = None,
         delta: Optional[float] = None,
         k_override: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         dtype=SKETCH_DTYPE,
     ):
         if not (0.0 < eta < 1.0):
@@ -181,8 +181,9 @@ class SketchedResistanceOracle:
         # consistent per component as solve_many requires; the per-component
         # re-centring it applies cancels in every pair difference.
         embedding = np.empty((self.n, self.k), dtype=dtype)
-        for start in range(0, self.k, batch_size):
-            stop = min(self.k, start + batch_size)
+        step = block_columns(self.n)
+        for start in range(0, self.k, step):
+            stop = min(self.k, start + step)
             block = sketched_incidence[start:stop].toarray().T
             embedding[:, start:stop] = solver.solve_many(block)
         # an overflowed/poisoned embedding would corrupt *every* later pair

@@ -8,8 +8,9 @@ vertices do once they hold the sparsifier: ``scipy.sparse`` CSR matrices built
 straight from the cached edge-array views of
 :meth:`repro.graphs.graph.WeightedGraph.edge_array` (three aligned numpy
 columns, no Python-level edge iteration), grounded Laplacians factorised once
-with ``splu``, many right-hand sides solved in batches, and pencil extremes
-read off ``eigsh`` over those same factorisations.
+with ``splu``, many right-hand sides solved in blocks of one fixed working
+set (:data:`BLOCK_BYTES`), and pencil extremes read off ``eigsh`` over those
+same factorisations.
 
 These kernels have no dense twin and no option or size gate selects one: the
 textbook ``pinv`` / ``eigh`` formulas are the test oracle
@@ -33,15 +34,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.sparse import csgraph
 
 if TYPE_CHECKING:  # import only for annotations: repro.graphs.laplacian
     # imports this module, so a runtime import here would be circular.
     from repro.graphs.graph import WeightedGraph
 
-#: Number of right-hand sides per batched grounded solve (memory knob: each
-#: batch materialises an ``(n - #components) x batch`` dense block).
-DEFAULT_BATCH_SIZE = 512
+#: Working-set budget of one blocked grounded solve: a block holds
+#: ``block_columns(n)`` dense right-hand-side columns of ``n`` float64 each,
+#: so every copy of it (right-hand side, grounded restriction, solution)
+#: stays near this size whatever ``n`` and the number of columns are.
+BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def block_columns(n: int) -> int:
+    """Right-hand-side columns per blocked solve over ``n`` unknowns."""
+    return max(1, BLOCK_BYTES // (8 * max(1, n)))
 
 
 class NumericalHealthError(ArithmeticError):
@@ -253,23 +262,22 @@ class GroundedLaplacianSolver:
             self._component_label = labels
         return self._component_label
 
-    def pair_resistances(
-        self, u: np.ndarray, v: np.ndarray, batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> np.ndarray:
+    def pair_resistances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Effective resistance of arbitrary vertex pairs ``(u_i, v_i)``.
 
         Unlike :meth:`edge_resistances` the pairs need not be edges (or even
         lie in one component): cross-component pairs are reported as ``inf``
         and ``u_i == v_i`` pairs as ``0``.  Within-component pairs go through
-        the grounded factorisation in batches of ``batch_size``.
+        the grounded factorisation in blocks of :func:`block_columns` pairs.
         """
         u, v = validate_pair_indices(u, v, self.n)
         labels = self.component_labels()
         resistances = np.full(u.shape[0], np.inf)
         resistances[u == v] = 0.0
         solvable = np.flatnonzero((labels[u] == labels[v]) & (u != v))
-        for start in range(0, solvable.size, batch_size):
-            idx = solvable[start : start + batch_size]
+        step = block_columns(self.n)
+        for start in range(0, solvable.size, step):
+            idx = solvable[start : start + step]
             resistances[idx] = self.edge_resistances(u[idx], v[idx])
         return resistances
 
@@ -670,9 +678,24 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         return super().nbytes() + self._Zu.nbytes
 
 
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the upper triangle of square ``a`` onto its lower one, in place.
+
+    Works through row blocks of :func:`block_columns` rows, so no ``n x n``
+    temporary is allocated.
+    """
+    k = a.shape[0]
+    step = block_columns(k)
+    for start in range(0, k, step):
+        stop = min(k, start + step)
+        a[start:stop, :start] = a[:start, start:stop].T
+        diagonal = a[start:stop, start:stop]
+        diagonal[...] = np.triu(diagonal) + np.triu(diagonal, 1).T
+
+
 #: Largest n for which the serving layer precomputes a dense resistance
 #: oracle (n^2 doubles; 2048 -> 32 MiB).  Above it, pair queries fall back to
-#: batched triangular solves through the grounded factorisation.
+#: blocked triangular solves through the grounded factorisation.
 RESISTANCE_ORACLE_LIMIT = 2048
 
 
@@ -688,34 +711,43 @@ class ResistanceOracle:
 
     (the indicator ``e_u - e_v`` is component-consistent, so the grounded
     solution differs from ``L^+ (e_u - e_v)`` by a per-component constant that
-    cancels in the difference).  Build cost is one factorisation plus ``n``
-    batched triangular solves -- seconds at ``n = 2000`` -- after which every
-    query is a three-element lookup, which is what turns a coalesced batch of
-    64 queries into one vectorised fancy-indexing call.
+    cancels in the difference).  The build grounds one vertex per connected
+    component of ``graph`` as it is now and inverts the grounded Laplacian
+    with one LAPACK Cholesky inverse (``dpotrf`` + ``dpotri``) in place --
+    about half a second at ``n = 2000``, in the reduced matrix plus ``S``
+    (``2 n^2`` doubles) -- after which every query is a three-element lookup,
+    which is what turns a coalesced batch of 64 queries into one vectorised
+    fancy-indexing call.
     """
 
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        grounded: Optional[GroundedLaplacianSolver] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ):
-        solver = grounded if grounded is not None else GroundedLaplacianSolver(graph)
-        self.n = solver.n
+    def __init__(self, graph: WeightedGraph):
+        # a NaN weight would not make the Cholesky fail, it would poison S
+        check_finite(graph.edge_array()[2], "graph edge weights")
+        self.n = graph.n
         self.max_updates = default_update_budget(self.n)
         self._repairs = 0
-        self._labels = solver.component_labels().copy()
-        keep = solver._keep_idx
+        components = graph.connected_components()
+        labels = np.empty(self.n, dtype=np.int64)
+        for i, component in enumerate(components):
+            labels[np.fromiter(component, dtype=np.int64, count=len(component))] = i
+        self._labels = labels
+        keep = grounding_keep_indices(self.n, components)
         S = np.zeros((self.n, self.n))
-        if solver._lu is not None:
-            k = keep.size
-            inner = np.zeros((k, k))
-            for start in range(0, k, batch_size):
-                stop = min(k, start + batch_size)
-                rhs = np.zeros((k, stop - start))
-                rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-                inner[:, start:stop] = solver._reduced_solve(rhs)
-            S[np.ix_(keep, keep)] = inner
+        if keep.size:
+            L = laplacian_csr(graph)
+            # the grounded Laplacian is symmetric, so the transpose of its C
+            # array is the Fortran-ordered matrix LAPACK overwrites in place
+            # (a C-ordered argument would make f2py copy it)
+            reduced = L[keep][:, keep].toarray().T
+            factor, info = dpotrf(reduced, lower=0, overwrite_a=1, clean=0)
+            if info == 0:
+                factor, info = dpotri(factor, lower=0, overwrite_c=1)
+            if info != 0:
+                raise NumericalHealthError(
+                    f"grounded Cholesky inverse failed (LAPACK info {info})"
+                )
+            _mirror_upper(factor)
+            S[np.ix_(keep, keep)] = factor.T
         self._S = S
 
     def pair_resistances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -735,8 +767,8 @@ class ResistanceOracle:
 
         Sherman-Morrison on the stored grounded inverse:
         ``S' = S - (delta / denom) y y^T`` with ``y = S (e_u - e_v)`` and
-        ``denom = 1 + delta (y_u - y_v)`` -- ``O(n^2)`` instead of the ``n``
-        batched triangular solves of a rebuild.  Returns ``False`` (oracle
+        ``denom = 1 + delta (y_u - y_v)`` -- ``O(n^2)`` instead of the ``O(n^3)``
+        Cholesky inverse of a rebuild.  Returns ``False`` (oracle
         unchanged except for refusals being free) for cross-component pairs,
         a denominator below :data:`REPAIR_DENOM_TOL` (bridge removal /
         ill-conditioning) or an exhausted ``O(sqrt(n))`` update budget.
@@ -829,14 +861,12 @@ class ResistanceOracle:
 # -- effective resistances -----------------------------------------------------
 
 
-def effective_resistances_sparse(
-    graph: WeightedGraph, batch_size: int = DEFAULT_BATCH_SIZE
-) -> np.ndarray:
-    """Effective resistance of every edge via one factorisation + batched solves.
+def effective_resistances_sparse(graph: WeightedGraph) -> np.ndarray:
+    """Effective resistance of every edge via one factorisation + blocked solves.
 
     Instead of reading ``m`` separate ``chi^T L^+ chi`` products off a dense
     pseudoinverse, this grounds the Laplacian, factorises it once and
-    solves ``L x_e = chi_e`` for ``batch_size`` edges at a time;
+    solves ``L x_e = chi_e`` for :func:`block_columns` edges at a time;
     ``R_e = chi_e^T x_e = x_e[u] - x_e[v]``.  Total cost is one ``splu`` plus
     ``m`` triangular solves.
     """
@@ -846,8 +876,9 @@ def effective_resistances_sparse(
     u, v, _ = graph.edge_array()
     solver = GroundedLaplacianSolver(graph)
     resistances = np.zeros(m)
-    for start in range(0, m, batch_size):
-        stop = min(m, start + batch_size)
+    step = block_columns(graph.n)
+    for start in range(0, m, step):
+        stop = min(m, start + step)
         resistances[start:stop] = solver.edge_resistances(u[start:stop], v[start:stop])
     return resistances
 

@@ -707,9 +707,10 @@ class ClusterService(QueryFrontDoor):
     def remove_worker(self, name: str) -> List[str]:
         """Retire one worker and rebalance; returns the moved graph keys.
 
-        The worker keeps serving while its keys are re-homed, then retires
-        without waiting on a reply (a wedged one is killed after 5 s).
-        Removing the last worker raises.
+        The worker keeps serving while its keys are re-homed, is sent no
+        ``unregister`` (its state dies with it), then retires without
+        waiting on a reply (a wedged one is killed after 5 s).  Removing the
+        last worker raises.
         """
         with self._lock:
             if name not in self._workers:
@@ -737,7 +738,14 @@ class ClusterService(QueryFrontDoor):
                 gained_handles = [
                     self._workers[n] for n in gained if n in self._workers
                 ]
-                lost_handles = [self._workers[n] for n in lost if n in self._workers]
+                # a worker that has left the ring is being retired: its state
+                # dies with it, and an unregister would wait on it unbounded
+                ring_nodes = self.ring.nodes
+                lost_handles = [
+                    self._workers[n]
+                    for n in lost
+                    if n in self._workers and n in ring_nodes
+                ]
             for handle in gained_handles:
                 try:
                     self._register_on_worker(handle, record)

@@ -709,17 +709,14 @@ class QueryPlanner:
         degraded = False
         if graph.n <= self.oracle_limit:
             # Medium graphs: precompute the dense grounded-inverse oracle
-            # once (n batched triangular solves, n^2 doubles) and answer
+            # once (one LAPACK Cholesky inverse, n^2 doubles) and answer
             # every later pair query with a three-element lookup; exact
-            # answers satisfy any requested eta for free.  The grounded
-            # factorisation is only materialised on an oracle miss -- a
-            # cached oracle must not trigger a useless splu rebuild.
+            # answers satisfy any requested eta for free.  The oracle grounds
+            # on the graph's current components itself, so neither a hit nor
+            # a miss materialises the grounded splu factorisation.
             try:
                 solver, cache_hit = self._build(
-                    entry,
-                    "resistance_oracle",
-                    (),
-                    lambda: ResistanceOracle(graph, grounded=self._grounded(entry)[0]),
+                    entry, "resistance_oracle", (), lambda: ResistanceOracle(graph)
                 )
             except Exception:
                 # degradation ladder: a failed (or breaker-open) oracle

@@ -24,6 +24,7 @@ from repro.graphs import (
     laplacian_quadratic_form,
 )
 from repro.graphs.graph import WeightedGraph
+from repro.linalg import sparse_backend
 from repro.linalg.sparse_backend import (
     GroundedLaplacianSolver,
     as_apply_fn,
@@ -135,9 +136,12 @@ class TestEffectiveResistanceAgreement:
         finite = np.isfinite(expected)
         np.testing.assert_allclose(got[finite], expected[finite], atol=1e-8)
 
-    def test_small_batches_cover_all_edges(self, reference_graph):
+    def test_small_batches_cover_all_edges(self, reference_graph, monkeypatch):
         full = effective_resistances_sparse(reference_graph)
-        batched = effective_resistances_sparse(reference_graph, batch_size=3)
+        # a working set of three columns splits the edges over many blocks
+        monkeypatch.setattr(sparse_backend, "BLOCK_BYTES", 8 * reference_graph.n * 3)
+        assert sparse_backend.block_columns(reference_graph.n) == 3
+        batched = effective_resistances_sparse(reference_graph)
         np.testing.assert_allclose(batched, full, atol=1e-12)
 
     def test_fosters_theorem_on_sparse_path(self):

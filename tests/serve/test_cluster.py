@@ -453,6 +453,31 @@ class TestMembership:
         finally:
             cluster.close()
 
+    def test_remove_worker_does_not_wait_on_a_wedged_worker(self):
+        # the retiring worker is sent no unregister: only its 5 s shutdown
+        # grace bounds the call, not the health monitor's dead ladder
+        cluster = make_cluster(num_workers=3)
+        try:
+            graphs = self._many_graphs()
+            keys = [cluster.register(g, name=f"m{i}") for i, g in enumerate(graphs)]
+            victim = cluster.shard_of(keys[0])
+            process = cluster._workers[victim].process
+            cluster.wedge_worker(victim, 60.0)
+            start = time.monotonic()
+            moved = cluster.remove_worker(victim)
+            assert time.monotonic() - start < 15.0
+            assert not process.is_alive()
+            assert keys[0] in moved
+            for key, graph in zip(keys, graphs):
+                if key not in moved:
+                    continue
+                assert victim not in cluster.replicas_of(key)
+                b = np.zeros(graph.n)
+                b[0], b[-1] = 1.0, -1.0
+                assert cluster.solve(key, b).solution.shape == (graph.n,)
+        finally:
+            cluster.close()
+
     def test_removing_unknown_or_last_worker_raises(self):
         cluster = make_cluster(num_workers=1, replication_factor=1)
         try:

@@ -10,10 +10,11 @@ than rebuilt ones (``cache.stats.misses``).
 import numpy as np
 import pytest
 
+import reference_dense
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.sparse_backend import RepairableGroundedSolver
-from repro.serve import ArtifactCache, LaplacianService
+from repro.serve import ArtifactCache, LaplacianService, resistance_batch_query
 from repro.solvers.laplacian import SolverPreprocessing
 
 TOL = 1e-8
@@ -85,6 +86,9 @@ class TestInsertionRepair:
     def test_repaired_artifacts_rekeyed_to_current_identity(self, graph):
         service = make_service()
         key = service.register(graph)
+        b = np.zeros(graph.n)
+        b[0], b[1] = 1.0, -1.0
+        service.solve(key, b)  # caches the grounded solver (kappa measurement)
         service.effective_resistances(key, PAIRS)
         graph.add_edge(2, 290, 1.7)
         service.effective_resistances(key, PAIRS)
@@ -181,6 +185,43 @@ class TestRemovalPolicy:
             got, fresh_resistances(graph, [(0, 5), (3, 30), (5, 20)]), atol=TOL
         )
         assert np.isinf(got[2])  # 5 and 20 are now in different components
+
+    def test_dense_oracle_rebuilt_after_bridge_removal_is_exact(self):
+        """The rebuilt oracle grounds on the graph's current components.
+
+        The grounded solver is cached too, so the removal re-grounds the
+        split-off side inside that solver with a rank-1 regulariser; the
+        Laplacian restricted to the solver's kept vertices is then singular,
+        and an oracle grounded on them would fail its Cholesky and degrade.
+        """
+        # a 6 x 6 grid, a bridge (35, 36) and a pendant unit edge (36, 37)
+        grid = generators.grid_graph(6, 6).edge_list()
+        graph = WeightedGraph(38, edges=grid + [(35, 36, 1.0), (36, 37, 1.0)])
+        service = make_service()
+        key = service.register(graph)
+        pairs = [(0, 37), (0, 35), (36, 37)]
+        planner = service.planner
+        limit, planner.oracle_limit = planner.oracle_limit, 10
+        service.effective_resistances(key, pairs)  # caches the grounded solver
+        planner.oracle_limit = limit
+        service.effective_resistances(key, pairs)  # builds the dense oracle
+        kinds = [e.kind for e in service.cache.entries()]
+        assert kinds.count("grounded") == kinds.count("resistance_oracle") == 1
+
+        graph.remove_edge(35, 36)
+        planner.oracle_limit = 10
+        service.effective_resistances(key, pairs)  # re-grounds the solver
+        planner.oracle_limit = limit
+        ticket = service.submit(resistance_batch_query(key, pairs))
+        service.flush()
+        result = ticket.result()
+        assert result.degraded is False
+        u, v = np.array(pairs).T
+        expected = reference_dense.pair_resistances(graph, u, v)
+        assert np.isinf(result.value[0])
+        np.testing.assert_allclose(result.value[1:], expected[1:], rtol=0, atol=1e-10)
+        assert result.value[2] == pytest.approx(1.0, abs=1e-12)
+        assert service.metrics_snapshot()["degraded_total"] == 0
 
 
 class TestStructuralAndBudgetFallbacks:

@@ -73,15 +73,17 @@ class TestZeroWorkUntilLookup:
     def test_never_queried_artifact_never_pays_repair(self, graph):
         service = make_service()
         key = service.register(graph)
-        service.effective_resistances(key, PAIRS)  # dense oracle + grounded
+        b = np.random.default_rng(0).normal(size=graph.n)
+        service.solve(key, b)  # preprocessing + grounded
+        service.effective_resistances(key, PAIRS)  # dense oracle
         injector = service.arm_faults(
             FaultPlan(rules=(FaultRule(op="repair", fail=False),))
         )
         graph.add_edge(2, 290, 1.7)
         service.effective_resistances(key, PAIRS)
-        # one walk record for the dense oracle; the grounded solver cached
-        # inside the same generation was never looked up, so its repair was
-        # skipped entirely -- not deferred-and-paid, skipped
+        # one walk record for the dense oracle; the grounded solver (and the
+        # preprocessing) cached in the same generation was never looked up,
+        # so its repair was skipped entirely -- not deferred-and-paid, skipped
         assert injector.fired_total == 1
         entry = service.registry.get(key)
         grounded = [e for e in service.cache.entries() if e.kind == "grounded"]
