@@ -1,9 +1,9 @@
 """Round-cost accounting for the algebraic layers of the paper.
 
-The Laplacian solver, the Lee-Sidford LP solver and the flow pipeline are
-analysed in the paper through a small set of communication primitives whose
-costs are stated in the respective lemmas (e.g. "broadcasting the vector values
-needs ``O(log(nU/eps))`` bits, hence ``O(log(nU/eps)/log n)`` rounds", Theorem
+The Laplacian solver, the LP solver and the flow pipeline are analysed in the
+paper through a small set of communication primitives whose costs are stated
+in the respective lemmas (e.g. "broadcasting the vector values needs
+``O(log(nU/eps))`` bits, hence ``O(log(nU/eps)/log n)`` rounds", Theorem
 1.3).  :class:`CommunicationPrimitives` implements exactly those primitives:
 each call records its round cost (in BCC rounds) into a :class:`RoundLedger`
 and performs the corresponding numerical operation with numpy.
@@ -39,9 +39,8 @@ class RoundLedger:
     """Accumulates BCC round charges of the algebraic pipeline."""
 
     entries: List[LedgerEntry] = field(default_factory=list)
-    #: running sum of every charge -- total_rounds is read once per
-    #: weight/leverage computation (hundreds of thousands of times in one
-    #: LP solve), so it must not rescan the entry list
+    #: running sum of every charge, so reading total_rounds never rescans
+    #: the entry list
     _total: float = field(default=0.0, repr=False)
 
     def charge(self, operation: str, rounds: float, detail: str = "") -> float:
@@ -127,22 +126,6 @@ class CommunicationPrimitives:
 
     # -- primitives ----------------------------------------------------------
 
-    def broadcast_scalar(self, detail: str = "") -> float:
-        """One vertex writes one value to the blackboard: O(log(nU/eps)) bits."""
-        return self.ledger.charge("broadcast_scalar", self._words_per_value(), detail)
-
-    def broadcast_vector_coordinatewise(self, length: int, detail: str = "") -> float:
-        """Every vertex broadcasts its own coordinate(s) of a length-``length`` vector.
-
-        In the BCC a vector distributed with one coordinate per vertex is made
-        global knowledge in one round per word; when ``length > n`` (edge-indexed
-        vectors) each vertex owns ``ceil(length/n)`` coordinates and the cost
-        scales accordingly.
-        """
-        per_vertex = max(1, math.ceil(length / self.n))
-        rounds = per_vertex * self._words_per_value()
-        return self.ledger.charge("broadcast_vector", rounds, detail)
-
     def matvec(self, detail: str = "") -> float:
         """Multiply a locally-known-rows matrix by a distributed vector.
 
@@ -155,19 +138,6 @@ class CommunicationPrimitives:
     def vector_op(self, detail: str = "") -> float:
         """Local vector operation (addition, scaling): zero communication."""
         return self.ledger.charge("vector_op", 0.0, detail)
-
-    def global_sum(self, detail: str = "") -> float:
-        """All vertices learn the sum of locally-held values: one broadcast each."""
-        return self.ledger.charge("global_sum", self._words_per_value(), detail)
-
-    def leader_election(self, detail: str = "") -> float:
-        """Highest-ID leader election: one round of ID broadcasts."""
-        return self.ledger.charge("leader_election", 1, detail)
-
-    def broadcast_random_bits(self, bits: int, detail: str = "") -> float:
-        """The leader broadcasts ``bits`` shared random bits (Theorem 4.4 usage)."""
-        rounds = max(1, math.ceil(bits / self.word_bits))
-        return self.ledger.charge("broadcast_random_bits", rounds, detail)
 
     def local_computation(self, detail: str = "") -> float:
         """Unlimited local computation: free, recorded for traceability."""
@@ -187,8 +157,3 @@ class CommunicationPrimitives:
         """
         self.matvec(detail)
         return matrix @ np.asarray(vector)
-
-    def distributed_sum(self, values: np.ndarray, detail: str = "") -> float:
-        """Sum locally-held values while charging one global_sum primitive."""
-        self.global_sum(detail)
-        return float(np.sum(values))

@@ -12,7 +12,6 @@ from repro.graphs.digraph import FlowNetwork
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.sparse_backend import GroundedLaplacianSolver
 from repro.lp.barrier_ipm import BarrierIPM
-from repro.lp.lee_sidford import LeeSidfordSolver
 from repro.lp.problem import LPProblem, LPSolution
 from repro.solvers.laplacian import BCCLaplacianSolver, LaplacianSolveReport
 from repro.spanners.probabilistic import SpannerResult, probabilistic_spanner
@@ -146,18 +145,12 @@ def solve_lp(
     problem: LPProblem,
     x0: np.ndarray,
     eps: float = 1e-6,
-    engine: str = "barrier",
-    seed: Optional[int] = None,
     **kwargs,
 ) -> LPSolution:
     """Solve ``min c^T x, A^T x = b, l <= x <= u`` from the interior point ``x0``
-    (Theorem 1.4).  ``engine`` selects the primal-dual barrier IPM (default) or
-    the faithful Lee-Sidford weighted path following (``"lee-sidford"``)."""
-    if engine == "barrier":
-        return BarrierIPM(problem, **kwargs).solve(x0, eps=eps)
-    if engine == "lee-sidford":
-        return LeeSidfordSolver(problem, seed=seed, **kwargs).solve(x0, eps=eps)
-    raise ValueError(f"unknown engine {engine!r}; use 'barrier' or 'lee-sidford'")
+    (Theorem 1.4) with the primal-dual IPM; ``kwargs`` go to
+    :class:`~repro.lp.barrier_ipm.BarrierIPM`."""
+    return BarrierIPM(problem, **kwargs).solve(x0, eps=eps)
 
 
 def min_cost_max_flow(

@@ -7,8 +7,8 @@
   ``y, z``, the flow-value variable ``F``, the Daitch-Spielman cost
   perturbation, and the explicit interior point.
 * :mod:`repro.flow.mincostflow` -- the end-to-end pipeline of Theorem 1.1:
-  build the LP, solve it with an interior point engine whose Newton systems are
-  SDD (Lemma 5.1), round to an exact integral flow, and account the rounds.
+  build the LP, solve it with the primal-dual IPM whose Newton systems are SDD
+  (Lemma 5.1), round to an exact integral flow, and account the rounds.
 """
 
 from repro.flow.baselines import (

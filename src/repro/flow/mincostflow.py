@@ -5,24 +5,23 @@ of Section 5 into the Lee-Sidford solver, solving every Newton system with the
 SDD/Laplacian machinery of Lemma 5.1, and finally rounds the near-optimal
 fractional solution to an exact integral flow.
 
-The default engine here follows the same outline with the numerically robust
-pieces documented in ``docs/substitutions.md`` (sections 3 and 6):
+This pipeline follows the same outline with the numerically robust pieces
+documented in ``docs/substitutions.md`` (sections 3, 4 and 6):
 
 1. the maximum flow value ``F*`` is fixed (combinatorially, or by an LP phase
    maximising ``F`` -- the paper folds this into one LP via the large reward on
    ``F``, which needs more float64 head-room than laptop hardware offers);
 2. the fixed-value LP ``min q~^T x, B x = F* e_t, 0 <= x <= c`` with
-   Daitch-Spielman-perturbed costs is solved by an interior point engine whose
-   Newton systems are ``A^T D A`` solves (chargeable to the SDD solver of
-   Lemma 5.1) -- by default the primal-dual predictor-corrector of
-   :mod:`repro.lp.barrier_ipm`, stopped on its measured duality gap;
+   Daitch-Spielman-perturbed costs is solved by the primal-dual
+   predictor-corrector of :mod:`repro.lp.barrier_ipm`, whose Newton systems
+   are ``A^T D A`` solves (chargeable to the SDD solver of Lemma 5.1),
+   stopped on its measured duality gap;
 3. the fractional solution is rounded edge-wise to the nearest integer and
-   certified optimal in O(m) with the engine's duals as potentials
+   certified optimal in O(m) with the IPM's duals as potentials
    (Goldberg-Tarjan eps-optimality).  If the rounded vector is not a
    certified feasible optimal flow (which the paper's uniqueness argument
-   rules out w.h.p., but float64 can spoil, and an engine without duals
-   cannot certify), an exact combinatorial correction replaces it and the
-   event is reported.
+   rules out w.h.p., but float64 can spoil), an exact combinatorial
+   correction replaces it and the event is reported.
 
 Round accounting follows Theorem 1.1: ``Õ(sqrt(n))`` path-following iterations,
 each costing ``Õ(log M)`` rounds of matrix-vector products plus SDD solves.
@@ -41,7 +40,6 @@ from repro.flow.baselines import edmonds_karp_max_flow, successive_shortest_path
 from repro.flow.lp_formulation import FlowLP, build_fixed_value_lp
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.barrier_ipm import BarrierIPM
-from repro.lp.lee_sidford import LeeSidfordSolver
 from repro.lp.problem import LPSolution
 
 EdgeKey = Tuple[int, int]
@@ -50,9 +48,6 @@ EdgeKey = Tuple[int, int]
 #: loosest value at which the rounded optimum still certified on every
 #: network of the tests' seeded families (``docs/substitutions.md`` section 6)
 DEFAULT_EPS_SCALE = 1e-9
-
-#: the LP engines ``min_cost_max_flow`` accepts
-ENGINES = ("barrier", "lee-sidford")
 
 
 @dataclass
@@ -139,14 +134,12 @@ def _round_and_certify(
 
 def min_cost_max_flow(
     network: FlowNetwork,
-    engine: str = "barrier",
     seed: Optional[int] = None,
     eps_scale: float = DEFAULT_EPS_SCALE,
     perturb: bool = True,
     verify_against_baseline: bool = False,
     gram_solver_factory: Optional[Callable[..., Any]] = None,
     phase_one: Optional[Tuple[float, Dict[EdgeKey, float]]] = None,
-    resistance_oracle: Optional[Any] = None,
 ) -> MinCostFlowResult:
     """Compute an exact minimum cost maximum ``s``-``t`` flow (Theorem 1.1).
 
@@ -154,11 +147,6 @@ def min_cost_max_flow(
     ----------
     network:
         Directed graph with integral capacities and costs.
-    engine:
-        ``"barrier"`` (the primal-dual predictor-corrector, default) or
-        ``"lee-sidford"`` (the faithful weighted-path-following solver;
-        slower, small instances; it keeps no duals, so its rounded flow is
-        never certified and always takes the exact correction).
     seed:
         Seed for the cost perturbation and any randomised subroutine.
     eps_scale:
@@ -179,13 +167,7 @@ def min_cost_max_flow(
         Optional precomputed ``(max_flow_value, witness_flow)`` pair (a cached
         serving artifact); the communication ledger is still charged at the
         theorem bound for fixing ``F*``.
-    resistance_oracle:
-        Serving hook forwarded to the ``"lee-sidford"`` engine's graph-mode
-        Lewis-weight computations (ignored by ``"barrier"``); see
-        :class:`~repro.lp.lee_sidford.LeeSidfordSolver`.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; use one of {ENGINES}")
     rng = np.random.default_rng(seed)
     ledger = RoundLedger()
     M = max(2.0, network.max_capacity(), network.max_cost_magnitude())
@@ -237,14 +219,7 @@ def min_cost_max_flow(
     fractional_cost = None
     ok = False
     if flow_lp.problem.is_strictly_feasible(interior, tol=1e-6):
-        if engine == "barrier":
-            solver = BarrierIPM(flow_lp.problem, comm=comm)
-            solution = solver.solve(interior, eps=eps)
-        else:
-            solver = LeeSidfordSolver(
-                flow_lp.problem, comm=comm, seed=seed, resistance_oracle=resistance_oracle
-            )
-            solution = solver.solve(interior, eps=eps)
+        solution = BarrierIPM(flow_lp.problem, comm=comm).solve(interior, eps=eps)
         lp_iterations = solution.iterations
         fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
         flow, ok = _round_and_certify(network, flow_lp, solution, target_value)

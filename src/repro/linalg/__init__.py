@@ -1,17 +1,8 @@
-"""Numerical linear-algebra toolkit of the LP solver (Section 4.1 and 4.3).
+"""Numerical linear algebra: Laplacian kernels and resistance oracles (Section 4.1).
 
-* :mod:`repro.linalg.jl` -- Johnson-Lindenstrauss transforms: the classical
-  Achlioptas sign-matrix construction (needs m independent coins, infeasible in
-  a broadcast model) and the Kane-Nelson construction (Theorem 4.4) driven by a
-  polylogarithmic shared random seed.
-* :mod:`repro.linalg.leverage` -- leverage scores: exact computation and the
-  JL-sketched approximation ``ComputeLeverageScores`` (Algorithm 6, Lemma 4.5).
-* :mod:`repro.linalg.lewis` -- regularised ell_p Lewis weights: the exact
-  fixed-point reference and ``ComputeApxWeights`` / ``ComputeInitialWeights``
-  (Algorithms 7 and 8, Lemma 4.6).
-* :mod:`repro.linalg.mixed_ball` -- projection onto the mixed norm ball
-  ``||x||_2 + ||l^{-1} x||_inf <= 1`` (Section 4.3, Lemma 4.10): the BCC
-  binary-search algorithm and a dense reference maximiser.
+* :mod:`repro.linalg.jl` -- the Kane-Nelson Johnson-Lindenstrauss transform
+  (Theorem 4.4) driven by a polylogarithmic shared random seed, in sparse
+  format, plus the sketch dimension its squared norms need.
 * :mod:`repro.linalg.sparse_backend` -- the scipy.sparse CSR Laplacian
   kernels every layer computes with, at every graph size: vectorised matrix
   construction from cached edge arrays, grounded ``splu`` factorisations
@@ -25,31 +16,11 @@
 """
 
 from repro.linalg.jl import (
-    achlioptas_matrix,
-    kane_nelson_matrix,
     kane_nelson_random_bits,
     kane_nelson_sketch,
     resistance_sketch_dimension,
-    sketch_preserves_norm,
-)
-from repro.linalg.leverage import (
-    approximate_edge_leverage_scores,
-    approximate_leverage_scores,
-    exact_leverage_scores,
-    LeverageScoreReport,
 )
 from repro.linalg.resistance import SketchedResistanceOracle
-from repro.linalg.lewis import (
-    compute_apx_weights,
-    compute_initial_weights,
-    exact_lewis_weights,
-    regularized_lewis_weights,
-)
-from repro.linalg.mixed_ball import (
-    MixedBallResult,
-    project_mixed_ball,
-    project_mixed_ball_reference,
-)
 from repro.linalg.sparse_backend import (
     GroundedLaplacianSolver,
     effective_resistances_sparse,
@@ -59,24 +30,10 @@ from repro.linalg.sparse_backend import (
 )
 
 __all__ = [
-    "achlioptas_matrix",
-    "kane_nelson_matrix",
     "kane_nelson_random_bits",
     "kane_nelson_sketch",
     "resistance_sketch_dimension",
-    "sketch_preserves_norm",
-    "exact_leverage_scores",
-    "approximate_leverage_scores",
-    "approximate_edge_leverage_scores",
-    "LeverageScoreReport",
     "SketchedResistanceOracle",
-    "exact_lewis_weights",
-    "regularized_lewis_weights",
-    "compute_apx_weights",
-    "compute_initial_weights",
-    "MixedBallResult",
-    "project_mixed_ball",
-    "project_mixed_ball_reference",
     "GroundedLaplacianSolver",
     "effective_resistances_sparse",
     "incidence_csr",

@@ -4,8 +4,9 @@ The exact :class:`~repro.linalg.sparse_backend.ResistanceOracle` answers pair
 queries in O(1) but stores the full ``n x n`` grounded inverse, which gates it
 at ``RESISTANCE_ORACLE_LIMIT`` vertices; above the gate the serving layer fell
 back to per-batch ``splu`` triangular solves that barely amortise.  This
-module is the middle regime the paper's own leverage-score machinery implies:
-effective resistance is a squared Euclidean distance,
+module is the middle regime the paper's own leverage-score machinery
+(``ComputeLeverageScores``, Algorithm 6) implies: effective resistance is a
+squared Euclidean distance,
 
     ``R(u, v) = || W^{1/2} B L^+ (e_u - e_v) ||^2``,
 
@@ -24,12 +25,6 @@ float64 transients stay near :data:`~repro.linalg.sparse_backend.BLOCK_BYTES`
 per copy whatever ``k`` is), after which the oracle stores ``n x k`` floats
 -- ``O(n log m / eta^2)`` memory instead of ``O(n^2)`` -- and answers a batch
 of pair queries with one vectorised einsum.
-
-The same sketch is exactly what ``ComputeLeverageScores`` (Algorithm 6) wants
-for edge leverage scores ``sigma_e = w_e R(u_e, v_e)``:
-:meth:`SketchedResistanceOracle.edge_leverage_scores` reads them off the
-cached embedding, so sparsifier construction and resistance serving share one
-artifact (see :func:`repro.linalg.leverage.approximate_edge_leverage_scores`).
 """
 
 from __future__ import annotations
@@ -480,23 +475,6 @@ class SketchedResistanceOracle:
         diff = (self._embedding[u] - self._embedding[v]).astype(np.float64, copy=False)
         resistances = np.einsum("ij,ij->i", diff, diff)
         return apply_pair_semantics(resistances, self._labels, u, v)
-
-    def edge_leverage_scores(self, graph: "WeightedGraph") -> np.ndarray:
-        """Approximate leverage scores ``sigma_e = w_e R(u_e, v_e)`` of every edge.
-
-        The leverage score of row ``e`` of ``W^{1/2} B`` is exactly the edge's
-        weighted effective resistance, so the cached embedding answers all of
-        them in one einsum -- the reuse Algorithm 6 is after.  ``graph`` must
-        be the graph this oracle was built for; a mismatched graph whose
-        vertices happen to be in range would silently read another graph's
-        embedding, so at least the vertex count is checked.
-        """
-        if graph.n != self.n:
-            raise ValueError(
-                f"oracle was built for a graph on {self.n} vertices, got {graph.n}"
-            )
-        u, v, w = graph.edge_array()
-        return w * self.pair_resistances(u, v)
 
     def share_arrays(self):
         """Arrays + scalar metadata for shared-memory publication.

@@ -1,23 +1,25 @@
 """A primal-dual interior point method: Mehrotra's predictor-corrector.
 
-This is the engineering engine of ``docs/substitutions.md`` (section 3): it
-solves the same LPs as the Lee-Sidford solver
-(``min c^T x, A^T x = b, l <= x <= u``), its Newton systems are the *same*
-primitive -- one solve with ``A^T D A`` for a positive diagonal ``D`` -- and
-it is charged with the same Broadcast Congested Clique communication
-primitives.  It runs the infeasible-start predictor-corrector of Mehrotra
-(*SIAM J. Optim.* 1992; Wright, *Primal-Dual Interior-Point Methods*, 1997)
-on the box: primal slacks ``p = x - l`` and ``q = u - x``, dual slacks
-``z1, z2 > 0`` and free duals ``y``.  The predictor and the corrector share
-one Newton matrix ``A^T diag(theta) A`` with ``theta = 1 / (z1/p + z2/q)``.
+This is the LP engine of ``docs/substitutions.md`` (sections 3-4): it solves
+the LPs of Theorem 1.4 (``min c^T x, A^T x = b, l <= x <= u``), its Newton
+systems are the paper's primitive -- one solve with ``A^T D A`` for a
+positive diagonal ``D`` -- and it is charged with the Broadcast Congested
+Clique communication primitives.  It runs the infeasible-start
+predictor-corrector of Mehrotra (*SIAM J. Optim.* 1992; Wright, *Primal-Dual
+Interior-Point Methods*, 1997) on the box: primal slacks ``p = x - l`` and
+``q = u - x``, dual slacks ``z1, z2 > 0`` and free duals ``y``.  The
+predictor and the corrector share one Newton matrix ``A^T diag(theta) A``
+with ``theta = 1 / (z1/p + z2/q)``.
 
 The run stops on the *measured* duality gap ``p^T z1 + q^T z2 <= eps`` with
 both residuals at most ``1e-9`` relative, and returns the duals ``y`` with
 ``x`` so a caller can certify what it makes of the answer.  The
 ``O(sqrt(m) log(1/eps))`` bound of :func:`theoretical_iteration_bound_sqrt_m`
 is the Mizuno-Todd-Ye predictor-corrector's; Mehrotra's heuristic carries no
-bound but needs tens of iterations in practice.  The Lee-Sidford solver
-improves the ``m`` to ``n = rank(A)``, which is the point of the paper.
+bound but needs tens of iterations in practice.  Lee-Sidford's weighted path
+following improves the ``m`` to ``n = rank(A)``, which is the point of the
+paper; the measurement that keeps it out of this repo is in
+``docs/substitutions.md`` section 4.
 """
 
 from __future__ import annotations
@@ -186,10 +188,3 @@ def theoretical_iteration_bound_sqrt_m(m: int, eps: float) -> float:
     m = max(2, int(m))
     eps = max(1e-300, float(eps))
     return math.sqrt(m) * math.log(m / eps)
-
-
-def theoretical_iteration_bound_sqrt_n(n: int, U: float, eps: float) -> float:
-    """Lee-Sidford path following needs ``O(sqrt(n) log(U/eps))`` steps (Theorem 1.4)."""
-    n = max(2, int(n))
-    eps = max(1e-300, float(eps))
-    return math.sqrt(n) * math.log(max(2.0, U) / eps)

@@ -1,6 +1,6 @@
 """SDD Gram-solve machinery for flow LPs (Lemma 5.1) and the serving bridge.
 
-Every Newton system of the flow LP engines is a solve with ``A^T D A`` for a
+Every Newton system of the flow LP's IPM is a solve with ``A^T D A`` for a
 positive diagonal ``D``.  Lemma 5.1 observes that for the flow formulations
 ``A`` is (an augmentation of) an edge-vertex incidence matrix, so ``A^T D A``
 is a *grounded Laplacian* of an auxiliary graph whose edge weights are sums of
@@ -46,13 +46,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from repro.linalg.sparse_backend import NumericalHealthError
-
-
-def scale_rows(A, s: np.ndarray):
-    """``diag(s) @ A`` for dense or scipy-sparse ``A`` (rows scaled by ``s``)."""
-    if sp.issparse(A):
-        return (sp.diags(np.asarray(s, dtype=float)) @ A).tocsr()
-    return np.asarray(A, dtype=float) * np.asarray(s, dtype=float)[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""LP problem container in the Lee-Sidford form of Theorem 1.4.
+"""LP problem container in the form of Theorem 1.4.
 
     min c^T x   subject to   A^T x = b,   l <= x <= u,
 
@@ -15,8 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-
-from repro.lp.barriers import BarrierFunction, make_barrier
 
 
 @dataclass
@@ -35,7 +33,7 @@ class LPProblem:
     gram_solver: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "lp"
     #: ``A^T``, transposed once (CSR when ``A`` is sparse): every Newton step
-    #: of both engines multiplies by it
+    #: multiplies by it
     AT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,10 +64,6 @@ class LPProblem:
         """Number of equality constraints (columns of A)."""
         return self.A.shape[1]
 
-    def barrier(self) -> BarrierFunction:
-        """The coordinate-wise barrier of the box ``[lower, upper]``."""
-        return make_barrier(self.lower, self.upper)
-
     def objective(self, x: np.ndarray) -> float:
         """``c^T x``."""
         return float(self.c @ np.asarray(x, dtype=float))
@@ -91,22 +85,6 @@ class LPProblem:
         if np.any(x <= self.lower) or np.any(x >= self.upper):
             return False
         return bool(np.linalg.norm(self.equality_residual(x), ord=np.inf) <= tol)
-
-    def bound_parameter(self, x0: np.ndarray) -> float:
-        """The parameter ``U`` of Theorem 1.4 for a given interior start ``x0``."""
-        x0 = np.asarray(x0, dtype=float)
-        gaps_up = np.where(np.isfinite(self.upper), self.upper - x0, 1.0)
-        gaps_down = np.where(np.isfinite(self.lower), x0 - self.lower, 1.0)
-        width = np.where(
-            np.isfinite(self.upper) & np.isfinite(self.lower), self.upper - self.lower, 1.0
-        )
-        candidates = [
-            float(np.max(1.0 / np.maximum(gaps_up, 1e-300))),
-            float(np.max(1.0 / np.maximum(gaps_down, 1e-300))),
-            float(np.max(width)),
-            float(np.max(np.abs(self.c))) if self.c.size else 1.0,
-        ]
-        return max(1.0, *candidates)
 
     def solve_gram(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^T D A) y = rhs`` with the diagonal ``D = diag(d)``.
@@ -132,7 +110,7 @@ class LPProblem:
 
 @dataclass
 class LPSolution:
-    """Solution record returned by the LP engines."""
+    """Solution record returned by :class:`~repro.lp.barrier_ipm.BarrierIPM`."""
 
     x: np.ndarray
     objective: float
@@ -140,6 +118,6 @@ class LPSolution:
     rounds: float = 0.0
     converged: bool = True
     duality_gap: Optional[float] = None
-    history: list = field(default_factory=list)
-    #: dual variables of ``A^T x = b`` (None when the engine keeps none)
+    #: dual variables of ``A^T x = b``; a record without them cannot be
+    #: certified optimal
     y: Optional[np.ndarray] = None

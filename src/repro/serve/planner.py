@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.core import api
 from repro.flow.baselines import edmonds_karp_max_flow
-from repro.flow.mincostflow import DEFAULT_EPS_SCALE, ENGINES, min_cost_max_flow
+from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.laplacian import spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
@@ -240,7 +240,6 @@ def certify_query(graph_key: str, eps: float = 0.5) -> Query:
 
 def flow_query(
     graph_key: str,
-    engine: str = "barrier",
     seed: Optional[int] = None,
     eps_scale: float = DEFAULT_EPS_SCALE,
     perturb: bool = True,
@@ -259,14 +258,13 @@ def flow_query(
 
     ``seed=None`` is served as seed ``0``: the served path is deterministic
     by default, so a repeat query replays the same cost perturbation and
-    returns the same flow.  Pass an explicit seed to vary the perturbation.  ``engine`` and
-    ``eps_scale`` are validated at submit time.
+    returns the same flow.  Pass an explicit seed to vary the perturbation.
+    ``eps_scale`` is validated at submit time.
     """
     return Query(
         "flow",
         graph_key,
         {
-            "engine": str(engine),
             "seed": 0 if seed is None else int(seed),
             "eps_scale": float(eps_scale),
             "perturb": bool(perturb),
@@ -286,8 +284,6 @@ def _validate_flow(graph, payload: Dict[str, Any]) -> None:
         np.isfinite(graph.costs())
     ):
         raise ValueError("registered flow network has non-finite capacities or costs")
-    if payload["engine"] not in ENGINES:
-        raise ValueError(f"unknown engine {payload['engine']!r}; use one of {ENGINES}")
     eps_scale = payload["eps_scale"]
     if not (np.isfinite(eps_scale) and eps_scale > 0.0):
         raise ValueError(f"eps_scale must be finite and > 0, got {eps_scale}")
@@ -906,7 +902,7 @@ class QueryPlanner:
         under the network's content identity -- so a repeat memoising query
         on an unmutated network skips the IPM entirely.
         """
-        engine, seed, eps_scale, perturb, memoise = batch.coalesce_params
+        seed, eps_scale, perturb, memoise = batch.coalesce_params
         warm: List[bool] = []
 
         def run_pipeline():
@@ -925,7 +921,6 @@ class QueryPlanner:
 
             result = min_cost_max_flow(
                 entry.graph,
-                engine=engine,
                 seed=seed,
                 eps_scale=eps_scale,
                 perturb=perturb,
@@ -939,7 +934,7 @@ class QueryPlanner:
             result, result_hit = self._build(
                 entry,
                 "flow_result",
-                (engine, seed, eps_scale, perturb),
+                (seed, eps_scale, perturb),
                 run_pipeline,
             )
             cache_hit = result_hit or bool(warm and warm[0])
@@ -1034,7 +1029,6 @@ _KIND_TABLE: Dict[str, QueryKind] = {
     "flow": QueryKind(
         _validate_flow,
         lambda p: (
-            p["engine"],
             p["seed"],
             p["eps_scale"],
             p["perturb"],

@@ -277,7 +277,6 @@ class QueryFrontDoor:
     def min_cost_flow(
         self,
         graph_key: str,
-        engine: str = "barrier",
         seed: Optional[int] = None,
         eps_scale: float = DEFAULT_EPS_SCALE,
         perturb: bool = True,
@@ -295,14 +294,12 @@ class QueryFrontDoor:
 
         ``memoise_result=True`` additionally caches the final result under
         the network's content identity, so repeat queries on an unchanged
-        network skip the IPM entirely (read-heavy traffic).  ``engine`` and
-        ``eps_scale`` are rejected with ``ValueError`` at submit when
-        malformed.
+        network skip the IPM entirely (read-heavy traffic).  A malformed
+        ``eps_scale`` is rejected with ``ValueError`` at submit.
         """
         return self._submit_and_wait(
             flow_query(
                 graph_key,
-                engine=engine,
                 seed=seed,
                 eps_scale=eps_scale,
                 perturb=perturb,

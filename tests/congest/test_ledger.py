@@ -45,9 +45,9 @@ class TestCommunicationPrimitives:
         comm.local_computation()
         assert comm.ledger.total_rounds == 0
 
-    def test_scalar_broadcast_costs_at_least_one_round(self):
+    def test_matvec_costs_at_least_one_round(self):
         comm = CommunicationPrimitives(16)
-        comm.broadcast_scalar()
+        comm.matvec()
         assert comm.ledger.total_rounds >= 1
 
     def test_matvec_cost_grows_with_precision(self):
@@ -56,18 +56,6 @@ class TestCommunicationPrimitives:
         cheap.matvec()
         costly.matvec()
         assert costly.ledger.total_rounds >= cheap.ledger.total_rounds
-
-    def test_vector_broadcast_scales_with_length(self):
-        comm = CommunicationPrimitives(10)
-        r_short = comm.broadcast_vector_coordinatewise(10)
-        r_long = comm.broadcast_vector_coordinatewise(100)
-        assert r_long >= r_short
-        assert r_long >= 10 * r_short / 10  # ceil(100/10)=10 coordinates per vertex
-
-    def test_random_bits_broadcast(self):
-        comm = CommunicationPrimitives(16)
-        rounds = comm.broadcast_random_bits(bits=64)
-        assert rounds == pytest.approx(np.ceil(64 / comm.word_bits))
 
     def test_distributed_matvec_matches_numpy(self):
         comm = CommunicationPrimitives(8)
@@ -78,22 +66,15 @@ class TestCommunicationPrimitives:
         np.testing.assert_allclose(out, A @ v)
         assert comm.ledger.total_rounds > 0
 
-    def test_distributed_sum_matches_numpy(self):
-        comm = CommunicationPrimitives(8)
-        values = np.arange(8.0)
-        assert comm.distributed_sum(values) == pytest.approx(28.0)
-
     def test_invalid_network_size(self):
         with pytest.raises(ValueError):
             CommunicationPrimitives(0)
 
-    def test_leader_election_is_one_round(self):
-        comm = CommunicationPrimitives(1000)
-        assert comm.leader_election() == 1
-
-    def test_global_sum_costs_one_value_broadcast(self):
-        comm = CommunicationPrimitives(32, value_magnitude=100.0)
-        assert comm.global_sum() == comm.broadcast_scalar() == comm.matvec()
+    def test_matvec_costs_one_value_broadcast(self):
+        """One coordinate per vertex: ``ceil(log(nU/eps) / log n)`` words."""
+        comm = CommunicationPrimitives(32, value_magnitude=100.0, precision=1e-6)
+        bits = _bits_for_value_range(32, 100.0, 1e-6)
+        assert comm.matvec() == -(-bits // comm.word_bits)
 
     def test_laplacian_solve_charges_what_it_is_given(self):
         comm = CommunicationPrimitives(8)
@@ -101,26 +82,20 @@ class TestCommunicationPrimitives:
         with pytest.raises(ValueError):
             comm.laplacian_solve(-1.0)
 
-    @pytest.mark.parametrize("length", [1, 16, 17, 160])
-    def test_vector_broadcast_is_one_value_per_owned_coordinate(self, length):
-        comm = CommunicationPrimitives(16)
-        per_value = comm.broadcast_scalar()
-        assert comm.broadcast_vector_coordinatewise(length) == -(-length // 16) * per_value
-
     def test_charges_are_labelled_by_primitive(self):
         comm = CommunicationPrimitives(16)
         comm.matvec("step 1")
-        comm.global_sum()
-        comm.leader_election()
-        assert set(comm.ledger.rounds_by_operation()) == {"matvec", "global_sum", "leader_election"}
+        comm.laplacian_solve(3.0)
+        comm.vector_op()
+        assert set(comm.ledger.rounds_by_operation()) == {"matvec", "laplacian_solve", "vector_op"}
         assert comm.ledger.entries[0].detail == "step 1"
 
     def test_shared_ledger_accumulates_across_primitives(self):
         ledger = RoundLedger()
         a = CommunicationPrimitives(8, ledger=ledger)
         b = CommunicationPrimitives(64, ledger=ledger)
-        total = a.leader_election() + b.broadcast_random_bits(12)
-        assert ledger.total_rounds == total == 1 + 2
+        total = a.matvec() + b.laplacian_solve(2.5)
+        assert ledger.total_rounds == total == a._words_per_value() + 2.5
 
 
 class TestWordSize:
@@ -161,4 +136,4 @@ class TestValueEncoding:
     )
     def test_every_value_costs_at_least_one_round(self, n, magnitude, eps):
         comm = CommunicationPrimitives(n, value_magnitude=magnitude, precision=eps)
-        assert comm.broadcast_scalar() >= 1
+        assert comm.matvec() >= 1

@@ -32,16 +32,15 @@ class TestFacade:
         report2 = core.solve_laplacian(g, b, eps=1e-6, solver=solver)
         np.testing.assert_allclose(report.solution, report2.solution, atol=1e-4)
 
-    def test_lp_facade_engines(self):
+    def test_lp_facade(self):
         rng = np.random.default_rng(9)
         m, n = 14, 3
         A = rng.normal(size=(m, n))
         x0 = rng.uniform(0.4, 0.6, size=m)
         problem = LPProblem(A=A, b=A.T @ x0, c=rng.normal(size=m), lower=np.zeros(m), upper=np.ones(m))
-        barrier = core.solve_lp(problem, x0, eps=1e-5, engine="barrier")
-        assert barrier.converged
-        with pytest.raises(ValueError):
-            core.solve_lp(problem, x0, engine="unknown")
+        solution = core.solve_lp(problem, x0, eps=1e-5)
+        assert solution.converged
+        assert problem.is_feasible(solution.x, tol=1e-5)
 
     def test_flow_facade(self):
         net = generators.random_flow_network(9, seed=10)

@@ -153,21 +153,3 @@ class TestDiagnostics:
     def test_theorem_round_bound_monotone(self):
         assert theorem_round_bound(100, 16) > theorem_round_bound(25, 16)
         assert theorem_round_bound(64, 64) > theorem_round_bound(64, 4)
-
-    def test_invalid_engine_rejected(self):
-        net = generators.random_flow_network(8, seed=6)
-        with pytest.raises(ValueError):
-            min_cost_max_flow(net, engine="simplex")
-
-
-class TestLeeSidfordEngine:
-    @pytest.mark.slow  # ~15s (re-measured): still the suite's slowest single test.
-    # Was ~4 minutes before the Lewis fixed point went through graph mode (one
-    # small dense resistance solve per iteration) and the round ledger kept a
-    # running total instead of rescanning its entries on every read
-    def test_small_instance_with_faithful_engine(self):
-        net = generators.random_flow_network(7, seed=7, max_capacity=4, max_cost=3)
-        result = min_cost_max_flow(net, engine="lee-sidford", seed=7, verify_against_baseline=True)
-        value, cost, _ = networkx_min_cost_max_flow(net)
-        assert result.value == pytest.approx(value)
-        assert result.cost == pytest.approx(cost)

@@ -178,7 +178,7 @@ class TestResultMemoisation:
         service.min_cost_flow(key, seed=0)
         entry = service.registry.get(key)
         assert not service.cache.contains(
-            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, DEFAULT_EPS_SCALE, True)
+            entry.fingerprint, entry.version, "flow_result", (0, DEFAULT_EPS_SCALE, True)
         )
 
     def test_memoised_rerun_skips_the_lp(self, network):
@@ -187,7 +187,7 @@ class TestResultMemoisation:
         cold = service.min_cost_flow(key, seed=0, memoise_result=True)
         entry = service.registry.get(key)
         assert service.cache.contains(
-            entry.fingerprint, entry.version, "flow_result", ("barrier", 0, DEFAULT_EPS_SCALE, True)
+            entry.fingerprint, entry.version, "flow_result", (0, DEFAULT_EPS_SCALE, True)
         )
         hits_before = service.cache.stats.hits
         warm = service.min_cost_flow(key, seed=0, memoise_result=True)
@@ -220,16 +220,6 @@ class TestValidation:
         key = service.register(small_graph)
         with pytest.raises(ValueError, match="FlowNetwork"):
             service.min_cost_flow(key)
-
-    def test_direct_and_served_paths_share_one_engine_list(self, network):
-        service = make_service()
-        key = service.register(network)
-        with pytest.raises(ValueError) as direct:
-            min_cost_max_flow(network, engine="newton")
-        with pytest.raises(ValueError) as served:
-            service.min_cost_flow(key, engine="newton")
-        assert str(direct.value) == str(served.value)
-        assert str(mincostflow.ENGINES) in str(served.value)
 
     def test_unknown_key_raises(self):
         service = make_service()

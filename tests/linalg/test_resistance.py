@@ -13,9 +13,8 @@ import pytest
 from repro.core import api
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
-from repro.linalg.leverage import approximate_edge_leverage_scores, exact_leverage_scores
 from repro.linalg.resistance import SketchedResistanceOracle
-from repro.linalg.sparse_backend import GroundedLaplacianSolver, ResistanceOracle, incidence_csr
+from repro.linalg.sparse_backend import GroundedLaplacianSolver, ResistanceOracle
 
 WORKLOADS = [
     ("random-300", lambda: generators.random_weighted_graph(300, average_degree=8, seed=7)),
@@ -27,13 +26,6 @@ WORKLOADS = [
 
 def all_pairs(n):
     return np.triu_indices(n, k=1)
-
-
-def exact_leverage_scores_of_incidence(graph):
-    import scipy.sparse as sp
-
-    B, w = incidence_csr(graph)
-    return exact_leverage_scores(sp.diags(np.sqrt(w)) @ B)
 
 
 class TestAccuracyContract:
@@ -140,46 +132,6 @@ class TestSemantics:
         graph = generators.random_weighted_graph(150, average_degree=6, seed=5)
         oracle = SketchedResistanceOracle(graph, eta=0.9, k_override=17)
         assert oracle.k == 17 and not oracle.exact
-
-
-class TestLeverageReuse:
-    def test_edge_leverage_scores_within_eta(self):
-        graph = generators.random_weighted_graph(250, average_degree=8, seed=9)
-        exact = exact_leverage_scores_of_incidence(graph)
-        report = approximate_edge_leverage_scores(graph, eta=0.5, seed=0)
-        relative = np.abs(report.scores - exact) / exact
-        assert float(relative.max()) <= 0.5
-        assert report.sketch_rows >= 1 and report.solves == report.sketch_rows
-
-    def test_shared_oracle_is_used_verbatim(self):
-        graph = generators.random_weighted_graph(150, average_degree=6, seed=9)
-        oracle = SketchedResistanceOracle(graph, eta=0.25, seed=0)
-        report = approximate_edge_leverage_scores(graph, eta=0.5, oracle=oracle)
-        np.testing.assert_array_equal(report.scores, oracle.edge_leverage_scores(graph))
-
-    def test_looser_shared_oracle_rejected(self):
-        graph = generators.path_graph(10)
-        oracle = SketchedResistanceOracle(graph, eta=0.9, k_override=3)
-        with pytest.raises(ValueError):
-            approximate_edge_leverage_scores(graph, eta=0.1, oracle=oracle)
-
-    def test_looser_but_exact_shared_oracle_accepted(self):
-        # an identity-sketch oracle is exact: its nominal eta does not matter
-        graph = generators.path_graph(10)
-        oracle = SketchedResistanceOracle(graph, eta=0.9)
-        assert oracle.exact
-        report = approximate_edge_leverage_scores(graph, eta=0.1, oracle=oracle)
-        exact = exact_leverage_scores_of_incidence(graph)
-        np.testing.assert_allclose(report.scores, exact, rtol=1e-8)
-
-    def test_mismatched_graph_rejected(self):
-        big = generators.random_weighted_graph(40, average_degree=4, seed=1)
-        other = generators.path_graph(12)  # vertices all in range of `big`
-        oracle = SketchedResistanceOracle(big, eta=0.5, seed=0)
-        with pytest.raises(ValueError):
-            oracle.edge_leverage_scores(other)
-        with pytest.raises(ValueError):
-            approximate_edge_leverage_scores(other, eta=0.5, oracle=oracle)
 
 
 class TestApiKnob:

@@ -395,3 +395,23 @@ class TestOnePath:
         assert "gram" not in QUERY_KINDS
         assert not hasattr(repro.serve, "gram_query")
         assert not hasattr(QueryFrontDoor, "solve_gram")
+
+    def test_one_lp_engine_and_no_engine_option(self):
+        """The barrier IPM is the only LP engine: no layer offers a choice."""
+        from repro import core
+        from repro.flow import mincostflow
+        from repro.serve.planner import flow_query
+
+        for func in (
+            mincostflow.min_cost_max_flow,
+            core.min_cost_max_flow,
+            core.solve_lp,
+            flow_query,
+            QueryFrontDoor.min_cost_flow,
+        ):
+            parameters = inspect.signature(func).parameters
+            assert "engine" not in parameters, func.__qualname__
+            assert "resistance_oracle" not in parameters, func.__qualname__
+        assert not hasattr(mincostflow, "ENGINES")
+        modules = {module.__name__ for module in _modules(repro.lp)}
+        assert modules == {"repro.lp", "repro.lp.barrier_ipm", "repro.lp.gram", "repro.lp.problem"}

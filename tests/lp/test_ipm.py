@@ -6,10 +6,7 @@ from scipy.optimize import linprog
 
 from repro.congest.ledger import CommunicationPrimitives
 from repro.lp import BarrierIPM, LPProblem
-from repro.lp.barrier_ipm import (
-    theoretical_iteration_bound_sqrt_m,
-    theoretical_iteration_bound_sqrt_n,
-)
+from repro.lp.barrier_ipm import theoretical_iteration_bound_sqrt_m
 
 
 def random_box_lp(m, n, seed=0):
@@ -52,10 +49,6 @@ class TestLPProblem:
         problem, x0 = random_box_lp(8, 2, seed=2)
         assert problem.objective(x0) == pytest.approx(float(problem.c @ x0))
         np.testing.assert_allclose(problem.equality_residual(x0), 0.0, atol=1e-10)
-
-    def test_bound_parameter_positive(self):
-        problem, x0 = random_box_lp(8, 2, seed=3)
-        assert problem.bound_parameter(x0) >= 1.0
 
     def test_gram_solver_default_and_custom(self):
         problem, _ = random_box_lp(8, 3, seed=4)
@@ -139,7 +132,18 @@ class TestBarrierIPM:
         assert solution.objective == pytest.approx(scipy_optimum(problem), abs=1e-6)
         assert not solution.converged or solution.duality_gap <= eps
 
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_iterations_within_sqrt_m_bound(self, n):
+        """Mehrotra's steps stay far inside the Mizuno-Todd-Ye ``O(sqrt(m))``
+        bound, and every step is charged."""
+        problem, x0 = random_box_lp(6 * n, n, seed=n)
+        comm = CommunicationPrimitives(n + 1)
+        solution = BarrierIPM(problem, comm=comm).solve(x0, eps=1e-6)
+        assert solution.converged
+        assert 0 < solution.iterations <= theoretical_iteration_bound_sqrt_m(problem.m, 1e-6)
+        assert solution.rounds == comm.ledger.total_rounds > 0
+
     def test_iteration_bounds_helpers(self):
-        assert theoretical_iteration_bound_sqrt_m(100, 1e-3) > theoretical_iteration_bound_sqrt_n(
-            10, 2.0, 1e-3
-        )
+        bound = theoretical_iteration_bound_sqrt_m
+        assert bound(400, 1e-3) > bound(100, 1e-3)
+        assert bound(100, 1e-9) > bound(100, 1e-3)

@@ -523,13 +523,12 @@ class TestSubmitTimeRejection:
     @pytest.mark.parametrize(
         "params, match",
         [
-            ({"engine": "bogus"}, "unknown engine"),
             ({"eps_scale": float("nan")}, "eps_scale"),
             ({"eps_scale": float("inf")}, "eps_scale"),
             ({"eps_scale": -1.0}, "eps_scale"),
             ({"eps_scale": 0.0}, "eps_scale"),
         ],
-        ids=["engine-bogus", "eps-nan", "eps-inf", "eps-negative", "eps-zero"],
+        ids=["eps-nan", "eps-inf", "eps-negative", "eps-zero"],
     )
     def test_malformed_flow_query_rejected_at_submit(self, params, match):
         service = make_service()
