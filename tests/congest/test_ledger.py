@@ -90,6 +90,30 @@ class TestCommunicationPrimitives:
         assert set(comm.ledger.rounds_by_operation()) == {"matvec", "laplacian_solve", "vector_op"}
         assert comm.ledger.entries[0].detail == "step 1"
 
+    @pytest.mark.parametrize(
+        "n, magnitude, eps",
+        [(2, 1.0, 0.5), (16, 100.0, 1e-6), (1024, 2.0**30, 1e-9), (10**5, 1e3, 1e-3)],
+    )
+    def test_every_matvec_charges_the_same_value_broadcast(self, n, magnitude, eps):
+        """The cost depends on ``(n, U, eps)`` only, never on the call's payload."""
+        comm = CommunicationPrimitives(n, value_magnitude=magnitude, precision=eps)
+        bits = _bits_for_value_range(n, magnitude, eps)
+        expected = -(-bits // comm.word_bits)
+        rng = np.random.default_rng(n)
+        assert comm.matvec() == expected
+        comm.distributed_matvec(rng.normal(size=(3, 3)), rng.normal(size=3))
+        assert comm.ledger.total_rounds == 2 * expected
+        assert [entry.rounds for entry in comm.ledger.entries] == [expected, expected]
+
+    def test_distributed_matvec_accepts_rectangular_rows(self):
+        comm = CommunicationPrimitives(5)
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(7, 5))
+        v = rng.normal(size=5)
+        np.testing.assert_allclose(comm.distributed_matvec(A, list(v), "rows"), A @ v)
+        assert comm.ledger.entries[-1].operation == "matvec"
+        assert comm.ledger.entries[-1].detail == "rows"
+
     def test_shared_ledger_accumulates_across_primitives(self):
         ledger = RoundLedger()
         a = CommunicationPrimitives(8, ledger=ledger)

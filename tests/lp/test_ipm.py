@@ -78,6 +78,31 @@ class TestBarrierIPM:
         assert solution.objective == pytest.approx(reference, abs=1e-3)
         assert problem.is_feasible(solution.x, tol=1e-5)
 
+    @pytest.mark.parametrize("m, n, seed", [(6, 1, 10), (12, 6, 11), (40, 8, 12), (60, 20, 13)])
+    def test_primal_and_dual_optimality_across_shapes(self, m, n, seed):
+        """Feasible, at HiGHS's optimum, and with a nonnegative gap that closes."""
+        problem, x0 = random_box_lp(m, n, seed=seed)
+        reference = scipy_optimum(problem)
+        solution = BarrierIPM(problem).solve(x0, eps=1e-7)
+        assert solution.converged
+        assert problem.is_feasible(solution.x, tol=1e-5)
+        assert solution.objective == pytest.approx(reference, abs=1e-4)
+        assert 0.0 <= solution.duality_gap <= 1e-7 * 1.01
+        # a feasible point cannot beat the optimum
+        assert solution.objective >= reference - 1e-6
+
+    def test_sparse_constraint_matrix_matches_dense(self):
+        import scipy.sparse as sp
+
+        dense, x0 = random_box_lp(30, 6, seed=14)
+        sparse = LPProblem(
+            A=sp.csr_matrix(dense.A), b=dense.b, c=dense.c, lower=dense.lower, upper=dense.upper
+        )
+        a = BarrierIPM(dense).solve(x0, eps=1e-8)
+        b = BarrierIPM(sparse).solve(x0, eps=1e-8)
+        assert b.objective == pytest.approx(a.objective, abs=1e-6)
+        np.testing.assert_allclose(b.x, a.x, atol=1e-4)
+
     def test_tighter_eps_gets_closer(self):
         problem, x0 = random_box_lp(20, 4, seed=5)
         reference = scipy_optimum(problem)
