@@ -1,13 +1,17 @@
 """Graph generators for tests, examples and benchmark workloads.
 
 All generators take a ``seed`` (or a ``numpy.random.Generator``) so that every
-experiment in ``docs/benchmarks.md`` is reproducible.
+experiment in ``docs/benchmarks.md`` is reproducible.  The random pair
+generators (:func:`erdos_renyi`, :func:`random_flow_network`) scan their
+``O(n^2)`` candidate pairs in array code but draw exactly what a per-pair
+``rng.random() < p`` loop draws (see :class:`_ScalarReplay`), so a seed gives
+the same graph, and leaves the same generator state, at any speed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -16,11 +20,131 @@ from repro.graphs.graph import WeightedGraph
 
 RngLike = Union[int, np.random.Generator, None]
 
+#: Raw words per ``random_raw`` block of :class:`_ScalarReplay` (64 KiB), so a
+#: replay's transient stays near 100 KB however many pairs it scans.
+BLOCK_WORDS = 1 << 13
+
 
 def _rng(seed: RngLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+class _ScalarReplay:
+    """Replays a ``Generator``'s scalar ``random()`` / ``integers()`` calls from raw words.
+
+    A per-pair loop ``if rng.random() < p: rng.integers(low, high)`` spends
+    its time in the rejected pairs.  This replays the same call sequence from
+    ``bit_generator.random_raw`` blocks, bit for bit, so that only accepted
+    pairs cost Python time:
+
+    * ``random()`` is one raw word ``x`` read as ``(x >> 11) * 2**-53``, so
+      ``random() < p`` is the whole-block integer test ``x < ceil(p * 2**53) << 11``;
+    * ``integers(low, high)`` over a range of at most ``2**32`` values takes
+      one uint32 through the bit generator's ``has_uint32`` buffer (the low
+      half of a fresh word, then the buffered high half) and maps it with
+      Lemire's multiply-shift and rejection, as numpy does; wider ranges take
+      whole words.
+
+    :meth:`close` rewinds the bit generator to exactly the words consumed and
+    hands back the half-word buffer, so every later draw on ``rng`` is what it
+    would have been after the scalar loop.  A bit generator with no
+    ``has_uint32`` buffer (``MT19937``) is refused with ``TypeError``.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if "has_uint32" not in state:
+            raise TypeError(
+                f"{state['bit_generator']} keeps no uint32 buffer, so its scalar "
+                "draws cannot be replayed; pass a PCG64-family Generator"
+            )
+        self._bitgen = bitgen
+        self._has_half = state["has_uint32"]
+        self._half = state["uinteger"]
+        self._rewind: Optional[dict] = None  # bit generator state before this block
+        self._block = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self._refills = 0
+
+    def _refill(self) -> None:
+        self._rewind = self._bitgen.state
+        self._block = self._bitgen.random_raw(BLOCK_WORDS)
+        self._pos = 0
+        self._refills += 1
+
+    def _word(self) -> int:
+        if self._pos == self._block.size:
+            self._refill()
+        word = int(self._block[self._pos])
+        self._pos += 1
+        return word
+
+    def _uint32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        word = self._word()
+        self._has_half, self._half = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        """``rng.integers(low, high)`` (``high`` exclusive), drawn from the replayed stream."""
+        low, high = int(low), int(high)  # numpy truncates float bounds too
+        span = high - 1 - low
+        if span == 0:
+            return low  # numpy draws nothing for a one-value range
+        bits, draw = (32, self._uint32) if span <= 0xFFFFFFFF else (64, self._word)
+        excl = span + 1
+        threshold = ((1 << bits) - excl) % excl
+        low_bits = (1 << bits) - 1
+        product = draw() * excl
+        while product & low_bits < threshold:
+            product = draw() * excl
+        return low + (product >> bits)
+
+    def successes(self, trials: int, p: float) -> Iterator[int]:
+        """Yield each ``t < trials`` at which a ``rng.random() < p`` loop succeeds.
+
+        Every trial takes one word.  Draws the caller makes between two yields
+        take the words that follow the success, as they would in the loop.
+        """
+        # p >= 1: every double in [0, 1) passes
+        limit = None if p >= 1.0 else np.uint64(math.ceil(p * 2.0**53) << 11)
+        remaining = trials
+        while remaining:
+            if self._pos == self._block.size:
+                self._refill()
+            refills, block = self._refills, self._block
+            if limit is None:
+                hits = range(self._pos, block.size)
+            else:
+                hits = (np.flatnonzero(block[self._pos :] < limit) + self._pos).tolist()
+            for hit in hits:
+                if hit < self._pos:
+                    continue  # a word the caller's draws took
+                if hit - self._pos >= remaining:
+                    break
+                remaining -= hit - self._pos + 1
+                self._pos = hit + 1
+                yield trials - remaining - 1
+                if self._refills != refills:
+                    break  # the caller's draws crossed into a new block: scan it
+            if self._refills == refills:
+                taken = min(block.size - self._pos, remaining)
+                self._pos += taken
+                remaining -= taken
+
+    def close(self) -> None:
+        """Leave the bit generator exactly where the scalar calls would have."""
+        if self._rewind is not None:
+            self._bitgen.state = self._rewind
+            self._bitgen.random_raw(self._pos, output=False)
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        self._bitgen.state = state
 
 
 def _connect_components(
@@ -95,19 +219,17 @@ def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
 
 
 def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
-    """``rows x cols`` grid graph."""
-    n = rows * cols
-    graph = WeightedGraph(n)
+    """``rows x cols`` grid graph; vertex ``r * cols + c`` sits at row ``r``, column ``c``.
 
-    def index(r: int, c: int) -> int:
-        return r * cols + c
-
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                graph.add_edge(index(r, c), index(r, c + 1), weight)
-            if r + 1 < rows:
-                graph.add_edge(index(r, c), index(r + 1, c), weight)
+    Edges go in row-major order, each vertex's right edge before its down edge.
+    """
+    graph = WeightedGraph(rows * cols)
+    r, c = np.indices((max(rows, 0), max(cols, 0)))
+    index = r * cols + c
+    u = np.stack([index, index], axis=-1)
+    v = np.stack([index + 1, index + cols], axis=-1)
+    present = np.stack([c + 1 < cols, r + 1 < rows], axis=-1)
+    graph.add_edges(u[present], v[present], weight)
     return graph
 
 
@@ -140,38 +262,34 @@ def erdos_renyi(
     seed: RngLike = None,
     ensure_connected: bool = True,
 ) -> WeightedGraph:
-    """Erdos-Renyi ``G(n, p)`` with integer weights uniform in ``[1, max_weight]``."""
+    """Erdos-Renyi ``G(n, p)`` with integer weights uniform in ``[1, max(2, int(max_weight))]``.
+
+    The weight range is never narrower than ``{1, 2}`` and a fractional bound
+    is floored: the default ``max_weight = 1.0`` draws weights 1 and 2.  Pairs
+    ``u < v`` are drawn in row-major order, one ``rng.random() < p`` each and
+    one ``rng.integers`` weight per accepted pair (replayed in array code by
+    :class:`_ScalarReplay`); ``ensure_connected`` then joins the components
+    with further weighted edges.
+    """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = _rng(seed)
     graph = WeightedGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                weight = float(rng.integers(1, max(2, int(max_weight)) + 1))
-                graph.add_edge(u, v, weight)
+    high = max(2, int(max_weight)) + 1
+    replay = _ScalarReplay(rng)
+    pairs, weights = [], []
+    for t in replay.successes(n * (n - 1) // 2, p):
+        pairs.append(t)
+        weights.append(replay.integers(1, high))
+    replay.close()
+    # pair index t -> (u, v): row u starts after u * (2n - u - 1) / 2 pairs
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    t = np.array(pairs, dtype=np.int64)
+    u = np.searchsorted(starts, t, side="right") - 1
+    graph.add_edges(u, t - starts[u] + u + 1, np.array(weights, dtype=np.float64))
     if ensure_connected and n > 1:
         _connect_components(graph, rng, max_weight)
-    return graph
-
-
-def random_regular_expander(n: int, degree: int = 8, seed: RngLike = None) -> WeightedGraph:
-    """Random near-regular multigraph-free expander via repeated matchings."""
-    rng = _rng(seed)
-    if degree >= n:
-        return complete_graph(n)
-    graph = WeightedGraph(n)
-    attempts = 0
-    while graph.min_weight() == 0.0 or any(graph.degree(v) < degree for v in range(n)):
-        attempts += 1
-        if attempts > 20 * degree:
-            break
-        perm = rng.permutation(n)
-        for i in range(0, n - 1, 2):
-            u, v = int(perm[i]), int(perm[i + 1])
-            if u != v and not graph.has_edge(u, v):
-                graph.add_edge(u, v, 1.0)
-    _connect_components(graph, rng, 1.0)
     return graph
 
 
@@ -288,15 +406,34 @@ def random_flow_network(
     backbone = [0] + order + [n - 1]
     for a, b in zip(backbone[:-1], backbone[1:]):
         net.add_edge(a, b, float(rng.integers(1, max_capacity + 1)), float(rng.integers(0, max_cost + 1)))
+    # Then one rng.random() < p per remaining ordered pair u -> v, row-major,
+    # skipping self-loops, backbone edges, edges into the source and edges out
+    # of the sink: row 0 draws for the n - 2 heads other than 0 and its
+    # backbone successor, rows 1 .. n - 2 for the n - 3 heads other than 0, u
+    # and the successor, so (n - 2)^2 draws in all.
     p = min(1.0, average_degree / max(1, n - 1))
-    for u in range(n):
-        for v in range(n):
-            if u == v or net.has_edge(u, v):
-                continue
-            if v == net.source or u == net.sink:
-                continue
-            if rng.random() < p:
-                net.add_edge(u, v, float(rng.integers(1, max_capacity + 1)), float(rng.integers(0, max_cost + 1)))
+    replay = _ScalarReplay(rng)
+    pairs, capacities, costs = [], [], []
+    for t in replay.successes((n - 2) ** 2, p):
+        pairs.append(t)
+        capacities.append(replay.integers(1, max_capacity + 1))
+        costs.append(replay.integers(0, max_cost + 1))
+    replay.close()
+    successor = np.empty(n, dtype=np.int64)
+    successor[backbone[:-1]] = backbone[1:]
+    t = np.array(pairs, dtype=np.int64)
+    in_row_zero = t < n - 2
+    later = t - (n - 2)
+    u = np.where(in_row_zero, 0, 1 + later // max(n - 3, 1))
+    v = 1 + np.where(in_row_zero, t, later % max(n - 3, 1))
+    # then step over the row's other excluded heads in ascending order (row 0
+    # excludes only its successor; n is never reached)
+    low_skip = np.where(in_row_zero, successor[0], np.minimum(u, successor[u]))
+    high_skip = np.where(in_row_zero, n, np.maximum(u, successor[u]))
+    v += v >= low_skip
+    v += v >= high_skip
+    for a, b, capacity, cost in zip(u.tolist(), v.tolist(), capacities, costs):
+        net.add_edge(a, b, float(capacity), float(cost))
     return net
 
 
@@ -344,11 +481,3 @@ def layered_flow_network(
                 )
     return net
 
-
-def weighted_graph_with_bounded_weights(
-    n: int, max_weight: int, seed: RngLike = None
-) -> WeightedGraph:
-    """Connected graph whose weights exercise the ``log W`` terms of Lemma 3.2."""
-    rng = _rng(seed)
-    graph = random_weighted_graph(n, average_degree=max(3.0, math.log2(max(2, n))), max_weight=max_weight, seed=rng)
-    return graph

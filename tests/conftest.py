@@ -16,8 +16,9 @@ from repro.graphs.graph import WeightedGraph
 # tests/spanners/reference_executor.py (the frozen per-vertex spanner executor)
 # is also the base of the historical references in tests/sparsify, and
 # tests/linalg/reference_dense.py (the frozen pinv / eigh linear algebra) is
-# the oracle of the solver and api tests too
-for _reference_dir in ("spanners", "linalg"):
+# the oracle of the solver and api tests too; tests/graphs/reference_generators.py
+# holds the frozen scalar generators
+for _reference_dir in ("spanners", "linalg", "graphs"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _reference_dir))
 
 # Every property runs the same examples on every box (derandomised, no example

@@ -1,0 +1,124 @@
+"""Scalar graph generators, frozen as the test oracle of ``repro.graphs.generators``.
+
+``src/`` draws ``erdos_renyi``, ``random_flow_network`` and ``grid_graph``
+with array code: the random pair draws are replayed from
+``bit_generator.random_raw`` blocks.  This module keeps the per-pair Python
+loops they replaced, verbatim, and
+``tests/graphs/test_generator_equivalence.py`` pins the two bit for bit:
+the same edges, the same weight-dict insertion order and the same final
+``bit_generator.state``.  They share ``_rng`` and ``_connect_components``
+with ``src/`` (the components repair runs after the loop in both).
+
+It also holds two generators only tests use, ``random_regular_expander`` and
+``weighted_graph_with_bounded_weights``, moved out of ``src/``.
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.graphs.digraph import FlowNetwork
+from repro.graphs.generators import RngLike, _connect_components, _rng, complete_graph, random_weighted_graph
+from repro.graphs.graph import WeightedGraph
+
+
+def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
+    """``rows x cols`` grid graph."""
+    n = rows * cols
+    graph = WeightedGraph(n)
+
+    def index(r: int, c: int) -> int:
+        return r * cols + c
+
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                graph.add_edge(index(r, c), index(r, c + 1), weight)
+            if r + 1 < rows:
+                graph.add_edge(index(r, c), index(r + 1, c), weight)
+    return graph
+
+
+def erdos_renyi(
+    n: int,
+    p: float,
+    max_weight: float = 1.0,
+    seed: RngLike = None,
+    ensure_connected: bool = True,
+) -> WeightedGraph:
+    """Erdos-Renyi ``G(n, p)`` with integer weights uniform in ``[1, max_weight]``."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    rng = _rng(seed)
+    graph = WeightedGraph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                weight = float(rng.integers(1, max(2, int(max_weight)) + 1))
+                graph.add_edge(u, v, weight)
+    if ensure_connected and n > 1:
+        _connect_components(graph, rng, max_weight)
+    return graph
+
+
+def random_flow_network(
+    n: int,
+    average_degree: float = 4.0,
+    max_capacity: int = 16,
+    max_cost: int = 8,
+    seed: RngLike = None,
+) -> FlowNetwork:
+    """Random connected flow network with integral capacities and costs.
+
+    The source is vertex ``0`` and the sink is vertex ``n - 1``.  A directed
+    Hamiltonian-ish backbone guarantees that the sink is reachable from the
+    source so the maximum flow value is positive.
+    """
+    if n < 2:
+        raise ValueError(f"a flow network needs at least 2 vertices, got {n}")
+    rng = _rng(seed)
+    net = FlowNetwork(n, source=0, sink=n - 1)
+    order = list(range(1, n - 1))
+    rng.shuffle(order)
+    backbone = [0] + order + [n - 1]
+    for a, b in zip(backbone[:-1], backbone[1:]):
+        net.add_edge(a, b, float(rng.integers(1, max_capacity + 1)), float(rng.integers(0, max_cost + 1)))
+    p = min(1.0, average_degree / max(1, n - 1))
+    for u in range(n):
+        for v in range(n):
+            if u == v or net.has_edge(u, v):
+                continue
+            if v == net.source or u == net.sink:
+                continue
+            if rng.random() < p:
+                net.add_edge(u, v, float(rng.integers(1, max_capacity + 1)), float(rng.integers(0, max_cost + 1)))
+    return net
+
+
+def random_regular_expander(n: int, degree: int = 8, seed: RngLike = None) -> WeightedGraph:
+    """Random near-regular multigraph-free expander via repeated matchings."""
+    rng = _rng(seed)
+    if degree >= n:
+        return complete_graph(n)
+    graph = WeightedGraph(n)
+    attempts = 0
+    while graph.min_weight() == 0.0 or any(graph.degree(v) < degree for v in range(n)):
+        attempts += 1
+        if attempts > 20 * degree:
+            break
+        perm = rng.permutation(n)
+        for i in range(0, n - 1, 2):
+            u, v = int(perm[i]), int(perm[i + 1])
+            if u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v, 1.0)
+    _connect_components(graph, rng, 1.0)
+    return graph
+
+
+def weighted_graph_with_bounded_weights(
+    n: int, max_weight: int, seed: RngLike = None
+) -> WeightedGraph:
+    """Connected graph whose weights exercise the ``log W`` terms of Lemma 3.2."""
+    rng = _rng(seed)
+    graph = random_weighted_graph(n, average_degree=max(3.0, math.log2(max(2, n))), max_weight=max_weight, seed=rng)
+    return graph

@@ -97,16 +97,6 @@ class TestRandomGenerators:
             assert 1 <= edge.weight <= 9
             assert edge.weight == int(edge.weight)
 
-    def test_expander_has_min_degree(self):
-        g = generators.random_regular_expander(24, degree=4, seed=5)
-        assert g.is_connected()
-        assert min(g.degree(v) for v in g.vertices()) >= 1
-
-    def test_bounded_weight_generator(self):
-        g = generators.weighted_graph_with_bounded_weights(20, max_weight=64, seed=6)
-        assert g.is_connected()
-        assert g.max_weight() <= 64
-
 
 class TestFlowGenerators:
     def test_random_flow_network_reproducible(self):

@@ -11,6 +11,11 @@ Both builders are guarded by their ``tracemalloc`` peak, not by a clock:
   reduced matrix plus ``S`` -- ``2 n^2`` doubles, 64 MB at ``n = 2000`` --
   where ``n / 512`` blocked ``splu`` solves peaked at 80.8 MB.
 
+The random-graph generator is guarded the same way: it replays its
+``O(n^2)`` pair draws from raw words in blocks of
+:data:`~repro.graphs.generators.BLOCK_WORDS` (bit-identity with the scalar
+loop is ``tests/graphs/test_generator_equivalence.py``'s job).
+
 Block width must not change any answer, and the LAPACK oracle is pinned to
 the dense ``pinv`` reference.
 """
@@ -83,6 +88,13 @@ class TestWorkingSetGuard:
         # measured); blocked splu solves into a separate inverse peaked at
         # 80.8 MB, so the bound leaves a quarter of n^2 doubles of slack
         assert peak < 2.25 * graph.n**2 * 8
+
+    def test_random_graph_generation_peak(self):
+        peak = traced_peak(lambda: generators.random_weighted_graph(5000, 8.0, seed=7))
+        # 12.5 M candidate pairs drawn in generators.BLOCK_WORDS blocks: 13.3 MB
+        # measured, most of it the graph itself; one block of all the pairs
+        # (100 MB of raw words) peaked at 153 MB
+        assert peak < 32 * MB
 
 
 class TestBlockWidthInvariance:
