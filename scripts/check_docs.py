@@ -7,9 +7,9 @@ Five checks, all fast and dependency-free beyond the package's own imports:
    existing file or directory.  External schemes (``http(s)``, ``mailto``)
    and pure in-page anchors are skipped; a ``path#anchor`` link is checked
    for the path part only.
-2. **Docstring gate** -- every public symbol of ``repro.serve`` and
-   ``repro.linalg`` (module, function, class, and the methods/properties a
-   class itself defines) must carry a non-empty docstring.  Public means
+2. **Docstring gate** -- every public symbol of every ``repro`` package
+   (module, function, class, and the methods/properties a class itself
+   defines) must carry a non-empty docstring.  Public means
    "not underscore-prefixed"; inherited members are the parent's problem.
 
 3. **Decision tables** -- two docs tables are checked against the code they
@@ -50,8 +50,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: packages whose public API the docstring gate walks
-GATED_PACKAGES = ("repro.serve", "repro.linalg")
+#: the namespace whose packages' public API the docstring gate walks
+GATED_NAMESPACE = "repro"
 
 #: markdown link syntax [text](target); images ![alt](target) match too
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -138,9 +138,19 @@ def check_class_members(module_name: str, cls, problems: list) -> None:
             )
 
 
+def gated_packages() -> list:
+    """Every package of :data:`GATED_NAMESPACE`."""
+    namespace = importlib.import_module(GATED_NAMESPACE)
+    return [
+        info.name
+        for info in pkgutil.iter_modules(namespace.__path__, prefix=GATED_NAMESPACE + ".")
+        if info.ispkg
+    ]
+
+
 def check_docstrings() -> list:
     problems = []
-    for package_name in GATED_PACKAGES:
+    for package_name in gated_packages():
         for module_name, module in iter_package_modules(package_name):
             if not has_docstring(module):
                 problems.append(f"{module_name}: missing module docstring")

@@ -63,10 +63,6 @@ class RoundLedger:
             grouped[entry.operation] = grouped.get(entry.operation, 0.0) + entry.rounds
         return grouped
 
-    def reset(self) -> None:
-        self.entries.clear()
-        self._total = 0.0
-
     def merge(self, other: "RoundLedger") -> None:
         """Absorb all entries of ``other``."""
         self.entries.extend(other.entries)
@@ -118,6 +114,7 @@ class CommunicationPrimitives:
 
     @property
     def word_bits(self) -> int:
+        """Bits per message word, ``ceil(log2 n)``: one vertex identifier."""
         return max(1, math.ceil(math.log2(max(2, self.n))))
 
     def _words_per_value(self) -> int:

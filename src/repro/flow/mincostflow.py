@@ -30,7 +30,7 @@ each costing ``Õ(log M)`` rounds of matrix-vector products plus SDD solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -65,10 +65,6 @@ class MinCostFlowResult:
     #: serving statistics of the plugged gram-solver bridge (None off the
     #: serving path); see :class:`repro.lp.gram.GramBridgeStats.as_dict`.
     gram_stats: Optional[Dict[str, Any]] = None
-
-    def as_integers(self) -> Dict[EdgeKey, int]:
-        """The flow with integer values (valid because the result is exact)."""
-        return {key: int(round(f)) for key, f in self.flow.items()}
 
 
 def theorem_round_bound(n: int, M: float) -> float:

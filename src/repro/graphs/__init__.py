@@ -14,9 +14,6 @@ from repro.graphs.laplacian import (
     incidence_matrix,
     is_spectral_sparsifier,
     laplacian_matrix,
-    laplacian_pseudoinverse,
-    laplacian_quadratic_form,
-    relative_condition_number,
     spectral_approximation_factor,
 )
 from repro.graphs import generators
@@ -30,11 +27,8 @@ __all__ = [
     "FlowNetwork",
     "laplacian_matrix",
     "incidence_matrix",
-    "laplacian_quadratic_form",
-    "laplacian_pseudoinverse",
     "effective_resistances",
     "is_spectral_sparsifier",
     "spectral_approximation_factor",
-    "relative_condition_number",
     "generators",
 ]

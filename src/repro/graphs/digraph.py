@@ -9,7 +9,7 @@ source row removed) and flow feasibility / value / cost checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,23 +70,10 @@ class FlowNetwork:
         self._version += 1
 
     def copy(self) -> "FlowNetwork":
+        """Copy with the same terminals and edges (edges are immutable, so shared)."""
         g = FlowNetwork(self._n, self.source, self.sink)
         g._edges = dict(self._edges)
         return g
-
-    @classmethod
-    def from_networkx(cls, graph, source, sink) -> "FlowNetwork":
-        """Convert a networkx.DiGraph with ``capacity``/``weight`` attributes."""
-        mapping = {node: i for i, node in enumerate(sorted(graph.nodes()))}
-        net = cls(graph.number_of_nodes(), mapping[source], mapping[sink])
-        for u, v, data in graph.edges(data=True):
-            net.add_edge(
-                mapping[u],
-                mapping[v],
-                float(data.get("capacity", 1.0)),
-                float(data.get("weight", data.get("cost", 0.0))),
-            )
-        return net
 
     def to_networkx(self):
         """Convert to networkx.DiGraph with ``capacity`` and ``weight`` attributes."""
@@ -133,9 +120,6 @@ class FlowNetwork:
         cost = np.array([self._edges[k].cost for k in keys], dtype=float)
         return u, v, capacity, cost
 
-    def vertices(self) -> range:
-        return range(self._n)
-
     def edges(self) -> Iterator[DirectedEdge]:
         """Iterate over edges in canonical (sorted key) order."""
         for key in sorted(self._edges):
@@ -146,9 +130,11 @@ class FlowNetwork:
         return sorted(self._edges)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether the directed edge ``u -> v`` exists."""
         return (u, v) in self._edges
 
     def edge(self, u: int, v: int) -> DirectedEdge:
+        """The directed edge ``u -> v``; raises ``KeyError`` if absent."""
         return self._edges[(u, v)]
 
     def capacities(self) -> np.ndarray:
@@ -160,24 +146,12 @@ class FlowNetwork:
         return np.array([self._edges[k].cost for k in self.edge_keys()], dtype=float)
 
     def max_capacity(self) -> float:
+        """Largest edge capacity ``U``, or 0.0 for an edgeless network."""
         return float(max((e.capacity for e in self._edges.values()), default=0.0))
 
     def max_cost_magnitude(self) -> float:
+        """Largest ``|cost|`` over the edges ``Q``, or 0.0 for an edgeless network."""
         return float(max((abs(e.cost) for e in self._edges.values()), default=0.0))
-
-    def out_neighbours(self, v: int) -> Set[int]:
-        return {b for (a, b) in self._edges if a == v}
-
-    def in_neighbours(self, v: int) -> Set[int]:
-        return {a for (a, b) in self._edges if b == v}
-
-    def underlying_undirected_adjacency(self) -> Dict[int, Set[int]]:
-        """Adjacency of the underlying undirected graph (for BC-model topologies)."""
-        adj: Dict[int, Set[int]] = {v: set() for v in range(self._n)}
-        for (u, v) in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     # -- incidence matrices -------------------------------------------------------
 

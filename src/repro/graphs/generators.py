@@ -184,31 +184,6 @@ def _connect_components(
         merged = sorted(merged_set)
 
 
-def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Path on ``n`` vertices with uniform edge weight."""
-    graph = WeightedGraph(n)
-    for v in range(n - 1):
-        graph.add_edge(v, v + 1, weight)
-    return graph
-
-
-def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Cycle on ``n >= 3`` vertices."""
-    if n < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
-    graph = path_graph(n, weight)
-    graph.add_edge(n - 1, 0, weight)
-    return graph
-
-
-def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Star with centre 0 and ``n - 1`` leaves."""
-    graph = WeightedGraph(n)
-    for v in range(1, n):
-        graph.add_edge(0, v, weight)
-    return graph
-
-
 def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     """Complete graph ``K_n`` with uniform weights."""
     graph = WeightedGraph(n)
@@ -230,28 +205,6 @@ def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
     v = np.stack([index + 1, index + cols], axis=-1)
     present = np.stack([c + 1 < cols, r + 1 < rows], axis=-1)
     graph.add_edges(u[present], v[present], weight)
-    return graph
-
-
-def barbell_graph(clique_size: int, path_length: int = 1) -> WeightedGraph:
-    """Two cliques of ``clique_size`` vertices joined by a path -- a classic
-    bad case for uniform edge sampling and a good sparsifier stress test."""
-    n = 2 * clique_size + max(0, path_length - 1)
-    graph = WeightedGraph(n)
-    for u in range(clique_size):
-        for v in range(u + 1, clique_size):
-            graph.add_edge(u, v, 1.0)
-    offset = clique_size + max(0, path_length - 1)
-    for u in range(clique_size):
-        for v in range(u + 1, clique_size):
-            graph.add_edge(offset + u, offset + v, 1.0)
-    # the connecting path
-    previous = clique_size - 1
-    for i in range(max(0, path_length - 1)):
-        middle = clique_size + i
-        graph.add_edge(previous, middle, 1.0)
-        previous = middle
-    graph.add_edge(previous, offset, 1.0)
     return graph
 
 

@@ -269,20 +269,6 @@ class WeightedGraph:
         g._journal_floor = self._journal_floor
         return g
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Tuple[int, int, float]]) -> "WeightedGraph":
-        """Build a graph on ``n`` vertices from ``(u, v, weight)`` triples."""
-        return cls(n, edges)
-
-    @classmethod
-    def from_networkx(cls, graph) -> "WeightedGraph":
-        """Convert a networkx graph (weights default to 1.0)."""
-        mapping = {node: i for i, node in enumerate(sorted(graph.nodes()))}
-        g = cls(graph.number_of_nodes())
-        for u, v, data in graph.edges(data=True):
-            g.add_edge(mapping[u], mapping[v], float(data.get("weight", 1.0)))
-        return g
-
     def to_networkx(self):
         """Convert to a networkx.Graph with ``weight`` attributes."""
         import networkx as nx
@@ -358,10 +344,6 @@ class WeightedGraph:
             return None
         return [record for record in records if record.version > version]
 
-    def vertices(self) -> range:
-        """Iterable over vertex identifiers."""
-        return range(self._n)
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges in canonical order."""
         for (u, v) in sorted(self._weights):
@@ -430,40 +412,11 @@ class WeightedGraph:
         """Weight of the edge ``{u, v}``; raises ``KeyError`` if absent."""
         return self._weights[canonical_edge(u, v)]
 
-    def neighbours(self, v: int) -> Set[int]:
-        """Neighbours of ``v``."""
-        self._check_vertex(v)
-        return set(self._adj[v])
-
-    def degree(self, v: int) -> int:
-        """Number of edges incident to ``v``."""
-        self._check_vertex(v)
-        return len(self._adj[v])
-
-    def weighted_degree(self, v: int) -> float:
-        """Sum of the weights of edges incident to ``v``."""
-        self._check_vertex(v)
-        return float(sum(self._weights[canonical_edge(v, u)] for u in self._adj[v]))
-
     def max_weight(self) -> float:
         """Largest edge weight (``||w||_inf``), or 0.0 for an empty graph."""
         if not self._weights:
             return 0.0
         return float(max(self._weights.values()))
-
-    def min_weight(self) -> float:
-        """Smallest edge weight, or 0.0 for an empty graph."""
-        if not self._weights:
-            return 0.0
-        return float(min(self._weights.values()))
-
-    def total_weight(self) -> float:
-        """Sum of all edge weights."""
-        return float(sum(self._weights.values()))
-
-    def adjacency_dict(self) -> Dict[int, Set[int]]:
-        """Copy of the adjacency structure (used to build model topologies)."""
-        return {v: set(nbrs) for v, nbrs in self._adj.items()}
 
     # -- structure -------------------------------------------------------------
 
@@ -636,28 +589,3 @@ class EdgeView:
     def edge_keys(self, indices: np.ndarray) -> List[Tuple[int, int]]:
         """Canonical keys of the base edges ``indices``, in their order."""
         return list(zip(self.u[indices].tolist(), self.v[indices].tolist()))
-
-    def adjacency_lists(self) -> List[List[Tuple[int, float, int]]]:
-        """Per-vertex ``(neighbour, weight, edge_index)`` lists over alive edges.
-
-        Built in one pass over the alive edges in canonical order, which keeps
-        every per-vertex list sorted by neighbour identifier: for a vertex
-        ``x`` the lower neighbours arrive from edges ``(u, x)`` in ascending
-        ``u`` (first coordinate ``u < x``), all before the higher neighbours
-        from edges ``(x, v)`` in ascending ``v``.
-        """
-        adj: List[List[Tuple[int, float, int]]] = [[] for _ in range(self.n)]
-        idx = self.alive_indices()
-        for ei, a, b, weight in zip(
-            idx.tolist(), self.u[idx].tolist(), self.v[idx].tolist(), self.w[idx].tolist()
-        ):
-            adj[a].append((b, weight, ei))
-            adj[b].append((a, weight, ei))
-        return adj
-
-    def to_graph(self) -> "WeightedGraph":
-        """Materialise the alive edges as a :class:`WeightedGraph`."""
-        graph = WeightedGraph(self.n)
-        idx = self.alive_indices()
-        graph.add_edges(self.u[idx], self.v[idx], self.w[idx])
-        return graph

@@ -13,13 +13,12 @@ Every kernel here is a thin front over :mod:`repro.linalg.sparse_backend`:
 CSR matrices built from the cached edge arrays of
 :meth:`WeightedGraph.edge_array`, effective resistances from one grounded
 ``splu`` factorisation and batched solves, and the spectral certification trio
-(``spectral_approximation_factor`` / ``is_spectral_sparsifier`` /
-``relative_condition_number``) from ``scipy.sparse.linalg.eigsh`` over two
-grounded factorisations -- at every graph size.  ``laplacian_matrix`` /
-``incidence_matrix`` / ``laplacian_pseudoinverse`` densify for verification
-code that wants an ``np.ndarray``; nothing in the pipeline calls them.  The
-textbook ``pinv`` / ``eigh`` formulas these kernels are pinned to (1e-8) are
-the test oracle ``tests/linalg/reference_dense.py``.
+(``spectral_approximation_factor`` / ``is_spectral_sparsifier``) from
+``scipy.sparse.linalg.eigsh`` over two grounded factorisations -- at every
+graph size.  ``laplacian_matrix`` / ``incidence_matrix`` densify for
+verification code that wants an ``np.ndarray``.  The textbook ``pinv`` /
+``eigh`` formulas these kernels are pinned to (1e-8) are the test oracle
+``tests/linalg/reference_dense.py``.
 """
 
 from __future__ import annotations
@@ -49,16 +48,6 @@ def incidence_matrix(graph: WeightedGraph) -> Tuple[np.ndarray, np.ndarray]:
     """
     B, w = sparse_backend.incidence_csr(graph)
     return B.toarray(), w
-
-
-def laplacian_quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
-    """``x^T L_G x = sum_{(u,v) in E} w(u,v) (x_u - x_v)^2`` without forming L."""
-    return sparse_backend.laplacian_quadratic_form_vectorized(graph, x)
-
-
-def laplacian_pseudoinverse(graph: WeightedGraph) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the Laplacian (dense; for verification)."""
-    return np.linalg.pinv(laplacian_matrix(graph))
 
 
 def laplacian_norm(L, x: np.ndarray) -> float:
@@ -138,24 +127,3 @@ def is_spectral_sparsifier(
     """Whether ``sparsifier`` is a ``(1 +/- eps)``-spectral sparsifier of ``graph``."""
     lo, hi = spectral_approximation_factor(graph, sparsifier)
     return lo >= 1.0 - eps - slack and hi <= 1.0 + eps + slack
-
-
-def relative_condition_number(
-    graph: WeightedGraph, preconditioner: WeightedGraph
-) -> float:
-    """``kappa`` with ``A <= B <= kappa A`` as used in Theorem 2.3 (A = L_G, B ~ L_H)."""
-    lo, hi = spectral_approximation_factor(graph, preconditioner)
-    if lo <= 0 or not np.isfinite(hi):
-        return float("inf")
-    return float(hi / lo)
-
-
-def is_symmetric_diagonally_dominant(M: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check that ``M`` is symmetric and (weakly) diagonally dominant."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return False
-    if not np.allclose(M, M.T, atol=tol):
-        return False
-    off_diag = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
-    return bool(np.all(np.diag(M) >= off_diag - tol))

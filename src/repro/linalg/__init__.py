@@ -26,7 +26,6 @@ from repro.linalg.sparse_backend import (
     effective_resistances_sparse,
     incidence_csr,
     laplacian_csr,
-    laplacian_solver,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "effective_resistances_sparse",
     "incidence_csr",
     "laplacian_csr",
-    "laplacian_solver",
 ]

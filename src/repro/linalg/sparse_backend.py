@@ -110,14 +110,6 @@ def incidence_csr(graph: WeightedGraph) -> Tuple[sp.csr_matrix, np.ndarray]:
     return B, w.copy()
 
 
-def laplacian_quadratic_form_vectorized(graph: WeightedGraph, x: np.ndarray) -> float:
-    """``x^T L x = sum_e w_e (x_u - x_v)^2`` via fancy indexing (no matrix)."""
-    u, v, w = graph.edge_array()
-    x = np.asarray(x, dtype=float)
-    diff = x[u] - x[v]
-    return float(np.dot(w, diff * diff))
-
-
 def validate_pair_indices(u, v, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Shared validation for pair-resistance queries: aligned int64 arrays.
 
@@ -299,11 +291,6 @@ class GroundedLaplacianSolver:
     __call__ = solve
 
 
-def laplacian_solver(graph: WeightedGraph) -> GroundedLaplacianSolver:
-    """Factorise ``graph``'s Laplacian once and return a reusable solver."""
-    return GroundedLaplacianSolver(graph)
-
-
 # -- incremental repair --------------------------------------------------------
 
 #: Sherman-Morrison denominator guard.  The update ``L += delta chi chi^T``
@@ -444,11 +431,6 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
         self._Z = np.zeros((self._keep_idx.size, 0))  # z_i columns, capacity grows
         self._W = np.zeros((0, 0))  # T^{-1} diag(s), lower triangular
         self._refresh()
-
-    @property
-    def updates_applied(self) -> int:
-        """Number of rank-1 corrections currently riding on the factorisation."""
-        return len(self._corrections)
 
     @property
     def update_budget_remaining(self) -> int:
@@ -756,11 +738,6 @@ class ResistanceOracle:
         S = self._S
         resistances = S[u, u] + S[v, v] - 2.0 * S[u, v]
         return apply_pair_semantics(resistances, self._labels, u, v)
-
-    @property
-    def repairs_applied(self) -> int:
-        """Number of rank-1 repairs absorbed since the oracle was built."""
-        return self._repairs
 
     def apply_update(self, u: int, v: int, delta: float) -> bool:
         """Absorb an edge weight change as one rank-1 update of ``S``.

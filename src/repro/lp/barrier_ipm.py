@@ -14,12 +14,12 @@ with ``theta = 1 / (z1/p + z2/q)``.
 The run stops on the *measured* duality gap ``p^T z1 + q^T z2 <= eps`` with
 both residuals at most ``1e-9`` relative, and returns the duals ``y`` with
 ``x`` so a caller can certify what it makes of the answer.  The
-``O(sqrt(m) log(1/eps))`` bound of :func:`theoretical_iteration_bound_sqrt_m`
-is the Mizuno-Todd-Ye predictor-corrector's; Mehrotra's heuristic carries no
-bound but needs tens of iterations in practice.  Lee-Sidford's weighted path
-following improves the ``m`` to ``n = rank(A)``, which is the point of the
-paper; the measurement that keeps it out of this repo is in
-``docs/substitutions.md`` section 4.
+``O(sqrt(m) log(m/eps))`` iteration bound is the Mizuno-Todd-Ye
+predictor-corrector's (``tests/lp/test_ipm.py`` holds a run to it);
+Mehrotra's heuristic carries no bound but needs tens of iterations in
+practice.  Lee-Sidford's weighted path following improves the ``m`` to
+``n = rank(A)``, which is the point of the paper; the measurement that keeps
+it out of this repo is in ``docs/substitutions.md`` section 4.
 """
 
 from __future__ import annotations
@@ -181,10 +181,3 @@ class BarrierIPM:
             converged=merit <= 1.0,
             duality_gap=gap,
         )
-
-
-def theoretical_iteration_bound_sqrt_m(m: int, eps: float) -> float:
-    """Mizuno-Todd-Ye path following needs ``O(sqrt(m) log(m/eps))`` Newton steps."""
-    m = max(2, int(m))
-    eps = max(1e-300, float(eps))
-    return math.sqrt(m) * math.log(m / eps)

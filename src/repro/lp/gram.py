@@ -69,9 +69,8 @@ class IncidenceStructure:
     row_pair: np.ndarray  #: (m,) LP row -> pair index
     row_scale2: Optional[np.ndarray]  #: (m,) squared row magnitudes; None == all 1
     fingerprint: str
-    #: COO assembly pattern of the grounded Laplacian (precompiled once)
-    _entry_rows: np.ndarray = field(repr=False)
-    _entry_cols: np.ndarray = field(repr=False)
+    #: COO values of the grounded Laplacian (precompiled once): entry ``i``
+    #: adds ``_entry_sign[i] * w[_entry_pair[i]]`` into slot ``_entry_slot[i]``
     _entry_sign: np.ndarray = field(repr=False)
     _entry_pair: np.ndarray = field(repr=False)
     #: symbolic half of every factorisation (precompiled once): a fill-reducing
@@ -181,8 +180,6 @@ class IncidenceStructure:
             row_pair=row_pair.astype(np.int64),
             row_scale2=scale2,
             fingerprint=digest.hexdigest(),
-            _entry_rows=entry_rows.astype(np.int64),
-            _entry_cols=entry_cols.astype(np.int64),
             _entry_sign=entry_sign,
             _entry_pair=entry_pair.astype(np.int64),
             _order=order,
@@ -198,13 +195,6 @@ class IncidenceStructure:
         if self.row_scale2 is not None:
             d = d * self.row_scale2
         return np.bincount(self.row_pair, weights=d, minlength=self.n_pairs)
-
-    def reduced_matrix(self, w: np.ndarray) -> sp.csr_matrix:
-        """The grounded Laplacian ``A^T D A`` at pair weights ``w`` (CSR)."""
-        data = self._entry_sign * w[self._entry_pair]
-        return sp.csr_matrix(
-            (data, (self._entry_rows, self._entry_cols)), shape=(self.n, self.n)
-        )
 
 
 def detect_incidence_structure(A) -> Optional[IncidenceStructure]:

@@ -72,13 +72,6 @@ class LPProblem:
         """``A^T x - b``."""
         return self.AT @ np.asarray(x, dtype=float) - self.b
 
-    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
-        """Feasibility w.r.t. both the equality and the box constraints."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            return False
-        return bool(np.linalg.norm(self.equality_residual(x), ord=np.inf) <= tol)
-
     def is_strictly_feasible(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         """Strict interior feasibility (needed to start an interior point method)."""
         x = np.asarray(x, dtype=float)

@@ -259,11 +259,6 @@ class FaultInjector:
         for index, rule in enumerate(plan.rules):
             self._by_op.setdefault(rule.op, []).append((index, rule))
 
-    @property
-    def armed(self) -> bool:
-        """Whether the plan holds any rules at all."""
-        return bool(self.plan.rules)
-
     def fire_counts(self) -> Tuple[int, ...]:
         """Per-rule fire counts, aligned with ``plan.rules``."""
         with self._lock:

@@ -170,6 +170,11 @@ def solve_query(graph_key: str, b: np.ndarray, eps: float = 1e-6) -> Query:
 
 
 def _validate_solve(graph, payload: Dict[str, Any]) -> None:
+    # the solver's own range: a bad eps would otherwise fail the whole
+    # coalesced batch at flush instead of its own client at submit
+    eps = payload["eps"]
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     b = payload["b"]
     if b.shape != (graph.n,):
         raise ValueError(
@@ -236,6 +241,14 @@ def _validate_resistance(graph, payload: Dict[str, Any]) -> None:
 def certify_query(graph_key: str, eps: float = 0.5) -> Query:
     """Certify the cached ``(1 +/- eps)``-sparsifier against the graph."""
     return Query("certify", graph_key, {"eps": float(eps)})
+
+
+def _validate_certify(graph, payload: Dict[str, Any]) -> None:
+    # a (1 +/- eps) window needs eps in (0, 1); a NaN eps would also key a
+    # coalesce group and a cache entry that never equal themselves
+    eps = payload["eps"]
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
 def flow_query(
@@ -1024,7 +1037,7 @@ _KIND_TABLE: Dict[str, QueryKind] = {
         QueryPlanner._execute_resistance,
     ),
     "certify": QueryKind(
-        lambda graph, p: None, lambda p: (p["eps"],), QueryPlanner._execute_certify
+        _validate_certify, lambda p: (p["eps"],), QueryPlanner._execute_certify
     ),
     "flow": QueryKind(
         _validate_flow,

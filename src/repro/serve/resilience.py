@@ -220,18 +220,6 @@ class CircuitBreaker:
             self._failures.pop(key, None)
             self._opened_at.pop(key, None)
 
-    def is_open(self, key: Hashable) -> bool:
-        """Read-only open check (no half-open transition side effect)."""
-        with self._lock:
-            opened = self._opened_at.get(key)
-            return opened is not None and self._clock() - opened < self.ttl_seconds
-
-    @property
-    def open_count(self) -> int:
-        """Number of keys currently holding an open timestamp."""
-        with self._lock:
-            return len(self._opened_at)
-
     def _prune_locked(self) -> None:
         while len(self._failures) > self.MAX_KEYS:
             victim = next(iter(self._failures))

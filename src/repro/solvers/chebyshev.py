@@ -39,10 +39,6 @@ class ChebyshevReport:
     matvec_count: int = 0
     preconditioner_solves: int = 0
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("nan")
-
 
 def _contraction(kappa: float) -> float:
     """``q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``, so ``sigma_1 = (1 + q^2) / 2q``."""

@@ -69,10 +69,6 @@ class BundleResult:
     def rejected(self) -> Set[EdgeKey]:
         return set(self._view.edge_keys(self.rejected_idx))
 
-    def bundle_graph(self, graph: WeightedGraph) -> WeightedGraph:
-        """The bundle as a reweighted subgraph of ``graph``."""
-        return graph.subgraph_with_edges(self.bundle)
-
     def orientation(self) -> Dict[EdgeKey, Tuple[int, int]]:
         """Union of the per-spanner orientations (the layers are edge-disjoint)."""
         combined: Dict[EdgeKey, Tuple[int, int]] = {}

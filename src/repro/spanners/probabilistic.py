@@ -35,9 +35,8 @@ alive edge, target-cluster predicate, threshold, smaller / larger cluster
 identifier), a stable sort of the selected ones by ``(src, cluster[dst])``
 into ``Connect`` groups, one resolution of all groups, and a bulk update of
 the state arrays.  Results are carried as base edge index arrays
-(``f_plus_idx`` / ``f_minus_idx``); the key sets, the per-vertex views, the
-orientation dict, the transcript and the per-phase cluster dicts are derived
-from the arrays on first access.
+(``f_plus_idx`` / ``f_minus_idx``); the key sets and the orientation dict
+are derived from the arrays on first access.
 
 Why step-level batching is exact
 --------------------------------
@@ -75,7 +74,6 @@ left it by restoring its state and drawing the consumed count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -84,9 +82,6 @@ import numpy as np
 from repro.graphs.graph import EdgeView, WeightedGraph
 
 EdgeKey = Tuple[int, int]
-
-#: Sentinel broadcast when Connect fails (the paper's bottom symbol).
-BOTTOM = None
 
 _NO_INDEX = np.zeros(0, dtype=np.int64)
 
@@ -134,18 +129,6 @@ def resolve_edge_probabilities(
     return prob
 
 
-@dataclass(frozen=True)
-class BroadcastRecord:
-    """One broadcast message emitted during the spanner computation."""
-
-    phase: int
-    step: str
-    sender: int
-    target_cluster: Optional[int]
-    accepted: Optional[int]
-    weight: Optional[float]
-
-
 #: One step of the transcript as arrays: (phase, step, senders, target clusters,
 #: accepted neighbours, accepted weights); ``-1`` stands for the bottom symbol.
 _StepRecord = Tuple[int, str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -161,16 +144,13 @@ class SpannerResult:
     The run hands over arrays: ``f_plus_idx`` / ``f_minus_idx`` are the
     decided edges as ascending base edge indices of the view the spanner ran
     on, which is what the bundle / sparsify layers consume for bulk mask
-    updates.  Everything else is derived from them on first access:
-    ``f_plus`` / ``f_minus`` are the same edges as canonical keys;
-    ``f_plus_of`` / ``f_minus_of`` are the per-vertex views (``u in
-    f_plus_of[v]`` iff the edge ``(u, v)`` is in ``F+``), the local form in
-    which a distributed execution would hold the output; ``orientation`` maps
-    each ``F+`` edge to ``(tail, head)``, the tail being the vertex that added
-    it; ``broadcasts`` is the transcript (empty unless it was recorded) and
-    ``clusters_per_phase`` the clustering at the start of each phase.
-    ``charges`` lists the rounds charged per step in execution order, and
-    ``rounds`` is their sum.
+    updates.  ``f_plus`` / ``f_minus`` (the same edges as canonical keys) and
+    ``orientation`` (each ``F+`` edge to ``(tail, head)``, the tail being the
+    vertex that added it) are derived from them on first access.  ``charges``
+    lists the rounds charged per step in execution order, and ``rounds`` is
+    their sum.  The per-phase clusterings and the step transcript (empty
+    unless it was recorded) stay as the arrays the run produced; only the
+    tests decode them (``tests/spanners/reference_executor.py``).
     """
 
     def __init__(
@@ -195,13 +175,6 @@ class SpannerResult:
         self._clusters = clusters
         self._steps = steps
 
-    def _per_vertex(self, idx: np.ndarray) -> Dict[int, Set[int]]:
-        views: Dict[int, Set[int]] = {v: set() for v in range(self.n)}
-        for a, b in self._view.edge_keys(idx):
-            views[a].add(b)
-            views[b].add(a)
-        return views
-
     @cached_property
     def f_plus(self) -> Set[EdgeKey]:
         return set(self._view.edge_keys(self.f_plus_idx))
@@ -211,45 +184,10 @@ class SpannerResult:
         return set(self._view.edge_keys(self.f_minus_idx))
 
     @cached_property
-    def f_plus_of(self) -> Dict[int, Set[int]]:
-        return self._per_vertex(self.f_plus_idx)
-
-    @cached_property
-    def f_minus_of(self) -> Dict[int, Set[int]]:
-        return self._per_vertex(self.f_minus_idx)
-
-    @cached_property
     def orientation(self) -> Dict[EdgeKey, Tuple[int, int]]:
         idx = self.f_plus_idx
         heads = self._view.u[idx] + self._view.v[idx] - self._tails
         return dict(zip(self._view.edge_keys(idx), zip(self._tails.tolist(), heads.tolist())))
-
-    @cached_property
-    def broadcasts(self) -> List[BroadcastRecord]:
-        records: List[BroadcastRecord] = []
-        for phase, step, senders, targets, accepted, weights in self._steps:
-            for sender, target, neighbour, weight in zip(
-                senders.tolist(), targets.tolist(), accepted.tolist(), weights.tolist()
-            ):
-                records.append(
-                    BroadcastRecord(
-                        phase=phase,
-                        step=step,
-                        sender=sender,
-                        target_cluster=target if target >= 0 else BOTTOM,
-                        accepted=neighbour if neighbour >= 0 else BOTTOM,
-                        weight=weight if neighbour >= 0 else BOTTOM,
-                    )
-                )
-        return records
-
-    @cached_property
-    def clusters_per_phase(self) -> List[Dict[int, int]]:
-        per_phase = []
-        for cluster in self._clusters:
-            members = np.flatnonzero(cluster >= 0)
-            per_phase.append(dict(zip(members.tolist(), cluster[members].tolist())))
-        return per_phase
 
     @property
     def f(self) -> Set[EdgeKey]:
@@ -260,11 +198,8 @@ class SpannerResult:
         """The spanner ``(V, F+)`` as a subgraph of ``graph``."""
         return graph.subgraph_with_edges(self.f_plus)
 
-    def out_degrees(self) -> Dict[int, int]:
-        """Out-degree of every vertex under the computed orientation."""
-        return dict(enumerate(np.bincount(self._tails, minlength=self.n).tolist()))
-
     def max_out_degree(self) -> int:
+        """Largest out-degree under the computed orientation (0 when ``F+`` is empty)."""
         return int(np.bincount(self._tails).max()) if self._tails.size else 0
 
 

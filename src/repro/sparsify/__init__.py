@@ -5,24 +5,21 @@ Kyng et al.: repeatedly compute a ``t``-bundle spanner, keep every non-bundle
 edge with probability 1/4 (quadrupling its weight), and after ``ceil(log m)``
 iterations return the last bundle plus the surviving sampled edges.
 
-* :func:`~repro.sparsify.spectral.spectral_sparsify_apriori` -- Algorithm 4,
-  the variant with up-front sampling (only realisable in the unicast CONGEST
-  model; serves as the reference for the coupling of Lemma 3.3).
-* :func:`~repro.sparsify.spectral.spectral_sparsify` -- Algorithm 5, the
-  broadcast-feasible variant with ad-hoc sampling through the probabilistic
-  spanner of Section 3.1.  This is the algorithm of Theorem 1.2.
+:func:`~repro.sparsify.spectral.spectral_sparsify` is Algorithm 5, the
+broadcast-feasible variant with ad-hoc sampling through the probabilistic
+spanner of Section 3.1.  This is the algorithm of Theorem 1.2.  Algorithm 4,
+the unicast-only variant with up-front sampling, is kept as a test reference
+for the coupling of Lemma 3.3 (``tests/sparsify/reference_sparsify.py``).
 """
 
 from repro.sparsify.spectral import (
     SparsifierResult,
     bundle_size,
     spectral_sparsify,
-    spectral_sparsify_apriori,
 )
 
 __all__ = [
     "SparsifierResult",
     "bundle_size",
     "spectral_sparsify",
-    "spectral_sparsify_apriori",
 ]

@@ -1,20 +1,19 @@
-"""Spectral sparsification via repeated spanners (Algorithms 1, 4 and 5).
+"""Spectral sparsification via repeated spanners (Algorithms 1 and 5).
 
-Both variants follow the same outline (Algorithm 1): for ``ceil(log m)``
-iterations compute a ``t``-bundle spanner of the current graph, keep each
-non-bundle edge with probability 1/4 while quadrupling its weight, and return
-the final bundle together with the surviving sampled edges.
+The outline is Algorithm 1: for ``ceil(log m)`` iterations compute a
+``t``-bundle spanner of the current graph, keep each non-bundle edge with
+probability 1/4 while quadrupling its weight, and return the final bundle
+together with the surviving sampled edges.
 
-* :func:`spectral_sparsify_apriori` (Algorithm 4) performs the 1/4-sampling
-  up-front in every iteration.  This requires the sampling vertex to tell its
-  neighbour the outcome, which is only possible in the unicast CONGEST model.
-* :func:`spectral_sparsify` (Algorithm 5) defers the sampling: it maintains the
-  existence probability ``p(e)`` of every edge and lets the probabilistic
-  spanner of Section 3.1 evaluate the coin flips lazily, communicating the
-  outcomes implicitly.  This is the Broadcast-CONGEST algorithm of Theorem 1.2.
-
-Lemma 3.3 states that the two algorithms produce identically distributed
-outputs; ``tests/sparsify`` checks this empirically on small graphs.
+:func:`spectral_sparsify` is Algorithm 5.  It defers the sampling: it
+maintains the existence probability ``p(e)`` of every edge and lets the
+probabilistic spanner of Section 3.1 evaluate the coin flips lazily,
+communicating the outcomes implicitly.  This is the Broadcast-CONGEST
+algorithm of Theorem 1.2.  Algorithm 4, which samples up front and so needs
+unicast CONGEST to tell a neighbour the outcome, is not implemented here; the
+test reference ``tests/sparsify/reference_sparsify.py`` keeps it, and
+``tests/sparsify/test_spectral.py`` checks Lemma 3.3's claim that the two
+produce identically distributed outputs.
 
 Implementation note: the outer loops are array-native.  The residual edge set,
 the maintained probabilities and the growing weights all live in numpy arrays
@@ -105,6 +104,7 @@ class SparsifierResult:
         return is_spectral_sparsifier(graph, self.sparsifier, eps, slack=slack)
 
     def max_out_degree(self) -> int:
+        """Largest number of sparsifier edges one vertex is the tail of (0 when empty)."""
         if not self.orientation:
             return 0
         tails = Counter(tail for tail, _head in self.orientation.values())
@@ -223,80 +223,4 @@ def spectral_sparsify(
             probability[alive_idx].tolist(),
         )
     )
-    return result
-
-
-def spectral_sparsify_apriori(
-    graph: WeightedGraph,
-    eps: float,
-    seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    t_override: Optional[int] = None,
-    bundle_scale: float = 1.0,
-    k_override: Optional[int] = None,
-) -> SparsifierResult:
-    """Algorithm 4: the a-priori sampling variant (CONGEST-only reference).
-
-    Identical output distribution to :func:`spectral_sparsify` (Lemma 3.3) but
-    samples the non-bundle edges eagerly in every iteration, which requires
-    unicast communication of the sampling outcome.
-    """
-    if graph.m == 0:
-        return SparsifierResult(sparsifier=graph.copy())
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    n = graph.n
-    k = k_override if k_override is not None else stretch_parameter(n)
-    t = t_override if t_override is not None else bundle_size(n, eps, bundle_scale)
-
-    view = EdgeView.from_graph(graph)
-    base_m = view.base_m
-    edge_u, edge_v, weights = view.u, view.v, view.w
-    alive = np.ones(base_m, dtype=bool)
-    result = SparsifierResult(sparsifier=WeightedGraph(n))
-    orientation: Dict[EdgeKey, Tuple[int, int]] = {}
-
-    for iteration in range(1, _iteration_count(graph.m) + 1):
-        bundle = bundle_spanner(
-            view.subview(alive),
-            probabilities=None,
-            k=k,
-            t=t,
-            rng=rng,
-            record_broadcasts=False,
-        )
-        result.rounds += bundle.rounds
-        bundle_orientation = bundle.orientation()
-        for key in sorted(bundle.bundle):
-            orientation[key] = bundle_orientation.get(key, key)
-
-        bundle_idx = bundle.bundle_idx
-        bundle_mask = np.zeros(base_m, dtype=bool)
-        bundle_mask[bundle_idx] = True
-        alive_idx = np.flatnonzero(alive)
-        candidates = alive_idx[~bundle_mask[alive_idx]]
-        coins = rng.random(candidates.size)
-        kept_sampled = candidates[coins < 0.25]
-        weights[kept_sampled] *= 4.0
-        for a, b in zip(edge_u[kept_sampled].tolist(), edge_v[kept_sampled].tolist()):
-            orientation[(a, b)] = (a, b)
-
-        alive = np.zeros(base_m, dtype=bool)
-        alive[bundle_idx] = True
-        alive[kept_sampled] = True
-        result.iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                bundle_edges=int(bundle_idx.size),
-                rejected_edges=0,
-                remaining_edges=int(np.count_nonzero(alive)),
-                rounds=bundle.rounds,
-            )
-        )
-
-    result.sparsifier = view.subview(alive).to_graph()
-    alive_idx = np.flatnonzero(alive)
-    result.orientation = {
-        (a, b): orientation.get((a, b), (a, b))
-        for a, b in zip(edge_u[alive_idx].tolist(), edge_v[alive_idx].tolist())
-    }
     return result

@@ -14,11 +14,12 @@ from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 
 # tests/spanners/reference_executor.py (the frozen per-vertex spanner executor)
-# is also the base of the historical references in tests/sparsify, and
-# tests/linalg/reference_dense.py (the frozen pinv / eigh linear algebra) is
-# the oracle of the solver and api tests too; tests/graphs/reference_generators.py
-# holds the frozen scalar generators
-for _reference_dir in ("spanners", "linalg", "graphs"):
+# is also the base of the historical references in
+# tests/sparsify/reference_sparsify.py, and tests/linalg/reference_dense.py (the
+# frozen pinv / eigh linear algebra) is the oracle of the solver and api tests
+# too; tests/graphs/reference_generators.py holds the frozen scalar generators
+# and the small instances (path, cycle, star, barbell) tests across the tree use
+for _reference_dir in ("spanners", "sparsify", "linalg", "graphs"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _reference_dir))
 
 # Every property runs the same examples on every box (derandomised, no example
@@ -75,7 +76,7 @@ def triangle() -> WeightedGraph:
 @pytest.fixture
 def path4() -> WeightedGraph:
     """A path on four vertices with unit weights."""
-    return generators.path_graph(4)
+    return WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
 
 @pytest.fixture

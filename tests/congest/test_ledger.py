@@ -27,15 +27,13 @@ class TestRoundLedger:
         with pytest.raises(ValueError):
             RoundLedger().charge("bad", -1)
 
-    def test_reset_and_merge(self):
+    def test_merge(self):
         a = RoundLedger()
         a.charge("x", 1)
         b = RoundLedger()
         b.charge("y", 2)
         a.merge(b)
         assert a.total_rounds == 3
-        a.reset()
-        assert a.total_rounds == 0
 
 
 class TestCommunicationPrimitives:

@@ -40,7 +40,9 @@ class TestFacade:
         problem = LPProblem(A=A, b=A.T @ x0, c=rng.normal(size=m), lower=np.zeros(m), upper=np.ones(m))
         solution = core.solve_lp(problem, x0, eps=1e-5)
         assert solution.converged
-        assert problem.is_feasible(solution.x, tol=1e-5)
+        assert np.all(solution.x >= problem.lower - 1e-5)
+        assert np.all(solution.x <= problem.upper + 1e-5)
+        assert np.linalg.norm(problem.equality_residual(solution.x), ord=np.inf) <= 1e-5
 
     def test_flow_facade(self):
         net = generators.random_flow_network(9, seed=10)

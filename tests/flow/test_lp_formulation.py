@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from reference_dense import is_symmetric_diagonally_dominant
 
 from repro.graphs import generators
-from repro.graphs.laplacian import is_symmetric_diagonally_dominant
 from repro.flow.baselines import edmonds_karp_max_flow
 from repro.flow.lp_formulation import (
     build_fixed_value_lp,

@@ -9,8 +9,10 @@ the same edges, the same weight-dict insertion order and the same final
 ``bit_generator.state``.  They share ``_rng`` and ``_connect_components``
 with ``src/`` (the components repair runs after the loop in both).
 
-It also holds two generators only tests use, ``random_regular_expander`` and
-``weighted_graph_with_bounded_weights``, moved out of ``src/``.
+It also holds what only tests use, moved out of ``src/``: the generators
+``random_regular_expander``, ``weighted_graph_with_bounded_weights``,
+``path_graph``, ``cycle_graph``, ``star_graph`` and ``barbell_graph``, and
+the per-vertex graph queries ``degrees`` and ``neighbours``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from __future__ import annotations
 import math
 
 from repro.graphs.digraph import FlowNetwork
-from repro.graphs.generators import RngLike, _connect_components, _rng, complete_graph, random_weighted_graph
+from repro.graphs.generators import (
+    RngLike,
+    _connect_components,
+    _rng,
+    complete_graph,
+    random_weighted_graph,
+)
 from repro.graphs.graph import WeightedGraph
 
 
@@ -102,7 +110,7 @@ def random_regular_expander(n: int, degree: int = 8, seed: RngLike = None) -> We
         return complete_graph(n)
     graph = WeightedGraph(n)
     attempts = 0
-    while graph.min_weight() == 0.0 or any(graph.degree(v) < degree for v in range(n)):
+    while graph.m == 0 or min(degrees(graph)) < degree:
         attempts += 1
         if attempts > 20 * degree:
             break
@@ -122,3 +130,64 @@ def weighted_graph_with_bounded_weights(
     rng = _rng(seed)
     graph = random_weighted_graph(n, average_degree=max(3.0, math.log2(max(2, n))), max_weight=max_weight, seed=rng)
     return graph
+
+
+def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    """Path on ``n`` vertices with uniform edge weight."""
+    graph = WeightedGraph(n)
+    for v in range(n - 1):
+        graph.add_edge(v, v + 1, weight)
+    return graph
+
+
+def cycle_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    """Cycle on ``n >= 3`` vertices."""
+    if n < 3:
+        raise ValueError(f"a cycle needs at least 3 vertices, got {n}")
+    graph = path_graph(n, weight)
+    graph.add_edge(n - 1, 0, weight)
+    return graph
+
+
+def star_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+    """Star with centre 0 and ``n - 1`` leaves."""
+    graph = WeightedGraph(n)
+    for v in range(1, n):
+        graph.add_edge(0, v, weight)
+    return graph
+
+
+def barbell_graph(clique_size: int, path_length: int = 1) -> WeightedGraph:
+    """Two cliques of ``clique_size`` vertices joined by a path -- a classic
+    bad case for uniform edge sampling and a good sparsifier stress test."""
+    n = 2 * clique_size + max(0, path_length - 1)
+    graph = WeightedGraph(n)
+    for u in range(clique_size):
+        for v in range(u + 1, clique_size):
+            graph.add_edge(u, v, 1.0)
+    offset = clique_size + max(0, path_length - 1)
+    for u in range(clique_size):
+        for v in range(u + 1, clique_size):
+            graph.add_edge(offset + u, offset + v, 1.0)
+    # the connecting path
+    previous = clique_size - 1
+    for i in range(max(0, path_length - 1)):
+        middle = clique_size + i
+        graph.add_edge(previous, middle, 1.0)
+        previous = middle
+    graph.add_edge(previous, offset, 1.0)
+    return graph
+
+
+def degrees(graph: WeightedGraph) -> list:
+    """Number of edges incident to each vertex, indexed by vertex."""
+    counts = [0] * graph.n
+    for u, v, _ in graph.edge_list():
+        counts[u] += 1
+        counts[v] += 1
+    return counts
+
+
+def neighbours(graph: WeightedGraph, vertex: int) -> set:
+    """The vertices sharing an edge with ``vertex``."""
+    return {v if u == vertex else u for u, v, _ in graph.edge_list() if vertex in (u, v)}

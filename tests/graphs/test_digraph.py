@@ -53,23 +53,6 @@ class TestConstruction:
         assert net.max_capacity() == 3
         assert net.max_cost_magnitude() == 2
 
-    def test_neighbour_queries(self):
-        net = diamond_network()
-        assert net.out_neighbours(0) == {1, 2}
-        assert net.in_neighbours(3) == {1, 2}
-
-    def test_underlying_undirected_adjacency(self):
-        net = diamond_network()
-        adj = net.underlying_undirected_adjacency()
-        assert adj[0] == {1, 2}
-        assert adj[3] == {1, 2}
-
-    def test_networkx_roundtrip(self):
-        net = diamond_network()
-        back = FlowNetwork.from_networkx(net.to_networkx(), 0, 3)
-        assert back.m == net.m
-        assert back.edge(0, 1).capacity == 2
-
 
 class TestIncidenceMatrix:
     def test_shape_and_entries(self):

@@ -24,6 +24,10 @@ from repro.serve.registry import graph_fingerprint
 
 def bfs_components(graph):
     """The replaced BFS: components in order of their least vertex."""
+    adjacent = {v: set() for v in range(graph.n)}
+    for a, b, _ in graph.edge_list():
+        adjacent[a].add(b)
+        adjacent[b].add(a)
     seen, components = set(), []
     for start in range(graph.n):
         if start in seen:
@@ -31,7 +35,7 @@ def bfs_components(graph):
         component, stack = {start}, [start]
         seen.add(start)
         while stack:
-            for u in graph.neighbours(stack.pop()):
+            for u in adjacent[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     component.add(u)

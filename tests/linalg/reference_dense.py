@@ -7,7 +7,10 @@ against -- ``tests/linalg/test_sparse_backend.py`` and
 ``tests/linalg/test_sparse_certification.py`` to 1e-8 -- and shares no code
 with it beyond ``laplacian_matrix`` (``graph.laplacian_csr().toarray()``).
 They were ``src/``'s dense fork (resistances, solves, certification) until
-that fork was deleted.
+that fork was deleted.  The matrix helpers only tests use live here too:
+``laplacian_pseudoinverse``, the edge-sum ``laplacian_quadratic_form``,
+``condition_number`` (``kappa`` of a pencil's extremes) and
+``is_symmetric_diagonally_dominant``.
 
 The one place the two certifiers differ by design: for a sparsifier whose
 component partition differs from the graph's, this reference still reports
@@ -26,9 +29,33 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.laplacian import laplacian_matrix
 
 
+def laplacian_pseudoinverse(graph: WeightedGraph) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of the Laplacian."""
+    return np.linalg.pinv(laplacian_matrix(graph))
+
+
+def laplacian_quadratic_form(graph: WeightedGraph, x: np.ndarray) -> float:
+    """``x^T L x = sum_e w_e (x_u - x_v)^2`` over the edge columns (no matrix)."""
+    u, v, w = graph.edge_array()
+    x = np.asarray(x, dtype=float)
+    diff = x[u] - x[v]
+    return float(np.dot(w, diff * diff))
+
+
+def is_symmetric_diagonally_dominant(M: np.ndarray, tol: float = 1e-9) -> bool:
+    """Check that ``M`` is symmetric and (weakly) diagonally dominant."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return False
+    if not np.allclose(M, M.T, atol=tol):
+        return False
+    off_diag = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
+    return bool(np.all(np.diag(M) >= off_diag - tol))
+
+
 def solve(graph: WeightedGraph, b: np.ndarray) -> np.ndarray:
     """Minimum-norm solution ``L^+ b`` (``b`` a vector or an ``(n, k)`` block)."""
-    return np.linalg.pinv(laplacian_matrix(graph)) @ b
+    return laplacian_pseudoinverse(graph) @ b
 
 
 def effective_resistances(graph: WeightedGraph) -> np.ndarray:
@@ -123,8 +150,12 @@ def is_spectral_sparsifier(
     return lo >= 1.0 - eps - slack and hi <= 1.0 + eps + slack
 
 
-def relative_condition_number(graph: WeightedGraph, preconditioner: WeightedGraph) -> float:
-    lo, hi = spectral_approximation_factor(graph, preconditioner)
+def condition_number(lo: float, hi: float) -> float:
+    """``kappa`` with ``A <= B <= kappa A`` (Theorem 2.3) from ``lo A_H <= A_G <= hi A_H``."""
     if lo <= 0 or not np.isfinite(hi):
         return float("inf")
     return float(hi / lo)
+
+
+def relative_condition_number(graph: WeightedGraph, preconditioner: WeightedGraph) -> float:
+    return condition_number(*spectral_approximation_factor(graph, preconditioner))

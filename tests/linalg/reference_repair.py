@@ -8,7 +8,8 @@ as its own ``(z, denom)`` pair and applied one after the other, with its own
 columns of :func:`repro.linalg.jl.kane_nelson_sketch` by replaying all of its
 draws, which the sketched resistance oracle replaced by storing each built
 column's rows and signs.  Both are kept only as the oracles
-``tests/linalg/test_low_rank_repair.py`` checks the new code against.
+``tests/linalg/test_low_rank_repair.py`` checks the new code against;
+:func:`updates_applied` reads how many corrections a repairable solver holds.
 """
 
 from __future__ import annotations
@@ -198,3 +199,8 @@ def kane_nelson_built_columns(
     for j, column in enumerate(indices):
         block[rows[column], j] = signs[column] * scale
     return block
+
+
+def updates_applied(solver) -> int:
+    """Rank-1 corrections riding on a ``RepairableGroundedSolver``'s factorisation."""
+    return solver.max_updates - solver.update_budget_remaining

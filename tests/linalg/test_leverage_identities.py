@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import reference_dense
+from reference_generators import barbell_graph, cycle_graph, path_graph, star_graph
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.resistance import SketchedResistanceOracle
@@ -43,11 +44,11 @@ def two_components():
 
 
 WORKLOADS = [
-    ("path-12", lambda: generators.path_graph(12, weight=2.5)),
-    ("star-10", lambda: generators.star_graph(10)),
-    ("cycle-15", lambda: generators.cycle_graph(15)),
+    ("path-12", lambda: path_graph(12, weight=2.5)),
+    ("star-10", lambda: star_graph(10)),
+    ("cycle-15", lambda: cycle_graph(15)),
     ("grid-6x6", lambda: generators.grid_graph(6, 6)),
-    ("barbell-6-3", lambda: generators.barbell_graph(6, 3)),
+    ("barbell-6-3", lambda: barbell_graph(6, 3)),
     ("random-60", lambda: generators.random_weighted_graph(60, average_degree=5, seed=3)),
     ("barabasi-albert-70", lambda: generators.barabasi_albert(70, attach=2, seed=5)),
     ("two-components", two_components),
@@ -160,14 +161,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [2, 5, 17])
     def test_path_end_to_end_is_series_sum(self, n):
-        graph = generators.path_graph(n, weight=4.0)
+        graph = path_graph(n, weight=4.0)
         assert ResistanceOracle(graph).pair_resistances([0], [n - 1])[0] == pytest.approx(
             (n - 1) / 4.0, rel=1e-12
         )
 
     @pytest.mark.parametrize("n, k", [(3, 1), (8, 3), (15, 7)])
     def test_cycle_is_two_parallel_arcs(self, n, k):
-        graph = generators.cycle_graph(n)
+        graph = cycle_graph(n)
         expected = k * (n - k) / n
         assert ResistanceOracle(graph).pair_resistances([0], [k])[0] == pytest.approx(
             expected, rel=1e-12
@@ -180,7 +181,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_star_leaves_are_two_hops_in_series(self, n):
-        graph = generators.star_graph(n, weight=0.5)
+        graph = star_graph(n, weight=0.5)
         oracle = ResistanceOracle(graph)
         assert oracle.pair_resistances([1], [n - 1])[0] == pytest.approx(4.0, rel=1e-12)
         assert oracle.pair_resistances([0], [1])[0] == pytest.approx(2.0, rel=1e-12)

@@ -14,6 +14,7 @@ per-record primitives underneath (``apply_update`` / ``append_edge`` /
 import numpy as np
 import pytest
 
+from reference_generators import path_graph
 from repro.graphs import generators
 from repro.linalg.resistance import SketchedResistanceOracle
 from repro.linalg.sparse_backend import (
@@ -175,7 +176,7 @@ def test_cross_component_insertion_refuses(build):
 
 
 def test_bridge_removal_refuses_on_dense_oracle_and_regrounds_the_solver():
-    graph = generators.path_graph(6)
+    graph = path_graph(6)
     dense = build_dense(graph)
     grounded = build_grounded(graph)
     version = graph.version

@@ -10,6 +10,7 @@ well inside the ``n <= 2048`` regime where the dense oracle is available.
 import numpy as np
 import pytest
 
+from reference_generators import path_graph
 from repro.core import api
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -101,7 +102,7 @@ class TestSemantics:
         assert np.isinf(r[0]) and r[1] == 0.0
 
     def test_validation(self):
-        graph = generators.path_graph(6)
+        graph = path_graph(6)
         for bad_eta in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 SketchedResistanceOracle(graph, eta=bad_eta)
@@ -165,7 +166,7 @@ class TestApiKnob:
         assert np.all(np.abs(approx - exact) / exact <= 0.5)
 
     def test_api_eta_validated_even_for_short_lists(self):
-        graph = generators.path_graph(8)
+        graph = path_graph(8)
         with pytest.raises(ValueError):
             api.effective_resistances(graph, pairs=[(0, 1)], eta=2.0)
 

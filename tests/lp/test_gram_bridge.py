@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from reference_dense import is_symmetric_diagonally_dominant
 from scipy.sparse import csgraph
 
 import repro.flow
@@ -18,7 +19,6 @@ import repro.lp
 import repro.serve
 from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
 from repro.graphs import generators
-from repro.graphs.laplacian import is_symmetric_diagonally_dominant
 from repro.lp.gram import (
     GramFactorisation,
     GramSolverBridge,
@@ -47,6 +47,15 @@ STRUCTURES = {
 }
 
 
+def reduced_matrix(structure, w):
+    """``A^T D A`` at pair weights ``w``: the auxiliary graph's Laplacian minus the ground."""
+    n, u, v = structure.n, structure.pair_u, structure.pair_v
+    rows = np.concatenate([u, v, u, v])
+    cols = np.concatenate([u, v, v, u])
+    data = np.concatenate([w, w, -w, -w])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()[:n, :n]
+
+
 def dense_gram_solve(A, d, rhs):
     A = np.asarray(A.todense()) if sp.issparse(A) else np.asarray(A, dtype=float)
     return np.linalg.solve(A.T @ (d[:, None] * A), rhs)
@@ -63,7 +72,7 @@ class TestDetection:
         d = rng.uniform(0.5, 2.0, size=structure.m)
         A = flow_lp.problem.A.toarray()
         np.testing.assert_allclose(
-            structure.reduced_matrix(structure.aggregate(d)).toarray(),
+            reduced_matrix(structure, structure.aggregate(d)).toarray(),
             A.T @ (d[:, None] * A),
             atol=1e-12,
         )
@@ -75,7 +84,7 @@ class TestDetection:
         d = rng.uniform(0.5, 2.0, size=structure.m)
         A = np.asarray(flow_lp.problem.A)
         np.testing.assert_allclose(
-            structure.reduced_matrix(structure.aggregate(d)).toarray(),
+            reduced_matrix(structure, structure.aggregate(d)).toarray(),
             A.T @ (d[:, None] * A),
             atol=1e-12,
         )
@@ -209,7 +218,7 @@ class TestFactorisation:
         fact = GramFactorisation(structure, w)
         rhs = rng.normal(size=structure.n)
         np.testing.assert_allclose(
-            structure.reduced_matrix(w) @ fact.solve(rhs), rhs, atol=1e-10
+            reduced_matrix(structure, w) @ fact.solve(rhs), rhs, atol=1e-10
         )
 
 
@@ -219,7 +228,7 @@ class TestGroundedLaplacian:
     @pytest.mark.parametrize("formulation", sorted(STRUCTURES))
     def test_reduced_matrix_is_sdd_with_nonpositive_off_diagonal(self, network, rng, formulation):
         structure = STRUCTURES[formulation](network)
-        M = structure.reduced_matrix(structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m)))
+        M = reduced_matrix(structure, structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m)))
         M = M.toarray()
         assert is_symmetric_diagonally_dominant(M)
         assert np.all(M - np.diag(np.diag(M)) <= 0.0)
@@ -230,7 +239,7 @@ class TestGroundedLaplacian:
         ground; some column has one, so the matrix is positive definite."""
         structure = STRUCTURES[formulation](network)
         w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
-        excess = structure.reduced_matrix(w) @ np.ones(structure.n)
+        excess = reduced_matrix(structure, w) @ np.ones(structure.n)
         grounded = structure.pair_v == structure.ground
         ground_weight = np.bincount(
             structure.pair_u[grounded], weights=w[grounded], minlength=structure.n
@@ -277,7 +286,7 @@ def assert_factorisation_exact(structure, seed):
     w = structure.aggregate(rng.uniform(0.5, 2.0, size=structure.m))
     rhs = rng.normal(size=structure.n)
     y = GramFactorisation(structure, w).solve(rhs)
-    reduced = structure.reduced_matrix(w)
+    reduced = reduced_matrix(structure, w)
     np.testing.assert_allclose(reduced @ y, rhs, atol=1e-10)
     np.testing.assert_allclose(y, np.linalg.solve(reduced.toarray(), rhs), atol=1e-10)
 
@@ -311,7 +320,7 @@ class TestCompiledOrdering:
         # grounded Laplacian under it
         np.testing.assert_array_equal(np.sort(structure._order), np.arange(structure.n))
         np.testing.assert_array_equal(structure._order[structure._order_inv], np.arange(structure.n))
-        unit = structure.reduced_matrix(np.ones(structure.n_pairs))
+        unit = reduced_matrix(structure, np.ones(structure.n_pairs))
         assert structure._csc_indices.size == unit.nnz
 
     @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))

@@ -178,7 +178,6 @@ class TestPlanHelpers:
 
     def test_disarmed_injector_is_inert(self):
         injector = disarmed_injector()
-        assert not injector.armed
         injector.on_build("anything")
         injector.on_repair(0)
         assert injector.nan_output(solve_query("g", np.zeros(2))) is False

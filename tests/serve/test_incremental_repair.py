@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import reference_dense
+from reference_repair import updates_applied
+from reference_generators import path_graph
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.sparse_backend import RepairableGroundedSolver
@@ -153,7 +155,7 @@ class TestRemovalPolicy:
         ]
         assert len(new_entries) == 1
         assert new_entries[0].value is old_oracle  # repaired, not rebuilt
-        assert old_oracle.repairs_applied == 1
+        assert old_oracle._repairs == 1
 
     def test_grounded_solver_downdates_on_removal(self, graph):
         service = make_service()
@@ -171,10 +173,10 @@ class TestRemovalPolicy:
         np.testing.assert_allclose(got, fresh_resistances(graph, PAIRS), atol=TOL)
         grounded_after = [e for e in service.cache.entries() if e.kind == "grounded"]
         assert grounded_after[0].value is solver_before  # down-dated in place
-        assert solver_before.updates_applied == 1
+        assert updates_applied(solver_before) == 1
 
     def test_bridge_removal_falls_back_to_rebuild(self):
-        graph = generators.path_graph(40)
+        graph = path_graph(40)
         service = make_service()
         key = service.register(graph)
         service.planner.oracle_limit = 10  # exercise the grounded path
@@ -339,7 +341,7 @@ class TestStructuralAndBudgetFallbacks:
         popped = [t for t in takes if t is not None]
         assert len(popped) == 1
         (oracle,) = [e for e in cache.entries() if e.kind == "resistance_oracle"]
-        assert oracle.value.repairs_applied == 1  # applied exactly once
+        assert oracle.value._repairs == 1  # applied exactly once
 
     def test_repair_disabled_knob(self, graph):
         service = make_service(repair=False)
@@ -435,7 +437,7 @@ class TestPreprocessingRepair:
         assert prep_after.value is artifact  # repaired, not rebuilt
         assert artifact.sparsifier.m == sparsifier_m + 1
         assert artifact.sparsifier_result is None  # transcript invalidated
-        assert artifact.grounded.updates_applied == 1
+        assert updates_applied(artifact.grounded) == 1
 
     def test_weight_decrease_drops_preprocessing(self, graph):
         service = make_service()

@@ -14,7 +14,9 @@ rebuilt throughout (``repairs == 0``).
 
 import numpy as np
 import pytest
+from reference_repair import updates_applied
 
+from reference_generators import path_graph
 from repro.graphs import generators
 from repro.serve import LaplacianService
 
@@ -93,7 +95,7 @@ class TestExactPathStreams:
         # every edge of a path is a bridge: each removal splits a component,
         # exercising the split re-grounding path, and cross-split pairs must
         # agree on inf with the fresh-rebuild reference
-        graph = generators.path_graph(60)
+        graph = path_graph(60)
         lazy, lk, ref, rk = make_pair(graph, oracle_limit=10)
         rng = np.random.default_rng(19)
         lazy.effective_resistances(lk, [(0, 5), (20, 40)])  # warm
@@ -112,7 +114,7 @@ class TestExactPathStreams:
         assert lazy.cache.stats.repairs == 2
         assert lazy.cache.stats.misses == misses_warm
         (grounded,) = [e for e in lazy.cache.entries() if e.kind == "grounded"]
-        assert grounded.value.updates_applied == 4  # 2 removals x 2 slots
+        assert updates_applied(grounded.value) == 4  # 2 removals x 2 slots
 
     def test_long_burst_falls_back_to_rebuild_and_still_agrees(self):
         graph = generators.random_weighted_graph(300, average_degree=8, seed=9)
@@ -188,7 +190,7 @@ class TestSketchedStreams:
         # The sketched oracle cannot follow a split (its chi is inconsistent
         # across the re-grounding) -- it must be dropped and rebuilt -- while
         # answers keep agreeing with the reference, inf included.
-        graph = generators.path_graph(220)
+        graph = path_graph(220)
         eta = 0.6
         lazy, lk, ref, rk = make_pair(graph, oracle_limit=100)
         rng = np.random.default_rng(37)

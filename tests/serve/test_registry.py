@@ -76,7 +76,6 @@ class TestVersionCounter:
         g = make_graph()
         version = g.version
         g.edge_array()
-        g.neighbours(0)
         g.is_connected()
         list(g.edges())
         assert g.version == version

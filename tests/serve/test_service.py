@@ -304,6 +304,22 @@ class TestQueueing:
         # an innocent query co-submitted around the rejected ones still works
         assert service.effective_resistance(key, 0, 1) > 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), 5.0])
+    def test_solve_eps_outside_the_solver_range_rejected_at_submit(self, graph, eps):
+        service = make_service()
+        key = service.register(graph)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            service.submit(solve_query(key, np.ones(graph.n) - 1.0 / graph.n, eps=eps))
+        assert service.flush() == 0  # nothing was queued
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), 1.0, 2.0, float("inf")])
+    def test_certify_eps_outside_the_unit_interval_rejected_at_submit(self, graph, eps):
+        service = make_service()
+        key = service.register(graph)
+        with pytest.raises(ValueError, match="eps must lie in"):
+            service.submit(certify_query(key, eps=eps))
+        assert service.flush() == 0
+
     def test_unknown_kind_rejected_at_submit(self, graph):
         # Query.__post_init__ is bypassed by pickle and by mutation after
         # construction: a kind with no table row must fail its own client

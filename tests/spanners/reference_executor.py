@@ -2,9 +2,8 @@
 
 This is the implementation ``repro.spanners.probabilistic`` shipped before the
 step-parallel array executor replaced it, moved here verbatim (classes
-renamed ``Reference*``; ``BroadcastRecord`` and ``resolve_edge_probabilities``
-are imported from the package because they are shared data, not executor
-logic).  It walks every step one vertex at a time, calls ``Connect`` once per
+renamed ``Reference*``; ``resolve_edge_probabilities`` is imported from the
+package because it is shared input handling, not executor logic).  It walks every step one vertex at a time, calls ``Connect`` once per
 (vertex, adjacent cluster) and flips one scalar coin per inspected candidate,
 so it *defines* the rng-order contract: marking draws per centre in ascending
 order, ``Connect`` draws in ``(vertex, cluster, weight, identifier)`` order,
@@ -14,6 +13,12 @@ each group stopping at its first acceptance.
 field by field, generator state included; the historical bundle / sparsify
 loops in ``tests/sparsify/test_vectorized_equivalence.py`` are built on it as
 well.  Do not optimise this file.
+
+Below the executor sit what only tests read of a run, moved out of ``src/``:
+``BroadcastRecord``, ``adjacency_lists`` of an ``EdgeView``, and the readers
+``f_plus_of`` / ``f_minus_of`` / ``out_degrees`` / ``clusters_per_phase`` /
+``broadcasts`` that give an array executor's ``SpannerResult`` the fields of a
+``ReferenceSpannerResult``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.graphs.graph import EdgeView, WeightedGraph, canonical_edge
-from repro.spanners.probabilistic import BroadcastRecord, resolve_edge_probabilities
+from repro.spanners.probabilistic import SpannerResult, resolve_edge_probabilities
 
 EdgeKey = Tuple[int, int]
 
@@ -35,6 +40,22 @@ AdjEntry = Tuple[int, float, int]
 
 #: Connect's scan order, line 1 of Algorithm 2: ascending (weight, identifier).
 _by_weight_then_id = itemgetter(1, 0)
+
+
+@dataclass(frozen=True)
+class BroadcastRecord:
+    """One broadcast message emitted during the spanner computation.
+
+    ``None`` in ``target_cluster`` / ``accepted`` / ``weight`` is the paper's
+    bottom symbol: ``Connect`` failed.
+    """
+
+    phase: int
+    step: str
+    sender: int
+    target_cluster: Optional[int]
+    accepted: Optional[int]
+    weight: Optional[float]
 
 
 @dataclass
@@ -109,7 +130,7 @@ class ReferenceProbabilisticSpanner:
         self._prob = resolve_edge_probabilities(self.view, probabilities)
         # hot per-candidate reads go through plain Python floats, not numpy scalars
         self._prob_list = self._prob.tolist()
-        self._adj = self.view.adjacency_lists()
+        self._adj = adjacency_lists(self.view)
 
         n = self.view.n
         self.result = ReferenceSpannerResult(
@@ -451,3 +472,77 @@ def reference_probabilistic_spanner(
         marking_bits=marking_bits,
     )
     return algorithm.run()
+
+
+def adjacency_lists(view: EdgeView) -> List[List[AdjEntry]]:
+    """Per-vertex ``(neighbour, weight, edge_index)`` lists over alive edges.
+
+    Built in one pass over the alive edges in canonical order, which keeps
+    every per-vertex list sorted by neighbour identifier: for a vertex
+    ``x`` the lower neighbours arrive from edges ``(u, x)`` in ascending
+    ``u`` (first coordinate ``u < x``), all before the higher neighbours
+    from edges ``(x, v)`` in ascending ``v``.
+    """
+    adj: List[List[AdjEntry]] = [[] for _ in range(view.n)]
+    idx = view.alive_indices()
+    for ei, a, b, weight in zip(
+        idx.tolist(), view.u[idx].tolist(), view.v[idx].tolist(), view.w[idx].tolist()
+    ):
+        adj[a].append((b, weight, ei))
+        adj[b].append((a, weight, ei))
+    return adj
+
+
+def _per_vertex(n: int, keys: Set[EdgeKey]) -> Dict[int, Set[int]]:
+    views: Dict[int, Set[int]] = {v: set() for v in range(n)}
+    for a, b in keys:
+        views[a].add(b)
+        views[b].add(a)
+    return views
+
+
+def f_plus_of(result: SpannerResult) -> Dict[int, Set[int]]:
+    """Per-vertex view of ``F+``: ``u in f_plus_of(result)[v]`` iff ``(u, v)`` is in ``F+``."""
+    return _per_vertex(result.n, result.f_plus)
+
+
+def f_minus_of(result: SpannerResult) -> Dict[int, Set[int]]:
+    """Per-vertex view of ``F-``."""
+    return _per_vertex(result.n, result.f_minus)
+
+
+def out_degrees(result: SpannerResult) -> Dict[int, int]:
+    """Out-degree of every vertex under the computed orientation."""
+    degrees = {v: 0 for v in range(result.n)}
+    for tail, _head in result.orientation.values():
+        degrees[tail] += 1
+    return degrees
+
+
+def clusters_per_phase(result: SpannerResult) -> List[Dict[int, int]]:
+    """``{vertex: centre}`` of the clustered vertices at the start of each phase."""
+    per_phase = []
+    for cluster in result._clusters:
+        members = np.flatnonzero(cluster >= 0)
+        per_phase.append(dict(zip(members.tolist(), cluster[members].tolist())))
+    return per_phase
+
+
+def broadcasts(result: SpannerResult) -> List[BroadcastRecord]:
+    """The recorded transcript, one record per broadcast; ``-1`` decodes to bottom."""
+    records: List[BroadcastRecord] = []
+    for phase, step, senders, targets, accepted, weights in result._steps:
+        for sender, target, neighbour, weight in zip(
+            senders.tolist(), targets.tolist(), accepted.tolist(), weights.tolist()
+        ):
+            records.append(
+                BroadcastRecord(
+                    phase=phase,
+                    step=step,
+                    sender=sender,
+                    target_cluster=target if target >= 0 else None,
+                    accepted=neighbour if neighbour >= 0 else None,
+                    weight=weight if neighbour >= 0 else None,
+                )
+            )
+    return records

@@ -46,13 +46,26 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference_executor import BroadcastRecord, broadcasts, clusters_per_phase
 
 from repro.graphs import generators
 from repro.graphs.graph import EdgeView, canonical_edge
 from repro.spanners.bundle import bundle_spanner
-from repro.spanners.probabilistic import BroadcastRecord, ProbabilisticSpanner
+from repro.spanners.probabilistic import ProbabilisticSpanner
 
 NO_LIMIT = (math.inf, math.inf)
+
+
+def decoded(result):
+    """What the replay reads of a ``SpannerResult``, its transcript decoded to records."""
+    return SimpleNamespace(
+        k=result.k,
+        charges=result.charges,
+        f_plus=result.f_plus,
+        f_minus=result.f_minus,
+        clusters_per_phase=clusters_per_phase(result),
+        broadcasts=broadcasts(result),
+    )
 
 
 def replay(view: EdgeView, result):
@@ -184,7 +197,7 @@ def check_rounds(view: EdgeView, result):
 
 
 def run_and_replay(view, probabilities, k, seed):
-    result = ProbabilisticSpanner(view, probabilities, k=k, seed=seed).run()
+    result = decoded(ProbabilisticSpanner(view, probabilities, k=k, seed=seed).run())
     f_plus, f_minus = replay(view, result)
     assert f_plus == result.f_plus
     assert f_minus == result.f_minus
@@ -242,8 +255,8 @@ def test_every_bundle_layer_replays(k):
     alive = view.alive.copy()
     for layer in bundle.per_spanner:
         residual = view.subview(alive.copy())
-        assert replay(residual, layer) == (layer.f_plus, layer.f_minus)
-        check_rounds(residual, layer)
+        assert replay(residual, decoded(layer)) == (layer.f_plus, layer.f_minus)
+        check_rounds(residual, decoded(layer))
         alive[layer.f_plus_idx] = False
         alive[layer.f_minus_idx] = False
 

@@ -4,13 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from reference_sparsify import reference_spectral_sparsify_apriori
 
 from repro.graphs import generators, is_spectral_sparsifier, spectral_approximation_factor
-from repro.sparsify import (
-    bundle_size,
-    spectral_sparsify,
-    spectral_sparsify_apriori,
-)
+from repro.sparsify import bundle_size, spectral_sparsify
 from repro.sparsify.spectral import stretch_parameter
 from repro.graphs.graph import WeightedGraph
 
@@ -96,16 +93,22 @@ class TestAdHocSparsifier:
 
 
 class TestAprioriSparsifier:
+    """Algorithm 4 (eager sampling, CONGEST only) lives in ``reference_sparsify``."""
+
     def test_valid_sparsifier_with_paper_parameters(self):
         g = generators.random_weighted_graph(24, average_degree=6, seed=16)
-        result = spectral_sparsify_apriori(g, eps=0.5, seed=17)
-        assert is_spectral_sparsifier(g, result.sparsifier, eps=0.5)
+        sparsifier, _ = reference_spectral_sparsify_apriori(
+            g, eps=0.5, rng=np.random.default_rng(17), t_override=bundle_size(g.n, 0.5)
+        )
+        assert is_spectral_sparsifier(g, sparsifier, eps=0.5)
 
     def test_weights_are_power_of_four_multiples(self):
         g = generators.random_weighted_graph(25, average_degree=8, max_weight=4, seed=18)
-        result = spectral_sparsify_apriori(g, eps=0.5, seed=19, t_override=2)
+        sparsifier, _ = reference_spectral_sparsify_apriori(
+            g, eps=0.5, rng=np.random.default_rng(19), t_override=2
+        )
         original = {e.key: e.weight for e in g.edges()}
-        for edge in result.sparsifier.edges():
+        for edge in sparsifier.edges():
             ratio = edge.weight / original[edge.key]
             exponent = math.log(ratio, 4.0)
             assert exponent == pytest.approx(round(exponent), abs=1e-9)
@@ -116,7 +119,10 @@ class TestAprioriSparsifier:
         g = generators.erdos_renyi(20, 0.7, max_weight=2, seed=20)
         adhoc = [spectral_sparsify(g, eps=0.5, seed=s, t_override=1).size for s in range(12)]
         apriori = [
-            spectral_sparsify_apriori(g, eps=0.5, seed=s, t_override=1).size for s in range(12)
+            reference_spectral_sparsify_apriori(
+                g, eps=0.5, rng=np.random.default_rng(s), t_override=1
+            )[0].m
+            for s in range(12)
         ]
         assert abs(np.mean(adhoc) - np.mean(apriori)) <= 0.35 * g.m
 
