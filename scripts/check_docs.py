@@ -22,11 +22,10 @@ Five checks, all fast and dependency-free beyond the package's own imports:
    rows matching the rest.  A missing or an extra row fails.
 4. **Docstring file references** -- every file a docstring names
    (``docs/substitutions.md``, ``tests/linalg/test_resistance.py``,
-   ``BENCH_serve.json`` ...) must exist: a path with a directory part relative
+   ``BENCHMARK.json`` ...) must exist: a path with a directory part relative
    to the repo root, ``src/`` or the citing file; a bare name anywhere in the
-   tree.  Walks ``src/``, ``scripts/``, ``examples/``, ``setup.py`` and
-   ``benchmarks/`` (not ``benchmarks/suite``, whose usage strings name
-   placeholder files).
+   tree.  Walks ``src/``, ``scripts/``, ``examples/`` and ``setup.py`` (not
+   ``benchmarks/suite``, whose usage strings name placeholder files).
 5. **Dotted names** -- every backticked dotted ``repro.…`` name in
    ``docs/*.md``, ``README.md`` and the docstrings under ``src/`` -- also
    inside a ``:mod:`` / ``:class:`` role, ``~``-prefixed or ending in ``.*``
@@ -246,16 +245,13 @@ FILE_REFERENCE = re.compile(
 )
 
 #: where docstrings are held to it (see the module docstring)
-REFERENCE_ROOTS = ("src", "scripts", "examples", "benchmarks", "setup.py")
-REFERENCE_SKIP = REPO_ROOT / "benchmarks" / "suite"
+REFERENCE_ROOTS = ("src", "scripts", "examples", "setup.py")
 
 
 def python_sources():
     for root in REFERENCE_ROOTS:
         path = REPO_ROOT / root
-        for source in [path] if path.is_file() else sorted(path.rglob("*.py")):
-            if REFERENCE_SKIP not in source.parents:
-                yield source
+        yield from [path] if path.is_file() else sorted(path.rglob("*.py"))
 
 
 def docstrings(source: Path):

@@ -20,6 +20,6 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy>=1.21", "scipy>=1.7", "networkx>=2.6"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "pytest-cov", "hypothesis"],
+        "test": ["pytest", "pytest-cov", "hypothesis"],
     },
 )

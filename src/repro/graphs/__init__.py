@@ -13,7 +13,6 @@ from repro.graphs.laplacian import (
     effective_resistances,
     incidence_matrix,
     is_spectral_sparsifier,
-    laplacian_matrix,
     spectral_approximation_factor,
 )
 from repro.graphs import generators
@@ -25,7 +24,6 @@ __all__ = [
     "WeightedGraph",
     "DirectedEdge",
     "FlowNetwork",
-    "laplacian_matrix",
     "incidence_matrix",
     "effective_resistances",
     "is_spectral_sparsifier",

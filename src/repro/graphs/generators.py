@@ -151,7 +151,6 @@ def _connect_components(
     graph: WeightedGraph,
     rng: np.random.Generator,
     max_weight: float,
-    fixed_weight: Optional[float] = None,
 ) -> None:
     """Add random edges between components in one sweep until connected.
 
@@ -161,10 +160,6 @@ def _connect_components(
     component (which always contains vertex 0, hence always comes first in a
     recomputed component list), then ``choice`` over the sorted next component,
     then ``integers`` for the weight.
-
-    ``fixed_weight`` bypasses the integer weight draw for generators whose
-    contract is a uniform edge weight (e.g. :func:`watts_strogatz`); their
-    repair edges must carry the same weight as every other edge.
     """
     components = graph.connected_components()
     if len(components) <= 1:
@@ -175,10 +170,7 @@ def _connect_components(
         second = sorted(component)
         u = int(rng.choice(merged))
         v = int(rng.choice(second))
-        if fixed_weight is not None:
-            weight = float(fixed_weight)
-        else:
-            weight = float(rng.integers(1, max(2, int(max_weight)) + 1))
+        weight = float(rng.integers(1, max(2, int(max_weight)) + 1))
         graph.add_edge(u, v, weight)
         merged_set |= component
         merged = sorted(merged_set)
@@ -280,49 +272,6 @@ def barabasi_albert(
         for t in sorted(targets):
             graph.add_edge(v, t, weight)
             urn.extend((v, t))
-    return graph
-
-
-def watts_strogatz(
-    n: int,
-    k: int = 4,
-    beta: float = 0.1,
-    weight: float = 1.0,
-    seed: RngLike = None,
-    ensure_connected: bool = True,
-) -> WeightedGraph:
-    """Watts-Strogatz small-world graph: ring lattice with random rewiring.
-
-    Every vertex starts connected to its ``k`` nearest ring neighbours
-    (``k`` even); each lattice edge is then rewired with probability ``beta``
-    to a uniformly random non-duplicate endpoint.  ``beta = 0`` is the pure
-    lattice (long shortest paths), ``beta = 1`` close to a random graph; the
-    small-``beta`` regime keeps high clustering with short paths, a workload
-    shape neither grids nor Erdos-Renyi graphs cover.
-    """
-    if k % 2 != 0:
-        raise ValueError(f"lattice degree k must be even, got {k}")
-    if not (2 <= k < n):
-        raise ValueError(f"lattice degree k must lie in [2, n), got k={k}, n={n}")
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError(f"rewiring probability must lie in [0, 1], got {beta}")
-    rng = _rng(seed)
-    graph = WeightedGraph(n)
-    for v in range(n):
-        for j in range(1, k // 2 + 1):
-            graph.add_edge(v, (v + j) % n, weight)
-    for v in range(n):
-        for j in range(1, k // 2 + 1):
-            target = (v + j) % n
-            if rng.random() >= beta or not graph.has_edge(v, target):
-                continue
-            candidate = int(rng.integers(n))
-            if candidate == v or graph.has_edge(v, candidate):
-                continue  # keep the lattice edge rather than retry (standard WS)
-            graph.remove_edge(v, target)
-            graph.add_edge(v, candidate, weight)
-    if ensure_connected:
-        _connect_components(graph, rng, weight, fixed_weight=weight)
     return graph
 
 

@@ -349,10 +349,6 @@ class WeightedGraph:
         for (u, v) in sorted(self._weights):
             yield Edge(u, v, self._weights[(u, v)])
 
-    def edge_list(self) -> List[Tuple[int, int, float]]:
-        """All edges as sorted ``(u, v, weight)`` triples with ``u < v``."""
-        return [(u, v, self._weights[(u, v)]) for (u, v) in sorted(self._weights)]
-
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edges as three aligned numpy columns ``(u, v, w)`` with ``u < v``.
 

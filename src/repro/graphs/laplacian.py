@@ -15,8 +15,8 @@ CSR matrices built from the cached edge arrays of
 ``splu`` factorisation and batched solves, and the spectral certification trio
 (``spectral_approximation_factor`` / ``is_spectral_sparsifier``) from
 ``scipy.sparse.linalg.eigsh`` over two grounded factorisations -- at every
-graph size.  ``laplacian_matrix`` / ``incidence_matrix`` densify for
-verification code that wants an ``np.ndarray``.  The textbook ``pinv`` /
+graph size.  ``incidence_matrix`` densifies for code that wants an
+``np.ndarray``.  The textbook ``pinv`` /
 ``eigh`` formulas these kernels are pinned to (1e-8) are the test oracle
 ``tests/linalg/reference_dense.py``.
 """
@@ -29,14 +29,6 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
-
-
-def laplacian_matrix(graph: WeightedGraph) -> np.ndarray:
-    """Dense Laplacian matrix ``L`` of ``graph`` (Section 2.2; for verification).
-
-    The pipeline works on :meth:`WeightedGraph.laplacian_csr`.
-    """
-    return graph.laplacian_csr().toarray()
 
 
 def incidence_matrix(graph: WeightedGraph) -> Tuple[np.ndarray, np.ndarray]:

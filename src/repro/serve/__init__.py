@@ -53,10 +53,6 @@ something:
   read-only artifacts (dense oracle inverses, JL embeddings) live once in
   POSIX shared memory; workers attach zero-copy views and respawned
   workers re-attach instead of rebuilding.
-* :mod:`repro.serve.traffic` -- seeded replayable traffic traces
-  (heavy-tailed graph popularity, mixed kinds, interleaved mutations, many
-  clients) with p50/p99/throughput/shed-rate reporting, shared by the
-  cluster tests and ``benchmarks/bench_cluster.py``.
 
 Quickstart::
 
@@ -131,17 +127,6 @@ from repro.serve.shm import (
     ShmArraySpec,
     ShmArtifactSpec,
 )
-from repro.serve.traffic import (
-    ClientRetryPolicy,
-    TraceEvent,
-    TrafficConfig,
-    TrafficReport,
-    TrafficTrace,
-    compare_answers,
-    generate_trace,
-    run_trace,
-    solve_rhs,
-)
 from repro.serve.worker import (
     BackgroundBuilder,
     RemoteResult,
@@ -158,15 +143,6 @@ __all__ = [
     "SharedArtifactStore",
     "ShmArraySpec",
     "ShmArtifactSpec",
-    "ClientRetryPolicy",
-    "TraceEvent",
-    "TrafficConfig",
-    "TrafficReport",
-    "TrafficTrace",
-    "compare_answers",
-    "generate_trace",
-    "run_trace",
-    "solve_rhs",
     "BackgroundBuilder",
     "RemoteResult",
     "WorkerConfig",

@@ -668,10 +668,6 @@ class ClusterService(QueryFrontDoor):
         with self._lock:
             return list(self._graphs)
 
-    def shard_of(self, graph_key: str) -> str:
-        """Name of the *primary* worker for ``graph_key``."""
-        return self._record_for(graph_key).workers[0]
-
     def replicas_of(self, graph_key: str) -> Tuple[str, ...]:
         """Replica set of ``graph_key``, primary first (ring order)."""
         return tuple(self._record_for(graph_key).workers)

@@ -32,7 +32,7 @@ failures originate:
     blocking delay into a worker's message loop (a hang without a crash),
     or discard a worker's heartbeat reply.  These seams never raise -- they
     return the seeded decision and the monitor performs the action (see
-    ``ClusterService`` and ``FaultPlan.cluster_chaos``).
+    ``ClusterService``).
 
 Latency is injected through ``delay_seconds`` on any rule (with
 ``fail=False`` for a pure slowdown), which is how deadline enforcement is
@@ -159,84 +159,6 @@ class FaultPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-
-    @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        build_rate: float = 0.05,
-        execute_rate: float = 0.02,
-        repair_rate: float = 0.25,
-        nan_rate: float = 0.02,
-        transient_rate: float = 0.05,
-        delay_seconds: float = 0.0,
-    ) -> "FaultPlan":
-        """A randomized-but-seeded plan exercising every seam at once.
-
-        The chaos test suite's workhorse: unselective probabilistic rules for
-        every op (persistent build/execute failures, a transient build flake,
-        repair-walk crashes, NaN output poisoning, optional uniform latency),
-        all driven by one seed so a failing run replays exactly.
-        """
-        rules = [
-            FaultRule(op="build", probability=build_rate),
-            FaultRule(op="build", probability=transient_rate, transient=True),
-            FaultRule(op="execute", probability=execute_rate),
-            FaultRule(op="repair", probability=repair_rate),
-            FaultRule(op="nan", probability=nan_rate),
-        ]
-        if delay_seconds > 0:
-            rules.append(
-                FaultRule(op="execute", probability=1.0, fail=False, delay_seconds=delay_seconds)
-            )
-        return cls(rules=tuple(rules), seed=seed)
-
-    @classmethod
-    def cluster_chaos(
-        cls,
-        seed: int,
-        kill_rate: float = 0.05,
-        wedge_rate: float = 0.0,
-        drop_ping_rate: float = 0.0,
-        wedge_seconds: float = 1.0,
-        max_kills: Optional[int] = None,
-        max_wedges: Optional[int] = None,
-        worker: Optional[str] = None,
-    ) -> "FaultPlan":
-        """A seeded plan for the *process-tier* seams the cluster parent drives.
-
-        Each health-monitor tick evaluates these rules once per worker (in
-        sorted worker order, so the seeded stream is deterministic):
-        ``kill_rate`` hard-kills the probed worker, ``wedge_rate`` injects a
-        ``wedge_seconds`` blocking delay into its message loop (a hang, not
-        a crash -- what the suspect ladder must catch), and
-        ``drop_ping_rate`` discards its heartbeat reply (a flaky link).
-        ``max_kills`` / ``max_wedges`` cap total firings so a chaos trace
-        cannot depopulate (or permanently stall) the cluster; ``worker``
-        pins every rule to one shard.
-        """
-        rules = []
-        if kill_rate > 0:
-            rules.append(
-                FaultRule(
-                    op="worker_kill", probability=kill_rate, times=max_kills, worker=worker
-                )
-            )
-        if wedge_rate > 0:
-            rules.append(
-                FaultRule(
-                    op="worker_wedge",
-                    probability=wedge_rate,
-                    times=max_wedges,
-                    delay_seconds=wedge_seconds,
-                    worker=worker,
-                )
-            )
-        if drop_ping_rate > 0:
-            rules.append(
-                FaultRule(op="worker_drop_ping", probability=drop_ping_rate, worker=worker)
-            )
-        return cls(rules=tuple(rules), seed=seed)
 
 
 class FaultInjector:

@@ -232,6 +232,14 @@ def resistance_batch_query(
 def _validate_resistance(graph, payload: Dict[str, Any]) -> None:
     u = np.asarray(payload["u"])
     v = np.asarray(payload["v"])
+    # the batch concatenates every query's endpoints into two aligned int64
+    # columns: a ragged or fractional query would fail (or truncate) them all
+    if u.shape != v.shape or u.ndim > 1:
+        raise ValueError(
+            f"u and v must be scalars or aligned 1-d arrays, got shapes {u.shape} and {v.shape}"
+        )
+    if not (np.issubdtype(u.dtype, np.integer) and np.issubdtype(v.dtype, np.integer)):
+        raise ValueError(f"pair endpoints must be integers, got {u.dtype} and {v.dtype}")
     if u.size and (
         int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= graph.n
     ):
@@ -300,6 +308,10 @@ def _validate_flow(graph, payload: Dict[str, Any]) -> None:
     eps_scale = payload["eps_scale"]
     if not (np.isfinite(eps_scale) and eps_scale > 0.0):
         raise ValueError(f"eps_scale must be finite and > 0, got {eps_scale}")
+    # the seed reaches np.random.default_rng only at flush
+    seed = payload["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass

@@ -73,8 +73,7 @@ class ServiceOverloadedError(RuntimeError):
     backlog is expected to take to clear.  The in-process queue is the only
     thing that sheds (behind a cluster, a worker's queue sheds and the error
     reaches the ticket); ``None`` means the shedding side had no estimate
-    (clients fall back to their own backoff, as the traffic harness's
-    :class:`~repro.serve.traffic.ClientRetryPolicy` does).
+    and the client falls back to its own backoff.
     """
 
     def __init__(self, message: str, retry_after_seconds: Optional[float] = None):

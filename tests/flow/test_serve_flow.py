@@ -225,3 +225,17 @@ class TestValidation:
         service = make_service()
         with pytest.raises(KeyError):
             service.min_cost_flow("nope")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected_at_submit(self, network, seed):
+        # a negative seed used to pass submit and fail its whole coalesced
+        # batch at flush with numpy's "expected non-negative integer"
+        service = make_service()
+        key = service.register(network)
+        query = flow_query(key)
+        query.payload["seed"] = seed
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            service.submit(query)
+        assert service.flush() == 0  # nothing was queued
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            service.submit(flow_query(key, seed=-1))

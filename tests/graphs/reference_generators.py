@@ -11,8 +11,9 @@ with ``src/`` (the components repair runs after the loop in both).
 
 It also holds what only tests use, moved out of ``src/``: the generators
 ``random_regular_expander``, ``weighted_graph_with_bounded_weights``,
-``path_graph``, ``cycle_graph``, ``star_graph`` and ``barbell_graph``, and
-the per-vertex graph queries ``degrees`` and ``neighbours``.
+``watts_strogatz``, ``path_graph``, ``cycle_graph``, ``star_graph`` and
+``barbell_graph``, and the graph queries ``degrees``, ``neighbours`` and
+``edge_list``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,54 @@ def weighted_graph_with_bounded_weights(
     return graph
 
 
+def watts_strogatz(
+    n: int,
+    k: int = 4,
+    beta: float = 0.1,
+    weight: float = 1.0,
+    seed: RngLike = None,
+    ensure_connected: bool = True,
+) -> WeightedGraph:
+    """Watts-Strogatz small-world graph: ring lattice with random rewiring.
+
+    Every vertex starts connected to its ``k`` nearest ring neighbours
+    (``k`` even); each lattice edge is then rewired with probability ``beta``
+    to a uniformly random non-duplicate endpoint.  ``beta = 0`` is the pure
+    lattice, ``beta = 1`` close to a random graph.  Components are joined by
+    edges of the same uniform ``weight``.
+    """
+    if k % 2 != 0:
+        raise ValueError(f"lattice degree k must be even, got {k}")
+    if not (2 <= k < n):
+        raise ValueError(f"lattice degree k must lie in [2, n), got k={k}, n={n}")
+    if not (0.0 <= beta <= 1.0):
+        raise ValueError(f"rewiring probability must lie in [0, 1], got {beta}")
+    rng = _rng(seed)
+    graph = WeightedGraph(n)
+    for v in range(n):
+        for j in range(1, k // 2 + 1):
+            graph.add_edge(v, (v + j) % n, weight)
+    for v in range(n):
+        for j in range(1, k // 2 + 1):
+            target = (v + j) % n
+            if rng.random() >= beta or not graph.has_edge(v, target):
+                continue
+            candidate = int(rng.integers(n))
+            if candidate == v or graph.has_edge(v, candidate):
+                continue  # keep the lattice edge rather than retry (standard WS)
+            graph.remove_edge(v, target)
+            graph.add_edge(v, candidate, weight)
+    if ensure_connected:
+        # _connect_components' draws minus its weight draw
+        merged = set()
+        for component in graph.connected_components():
+            if merged:
+                u = int(rng.choice(sorted(merged)))
+                graph.add_edge(u, int(rng.choice(sorted(component))), weight)
+            merged |= component
+    return graph
+
+
 def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     """Path on ``n`` vertices with uniform edge weight."""
     graph = WeightedGraph(n)
@@ -182,7 +231,7 @@ def barbell_graph(clique_size: int, path_length: int = 1) -> WeightedGraph:
 def degrees(graph: WeightedGraph) -> list:
     """Number of edges incident to each vertex, indexed by vertex."""
     counts = [0] * graph.n
-    for u, v, _ in graph.edge_list():
+    for u, v, _ in edge_list(graph):
         counts[u] += 1
         counts[v] += 1
     return counts
@@ -190,4 +239,9 @@ def degrees(graph: WeightedGraph) -> list:
 
 def neighbours(graph: WeightedGraph, vertex: int) -> set:
     """The vertices sharing an edge with ``vertex``."""
-    return {v if u == vertex else u for u, v, _ in graph.edge_list() if vertex in (u, v)}
+    return {v if u == vertex else u for u, v, _ in edge_list(graph) if vertex in (u, v)}
+
+
+def edge_list(graph: WeightedGraph) -> list:
+    """All edges as sorted ``(u, v, weight)`` triples with ``u < v``."""
+    return [(edge.u, edge.v, edge.weight) for edge in graph.edges()]

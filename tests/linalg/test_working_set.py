@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import reference_dense
+from reference_generators import edge_list
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
@@ -59,7 +60,7 @@ def several_components() -> WeightedGraph:
     graph = WeightedGraph(n)
     offset = 0
     for part in parts:
-        for u, v, w in part.edge_list():
+        for u, v, w in edge_list(part):
             graph.add_edge(offset + u, offset + v, w)
         offset += part.n
     for i in range(5):

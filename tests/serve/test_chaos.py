@@ -20,10 +20,12 @@ signal (``-m "not slow and not chaos"``) skips it.
 import numpy as np
 import pytest
 
+from fault_plans import chaos_plan
+
 from repro.graphs import generators
 from repro.graphs.laplacian import laplacian_norm
 from repro.linalg.sparse_backend import GroundedLaplacianSolver
-from repro.serve import FaultPlan, LaplacianService, ResiliencePolicy, resistance_batch_query, solve_query
+from repro.serve import LaplacianService, ResiliencePolicy, resistance_batch_query, solve_query
 
 pytestmark = pytest.mark.chaos
 
@@ -73,7 +75,7 @@ def test_chaos_workload_contains_failures(seed):
             seed=seed,
         ),
     )
-    injector = service.arm_faults(FaultPlan.chaos(seed=seed))
+    injector = service.arm_faults(chaos_plan(seed=seed))
     key = service.register(graph)
 
     total_failed = 0
@@ -148,7 +150,7 @@ def test_chaos_with_latency_and_deadline(seed):
         ),
     )
     service.arm_faults(
-        FaultPlan.chaos(seed=seed, delay_seconds=0.01)
+        chaos_plan(seed=seed, delay_seconds=0.01)
     )
     key = service.register(graph)
     tickets = [

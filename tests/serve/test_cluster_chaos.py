@@ -3,8 +3,8 @@
 These tests are marked both ``chaos`` and ``cluster``: they spawn real
 worker processes (heavy, like the cluster suite) *and* inject deterministic
 process-tier faults (kill / wedge / heartbeat-drop, driven by the parent's
-health monitor through :meth:`FaultPlan.cluster_chaos`).  CI runs them as
-their own dedicated step (``-m "chaos and cluster"``).
+health monitor through ``worker_*`` :class:`FaultRule` entries).  CI runs
+them as their own dedicated step (``-m "chaos and cluster"``).
 
 The headline assertion is the availability contract: a replicated cluster
 in which **every** worker is killed once mid-trace still completes a mixed
@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from traffic import TrafficConfig, compare_answers, generate_trace, run_trace
 
 from repro.graphs import generators
 from repro.serve import (
@@ -25,11 +26,7 @@ from repro.serve import (
     FaultRule,
     HealthPolicy,
     LaplacianService,
-    TrafficConfig,
     WorkerConfig,
-    compare_answers,
-    generate_trace,
-    run_trace,
 )
 
 pytestmark = [pytest.mark.chaos, pytest.mark.cluster]
@@ -122,7 +119,7 @@ class TestWedgeChaos:
             b = np.zeros(SIZES[0])
             b[0], b[-1] = 1.0, -1.0
             expected = cluster.solve(key, b).solution
-            victim = cluster.shard_of(key)
+            victim = cluster.replicas_of(key)[0]
             pid_before = cluster._workers[victim].process.pid
             time.sleep(0.5)  # let the first pings land (ends startup grace)
             cluster.wedge_worker(victim, 30.0)  # hang, not crash
@@ -153,9 +150,17 @@ class TestWedgeChaos:
             cluster.close()
 
     def test_fault_plan_drives_the_wedge_deterministically(self):
-        plan = FaultPlan.cluster_chaos(
-            seed=7, kill_rate=0.0, wedge_rate=1.0, wedge_seconds=30.0,
-            max_wedges=1, worker="worker-0",
+        plan = FaultPlan(
+            (
+                FaultRule(
+                    op="worker_wedge",
+                    probability=1.0,
+                    times=1,
+                    delay_seconds=30.0,
+                    worker="worker-0",
+                ),
+            ),
+            seed=7,
         )
         cluster = make_cluster(num_workers=2, health=self.FAST)
         try:

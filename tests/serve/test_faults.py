@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from fault_plans import chaos_plan
 
 from repro.serve import (
     FAULT_OPS,
@@ -163,13 +164,13 @@ class TestDeterminismAndDelay:
 
 class TestPlanHelpers:
     def test_chaos_plan_covers_every_seam(self):
-        plan = FaultPlan.chaos(seed=7)
+        plan = chaos_plan(seed=7)
         ops = {rule.op for rule in plan.rules}
         assert ops == {"build", "execute", "repair", "nan"}
         assert any(rule.transient for rule in plan.rules)
 
     def test_chaos_plan_optional_latency_rule(self):
-        plan = FaultPlan.chaos(seed=7, delay_seconds=0.01)
+        plan = chaos_plan(seed=7, delay_seconds=0.01)
         assert any(rule.delay_seconds > 0 and not rule.fail for rule in plan.rules)
 
     def test_plan_rules_coerced_to_tuple(self):

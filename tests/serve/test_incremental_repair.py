@@ -12,7 +12,7 @@ import pytest
 
 import reference_dense
 from reference_repair import updates_applied
-from reference_generators import path_graph
+from reference_generators import edge_list, path_graph
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.sparse_backend import RepairableGroundedSolver
@@ -146,7 +146,7 @@ class TestRemovalPolicy:
         assert len(oracle_entries) == 1
         old_oracle = oracle_entries[0].value
 
-        u, v, w = graph.edge_list()[10]
+        u, v, w = edge_list(graph)[10]
         graph.remove_edge(u, v)  # a random-graph edge: (almost surely) no bridge
         got = service.effective_resistances(key, PAIRS)
         np.testing.assert_allclose(got, fresh_resistances(graph, PAIRS), atol=TOL)
@@ -167,7 +167,7 @@ class TestRemovalPolicy:
         assert len(grounded) == 1
         solver_before = grounded[0].value
 
-        u, v, w = graph.edge_list()[10]
+        u, v, w = edge_list(graph)[10]
         graph.remove_edge(u, v)  # a random-graph edge: (almost surely) no bridge
         got = service.effective_resistances(key, PAIRS)
         np.testing.assert_allclose(got, fresh_resistances(graph, PAIRS), atol=TOL)
@@ -197,7 +197,7 @@ class TestRemovalPolicy:
         and an oracle grounded on them would fail its Cholesky and degrade.
         """
         # a 6 x 6 grid, a bridge (35, 36) and a pendant unit edge (36, 37)
-        grid = generators.grid_graph(6, 6).edge_list()
+        grid = edge_list(generators.grid_graph(6, 6))
         graph = WeightedGraph(38, edges=grid + [(35, 36, 1.0), (36, 37, 1.0)])
         service = make_service()
         key = service.register(graph)
@@ -402,7 +402,7 @@ class TestSketchedRepair:
             e for e in service.cache.entries() if e.kind == "sketched_resistance"
         ]
         oracle_before = sketch.value
-        u, v, w = graph.edge_list()[0]
+        u, v, w = edge_list(graph)[0]
         graph.add_edge(u, v, w + 1.0)  # reweight an existing edge
         approx = service.effective_resistances(key, pairs, eta=0.5)
         (sketch_after,) = [
@@ -446,7 +446,7 @@ class TestPreprocessingRepair:
         service.solve(key, b)
         (prep,) = [e for e in service.cache.entries() if e.kind == "preprocessing"]
         artifact = prep.value
-        u, v, w = graph.edge_list()[0]
+        u, v, w = edge_list(graph)[0]
         graph.add_edge(u, v, w * 0.5)  # decrease: sparsifier lower bound at risk
         report = service.solve(key, b, eps=1e-8)
         with make_service() as ref:

@@ -13,6 +13,7 @@ asserts there are none once the artifacts are warm.
 import sys
 
 import numpy as np
+from reference_generators import edge_list
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -70,7 +71,7 @@ def test_mutation_stream_does_no_per_record_rebuild_work(monkeypatch):
 
         before = service.metrics_snapshot()["cache"]["repairs"]
         # edges and chords off vertex 0 (the grounded one), as most mutations are
-        edge = next(e[:2] for e in small.edge_list() if e[0] > 0)
+        edge = next(e[:2] for e in edge_list(small) if e[0] > 0)
         chord = next((1, v) for v in range(2, small.n) if not small.has_edge(1, v))
         for graph, (a, b), chord in ((grid, (1, 2), (1, 203)), (small, edge, chord)):
             weight = graph.weight(a, b)

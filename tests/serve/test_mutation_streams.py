@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from reference_repair import updates_applied
 
-from reference_generators import path_graph
+from reference_generators import edge_list, path_graph
 from repro.graphs import generators
 from repro.serve import LaplacianService
 
@@ -58,11 +58,11 @@ def mutate_once(graph, rng, ops):
                 break
         graph.add_edge(u, v, float(rng.uniform(0.5, 2.0)))
     elif op == "update":
-        edges = graph.edge_list()
+        edges = edge_list(graph)
         u, v, w = edges[int(rng.integers(0, len(edges)))]
         graph.add_edge(u, v, w + float(rng.uniform(0.1, 1.0)))
     else:
-        edges = graph.edge_list()
+        edges = edge_list(graph)
         u, v, _ = edges[int(rng.integers(0, len(edges)))]
         graph.remove_edge(u, v)
     return op

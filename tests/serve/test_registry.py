@@ -1,6 +1,7 @@
 """GraphRegistry: fingerprints, handles, staleness, collisions."""
 
 import pytest
+from reference_generators import edge_list
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -46,10 +47,10 @@ class TestGraphFingerprint:
         )
         plus_edge.add_edge(*extra, 1.0)
         reweighted = g.copy()
-        u, v, _ = g.edge_list()[0]
+        u, v, _ = edge_list(g)[0]
         reweighted.add_edge(u, v, 99.0)
         bigger = WeightedGraph(g.n + 1)
-        for a, b, w in g.edge_list():
+        for a, b, w in edge_list(g):
             bigger.add_edge(a, b, w)
         fingerprints = {
             graph_fingerprint(g),

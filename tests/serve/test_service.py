@@ -1,17 +1,18 @@
 """LaplacianService: correctness, staleness, eviction, queueing, metrics."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
 
 import reference_dense
+from reference_generators import edge_list
 from repro.graphs import generators
 from repro.serve import (
     ArtifactCache,
     FlushPolicy,
     LaplacianService,
+    Query,
     certify_query,
     resistance_query,
     solve_query,
@@ -161,7 +162,7 @@ class TestCacheInvalidation:
         service.solve(key, rng.normal(size=graph.n))
         service.effective_resistance(key, 0, 1)
         entries_before = len(service.cache)
-        graph.remove_edge(*graph.edge_list()[0][:2])
+        graph.remove_edge(*edge_list(graph)[0][:2])
         service.solve(key, rng.normal(size=graph.n))
         # the preprocessing could not absorb a removal: dropped and rebuilt
         assert service.cache.stats.invalidations >= 1
@@ -177,7 +178,7 @@ class TestCacheInvalidation:
     def test_resistance_reflects_mutation(self, graph):
         service = make_service()
         key = service.register(graph)
-        u, v, _ = graph.edge_list()[0]
+        u, v, _ = edge_list(graph)[0]
         before = service.effective_resistance(key, u, v)
         # adding a parallel 2-hop path strictly lowers the resistance
         w = next(
@@ -303,6 +304,27 @@ class TestQueueing:
             service.submit(solve_query(key, np.zeros(graph.n + 3)))
         # an innocent query co-submitted around the rejected ones still works
         assert service.effective_resistance(key, 0, 1) > 0.0
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([0, 1, 2], [3]),  # ragged
+            ([[0, 1]], [[2, 3]]),  # not 1-d
+            ([0.0, 1.5], [2.0, 3.0]),  # fractional endpoints
+            (0, [1, 2]),  # scalar against an array
+        ],
+    )
+    def test_misaligned_pair_arrays_rejected_at_submit(self, graph, u, v):
+        # a hand-built resistance query with ragged u / v used to pass submit
+        # and then fail its whole coalesced batch at flush
+        service = make_service()
+        key = service.register(graph)
+        innocent = service.submit(resistance_query(key, 0, 1))
+        bad = Query("resistance", key, {"u": np.asarray(u), "v": np.asarray(v), "eta": None})
+        with pytest.raises(ValueError, match="u and v must be|must be integers"):
+            service.submit(bad)
+        service.flush()
+        assert innocent.result(timeout=30).value > 0.0
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), 5.0])
     def test_solve_eps_outside_the_solver_range_rejected_at_submit(self, graph, eps):

@@ -1,18 +1,11 @@
-"""Traffic harness: deterministic traces, report invariants, answer comparison."""
+"""The test traffic harness: deterministic traces, report invariants, answer comparison."""
 
 import numpy as np
 import pytest
+from traffic import TrafficConfig, compare_answers, generate_trace, run_trace
 
 from repro.graphs import generators
-from repro.serve import (
-    ClientRetryPolicy,
-    LaplacianService,
-    ServiceOverloadedError,
-    TrafficConfig,
-    compare_answers,
-    generate_trace,
-    run_trace,
-)
+from repro.serve import LaplacianService
 
 SIZES = [30, 24]
 
@@ -127,122 +120,3 @@ class TestRunTrace:
         versions_after = [service.registry.get(k).graph.version for k in keys]
         assert sum(versions_after) > sum(versions_before)
         service.close()
-
-    def test_summary_digest_shape(self):
-        service, keys = make_service()
-        trace = generate_trace(SIZES, TrafficConfig(seed=29, queries=8))
-        summary = run_trace(service, keys, SIZES, trace, concurrent=False).summary()
-        for field in (
-            "events_total",
-            "ok",
-            "shed",
-            "failed",
-            "throughput_qps",
-            "shed_rate",
-            "latency_p50",
-            "latency_p99",
-        ):
-            assert field in summary
-        assert summary["latency_p99"] >= summary["latency_p50"] >= 0.0
-        service.close()
-
-
-class ShedThenServe:
-    """Stub front door: sheds each event's first ``sheds`` attempts, then answers.
-
-    Only the ``effective_resistance`` surface is implemented -- retry tests
-    drive it with a resistance-only mix so the stub stays trivial.
-    """
-
-    def __init__(self, sheds: int, retry_after=0.002):
-        self.sheds = sheds
-        self.retry_after = retry_after
-        self.attempts = {}
-
-    def effective_resistance(self, key, u, v, eta=None):
-        slot = (key, u, v)
-        count = self.attempts[slot] = self.attempts.get(slot, 0) + 1
-        if count <= self.sheds:
-            raise ServiceOverloadedError(
-                "stub shed", retry_after_seconds=self.retry_after
-            )
-        return float(u + v)
-
-
-class TestClientRetry:
-    MIX = (("resistance", 1.0),)
-
-    def test_retried_then_ok_counts_ok_not_shed(self):
-        trace = generate_trace(
-            SIZES, TrafficConfig(seed=31, queries=12, clients=3, mix=self.MIX)
-        )
-        stub = ShedThenServe(sheds=2)
-        policy = ClientRetryPolicy(max_retries=3, backoff_seconds=0.001, seed=9)
-        report = run_trace(
-            stub, ["a", "b"], SIZES, trace, concurrent=False, retry_policy=policy
-        )
-        assert report.ok == report.events_total == 12
-        assert report.shed == 0 and report.failed == 0
-        assert report.retried_ok == 12
-        assert report.retried_total == 24  # two retries per event
-        assert all(count == 2 for count in report.retries_by_event.values())
-        summary = report.summary()
-        assert summary["retried_total"] == 24
-        assert summary["retried_ok"] == 12
-        assert summary["shed_rate"] == 0.0
-
-    def test_exhausted_retries_count_shed_exactly_once(self):
-        trace = generate_trace(
-            SIZES, TrafficConfig(seed=37, queries=6, clients=2, mix=self.MIX)
-        )
-        stub = ShedThenServe(sheds=99)
-        policy = ClientRetryPolicy(max_retries=2, backoff_seconds=0.001, seed=9)
-        report = run_trace(
-            stub, ["a", "b"], SIZES, trace, concurrent=False, retry_policy=policy
-        )
-        assert report.shed == report.events_total == 6
-        assert report.ok == 0 and report.retried_ok == 0
-        assert report.retried_total == 12  # max_retries per event
-        assert report.ok + report.shed + report.failed == report.events_total
-
-    def test_no_policy_keeps_legacy_single_attempt_behaviour(self):
-        trace = generate_trace(
-            SIZES, TrafficConfig(seed=41, queries=5, clients=1, mix=self.MIX)
-        )
-        stub = ShedThenServe(sheds=1)
-        report = run_trace(stub, ["a", "b"], SIZES, trace, concurrent=False)
-        assert report.shed == report.events_total == 5
-        assert report.retried_total == 0
-
-    def test_delay_honours_hint_and_falls_back_to_backoff(self):
-        policy = ClientRetryPolicy(
-            backoff_seconds=0.02,
-            backoff_multiplier=2.0,
-            max_backoff_seconds=0.5,
-            jitter=0.25,
-            seed=4,
-        )
-        rng = policy.rng_for(0)
-        hinted = policy.delay(0, 0.1, rng)
-        assert 0.1 <= hinted <= 0.1 * 1.25
-        fallback = policy.delay(2, None, rng)  # third retry: 0.02 * 2**2
-        assert 0.08 <= fallback <= 0.08 * 1.25
-        capped = policy.delay(0, 30.0, rng)
-        assert capped <= 0.5 * 1.25
-        blunt = ClientRetryPolicy(honor_retry_after=False, jitter=0.0)
-        assert blunt.delay(0, 30.0, blunt.rng_for(1)) == blunt.backoff_seconds
-
-    def test_jitter_streams_are_deterministic_per_client(self):
-        policy = ClientRetryPolicy(seed=12)
-        a = [policy.rng_for(3).random() for _ in range(2)]
-        b = [policy.rng_for(3).random() for _ in range(2)]
-        assert a == b
-        assert policy.rng_for(3).random() != policy.rng_for(4).random()
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ClientRetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            ClientRetryPolicy(backoff_seconds=0.0)
-        with pytest.raises(ValueError):
-            ClientRetryPolicy(jitter=-0.1)

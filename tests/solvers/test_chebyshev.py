@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_dense import laplacian_matrix
 
-from repro.graphs import generators, laplacian_matrix
+from repro.graphs import generators
 from repro.solvers.chebyshev import (
     chebyshev_error_bound,
     chebyshev_iteration_count,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import reference_dense
-from repro.graphs import generators, laplacian_matrix
-from repro.graphs.laplacian import laplacian_norm
+from repro.graphs import generators
 from repro.linalg.sparse_backend import (
     PENCIL_EIG_TOL_RELAXED,
     GroundedLaplacianSolver,
@@ -27,14 +26,20 @@ def solver(solver_graph):
     return BCCLaplacianSolver(solver_graph, seed=1, t_override=2)
 
 
+@pytest.fixture(scope="module")
+def heavier_solver():
+    graph = generators.random_weighted_graph(48, average_degree=8, max_weight=16, seed=5)
+    return BCCLaplacianSolver(graph, seed=6, t_override=2)
+
+
 class TestAccuracy:
-    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8])
-    def test_error_bound_in_laplacian_norm(self, solver, solver_graph, eps):
-        rng = np.random.default_rng(3)
-        b = rng.normal(size=solver_graph.n)
-        report = solver.solve(b, eps=eps, check=True)
-        assert report.error_bound_holds
-        assert report.measured_relative_error <= eps
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5, 1e-8])
+    def test_error_bound_in_laplacian_norm(self, solver, heavier_solver, eps):
+        for each, rhs_seed in ((solver, 3), (heavier_solver, 7)):
+            b = np.random.default_rng(rhs_seed).normal(size=each.graph.n)
+            report = each.solve(b, eps=eps, check=True)
+            assert report.error_bound_holds
+            assert report.measured_relative_error <= eps
 
     def test_paper_parameters_also_meet_bound(self):
         g = generators.random_weighted_graph(16, average_degree=5, seed=7)
@@ -63,7 +68,7 @@ class TestAccuracy:
         rng = np.random.default_rng(7)
         b = rng.normal(size=solver_graph.n)
         x = solver.exact_solution(b)
-        L = laplacian_matrix(solver_graph)
+        L = reference_dense.laplacian_matrix(solver_graph)
         b_projected = b - np.mean(b)
         np.testing.assert_allclose(L @ x, b_projected, atol=1e-8)
 
@@ -140,9 +145,17 @@ class TestSparseBackend:
         solver = BCCLaplacianSolver(solver_graph, exact_preconditioner=True)
         report = solver.solve(b, eps=1e-8, check=True)
         assert report.error_bound_holds
-        L = laplacian_matrix(solver_graph)
+        L = reference_dense.laplacian_matrix(solver_graph)
         residual = L @ report.solution - (b - b.mean())
         assert np.linalg.norm(residual) <= 1e-6 * max(1.0, np.linalg.norm(b))
+
+    @pytest.mark.parametrize("n", [2000, pytest.param(5000, marks=pytest.mark.slow)])
+    def test_large_exact_preconditioner_meets_the_bound(self, n):
+        """Sizes a dense pseudoinverse cannot touch (``m`` above 10^4)."""
+        graph = generators.random_weighted_graph(n, average_degree=11.0, max_weight=16, seed=5)
+        b = np.random.default_rng(7).normal(size=graph.n)
+        report = BCCLaplacianSolver(graph, exact_preconditioner=True).solve(b, eps=1e-8, check=True)
+        assert report.error_bound_holds
 
 
 class TestReusablePreprocessing:

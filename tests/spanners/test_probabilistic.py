@@ -30,9 +30,13 @@ class TestDeterministicCase:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_stretch_bound(self, k):
-        for seed in range(3):
-            g = generators.random_weighted_graph(22, average_degree=6, max_weight=8, seed=seed)
-            result = probabilistic_spanner(g, k=k, seed=seed + 50)
+        cases = [
+            (generators.random_weighted_graph(22, average_degree=6, max_weight=8, seed=seed), seed + 50)
+            for seed in range(3)
+        ]
+        cases.append((generators.random_weighted_graph(64, average_degree=10, max_weight=16, seed=3), 5))
+        for g, spanner_seed in cases:
+            result = probabilistic_spanner(g, k=k, seed=spanner_seed)
             assert len(result.f_minus) == 0
             stretch = max_stretch(g, result.spanner_graph(g))
             assert stretch <= 2 * k - 1 + 1e-9

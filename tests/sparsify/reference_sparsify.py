@@ -13,6 +13,7 @@ coupling against it.
 """
 
 from reference_executor import ReferenceProbabilisticSpanner
+from reference_generators import edge_list
 
 from repro.graphs.graph import WeightedGraph
 from repro.sparsify.spectral import _iteration_count, stretch_parameter
@@ -65,7 +66,7 @@ def reference_spectral_sparsify(graph, eps, rng, t_override=None, k_override=Non
     rounds = 0
     last_bundle, last_orientation = set(), {}
     for _ in range(1, _iteration_count(graph.m) + 1):
-        restricted_p = {(u, v): probability[(u, v)] for (u, v, _) in current.edge_list()}
+        restricted_p = {(u, v): probability[(u, v)] for (u, v, _) in edge_list(current)}
         bundle, rejected, per_spanner, bundle_rounds = reference_bundle_spanner(
             current, probabilities=restricted_p, k=k, t=t, rng=rng
         )
@@ -73,7 +74,7 @@ def reference_spectral_sparsify(graph, eps, rng, t_override=None, k_override=Non
         last_orientation = reference_orientation(per_spanner)
         rounds += bundle_rounds
         next_graph = WeightedGraph(n)
-        for u, v, weight in current.edge_list():
+        for u, v, weight in edge_list(current):
             key = (u, v)
             if key in rejected:
                 probability.pop(key, None)
@@ -89,7 +90,7 @@ def reference_spectral_sparsify(graph, eps, rng, t_override=None, k_override=Non
     sparsifier = WeightedGraph(n)
     orientation = {}
     broadcasts_per_vertex = {}
-    for u, v, weight in current.edge_list():
+    for u, v, weight in edge_list(current):
         key = (u, v)
         if key in last_bundle:
             sparsifier.add_edge(u, v, weight)
@@ -119,7 +120,7 @@ def reference_spectral_sparsify_apriori(graph, eps, rng, t_override=None, k_over
             u, v = key
             next_graph.add_edge(u, v, current.weight(u, v))
             orientation[key] = bundle_orientation.get(key, (u, v))
-        for u, v, weight in current.edge_list():
+        for u, v, weight in edge_list(current):
             if (u, v) in bundle:
                 continue
             if rng.random() < 0.25:

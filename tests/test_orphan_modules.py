@@ -48,9 +48,11 @@ ALLOWED_UNCALLED = {
     "repro.serve.cluster.ClusterService.wedge_worker": (
         "fault seam: hangs a worker so the health monitor's kill path runs"
     ),
-    "repro.serve.faults.FaultPlan.chaos": "fault seam: the chaos suite's seeded random plan",
-    "repro.serve.faults.FaultPlan.cluster_chaos": (
-        "fault seam: the cluster chaos suite's seeded random plan"
+    "repro.serve.cluster.ClusterService.kill_worker": (
+        "fault seam: hard-kills a worker so the crash-recovery path runs"
+    ),
+    "repro.serve.cluster.ClusterService.wait_recovered": (
+        "recovery wait: blocks until every shard serves again, docs/cluster.md"
     ),
     "repro.serve.faults.FaultInjector.fire_counts": (
         "fault seam: how often each rule fired, read by the fault suites"
