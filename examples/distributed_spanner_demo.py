@@ -32,7 +32,7 @@ def main() -> None:
         stretch = empirical_stretch(graph, result.spanner_graph(graph))
         print(
             f"  k={k}: {len(result.f_plus):>4} edges, stretch {stretch:.2f} "
-            f"(bound {2 * k - 1}), {result.rounds} BC rounds, "
+            f"(bound {2 * k - 1}), {result.rounds:.0f} BC rounds, "
             f"max out-degree {result.max_out_degree()}"
         )
 

@@ -16,7 +16,7 @@ def main() -> None:
     print(f"graph: n={graph.n}, m={graph.m}")
     print(
         f"spanner (k=3): {len(spanner.f_plus)} edges, "
-        f"{spanner.rounds} Broadcast-CONGEST rounds"
+        f"{spanner.rounds:.0f} Broadcast-CONGEST rounds"
     )
 
     # 2. A spectral sparsifier (Theorem 1.2).

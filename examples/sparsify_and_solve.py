@@ -26,7 +26,7 @@ def main() -> None:
         lo, hi = spectral_approximation_factor(graph, result.sparsifier)
         print(
             f"  {label:>8}: {result.size:>5} edges, spectral window [{lo:.3f}, {hi:.3f}], "
-            f"{result.rounds} BC rounds"
+            f"{result.rounds:.0f} BC rounds"
         )
 
     # Electrical potentials: inject one unit of current at vertex 0, extract at

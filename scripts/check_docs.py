@@ -30,7 +30,11 @@ Five checks, all fast and dependency-free beyond the package's own imports:
    ``docs/*.md``, ``README.md`` and the docstrings under ``src/`` -- also
    inside a ``:mod:`` / ``:class:`` role, ``~``-prefixed or ending in ``.*``
    -- must resolve to an importable module or an attribute of one, so a
-   deleted module or symbol cannot survive in prose.
+   deleted module or symbol cannot survive in prose.  The same goes for a
+   backticked ``Class.member`` (optionally ``Class.member()``) whose class is
+   a public class of a ``repro`` package: the member must be an attribute of
+   the class, a dataclass field, or an attribute its methods assign on
+   ``self``, so a deleted attribute cannot survive either.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
@@ -45,6 +49,7 @@ import inspect
 import pkgutil
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -305,6 +310,50 @@ def resolves(name: str) -> bool:
     return False
 
 
+#: a backticked ``Class.member`` or ``Class.member()``
+MEMBER_NAME = re.compile(r"`~?([A-Z]\w*)\.(\w+)(?:\(\))?`")
+
+
+def public_classes() -> dict:
+    """``{class name: [classes]}`` of the public classes every ``repro`` package defines."""
+    classes: dict = {}
+    for package_name in gated_packages():
+        for module_name, module in iter_package_modules(package_name):
+            for name, obj in vars(module).items():
+                if (
+                    inspect.isclass(obj)
+                    and not name.startswith("_")
+                    and obj.__module__ == module_name
+                ):
+                    classes.setdefault(name, []).append(obj)
+    return classes
+
+
+def assigned_on_self(cls) -> set:
+    """Attribute names the methods of ``cls`` (and its ``repro`` bases) assign on ``self``."""
+    names = set()
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith(GATED_NAMESPACE + "."):
+            continue
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(klass)))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                names.add(node.attr)
+    return names
+
+
+def has_member(cls, member: str) -> bool:
+    return (
+        hasattr(cls, member)
+        or member in getattr(cls, "__dataclass_fields__", {})
+        or member in assigned_on_self(cls)
+    )
+
+
 def check_dotted_names() -> list:
     texts = [
         (f"{path.relative_to(REPO_ROOT)}:{number}", line)
@@ -316,12 +365,20 @@ def check_dotted_names() -> list:
         for source in sorted((REPO_ROOT / "src").rglob("*.py"))
         for number, doc in docstrings(source)
     ]
-    return [
+    problems = [
         f"{where}: names `{name}`, which does not resolve"
         for where, text in texts
         for name in DOTTED_NAME.findall(text)
         if not resolves(name)
     ]
+    classes = public_classes()
+    problems += [
+        f"{where}: names `{name}.{member}`, which no `repro` class `{name}` has"
+        for where, text in texts
+        for name, member in MEMBER_NAME.findall(text)
+        if name in classes and not any(has_member(cls, member) for cls in classes[name])
+    ]
+    return problems
 
 
 def main() -> int:

@@ -1,19 +1,24 @@
-"""Round-cost accounting for the algebraic layers of the paper.
+"""Round-cost accounting: one ledger from the spanner to the solver.
 
-The Laplacian solver, the LP solver and the flow pipeline are analysed in the
-paper through a small set of communication primitives whose costs are stated
-in the respective lemmas (e.g. "broadcasting the vector values needs
-``O(log(nU/eps))`` bits, hence ``O(log(nU/eps)/log n)`` rounds", Theorem
-1.3).  :class:`CommunicationPrimitives` implements exactly those primitives:
-each call records its round cost (in BCC rounds) into a :class:`RoundLedger`
-and performs the corresponding numerical operation with numpy.
+Every layer of the chain adds its rounds up in a :class:`RoundLedger`, one
+entry per charged operation.  The combinatorial layers charge it directly:
+:class:`repro.spanners.probabilistic.ProbabilisticSpanner` charges each step of
+Section 3.1 as one entry (Lemma 3.2's Broadcast-CONGEST rounds; a test replays
+the broadcasts of the per-vertex reference executor to check them), the
+bundle and the sparsifier merge their layers' ledgers, and the sparsifier's
+final sampling is one more entry (Theorem 1.2).  The solver merges those
+entries into its own ledger when it preprocesses (Theorem 1.3).
 
-This mirrors how the paper itself reasons about these algorithms -- it never
-serialises the IPM state into log-n-bit words either -- while keeping the round
-accounting faithful to the stated complexities.  The spanner does *not* use
-this layer: :class:`repro.spanners.probabilistic.ProbabilisticSpanner` charges
-its Broadcast-CONGEST rounds per step (``SpannerResult.charges``), and a test
-replays its broadcast transcript under the model's rules to check them.
+The algebraic layers -- the Laplacian solver's iterations, the LP solver and
+the flow pipeline -- are analysed in the paper through a small set of
+communication primitives whose costs are stated in the respective lemmas
+(e.g. "broadcasting the vector values needs ``O(log(nU/eps))`` bits, hence
+``O(log(nU/eps)/log n)`` rounds", Theorem 1.3).  :class:`CommunicationPrimitives`
+implements exactly those primitives: each call records its round cost (in BCC
+rounds) into a ledger and performs the corresponding numerical operation with
+numpy.  This mirrors how the paper itself reasons about these algorithms -- it
+never serialises the IPM state into log-n-bit words either -- while keeping
+the round accounting faithful to the stated complexities.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class LedgerEntry:
 
 @dataclass
 class RoundLedger:
-    """Accumulates BCC round charges of the algebraic pipeline."""
+    """Accumulates the BCC round charges of every layer, one entry per operation."""
 
     entries: List[LedgerEntry] = field(default_factory=list)
     #: running sum of every charge, so reading total_rounds never rescans

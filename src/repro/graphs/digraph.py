@@ -8,6 +8,7 @@ source row removed) and flow feasibility / value / cost checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -26,6 +27,12 @@ class DirectedEdge:
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError(f"self-loops are not allowed: ({self.u}, {self.v})")
+        # NaN passes every ordered comparison, so finiteness is checked first
+        if not (math.isfinite(self.capacity) and math.isfinite(self.cost)):
+            raise ValueError(
+                f"edge ({self.u}, {self.v}) needs a finite capacity and cost, "
+                f"got {self.capacity} and {self.cost}"
+            )
         if self.capacity <= 0:
             raise ValueError(f"capacities must be positive, got {self.capacity}")
 

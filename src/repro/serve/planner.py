@@ -299,12 +299,6 @@ def _validate_flow(graph, payload: Dict[str, Any]) -> None:
         raise ValueError(
             f"'flow' queries need a registered FlowNetwork, got {type(graph).__name__}"
         )
-    # edge construction checks capacity > 0 / cost finite-ish, but a NaN
-    # passes every ordered comparison: refuse it explicitly
-    if not np.all(np.isfinite(graph.capacities())) or not np.all(
-        np.isfinite(graph.costs())
-    ):
-        raise ValueError("registered flow network has non-finite capacities or costs")
     eps_scale = payload["eps_scale"]
     if not (np.isfinite(eps_scale) and eps_scale > 0.0):
         raise ValueError(f"eps_scale must be finite and > 0, got {eps_scale}")

@@ -81,15 +81,17 @@ class SolverPreprocessing:
     serving layer's :class:`repro.serve.artifacts.ArtifactCache` holds these
     per ``(graph, params)`` pair.
 
-    A reused artifact charges zero preprocessing rounds to the ledger (the
-    sparsifier is already on every vertex's blackboard).
+    ``ledger`` holds the sparsifier's charges (none under the exact
+    preconditioner) and ``rounds`` is their total.  A solver built on a reused
+    artifact charges none of them to its own ledger (the sparsifier is already
+    on every vertex's blackboard).
     """
 
     n: int
     exact_preconditioner: bool
     sparsifier: WeightedGraph
     sparsifier_result: Optional[SparsifierResult]
-    rounds: float
+    ledger: RoundLedger
     kappa: float
     scale: float
     #: grounded ``splu`` factorisation of the sparsifier: ``B^+ = L_H^+ / scale``
@@ -98,6 +100,11 @@ class SolverPreprocessing:
     #: was measured (``None`` under the paper's parameters); describes
     #: ``sparsifier_result`` and is cleared with it
     spectral_window: Optional[Tuple[float, float]] = None
+
+    @property
+    def rounds(self) -> float:
+        """Broadcast-CONGEST rounds of the preprocessing: the ledger's total."""
+        return self.ledger.total_rounds
 
     def nbytes(self) -> int:
         """Approximate resident size (for cache byte accounting)."""
@@ -234,7 +241,6 @@ class BCCLaplacianSolver:
             graph.n, self.ledger, value_magnitude=self._U, precision=1e-12
         )
 
-        reused = preprocessing is not None
         if preprocessing is None:
             preprocessing = self.prepare(
                 graph,
@@ -244,16 +250,13 @@ class BCCLaplacianSolver:
                 exact_preconditioner=exact_preconditioner,
                 grounded=self._graph_solver,
             )
+            # Only a fresh build charges its rounds: a reused artifact's
+            # sparsifier was broadcast when it was first built, which is
+            # exactly the amortisation Theorem 1.3 promises across solve
+            # instances.
+            self.ledger.merge(preprocessing.ledger)
         self.prepared = preprocessing
         self._sparsifier_result = preprocessing.sparsifier_result
-        # A reused artifact charges nothing: the sparsifier was broadcast when
-        # it was first built, which is exactly the amortisation Theorem 1.3
-        # promises across solve instances.
-        self.ledger.charge(
-            "sparsifier_preprocessing",
-            0.0 if reused else preprocessing.rounds,
-            "Theorem 1.2",
-        )
 
         # B = scale * L_H; every vertex knows H, so solves in B are local.
         # _solve_B accepts an (n,) vector or an (n, k) block: the grounded
@@ -309,7 +312,7 @@ class BCCLaplacianSolver:
         if exact_preconditioner:
             sparsifier_result: Optional[SparsifierResult] = None
             sparsifier = graph.copy()
-            preprocessing_rounds = 0.0
+            ledger = RoundLedger()
             kappa = 1.0
             scale = 1.0
         else:
@@ -321,7 +324,7 @@ class BCCLaplacianSolver:
                 bundle_scale=bundle_scale,
             )
             sparsifier = sparsifier_result.sparsifier
-            preprocessing_rounds = float(sparsifier_result.rounds)
+            ledger = sparsifier_result.ledger
             if t_override is None and bundle_scale == 1.0:
                 # Paper parameters: H is a (1 +/- 1/2)-sparsifier whp, so
                 # B = (3/2) L_H satisfies L_G <= B <= 3 L_G (Corollary 2.4).
@@ -365,7 +368,7 @@ class BCCLaplacianSolver:
             exact_preconditioner=exact_preconditioner,
             sparsifier=sparsifier,
             sparsifier_result=sparsifier_result,
-            rounds=preprocessing_rounds,
+            ledger=ledger,
             kappa=kappa,
             scale=scale,
             grounded=solver,

@@ -24,7 +24,8 @@ from the spanner to the sparsification loop.
 The layers share one generator and run one after the other, so the random
 stream is the concatenation of the per-spanner streams; what each spanner
 draws, and in which order, is the contract documented in
-:mod:`repro.spanners.probabilistic`.
+:mod:`repro.spanners.probabilistic`.  Their round charges are concatenated the
+same way: the result's ``ledger`` merges every layer's ledger in layer order.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.congest.ledger import RoundLedger
 from repro.graphs.graph import EdgeView, WeightedGraph
 from repro.spanners.probabilistic import (
     ProbabilisticSpanner,
@@ -50,12 +52,14 @@ class BundleResult:
     ``bundle_idx`` / ``rejected_idx`` hold the edges as base indices of the
     view the bundle ran on (for bulk mask updates in the sparsification loop);
     ``bundle`` / ``rejected`` are the same edges as canonical keys, built on
-    first access.
+    first access.  ``ledger`` holds every layer's charges, layer after layer.
     """
 
     def __init__(self, view: EdgeView, per_spanner: List[SpannerResult]):
         self.per_spanner = per_spanner
-        self.rounds = sum(spanner.rounds for spanner in per_spanner)
+        self.ledger = RoundLedger()
+        for spanner in per_spanner:
+            self.ledger.merge(spanner.ledger)
         none = np.zeros(0, dtype=np.int64)  # concatenate refuses an empty list
         self.bundle_idx = np.concatenate([none] + [s.f_plus_idx for s in per_spanner])
         self.rejected_idx = np.concatenate([none] + [s.f_minus_idx for s in per_spanner])
@@ -84,7 +88,6 @@ def bundle_spanner(
     t: int = 1,
     seed: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    record_broadcasts: bool = True,
 ) -> BundleResult:
     """Compute a ``t``-bundle of ``(2k-1)``-spanners (Algorithm 3).
 
@@ -102,9 +105,6 @@ def bundle_spanner(
         Stretch parameter of the individual spanners.
     t:
         Number of spanners in the bundle.
-    record_broadcasts:
-        Whether the per-spanner broadcast transcripts are kept (rounds are
-        accounted either way; the sparsification loops switch this off).
     """
     if t < 1:
         raise ValueError(f"bundle size t must be >= 1, got {t}")
@@ -123,7 +123,6 @@ def bundle_spanner(
             probabilities=prob,
             k=k,
             rng=rng,
-            record_broadcasts=record_broadcasts,
         ).run()
         per_spanner.append(spanner)
         alive = alive.copy()

@@ -13,9 +13,14 @@ three more (4.1: unclustered vertices to the surviving clusters; 4.2 / 4.3:
 between surviving clusters).  Rounds are charged following Lemma 3.2: one
 round per word per broadcast, broadcasts of different vertices in one step
 run in parallel, and the per-phase dissemination of the marking costs
-``k - 1`` rounds; each charge is kept per step (``SpannerResult.charges``).
-Every ``Connect`` is also recorded as the broadcast the paper prescribes;
-``tests/spanners/test_broadcast_reconstruction.py`` replays that transcript,
+``k - 1`` rounds.  Each step is one entry of the
+:class:`~repro.congest.ledger.RoundLedger` the result carries
+(``SpannerResult.ledger``), named by the step with ``detail`` ``"phase <p>"``;
+the bundle, the sparsifier and the solver merge these entries into theirs.
+The run records no transcript.  The per-vertex reference executor in
+``tests/spanners/reference_executor.py`` records the broadcasts the paper
+prescribes and charges the same entries;
+``tests/spanners/test_broadcast_reconstruction.py`` replays its transcript,
 rebuilds ``F+`` / ``F-`` from it by the receiver rules of Section 3.1, and
 sends it again under Broadcast CONGEST to hold every charge against the rounds
 it takes (``docs/substitutions.md``, 7).  So the "implicit communication" of
@@ -55,7 +60,7 @@ The rng-order contract
 Seeded outputs are pinned (``tests/spanners/test_executor_equivalence.py``)
 to the per-vertex executor this module used to contain, which now lives in
 ``tests/spanners/reference_executor.py``: equal decisions, orientation,
-rounds, transcript *and* generator state after the run.  The contract is
+per-step charges *and* generator state after the run.  The contract is
 
 * marking: one uniform per cluster centre and phase, centres ascending;
 * ``Connect``: one uniform per *inspected* candidate -- also when its
@@ -79,6 +84,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.congest.ledger import RoundLedger
 from repro.graphs.graph import EdgeView, WeightedGraph
 
 EdgeKey = Tuple[int, int]
@@ -129,15 +135,6 @@ def resolve_edge_probabilities(
     return prob
 
 
-#: One step of the transcript as arrays: (phase, step, senders, target clusters,
-#: accepted neighbours, accepted weights); ``-1`` stands for the bottom symbol.
-_StepRecord = Tuple[int, str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-#: One charge of Lemma 3.2's accounting: (phase, step, rounds), where the step
-#: is a ``Connect`` step's name or ``"marking"`` for the phase's dissemination.
-StepCharge = Tuple[int, str, int]
-
-
 class SpannerResult:
     """Output of the probabilistic spanner algorithm.
 
@@ -146,11 +143,10 @@ class SpannerResult:
     on, which is what the bundle / sparsify layers consume for bulk mask
     updates.  ``f_plus`` / ``f_minus`` (the same edges as canonical keys) and
     ``orientation`` (each ``F+`` edge to ``(tail, head)``, the tail being the
-    vertex that added it) are derived from them on first access.  ``charges``
-    lists the rounds charged per step in execution order, and ``rounds`` is
-    their sum.  The per-phase clusterings and the step transcript (empty
-    unless it was recorded) stay as the arrays the run produced; only the
-    tests decode them (``tests/spanners/reference_executor.py``).
+    vertex that added it) are derived from them on first access.  ``ledger``
+    holds one entry per step in execution order -- ``"marking"``, ``"step2"``
+    ... ``"step4.3"``, with ``detail`` ``"phase <p>"`` -- and ``rounds`` is its
+    total.
     """
 
     def __init__(
@@ -160,20 +156,20 @@ class SpannerResult:
         f_plus_idx: np.ndarray,
         f_minus_idx: np.ndarray,
         tails: np.ndarray,
-        charges: List[StepCharge],
-        clusters: List[np.ndarray],
-        steps: List[_StepRecord],
+        ledger: RoundLedger,
     ):
         self.n = view.n
         self.k = k
         self.f_plus_idx = f_plus_idx
         self.f_minus_idx = f_minus_idx
-        self.charges = charges
-        self.rounds = sum(rounds for _, _, rounds in charges)
+        self.ledger = ledger
         self._view = view
         self._tails = tails
-        self._clusters = clusters
-        self._steps = steps
+
+    @property
+    def rounds(self) -> float:
+        """Broadcast-CONGEST rounds charged by the run: the ledger's total."""
+        return self.ledger.total_rounds
 
     @cached_property
     def f_plus(self) -> Set[EdgeKey]:
@@ -282,7 +278,6 @@ class ProbabilisticSpanner:
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
         marking_bits: Optional[List[Dict[int, bool]]] = None,
-        record_broadcasts: bool = True,
     ):
         if k < 1:
             raise ValueError(f"stretch parameter k must be >= 1, got {k}")
@@ -290,10 +285,6 @@ class ProbabilisticSpanner:
         self.k = int(k)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.marking_bits = marking_bits
-        # The broadcast transcript documents the distributed execution but is
-        # dead weight for the sparsification loops, which only consume edge
-        # sets and round counts; they opt out (rng draws are unaffected).
-        self.record_broadcasts = bool(record_broadcasts)
         self._prob = resolve_edge_probabilities(self.view, probabilities)
         n = self.view.n
         self.word_bits = max(1, math.ceil(math.log2(max(2, n))))
@@ -327,17 +318,13 @@ class ProbabilisticSpanner:
         self._dead = np.zeros(m, dtype=bool)
         self._in_plus = np.zeros(m, dtype=bool)
         self._tail = np.zeros(m, dtype=np.int64)
-        self._charges: List[StepCharge] = []
-        self._steps: List[_StepRecord] = []
-        clusters: List[np.ndarray] = []
+        self._ledger = RoundLedger()
 
         mark_probability = n ** (-1.0 / self.k)
         for phase in range(self.k - 1):
-            clusters.append(self._cluster)
             self._run_phase(phase, self._mark_clusters(phase, mark_probability))
             # Step 1 dissemination of the marking through the cluster trees.
-            self._charges.append((phase, "marking", max(1, self.k - 1)))
-        clusters.append(self._cluster)
+            self._charge(phase, "marking", max(1, self.k - 1))
         self._final_step()
 
         plus = np.flatnonzero(self._in_plus)
@@ -347,10 +334,11 @@ class ProbabilisticSpanner:
             f_plus_idx=base_idx[plus],
             f_minus_idx=base_idx[self._dead],
             tails=self._tail[plus],
-            charges=self._charges,
-            clusters=clusters,
-            steps=self._steps,
+            ledger=self._ledger,
         )
+
+    def _charge(self, phase: int, step: str, rounds: int) -> None:
+        self._ledger.charge(step, rounds, f"phase {phase}")
 
     # -- phase steps ------------------------------------------------------------
 
@@ -387,9 +375,8 @@ class ProbabilisticSpanner:
         # marked clusters.  The accepted connection (W_v, u) -- (inf, inf) after
         # bottom -- is the threshold of step 3, which only considers strictly
         # lighter edges (ties broken by identifier, as in Appendix A).
-        actors = np.flatnonzero(~marked[cluster] & (cluster >= 0))
         candidates = scan[to_marked]
-        _starts, accepted = self._connect(candidates, src[candidates])
+        _, accepted = self._connect(candidates, src[candidates])
         joined = accepted[accepted >= 0]
         threshold_w = np.full(n, np.inf)
         threshold_id = np.full(n, np.inf)
@@ -397,22 +384,8 @@ class ProbabilisticSpanner:
         threshold_id[src[joined]] = dst[joined]
         next_cluster = np.where(marked[cluster], cluster, -1)
         next_cluster[src[joined]] = cluster[dst[joined]]
-        self._charges.append((phase, "step2", self.words_per_message if actors.size else 1))
-        if self.record_broadcasts:
-            neighbour = np.full(n, -1)
-            accepted_weight = np.zeros(n)
-            neighbour[src[joined]] = dst[joined]
-            accepted_weight[src[joined]] = weight[joined]
-            self._steps.append(
-                (
-                    phase,
-                    "step2",
-                    actors,
-                    next_cluster[actors],
-                    neighbour[actors],
-                    accepted_weight[actors],
-                )
-            )
+        acting = (~marked[cluster] & (cluster >= 0)).any()
+        self._charge(phase, "step2", self.words_per_message if acting else 1)
 
         # Steps 3.1 / 3.2: one Connect per (acting vertex, adjacent unmarked
         # cluster other than its own), towards smaller identifiers first.
@@ -462,22 +435,10 @@ class ProbabilisticSpanner:
         for name, side in zip(steps, sides):
             chosen = side & ~self._dead[self._edge[scan]]
             candidates, groups = scan[chosen], key[chosen]
-            starts, accepted = self._connect(candidates, groups)
+            starts, _ = self._connect(candidates, groups)
             senders = self._src[candidates[starts]]
             rounds = int(np.bincount(senders).max()) * self.words_per_message if starts.size else 1
-            self._charges.append((phase, name, rounds))
-            if self.record_broadcasts:
-                won = np.maximum(accepted, 0)
-                self._steps.append(
-                    (
-                        phase,
-                        name,
-                        senders,
-                        other[candidates[starts]],
-                        np.where(accepted >= 0, self._dst[won], -1),
-                        self._w[won],
-                    )
-                )
+            self._charge(phase, name, rounds)
 
     def _connect(self, candidates: np.ndarray, key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve one step's ``Connect`` groups and apply their outcome to the state.

@@ -24,6 +24,11 @@ draws its coins in one batched ``rng.random(count)`` call -- which consumes
 the *same* underlying random stream as the historical per-edge scalar calls,
 so seeded outputs are bit-identical to the per-edge implementation
 (``tests/sparsify/test_vectorized_equivalence.py``).
+
+Rounds: every iteration merges its bundle's ledger -- one entry per spanner
+step -- into the result's :class:`~repro.congest.ledger.RoundLedger`, and the
+final sampling is one more entry, ``"sampling"``: the most sampled edges one
+vertex announces.  ``SparsifierResult.rounds`` is that ledger's total.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.congest.ledger import RoundLedger
 from repro.graphs.graph import EdgeView, WeightedGraph
 from repro.spanners.bundle import bundle_spanner
 
@@ -68,24 +74,29 @@ class IterationRecord:
     bundle_edges: int
     rejected_edges: int
     remaining_edges: int
-    rounds: int
 
 
 @dataclass
 class SparsifierResult:
     """Output of the sparsification algorithms.
 
-    ``sparsifier`` is the reweighted subgraph ``H``; ``rounds`` is the
-    Broadcast-CONGEST round count (only meaningful for the ad-hoc variant);
-    ``orientation`` maps each sparsifier edge to a ``(tail, head)`` pair such
-    that out-degrees are small (Theorem 1.2).
+    ``sparsifier`` is the reweighted subgraph ``H``; ``ledger`` holds the
+    Broadcast-CONGEST charges of every spanner step and of the final
+    sampling, and ``rounds`` is their total; ``orientation`` maps each
+    sparsifier edge to a ``(tail, head)`` pair such that out-degrees are small
+    (Theorem 1.2).
     """
 
     sparsifier: WeightedGraph
-    rounds: int = 0
+    ledger: RoundLedger = field(default_factory=RoundLedger)
     iterations: List[IterationRecord] = field(default_factory=list)
     orientation: Dict[EdgeKey, Tuple[int, int]] = field(default_factory=dict)
     final_probabilities: Dict[EdgeKey, float] = field(default_factory=dict)
+
+    @property
+    def rounds(self) -> float:
+        """Broadcast-CONGEST rounds charged by the run: the ledger's total."""
+        return self.ledger.total_rounds
 
     @property
     def size(self) -> int:
@@ -164,10 +175,9 @@ def spectral_sparsify(
             k=k,
             t=t,
             rng=rng,
-            record_broadcasts=False,
         )
         bundle_idx, rejected_idx = bundle.bundle_idx, bundle.rejected_idx
-        result.rounds += bundle.rounds
+        result.ledger.merge(bundle.ledger)
 
         # E_i <- E_{i-1} \ C_i ; p <- 1 on the bundle, p/4 and w*4 elsewhere.
         bundle_mask = np.zeros(base_m, dtype=bool)
@@ -183,7 +193,6 @@ def spectral_sparsify(
                 bundle_edges=int(bundle_idx.size),
                 rejected_edges=int(rejected_idx.size),
                 remaining_edges=int(np.count_nonzero(alive)),
-                rounds=bundle.rounds,
             )
         )
 
@@ -210,10 +219,9 @@ def spectral_sparsify(
     # the endpoint with the smaller identifier performs the sampling
     for a, b in zip(edge_u[kept_sampled].tolist(), edge_v[kept_sampled].tolist()):
         orientation[(a, b)] = (a, b)
-    if kept_sampled.size:
-        result.rounds += int(np.bincount(edge_u[kept_sampled]).max())
-    else:
-        result.rounds += 1
+    # the busiest sampler announces one kept edge per round; nobody: one round
+    rounds = int(np.bincount(edge_u[kept_sampled]).max()) if kept_sampled.size else 1
+    result.ledger.charge("sampling", rounds, "Algorithm 5, lines 11-15")
 
     result.sparsifier = sparsifier
     result.orientation = orientation

@@ -1,5 +1,7 @@
 """Tests for flow networks (directed capacitated graphs)."""
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,9 @@ class TestConstruction:
             DirectedEdge(0, 0, 1.0)
         with pytest.raises(ValueError):
             DirectedEdge(0, 1, 0.0)
+        for capacity, cost in [(nan, 0.0), (inf, 0.0), (1.0, nan), (1.0, inf)]:
+            with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
+                DirectedEdge(0, 1, capacity, cost)
 
     def test_capacity_and_cost_vectors_follow_edge_keys(self):
         net = diamond_network()

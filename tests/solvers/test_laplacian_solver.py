@@ -182,6 +182,16 @@ class TestReusablePreprocessing:
         # the report still documents what preprocessing originally cost
         assert reused.preprocessing.rounds == scratch.preprocessing.rounds > 0
 
+    def test_the_solver_ledger_starts_with_the_preprocessing_entries(self, solver_graph):
+        """One ledger from spanner to solver: the sparsifier's entries, then the solves'."""
+        solver = BCCLaplacianSolver(solver_graph, seed=1, t_override=2)
+        entries = solver.prepared.ledger.entries
+        assert solver.ledger.entries == entries
+        assert solver.ledger.total_rounds == solver.prepared.rounds == solver.preprocessing.rounds
+        solver.solve(np.random.default_rng(3).normal(size=solver_graph.n), eps=1e-4)
+        assert solver.ledger.entries[: len(entries)] == entries
+        assert {entry.operation for entry in solver.ledger.entries[len(entries):]} >= {"matvec"}
+
     def test_preprocessing_shared_across_constructions(self, solver_graph):
         prepared = BCCLaplacianSolver.prepare(solver_graph, seed=1, t_override=2)
         a = BCCLaplacianSolver(solver_graph, preprocessing=prepared)

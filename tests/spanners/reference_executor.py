@@ -9,16 +9,21 @@ so it *defines* the rng-order contract: marking draws per centre in ascending
 order, ``Connect`` draws in ``(vertex, cluster, weight, identifier)`` order,
 each group stopping at its first acceptance.
 
-``tests/spanners/test_executor_equivalence.py`` pins the array executor to it
-field by field, generator state included; the historical bundle / sparsify
-loops in ``tests/sparsify/test_vectorized_equivalence.py`` are built on it as
-well.  Do not optimise this file.
+It is also the only executor that records the run as the paper describes it:
+every broadcast (``BroadcastRecord``), the clustering at the start of every
+phase, and one ``(phase, step, rounds)`` charge per step.
+``tests/spanners/test_broadcast_reconstruction.py`` replays that transcript
+and holds the charges against it; ``tests/spanners/test_executor_equivalence.py``
+pins the array executor to this one field by field, its ledger entries
+against these charges and the generator state included, so the replay holds
+for both.  The historical bundle / sparsify loops in
+``tests/sparsify/test_vectorized_equivalence.py`` are built on it as well.
+Do not optimise this file.
 
 Below the executor sit what only tests read of a run, moved out of ``src/``:
-``BroadcastRecord``, ``adjacency_lists`` of an ``EdgeView``, and the readers
-``f_plus_of`` / ``f_minus_of`` / ``out_degrees`` / ``clusters_per_phase`` /
-``broadcasts`` that give an array executor's ``SpannerResult`` the fields of a
-``ReferenceSpannerResult``.
+``adjacency_lists`` of an ``EdgeView``, and the readers ``f_plus_of`` /
+``f_minus_of`` / ``out_degrees`` / ``step_charges`` that give an array
+executor's ``SpannerResult`` the fields of a ``ReferenceSpannerResult``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ AdjEntry = Tuple[int, float, int]
 
 #: Connect's scan order, line 1 of Algorithm 2: ascending (weight, identifier).
 _by_weight_then_id = itemgetter(1, 0)
+
+#: One charge of Lemma 3.2's accounting: (phase, step, rounds), where the step
+#: is a ``Connect`` step's name or ``"marking"`` for the phase's dissemination.
+StepCharge = Tuple[int, str, int]
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,8 @@ class ReferenceSpannerResult:
     execution would hold the output.  ``f_plus_idx`` / ``f_minus_idx`` hold the
     same decisions as base edge indices of the view the spanner ran on, which
     is what the bundle/sparsify layers consume for bulk mask updates.
+    ``charges`` lists the rounds charged per step in execution order, and
+    ``rounds`` is their sum.
     """
 
     n: int
@@ -80,8 +91,12 @@ class ReferenceSpannerResult:
     f_minus_of: Dict[int, Set[int]] = field(default_factory=dict)
     orientation: Dict[EdgeKey, Tuple[int, int]] = field(default_factory=dict)
     broadcasts: List[BroadcastRecord] = field(default_factory=list)
-    rounds: int = 0
+    charges: List[StepCharge] = field(default_factory=list)
     clusters_per_phase: List[Dict[int, int]] = field(default_factory=list)
+
+    @property
+    def rounds(self) -> int:
+        return sum(rounds for _, _, rounds in self.charges)
 
     @property
     def f(self) -> Set[EdgeKey]:
@@ -115,7 +130,6 @@ class ReferenceProbabilisticSpanner:
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
         marking_bits: Optional[List[Dict[int, bool]]] = None,
-        record_broadcasts: bool = True,
     ):
         if k < 1:
             raise ValueError(f"stretch parameter k must be >= 1, got {k}")
@@ -123,10 +137,6 @@ class ReferenceProbabilisticSpanner:
         self.k = int(k)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.marking_bits = marking_bits
-        # The broadcast transcript documents the distributed execution but is
-        # dead weight for the sparsification loops, which only consume edge
-        # sets and round counts; they opt out (rng draws are unaffected).
-        self.record_broadcasts = bool(record_broadcasts)
         self._prob = resolve_edge_probabilities(self.view, probabilities)
         # hot per-candidate reads go through plain Python floats, not numpy scalars
         self._prob_list = self._prob.tolist()
@@ -167,7 +177,7 @@ class ReferenceProbabilisticSpanner:
             self.cluster_of = new_cluster_of
             self._rebuild_cluster_list()
             # Step 1 dissemination of the marking through the cluster trees.
-            self.result.rounds += max(1, self.k - 1)
+            self.result.charges.append((phase, "marking", max(1, self.k - 1)))
         self.result.clusters_per_phase.append(dict(self.cluster_of))
         self._final_step()
         return self.result
@@ -225,7 +235,7 @@ class ReferenceProbabilisticSpanner:
                 self._record_broadcast(phase, "step2", v, cluster_list[u], u, w_uv)
             if rejected:
                 self._reject_edges(v, rejected)
-        self._charge_step(messages_per_vertex)
+        self._charge_step(phase, "step2", messages_per_vertex)
 
     def _clustered_neighbours(
         self, v: int, threshold: Optional[Tuple[float, float]] = None
@@ -294,7 +304,7 @@ class ReferenceProbabilisticSpanner:
                     self._add_spanner_edge(v, u, ei)
                     self._record_broadcast(phase, step_name, v, cluster, u, w_uv)
                 self._reject_edges(v, rejected)
-        self._charge_step(messages_per_vertex)
+        self._charge_step(phase, step_name, messages_per_vertex)
 
     def _final_step(self) -> None:
         """Step 4: connect every vertex to all adjacent surviving clusters ``R_k``."""
@@ -310,7 +320,7 @@ class ReferenceProbabilisticSpanner:
             self._connect_to_each_cluster(
                 v, groups, surviving, phase, "step4.1", messages_per_vertex
             )
-        self._charge_step(messages_per_vertex)
+        self._charge_step(phase, "step4.1", messages_per_vertex)
 
         # 4.2 / 4.3 -- vertices inside surviving clusters, split by cluster ID.
         for smaller_ids, step_name in ((True, "step4.2"), (False, "step4.3")):
@@ -328,7 +338,7 @@ class ReferenceProbabilisticSpanner:
                 self._connect_to_each_cluster(
                     v, groups, targets, phase, step_name, messages_per_vertex
                 )
-            self._charge_step(messages_per_vertex)
+            self._charge_step(phase, step_name, messages_per_vertex)
 
     def _connect_to_each_cluster(
         self,
@@ -427,8 +437,6 @@ class ReferenceProbabilisticSpanner:
         accepted: Optional[int],
         weight: Optional[float],
     ) -> None:
-        if not self.record_broadcasts:
-            return
         self.result.broadcasts.append(
             BroadcastRecord(
                 phase=phase,
@@ -440,14 +448,15 @@ class ReferenceProbabilisticSpanner:
             )
         )
 
-    def _charge_step(self, messages_per_vertex: Dict[int, int]) -> None:
+    def _charge_step(self, phase: int, step: str, messages_per_vertex: Dict[int, int]) -> None:
         """Charge rounds for one step: broadcasts of different vertices run in
         parallel, so the cost is the maximum number of messages any vertex sends,
-        times the number of words per message (Lemma 3.2)."""
-        if not messages_per_vertex:
-            self.result.rounds += 1
-            return
-        self.result.rounds += max(messages_per_vertex.values()) * self.words_per_message
+        times the number of words per message (Lemma 3.2); a step in which
+        nobody sends costs one round."""
+        rounds = 1
+        if messages_per_vertex:
+            rounds = max(messages_per_vertex.values()) * self.words_per_message
+        self.result.charges.append((phase, step, rounds))
 
 
 def reference_probabilistic_spanner(
@@ -519,30 +528,12 @@ def out_degrees(result: SpannerResult) -> Dict[int, int]:
     return degrees
 
 
-def clusters_per_phase(result: SpannerResult) -> List[Dict[int, int]]:
-    """``{vertex: centre}`` of the clustered vertices at the start of each phase."""
-    per_phase = []
-    for cluster in result._clusters:
-        members = np.flatnonzero(cluster >= 0)
-        per_phase.append(dict(zip(members.tolist(), cluster[members].tolist())))
-    return per_phase
+def step_charges(result: SpannerResult) -> List[StepCharge]:
+    """The run's ledger entries as ``(phase, step, rounds)``, in execution order.
 
-
-def broadcasts(result: SpannerResult) -> List[BroadcastRecord]:
-    """The recorded transcript, one record per broadcast; ``-1`` decodes to bottom."""
-    records: List[BroadcastRecord] = []
-    for phase, step, senders, targets, accepted, weights in result._steps:
-        for sender, target, neighbour, weight in zip(
-            senders.tolist(), targets.tolist(), accepted.tolist(), weights.tolist()
-        ):
-            records.append(
-                BroadcastRecord(
-                    phase=phase,
-                    step=step,
-                    sender=sender,
-                    target_cluster=target if target >= 0 else None,
-                    accepted=neighbour if neighbour >= 0 else None,
-                    weight=weight if neighbour >= 0 else None,
-                )
-            )
-    return records
+    Decodes the fixed ``detail`` format ``"phase <p>"`` of the spanner's entries.
+    """
+    return [
+        (int(entry.detail.removeprefix("phase ")), entry.operation, entry.rounds)
+        for entry in result.ledger.entries
+    ]

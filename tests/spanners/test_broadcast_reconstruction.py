@@ -11,14 +11,19 @@ receiver works the rest out by three rules:
 
 These tests replay a run's transcript in order against nothing but the input
 graph and the per-phase clusterings, rebuild ``F+`` / ``F-`` by those rules,
-and demand the executor's own bookkeeping.  The addressed clusters of a step-2
+and demand the executor's own bookkeeping.  The transcript, the clusterings
+and the per-step charges come from the per-vertex reference executor
+(``reference_executor.py``), the one that records them;
+``test_executor_equivalence.py`` pins the array executor's decisions and
+ledger entries to it step by step, so what is replayed here is what
+``repro.spanners.probabilistic`` charges.  The addressed clusters of a step-2
 broadcast are the marked ones, which a receiver knows as the clusters that
 are still there in the next phase; step 3 only scans below the threshold the
 sender's own step-2 broadcast of that phase announced.
 
 The same transcript is then sent again under the rules of Broadcast CONGEST
 (Section 2.1), the model Lemma 3.2 charges in, and the rounds it takes are
-held against the executor's per-step charges (``SpannerResult.charges``):
+held against the executor's per-step charges:
 
 * every vertex sends one word of ``ceil(log2 n)`` bits per round, heard by
   all its neighbours, so a step lasts as many rounds as the most words one
@@ -46,7 +51,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from reference_executor import BroadcastRecord, broadcasts, clusters_per_phase
+from reference_executor import BroadcastRecord, ReferenceProbabilisticSpanner
 
 from repro.graphs import generators
 from repro.graphs.graph import EdgeView, canonical_edge
@@ -54,18 +59,6 @@ from repro.spanners.bundle import bundle_spanner
 from repro.spanners.probabilistic import ProbabilisticSpanner
 
 NO_LIMIT = (math.inf, math.inf)
-
-
-def decoded(result):
-    """What the replay reads of a ``SpannerResult``, its transcript decoded to records."""
-    return SimpleNamespace(
-        k=result.k,
-        charges=result.charges,
-        f_plus=result.f_plus,
-        f_minus=result.f_minus,
-        clusters_per_phase=clusters_per_phase(result),
-        broadcasts=broadcasts(result),
-    )
 
 
 def replay(view: EdgeView, result):
@@ -197,7 +190,7 @@ def check_rounds(view: EdgeView, result):
 
 
 def run_and_replay(view, probabilities, k, seed):
-    result = decoded(ProbabilisticSpanner(view, probabilities, k=k, seed=seed).run())
+    result = ReferenceProbabilisticSpanner(view, probabilities, k=k, seed=seed).run()
     f_plus, f_minus = replay(view, result)
     assert f_plus == result.f_plus
     assert f_minus == result.f_minus
@@ -247,16 +240,22 @@ def test_grid_with_unit_weights():
 @pytest.mark.parametrize("k", [2, 3])
 def test_every_bundle_layer_replays(k):
     """Algorithm 3 runs the spanner again on what the earlier layers left
-    undecided; each layer's transcript is replayed on that residual view."""
+    undecided; each layer's transcript is replayed on that residual view.
+    The reference runs the layers as ``bundle_spanner`` does, on one shared
+    generator, and decides what the bundle's layers decided."""
     graph = generators.random_weighted_graph(40, average_degree=10, max_weight=4, seed=k)
     view = EdgeView.from_graph(graph)
-    bundle = bundle_spanner(view, np.full(view.base_m, 0.5), k=k, t=3, seed=k + 40)
+    probabilities = np.full(view.base_m, 0.5)
+    bundle = bundle_spanner(view, probabilities, k=k, t=3, seed=k + 40)
     assert len(bundle.per_spanner) >= 2  # at least one layer runs on a residual view
+    rng = np.random.default_rng(k + 40)
     alive = view.alive.copy()
     for layer in bundle.per_spanner:
         residual = view.subview(alive.copy())
-        assert replay(residual, decoded(layer)) == (layer.f_plus, layer.f_minus)
-        check_rounds(residual, decoded(layer))
+        result = ReferenceProbabilisticSpanner(residual, probabilities, k=k, rng=rng).run()
+        assert (result.f_plus, result.f_minus) == (layer.f_plus, layer.f_minus)
+        assert replay(residual, result) == (layer.f_plus, layer.f_minus)
+        check_rounds(residual, result)
         alive[layer.f_plus_idx] = False
         alive[layer.f_minus_idx] = False
 

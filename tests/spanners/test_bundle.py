@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from reference_executor import broadcasts
 
 from reference_generators import path_graph
 from repro.graphs import generators
@@ -68,7 +67,8 @@ class TestBundleStructure:
         g = generators.random_weighted_graph(20, seed=9)
         one = bundle_spanner(g, k=2, t=1, seed=10)
         three = bundle_spanner(g, k=2, t=3, seed=10)
-        assert three.rounds >= one.rounds
+        assert three.ledger.total_rounds >= one.ledger.total_rounds
+        assert three.ledger.entries[: len(one.ledger.entries)] == one.ledger.entries
 
     def test_invalid_t(self):
         g = path_graph(4)
@@ -88,7 +88,7 @@ class TestBundleStructure:
         b = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=15)
         np.testing.assert_array_equal(a.bundle_idx, b.bundle_idx)
         np.testing.assert_array_equal(a.rejected_idx, b.rejected_idx)
-        assert a.rounds == b.rounds
+        assert a.ledger == b.ledger
 
     def test_view_array_and_graph_dict_inputs_agree(self):
         """The sparsifier's form (EdgeView + aligned array) and the public one
@@ -100,16 +100,15 @@ class TestBundleStructure:
         by_graph = bundle_spanner(g, probabilities={e.key: 0.25 for e in g.edges()}, k=3, t=2, seed=17)
         assert by_view.bundle == by_graph.bundle
         assert by_view.rejected == by_graph.rejected
-        assert by_view.rounds == by_graph.rounds
+        assert by_view.ledger == by_graph.ledger
 
-    def test_unrecorded_transcript_changes_nothing_else(self):
+    def test_ledger_is_the_layers_ledgers_in_order(self):
         g = generators.random_weighted_graph(25, average_degree=8, seed=18)
         probs = {e.key: 0.5 for e in g.edges()}
-        recorded = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=19)
-        silent = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=19, record_broadcasts=False)
-        assert silent.bundle == recorded.bundle and silent.rejected == recorded.rejected
-        assert silent.rounds == recorded.rounds
-        assert all(broadcasts(layer) == [] for layer in silent.per_spanner)
+        result = bundle_spanner(g, probabilities=probs, k=2, t=3, seed=19)
+        layers = [entry for layer in result.per_spanner for entry in layer.ledger.entries]
+        assert result.ledger.entries == layers
+        assert result.ledger.total_rounds == sum(layer.rounds for layer in result.per_spanner)
 
     def test_stops_early_when_graph_exhausted(self):
         g = path_graph(6)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_executor import broadcasts, clusters_per_phase, f_minus_of, f_plus_of, out_degrees
+from reference_executor import (
+    f_minus_of,
+    f_plus_of,
+    out_degrees,
+    reference_probabilistic_spanner,
+    step_charges,
+)
 
 from reference_generators import path_graph
 from repro.graphs import generators
@@ -62,7 +68,10 @@ class TestDeterministicCase:
         g = generators.random_weighted_graph(20, seed=19)
         result = probabilistic_spanner(g, k=3, seed=23)
         assert result.rounds > 0
-        assert len(broadcasts(result)) > 0
+        # marking + steps 2, 3.1, 3.2 per phase, then steps 4.1-4.3
+        assert [step for _, step, _ in step_charges(result)] == 2 * [
+            "step2", "step3.1", "step3.2", "marking"
+        ] + ["step4.1", "step4.2", "step4.3"]
 
     def test_k1_returns_whole_graph(self):
         g = generators.random_weighted_graph(15, seed=1)
@@ -90,8 +99,8 @@ class TestDeterministicCase:
         g = generators.random_weighted_graph(24, average_degree=6, seed=14)
         marked = {v for v in range(g.n) if v % 4 == 0}
         bits = [{v: v in marked for v in range(g.n)}]
-        result = probabilistic_spanner(g, k=3, seed=15, marking_bits=bits)
-        after = clusters_per_phase(result)[1]
+        result = reference_probabilistic_spanner(g, k=3, seed=15, marking_bits=bits)
+        after = result.clusters_per_phase[1]
         assert set(after.values()) <= marked
         assert all(after[c] == c for c in marked)
 
@@ -107,8 +116,7 @@ class TestDeterministicCase:
         a = probabilistic_spanner(g, k=3, seed=9)
         b = probabilistic_spanner(g, k=3, seed=9)
         assert a.f_plus == b.f_plus
-        assert a.charges == b.charges
-        assert broadcasts(a) == broadcasts(b)
+        assert step_charges(a) == step_charges(b)
 
 
 class TestProbabilisticCase:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference_sparsify import reference_spectral_sparsify_apriori
 
+from repro import core
 from repro.graphs import generators, is_spectral_sparsifier, spectral_approximation_factor
 from repro.sparsify import bundle_size, spectral_sparsify
 from repro.sparsify.spectral import stretch_parameter
@@ -49,6 +50,15 @@ class TestAdHocSparsifier:
             ratio = edge.weight / original[edge.key]
             exponent = math.log(ratio, 4.0)
             assert exponent == pytest.approx(round(exponent), abs=1e-9)
+
+    def test_ledger_holds_every_spanner_step_then_the_sampling(self):
+        g = generators.random_weighted_graph(30, average_degree=8, seed=5)
+        result = spectral_sparsify(g, eps=0.5, seed=6, t_override=2, k_override=3)
+        *spanner_steps, sampling = result.ledger.entries
+        assert sampling.operation == "sampling"
+        steps = {"marking", "step2", "step3.1", "step3.2", "step4.1", "step4.2", "step4.3"}
+        assert {entry.operation for entry in spanner_steps} == steps
+        assert result.rounds == sum(entry.rounds for entry in result.ledger.entries)
 
     def test_iteration_count_is_log_m(self):
         g = generators.random_weighted_graph(30, average_degree=8, seed=5)
@@ -142,23 +152,34 @@ class TestQualityImprovesWithBundleSize:
         assert widths[-1] <= widths[0] + 1e-9
 
 
-#: ``random_weighted_graph(n, 8, seed=7)`` sparsified at ``eps=0.5``,
-#: ``t_override=2``, seed 11 -> (rounds, sparsifier edges, max out-degree,
-#: spectral window).  The first three are decided by the order in which the
-#: spanner / bundle / sparsify layers draw their coins and by nothing else; the
-#: window is an eigenvalue computation and may move by 1.5e-6.
+#: ``random_weighted_graph(n, degree, seed=7)`` sparsified at ``eps=0.5`` with
+#: ``t_override=t`` and seed ``s``, keyed by the instance ``(n, degree, t, s)``
+#: -> (rounds, sparsifier edges, max out-degree, spectral window).  The first
+#: three are decided by the order in which the spanner / bundle / sparsify
+#: layers draw their coins and by nothing else; the window is an eigenvalue
+#: computation and may move by 1.5e-6.  The n = 1000 instance is the one the
+#: ``construct`` workload of ``benchmarks/suite`` preprocesses, so its rounds
+#: are that workload's ``congest.rounds_sparsify``.
 SEEDED_STREAM = {
-    512: (3791, 1982, 9, (0.48964, 1.520492)),
-    2000: (6704, 7976, 12, (0.524965, 1.443056)),
+    (512, 8, 2, 11): (3791, 1982, 9, (0.48964, 1.520492)),
+    (2000, 8, 2, 11): (6704, 7976, 12, (0.524965, 1.443056)),
+    (1000, 32, 3, 7): (14707, 10086, 19, (0.0097154, 5.335089)),
 }
 
 
-@pytest.mark.parametrize("n", sorted(SEEDED_STREAM))
-def test_seeded_stream_is_pinned(n):
+@pytest.mark.parametrize("instance", sorted(SEEDED_STREAM), ids=lambda instance: str(instance[0]))
+def test_seeded_stream_is_pinned(instance):
     """A change of any of these numbers is a change of the algorithm, not of speed."""
-    rounds, edges, out_degree, window = SEEDED_STREAM[n]
-    graph = generators.random_weighted_graph(n, average_degree=8, seed=7)
-    result = spectral_sparsify(graph, eps=0.5, seed=11, t_override=2)
+    n, degree, t, seed = instance
+    rounds, edges, out_degree, window = SEEDED_STREAM[instance]
+    graph = generators.random_weighted_graph(n, average_degree=degree, seed=7)
+    result = spectral_sparsify(graph, eps=0.5, seed=seed, t_override=t)
     assert (result.rounds, result.size, result.max_out_degree()) == (rounds, edges, out_degree)
     lo, hi = spectral_approximation_factor(graph, result.sparsifier)
     assert abs(lo - window[0]) <= 1.5e-6 and abs(hi - window[1]) <= 1.5e-6, (lo, hi)
+
+
+def test_construct_spanner_rounds_are_pinned():
+    """The ``construct`` workload's spanner, whose rounds are its ``congest.rounds_spanner``."""
+    graph = generators.random_weighted_graph(1000, average_degree=32, seed=7)
+    assert core.spanner(graph, k=2, seed=7).rounds == 281

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from reference_executor import ReferenceProbabilisticSpanner, clusters_per_phase
+from reference_executor import ReferenceProbabilisticSpanner, step_charges
 from reference_sparsify import (
     reference_orientation,
     reference_bundle_spanner,
@@ -67,8 +67,7 @@ def test_spanner_on_view_matches_materialised_subgraph(seed):
     assert on_view.f_plus == on_graph.f_plus
     assert on_view.f_minus == on_graph.f_minus
     assert on_view.orientation == on_graph.orientation
-    assert on_view.rounds == on_graph.rounds
-    assert clusters_per_phase(on_view) == on_graph.clusters_per_phase
+    assert step_charges(on_view) == on_graph.charges
 
 
 @pytest.mark.parametrize("seed,with_probs", [(0, True), (1, True), (2, False)])
@@ -83,7 +82,7 @@ def test_bundle_matches_reference(seed, with_probs):
     )
     assert new.bundle == ref[0]
     assert new.rejected == ref[1]
-    assert new.rounds == ref[3]
+    assert new.ledger.total_rounds == ref[3]
     assert [s.f_plus for s in new.per_spanner] == [s.f_plus for s in ref[2]]
     assert new.orientation() == reference_orientation(ref[2])
 
