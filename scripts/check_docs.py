@@ -15,7 +15,9 @@ Five checks, all fast and dependency-free beyond the package's own imports:
 3. **Decision tables** -- two docs tables are checked against the code they
    describe, so neither can go stale again: the query kinds listed in
    ``docs/serving.md`` (section *Query kinds*) must equal
-   ``repro.serve.planner.QUERY_KINDS``, and the artifact kinds in the
+   ``repro.serve.planner.QUERY_KINDS``, each row's "Coalesces on" cell (its
+   backticked names before any "—") must equal the payload names its kind
+   coalesces on, in order, and the artifact kinds in the
    ``### Repair`` table of ``docs/architecture.md`` must equal the kinds a
    service actually caches -- the rows with a repair primitive matching the
    cached kinds whose class defines ``apply_delta``, the "never repaired"
@@ -219,7 +221,7 @@ def cached_artifact_kinds() -> dict:
 
 
 def check_decision_tables() -> list:
-    from repro.serve.planner import QUERY_KINDS
+    from repro.serve.planner import QUERY_KINDS, query_kind
 
     problems = []
 
@@ -229,11 +231,19 @@ def check_decision_tables() -> list:
         for kind in sorted(documented - actual):
             problems.append(f"{where}: row for `{kind}` matches nothing in the code")
 
-    compare(
-        "docs/serving.md query-kind table",
-        set(table_rows("serving.md", "## Query kinds")),
-        set(QUERY_KINDS),
-    )
+    kinds = table_rows("serving.md", "## Query kinds")
+    compare("docs/serving.md query-kind table", set(kinds), set(QUERY_KINDS))
+    for kind, rest in kinds.items():
+        if kind not in QUERY_KINDS:
+            continue
+        cell = rest.rstrip().rstrip("|").rsplit("|", 1)[-1].split("—")[0]
+        documented = tuple(re.findall(r"`(\w+)`", cell))
+        coalesce = query_kind(kind).coalesce
+        if documented != coalesce:
+            problems.append(
+                f"docs/serving.md query-kind table: `{kind}` coalesces on {coalesce}, "
+                f"the row says {documented}"
+            )
     rows = table_rows("architecture.md", "### Repair")
     never = {kind for kind, rest in rows.items() if "never repaired" in rest}
     cached = cached_artifact_kinds()

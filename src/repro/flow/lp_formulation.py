@@ -127,7 +127,6 @@ def build_flow_lp(
     network: FlowNetwork,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    perturb: bool = True,
 ) -> FlowLP:
     """The Section 5 LP with slacks ``y, z`` and flow-value variable ``F``.
 
@@ -152,11 +151,7 @@ def build_flow_lp(
     # A^T = [B^T | I | -I | -e_t]  =>  A is the vertical stack below.
     A = np.vstack([B, identity, -identity, -e_t])
 
-    costs = network.costs()
-    if perturb:
-        perturbed, scale = daitch_spielman_perturbation(costs, M, rng)
-    else:
-        perturbed, scale = costs.copy(), 1.0
+    perturbed, scale = daitch_spielman_perturbation(network.costs(), M, rng)
     m_tilde = 8.0 * (m_edges ** 2) * (M ** 3) * scale
     lam = 440.0 * (m_edges ** 4) * (m_tilde ** 2) * (M ** 3) / max(1.0, m_tilde)
     # The literal lambda of the paper overflows float64 head-room on anything

@@ -14,8 +14,13 @@ documented in ``docs/substitutions.md`` (sections 3, 4 and 6):
 2. the fixed-value LP ``min q~^T x, B x = F* e_t, 0 <= x <= c`` with
    Daitch-Spielman-perturbed costs is solved by the primal-dual
    predictor-corrector of :mod:`repro.lp.barrier_ipm`, whose Newton systems
-   are ``A^T D A`` solves (chargeable to the SDD solver of Lemma 5.1),
-   stopped on its measured duality gap;
+   are ``A^T D A`` solves (chargeable to the SDD solver of Lemma 5.1).  It
+   stops once its measured duality gap is below ``m Delta = 1/(4 m M^2)``,
+   where ``Delta = 1/(4 m^2 M^2)`` is the granularity of the perturbation:
+   on the central path each of the ``2m`` complementarity products is
+   ``gap / 2m``, and a non-basic arc's dual slack at the isolated optimum is
+   w.h.p. a nonzero multiple of ``Delta``, so the arc sits less than 1/2 from
+   its bound;
 3. the fractional solution is rounded edge-wise to the nearest integer and
    certified optimal in O(m) with the IPM's duals as potentials
    (Goldberg-Tarjan eps-optimality).  If the rounded vector is not a
@@ -44,11 +49,6 @@ from repro.lp.problem import LPSolution
 
 EdgeKey = Tuple[int, int]
 
-#: default LP accuracy relative to the cost scale: one decade inside the
-#: loosest value at which the rounded optimum still certified on every
-#: network of the tests' seeded families (``docs/substitutions.md`` section 6)
-DEFAULT_EPS_SCALE = 1e-9
-
 
 @dataclass
 class MinCostFlowResult:
@@ -60,6 +60,8 @@ class MinCostFlowResult:
     rounds: float = 0.0
     lp_iterations: int = 0
     rounding_fallback: bool = False
+    #: the perturbed LP's flow priced at the true costs; the box relaxation
+    #: ``delta`` lets it fall below the optimum by up to ``delta * sum|q~|``
     fractional_cost: Optional[float] = None
     ledger: Optional[RoundLedger] = None
     #: serving statistics of the plugged gram-solver bridge (None off the
@@ -72,26 +74,6 @@ def theorem_round_bound(n: int, M: float) -> float:
     n = max(2, int(n))
     M = max(2.0, float(M))
     return math.sqrt(n) * (math.log2(M) ** 3) * (math.log2(n) ** 2)
-
-
-def _phase_one_max_flow(
-    network: FlowNetwork,
-    comm: CommunicationPrimitives,
-) -> Tuple[float, Dict[EdgeKey, float]]:
-    """Fix the maximum flow value ``F*`` (and return a witnessing max flow).
-
-    The paper determines ``F*`` implicitly through the reward term of the
-    Section 5 LP; here it is computed exactly and its communication is charged
-    as one LP solve worth of rounds (an upper bound: ``F*`` could equally be
-    found by binary search over ``Õ(log(nM))`` feasibility LPs, Section 2.4).
-    """
-    value, flow = edmonds_karp_max_flow(network)
-    comm.ledger.charge(
-        "phase1_max_flow",
-        theorem_round_bound(network.n, max(network.max_capacity(), 2.0)),
-        "flow value fixed via the Section 2.4 binary search (charged at the theorem bound)",
-    )
-    return float(round(value)), flow
 
 
 def _round_and_certify(
@@ -131,7 +113,6 @@ def _round_and_certify(
 def min_cost_max_flow(
     network: FlowNetwork,
     seed: Optional[int] = None,
-    eps_scale: float = DEFAULT_EPS_SCALE,
     perturb: bool = True,
     verify_against_baseline: bool = False,
     gram_solver_factory: Optional[Callable[..., Any]] = None,
@@ -145,9 +126,9 @@ def min_cost_max_flow(
         Directed graph with integral capacities and costs.
     seed:
         Seed for the cost perturbation and any randomised subroutine.
-    eps_scale:
-        The LP is solved to duality gap ``eps_scale`` times the cost scale;
-        at the default the rounded optimum certifies on integral instances.
+    perturb:
+        Perturb the costs so the optimum is unique w.h.p.; ``False`` only
+        shows what the perturbation buys (the rounding falls back more often).
     verify_against_baseline:
         If True, cross-check the result against the successive-shortest-path
         baseline and raise if they disagree (used in tests and experiments).
@@ -164,58 +145,54 @@ def min_cost_max_flow(
         serving artifact); the communication ledger is still charged at the
         theorem bound for fixing ``F*``.
     """
-    rng = np.random.default_rng(seed)
     ledger = RoundLedger()
-    M = max(2.0, network.max_capacity(), network.max_cost_magnitude())
-    comm = CommunicationPrimitives(network.n, ledger, value_magnitude=M, precision=eps_scale)
 
     # Phase 1: the maximum flow value (plus a witnessing, not necessarily
-    # cheapest, max flow used as the interior starting point).
-    if phase_one is not None:
-        target_value, witness_flow = phase_one
-        target_value = float(round(target_value))
-        comm.ledger.charge(
-            "phase1_max_flow",
-            theorem_round_bound(network.n, max(network.max_capacity(), 2.0)),
-            "flow value fixed via the Section 2.4 binary search (cached witness)",
-        )
-    else:
-        target_value, witness_flow = _phase_one_max_flow(network, comm)
-
+    # cheapest, max flow used as the interior starting point).  The paper
+    # determines F* through the reward term of the Section 5 LP; here it is
+    # computed exactly and charged as one LP solve worth of rounds (an upper
+    # bound: binary search over Õ(log(nM)) feasibility LPs also finds it,
+    # Section 2.4).
+    target_value, witness_flow = phase_one or edmonds_karp_max_flow(network)
+    target_value = float(round(target_value))
+    ledger.charge(
+        "phase1_max_flow",
+        theorem_round_bound(network.n, max(network.max_capacity(), 2.0)),
+        "flow value fixed via the Section 2.4 binary search (charged at the theorem bound)",
+    )
     if target_value <= 0:
         zero = network.zero_flow()
         return MinCostFlowResult(flow=zero, value=0.0, cost=0.0, rounds=ledger.total_rounds, ledger=ledger)
 
     # Phase 2: minimum cost flow of that value, via the LP formulation.  The
+    # perturbation has granularity Delta, and the LP stops at the duality gap
+    # m * Delta that rounds to the isolated optimum (module docstring,
+    # docs/substitutions.md section 6); encodings are sized to that gap.  The
     # box is relaxed by a tiny delta because min-cut edges are saturated in
     # every flow of value F*, so the unrelaxed box has no strict interior.
+    M = max(2.0, network.max_capacity(), network.max_cost_magnitude())
+    granularity = 1.0 / (4.0 * network.m * network.m * M * M)
+    stopping_gap = network.m * granularity
+    comm = CommunicationPrimitives(network.n, ledger, value_magnitude=M, precision=stopping_gap)
     costs = network.costs()
     if perturb:
-        granularity = 1.0 / (4.0 * network.m * network.m * M * M)
-        perturbed = costs + granularity * rng.integers(1, 2 * network.m * int(M) + 1, size=network.m)
-    else:
-        perturbed = costs.copy()
+        rng = np.random.default_rng(seed)
+        costs = costs + granularity * rng.integers(1, 2 * network.m * int(M) + 1, size=network.m)
     box_delta = 1e-3
-    flow_lp = build_fixed_value_lp(
-        network, target_value, costs=perturbed, box_relaxation=box_delta
-    )
+    flow_lp = build_fixed_value_lp(network, target_value, costs=costs, box_relaxation=box_delta)
     bridge = None
     if gram_solver_factory is not None:
         bridge = gram_solver_factory(flow_lp)
         flow_lp.problem.gram_solver = bridge
 
-    base = np.array([witness_flow[key] for key in flow_lp.edge_keys])
-    interior = base  # strictly inside the relaxed box, satisfies B x = F* e_t
-    capacities = network.capacities()
-
-    cost_scale = float(np.max(np.abs(perturbed)) * max(1.0, float(np.max(capacities))) * network.m)
-    eps = eps_scale * max(1.0, cost_scale)
+    # strictly inside the relaxed box, satisfies B x = F* e_t
+    interior = np.array([witness_flow[key] for key in flow_lp.edge_keys])
 
     lp_iterations = 0
     fractional_cost = None
     ok = False
     if flow_lp.problem.is_strictly_feasible(interior, tol=1e-6):
-        solution = BarrierIPM(flow_lp.problem, comm=comm).solve(interior, eps=eps)
+        solution = BarrierIPM(flow_lp.problem, comm=comm).solve(interior, eps=stopping_gap)
         lp_iterations = solution.iterations
         fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
         flow, ok = _round_and_certify(network, flow_lp, solution, target_value)

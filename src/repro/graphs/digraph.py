@@ -35,6 +35,13 @@ class DirectedEdge:
             )
         if self.capacity <= 0:
             raise ValueError(f"capacities must be positive, got {self.capacity}")
+        # the flow LP's perturbation and its optimality certificate both rely
+        # on integral data (docs/substitutions.md section 6)
+        if not (float(self.capacity).is_integer() and float(self.cost).is_integer()):
+            raise ValueError(
+                f"edge ({self.u}, {self.v}) needs an integral capacity and cost, "
+                f"got {self.capacity} and {self.cost}"
+            )
 
 
 class FlowNetwork:

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.core import api
 from repro.flow.baselines import edmonds_karp_max_flow
-from repro.flow.mincostflow import DEFAULT_EPS_SCALE, min_cost_max_flow
+from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.laplacian import spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
@@ -131,13 +131,14 @@ class QueryKind:
 
     ``validate(graph, payload)`` raises ``ValueError`` on a malformed query
     (at submit time, before it can poison a shared batch);
-    ``coalesce(payload)`` is what queries must agree on to share a kernel
-    call; ``execute(planner, entry, batch)`` answers a coalesced batch with
+    ``coalesce`` names the payload entries queries must agree on to share a
+    kernel call (the batch's ``coalesce_params`` are their values, in that
+    order); ``execute(planner, entry, batch)`` answers a coalesced batch with
     ``(values, cache_hit, degraded)``.
     """
 
     validate: Callable[[Any, Dict[str, Any]], None]
-    coalesce: Callable[[Dict[str, Any]], Tuple[Hashable, ...]]
+    coalesce: Tuple[str, ...]
     execute: Callable[..., Tuple[List[Any], bool, bool]]
 
 
@@ -262,8 +263,6 @@ def _validate_certify(graph, payload: Dict[str, Any]) -> None:
 def flow_query(
     graph_key: str,
     seed: Optional[int] = None,
-    eps_scale: float = DEFAULT_EPS_SCALE,
-    perturb: bool = True,
     memoise_result: bool = False,
 ) -> Query:
     """An exact min-cost max-flow of the registered network (Theorem 1.1).
@@ -280,17 +279,11 @@ def flow_query(
     ``seed=None`` is served as seed ``0``: the served path is deterministic
     by default, so a repeat query replays the same cost perturbation and
     returns the same flow.  Pass an explicit seed to vary the perturbation.
-    ``eps_scale`` is validated at submit time.
     """
     return Query(
         "flow",
         graph_key,
-        {
-            "seed": 0 if seed is None else int(seed),
-            "eps_scale": float(eps_scale),
-            "perturb": bool(perturb),
-            "memoise_result": bool(memoise_result),
-        },
+        {"seed": 0 if seed is None else int(seed), "memoise_result": bool(memoise_result)},
     )
 
 
@@ -299,9 +292,6 @@ def _validate_flow(graph, payload: Dict[str, Any]) -> None:
         raise ValueError(
             f"'flow' queries need a registered FlowNetwork, got {type(graph).__name__}"
         )
-    eps_scale = payload["eps_scale"]
-    if not (np.isfinite(eps_scale) and eps_scale > 0.0):
-        raise ValueError(f"eps_scale must be finite and > 0, got {eps_scale}")
     # the seed reaches np.random.default_rng only at flush
     seed = payload["seed"]
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -442,7 +432,7 @@ class QueryPlanner:
         """
         batches: "Dict[Tuple[Hashable, ...], QueryBatch]" = {}
         for query in queries:
-            params = query_kind(query.kind).coalesce(query.payload)
+            params = tuple(query.payload[name] for name in query_kind(query.kind).coalesce)
             group = (query.graph_key, query.kind, params)
             batch = batches.get(group)
             if batch is None:
@@ -921,7 +911,7 @@ class QueryPlanner:
         under the network's content identity -- so a repeat memoising query
         on an unmutated network skips the IPM entirely.
         """
-        seed, eps_scale, perturb, memoise = batch.coalesce_params
+        seed, memoise = batch.coalesce_params
         warm: List[bool] = []
 
         def run_pipeline():
@@ -939,12 +929,7 @@ class QueryPlanner:
                 return bridge
 
             result = min_cost_max_flow(
-                entry.graph,
-                seed=seed,
-                eps_scale=eps_scale,
-                perturb=perturb,
-                gram_solver_factory=factory,
-                phase_one=phase_one,
+                entry.graph, seed=seed, gram_solver_factory=factory, phase_one=phase_one
             )
             warm.append(any(hits))
             return result
@@ -953,7 +938,7 @@ class QueryPlanner:
             result, result_hit = self._build(
                 entry,
                 "flow_result",
-                (seed, eps_scale, perturb),
+                (seed,),
                 run_pipeline,
             )
             cache_hit = result_hit or bool(warm and warm[0])
@@ -1032,28 +1017,15 @@ class QueryPlanner:
 #: through :func:`query_kind`.  Adding or removing a kind touches this table
 #: (and the kind's constructor / validator above) and nothing else.
 _KIND_TABLE: Dict[str, QueryKind] = {
-    "solve": QueryKind(
-        _validate_solve, lambda p: (p["eps"],), QueryPlanner._execute_solve
-    ),
+    "solve": QueryKind(_validate_solve, ("eps",), QueryPlanner._execute_solve),
     # exact (None) and approximate queries, or two different accuracy
     # bounds, must never share a kernel call
     "resistance": QueryKind(
-        _validate_resistance,
-        lambda p: (p.get("eta"),),
-        QueryPlanner._execute_resistance,
+        _validate_resistance, ("eta",), QueryPlanner._execute_resistance
     ),
-    "certify": QueryKind(
-        _validate_certify, lambda p: (p["eps"],), QueryPlanner._execute_certify
-    ),
+    "certify": QueryKind(_validate_certify, ("eps",), QueryPlanner._execute_certify),
     "flow": QueryKind(
-        _validate_flow,
-        lambda p: (
-            p["seed"],
-            p["eps_scale"],
-            p["perturb"],
-            p.get("memoise_result", False),
-        ),
-        QueryPlanner._execute_flow,
+        _validate_flow, ("seed", "memoise_result"), QueryPlanner._execute_flow
     ),
 }
 

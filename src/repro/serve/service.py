@@ -31,7 +31,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.flow.mincostflow import DEFAULT_EPS_SCALE
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.faults import FaultInjector
 from repro.serve.planner import (
@@ -133,9 +132,8 @@ class QueryTicket:
     def result(self, timeout: Optional[float] = None) -> QueryResult:
         """The :class:`QueryResult`, waiting for the flush if necessary."""
         if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"query {self.query.query_id} not finished within {timeout}s"
-            )
+            what = "control request" if self.query is None else f"query {self.query.query_id}"
+            raise TimeoutError(f"{what} not finished within {timeout}s")
         if self._error is not None:
             raise self._error
         assert self._result is not None
@@ -277,8 +275,6 @@ class QueryFrontDoor:
         self,
         graph_key: str,
         seed: Optional[int] = None,
-        eps_scale: float = DEFAULT_EPS_SCALE,
-        perturb: bool = True,
         memoise_result: bool = False,
     ):
         """Exact min-cost max-flow of a registered ``FlowNetwork``.
@@ -293,17 +289,10 @@ class QueryFrontDoor:
 
         ``memoise_result=True`` additionally caches the final result under
         the network's content identity, so repeat queries on an unchanged
-        network skip the IPM entirely (read-heavy traffic).  A malformed
-        ``eps_scale`` is rejected with ``ValueError`` at submit.
+        network skip the IPM entirely (read-heavy traffic).
         """
         return self._submit_and_wait(
-            flow_query(
-                graph_key,
-                seed=seed,
-                eps_scale=eps_scale,
-                perturb=perturb,
-                memoise_result=memoise_result,
-            )
+            flow_query(graph_key, seed=seed, memoise_result=memoise_result)
         ).value
 
 

@@ -43,6 +43,12 @@ class TestConstruction:
         for capacity, cost in [(nan, 0.0), (inf, 0.0), (1.0, nan), (1.0, inf)]:
             with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
                 DirectedEdge(0, 1, capacity, cost)
+        # the LP's perturbation and optimality certificate assume integral data
+        for capacity, cost in [(1.5, 0.0), (1.0, 0.01), (2.0, -0.5)]:
+            with pytest.raises(ValueError, match=r"edge \(0, 1\) needs an integral"):
+                DirectedEdge(0, 1, capacity, cost)
+        with pytest.raises(ValueError, match=r"edge \(1, 3\) needs an integral"):
+            FlowNetwork(4, 0, 3).add_edge(1, 3, capacity=1, cost=0.01)
 
     def test_capacity_and_cost_vectors_follow_edge_keys(self):
         net = diamond_network()

@@ -42,7 +42,7 @@ def network():
 STRUCTURES = {
     "fixed-value": flow_gram_structure,
     "section5": lambda network: detect_incidence_structure(
-        build_flow_lp(network, seed=0, perturb=False).problem.A
+        build_flow_lp(network, seed=0).problem.A
     ),
 }
 
@@ -78,7 +78,7 @@ class TestDetection:
         )
 
     def test_section5_lp_is_incidence_structured(self, network, rng):
-        flow_lp = build_flow_lp(network, seed=0, perturb=False)
+        flow_lp = build_flow_lp(network, seed=0)
         structure = detect_incidence_structure(flow_lp.problem.A)
         assert structure is not None
         d = rng.uniform(0.5, 2.0, size=structure.m)
@@ -192,7 +192,7 @@ class TestDefaultGramSolver:
         np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
 
     def test_section5_matrix_gets_the_bridge(self, network, rng):
-        A = build_flow_lp(network, seed=0, perturb=False).problem.A
+        A = build_flow_lp(network, seed=0).problem.A
         solver = default_gram_solver(A)
         assert isinstance(solver, GramSolverBridge)
         d = rng.uniform(0.5, 2.0, size=A.shape[0])

@@ -13,6 +13,7 @@ from repro.serve import (
     FlushPolicy,
     LaplacianService,
     Query,
+    QueryTicket,
     certify_query,
     resistance_query,
     solve_query,
@@ -240,6 +241,16 @@ class TestQueueing:
         service.flush()
         assert ticket.done()
         assert ticket.result().batch_size == 1
+
+    def test_unfinished_tickets_time_out_with_timeout_error(self, graph, rng):
+        service = make_service()
+        key = service.register(graph)
+        query = solve_query(key, rng.normal(size=graph.n))
+        with pytest.raises(TimeoutError, match=f"query {query.query_id} not finished"):
+            service.submit(query).result(timeout=0.01)
+        # a cluster's control ticket carries no query
+        with pytest.raises(TimeoutError, match="control request not finished"):
+            QueryTicket().result(timeout=0.01)
 
     def test_full_batch_triggers_inline_flush(self, graph, rng):
         service = make_service(flush_policy=FlushPolicy(max_batch=3, max_wait_seconds=30))
