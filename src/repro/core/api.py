@@ -147,9 +147,9 @@ def solve_lp(
     eps: float = 1e-6,
     **kwargs,
 ) -> LPSolution:
-    """Solve ``min c^T x, A^T x = b, l <= x <= u`` from the interior point ``x0``
-    (Theorem 1.4) with the primal-dual IPM; ``kwargs`` go to
-    :class:`~repro.lp.barrier_ipm.BarrierIPM`."""
+    """Solve ``min c^T x, A^T x = b, l <= x <= u`` from ``x0`` (Theorem 1.4)
+    with the primal-dual IPM; ``x0`` need only lie strictly inside the box.
+    ``kwargs`` go to :class:`~repro.lp.barrier_ipm.BarrierIPM`."""
     return BarrierIPM(problem, **kwargs).solve(x0, eps=eps)
 
 
@@ -164,9 +164,10 @@ def min_cost_max_flow(
     Pass ``service`` (a :class:`~repro.serve.service.LaplacianService`) to
     route the solve through the serving tier: the network is registered (a
     content-level no-op when already registered) and the pipeline consumes
-    cached artifacts -- the phase-1 max flow and the compiled Gram
-    structure of the flow LP -- so repeated solves of the same network skip
-    that preprocessing.
+    the compiled Gram structure of the flow LP as a cached artifact, so
+    repeated solves of the same network skip that preprocessing.  Either
+    way one LP fixes the maximum flow value and its cheapest flow together,
+    and the round ledger holds only what its interior point method charges.
     """
     if service is not None:
         key = service.register(network)

@@ -8,28 +8,30 @@ fractional solution to an exact integral flow.
 This pipeline follows the same outline with the numerically robust pieces
 documented in ``docs/substitutions.md`` (sections 3, 4 and 6):
 
-1. the maximum flow value ``F*`` is fixed (combinatorially, or by an LP phase
-   maximising ``F`` -- the paper folds this into one LP via the large reward on
-   ``F``, which needs more float64 head-room than laptop hardware offers);
-2. the fixed-value LP ``min q~^T x, B x = F* e_t, 0 <= x <= c`` with
-   Daitch-Spielman-perturbed costs is solved by the primal-dual
-   predictor-corrector of :mod:`repro.lp.barrier_ipm`, whose Newton systems
-   are ``A^T D A`` solves (chargeable to the SDD solver of Lemma 5.1).  It
-   stops once its measured duality gap is below ``m Delta = 1/(4 m M^2)``,
-   where ``Delta = 1/(4 m^2 M^2)`` is the granularity of the perturbation:
-   on the central path each of the ``2m`` complementarity products is
-   ``gap / 2m``, and a non-basic arc's dual slack at the isolated optimum is
-   w.h.p. a nonzero multiple of ``Delta``, so the arc sits less than 1/2 from
-   its bound;
-3. the fractional solution is rounded edge-wise to the nearest integer and
-   certified optimal in O(m) with the IPM's duals as potentials
-   (Goldberg-Tarjan eps-optimality).  If the rounded vector is not a
-   certified feasible optimal flow (which the paper's uniqueness argument
-   rules out w.h.p., but float64 can spoil), an exact combinatorial
-   correction replaces it and the event is reported.
+1. the edge costs get a Daitch-Spielman perturbation of granularity
+   ``Delta = 1/(4 m^2 M^2)`` so the optimum is unique w.h.p.;
+2. one LP, Section 5's without its slacks, fixes the maximum flow value and
+   its cheapest flow together: a return variable ``F`` closes the network
+   into a circulation and earns a reward ``R`` larger than any augmenting
+   path's cost (:func:`~repro.flow.lp_formulation.build_fixed_value_lp`).
+   The primal-dual predictor-corrector of :mod:`repro.lp.barrier_ipm`, whose
+   Newton systems are ``A^T D A`` solves (chargeable to the SDD solver of
+   Lemma 5.1), runs from the middle of the box.  It stops once its measured
+   duality gap is below ``m Delta = 1/(4 m M^2)``: on the central path each
+   of the ``2m`` complementarity products is ``gap / 2m``, and a non-basic
+   arc's dual slack at the isolated optimum is w.h.p. a nonzero multiple of
+   ``Delta``, so the arc sits less than 1/2 from its bound;
+3. the fractional solution is rounded edge-wise to the nearest integer (the
+   flow value is the rounded ``F``) and certified optimal in O(m) with the
+   IPM's duals as potentials (Goldberg-Tarjan eps-optimality).  If the
+   rounded vector is not a certified feasible optimal circulation (which the
+   paper's uniqueness argument rules out w.h.p., but float64 can spoil), an
+   exact combinatorial correction replaces it and the event is reported.
 
 Round accounting follows Theorem 1.1: ``Õ(sqrt(n))`` path-following iterations,
 each costing ``Õ(log M)`` rounds of matrix-vector products plus SDD solves.
+The ledger holds only what the interior point method charges;
+:func:`theorem_round_bound` is the bound to compare it with, never a charge.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.congest.ledger import CommunicationPrimitives, RoundLedger
-from repro.flow.baselines import edmonds_karp_max_flow, successive_shortest_paths
+from repro.flow.baselines import successive_shortest_paths
 from repro.flow.lp_formulation import FlowLP, build_fixed_value_lp
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.barrier_ipm import BarrierIPM
@@ -61,7 +63,8 @@ class MinCostFlowResult:
     lp_iterations: int = 0
     rounding_fallback: bool = False
     #: the perturbed LP's flow priced at the true costs; the box relaxation
-    #: ``delta`` lets it fall below the optimum by up to ``delta * sum|q~|``
+    #: ``delta`` moves it off the optimum by a small multiple of
+    #: ``delta * sum|q~|`` (docs/substitutions.md section 6)
     fractional_cost: Optional[float] = None
     ledger: Optional[RoundLedger] = None
     #: serving statistics of the plugged gram-solver bridge (None off the
@@ -80,34 +83,38 @@ def _round_and_certify(
     network: FlowNetwork,
     flow_lp: FlowLP,
     solution: LPSolution,
-    target_value: float,
-) -> Tuple[Dict[EdgeKey, float], bool]:
-    """Round the LP flow edge-wise and certify it; returns ``(flow, ok)``.
+) -> Tuple[Dict[EdgeKey, float], float, bool]:
+    """Round the LP solution edge-wise and certify it; returns ``(flow, value, ok)``.
 
-    ``ok`` means the rounded flow is feasible, has the right value and is
-    optimal.  Optimality is certified in O(m) by Goldberg-Tarjan
-    eps-optimality with the LP duals as potentials (source 0): the reduced
-    costs ``c - A y`` of the *integral* costs are the arc costs up to a
-    potential difference, so when every residual arc has reduced cost
-    ``> -1/n``, every residual cycle (at most ``n`` arcs) costs ``> -1``,
-    hence ``>= 0`` -- and no negative residual cycle means optimal.  A
-    solution without duals is uncertified.
+    The value is the rounded ``F``.  ``ok`` means the rounded flow is
+    feasible, has that value and is optimal for the circulation LP, hence a
+    minimum cost maximum flow.  Optimality is certified in O(m) by
+    Goldberg-Tarjan eps-optimality with the LP duals as potentials (source
+    0): the reduced costs ``c - A y`` of the *integral* costs (``-R`` on
+    ``F``, the arc ``t -> s``) are the arc costs up to a potential
+    difference, so when every residual arc has reduced cost ``> -1/n``,
+    every residual cycle (at most ``n`` arcs) costs ``> -1``, hence ``>= 0``
+    -- and no negative residual cycle means optimal.  A flow short of the
+    maximum fails too: its augmenting path plus ``F`` is a residual cycle of
+    cost at most ``-1``.  A solution without duals is uncertified.
     """
-    # the fixed-value LP's variables are the edge flows; + 0.0 turns -0.0 into 0.0
+    # + 0.0 turns -0.0 into 0.0
     x = np.round(solution.x) + 0.0
-    rounded = dict(zip(flow_lp.edge_keys, x.tolist()))
+    value = float(x[-1])
+    rounded = dict(zip(flow_lp.edge_keys, x[:-1].tolist()))
     ok = (
         solution.y is not None
+        and 0.0 <= value <= flow_lp.value_bound
         and network.is_feasible_flow(rounded, tol=1e-6)
-        and math.isclose(network.flow_value(rounded), target_value, abs_tol=1e-6)
+        and math.isclose(network.flow_value(rounded), value, abs_tol=1e-6)
     )
     if ok:
-        reduced = network.costs() - flow_lp.problem.A @ solution.y
+        costs = np.append(network.costs(), -flow_lp.reward)
+        upper = np.append(network.capacities(), flow_lp.value_bound)
+        reduced = costs - flow_lp.problem.A @ solution.y
         slack = 1.0 / network.n
-        ok = bool(
-            np.all(reduced[x < network.capacities()] > -slack) and np.all(reduced[x > 0] < slack)
-        )
-    return rounded, ok
+        ok = bool(np.all(reduced[x < upper] > -slack) and np.all(reduced[x > 0] < slack))
+    return rounded, value, ok
 
 
 def min_cost_max_flow(
@@ -116,7 +123,6 @@ def min_cost_max_flow(
     perturb: bool = True,
     verify_against_baseline: bool = False,
     gram_solver_factory: Optional[Callable[..., Any]] = None,
-    phase_one: Optional[Tuple[float, Dict[EdgeKey, float]]] = None,
 ) -> MinCostFlowResult:
     """Compute an exact minimum cost maximum ``s``-``t`` flow (Theorem 1.1).
 
@@ -140,74 +146,45 @@ def min_cost_max_flow(
         reported in :attr:`MinCostFlowResult.gram_stats`.  Without it the LP
         solves through the same bridge, built from ``A``
         (:func:`~repro.lp.gram.default_gram_solver`).
-    phase_one:
-        Optional precomputed ``(max_flow_value, witness_flow)`` pair (a cached
-        serving artifact); the communication ledger is still charged at the
-        theorem bound for fixing ``F*``.
     """
-    ledger = RoundLedger()
-
-    # Phase 1: the maximum flow value (plus a witnessing, not necessarily
-    # cheapest, max flow used as the interior starting point).  The paper
-    # determines F* through the reward term of the Section 5 LP; here it is
-    # computed exactly and charged as one LP solve worth of rounds (an upper
-    # bound: binary search over Õ(log(nM)) feasibility LPs also finds it,
-    # Section 2.4).
-    target_value, witness_flow = phase_one or edmonds_karp_max_flow(network)
-    target_value = float(round(target_value))
-    ledger.charge(
-        "phase1_max_flow",
-        theorem_round_bound(network.n, max(network.max_capacity(), 2.0)),
-        "flow value fixed via the Section 2.4 binary search (charged at the theorem bound)",
-    )
-    if target_value <= 0:
-        zero = network.zero_flow()
-        return MinCostFlowResult(flow=zero, value=0.0, cost=0.0, rounds=ledger.total_rounds, ledger=ledger)
-
-    # Phase 2: minimum cost flow of that value, via the LP formulation.  The
-    # perturbation has granularity Delta, and the LP stops at the duality gap
-    # m * Delta that rounds to the isolated optimum (module docstring,
+    # The perturbation has granularity Delta, and the LP stops at the duality
+    # gap m * Delta that rounds to the isolated optimum (module docstring,
     # docs/substitutions.md section 6); encodings are sized to that gap.  The
-    # box is relaxed by a tiny delta because min-cut edges are saturated in
-    # every flow of value F*, so the unrelaxed box has no strict interior.
+    # box is relaxed by a tiny delta because min-cut edges are saturated at
+    # every optimum, so the unrelaxed box has no strictly interior optimum.
+    ledger = RoundLedger()
+    m = max(1, network.m)
     M = max(2.0, network.max_capacity(), network.max_cost_magnitude())
-    granularity = 1.0 / (4.0 * network.m * network.m * M * M)
-    stopping_gap = network.m * granularity
+    granularity = 1.0 / (4.0 * m * m * M * M)
+    stopping_gap = m * granularity
     comm = CommunicationPrimitives(network.n, ledger, value_magnitude=M, precision=stopping_gap)
     costs = network.costs()
     if perturb:
         rng = np.random.default_rng(seed)
-        costs = costs + granularity * rng.integers(1, 2 * network.m * int(M) + 1, size=network.m)
-    box_delta = 1e-3
-    flow_lp = build_fixed_value_lp(network, target_value, costs=costs, box_relaxation=box_delta)
+        costs = costs + granularity * rng.integers(1, 2 * m * int(M) + 1, size=network.m)
+    flow_lp = build_fixed_value_lp(network, costs=costs, box_relaxation=1e-3)
     bridge = None
     if gram_solver_factory is not None:
         bridge = gram_solver_factory(flow_lp)
         flow_lp.problem.gram_solver = bridge
 
-    # strictly inside the relaxed box, satisfies B x = F* e_t
-    interior = np.array([witness_flow[key] for key in flow_lp.edge_keys])
-
-    lp_iterations = 0
-    fractional_cost = None
-    ok = False
-    if flow_lp.problem.is_strictly_feasible(interior, tol=1e-6):
-        solution = BarrierIPM(flow_lp.problem, comm=comm).solve(interior, eps=stopping_gap)
-        lp_iterations = solution.iterations
-        fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
-        flow, ok = _round_and_certify(network, flow_lp, solution, target_value)
-
+    problem = flow_lp.problem
+    solution = BarrierIPM(problem, comm=comm).solve(
+        (problem.lower + problem.upper) / 2.0, eps=stopping_gap
+    )
+    fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
+    flow, value, ok = _round_and_certify(network, flow_lp, solution)
     if not ok:
         # Exact combinatorial correction (the event the paper's uniqueness
         # argument makes unlikely; reported so experiments can count it).
-        _v, _c, flow = successive_shortest_paths(network, target_value=target_value)
+        value, _cost, flow = successive_shortest_paths(network)
 
     cost = network.flow_cost(flow)
     if verify_against_baseline:
         base_value, base_cost, _ = successive_shortest_paths(network)
-        if not math.isclose(base_value, target_value, abs_tol=1e-6) or cost > base_cost + 1e-6:
+        if not math.isclose(base_value, value, abs_tol=1e-6) or cost > base_cost + 1e-6:
             raise AssertionError(
-                f"min-cost flow mismatch: value {target_value} vs {base_value}, "
+                f"min-cost flow mismatch: value {value} vs {base_value}, "
                 f"cost {cost} vs {base_cost}"
             )
 
@@ -216,10 +193,10 @@ def min_cost_max_flow(
         gram_stats = bridge.stats.as_dict()
     return MinCostFlowResult(
         flow=flow,
-        value=float(target_value),
+        value=float(value),
         cost=float(cost),
         rounds=ledger.total_rounds,
-        lp_iterations=lp_iterations,
+        lp_iterations=solution.iterations,
         rounding_fallback=not ok,
         fractional_cost=fractional_cost,
         ledger=ledger,

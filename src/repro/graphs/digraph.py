@@ -2,8 +2,9 @@
 
 A :class:`FlowNetwork` is a directed graph with positive integral capacities
 and integral costs, plus designated source ``s`` and sink ``t``.  It provides
-the LP building blocks used in Section 5 (edge-vertex incidence matrix with the
-source row removed) and flow feasibility / value / cost checks.
+the LP building blocks used in Section 5 (the LP's column map and the
+edge-vertex incidence matrix through it) and flow feasibility / value / cost
+checks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ class FlowNetwork:
         self.sink = int(sink)
         self._edges: Dict[Tuple[int, int], DirectedEdge] = {}
         self._version = 0
+        self._edge_array: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
         if edges is not None:
             for u, v, capacity, cost in edges:
                 self.add_edge(u, v, capacity, cost)
@@ -125,14 +128,23 @@ class FlowNetwork:
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Edge data ``(u, v, capacity, cost)`` in :meth:`edge_keys` order.
 
-        The content-addressed form the serving registry fingerprints.
+        The content-addressed form the serving registry fingerprints.  The
+        columns are read-only and cached per :attr:`version`: the flow LP,
+        its Gram structure and the fingerprint all read them.
         """
-        keys = self.edge_keys()
-        u = np.array([a for a, _ in keys], dtype=np.int64)
-        v = np.array([b for _, b in keys], dtype=np.int64)
-        capacity = np.array([self._edges[k].capacity for k in keys], dtype=float)
-        cost = np.array([self._edges[k].cost for k in keys], dtype=float)
-        return u, v, capacity, cost
+        if self._edge_array is None or self._edge_array[0] != self._version:
+            keys = self.edge_keys()
+            edges = [self._edges[k] for k in keys]
+            columns = (
+                np.array([a for a, _ in keys], dtype=np.int64),
+                np.array([b for _, b in keys], dtype=np.int64),
+                np.array([e.capacity for e in edges], dtype=float),
+                np.array([e.cost for e in edges], dtype=float),
+            )
+            for column in columns:
+                column.setflags(write=False)
+            self._edge_array = (self._version, columns)
+        return self._edge_array[1]
 
     def edges(self) -> Iterator[DirectedEdge]:
         """Iterate over edges in canonical (sorted key) order."""
@@ -153,11 +165,11 @@ class FlowNetwork:
 
     def capacities(self) -> np.ndarray:
         """Capacity vector indexed consistently with :meth:`edge_keys`."""
-        return np.array([self._edges[k].capacity for k in self.edge_keys()], dtype=float)
+        return self.edge_array()[2].copy()
 
     def costs(self) -> np.ndarray:
         """Cost vector indexed consistently with :meth:`edge_keys`."""
-        return np.array([self._edges[k].cost for k in self.edge_keys()], dtype=float)
+        return self.edge_array()[3].copy()
 
     def max_capacity(self) -> float:
         """Largest edge capacity ``U``, or 0.0 for an edgeless network."""
@@ -169,24 +181,48 @@ class FlowNetwork:
 
     # -- incidence matrices -------------------------------------------------------
 
-    def incidence_matrix(self, drop_vertex: Optional[int] = None) -> np.ndarray:
-        """Edge-vertex incidence matrix ``B`` with ``B[e, head] = +1, B[e, tail] = -1``.
+    def lp_columns(self) -> np.ndarray:
+        """The flow LP's constraint column of every vertex, ``-1`` where it has none.
 
-        Section 5 uses the matrix with the row (here: column) of the source
-        removed; pass ``drop_vertex=self.source`` for that variant.  The result
-        has shape ``(m, n)`` or ``(m, n-1)``.
+        Section 5 drops the source's conservation row (it is the ground of
+        the Gram system).  A vertex no arc touches has no constraint either:
+        its column would be all zeros, ``A`` rank-deficient and the Gram
+        system singular.  The sink always keeps its column, because the
+        flow-value variable attaches to it.  Columns follow vertex order.
         """
-        keys = self.edge_keys()
-        cols = [v for v in range(self._n) if v != drop_vertex]
-        col_index = {v: i for i, v in enumerate(cols)}
-        B = np.zeros((len(keys), len(cols)))
-        for row, (u, v) in enumerate(keys):
-            # edge u -> v: tail u gets -1, head v gets +1
-            if u in col_index:
-                B[row, col_index[u]] = -1.0
-            if v in col_index:
-                B[row, col_index[v]] = 1.0
-        return B
+        u, v, _capacity, _cost = self.edge_array()
+        touched = np.zeros(self._n, dtype=bool)
+        touched[u] = True
+        touched[v] = True
+        touched[self.sink] = True
+        touched[self.source] = False
+        columns = np.full(self._n, -1, dtype=np.int64)
+        columns[touched] = np.arange(np.count_nonzero(touched))
+        return columns
+
+    def incidence_matrix(self) -> sp.csr_matrix:
+        """Edge-vertex incidence matrix ``B`` of the flow LP, in CSR form.
+
+        Row ``e`` of edge ``u -> v`` (in :meth:`edge_keys` order) holds
+        ``-1`` in the tail's column and ``+1`` in the head's, through the
+        column map :meth:`lp_columns`, so the source and every arc-less
+        vertex have no column.
+        """
+        u, v, _capacity, _cost = self.edge_array()
+        columns = self.lp_columns()
+        rows = np.arange(u.size)
+        tail, head = columns[u], columns[v]
+        has_tail, has_head = tail >= 0, head >= 0
+        return sp.csr_matrix(
+            (
+                np.concatenate([-np.ones(has_tail.sum()), np.ones(has_head.sum())]),
+                (
+                    np.concatenate([rows[has_tail], rows[has_head]]),
+                    np.concatenate([tail[has_tail], head[has_head]]),
+                ),
+            ),
+            shape=(u.size, int(columns.max()) + 1),
+        )
 
     # -- flow semantics ------------------------------------------------------------
 
@@ -219,10 +255,6 @@ class FlowNetwork:
     def flow_cost(self, flow: Dict[Tuple[int, int], float]) -> float:
         """Total cost ``sum_e q_e f_e``."""
         return float(sum(self._edges[key].cost * f for key, f in flow.items() if key in self._edges))
-
-    def zero_flow(self) -> Dict[Tuple[int, int], float]:
-        """The all-zeros flow."""
-        return {key: 0.0 for key in self.edge_keys()}
 
     # -- dunder ---------------------------------------------------------------------
 

@@ -7,8 +7,8 @@ The LPs have the form of Theorem 1.4
 with the constraint matrix distributed so that matrix-vector products and
 solves in ``A^T D A`` are cheap (graph-structured).
 
-* :mod:`repro.lp.problem` -- the :class:`LPProblem` container and feasibility
-  helpers.
+* :mod:`repro.lp.problem` -- the :class:`LPProblem` and :class:`LPSolution`
+  containers.
 * :mod:`repro.lp.barrier_ipm` -- Mehrotra's primal-dual predictor-corrector,
   whose Newton systems are ``A^T D A`` solves and which returns the duals;
   the one LP engine, standing in for Lee-Sidford's weighted path following

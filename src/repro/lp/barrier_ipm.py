@@ -9,7 +9,10 @@ predictor-corrector of Mehrotra (*SIAM J. Optim.* 1992; Wright, *Primal-Dual
 Interior-Point Methods*, 1997) on the box: primal slacks ``p = x - l`` and
 ``q = u - x``, dual slacks ``z1, z2 > 0`` and free duals ``y``.  The
 predictor and the corrector share one Newton matrix ``A^T diag(theta) A``
-with ``theta = 1 / (z1/p + z2/q)``.
+with ``theta = 1 / (z1/p + z2/q)``.  The start need only lie strictly
+inside the box: every Newton step carries the primal residual
+``b - A^T x`` and the dual one, so the flow LP starts at the middle of its
+box with no feasible flow in hand.
 
 The run stops on the *measured* duality gap ``p^T z1 + q^T z2 <= eps`` with
 both residuals at most ``1e-9`` relative, and returns the duals ``y`` with
@@ -92,8 +95,9 @@ class BarrierIPM:
     def solve(self, x0: np.ndarray, eps: float = 1e-8) -> LPSolution:
         """Run from ``x0`` until the measured duality gap is ``<= eps``.
 
-        ``x0`` must lie strictly inside the box and satisfy ``A^T x0 = b``; the
-        flow formulation of Section 5 provides one explicitly.  On a stall, or
+        ``x0`` must lie strictly inside the box; it need not satisfy
+        ``A^T x0 = b``, because every Newton step carries the primal residual
+        (the flow pipeline starts at the middle of the box).  On a stall, or
         when a slack underflows, the best iterate is returned with
         ``converged=False`` instead of raising.
         """
@@ -103,8 +107,8 @@ class BarrierIPM:
         if not (np.all(np.isfinite(problem.lower)) and np.all(np.isfinite(problem.upper))):
             raise ValueError("the barrier IPM needs a finite box")
         x = np.array(x0, dtype=float)
-        if not problem.is_strictly_feasible(x, tol=1e-6):
-            raise ValueError("the barrier IPM needs a strictly feasible starting point")
+        if np.any(x <= problem.lower) or np.any(x >= problem.upper):
+            raise ValueError("the barrier IPM needs a start strictly inside the box")
 
         c, lower, upper = problem.c, problem.lower, problem.upper
         m = problem.m

@@ -12,10 +12,10 @@ half done per Newton step:
 
 * :class:`IncidenceStructure` (the symbolic half) -- compiled by
   :func:`detect_incidence_structure`, which recognises from ``A`` alone that
-  every row is ``+/- s (e_j - e_k)`` or ``+/- s e_j`` (the fixed-value LP's
-  incidence rows and the Section 5 LP's slack rows respectively), or by
-  :func:`flow_gram_structure` straight from the network (the fixed-value
-  LP's structure, which the serving tier caches).  Single-entry rows
+  every row is ``+/- s (e_j - e_k)`` or ``+/- s e_j`` (the flow LP's
+  incidence rows, and its rows of arcs at the source and of the flow value
+  ``F``), or by :func:`flow_gram_structure` straight from the network (the
+  flow LP's structure, which the serving tier caches).  Single-entry rows
   become edges to a synthetic *ground* vertex; ``A^T D A`` is then exactly
   the ground-grounded Laplacian of the auxiliary graph.  Compiling fixes the
   row -> vertex-pair mapping, a fill-reducing symmetric ordering and the CSC
@@ -254,17 +254,20 @@ def flow_gram_structure(network) -> IncidenceStructure:
     the constraint matrix of
     :func:`~repro.flow.lp_formulation.build_fixed_value_lp` -- same
     fingerprint -- without building the LP, so the serving tier can cache it
-    per network.  LP columns are the non-source vertices in sorted order and
-    the ground vertex is the dropped source.
+    per network.  LP columns come from the network's one column map
+    (:meth:`~repro.graphs.digraph.FlowNetwork.lp_columns`), the ground
+    vertex is the dropped source, and the flow-value variable's row is the
+    last pair ``(t, ground)``.
     """
-    columns = [v for v in range(network.n) if v != network.source]
-    col_index = {v: i for i, v in enumerate(columns)}
-    n = len(columns)
-    rows = np.array(
-        [(col_index.get(u, n), col_index.get(v, n)) for (u, v) in network.edge_keys()],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    structure = IncidenceStructure.from_rows(n, rows[:, 0], rows[:, 1])
+    columns = network.lp_columns()
+    n = int(columns.max()) + 1
+    grounded = np.where(columns >= 0, columns, n)  # only the source maps to ground
+    u, v, _capacity, _cost = network.edge_array()
+    structure = IncidenceStructure.from_rows(
+        n,
+        np.append(grounded[u], grounded[network.sink]),
+        np.append(grounded[v], n),
+    )
     if structure is None:
         raise ValueError(
             "flow network's auxiliary gram graph is disconnected; the LP "

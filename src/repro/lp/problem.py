@@ -2,10 +2,10 @@
 
     min c^T x   subject to   A^T x = b,   l <= x <= u,
 
-with ``A in R^{m x n}`` of full column rank ``n``.  In flow formulations ``m``
-is the number of edges (plus auxiliary variables) and ``n`` the number of
-vertices minus one, which is why the paper writes the constraint as
-``A^T x = b`` rather than ``A x = b``.
+with ``A in R^{m x n}`` of full column rank ``n``.  In the flow formulation
+``m`` is the number of edges plus one (the flow value) and ``n`` the number
+of constrained vertices (at most the number of vertices minus one), which is
+why the paper writes the constraint as ``A^T x = b`` rather than ``A x = b``.
 """
 
 from __future__ import annotations
@@ -67,17 +67,6 @@ class LPProblem:
     def objective(self, x: np.ndarray) -> float:
         """``c^T x``."""
         return float(self.c @ np.asarray(x, dtype=float))
-
-    def equality_residual(self, x: np.ndarray) -> np.ndarray:
-        """``A^T x - b``."""
-        return self.AT @ np.asarray(x, dtype=float) - self.b
-
-    def is_strictly_feasible(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        """Strict interior feasibility (needed to start an interior point method)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= self.lower) or np.any(x >= self.upper):
-            return False
-        return bool(np.linalg.norm(self.equality_residual(x), ord=np.inf) <= tol)
 
     def solve_gram(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``(A^T D A) y = rhs`` with the diagonal ``D = diag(d)``.

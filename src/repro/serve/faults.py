@@ -12,7 +12,7 @@ failures originate:
 ``build``
     an artifact build of a given ``kind`` (``"preprocessing"``,
     ``"grounded"``, ``"resistance_oracle"``, ``"sketched_resistance"``,
-    ``"gram_structure"``, ``"maxflow"``, ``"certification"``) raises before
+    ``"gram_structure"``, ``"certification"``) raises before
     the builder runs -- the deterministic stand-in for singular ``splu``,
     ``MemoryError`` on a ``k``-column sketch, ARPACK non-convergence.
 ``execute``

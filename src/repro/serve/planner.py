@@ -33,13 +33,13 @@ from it); clients construct them via the ``*_query`` functions:
     same-``eps`` queries collapse to a single certification.
 ``flow``
     a full :func:`~repro.flow.mincostflow.min_cost_max_flow` run on a
-    registered network, with the phase-1 max flow and the compiled Gram
-    structure served from cached artifacts and every Newton system solved by
-    a :class:`~repro.lp.gram.GramSolverBridge` on that structure -- the same
+    registered network, with the compiled Gram structure served from a
+    cached artifact and every Newton system solved by a
+    :class:`~repro.lp.gram.GramSolverBridge` on that structure -- the same
     bridge the direct path builds, holding the one factorisation each Newton
     step takes.  The final flow is memoised only on request
     (``memoise_result``); otherwise a repeat solve re-runs the IPM with only
-    the structure and the max flow warm.
+    the structure warm.
 
 Staleness: before executing a batch the planner checks the registry entry's
 version.  A drifted graph is revalidated and its outdated artifacts are
@@ -63,7 +63,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.core import api
-from repro.flow.baselines import edmonds_karp_max_flow
 from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.laplacian import spectral_approximation_factor
@@ -268,9 +267,9 @@ def flow_query(
     """An exact min-cost max-flow of the registered network (Theorem 1.1).
 
     Identical-parameter queries on the same network coalesce to one pipeline
-    run.  The run consumes cached serving artifacts (phase-1 max flow, Gram
-    structure) but its result is recomputed per batch unless
-    ``memoise_result=True``, which additionally caches the final
+    run.  The run consumes the cached Gram structure but its result is
+    recomputed per batch unless ``memoise_result=True``, which additionally
+    caches the final
     :class:`~repro.flow.mincostflow.MinCostFlowResult` under the network's
     content identity so read-heavy traffic on an unchanging network is a
     dictionary lookup.  Memoising and non-memoising queries never share a
@@ -899,11 +898,11 @@ class QueryPlanner:
     ) -> Tuple[List[Any], bool, bool]:
         """One pipeline run answers every identical-parameter flow query.
 
-        Warm serving artifacts: the phase-1 max flow (kind ``"maxflow"``,
-        content-addressed like everything else) and the compiled Gram
-        structure (kind ``"gram_structure"``); the batch counts as a cache hit
-        when either was warm.  The pipeline itself is deterministic given the
-        parameters, so one run is the answer for the whole batch.
+        The warm serving artifact is the compiled Gram structure (kind
+        ``"gram_structure"``, content-addressed like everything else); the
+        batch counts as a cache hit when it was warm.  The pipeline itself is
+        deterministic given the parameters, so one run is the answer for the
+        whole batch.
 
         With ``memoise_result=True`` on the queries, the final
         :class:`~repro.flow.mincostflow.MinCostFlowResult` is itself a cached
@@ -915,24 +914,12 @@ class QueryPlanner:
         warm: List[bool] = []
 
         def run_pipeline():
-            phase_one, phase_hit = self._build(
-                entry,
-                "maxflow",
-                (),
-                lambda: edmonds_karp_max_flow(entry.graph),
-            )
-            hits = [phase_hit]
-
             def factory(flow_lp):
                 bridge, structure_hit = self.gram_bridge(entry)
-                hits.append(structure_hit)
+                warm.append(structure_hit)
                 return bridge
 
-            result = min_cost_max_flow(
-                entry.graph, seed=seed, gram_solver_factory=factory, phase_one=phase_one
-            )
-            warm.append(any(hits))
-            return result
+            return min_cost_max_flow(entry.graph, seed=seed, gram_solver_factory=factory)
 
         if memoise:
             result, result_hit = self._build(

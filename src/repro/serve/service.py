@@ -279,10 +279,10 @@ class QueryFrontDoor:
     ):
         """Exact min-cost max-flow of a registered ``FlowNetwork``.
 
-        The pipeline consumes cached serving artifacts -- the phase-1 max
-        flow and the compiled Gram structure every Newton step's
-        ``A^T D A`` factorisation scatters into -- so repeated solves on the
-        same network skip that preprocessing.  Returns the same
+        The pipeline consumes one cached serving artifact -- the compiled
+        Gram structure every Newton step's ``A^T D A`` factorisation
+        scatters into -- so repeated solves on the same network skip that
+        preprocessing.  Returns the same
         :class:`~repro.flow.mincostflow.MinCostFlowResult` as the direct
         path, with :attr:`~repro.flow.mincostflow.MinCostFlowResult.gram_stats`
         describing how the bridge served the run.

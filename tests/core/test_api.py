@@ -42,7 +42,7 @@ class TestFacade:
         assert solution.converged
         assert np.all(solution.x >= problem.lower - 1e-5)
         assert np.all(solution.x <= problem.upper + 1e-5)
-        assert np.linalg.norm(problem.equality_residual(solution.x), ord=np.inf) <= 1e-5
+        assert np.linalg.norm(problem.AT @ solution.x - problem.b, ord=np.inf) <= 1e-5
 
     def test_flow_facade(self):
         net = generators.random_flow_network(9, seed=10)

@@ -9,16 +9,17 @@ from repro.flow import mincostflow, networkx_min_cost_max_flow
 from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs import generators
+from repro.graphs.digraph import FlowNetwork
 from repro.lp.gram import GramSolverBridge
 from repro.serve import LaplacianService, flow_query
 
 #: network -> (lp_iterations, rounds) of the served run at seed 0, recorded
-#: when the LP began stopping at the perturbation's isolation gap
-#: (``docs/substitutions.md`` section 6)
+#: when one LP began fixing the flow value (``docs/substitutions.md``
+#: section 6): every round is the IPM's
 PINNED = {
-    "random-24": (lambda: generators.random_flow_network(24, seed=3), 16, 7007.088922795229),
-    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 14, 5492.246949479196),
-    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 20, 13777.062780654142),
+    "random-24": (lambda: generators.random_flow_network(24, seed=3), 13, 338.0),
+    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 14, 308.0),
+    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 18, 324.0),
 }
 
 
@@ -87,13 +88,13 @@ class TestServedFlow:
             assert stats["factorisations"] == stats["solves"] - stats["reuse_solves"]
             assert stats["factorisations"] >= lp_iterations
         assert cold.gram_stats["solves"] == warm.gram_stats["solves"] == direct_stats["solves"]
-        # the warm run finds the max flow and the structure; it stores nothing
+        # the warm run finds the structure; it stores nothing
         kinds = sorted(entry.kind for entry in service.cache.entries())
-        assert kinds == ["gram_structure", "maxflow"]
+        assert kinds == ["gram_structure"]
         assert service.cache.total_bytes == cold_bytes
         assert service.metrics_snapshot()["queries_by_kind"].get("flow") == 2
 
-    def test_warm_flag_is_the_structure_and_max_flow_hit(self, network):
+    def test_warm_flag_is_the_structure_hit(self, network):
         service = make_service(auto_flush=False)
         key = service.register(network)
         tickets = []
@@ -108,8 +109,8 @@ class TestServedFlow:
         """The ``flow`` workload's own network: the IPM's rounded flow is the answer."""
         network = generators.layered_flow_network(16, 12, seed=7)
         run = min_cost_max_flow(network, seed=1)
-        assert run.lp_iterations == 28
-        assert run.rounds == pytest.approx(29994.95057821853, rel=1e-12)
+        assert run.lp_iterations == 24
+        assert run.rounds == pytest.approx(432.0, rel=1e-12)
         assert run.cost == 747.0 and not run.rounding_fallback
 
     def test_symbolic_work_happens_once_per_solve(self, built, monkeypatch):
@@ -148,14 +149,22 @@ class TestServedFlow:
         hits_before = service.cache.stats.hits
         clone = generators.random_flow_network(9, seed=5)
         warm = api.min_cost_max_flow(clone, seed=0, service=service)
-        # the clone's max flow and structure come out of the cache
-        assert service.cache.stats.hits - hits_before == 2
-        assert sorted(entry.kind for entry in service.cache.entries()) == [
-            "gram_structure",
-            "maxflow",
-        ]
+        # the clone's structure comes out of the cache
+        assert service.cache.stats.hits - hits_before == 1
+        assert sorted(entry.kind for entry in service.cache.entries()) == ["gram_structure"]
         assert warm.flow == cold.flow
         assert warm.gram_stats["factorisations"] == cold.gram_stats["factorisations"]
+
+    def test_network_with_an_arc_less_vertex_is_served(self):
+        """Vertex 4 touches no arc: it has no LP column, so the served
+        structure is the direct path's (its all-zero column used to make the
+        compiled Gram graph disconnected, and the flush raised)."""
+        network = FlowNetwork(5, 0, 3, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 0), (2, 3, 1, 5)])
+        direct = min_cost_max_flow(network, seed=0)
+        served = api.min_cost_max_flow(network, seed=0, service=make_service())
+        for run in (direct, served):
+            assert (run.value, run.cost, run.rounding_fallback) == (3.0, 9.0, False)
+        assert served.flow == direct.flow
 
     def test_mutated_network_is_not_served_stale(self, network):
         service = make_service()

@@ -65,30 +65,50 @@ class TestConstruction:
         assert net.max_cost_magnitude() == 2
 
 
+def dense_incidence(net):
+    """Reference, one edge at a time: ``-1`` at the tail's column, ``+1`` at the head's."""
+    columns = net.lp_columns()
+    B = np.zeros((net.m, int(columns.max()) + 1))
+    for row, (u, v) in enumerate(net.edge_keys()):
+        if columns[u] >= 0:
+            B[row, columns[u]] = -1.0
+        if columns[v] >= 0:
+            B[row, columns[v]] = 1.0
+    return B
+
+
 class TestIncidenceMatrix:
     def test_shape_and_entries(self):
         net = diamond_network()
         B = net.incidence_matrix()
-        assert B.shape == (4, 4)
-        keys = net.edge_keys()
-        for row, (u, v) in enumerate(keys):
-            assert B[row, u] == -1.0
-            assert B[row, v] == 1.0
-            assert np.count_nonzero(B[row]) == 2
+        assert B.format == "csr" and B.shape == (4, 3)
+        # the source has no column; the others keep vertex order
+        np.testing.assert_array_equal(net.lp_columns(), [-1, 0, 1, 2])
+        np.testing.assert_array_equal(
+            B.toarray(),
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]],
+        )
 
-    def test_dropping_source_column(self):
-        net = diamond_network()
-        B = net.incidence_matrix(drop_vertex=net.source)
-        assert B.shape == (4, 3)
-        # rows of edges leaving the source have a single +1 entry
-        for row, (u, v) in enumerate(net.edge_keys()):
-            if u == net.source:
-                assert np.count_nonzero(B[row]) == 1
-
-    def test_row_sums_zero_without_drop(self):
+    def test_source_rows_have_one_entry_and_others_sum_to_zero(self):
         net = generators.random_flow_network(8, seed=3)
-        B = net.incidence_matrix()
-        np.testing.assert_allclose(B @ np.ones(net.n), 0.0, atol=1e-12)
+        B = net.incidence_matrix().toarray()
+        at_source = np.array([net.source in key for key in net.edge_keys()])
+        assert np.all(np.count_nonzero(B[at_source], axis=1) == 1)
+        np.testing.assert_array_equal(B[~at_source].sum(axis=1), 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_loop(self, seed):
+        net = generators.layered_flow_network(5, 4, seed=seed)
+        net.add_edge(net.sink, net.source, 3, 1)  # an arc out of t into s
+        net.add_edge(1, net.source, 2, 0)  # an arc into s
+        np.testing.assert_array_equal(net.incidence_matrix().toarray(), dense_incidence(net))
+
+    def test_arc_less_vertices_have_no_column(self):
+        net = FlowNetwork(6, source=1, sink=4)
+        net.add_edge(1, 2, 1, 0)
+        net.add_edge(2, 4, 1, 0)
+        np.testing.assert_array_equal(net.lp_columns(), [-1, -1, 0, -1, 1, -1])
+        assert net.incidence_matrix().shape == (2, 2)
 
 
 class TestFlowSemantics:
@@ -112,8 +132,9 @@ class TestFlowSemantics:
 
     def test_zero_flow_always_feasible(self):
         net = generators.random_flow_network(10, seed=5)
-        assert net.is_feasible_flow(net.zero_flow())
-        assert net.flow_value(net.zero_flow()) == 0.0
+        zero = {key: 0.0 for key in net.edge_keys()}
+        assert net.is_feasible_flow(zero)
+        assert net.flow_value(zero) == 0.0
 
 
 class TestGenerators:

@@ -17,8 +17,9 @@ from scipy.sparse import csgraph
 import repro.flow
 import repro.lp
 import repro.serve
-from repro.flow.lp_formulation import build_fixed_value_lp, build_flow_lp
+from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.graphs import generators
+from repro.graphs.digraph import FlowNetwork
 from repro.lp.gram import (
     GramFactorisation,
     GramSolverBridge,
@@ -37,13 +38,33 @@ def network():
     return generators.random_flow_network(9, seed=3)
 
 
-#: how each flow LP's Gram structure is compiled: the fixed-value LP's
-#: straight from the network, the Section 5 LP's by detection on its ``A``
+#: the two ways the flow LP's Gram structure is compiled: straight from the
+#: network, and by detection on the LP's (densified) ``A``
 STRUCTURES = {
-    "fixed-value": flow_gram_structure,
-    "section5": lambda network: detect_incidence_structure(
-        build_flow_lp(network, seed=0).problem.A
+    "network": flow_gram_structure,
+    "detected": lambda network: detect_incidence_structure(
+        build_fixed_value_lp(network).problem.A.toarray()
     ),
+}
+
+
+def terminal_arcs_network():
+    """Arcs into s, out of t and t -> s, which no generator makes, and an arc-less vertex."""
+    net = generators.layered_flow_network(3, 3, seed=4)
+    net.add_edge(1, net.source, 2, 1)
+    net.add_edge(net.sink, 2, 3, 2)
+    net.add_edge(net.sink, net.source, 4, 0)
+    closed = FlowNetwork(net.n + 1, net.source, net.sink)
+    for u, v, capacity, cost in zip(*net.edge_array()):
+        closed.add_edge(int(u), int(v), capacity, cost)
+    return closed
+
+
+#: networks the compiled and the detected structure must agree on
+FINGERPRINT_NETWORKS = {
+    "random-9": lambda: generators.random_flow_network(9, seed=3),
+    "layered-4x3": lambda: generators.layered_flow_network(4, 3, seed=1),
+    "terminal-arcs": terminal_arcs_network,
 }
 
 
@@ -62,12 +83,12 @@ def dense_gram_solve(A, d, rhs):
 
 
 class TestDetection:
-    def test_fixed_value_lp_is_incidence_structured(self, network, rng):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0)
+    def test_flow_lp_is_incidence_structured(self, network, rng):
+        flow_lp = build_fixed_value_lp(network)
         structure = detect_incidence_structure(flow_lp.problem.A)
         assert structure is not None
         assert structure.n == network.n - 1
-        assert structure.m == network.m
+        assert structure.m == network.m + 1  # the edges and the flow value F
         # the compiled reduced matrix IS A^T D A for any positive diagonal
         d = rng.uniform(0.5, 2.0, size=structure.m)
         A = flow_lp.problem.A.toarray()
@@ -77,29 +98,19 @@ class TestDetection:
             atol=1e-12,
         )
 
-    def test_section5_lp_is_incidence_structured(self, network, rng):
-        flow_lp = build_flow_lp(network, seed=0)
-        structure = detect_incidence_structure(flow_lp.problem.A)
-        assert structure is not None
-        d = rng.uniform(0.5, 2.0, size=structure.m)
-        A = np.asarray(flow_lp.problem.A)
-        np.testing.assert_allclose(
-            reduced_matrix(structure, structure.aggregate(d)).toarray(),
-            A.T @ (d[:, None] * A),
-            atol=1e-12,
-        )
-
-    def test_flow_gram_structure_matches_detection(self, network):
+    @pytest.mark.parametrize("name", sorted(FINGERPRINT_NETWORKS))
+    def test_flow_gram_structure_matches_detection(self, name):
         # byte-identical fingerprints: the structure the serving tier compiles
         # straight from the network is the one the direct path detects
-        fixed = build_fixed_value_lp(network, flow_value=3.0)
+        network = FINGERPRINT_NETWORKS[name]()
+        A = build_fixed_value_lp(network).problem.A
         assert (
             flow_gram_structure(network).fingerprint
-            == detect_incidence_structure(fixed.problem.A).fingerprint
+            == detect_incidence_structure(A).fingerprint
         )
 
     def test_sparse_and_dense_matrices_detect_identically(self, network):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0)
+        flow_lp = build_fixed_value_lp(network)
         dense = detect_incidence_structure(flow_lp.problem.A.toarray())
         sparse = detect_incidence_structure(flow_lp.problem.A)
         assert dense.fingerprint == sparse.fingerprint
@@ -133,7 +144,7 @@ class TestDetection:
 
 class TestBridge:
     def test_drifting_weights_answered_exactly_by_reuse_or_factorise(self, network, rng):
-        flow_lp = build_fixed_value_lp(network, flow_value=3.0)
+        flow_lp = build_fixed_value_lp(network)
         A = flow_lp.problem.A
         structure = detect_incidence_structure(A)
         bridge = GramSolverBridge(structure)
@@ -184,16 +195,8 @@ class TestDefaultGramSolver:
     @pytest.mark.parametrize("dense", [False, True])
     def test_every_incidence_matrix_gets_the_bridge(self, rng, vertices, dense):
         network = generators.random_flow_network(vertices, seed=3)
-        A = build_fixed_value_lp(network, flow_value=3.0).problem.A
+        A = build_fixed_value_lp(network).problem.A
         solver = default_gram_solver(A.toarray() if dense else A)
-        assert isinstance(solver, GramSolverBridge)
-        d = rng.uniform(0.5, 2.0, size=network.m)
-        rhs = rng.normal(size=network.n - 1)
-        np.testing.assert_allclose(solver(d, rhs), dense_gram_solve(A, d, rhs), atol=1e-8)
-
-    def test_section5_matrix_gets_the_bridge(self, network, rng):
-        A = build_flow_lp(network, seed=0).problem.A
-        solver = default_gram_solver(A)
         assert isinstance(solver, GramSolverBridge)
         d = rng.uniform(0.5, 2.0, size=A.shape[0])
         rhs = rng.normal(size=A.shape[1])
@@ -248,20 +251,20 @@ class TestGroundedLaplacian:
         assert ground_weight.sum() > 0.0
 
 
-#: ``flow_gram_structure(network).fingerprint`` at the commit before
-#: structures carried an ordering: compiling must not move it
+#: ``flow_gram_structure(network).fingerprint`` since the flow LP gained its
+#: flow-value row ``(t, ground)``; the compiled ordering must not move it
 PINNED_FINGERPRINTS = {
     "random-24": (
         lambda: generators.random_flow_network(24, seed=3),
-        "65239702a4db7bb4ff99d27b8bad5a9ebda3b092e43c39a957a93dc953e0b668",
+        "96c7d7705afbed241c617623725ef0b5d5587808a04f0086d6300675b8798a71",
     ),
     "layered-6x5": (
         lambda: generators.layered_flow_network(6, 5, seed=3),
-        "7ef938f34fb8cf7701d7fd7d360da1c748757e2f73170945e2301e1929de4a1a",
+        "6b344057ee657f34fb83590b6a638c128e6f24f33a06d844494bac154ba27330",
     ),
     "layered-10x8": (
         lambda: generators.layered_flow_network(10, 8, seed=3),
-        "0c1b7386edeb0938f9ad3c84f034669df87f94426dd16a713eadcfa71f1a49d8",
+        "cb0fc6ea95df56cf9a489ad297b68fa3ae590abfdb933db48227e49b6b3e3c92",
     ),
 }
 

@@ -10,12 +10,25 @@ from repro.congest.ledger import CommunicationPrimitives
 from repro.lp import BarrierIPM, LPProblem
 
 
+def equality_residual(problem, x):
+    """``A^T x - b``."""
+    return problem.AT @ np.asarray(x, dtype=float) - problem.b
+
+
 def is_feasible(problem, x, tol=1e-6):
     """Feasibility w.r.t. both the equality and the box constraints."""
     x = np.asarray(x, dtype=float)
     if np.any(x < problem.lower - tol) or np.any(x > problem.upper + tol):
         return False
-    return bool(np.linalg.norm(problem.equality_residual(x), ord=np.inf) <= tol)
+    return bool(np.linalg.norm(equality_residual(problem, x), ord=np.inf) <= tol)
+
+
+def is_strictly_feasible(problem, x, tol=1e-9):
+    """Strictly inside the box and on the equality constraints."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= problem.lower) or np.any(x >= problem.upper):
+        return False
+    return bool(np.linalg.norm(equality_residual(problem, x), ord=np.inf) <= tol)
 
 
 def random_box_lp(m, n, seed=0):
@@ -50,14 +63,14 @@ class TestLPProblem:
 
     def test_feasibility_checks(self):
         problem, x0 = random_box_lp(10, 3, seed=1)
-        assert problem.is_strictly_feasible(x0)
+        assert is_strictly_feasible(problem, x0)
         assert is_feasible(problem, x0)
         assert not is_feasible(problem, np.full(10, 2.0))
 
     def test_objective_and_residual(self):
         problem, x0 = random_box_lp(8, 2, seed=2)
         assert problem.objective(x0) == pytest.approx(float(problem.c @ x0))
-        np.testing.assert_allclose(problem.equality_residual(x0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(equality_residual(problem, x0), 0.0, atol=1e-10)
 
     def test_gram_solver_default_and_custom(self):
         problem, _ = random_box_lp(8, 3, seed=4)
@@ -125,10 +138,22 @@ class TestBarrierIPM:
         assert solution.duality_gap is not None
         assert solution.duality_gap <= 1e-4 * 1.01
 
-    def test_requires_strictly_feasible_start(self):
+    def test_requires_start_strictly_inside_the_box(self):
         problem, _ = random_box_lp(10, 3, seed=7)
-        with pytest.raises(ValueError, match="strictly feasible"):
+        with pytest.raises(ValueError, match="strictly inside the box"):
             BarrierIPM(problem).solve(np.zeros(10))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infeasible_start_inside_the_box_reaches_the_optimum(self, seed):
+        """The box midpoint misses ``A^T x = b``; the primal residual rides
+        along every Newton step, as on the flow LP."""
+        problem, _ = random_box_lp(25, 5, seed=seed)
+        midpoint = (problem.lower + problem.upper) / 2.0
+        assert np.linalg.norm(equality_residual(problem, midpoint), ord=np.inf) > 1e-3
+        solution = BarrierIPM(problem).solve(midpoint, eps=1e-7)
+        assert solution.converged
+        assert is_feasible(problem, solution.x, tol=1e-6)
+        assert solution.objective == pytest.approx(scipy_optimum(problem), abs=1e-5)
 
     def test_rounds_charged_with_comm(self):
         problem, x0 = random_box_lp(12, 3, seed=8)

@@ -35,10 +35,6 @@ SCRIPT_DIRS = ("benchmarks", "examples", "scripts")
 #: public names ``src/`` keeps with no caller there, ``qualified name -> reason``
 ALLOWED_UNCALLED = {
     "repro.core.api.solve_lp": "Theorem 1.4's facade, the paper's general LP entry point",
-    "repro.flow.lp_formulation.build_flow_lp": "Section 5's LP, reserved by ROADMAP's phase-1 item",
-    "repro.congest.ledger.RoundLedger.rounds_by_operation": (
-        "reserved by ROADMAP's thaw item, whose suite reports each workload's rounds per operation"
-    ),
     "repro.serve.cluster.ClusterService.add_worker": "operator scale-out, docs/cluster.md",
     "repro.serve.cluster.ClusterService.remove_worker": "operator scale-in, docs/cluster.md",
     "repro.serve.cluster.ClusterService.replicas_of": "operator placement query, docs/cluster.md",
