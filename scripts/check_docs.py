@@ -1,6 +1,6 @@
 """Documentation gate run by the CI ``docs`` job.
 
-Five checks, all fast and dependency-free beyond the package's own imports:
+Six checks, all fast and dependency-free beyond the package's own imports:
 
 1. **Markdown link check** -- every relative link target in the repo's
    markdown files (root-level ``*.md`` and ``docs/*.md``) must resolve to an
@@ -37,6 +37,11 @@ Five checks, all fast and dependency-free beyond the package's own imports:
    a public class of a ``repro`` package: the member must be an attribute of
    the class, a dataclass field, or an attribute its methods assign on
    ``self``, so a deleted attribute cannot survive either.
+6. **Call forms** -- every backticked call ``name(..., param=...)`` in the
+   same prose, where ``name`` (the last part of a dotted name) is a public
+   ``repro`` function, class or method, must pass only keywords some
+   callable of that name accepts, so a deleted parameter cannot survive in
+   prose.  The match is by name, as in ``tests/test_orphan_modules.py``.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 
@@ -391,6 +396,87 @@ def check_dotted_names() -> list:
     return problems
 
 
+#: the text inside a run of backticks (one or two, as markdown and docstrings write them)
+CODE_SPAN = re.compile(r"`+([^`]+)`+")
+
+#: a call's callee, optionally dotted; the arguments follow the parenthesis
+CALL_START = re.compile(r"([A-Za-z_]\w*)(?:\.[A-Za-z_]\w*)*\(")
+
+
+def public_callables() -> dict:
+    """``{name: [inspect.Signature]}`` of the public functions, classes and
+    methods (``__init__`` as its class) every ``repro`` package defines."""
+    signatures: dict = {}
+
+    def add(name, obj):
+        try:
+            signatures.setdefault(name, []).append(inspect.signature(obj))
+        except (TypeError, ValueError):
+            pass
+
+    for package_name in gated_packages():
+        for module_name, module in iter_package_modules(package_name):
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module_name:
+                    continue
+                if inspect.isfunction(obj):
+                    add(name, obj)
+                elif inspect.isclass(obj):
+                    add(name, obj)
+                    for member, value in vars(obj).items():
+                        if isinstance(value, (classmethod, staticmethod)):
+                            value = value.__func__
+                        if not member.startswith("_") and inspect.isfunction(value):
+                            add(member, value)
+    return signatures
+
+
+#: a keyword argument: an identifier and a single ``=``
+KEYWORD = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def call_keywords(span: str):
+    """``(callee name, [keywords])`` of every call written in ``span``."""
+    for match in CALL_START.finditer(span):
+        depth, flat = 1, []
+        for char in span[match.end() :]:
+            depth += (char in "([{") - (char in ")]}")
+            if depth == 0:
+                break
+            flat.append(char if depth == 1 else " ")  # nested calls keep their own keywords
+        yield match.group(0)[:-1].rsplit(".", 1)[-1], KEYWORD.findall("".join(flat))
+
+
+def accepts(signature: inspect.Signature, keyword: str) -> bool:
+    return keyword in signature.parameters or any(
+        parameter.kind is inspect.Parameter.VAR_KEYWORD
+        for parameter in signature.parameters.values()
+    )
+
+
+def check_call_forms() -> list:
+    texts = [
+        (f"{path.relative_to(REPO_ROOT)}:{number}", line)
+        for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+    ]
+    texts += [
+        (f"{source.relative_to(REPO_ROOT)}:{number}", doc)
+        for source in sorted((REPO_ROOT / "src").rglob("*.py"))
+        for number, doc in docstrings(source)
+    ]
+    signatures = public_callables()
+    return [
+        f"{where}: `{span}` passes `{keyword}=`, which no `repro` `{name}` takes"
+        for where, text in texts
+        for span in CODE_SPAN.findall(text)
+        for name, keywords in call_keywords(span)
+        if name in signatures
+        for keyword in keywords
+        if not any(accepts(signature, keyword) for signature in signatures[name])
+    ]
+
+
 def main() -> int:
     problems = (
         check_markdown_links()
@@ -398,6 +484,7 @@ def main() -> int:
         + check_decision_tables()
         + check_docstring_file_references()
         + check_dotted_names()
+        + check_call_forms()
     )
     for problem in problems:
         print(problem)
@@ -407,7 +494,7 @@ def main() -> int:
     print(
         "PASS: markdown links resolve, public API fully docstringed, "
         "decision tables match the code, docstring file references and dotted "
-        "names resolve"
+        "names resolve, call forms pass parameters their callables take"
     )
     return 0
 

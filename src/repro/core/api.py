@@ -37,12 +37,15 @@ def spectral_sparsifier(
     graph: WeightedGraph,
     eps: float = 0.5,
     seed: Optional[int] = None,
-    **kwargs,
+    t_override: Optional[int] = None,
+    bundle_scale: float = 1.0,
 ) -> SparsifierResult:
     """Compute a ``(1 +/- eps)``-spectral sparsifier in the Broadcast CONGEST
-    model (Theorem 1.2).  Extra keyword arguments are experiment knobs
-    (``t_override``, ``bundle_scale``, ``k_override``)."""
-    return spectral_sparsify(graph, eps=eps, seed=seed, **kwargs)
+    model (Theorem 1.2).  ``t_override`` and ``bundle_scale`` are the
+    experiment knobs of :func:`~repro.sparsify.spectral.spectral_sparsify`."""
+    return spectral_sparsify(
+        graph, eps=eps, seed=seed, t_override=t_override, bundle_scale=bundle_scale
+    )
 
 
 def solve_laplacian(
@@ -50,24 +53,19 @@ def solve_laplacian(
     b: np.ndarray,
     eps: float = 1e-6,
     seed: Optional[int] = None,
-    solver: Optional[BCCLaplacianSolver] = None,
-    **kwargs,
+    t_override: Optional[int] = None,
 ) -> LaplacianSolveReport:
     """Solve ``L_G x = b`` up to relative error ``eps`` in the ``L_G``-norm
-    (Theorem 1.3).  Pass an existing :class:`BCCLaplacianSolver` to reuse its
-    preprocessing across right-hand sides."""
-    if solver is None:
-        solver = BCCLaplacianSolver(graph, seed=seed, **kwargs)
-    return solver.solve(b, eps=eps)
+    (Theorem 1.3).  To reuse the preprocessing across right-hand sides, build
+    one :class:`BCCLaplacianSolver` and call its ``solve``."""
+    return BCCLaplacianSolver(graph, seed=seed, t_override=t_override).solve(b, eps=eps)
 
 
 def solve_many(
     graph: WeightedGraph,
     rhs: Sequence[np.ndarray],
     eps: float = 1e-6,
-    seed: Optional[int] = None,
     solver: Optional[BCCLaplacianSolver] = None,
-    **kwargs,
 ) -> List[LaplacianSolveReport]:
     """Solve ``L_G x = b`` for every ``b`` in ``rhs`` with ONE blocked
     Chebyshev iteration (Theorem 1.3 amortised over instances).
@@ -76,17 +74,17 @@ def solve_many(
     on an ``(n, k)`` block, so at ``k`` right-hand sides the per-instance cost
     is a fraction of ``k`` separate :func:`solve_laplacian` calls.  Pass an
     existing :class:`BCCLaplacianSolver` (e.g. one holding cached
-    preprocessing from the serving layer) to skip preprocessing entirely.
+    preprocessing from the serving layer) to skip preprocessing entirely;
+    without one the paper's preprocessing runs.
     """
     if solver is None:
-        solver = BCCLaplacianSolver(graph, seed=seed, **kwargs)
+        solver = BCCLaplacianSolver(graph)
     return solver.solve_many(list(rhs), eps=eps)
 
 
 def effective_resistances(
     graph: WeightedGraph,
     pairs: Optional[Iterable[Tuple[int, int]]] = None,
-    solver=None,
     eta: Optional[float] = None,
     seed: Optional[int] = 0,
 ) -> np.ndarray:
@@ -97,12 +95,11 @@ def effective_resistances(
     :func:`repro.graphs.laplacian.effective_resistances`).  With an iterable
     of ``(u, v)`` vertex pairs -- which need not be edges -- all queries are
     answered from a single factorisation: ``u == v`` pairs report ``0`` and
-    cross-component pairs ``inf``.  Pass ``solver`` to reuse an already-built
-    :class:`GroundedLaplacianSolver`,
+    cross-component pairs ``inf``.  To reuse one factorisation across calls,
+    build a :class:`GroundedLaplacianSolver`,
     :class:`~repro.linalg.sparse_backend.ResistanceOracle` or
-    :class:`~repro.linalg.resistance.SketchedResistanceOracle` (the serving
-    layer caches one per graph); anything with a ``pair_resistances(u, v)``
-    method works.
+    :class:`~repro.linalg.resistance.SketchedResistanceOracle` once (the
+    serving layer caches one per graph) and call its ``pair_resistances(u, v)``.
 
     ``eta`` is the approximate-resistance knob: a float in ``(0, 1)``
     accepts relative error ``eta`` (with high probability over ``seed``),
@@ -110,11 +107,7 @@ def effective_resistances(
     ``k`` blocked solves of build work and ``O(n k)`` memory instead of one
     solve per pair.  The one-shot facade only pays that build when the pair
     list is long enough to beat per-pair solves (``> k`` pairs); shorter
-    lists are answered exactly, which trivially satisfies ``eta``.  For a
-    reusable sketch across calls build a
-    :class:`~repro.linalg.resistance.SketchedResistanceOracle` once and pass
-    it as ``solver`` (its own accuracy contract then applies; ``eta`` is
-    ignored).
+    lists are answered exactly, which trivially satisfies ``eta``.
     """
     if pairs is None:
         u, v, _ = graph.edge_array()
@@ -127,8 +120,6 @@ def effective_resistances(
         if pair_array.ndim != 2 or pair_array.shape[1] != 2:
             raise ValueError(f"pairs must be (u, v) tuples, got shape {pair_array.shape}")
         u, v = pair_array[:, 0], pair_array[:, 1]
-    if solver is not None:
-        return solver.pair_resistances(u, v)
     if eta is not None:
         from repro.linalg.jl import resistance_sketch_dimension
         from repro.linalg.resistance import SketchedResistanceOracle
@@ -141,23 +132,17 @@ def effective_resistances(
     return GroundedLaplacianSolver(graph).pair_resistances(u, v)
 
 
-def solve_lp(
-    problem: LPProblem,
-    x0: np.ndarray,
-    eps: float = 1e-6,
-    **kwargs,
-) -> LPSolution:
+def solve_lp(problem: LPProblem, x0: np.ndarray, eps: float = 1e-6) -> LPSolution:
     """Solve ``min c^T x, A^T x = b, l <= x <= u`` from ``x0`` (Theorem 1.4)
-    with the primal-dual IPM; ``x0`` need only lie strictly inside the box.
-    ``kwargs`` go to :class:`~repro.lp.barrier_ipm.BarrierIPM`."""
-    return BarrierIPM(problem, **kwargs).solve(x0, eps=eps)
+    with the primal-dual IPM; ``x0`` need only lie strictly inside the box."""
+    return BarrierIPM(problem).solve(x0, eps=eps)
 
 
 def min_cost_max_flow(
     network: FlowNetwork,
     seed: Optional[int] = None,
     service=None,
-    **kwargs,
+    verify_against_baseline: bool = False,
 ) -> MinCostFlowResult:
     """Exact minimum cost maximum ``s``-``t`` flow (Theorem 1.1).
 
@@ -168,8 +153,14 @@ def min_cost_max_flow(
     repeated solves of the same network skip that preprocessing.  Either
     way one LP fixes the maximum flow value and its cheapest flow together,
     and the round ledger holds only what its interior point method charges.
+    ``verify_against_baseline`` cross-checks the direct path against
+    successive shortest paths and raises on disagreement.
     """
-    if service is not None:
-        key = service.register(network)
-        return service.min_cost_flow(key, seed=seed, **kwargs)
-    return _min_cost_max_flow(network, seed=seed, **kwargs)
+    if service is None:
+        return _min_cost_max_flow(
+            network, seed=seed, verify_against_baseline=verify_against_baseline
+        )
+    if verify_against_baseline:
+        raise ValueError("verify_against_baseline checks the direct path only")
+    key = service.register(network)
+    return service.min_cost_flow(key, seed=seed)

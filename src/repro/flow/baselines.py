@@ -117,10 +117,8 @@ def edmonds_karp_max_flow(network: FlowNetwork) -> Tuple[float, Dict[EdgeKey, fl
     return flow_value, _map_back(original, mapping, flow)
 
 
-def successive_shortest_paths(
-    network: FlowNetwork, target_value: Optional[float] = None
-) -> Tuple[float, float, Dict[EdgeKey, float]]:
-    """Exact minimum-cost flow of maximum (or given) value.
+def successive_shortest_paths(network: FlowNetwork) -> Tuple[float, float, Dict[EdgeKey, float]]:
+    """Exact minimum-cost flow of maximum value.
 
     Uses Bellman-Ford shortest augmenting paths on the residual graph (costs
     may become negative on reverse arcs), which is exact for integral
@@ -147,8 +145,7 @@ def successive_shortest_paths(
     position = np.arange(2 * m)
 
     value = 0.0
-    remaining = float("inf") if target_value is None else float(target_value)
-    while remaining > 1e-12:
+    while True:
         # Bellman-Ford from the source on the residual graph
         closed = residual[by_head] <= 1e-12
         dist = np.full(n, np.inf)
@@ -174,12 +171,10 @@ def successive_shortest_paths(
             path.append(parent[vertex])
             vertex = arc_tail[path[-1]]
         path = np.array(path)
-        bottleneck = min(remaining, float(residual[path].min()))
+        bottleneck = float(residual[path].min())
         residual[path] -= bottleneck
         residual[(path + m) % (2 * m)] += bottleneck
         value += bottleneck
-        if target_value is not None:
-            remaining -= bottleneck
 
     split_flow = dict(zip(network.edge_keys(), np.clip(residual[m:], 0.0, capacity).tolist()))
     result_flow = _map_back(original, mapping, split_flow)

@@ -11,7 +11,6 @@ from repro.graphs.graph import Edge, EdgeView, MutationRecord, WeightedGraph
 from repro.graphs.digraph import DirectedEdge, FlowNetwork
 from repro.graphs.laplacian import (
     effective_resistances,
-    incidence_matrix,
     is_spectral_sparsifier,
     spectral_approximation_factor,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "WeightedGraph",
     "DirectedEdge",
     "FlowNetwork",
-    "incidence_matrix",
     "effective_resistances",
     "is_spectral_sparsifier",
     "spectral_approximation_factor",

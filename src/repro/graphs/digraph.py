@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +58,6 @@ class FlowNetwork:
         n: int,
         source: int,
         sink: int,
-        edges: Optional[Iterable[Tuple[int, int, float, float]]] = None,
     ):
         if n < 2:
             raise ValueError(f"a flow network needs at least 2 vertices, got {n}")
@@ -72,9 +71,6 @@ class FlowNetwork:
         self._edges: Dict[Tuple[int, int], DirectedEdge] = {}
         self._version = 0
         self._edge_array: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
-        if edges is not None:
-            for u, v, capacity, cost in edges:
-                self.add_edge(u, v, capacity, cost)
 
     # -- construction ----------------------------------------------------------
 

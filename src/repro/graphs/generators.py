@@ -176,17 +176,17 @@ def _connect_components(
         merged = sorted(merged_set)
 
 
-def complete_graph(n: int, weight: float = 1.0) -> WeightedGraph:
-    """Complete graph ``K_n`` with uniform weights."""
+def complete_graph(n: int) -> WeightedGraph:
+    """Complete graph ``K_n`` with unit weights."""
     graph = WeightedGraph(n)
     for u in range(n):
         for v in range(u + 1, n):
-            graph.add_edge(u, v, weight)
+            graph.add_edge(u, v, 1.0)
     return graph
 
 
-def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
-    """``rows x cols`` grid graph; vertex ``r * cols + c`` sits at row ``r``, column ``c``.
+def grid_graph(rows: int, cols: int) -> WeightedGraph:
+    """``rows x cols`` unit-weight grid; vertex ``r * cols + c`` sits at row ``r``, column ``c``.
 
     Edges go in row-major order, each vertex's right edge before its down edge.
     """
@@ -196,7 +196,7 @@ def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
     u = np.stack([index, index], axis=-1)
     v = np.stack([index + 1, index + cols], axis=-1)
     present = np.stack([c + 1 < cols, r + 1 < rows], axis=-1)
-    graph.add_edges(u[present], v[present], weight)
+    graph.add_edges(u[present], v[present], 1.0)
     return graph
 
 
@@ -241,10 +241,9 @@ def erdos_renyi(
 def barabasi_albert(
     n: int,
     attach: int = 3,
-    weight: float = 1.0,
     seed: RngLike = None,
 ) -> WeightedGraph:
-    """Barabasi-Albert preferential attachment graph (power-law degrees).
+    """Barabasi-Albert preferential attachment graph (power-law degrees), unit weights.
 
     Starts from a clique on ``attach + 1`` vertices; every later vertex
     attaches to ``attach`` distinct existing vertices chosen with probability
@@ -256,21 +255,21 @@ def barabasi_albert(
     if attach < 1:
         raise ValueError(f"attachment count must be >= 1, got {attach}")
     if n <= attach + 1:
-        return complete_graph(n, weight)
+        return complete_graph(n)
     rng = _rng(seed)
     graph = WeightedGraph(n)
     # urn of edge endpoints: each vertex appears once per incident edge
     urn: list = []
     for u in range(attach + 1):
         for v in range(u + 1, attach + 1):
-            graph.add_edge(u, v, weight)
+            graph.add_edge(u, v, 1.0)
             urn.extend((u, v))
     for v in range(attach + 1, n):
         targets: set = set()
         while len(targets) < attach:
             targets.add(int(urn[int(rng.integers(len(urn)))]))
         for t in sorted(targets):
-            graph.add_edge(v, t, weight)
+            graph.add_edge(v, t, 1.0)
             urn.extend((v, t))
     return graph
 

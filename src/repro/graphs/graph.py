@@ -93,7 +93,7 @@ class WeightedGraph:
     adding an existing edge overwrites its weight.
     """
 
-    def __init__(self, n: int, edges: Optional[Iterable[Tuple[int, int, float]]] = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"graph must have at least one vertex, got n={n}")
         self._n = int(n)
@@ -105,9 +105,6 @@ class WeightedGraph:
         self._version = 0
         self._journal: Deque[MutationRecord] = deque()
         self._journal_floor = 0
-        if edges is not None:
-            for u, v, w in edges:
-                self.add_edge(u, v, w)
 
     # -- construction ---------------------------------------------------------
 
@@ -268,16 +265,6 @@ class WeightedGraph:
         g._journal = deque(self._journal)
         g._journal_floor = self._journal_floor
         return g
-
-    def to_networkx(self):
-        """Convert to a networkx.Graph with ``weight`` attributes."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self._n))
-        for (u, v), w in self._weights.items():
-            graph.add_edge(u, v, weight=w)
-        return graph
 
     # -- queries ---------------------------------------------------------------
 

@@ -15,8 +15,7 @@ CSR matrices built from the cached edge arrays of
 ``splu`` factorisation and batched solves, and the spectral certification trio
 (``spectral_approximation_factor`` / ``is_spectral_sparsifier``) from
 ``scipy.sparse.linalg.eigsh`` over two grounded factorisations -- at every
-graph size.  ``incidence_matrix`` densifies for code that wants an
-``np.ndarray``.  The textbook ``pinv`` /
+graph size.  The textbook ``pinv`` /
 ``eigh`` formulas these kernels are pinned to (1e-8) are the test oracle
 ``tests/linalg/reference_dense.py``.
 """
@@ -29,17 +28,6 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
-
-
-def incidence_matrix(graph: WeightedGraph) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense edge-vertex incidence matrix ``B`` (m x n) and weight vector ``w``.
-
-    Edge orientation is from the smaller to the larger endpoint id (head = the
-    larger id), which is immaterial for ``L = B^T W B``.  The pipeline works
-    on :func:`repro.linalg.sparse_backend.incidence_csr`.
-    """
-    B, w = sparse_backend.incidence_csr(graph)
-    return B.toarray(), w
 
 
 def laplacian_norm(L, x: np.ndarray) -> float:
@@ -110,12 +98,9 @@ def spectral_approximation_factor(
     )
 
 
-def is_spectral_sparsifier(
-    graph: WeightedGraph,
-    sparsifier: WeightedGraph,
-    eps: float,
-    slack: float = 1e-7,
-) -> bool:
-    """Whether ``sparsifier`` is a ``(1 +/- eps)``-spectral sparsifier of ``graph``."""
+def is_spectral_sparsifier(graph: WeightedGraph, sparsifier: WeightedGraph, eps: float) -> bool:
+    """Whether ``sparsifier`` is a ``(1 +/- eps)``-spectral sparsifier of ``graph``,
+    up to an eigensolver slack of ``1e-7`` on each side of the window."""
+    slack = 1e-7
     lo, hi = spectral_approximation_factor(graph, sparsifier)
     return lo >= 1.0 - eps - slack and hi <= 1.0 + eps + slack

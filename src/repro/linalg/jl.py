@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def resistance_sketch_dimension(m: int, eta: float, delta: Optional[float] = None) -> int:
+def resistance_sketch_dimension(m: int, eta: float) -> int:
     """Sketch rows needed so *squared* sketched norms carry relative error ``eta``.
 
     Effective resistances (and leverage scores) are squared Euclidean norms of
@@ -29,8 +29,8 @@ def resistance_sketch_dimension(m: int, eta: float, delta: Optional[float] = Non
 
         ``P[ ||Qx||^2 > (1 + eta) ||x||^2 ] <= exp(-k (eta - log(1+eta)) / 2)``
 
-    with the (binding) upper tail; solving for failure probability ``delta``
-    (default ``1/m^2``, union-bounded over poly(m) queried pairs) yields
+    with the (binding) upper tail; solving for failure probability
+    ``delta = 1/m^2`` (union-bounded over poly(m) queried pairs) yields
 
         ``k = ceil( 2 log(2/delta) / (eta - log(1+eta)) )``.
 
@@ -40,49 +40,47 @@ def resistance_sketch_dimension(m: int, eta: float, delta: Optional[float] = Non
     if not (0.0 < eta < 1.0):
         raise ValueError(f"distortion eta must lie in (0, 1), got {eta}")
     m = max(2, int(m))
-    delta = delta if delta is not None else 1.0 / (m ** 2)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"failure probability delta must lie in (0, 1), got {delta}")
+    delta = 1.0 / (m ** 2)
     gap = eta - math.log1p(eta)
     return max(1, math.ceil(2.0 * math.log(2.0 / delta) / gap))
 
 
-def resistance_sketch_eta(k: int, m: int, delta: Optional[float] = None) -> Optional[float]:
+def resistance_sketch_eta(k: int, m: int) -> Optional[float]:
     """Tightest accuracy bound a ``k``-row sketch honours at ambient dimension ``m``.
 
     The inverse of :func:`resistance_sketch_dimension` in ``eta``: the
     smallest ``eta`` in ``(0, 1)`` with
-    ``resistance_sketch_dimension(m, eta, delta) <= k``, or ``None`` when
+    ``resistance_sketch_dimension(m, eta) <= k``, or ``None`` when
     even ``eta -> 1`` needs more than ``k`` rows.  The serving layer uses
     this to *widen* the accuracy bound of a sketched oracle that has been
     repaired under edge insertion: the repaired embedding is a genuine
     Kane-Nelson sketch of the mutated graph with the same ``k`` rows but a
     larger ambient dimension ``m + appended``, so the bound it still honours
     is exactly this function at the new ambient dimension (the growth is
-    logarithmic -- ``delta`` defaults to ``1/m^2`` -- hence tiny for short
-    deltas).
+    logarithmic -- the failure probability is ``1/m^2`` -- hence tiny for
+    short deltas).
     """
     if k < 1:
         raise ValueError(f"sketch dimension k must be positive, got {k}")
     hi = 1.0 - 1e-12
-    if resistance_sketch_dimension(m, hi, delta) > k:
+    if resistance_sketch_dimension(m, hi) > k:
         return None
     lo = 1e-12
-    if resistance_sketch_dimension(m, lo, delta) <= k:
+    if resistance_sketch_dimension(m, lo) <= k:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if resistance_sketch_dimension(m, mid, delta) <= k:
+        if resistance_sketch_dimension(m, mid) <= k:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def kane_nelson_random_bits(m: int, delta: Optional[float] = None) -> int:
-    """Seed length ``O(log(1/delta) log m)`` of Theorem 4.4."""
+def kane_nelson_random_bits(m: int) -> int:
+    """Seed length ``O(log(1/delta) log m)`` of Theorem 4.4 at ``delta = 1/m^2``."""
     m = max(2, int(m))
-    delta = delta if delta is not None else 1.0 / (m ** 2)
+    delta = 1.0 / (m ** 2)
     return max(1, math.ceil(math.log2(1.0 / delta) * math.log2(m)))
 
 
@@ -112,13 +110,11 @@ def kane_nelson_sketch(
     k: int,
     m: int,
     seed_bits: int,
-    column_sparsity: Optional[int] = None,
 ) -> sp.csr_matrix:
     """Kane-Nelson transform ``Q in R^{k x m}`` expanded deterministically from ``seed_bits``.
 
-    Every column receives ``s`` distinct nonzero rows (default
-    ``ceil(sqrt(k))``) with values ``+/- 1/sqrt(s)`` -- the Kane-Nelson sparse
-    embedding shape -- chosen pseudorandomly from the shared seed (an integer
+    Every column receives ``s = ceil(sqrt(k))`` distinct nonzero rows with
+    values ``+/- 1/sqrt(s)`` -- the Kane-Nelson sparse embedding shape -- chosen pseudorandomly from the shared seed (an integer
     of ``O(log(1/delta) log m)`` bits, :func:`kane_nelson_random_bits`), so
     every vertex of the Broadcast Congested Clique reconstructs the *same*
     matrix after the leader has broadcast the seed.  It is materialised as a
@@ -129,8 +125,7 @@ def kane_nelson_sketch(
     """
     if k < 1 or m < 1:
         raise ValueError(f"matrix dimensions must be positive, got k={k}, m={m}")
-    s = column_sparsity if column_sparsity is not None else max(1, math.ceil(math.sqrt(k)))
-    s = min(s, k)
+    s = math.ceil(math.sqrt(k))
     prg = np.random.default_rng(int(seed_bits) & ((1 << 63) - 1))
     rows = _floyd_distinct_rows(prg, m, k, s)
     signs = prg.integers(0, 2, size=(m, s)) * 2 - 1
@@ -143,12 +138,11 @@ def kane_nelson_column(
     k: int,
     seed_bits: int,
     column_index: int,
-    column_sparsity: Optional[int] = None,
 ) -> np.ndarray:
     """One dense Kane-Nelson column for an *appended* ambient coordinate.
 
-    Same per-column distribution as :func:`kane_nelson_sketch` -- ``s``
-    distinct rows (default ``ceil(sqrt(k))``) with values ``+/- 1/sqrt(s)``
+    Same per-column distribution as :func:`kane_nelson_sketch` -- ``s =
+    ceil(sqrt(k))`` distinct rows with values ``+/- 1/sqrt(s)``
     -- expanded deterministically from ``(seed_bits, column_index)``.  This is the
     single owner of the column shape for repairs: the sketched resistance
     oracle appends incidence rows under edge insertion by drawing the new
@@ -159,8 +153,7 @@ def kane_nelson_column(
     """
     if k < 1:
         raise ValueError(f"sketch dimension k must be positive, got {k}")
-    s = column_sparsity if column_sparsity is not None else max(1, math.ceil(math.sqrt(k)))
-    s = min(s, k)
+    s = math.ceil(math.sqrt(k))
     prg = np.random.default_rng([int(seed_bits) & ((1 << 63) - 1), int(column_index)])
     rows = prg.choice(k, size=s, replace=False)
     signs = prg.integers(0, 2, size=s) * 2 - 1

@@ -55,7 +55,7 @@ from repro.linalg.sparse_backend import (
 if TYPE_CHECKING:  # annotation-only: avoid importing the graph module at runtime
     from repro.graphs.graph import WeightedGraph
 
-#: Default storage dtype of the ``n x k`` embedding.  The JL distortion
+#: Storage dtype of a sketched ``n x k`` embedding.  The JL distortion
 #: (``eta >= 0.01``) dwarfs single-precision rounding, and float32 halves the
 #: cache weight of large-n embeddings (grid 200x200 at eta=0.5: 69 MiB).
 SKETCH_DTYPE = np.float32
@@ -85,11 +85,9 @@ class SketchedResistanceOracle:
     grounded:
         Optional pre-built :class:`GroundedLaplacianSolver` to reuse (the
         serving layer caches one per graph); built on demand otherwise.
-    delta:
-        Per-pair failure probability of the accuracy bound; default
-        ``1/m^2`` so a union bound covers poly(m) queried pairs.
     k_override:
-        Explicit sketch dimension (experiment knob; bypasses ``delta``).
+        Explicit sketch dimension (experiment knob; bypasses the per-pair
+        failure probability ``1/m^2`` the dimension is sized for).
     """
 
     def __init__(
@@ -98,9 +96,7 @@ class SketchedResistanceOracle:
         eta: float,
         seed: Optional[int] = 0,
         grounded: Optional[GroundedLaplacianSolver] = None,
-        delta: Optional[float] = None,
         k_override: Optional[int] = None,
-        dtype=SKETCH_DTYPE,
     ):
         if not (0.0 < eta < 1.0):
             raise ValueError(f"distortion eta must lie in (0, 1), got {eta}")
@@ -112,12 +108,9 @@ class SketchedResistanceOracle:
                 raise ValueError(f"k_override must be >= 1, got {k_override}")
             k = int(k_override)
         else:
-            k = resistance_sketch_dimension(m, eta, delta)
+            k = resistance_sketch_dimension(m, eta)
         self.exact = bool(m == 0 or k >= m)
         self.k = m if self.exact else k
-        #: failure probability the sketch was sized for; the repair widening
-        #: must re-solve the dimension bound at the same confidence level
-        self.delta = delta
         #: ambient dimension currently sketched: the built edge count plus one
         #: per repaired-in insertion (the accuracy bound widens with it)
         self._ambient = m
@@ -139,11 +132,10 @@ class SketchedResistanceOracle:
         self._appended_cols = {}
         self._column_rows: Optional[np.ndarray] = None
         self._column_signs: Optional[np.ndarray] = None
-        if self.exact:
-            # the identity sketch promises *exact* answers, and a tight eta
-            # (below float32 rounding) can only reach this branch: store in
-            # full precision so the promise holds
-            dtype = np.float64
+        # the identity sketch promises *exact* answers, and a tight eta
+        # (below float32 rounding) can only reach that branch: store it in
+        # full precision so the promise holds
+        dtype = np.float64 if self.exact else SKETCH_DTYPE
         self.random_bits = kane_nelson_random_bits(m)
         rng = np.random.default_rng(seed)
         self.seed_bits = int(rng.integers(0, 2 ** min(62, self.random_bits)))
@@ -215,19 +207,20 @@ class SketchedResistanceOracle:
             return 0.0
         if self._ambient == self._built_m:
             return self.eta
-        widened = resistance_sketch_eta(self.k, self._ambient, self.delta)
+        widened = resistance_sketch_eta(self.k, self._ambient)
         if widened is None:
             return float("inf")
         return max(self.eta, widened)
 
-    def append_edge(self, u: int, v: int, weight: float, solver=None, z=None) -> bool:
+    def append_edge(self, u: int, v: int, weight: float, z: np.ndarray) -> bool:
         """Repair the oracle in place for the *insertion* of edge ``{u, v}``.
 
         The mutated graph's embedding differs from the stored one by two
         rank-1 terms, both computable from one triangular solve
-        ``z = L_new^+ (e_u - e_v)`` against ``solver`` -- a grounded solver
-        that must already reflect the mutated graph (the serving layer passes
-        its freshly repaired :class:`RepairableGroundedSolver`):
+        ``z = L_new^+ (e_u - e_v)`` in the *mutated* graph (the serving layer
+        passes the one its :class:`RepairableGroundedSolver` recorded for the
+        same mutation; any per-component constant shift is harmless, the
+        oracle only reads row differences of the embedding):
 
         * the pseudoinverse moved: ``E -= w z (E[u] - E[v])^T`` by
           Sherman-Morrison through the stored embedding;
@@ -262,16 +255,6 @@ class SketchedResistanceOracle:
             return False
         if self._labels[u] != self._labels[v]:
             return False
-        if z is None:
-            # ``z`` may instead be passed directly: the serving layer reuses
-            # the post-record solve its RepairableGroundedSolver recorded for
-            # this same mutation (update_log), skipping the solve here.  Any
-            # per-component constant shift between the two is harmless -- the
-            # oracle only ever reads row *differences* of the embedding.
-            chi = np.zeros(self.n)
-            chi[u] = 1.0
-            chi[v] = -1.0
-            z = solver.solve(chi)
         duv = (self._embedding[u] - self._embedding[v]).astype(np.float64, copy=False)
         sqrt_w = math.sqrt(weight)
         if self.exact:
@@ -336,7 +319,7 @@ class SketchedResistanceOracle:
         q[self._column_rows[index]] = signs * (1.0 / math.sqrt(signs.size))
         return q
 
-    def repair_edge(self, u, v, old_weight, new_weight, solver=None, z=None) -> bool:
+    def repair_edge(self, u, v, old_weight, new_weight, z) -> bool:
         """Repair the oracle in place for a *reweight or removal* of ``{u, v}``.
 
         The edge keeps (reweight) or retires (removal, ``new_weight == 0``)
@@ -357,9 +340,8 @@ class SketchedResistanceOracle:
         graph over the surviving columns, so :attr:`eta_effective` does not
         widen (see its docstring for the mixed-traffic contract).
 
-        ``solver`` must be a grounded solver already reflecting the *mutated*
-        graph; alternatively the caller passes the post-record solve ``z``
-        directly (the serving layer reuses the one its
+        ``z`` is that solve in the *mutated* graph (the serving layer reuses
+        the one its
         :class:`~repro.linalg.sparse_backend.RepairableGroundedSolver`
         recorded for the same mutation).  Bridge removals are NOT repairable
         here -- ``e_min - e_max`` is inconsistent across the split, so the
@@ -378,8 +360,6 @@ class SketchedResistanceOracle:
             raise ValueError(f"previous weight must be positive, got {old_weight}")
         if new_weight < 0:
             raise ValueError(f"new weight must be >= 0, got {new_weight}")
-        if z is None and solver is None:
-            raise ValueError("repair_edge needs a mutated-graph solver or its solve z")
         if not self._embedding.flags.writeable:
             # shared-memory backed view (exact or sketched): other processes
             # serve from it concurrently, refuse the in-place repair
@@ -393,11 +373,6 @@ class SketchedResistanceOracle:
             return False
         index, sigma = identity
         lo, hi = min(u, v), max(u, v)
-        if z is None:
-            chi = np.zeros(self.n)
-            chi[lo] = 1.0
-            chi[hi] = -1.0
-            z = solver.solve(chi)
         delta = new_weight - old_weight
         scale = sigma * (math.sqrt(new_weight) - math.sqrt(old_weight))
         duv = (self._embedding[lo] - self._embedding[hi]).astype(np.float64, copy=False)
@@ -489,7 +464,6 @@ class SketchedResistanceOracle:
             "eta": float(self.eta),
             "exact": bool(self.exact),
             "k": int(self.k),
-            "delta": self.delta,
             "ambient": int(self._ambient),
             "built_m": int(self._built_m),
             "appended": int(self.appended),
@@ -513,7 +487,6 @@ class SketchedResistanceOracle:
         oracle.eta = float(meta["eta"])
         oracle.exact = bool(meta["exact"])
         oracle.k = int(meta["k"])
-        oracle.delta = meta["delta"]
         oracle._ambient = int(meta["ambient"])
         oracle._built_m = int(meta["built_m"])
         oracle.appended = int(meta["appended"])

@@ -68,18 +68,12 @@ class NumericalHealthError(ArithmeticError):
     """
 
 
-def check_finite(values, what: str, allow_inf: bool = False) -> None:
-    """Raise :class:`NumericalHealthError` if ``values`` contains NaN (or inf).
-
-    ``allow_inf=True`` tolerates infinities -- effective resistances across
-    components are legitimately ``inf``, so resistance outputs are checked
-    for NaN only, while solve/gram outputs must be entirely finite.
-    """
+def check_finite(values, what: str) -> None:
+    """Raise :class:`NumericalHealthError` if ``values`` contains NaN or inf."""
     arr = np.asarray(values)
     if arr.size == 0:
         return
-    bad = np.isnan(arr) if allow_inf else ~np.isfinite(arr)
-    count = int(np.count_nonzero(bad))
+    count = int(np.count_nonzero(~np.isfinite(arr)))
     if count:
         raise NumericalHealthError(
             f"{what} contains {count} non-finite value(s); refusing to serve it"
@@ -400,8 +394,8 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
       to stay within the accuracy contract) *and* the caller did not supply
       ``split_side`` -- with it, a genuine bridge removal is absorbed by
       re-grounding the split-off component (see below) instead of refusing;
-    * the accumulated-update budget ``max_updates`` (default
-      :func:`default_update_budget`, ``O(sqrt(n))``) is exhausted (a split
+    * the accumulated-update budget ``max_updates``
+      (:func:`default_update_budget`, ``O(sqrt(n))``) is exhausted (a split
       removal consumes two slots).
 
     **Component-split re-grounding.**  Removing a bridge ``{u, v}`` splits
@@ -422,11 +416,9 @@ class RepairableGroundedSolver(GroundedLaplacianSolver):
     repairs behind its execute lock.
     """
 
-    def __init__(self, graph: WeightedGraph, max_updates: Optional[int] = None):
+    def __init__(self, graph: WeightedGraph):
         super().__init__(graph)
-        self.max_updates = (
-            int(max_updates) if max_updates is not None else default_update_budget(self.n)
-        )
+        self.max_updates = default_update_budget(self.n)
         self._corrections: List[_Correction] = []
         self._Z = np.zeros((self._keep_idx.size, 0))  # z_i columns, capacity grows
         self._W = np.zeros((0, 0))  # T^{-1} diag(s), lower triangular
@@ -889,7 +881,6 @@ def _dense_pencil_extremes(A, B) -> Tuple[float, float]:
 def pencil_extreme_eigenvalues(
     graph: WeightedGraph,
     sparsifier: WeightedGraph,
-    tol: float = PENCIL_EIG_TOL,
     components=None,
     graph_solver: Optional[GroundedLaplacianSolver] = None,
     sparsifier_solver: Optional[GroundedLaplacianSolver] = None,
@@ -968,7 +959,7 @@ def pencil_extreme_eigenvalues(
         return (1.0 / lo_inv, hi)
 
     try:
-        return extremes(tol)
+        return extremes(PENCIL_EIG_TOL)
     except (spla.ArpackError, spla.ArpackNoConvergence):
         if n_reduced <= DENSE_EIG_FALLBACK_LIMIT:
             return _dense_pencil_extremes(A, B)

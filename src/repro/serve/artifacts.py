@@ -17,10 +17,9 @@ the pending-delta ledger (:meth:`ArtifactCache.defer_repair`) and migrated
 to the new ``(fingerprint, version)`` identity one artifact at a time, each
 on its first lookup (:meth:`ArtifactCache.take_stale_entry` ->
 ``value.apply_delta(...)`` -> :meth:`ArtifactCache.adopt_repaired`).
-Eviction is LRU over *estimated bytes* (``max_bytes``) and entry count
-(``max_entries``): factorisations of ``n = 10^4`` grids weigh megabytes while
-tiny sparsifiers weigh kilobytes, so counting entries alone would let the
-cache blow past any memory budget.
+Eviction is LRU over *estimated bytes* (``max_bytes``): factorisations of
+``n = 10^4`` grids weigh megabytes while tiny sparsifiers weigh kilobytes, so
+counting entries would let the cache blow past any memory budget.
 """
 
 from __future__ import annotations
@@ -146,17 +145,10 @@ class ArtifactCache:
     are deterministic functions of ``(graph content, params)``.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        max_entries: Optional[int] = None,
-    ):
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_bytes = int(max_bytes)
-        self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[Hashable, ...], CacheEntry]" = OrderedDict()
         self._total_bytes = 0
         self._lock = threading.RLock()
@@ -399,14 +391,14 @@ class ArtifactCache:
             self._evict_locked()
             return value
 
-    def note_dropped(self, count: int = 1) -> None:
-        """Account for stale entries dropped outside the cache's own sweeps.
+    def note_dropped(self) -> None:
+        """Account for one stale entry dropped outside the cache's own sweeps.
 
         Balances the books after :meth:`take_stale_entry` when the repair
         attempt failed and the popped artifact was discarded.
         """
         with self._lock:
-            self.stats.invalidations += int(count)
+            self.stats.invalidations += 1
 
     def _invalidate_generation_locked(self, source: Tuple[str, int]) -> None:
         graph_key, version = source
@@ -504,10 +496,7 @@ class ArtifactCache:
     def _evict_locked(self) -> None:
         # never evict the most-recently-inserted entry: a single artifact
         # larger than the whole budget is kept (and evicted by the next insert)
-        while len(self._entries) > 1 and (
-            self._total_bytes > self.max_bytes
-            or (self.max_entries is not None and len(self._entries) > self.max_entries)
-        ):
+        while len(self._entries) > 1 and self._total_bytes > self.max_bytes:
             oldest = next(iter(self._entries))
             self._remove_locked(oldest)
             self.stats.evictions += 1

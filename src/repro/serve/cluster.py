@@ -123,7 +123,7 @@ class HealthPolicy:
 class HashRing:
     """Consistent-hash ring with virtual nodes.
 
-    Each node is hashed at ``replicas`` points on a 64-bit ring; a key is
+    Each node is hashed at :attr:`REPLICAS` points on a 64-bit ring; a key is
     owned by the first node point at or after its own hash (wrapping).
     Adding or removing one node therefore only moves the keys adjacent to
     that node's points -- the property that makes shard counts changeable
@@ -132,25 +132,23 @@ class HashRing:
     cluster picks replica sets.
     """
 
-    def __init__(self, nodes: Sequence[str] = (), replicas: int = 64):
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = int(replicas)
+    #: ring points per node
+    REPLICAS = 64
+
+    def __init__(self):
         self._points: List[Tuple[int, str]] = []
         self._nodes: set = set()
-        for node in nodes:
-            self.add(node)
 
     @staticmethod
     def _hash(value: str) -> int:
         return int.from_bytes(hashlib.sha256(value.encode()).digest()[:8], "big")
 
     def add(self, node: str) -> None:
-        """Insert ``node`` at its ``replicas`` ring points."""
+        """Insert ``node`` at its :attr:`REPLICAS` ring points."""
         if node in self._nodes:
             return
         self._nodes.add(node)
-        for i in range(self.replicas):
+        for i in range(self.REPLICAS):
             bisect.insort(self._points, (self._hash(f"{node}#{i}"), node))
 
     def remove(self, node: str) -> None:
@@ -300,10 +298,10 @@ class ClusterService(QueryFrontDoor):
     :class:`~repro.serve.service.LaplacianService` configured by
     ``worker_config``.  Each registered graph lives on
     ``replication_factor`` distinct workers; reads fail over between them
-    and mutations apply to all of them in lockstep.  ``health`` configures
-    the background probe thread, the only thing that kills a wedged
-    worker; ``worker_faults`` arms deterministic cluster-level chaos (see
-    :meth:`arm_worker_faults`).
+    and mutations apply to all of them in lockstep; a crashed worker is
+    respawned.  ``health`` configures the background probe thread, the only
+    thing that kills a wedged worker; :meth:`arm_worker_faults` arms
+    deterministic cluster-level chaos.
 
     Registered graphs are *copied* into the cluster: the caller's object is
     not referenced afterwards, and all mutations must go through
@@ -316,10 +314,8 @@ class ClusterService(QueryFrontDoor):
         self,
         num_workers: int = 4,
         worker_config: Optional[WorkerConfig] = None,
-        respawn: bool = True,
         replication_factor: int = 2,
         health: Optional[HealthPolicy] = None,
-        worker_faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -331,7 +327,8 @@ class ClusterService(QueryFrontDoor):
         self._ctx = mp.get_context("spawn")
         self._lock = threading.RLock()
         self._closed = False
-        self.respawn_enabled = respawn
+        #: ``False`` leaves a crashed worker down, so its requests fail typed
+        self.respawn_enabled = True
         self.replication_factor = int(replication_factor)
         self.health_policy = health if health is not None else HealthPolicy()
         self._store = SharedArtifactStore()
@@ -339,7 +336,7 @@ class ClusterService(QueryFrontDoor):
         self._workers: Dict[str, _WorkerHandle] = {}
         self.ring = HashRing()
         self._worker_counter = num_workers
-        self._worker_injector = as_injector(worker_faults)
+        self._worker_injector = as_injector(None)
         # parent-side counters (worker counters are merged on top)
         self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._queries_total = 0
@@ -674,23 +671,20 @@ class ClusterService(QueryFrontDoor):
 
     # -- membership ------------------------------------------------------------
 
-    def add_worker(self, name: Optional[str] = None) -> List[str]:
+    def add_worker(self) -> List[str]:
         """Spawn a new worker and rebalance; returns the moved graph keys.
 
         The new worker joins the ring, and only the graphs whose replica
         set the ring now assigns differently are touched: gained replicas
         are registered from the parent's lockstep copy plus the
         already-published shared-memory artifacts (re-attach, not rebuild),
-        lost replicas are unregistered.  Names auto-increment unless given.
+        lost replicas are unregistered.  Names auto-increment.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("cluster is closed")
-            if name is None:
-                name = f"worker-{self._worker_counter}"
-                self._worker_counter += 1
-            if name in self._workers:
-                raise ValueError(f"worker {name!r} already exists")
+            name = f"worker-{self._worker_counter}"
+            self._worker_counter += 1
             self._workers[name] = self._spawn(name)
             self.ring.add(name)
             records = list(self._graphs.values())
@@ -822,9 +816,7 @@ class ClusterService(QueryFrontDoor):
                 return
             handle.ping_ticket = ticket
 
-    def arm_worker_faults(
-        self, plan: Optional[Union[FaultPlan, FaultInjector]] = None
-    ) -> FaultInjector:
+    def arm_worker_faults(self, plan: Optional[Union[FaultPlan, FaultInjector]]) -> FaultInjector:
         """Install (or clear) the worker-scoped chaos injector.
 
         Accepts a :class:`~repro.serve.faults.FaultPlan` (wrapped in a
@@ -949,7 +941,7 @@ class ClusterService(QueryFrontDoor):
             handle = self._workers[name]
         handle.kill()
 
-    def wait_recovered(self, timeout: float = 30.0) -> bool:
+    def wait_recovered(self, timeout: float) -> bool:
         """Block until every shard is alive *and* fully re-registered.
 
         Returns ``False`` on timeout.  "Recovered" means every worker

@@ -43,7 +43,7 @@ from it); clients construct them via the ``*_query`` functions:
 
 Staleness: before executing a batch the planner checks the registry entry's
 version.  A drifted graph is revalidated and its outdated artifacts are
-refused, never served.  A short mutation delta (at most ``repair_delta_limit``
+refused, never served.  A short mutation delta (at most ``REPAIR_DELTA_LIMIT``
 journal records) is parked in the cache's pending ledger and each stale
 artifact is repaired lazily, alone, on its first lookup under the new
 identity -- by its own ``apply_delta``, the protocol documented at
@@ -352,12 +352,9 @@ class QueryPlanner:
         solver_seed: Optional[int] = 0,
         t_override: Optional[int] = None,
         bundle_scale: float = 1.0,
-        oracle_limit: int = RESISTANCE_ORACLE_LIMIT,
         repair_enabled: bool = True,
-        repair_delta_limit: int = REPAIR_DELTA_LIMIT,
         resilience: Optional[ResiliencePolicy] = None,
         health: Optional[HealthStats] = None,
-        faults: Optional[FaultInjector] = None,
     ):
         self.registry = registry
         self.cache = cache
@@ -369,13 +366,13 @@ class QueryPlanner:
         #: pre-repair behaviour (every mutation rebuilds), which the mutation
         #: benchmark uses as its baseline.
         self.repair_enabled = repair_enabled
-        self.repair_delta_limit = int(repair_delta_limit)
+        self.repair_delta_limit = REPAIR_DELTA_LIMIT
         #: graphs up to this many vertices answer resistance queries from a
         #: precomputed dense oracle (O(1) per query) instead of per-batch
         #: triangular solves; n^2 doubles of cache weight, LRU-evictable.
         #: Above the gate, approximate queries (eta set) are served by the
         #: JL-sketched oracle once its build has amortised.
-        self.oracle_limit = oracle_limit
+        self.oracle_limit = RESISTANCE_ORACLE_LIMIT
         #: cumulative approximate pairs served by the splu fallback, keyed by
         #: (fingerprint, version, eta): once demand reaches k /
         #: SKETCH_DEMAND_FACTOR the sketch build has amortised and is
@@ -392,8 +389,8 @@ class QueryPlanner:
             threshold=self.resilience.breaker_threshold,
             ttl_seconds=self.resilience.breaker_ttl_seconds,
         )
-        #: fault-injection seams (a disarmed no-op injector by default)
-        self.faults = as_injector(faults)
+        #: fault-injection seams (a disarmed no-op injector until :meth:`arm_faults`)
+        self.faults = as_injector(None)
         self._retry_rng = np.random.default_rng(self.resilience.seed)
         #: optional off-flush-path sketch builder (duck-typed: ``submit(key,
         #: fn) -> bool``, deduplicating in-flight keys).  The cluster worker
@@ -554,7 +551,7 @@ class QueryPlanner:
         A drifted entry is revalidated, then its cached artifacts follow one
         of two paths: a short mutation delta (the graph's journal reaches
         back to the registered version and holds at most
-        ``repair_delta_limit`` records) is *deferred* into the cache's
+        ``REPAIR_DELTA_LIMIT`` records) is *deferred* into the cache's
         pending-delta ledger (:meth:`ArtifactCache.defer_repair`) -- no
         repair work happens here; each stale artifact is migrated
         individually on its first lookup under the new identity by

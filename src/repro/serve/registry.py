@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.graphs.graph import WeightedGraph
 
@@ -97,8 +97,7 @@ class GraphRegistry:
     before rebuilding artifacts for a drifted graph.
     """
 
-    def __init__(self, fingerprint_fn: Callable[..., str] = graph_fingerprint):
-        self._fingerprint = fingerprint_fn
+    def __init__(self):
         self._entries: Dict[str, RegisteredGraph] = {}
         self._by_fingerprint: Dict[str, str] = {}  # fingerprint -> handle
         self._lock = threading.RLock()
@@ -114,7 +113,7 @@ class GraphRegistry:
         otherwise be silently unusable), as is re-using a name for
         different content.
         """
-        fingerprint = self._fingerprint(graph)
+        fingerprint = graph_fingerprint(graph)
         with self._lock:
             handle = self._by_fingerprint.get(fingerprint)
             if handle is not None and not self._entries[handle].is_current():
@@ -184,7 +183,7 @@ class GraphRegistry:
                 raise UnknownGraphError(f"no graph registered under {key!r}")
             if entry.is_current():
                 return False
-            new_fingerprint = self._fingerprint(entry.graph)
+            new_fingerprint = graph_fingerprint(entry.graph)
             other = self._by_fingerprint.get(new_fingerprint)
             if other is not None and other != key:
                 colliding = self._entries[other]

@@ -140,12 +140,12 @@ class HealthStats:
         self.degraded_total = 0
         self.deadline_misses = 0
 
-    def increment(self, name: str, amount: int = 1) -> None:
-        """Add ``amount`` to counter ``name`` (one of :attr:`FIELDS`)."""
+    def increment(self, name: str) -> None:
+        """Add one to counter ``name`` (one of :attr:`FIELDS`)."""
         if name not in self.FIELDS:
             raise ValueError(f"unknown health counter {name!r}; use one of {self.FIELDS}")
         with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
+            setattr(self, name, getattr(self, name) + 1)
 
     def as_dict(self) -> Dict[str, int]:
         """Snapshot of every counter, keyed as in :attr:`FIELDS`."""
@@ -238,11 +238,12 @@ class DrainRateTracker:
     has no defensible estimate -- callers fall back to a default hint).
     """
 
-    def __init__(self, window: int = 128):
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
+    #: observations the sliding window keeps
+    WINDOW = 128
+
+    def __init__(self):
         self._lock = threading.Lock()
-        self._events: "deque[Tuple[float, int]]" = deque(maxlen=window)
+        self._events: "deque[Tuple[float, int]]" = deque(maxlen=self.WINDOW)
 
     def observe(self, count: int = 1, now: Optional[float] = None) -> None:
         """Record ``count`` completions at time ``now`` (monotonic seconds)."""
@@ -271,25 +272,27 @@ class DrainRateTracker:
         return total / span
 
 
-def estimate_retry_after(
-    depth: int,
-    drain_rate: Optional[float],
-    default_seconds: float = 0.05,
-    min_seconds: float = 0.001,
-    max_seconds: float = 5.0,
-) -> float:
+#: the retry-after hint with no usable drain rate, and the clamp on every other hint
+RETRY_AFTER_DEFAULT_SECONDS = 0.05
+RETRY_AFTER_MIN_SECONDS = 0.001
+RETRY_AFTER_MAX_SECONDS = 5.0
+
+
+def estimate_retry_after(depth: int, drain_rate: Optional[float]) -> float:
     """The retry-after hint for a shed request: time to drain ``depth``.
 
-    ``depth / drain_rate``, clamped to ``[min_seconds, max_seconds]`` so a
-    momentary rate glitch cannot tell clients to wait an hour; with no
-    usable rate (``None`` or non-positive) the conservative
-    ``default_seconds`` is returned, whatever the depth.  The service's
-    queue is the only thing that sheds, and this is the formula behind the
-    contract documented in ``docs/resilience.md``.
+    ``depth / drain_rate``, clamped to ``[RETRY_AFTER_MIN_SECONDS,
+    RETRY_AFTER_MAX_SECONDS]`` so a momentary rate glitch cannot tell
+    clients to wait an hour; with no usable rate (``None`` or non-positive)
+    the conservative ``RETRY_AFTER_DEFAULT_SECONDS`` is returned, whatever
+    the depth.  The service's queue is the only thing that sheds, and this
+    is the formula behind the contract documented in ``docs/resilience.md``.
     """
     if drain_rate is None or drain_rate <= 0:
-        return default_seconds
-    return float(min(max_seconds, max(min_seconds, depth / drain_rate)))
+        return RETRY_AFTER_DEFAULT_SECONDS
+    return float(
+        min(RETRY_AFTER_MAX_SECONDS, max(RETRY_AFTER_MIN_SECONDS, depth / drain_rate))
+    )
 
 
 def call_with_retries(

@@ -310,9 +310,9 @@ class LaplacianService(QueryFrontDoor):
 
     ``resilience=`` takes a :class:`~repro.serve.resilience.ResiliencePolicy`
     (per-query deadline, transient-failure retries, circuit-breaker
-    threshold/TTL); ``faults=`` pre-arms a
-    :class:`~repro.serve.faults.FaultPlan` for deterministic failure drills
-    (see :meth:`arm_faults`).  Failure semantics -- batch bisection, the
+    threshold/TTL); :meth:`arm_faults` arms a
+    :class:`~repro.serve.faults.FaultPlan` for deterministic failure drills.
+    Failure semantics -- batch bisection, the
     degradation ladder, numerical-health refusal -- are documented in
     ``docs/resilience.md``.
 
@@ -341,7 +341,6 @@ class LaplacianService(QueryFrontDoor):
 
     def __init__(
         self,
-        registry: Optional[GraphRegistry] = None,
         cache: Optional[ArtifactCache] = None,
         flush_policy: Optional[FlushPolicy] = None,
         solver_seed: Optional[int] = 0,
@@ -350,9 +349,8 @@ class LaplacianService(QueryFrontDoor):
         auto_flush: bool = True,
         repair: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        faults=None,
     ):
-        self.registry = registry if registry is not None else GraphRegistry()
+        self.registry = GraphRegistry()
         self.cache = cache if cache is not None else ArtifactCache()
         self.flush_policy = flush_policy if flush_policy is not None else FlushPolicy()
         #: failure-containment knobs (deadline, retries, breaker); shared
@@ -370,8 +368,6 @@ class LaplacianService(QueryFrontDoor):
             resilience=self.resilience,
             health=self.health,
         )
-        if faults is not None:
-            self.planner.arm_faults(faults)
         self.metrics = ServiceMetrics()
         # retry jitter for batch execution; offset from the planner's stream
         # so build retries and batch retries draw independent sequences

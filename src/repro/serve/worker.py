@@ -141,13 +141,13 @@ class BackgroundBuilder:
         self._wake.set()
         return True
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every scheduled build finished; returns success.
+    def drain(self) -> None:
+        """Block until every scheduled build finished.
 
         The worker drains before applying a mutation so no build can read a
         graph mid-edit.
         """
-        return self._idle.wait(timeout=timeout)
+        self._idle.wait()
 
     def close(self) -> None:
         """Stop accepting work and wake the thread so it can exit."""

@@ -98,10 +98,9 @@ def preconditioned_chebyshev(
     b: np.ndarray,
     kappa: float,
     eps: float,
-    x0: Optional[np.ndarray] = None,
     max_iterations: Optional[int] = None,
 ) -> Tuple[np.ndarray, ChebyshevReport]:
-    """Solve ``A x = b`` with preconditioner ``B`` satisfying ``A <= B <= kappa A``.
+    """Solve ``A x = b`` from ``x = 0`` with preconditioner ``B`` satisfying ``A <= B <= kappa A``.
 
     Parameters
     ----------
@@ -121,8 +120,6 @@ def preconditioned_chebyshev(
         Relative condition number bound of the pair ``(A, B)``.
     eps:
         Target relative error in the ``A``-norm (Theorem 2.3 guarantee).
-    x0:
-        Optional initial iterate (defaults to zero).
     max_iterations:
         Override of the iteration budget (defaults to
         :func:`chebyshev_iteration_count`, the minimal sufficient degree).
@@ -143,7 +140,7 @@ def preconditioned_chebyshev(
     theta = 0.5 * (lam_max + lam_min)
     delta = 0.5 * (lam_max - lam_min)
 
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros_like(b)
     r = b - apply_A(x)
     report = ChebyshevReport(iterations=0, kappa=float(kappa), eps=float(eps))
     report.matvec_count += 1

@@ -176,8 +176,8 @@ class BCCLaplacianSolver:
         Connected weighted graph whose Laplacian systems are to be solved.
     seed:
         RNG seed for the sparsifier computation.
-    t_override, bundle_scale:
-        Experiment knobs forwarded to the sparsifier (defaults follow the paper).
+    t_override:
+        Experiment knob forwarded to the sparsifier (the default follows the paper).
     exact_preconditioner:
         If True, skip the sparsifier and precondition with ``L_G`` itself
         (kappa = 1).  Useful to isolate Chebyshev behaviour in tests/ablations.
@@ -186,8 +186,8 @@ class BCCLaplacianSolver:
     -----
     ``L_G`` is held as the graph's CSR matrix and every solve in the
     preconditioner goes through one ``splu`` factorisation of the sparsifier's
-    grounded Laplacian.  When ``t_override``/``bundle_scale`` deviate from the
-    paper's parameters the constructor *measures* kappa via
+    grounded Laplacian.  When ``t_override`` deviates from the paper's
+    parameters the constructor *measures* kappa via
     ``spectral_approximation_factor``; that measurement inverts ``L_H``
     through the preconditioner's own factorisation and ``L_G`` through the one
     :meth:`exact_solution` uses afterwards, so each matrix is factorised once.
@@ -201,9 +201,7 @@ class BCCLaplacianSolver:
         graph: WeightedGraph,
         seed: Optional[int] = None,
         t_override: Optional[int] = None,
-        bundle_scale: float = 1.0,
         exact_preconditioner: bool = False,
-        ledger: Optional[RoundLedger] = None,
         preprocessing: Optional[SolverPreprocessing] = None,
     ):
         self.graph = graph
@@ -223,17 +221,16 @@ class BCCLaplacianSolver:
             if (
                 seed is not None
                 or t_override is not None
-                or bundle_scale != 1.0
                 or (exact_preconditioner and not preprocessing.exact_preconditioner)
             ):
                 raise ValueError(
-                    "seed/t_override/bundle_scale/exact_preconditioner are baked "
+                    "seed/t_override/exact_preconditioner are baked "
                     "into the preprocessing artifact; do not pass them together "
                     "with preprocessing="
                 )
         elif not graph.is_connected():
             raise ValueError("the Laplacian solver requires a connected graph")
-        self.ledger = ledger if ledger is not None else RoundLedger()
+        self.ledger = RoundLedger()
         self._L = graph.laplacian_csr()
         self._U = max(1.0, graph.max_weight())
         self._exact_solver: Optional[GroundedLaplacianSolver] = None
@@ -246,7 +243,6 @@ class BCCLaplacianSolver:
                 graph,
                 seed=seed,
                 t_override=t_override,
-                bundle_scale=bundle_scale,
                 exact_preconditioner=exact_preconditioner,
                 grounded=self._graph_solver,
             )

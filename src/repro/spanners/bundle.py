@@ -86,8 +86,8 @@ def bundle_spanner(
     probabilities: Optional[Union[Dict[EdgeKey, float], np.ndarray]] = None,
     k: int = 2,
     t: int = 1,
-    seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> BundleResult:
     """Compute a ``t``-bundle of ``(2k-1)``-spanners (Algorithm 3).
 
@@ -105,10 +105,11 @@ def bundle_spanner(
         Stretch parameter of the individual spanners.
     t:
         Number of spanners in the bundle.
+    rng:
+        The random stream every spanner of the bundle draws from in turn.
     """
     if t < 1:
         raise ValueError(f"bundle size t must be >= 1, got {t}")
-    rng = rng if rng is not None else np.random.default_rng(seed)
     view = graph if isinstance(graph, EdgeView) else EdgeView.from_graph(graph)
     # Resolve dict/None probabilities once; every layer shares the array.
     prob = resolve_edge_probabilities(view, probabilities)

@@ -478,7 +478,6 @@ def probabilistic_spanner(
     probabilities: Optional[Union[Dict[EdgeKey, float], np.ndarray]] = None,
     k: int = 2,
     seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
     marking_bits: Optional[List[Dict[int, bool]]] = None,
 ) -> SpannerResult:
     """Convenience wrapper around :class:`ProbabilisticSpanner`.
@@ -490,7 +489,6 @@ def probabilistic_spanner(
         graph,
         probabilities=probabilities,
         k=k,
-        rng=rng,
         seed=seed,
         marking_bits=marking_bits,
     )

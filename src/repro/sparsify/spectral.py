@@ -103,7 +103,7 @@ class SparsifierResult:
         """Number of edges of the sparsifier."""
         return self.sparsifier.m
 
-    def certify(self, graph: WeightedGraph, eps: float, slack: float = 1e-7) -> bool:
+    def certify(self, graph: WeightedGraph, eps: float) -> bool:
         """Empirically verify Definition 2.1 against ``graph``.
 
         Degenerate sparsifiers (empty or disconnected relative to a connected
@@ -112,7 +112,7 @@ class SparsifierResult:
         """
         from repro.graphs.laplacian import is_spectral_sparsifier
 
-        return is_spectral_sparsifier(graph, self.sparsifier, eps, slack=slack)
+        return is_spectral_sparsifier(graph, self.sparsifier, eps)
 
     def max_out_degree(self) -> int:
         """Largest number of sparsifier edges one vertex is the tail of (0 when empty)."""
@@ -130,10 +130,8 @@ def spectral_sparsify(
     graph: WeightedGraph,
     eps: float,
     seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
     t_override: Optional[int] = None,
     bundle_scale: float = 1.0,
-    k_override: Optional[int] = None,
 ) -> SparsifierResult:
     """Algorithm 5: Broadcast-CONGEST spectral sparsification with ad-hoc sampling.
 
@@ -147,14 +145,14 @@ def spectral_sparsify(
         Weighted input graph (positive weights).
     eps:
         Target quality of the sparsifier.
-    t_override / bundle_scale / k_override:
+    t_override / bundle_scale:
         Experiment knobs; the defaults follow the paper exactly.
     """
     if graph.m == 0:
         return SparsifierResult(sparsifier=graph.copy())
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = graph.n
-    k = k_override if k_override is not None else stretch_parameter(n)
+    k = stretch_parameter(n)
     t = t_override if t_override is not None else bundle_size(n, eps, bundle_scale)
 
     view = EdgeView.from_graph(graph)  # private mutable weight column

@@ -22,6 +22,8 @@ from repro.graphs.graph import WeightedGraph
 for _reference_dir in ("spanners", "sparsify", "linalg", "graphs"):
     sys.path.insert(0, str(Path(__file__).resolve().parent / _reference_dir))
 
+from reference_generators import graph_from_edges  # noqa: E402 (needs the path above)
+
 # Every property runs the same examples on every box (derandomised, no example
 # database), so a red run is reproducible by anyone.  Loading the profile here
 # also overrides the one hypothesis picks by itself on CI.  `pytest
@@ -76,7 +78,7 @@ def triangle() -> WeightedGraph:
 @pytest.fixture
 def path4() -> WeightedGraph:
     """A path on four vertices with unit weights."""
-    return WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    return graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
 
 @pytest.fixture

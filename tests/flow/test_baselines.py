@@ -21,6 +21,18 @@ def diamond():
     return net
 
 
+def successive_shortest_paths_at_value(net, target):
+    """Min-cost flow of value ``target``: the maximum flow behind a new
+    source whose one arc carries ``target``, that arc dropped again."""
+    capped = FlowNetwork(net.n + 1, source=net.n, sink=net.sink)
+    capped.add_edge(net.n, net.source, capacity=target, cost=0)
+    for edge in net.edges():
+        capped.add_edge(edge.u, edge.v, edge.capacity, edge.cost)
+    value, cost, flow = successive_shortest_paths(capped)
+    del flow[(net.n, net.source)]
+    return value, cost, flow
+
+
 class TestEdmondsKarp:
     def test_diamond_value(self):
         value, flow = edmonds_karp_max_flow(diamond())
@@ -68,7 +80,7 @@ class TestSuccessiveShortestPaths:
 
     def test_target_value_respected(self):
         net = diamond()
-        value, cost, flow = successive_shortest_paths(net, target_value=2.0)
+        value, cost, flow = successive_shortest_paths_at_value(net, 2.0)
         assert value == 2.0
         assert cost == pytest.approx(4.0)
         assert net.flow_value(flow) == pytest.approx(2.0)
@@ -127,7 +139,7 @@ class TestSuccessiveShortestPathsAgainstNetworkx:
         assert net.is_feasible_flow(flow) and net.flow_value(flow) == value
         assert all(f == round(f) for f in flow.values())
         target = float(max(1, int(value) // 2))
-        value, cost, flow = successive_shortest_paths(net, target_value=target)
+        value, cost, flow = successive_shortest_paths_at_value(net, target)
         assert value == target and cost == networkx_min_cost_at_value(net, target)
         assert net.is_feasible_flow(flow) and net.flow_value(flow) == target
 

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 from reference_dense import is_symmetric_diagonally_dominant
+from reference_generators import network_from_arcs
 
 from repro.graphs import generators
-from repro.graphs.digraph import FlowNetwork
 from repro.flow.baselines import edmonds_karp_max_flow
 from repro.flow.lp_formulation import build_fixed_value_lp
 
 
 def arc_less_network():
     """Max flow 3 at cost 9 on vertices 0-3; vertex 4 has no arc."""
-    return FlowNetwork(5, 0, 3, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 0), (2, 3, 1, 5)])
+    return network_from_arcs(5, 0, 3, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 0), (2, 3, 1, 5)])
 
 
 class TestConstraintMatrix:
@@ -54,7 +54,7 @@ class TestConstraintMatrix:
         assert np.all(np.any(A != 0.0, axis=0))
 
     def test_sink_without_arcs_keeps_its_column(self):
-        net = FlowNetwork(4, 0, 3, [(0, 1, 2, 1), (1, 2, 2, 1)])
+        net = network_from_arcs(4, 0, 3, [(0, 1, 2, 1), (1, 2, 2, 1)])
         np.testing.assert_array_equal(net.lp_columns(), [-1, 0, 1, 2])
         flow_lp = build_fixed_value_lp(net)
         assert flow_lp.value_bound == 0.0
@@ -86,7 +86,7 @@ class TestObjectiveAndBox:
         assert flow_lp.problem.c[-1] == -flow_lp.reward
 
     def test_value_bound_is_the_smaller_terminal_cut(self):
-        net = FlowNetwork(4, 0, 3, [(0, 1, 5, 0), (0, 2, 4, 0), (1, 3, 3, 0), (2, 3, 2, 0)])
+        net = network_from_arcs(4, 0, 3, [(0, 1, 5, 0), (0, 2, 4, 0), (1, 3, 3, 0), (2, 3, 2, 0)])
         assert build_fixed_value_lp(net).value_bound == 5.0  # min(9, 5)
         net.add_edge(2, 3, 7, 0)
         assert build_fixed_value_lp(net).value_bound == 9.0  # min(9, 10)

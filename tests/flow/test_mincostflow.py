@@ -211,6 +211,14 @@ def expensive_witness_network():
     return net
 
 
+def disconnected_network():
+    """Two arcs with no path between them: the maximum flow is 0."""
+    net = FlowNetwork(4, source=0, sink=3)
+    net.add_edge(0, 1, capacity=2, cost=1)
+    net.add_edge(2, 3, capacity=2, cost=1)
+    return net
+
+
 class TestOptimalityCertificate:
     @pytest.mark.parametrize("duals", [None, "zero"])
     def test_costly_max_flow_falls_back(self, monkeypatch, duals):
@@ -280,7 +288,7 @@ class TestDiagnostics:
         "net",
         [
             generators.layered_flow_network(6, 5, seed=2),
-            FlowNetwork(4, source=0, sink=3, edges=[(0, 1, 2, 1), (2, 3, 2, 1)]),
+            disconnected_network(),
         ],
         ids=["layered-6x5", "zero-max-flow"],
     )

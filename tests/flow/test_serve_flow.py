@@ -4,12 +4,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from reference_generators import network_from_arcs
 from repro.core import api
 from repro.flow import mincostflow, networkx_min_cost_max_flow
 from repro.flow.lp_formulation import build_fixed_value_lp
 from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs import generators
-from repro.graphs.digraph import FlowNetwork
 from repro.lp.gram import GramSolverBridge
 from repro.serve import LaplacianService, flow_query
 
@@ -159,7 +159,9 @@ class TestServedFlow:
         """Vertex 4 touches no arc: it has no LP column, so the served
         structure is the direct path's (its all-zero column used to make the
         compiled Gram graph disconnected, and the flush raised)."""
-        network = FlowNetwork(5, 0, 3, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 0), (2, 3, 1, 5)])
+        network = network_from_arcs(
+            5, 0, 3, [(0, 1, 2, 1), (1, 3, 2, 1), (0, 2, 1, 0), (2, 3, 1, 5)]
+        )
         direct = min_cost_max_flow(network, seed=0)
         served = api.min_cost_max_flow(network, seed=0, service=make_service())
         for run in (direct, served):

@@ -181,6 +181,22 @@ def watts_strogatz(
     return graph
 
 
+def graph_from_edges(n: int, edges) -> WeightedGraph:
+    """A graph on ``n`` vertices built by ``add_edge`` over ``(u, v, weight)`` triples."""
+    graph = WeightedGraph(n)
+    for u, v, w in edges:
+        graph.add_edge(u, v, w)
+    return graph
+
+
+def network_from_arcs(n: int, source: int, sink: int, arcs) -> FlowNetwork:
+    """A flow network built by ``add_edge`` over ``(u, v, capacity, cost)`` arcs."""
+    network = FlowNetwork(n, source, sink)
+    for u, v, capacity, cost in arcs:
+        network.add_edge(u, v, capacity, cost)
+    return network
+
+
 def path_graph(n: int, weight: float = 1.0) -> WeightedGraph:
     """Path on ``n`` vertices with uniform edge weight."""
     graph = WeightedGraph(n)
@@ -240,6 +256,16 @@ def degrees(graph: WeightedGraph) -> list:
 def neighbours(graph: WeightedGraph, vertex: int) -> set:
     """The vertices sharing an edge with ``vertex``."""
     return {v if u == vertex else u for u, v, _ in edge_list(graph) if vertex in (u, v)}
+
+
+def to_networkx(graph: WeightedGraph):
+    """``graph`` as a ``networkx.Graph`` with ``weight`` attributes."""
+    import networkx as nx
+
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(graph.n))
+    nx_graph.add_weighted_edges_from(edge_list(graph))
+    return nx_graph
 
 
 def edge_list(graph: WeightedGraph) -> list:

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_generators import edge_list
+from reference_generators import edge_list, graph_from_edges
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -52,7 +52,7 @@ def assert_columns_match_rebuild(graph):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert not got.flags.writeable
-    fresh = WeightedGraph(graph.n, edge_list(graph))
+    fresh = graph_from_edges(graph.n, edge_list(graph))
     assert graph_fingerprint(graph) == graph_fingerprint(graph.copy()) == graph_fingerprint(fresh)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_generators import edge_list
+from reference_generators import edge_list, graph_from_edges, to_networkx
 
 from repro.graphs.graph import Edge, WeightedGraph, canonical_edge
 from repro.graphs import generators
@@ -140,31 +140,31 @@ class TestWeightedGraphBasics:
         assert h.m == 2
 
     def test_equality(self):
-        g = WeightedGraph(3, [(0, 1, 1.0)])
-        h = WeightedGraph(3, [(0, 1, 1.0)])
+        g = graph_from_edges(3, [(0, 1, 1.0)])
+        h = graph_from_edges(3, [(0, 1, 1.0)])
         assert g == h
         h.add_edge(1, 2, 1.0)
         assert g != h
 
     def test_edge_list_sorted_canonical(self):
-        g = WeightedGraph(4, [(3, 1, 1.0), (2, 0, 2.0)])
+        g = graph_from_edges(4, [(3, 1, 1.0), (2, 0, 2.0)])
         assert edge_list(g) == [(0, 2, 2.0), (1, 3, 1.0)]
 
     def test_contains_and_repr(self):
-        g = WeightedGraph(3, [(0, 1, 1.0)])
+        g = graph_from_edges(3, [(0, 1, 1.0)])
         assert (1, 0) in g
         assert (0, 2) not in g
         assert "WeightedGraph" in repr(g)
 
     def test_max_weight(self):
-        g = WeightedGraph(4, [(0, 1, 2.0), (1, 2, 8.0), (2, 3, 4.0)])
+        g = graph_from_edges(4, [(0, 1, 2.0), (1, 2, 8.0), (2, 3, 4.0)])
         assert g.max_weight() == 8.0
         assert WeightedGraph(2).max_weight() == 0.0
 
 
 class TestConnectivity:
     def test_connected_and_components(self):
-        g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
         assert not g.is_connected()
         components = g.connected_components()
         assert sorted(map(sorted, components)) == [[0, 1, 2], [3, 4]]
@@ -173,14 +173,14 @@ class TestConnectivity:
         assert WeightedGraph(1).is_connected()
 
     def test_subgraph_with_edges(self):
-        g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
         sub = g.subgraph_with_edges([(1, 2), (2, 3)])
         assert sub.m == 2
         assert sub.weight(1, 2) == 2.0
         assert not sub.has_edge(0, 1)
 
     def test_reweighted(self):
-        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
         h = g.reweighted({(0, 1): 5.0})
         assert h.weight(0, 1) == 5.0
         assert h.weight(1, 2) == 2.0
@@ -188,13 +188,13 @@ class TestConnectivity:
 
 class TestShortestPaths:
     def test_dijkstra_on_weighted_path(self):
-        g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
+        g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
         dist = g.shortest_path_lengths_from(0)
         assert dist[3] == 7.0
         assert dist[0] == 0.0
 
     def test_unreachable_is_infinite(self):
-        g = WeightedGraph(3, [(0, 1, 1.0)])
+        g = graph_from_edges(3, [(0, 1, 1.0)])
         dist = g.shortest_path_lengths_from(0)
         assert dist[2] == float("inf")
 
@@ -208,7 +208,7 @@ class TestShortestPaths:
         import networkx as nx
 
         g = generators.random_weighted_graph(15, seed=9)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         expected = dict(nx.all_pairs_dijkstra_path_length(nxg))
         dist = g.all_pairs_shortest_paths()
         for u in range(g.n):

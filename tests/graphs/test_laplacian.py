@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_dense import (
     condition_number,
+    incidence_matrix,
     is_symmetric_diagonally_dominant,
     laplacian_matrix,
     laplacian_pseudoinverse,
@@ -15,7 +16,6 @@ from reference_generators import edge_list, path_graph, star_graph
 from repro.graphs import (
     effective_resistances,
     generators,
-    incidence_matrix,
     is_spectral_sparsifier,
     spectral_approximation_factor,
 )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_generators import graph_from_edges
 from repro.graphs.graph import JOURNAL_LIMIT, MutationRecord, WeightedGraph
 
 
@@ -18,7 +19,7 @@ def test_add_edge_records_pure_insertion():
 
 
 def test_overwrite_records_update_with_previous_weight():
-    g = WeightedGraph(4, edges=[(0, 1, 2.0)])
+    g = graph_from_edges(4, [(0, 1, 2.0)])
     v0 = g.version
     g.add_edge(0, 1, 5.0)
     (record,) = g.delta_since(v0)
@@ -29,7 +30,7 @@ def test_overwrite_records_update_with_previous_weight():
 
 
 def test_remove_edge_records_removal():
-    g = WeightedGraph(4, edges=[(0, 1, 2.0)])
+    g = graph_from_edges(4, [(0, 1, 2.0)])
     v0 = g.version
     g.remove_edge(1, 0)
     (record,) = g.delta_since(v0)
@@ -40,7 +41,7 @@ def test_remove_edge_records_removal():
 
 
 def test_delta_since_current_version_is_empty():
-    g = WeightedGraph(3, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(3, [(0, 1, 1.0)])
     assert g.delta_since(g.version) == []
 
 
@@ -85,7 +86,7 @@ def test_bulk_add_edges_duplicate_pair_last_wins_in_journal():
 
 
 def test_journal_window_overflow_reports_unavailable():
-    g = WeightedGraph(2, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(2, [(0, 1, 1.0)])
     v0 = g.version
     for i in range(JOURNAL_LIMIT + 10):
         g.add_edge(0, 1, 1.0 + i)
@@ -99,7 +100,7 @@ def test_journal_window_overflow_reports_unavailable():
 
 def test_giant_bulk_mutation_drops_the_journal():
     n = 200
-    g = WeightedGraph(n, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(n, [(0, 1, 1.0)])
     v0 = g.version
     rng = np.random.default_rng(0)
     u = rng.integers(0, n - 1, JOURNAL_LIMIT + 100)
@@ -123,7 +124,7 @@ def test_mixed_traffic_at_exactly_the_window_boundary():
     truncated list missing the overflowed record.
     """
     n = JOURNAL_LIMIT + 50
-    g = WeightedGraph(n, edges=[(0, 1, 1.0), (1, 2, 1.0)])
+    g = graph_from_edges(n, [(0, 1, 1.0), (1, 2, 1.0)])
     v0 = g.version
     # JOURNAL_LIMIT records exactly: one removal, one bulk batch of 7
     # (one shared version, 7 records), then scalar adds for the rest
@@ -148,7 +149,7 @@ def test_overflow_is_complete_or_none_under_concurrent_mutation():
     delta (or blow up iterating a deque that mutated underneath it)."""
     import threading
 
-    g = WeightedGraph(64, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(64, [(0, 1, 1.0)])
     stop = threading.Event()
     problems = []
 
@@ -197,7 +198,7 @@ def test_copy_carries_the_journal():
 
 
 def test_failed_mutations_do_not_journal():
-    g = WeightedGraph(4, edges=[(0, 1, 1.0)])
+    g = graph_from_edges(4, [(0, 1, 1.0)])
     v0 = g.version
     with pytest.raises(ValueError):
         g.add_edge(0, 0, 1.0)

@@ -8,7 +8,8 @@ against -- ``tests/linalg/test_sparse_backend.py`` and
 with it beyond the CSR Laplacian ``laplacian_matrix`` densifies.
 They were ``src/``'s dense fork (resistances, solves, certification) until
 that fork was deleted.  The matrix helpers only tests use live here too:
-``laplacian_matrix``, ``laplacian_pseudoinverse``, the edge-sum ``laplacian_quadratic_form``,
+``laplacian_matrix``, ``incidence_matrix``, ``laplacian_pseudoinverse``, the
+edge-sum ``laplacian_quadratic_form``,
 ``condition_number`` (``kappa`` of a pencil's extremes) and
 ``is_symmetric_diagonally_dominant``.
 
@@ -26,11 +27,22 @@ from typing import Tuple
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
+from repro.linalg.sparse_backend import incidence_csr
 
 
 def laplacian_matrix(graph: WeightedGraph) -> np.ndarray:
     """Dense Laplacian matrix ``L`` of ``graph`` (Section 2.2)."""
     return graph.laplacian_csr().toarray()
+
+
+def incidence_matrix(graph: WeightedGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense edge-vertex incidence matrix ``B`` (m x n) and weight vector ``w``.
+
+    Edge orientation is from the smaller to the larger endpoint id (head = the
+    larger id), which is immaterial for ``L = B^T W B``.
+    """
+    B, w = incidence_csr(graph)
+    return B.toarray(), w
 
 
 def laplacian_pseudoinverse(graph: WeightedGraph) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the Johnson-Lindenstrauss transforms (Theorem 4.4)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ class TestDimensions:
         bits = kane_nelson_random_bits(10**6)
         assert bits <= 10 * np.log2(10**6) ** 2
 
-    def test_random_bits_grow_with_m_and_confidence(self):
+    def test_random_bits_grow_with_m(self):
         assert kane_nelson_random_bits(10**4) > kane_nelson_random_bits(100)
-        assert kane_nelson_random_bits(100, delta=1e-12) > kane_nelson_random_bits(100, delta=1e-2)
+        # log2(1/delta) log2(m) at the failure probability delta = 1/m^2
+        assert kane_nelson_random_bits(100) == math.ceil(2 * math.log2(100) ** 2)
 
 
 class TestKaneNelsonSketch:
@@ -41,7 +44,7 @@ class TestKaneNelsonSketch:
         """s distinct nonzeros of +/- 1/sqrt(s) per column, unit column norms:
         the shape of the dense column-by-column expansion."""
         k, m, s = 25, 300, 5
-        Q = kane_nelson_sketch(k, m, seed_bits=7, column_sparsity=s).toarray()
+        Q = kane_nelson_sketch(k, m, seed_bits=7).toarray()  # s = sqrt(k)
         dense = kane_nelson_matrix(k, m, seed_bits=7, column_sparsity=s)
         assert Q.shape == dense.shape == (k, m)
         np.testing.assert_array_equal(
@@ -55,9 +58,9 @@ class TestKaneNelsonSketch:
         Q = kane_nelson_sketch(25, 30, seed_bits=9).toarray()
         np.testing.assert_array_equal(np.count_nonzero(Q, axis=0), 5)
 
-    def test_sparsity_clamped_to_k(self):
-        Q = kane_nelson_sketch(3, 10, seed_bits=2, column_sparsity=50).toarray()
-        np.testing.assert_array_equal(np.count_nonzero(Q, axis=0), 3)
+    def test_sparsity_rounds_sqrt_k_up(self):
+        Q = kane_nelson_sketch(3, 10, seed_bits=2).toarray()
+        np.testing.assert_array_equal(np.count_nonzero(Q, axis=0), 2)
 
     def test_norm_preservation_statistics(self):
         rng = np.random.default_rng(4)
@@ -80,10 +83,10 @@ class TestKaneNelsonSketch:
             kane_nelson_sketch(5, 0, 1)
 
     @pytest.mark.parametrize(
-        "k, m, s", [(1, 7, 1), (4, 50, 2), (16, 40, 4), (49, 200, 7), (60, 5, 3)]
+        "k, m, s", [(1, 7, 1), (4, 50, 2), (16, 40, 4), (49, 200, 7), (60, 5, 8)]
     )
     def test_every_column_is_s_signed_entries_of_unit_norm(self, k, m, s):
-        Q = kane_nelson_sketch(k, m, seed_bits=k * m, column_sparsity=s).tocsc()
+        Q = kane_nelson_sketch(k, m, seed_bits=k * m).tocsc()
         assert Q.shape == (k, m)
         np.testing.assert_array_equal(np.diff(Q.indptr), s)
         np.testing.assert_allclose(np.abs(Q.data), 1.0 / np.sqrt(s), rtol=1e-15)
@@ -119,9 +122,9 @@ class TestKaneNelsonColumn:
         assert not np.array_equal(base, kane_nelson_column(30, seed_bits=77, column_index=5))
         assert not np.array_equal(base, kane_nelson_column(30, seed_bits=78, column_index=4))
 
-    def test_sparsity_clamped_to_k(self):
-        column = kane_nelson_column(3, seed_bits=1, column_index=0, column_sparsity=10)
-        assert np.count_nonzero(column) == 3
+    def test_sparsity_rounds_sqrt_k_up(self):
+        column = kane_nelson_column(3, seed_bits=1, column_index=0)
+        assert np.count_nonzero(column) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,10 +135,10 @@ class TestResistanceSketchDimension:
     def test_scales_with_eta(self):
         assert resistance_sketch_dimension(1000, 0.1) > resistance_sketch_dimension(1000, 0.5)
 
-    def test_scales_with_delta(self):
-        assert resistance_sketch_dimension(1000, 0.5, delta=1e-12) > (
-            resistance_sketch_dimension(1000, 0.5, delta=1e-3)
-        )
+    def test_sized_for_failure_probability_one_over_m_squared(self):
+        m, eta = 1000, 0.5
+        expected = math.ceil(2.0 * math.log(2.0 * m**2) / (eta - math.log1p(eta)))
+        assert resistance_sketch_dimension(m, eta) == expected
 
     def test_grows_logarithmically_in_m(self):
         small = resistance_sketch_dimension(100, 0.5)
@@ -146,8 +149,6 @@ class TestResistanceSketchDimension:
         for bad_eta in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 resistance_sketch_dimension(100, bad_eta)
-        with pytest.raises(ValueError):
-            resistance_sketch_dimension(100, 0.5, delta=0.0)
 
 
 class TestResistanceSketchEta:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import reference_dense
-from reference_generators import barbell_graph, cycle_graph, path_graph, star_graph
+from reference_generators import barbell_graph, cycle_graph, path_graph, star_graph, to_networkx
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg.resistance import SketchedResistanceOracle
@@ -71,7 +71,7 @@ def all_pair_resistances(graph):
 
 def bridge_mask(graph):
     u, v, _ = graph.edge_array()
-    bridges = {frozenset(edge) for edge in nx.bridges(graph.to_networkx())}
+    bridges = {frozenset(edge) for edge in nx.bridges(to_networkx(graph))}
     return np.array([frozenset((int(a), int(b))) in bridges for a, b in zip(u, v)])
 
 

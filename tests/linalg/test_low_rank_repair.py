@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_generators import barbell_graph, edge_list, path_graph, watts_strogatz
+from reference_generators import (
+    barbell_graph,
+    edge_list,
+    graph_from_edges,
+    path_graph,
+    watts_strogatz,
+)
 from reference_repair import SequentialRepairableSolver, kane_nelson_built_columns, updates_applied
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
@@ -56,6 +62,14 @@ def mutate(graph, rng, ops=("add", "update", "remove")):
         return u, v, new_w - w
     graph.remove_edge(u, v)
     return u, v, -w
+
+
+def edge_solve(solver, u, v):
+    """``z = L^+ (e_u - e_v)`` in the solver's (mutated) graph: what the sketch repairs take."""
+    chi = np.zeros(solver.n)
+    chi[u] = 1.0
+    chi[v] = -1.0
+    return solver.solve(chi)
 
 
 @pytest.mark.parametrize("name,graph", workloads())
@@ -122,7 +136,7 @@ def test_near_bridge_removal_is_refused_by_conditioning_guard():
 
 
 def test_cross_component_insertion_is_refused():
-    graph = WeightedGraph(6, edges=[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+    graph = graph_from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
     solver = RepairableGroundedSolver(graph)
     assert not solver.apply_update(2, 3, 1.0)  # would merge the components
     assert solver.apply_update(0, 2, 1.0)  # within-component add is fine
@@ -130,7 +144,8 @@ def test_cross_component_insertion_is_refused():
 
 def test_update_budget_forces_refusal():
     graph = generators.random_weighted_graph(64, average_degree=6, seed=1)
-    solver = RepairableGroundedSolver(graph, max_updates=3)
+    solver = RepairableGroundedSolver(graph)
+    solver.max_updates = 3
     rng = np.random.default_rng(2)
     accepted = 0
     for _ in range(5):
@@ -169,7 +184,7 @@ def test_dense_oracle_repair_matches_rebuild(name, graph):
 
 
 def test_dense_oracle_refusals():
-    graph = WeightedGraph(4, edges=[(0, 1, 1.0), (2, 3, 1.0)])
+    graph = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     oracle = ResistanceOracle(graph)
     assert not oracle.apply_update(1, 2, 1.0)  # cross-component
     path = path_graph(6)
@@ -200,7 +215,7 @@ def test_sketched_append_respects_eta_on_all_pairs(factory):
     for _ in range(4):
         u, v, w = mutate(graph, rng, ops=("add",))
         assert grounded.apply_update(u, v, w)
-        assert oracle.append_edge(u, v, w, grounded)
+        assert oracle.append_edge(u, v, w, edge_solve(grounded, u, v))
     assert oracle.appended == 4
     exact = GroundedLaplacianSolver(graph)
     pu = rng.integers(0, graph.n, 512)
@@ -221,7 +236,7 @@ def test_sketched_append_exact_mode_stays_exact():
     k_before = oracle.k
     graph.add_edge(0, 7, 1.3)
     assert grounded.apply_update(0, 7, 1.3)
-    assert oracle.append_edge(0, 7, 1.3, grounded)
+    assert oracle.append_edge(0, 7, 1.3, edge_solve(grounded, 0, 7))
     assert oracle.exact and oracle.k == k_before + 1
     assert oracle.eta_effective == 0.0
     fresh = GroundedLaplacianSolver(graph)
@@ -233,10 +248,10 @@ def test_sketched_append_exact_mode_stays_exact():
 
 
 def test_sketched_append_refuses_cross_component():
-    graph = WeightedGraph(8, edges=[(0, 1, 1.0), (1, 2, 1.0), (4, 5, 1.0), (5, 6, 1.0)])
+    graph = graph_from_edges(8, [(0, 1, 1.0), (1, 2, 1.0), (4, 5, 1.0), (5, 6, 1.0)])
     grounded = RepairableGroundedSolver(graph)
     oracle = SketchedResistanceOracle(graph, eta=0.5, seed=0, grounded=grounded)
-    assert not oracle.append_edge(2, 4, 1.0, grounded)
+    assert not oracle.append_edge(2, 4, 1.0, edge_solve(grounded, 2, 4))
     assert oracle.appended == 0
 
 
@@ -281,7 +296,8 @@ class TestSplitRegrounding:
 
     def test_split_needs_two_slots(self):
         graph = path_graph(12)
-        solver = RepairableGroundedSolver(graph, max_updates=1)
+        solver = RepairableGroundedSolver(graph)
+        solver.max_updates = 1
         assert not solver.apply_update(5, 6, -1.0, split_side=set(range(6, 12)))
         assert updates_applied(solver) == 0
 
@@ -316,12 +332,12 @@ class TestSketchRepairEdge:
         u, v, w = edge_list(graph)[7]
         graph.add_edge(u, v, w + 1.3)
         assert grounded.apply_update(u, v, 1.3)
-        assert oracle.repair_edge(u, v, w, w + 1.3, grounded)
+        assert oracle.repair_edge(u, v, w, w + 1.3, edge_solve(grounded, u, v))
 
         ru, rv, rw = edge_list(graph)[19]
         graph.remove_edge(ru, rv)
         assert grounded.apply_update(ru, rv, -rw)
-        assert oracle.repair_edge(ru, rv, rw, 0.0, grounded)
+        assert oracle.repair_edge(ru, rv, rw, 0.0, edge_solve(grounded, ru, rv))
 
         assert oracle.reweighted == 1 and oracle.removed == 1
         # the mixed contract: only insertions widen the bound
@@ -344,11 +360,11 @@ class TestSketchRepairEdge:
         u, v, w = edge_list(graph)[3]
         graph.remove_edge(u, v)
         assert grounded.apply_update(u, v, -w)
-        assert oracle.repair_edge(u, v, w, 0.0, grounded)
+        assert oracle.repair_edge(u, v, w, 0.0, edge_solve(grounded, u, v))
         # the column is retired: further repairs of the same edge must not
         # resurrect it through the repair path (the serving layer re-inserts
         # via append_edge with a fresh column instead)
-        assert not oracle.repair_edge(u, v, w, 2.0 * w, grounded)
+        assert not oracle.repair_edge(u, v, w, 2.0 * w, edge_solve(grounded, u, v))
         assert oracle.removed == 1 and oracle.reweighted == 0
 
     def test_exact_mode_repair_matches_fresh(self):
@@ -359,7 +375,7 @@ class TestSketchRepairEdge:
         u, v, w = edge_list(graph)[5]
         graph.add_edge(u, v, w + 0.7)
         assert grounded.apply_update(u, v, 0.7)
-        assert oracle.repair_edge(u, v, w, w + 0.7, grounded)
+        assert oracle.repair_edge(u, v, w, w + 0.7, edge_solve(grounded, u, v))
         assert oracle.eta_effective == 0.0
         fresh = GroundedLaplacianSolver(graph)
         rng = np.random.default_rng(53)
@@ -449,7 +465,8 @@ def assert_blocked_matches(blocked, sequential, graph, rng):
 def test_blocked_corrections_match_sequential_reference(n, seed, ops):
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(n, rng)
-    blocked = RepairableGroundedSolver(graph, max_updates=16)
+    blocked = RepairableGroundedSolver(graph)
+    blocked.max_updates = 16
     sequential = SequentialRepairableSolver(graph, max_updates=16)
 
     def both(u, v, delta, split_side=None):

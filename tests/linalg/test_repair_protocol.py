@@ -134,7 +134,9 @@ def test_accepted_delta_matches_from_scratch_build(kind):
 
 
 def exhausted_grounded(graph):
-    return RepairableGroundedSolver(graph, max_updates=1)
+    solver = RepairableGroundedSolver(graph)
+    solver.max_updates = 1
+    return solver
 
 
 def exhausted_dense(graph):

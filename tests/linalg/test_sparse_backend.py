@@ -17,11 +17,8 @@ import scipy.sparse as sp
 import reference_dense
 import repro
 from reference_generators import barbell_graph, cycle_graph, edge_list, path_graph
-from repro.graphs import (
-    effective_resistances,
-    generators,
-    incidence_matrix,
-)
+from reference_dense import incidence_matrix
+from repro.graphs import effective_resistances, generators
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
 from repro.linalg.sparse_backend import (

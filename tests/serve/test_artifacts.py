@@ -79,8 +79,8 @@ class TestArtifactCache:
         assert not hit
         assert builder.calls == 2
 
-    def test_lru_eviction_by_entry_count(self):
-        cache = ArtifactCache(max_entries=2)
+    def test_lru_eviction_order(self):
+        cache = ArtifactCache(max_bytes=int(estimate_nbytes(np.arange(10)) * 2.5))
         builder = CountingBuilder(lambda: np.arange(10))
         cache.get_or_build("a", 0, "k", (), builder)
         cache.get_or_build("b", 0, "k", (), builder)
@@ -145,5 +145,3 @@ class TestArtifactCache:
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
             ArtifactCache(max_bytes=0)
-        with pytest.raises(ValueError):
-            ArtifactCache(max_entries=0)

@@ -59,6 +59,13 @@ def make_trace_graphs():
 TRACE_SIZES = [graph.n for graph in make_trace_graphs()]
 
 
+def ring_of(nodes):
+    ring = HashRing()
+    for node in nodes:
+        ring.add(node)
+    return ring
+
+
 def make_cluster(num_workers=2, **kwargs):
     kwargs.setdefault("worker_config", WorkerConfig(t_override=2))
     return ClusterService(num_workers=num_workers, **kwargs)
@@ -77,14 +84,14 @@ class TestHashRing:
     KEYS = [f"fingerprint-{i:04d}" for i in range(300)]
 
     def test_every_key_has_exactly_one_deterministic_owner(self):
-        ring = HashRing(["w0", "w1", "w2"])
+        ring = ring_of(["w0", "w1", "w2"])
         owners = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         assert set(owners.values()) <= {"w0", "w1", "w2"}
-        fresh = HashRing(["w2", "w0", "w1"])  # insertion order must not matter
+        fresh = ring_of(["w2", "w0", "w1"])  # insertion order must not matter
         assert {key: fresh.owners(key, 1)[0] for key in self.KEYS} == owners
 
     def test_adding_a_node_only_moves_keys_onto_it(self):
-        ring = HashRing(["w0", "w1", "w2"])
+        ring = ring_of(["w0", "w1", "w2"])
         before = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         ring.add("w3")
         after = {key: ring.owners(key, 1)[0] for key in self.KEYS}
@@ -93,7 +100,7 @@ class TestHashRing:
         assert all(after[key] == "w3" for key in moved)
 
     def test_removing_a_node_only_moves_its_keys(self):
-        ring = HashRing(["w0", "w1", "w2"])
+        ring = ring_of(["w0", "w1", "w2"])
         before = {key: ring.owners(key, 1)[0] for key in self.KEYS}
         ring.remove("w1")
         after = {key: ring.owners(key, 1)[0] for key in self.KEYS}
@@ -103,7 +110,7 @@ class TestHashRing:
                 assert after[key] == before[key]
 
     def test_assignment_is_roughly_balanced(self):
-        ring = HashRing(["w0", "w1", "w2"], replicas=64)
+        ring = ring_of(["w0", "w1", "w2"])
         counts = {}
         for key in self.KEYS:
             owner = ring.owners(key, 1)[0]
@@ -121,7 +128,7 @@ class TestHashRing:
         assert ring.owners("anything", 1)[0] == "solo"
 
     def test_owners_are_distinct_and_prefixed_by_owner(self):
-        ring = HashRing(["w0", "w1", "w2"])
+        ring = ring_of(["w0", "w1", "w2"])
         for key in self.KEYS[:60]:
             owners = ring.owners(key, 2)
             assert owners[0] == ring.owners(key, 1)[0]
@@ -133,7 +140,7 @@ class TestHashRing:
 
     def test_add_moves_a_bounded_fraction_of_replica_sets(self):
         keys = [f"bulk-{i:05d}" for i in range(1000)]
-        ring = HashRing(["w0", "w1", "w2", "w3"])
+        ring = ring_of(["w0", "w1", "w2", "w3"])
         before = {key: set(ring.owners(key, 2)) for key in keys}
         ring.add("w4")
         after = {key: set(ring.owners(key, 2)) for key in keys}
@@ -150,7 +157,7 @@ class TestHashRing:
 
     def test_remove_moves_a_bounded_fraction_of_replica_sets(self):
         keys = [f"bulk-{i:05d}" for i in range(1000)]
-        ring = HashRing(["w0", "w1", "w2", "w3"])
+        ring = ring_of(["w0", "w1", "w2", "w3"])
         before = {key: set(ring.owners(key, 2)) for key in keys}
         ring.remove("w1")
         after = {key: set(ring.owners(key, 2)) for key in keys}
@@ -317,7 +324,8 @@ class TestCrashRecovery:
     def test_crash_without_respawn_fails_typed(self):
         # replication_factor=1: with the default of 2 a replica would
         # (correctly) keep serving and no typed error would surface
-        cluster = make_cluster(num_workers=2, respawn=False, replication_factor=1)
+        cluster = make_cluster(num_workers=2, replication_factor=1)
+        cluster.respawn_enabled = False
         try:
             key = cluster.register(make_graphs()[0], name="g0")
             victim = cluster.replicas_of(key)[0]
@@ -416,7 +424,8 @@ class TestReplication:
         assert report.ok == report.events_total == 80, report.failures_by_type
 
     def test_counters_stay_consistent_when_no_replica_is_up(self):
-        cluster = make_cluster(num_workers=2, respawn=False, replication_factor=1)
+        cluster = make_cluster(num_workers=2, replication_factor=1)
+        cluster.respawn_enabled = False
         try:
             key = cluster.register(make_graphs()[0], name="g0")
             b = np.zeros(SIZES[0])

@@ -201,7 +201,8 @@ class TestHeartbeatChaos:
             ),
             seed=3,
         )
-        cluster = make_cluster(num_workers=2, health=policy, worker_faults=plan)
+        cluster = make_cluster(num_workers=2, health=policy)
+        cluster.arm_worker_faults(plan)
         try:
             keys = [
                 cluster.register(g, name=f"g{i}") for i, g in enumerate(make_graphs())

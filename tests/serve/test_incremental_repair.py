@@ -12,9 +12,8 @@ import pytest
 
 import reference_dense
 from reference_repair import updates_applied
-from reference_generators import edge_list, path_graph
+from reference_generators import edge_list, graph_from_edges, path_graph
 from repro.graphs import generators
-from repro.graphs.graph import WeightedGraph
 from repro.linalg.sparse_backend import RepairableGroundedSolver
 from repro.serve import ArtifactCache, LaplacianService, resistance_batch_query
 from repro.solvers.laplacian import SolverPreprocessing
@@ -198,7 +197,7 @@ class TestRemovalPolicy:
         """
         # a 6 x 6 grid, a bridge (35, 36) and a pendant unit edge (36, 37)
         grid = edge_list(generators.grid_graph(6, 6))
-        graph = WeightedGraph(38, edges=grid + [(35, 36, 1.0), (36, 37, 1.0)])
+        graph = graph_from_edges(38, grid + [(35, 36, 1.0), (36, 37, 1.0)])
         service = make_service()
         key = service.register(graph)
         pairs = [(0, 37), (0, 35), (36, 37)]
@@ -228,9 +227,9 @@ class TestRemovalPolicy:
 
 class TestStructuralAndBudgetFallbacks:
     def test_cross_component_insertion_rebuilds(self):
-        graph = WeightedGraph(
+        graph = graph_from_edges(
             60,
-            edges=[(i, i + 1, 1.0) for i in range(29)]
+            [(i, i + 1, 1.0) for i in range(29)]
             + [(i, i + 1, 1.0) for i in range(30, 59)]
             + [(0, 29, 1.0), (30, 59, 1.0)],
         )

@@ -98,7 +98,7 @@ class TestEvictionWhilePending:
         # next query wants has already been LRU-evicted.  The pending ledger
         # must resolve to an ordinary rebuild -- no error, no repair, and the
         # swept ledger reports nothing pending once its sources are gone.
-        service = make_service(cache=ArtifactCache(max_entries=1))
+        service = make_service(cache=ArtifactCache(max_bytes=1))  # holds one entry
         key = service.register(graph)
         b = np.random.default_rng(0).normal(size=graph.n)
         service.solve(key, b)  # preprocessing built...

@@ -114,9 +114,8 @@ class TestExecution:
         pairs = [(int(u), int(v)) for u, v in rng.integers(0, graph.n, (16, 2))]
         values = []
         for oracle_limit in (0, graph.n):  # force grounded vs oracle path
-            planner = QueryPlanner(
-                registry, ArtifactCache(), t_override=2, oracle_limit=oracle_limit
-            )
+            planner = QueryPlanner(registry, ArtifactCache(), t_override=2)
+            planner.oracle_limit = oracle_limit
             key = registry.register(graph)
             results = planner.execute(
                 planner.plan([resistance_query(key, u, v) for u, v in pairs])

@@ -5,6 +5,7 @@ from reference_generators import edge_list
 
 from repro.graphs import generators
 from repro.graphs.graph import WeightedGraph
+from repro.serve import registry as registry_module
 from repro.serve.registry import (
     FingerprintCollisionError,
     GraphRegistry,
@@ -190,17 +191,19 @@ class TestGraphRegistry:
         registry.unregister(key2)
         assert key2 not in registry
 
-    def test_fingerprint_collision_detected(self):
+    def test_fingerprint_collision_detected(self, monkeypatch):
         # A deliberately broken fingerprint maps every graph to one digest;
         # the registry must detect the content mismatch, not alias artifacts.
-        registry = GraphRegistry(fingerprint_fn=lambda graph: "constant")
+        monkeypatch.setattr(registry_module, "graph_fingerprint", lambda graph: "constant")
+        registry = GraphRegistry()
         registry.register(make_graph(seed=1))
         with pytest.raises(FingerprintCollisionError):
             registry.register(make_graph(seed=2))
 
-    def test_collision_on_revalidate_detected(self):
+    def test_collision_on_revalidate_detected(self, monkeypatch):
         counter = iter(["fp-a", "fp-b", "fp-b"])
-        registry = GraphRegistry(fingerprint_fn=lambda graph: next(counter))
+        monkeypatch.setattr(registry_module, "graph_fingerprint", lambda graph: next(counter))
+        registry = GraphRegistry()
         g = make_graph(seed=1)
         other = make_graph(seed=2)
         key_g = registry.register(g)  # fp-a

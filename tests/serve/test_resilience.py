@@ -447,12 +447,8 @@ class TestDeadlines:
         assert snapshot["failures_total"] == 1
 
     def test_late_result_still_resolves_and_counts_miss(self, graph, rng):
-        service = make_service(
-            resilience=ResiliencePolicy(deadline_seconds=0.05),
-            faults=FaultPlan(
-                (FaultRule(op="execute", fail=False, delay_seconds=0.1),)
-            ),
-        )
+        service = make_service(resilience=ResiliencePolicy(deadline_seconds=0.05))
+        service.arm_faults(FaultPlan((FaultRule(op="execute", fail=False, delay_seconds=0.1),)))
         key = service.register(graph)
         report = service.solve(key, rng.normal(size=graph.n))
         assert np.all(np.isfinite(report.solution))
@@ -461,11 +457,8 @@ class TestDeadlines:
         assert snapshot["failures_total"] == 0
 
     def test_no_deadline_means_no_misses(self, graph, rng):
-        service = make_service(
-            faults=FaultPlan(
-                (FaultRule(op="execute", fail=False, delay_seconds=0.02),)
-            )
-        )
+        service = make_service()
+        service.arm_faults(FaultPlan((FaultRule(op="execute", fail=False, delay_seconds=0.02),)))
         key = service.register(graph)
         service.solve(key, rng.normal(size=graph.n))
         assert service.metrics_snapshot()["deadline_misses"] == 0
@@ -579,11 +572,12 @@ class TestRetryAfterEstimation:
         assert tracker.rate(now=12.0) == pytest.approx(2.0)
 
     def test_tracker_window_slides(self):
-        tracker = DrainRateTracker(window=4)
-        for i in range(10):
-            tracker.observe(count=1, now=float(i))
-        # only the last 4 observations (t=6..9) remain: 3 drains over 3s
-        assert tracker.rate(now=9.0) == pytest.approx(1.0)
+        tracker = DrainRateTracker()
+        window = DrainRateTracker.WINDOW
+        for i in range(2 * window):
+            tracker.observe(count=1 if i < window else 3, now=float(i))
+        # only the last WINDOW observations (all of 3) remain: 3 drains a second
+        assert tracker.rate(now=2.0 * window - 1.0) == pytest.approx(3.0)
 
     def test_tracker_has_no_rate_over_a_zero_time_span(self):
         tracker = DrainRateTracker()

@@ -216,7 +216,7 @@ class TestCacheInvalidation:
         # preprocessing artifact: every switch evicts, answers stay correct
         g1 = generators.random_weighted_graph(40, average_degree=5, seed=1)
         g2 = generators.random_weighted_graph(40, average_degree=5, seed=2)
-        service = make_service(cache=ArtifactCache(max_entries=1))
+        service = make_service(cache=ArtifactCache(max_bytes=1))  # holds one entry
         k1, k2 = service.register(g1), service.register(g2)
         b = rng.normal(size=40)
         ref1 = BCCLaplacianSolver(g1, seed=0, t_override=2).exact_solution(b)

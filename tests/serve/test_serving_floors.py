@@ -320,8 +320,8 @@ def test_transient_faults_cost_at_most_twice_fault_free():
             t_override=T_OVERRIDE,
             auto_flush=False,
             cache=ArtifactCache(max_bytes=SKETCH_CACHE_BYTES),
-            faults=faults,
         )
+        service.arm_faults(faults)
         graph = factory()
         key = service.register(graph)
         rng = np.random.default_rng(45)

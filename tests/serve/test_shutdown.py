@@ -31,12 +31,9 @@ class TestCloseDuringFlush:
         """close() while another thread's flush is executing must neither hang
         nor strand a ticket: execution is serialised behind the execute lock,
         and close()'s own flush drains whatever is still pending."""
-        service = make_service(
-            faults=FaultPlan(
-                # slow every batch down so close() reliably overlaps execution
-                (FaultRule(op="execute", fail=False, delay_seconds=0.05),)
-            )
-        )
+        service = make_service()
+        # slow every batch down so close() reliably overlaps execution
+        service.arm_faults(FaultPlan((FaultRule(op="execute", fail=False, delay_seconds=0.05),)))
         key = service.register(graph)
         tickets = [
             service.submit(solve_query(key, rng.normal(size=graph.n)))

@@ -186,7 +186,8 @@ class TestPlannerDirect:
         graph = generators.random_weighted_graph(150, average_degree=6, seed=29)
         registry = GraphRegistry()
         cache = ArtifactCache()
-        planner = QueryPlanner(registry, cache, solver_seed=0, t_override=2, oracle_limit=100)
+        planner = QueryPlanner(registry, cache, solver_seed=0, t_override=2)
+        planner.oracle_limit = 100
         key = registry.register(graph, name="g")
         planner.execute(planner.plan([resistance_query(key, 0, 1, eta=0.5)]))
         assert planner._sketch_demand

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_dense
+from reference_generators import graph_from_edges
 from repro.graphs import generators
 from repro.linalg.sparse_backend import (
     PENCIL_EIG_TOL_RELAXED,
@@ -101,9 +102,7 @@ class TestRounds:
 
 class TestValidation:
     def test_disconnected_graph_rejected(self):
-        from repro.graphs.graph import WeightedGraph
-
-        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(ValueError, match="connected"):
             BCCLaplacianSolver(g)
 
@@ -223,7 +222,6 @@ class TestReusablePreprocessing:
         for kwargs in (
             {"seed": 1},
             {"t_override": 2},
-            {"bundle_scale": 2.0},
             {"exact_preconditioner": True},
         ):
             with pytest.raises(ValueError):

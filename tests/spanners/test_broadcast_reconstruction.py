@@ -246,7 +246,7 @@ def test_every_bundle_layer_replays(k):
     graph = generators.random_weighted_graph(40, average_degree=10, max_weight=4, seed=k)
     view = EdgeView.from_graph(graph)
     probabilities = np.full(view.base_m, 0.5)
-    bundle = bundle_spanner(view, probabilities, k=k, t=3, seed=k + 40)
+    bundle = bundle_spanner(view, probabilities, k=k, t=3, rng=np.random.default_rng(k + 40))
     assert len(bundle.per_spanner) >= 2  # at least one layer runs on a residual view
     rng = np.random.default_rng(k + 40)
     alive = view.alive.copy()

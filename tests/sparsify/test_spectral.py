@@ -8,7 +8,7 @@ from reference_sparsify import reference_spectral_sparsify_apriori
 
 from repro import core
 from repro.graphs import generators, is_spectral_sparsifier, spectral_approximation_factor
-from repro.sparsify import bundle_size, spectral_sparsify
+from repro.sparsify import bundle_size, spectral, spectral_sparsify
 from repro.sparsify.spectral import stretch_parameter
 from repro.graphs.graph import WeightedGraph
 
@@ -53,7 +53,7 @@ class TestAdHocSparsifier:
 
     def test_ledger_holds_every_spanner_step_then_the_sampling(self):
         g = generators.random_weighted_graph(30, average_degree=8, seed=5)
-        result = spectral_sparsify(g, eps=0.5, seed=6, t_override=2, k_override=3)
+        result = spectral_sparsify(g, eps=0.5, seed=6, t_override=2)
         *spanner_steps, sampling = result.ledger.entries
         assert sampling.operation == "sampling"
         steps = {"marking", "step2", "step3.1", "step3.2", "step4.1", "step4.2", "step4.3"}
@@ -142,11 +142,12 @@ class TestAprioriSparsifier:
 
 
 class TestQualityImprovesWithBundleSize:
-    def test_larger_bundles_tighten_the_spectral_window(self):
+    def test_larger_bundles_tighten_the_spectral_window(self, monkeypatch):
         g = generators.erdos_renyi(36, 0.7, max_weight=2, seed=21)
+        monkeypatch.setattr(spectral, "stretch_parameter", lambda n: 2)
         widths = []
         for t in (1, 4, 16):
-            result = spectral_sparsify(g, eps=0.5, seed=22, t_override=t, k_override=2)
+            result = spectral_sparsify(g, eps=0.5, seed=22, t_override=t)
             lo, hi = spectral_approximation_factor(g, result.sparsifier)
             widths.append(hi / max(lo, 1e-12))
         assert widths[-1] <= widths[0] + 1e-9

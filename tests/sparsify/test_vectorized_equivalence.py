@@ -28,7 +28,7 @@ from repro.graphs import generators
 from repro.graphs.graph import EdgeView
 from repro.spanners.bundle import bundle_spanner
 from repro.spanners.probabilistic import ProbabilisticSpanner
-from repro.sparsify import spectral_sparsify
+from repro.sparsify import spectral, spectral_sparsify
 
 
 # -- the equivalence tests ------------------------------------------------------
@@ -93,7 +93,7 @@ def test_sparsify_matches_reference(seed):
     ref_sparsifier, ref_orientation, ref_probs, ref_rounds = reference_spectral_sparsify(
         graph, eps=0.5, rng=np.random.default_rng(seed + 300), t_override=2
     )
-    new = spectral_sparsify(graph, eps=0.5, rng=np.random.default_rng(seed + 300), t_override=2)
+    new = spectral_sparsify(graph, eps=0.5, seed=seed + 300, t_override=2)
     assert new.sparsifier == ref_sparsifier
     assert new.orientation == ref_orientation
     assert new.final_probabilities == ref_probs
@@ -101,13 +101,12 @@ def test_sparsify_matches_reference(seed):
     assert len(new.iterations) == max(1, math.ceil(math.log2(graph.m)))
 
 
-def test_grid_with_paper_style_parameters():
+def test_grid_with_paper_style_parameters(monkeypatch):
     graph = generators.grid_graph(5, 6)
     ref = reference_spectral_sparsify(
         graph, eps=0.75, rng=np.random.default_rng(42), t_override=1, k_override=3
     )
-    new = spectral_sparsify(
-        graph, eps=0.75, rng=np.random.default_rng(42), t_override=1, k_override=3
-    )
+    monkeypatch.setattr(spectral, "stretch_parameter", lambda n: 3)
+    new = spectral_sparsify(graph, eps=0.75, seed=42, t_override=1)
     assert new.sparsifier == ref[0]
     assert new.final_probabilities == ref[2]
