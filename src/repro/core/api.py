@@ -38,14 +38,11 @@ def spectral_sparsifier(
     eps: float = 0.5,
     seed: Optional[int] = None,
     t_override: Optional[int] = None,
-    bundle_scale: float = 1.0,
 ) -> SparsifierResult:
     """Compute a ``(1 +/- eps)``-spectral sparsifier in the Broadcast CONGEST
-    model (Theorem 1.2).  ``t_override`` and ``bundle_scale`` are the
-    experiment knobs of :func:`~repro.sparsify.spectral.spectral_sparsify`."""
-    return spectral_sparsify(
-        graph, eps=eps, seed=seed, t_override=t_override, bundle_scale=bundle_scale
-    )
+    model (Theorem 1.2).  ``t_override`` is the experiment knob of
+    :func:`~repro.sparsify.spectral.spectral_sparsify`."""
+    return spectral_sparsify(graph, eps=eps, seed=seed, t_override=t_override)
 
 
 def solve_laplacian(

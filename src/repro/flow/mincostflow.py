@@ -16,22 +16,27 @@ documented in ``docs/substitutions.md`` (sections 3, 4 and 6):
    path's cost (:func:`~repro.flow.lp_formulation.build_fixed_value_lp`).
    The primal-dual predictor-corrector of :mod:`repro.lp.barrier_ipm`, whose
    Newton systems are ``A^T D A`` solves (chargeable to the SDD solver of
-   Lemma 5.1), runs from the middle of the box.  It stops once its measured
-   duality gap is below ``m Delta = 1/(4 m M^2)``: on the central path each
-   of the ``2m`` complementarity products is ``gap / 2m``, and a non-basic
-   arc's dual slack at the isolated optimum is w.h.p. a nonzero multiple of
-   ``Delta``, so the arc sits less than 1/2 from its bound;
-3. the fractional solution is rounded edge-wise to the nearest integer (the
-   flow value is the rounded ``F``) and certified optimal in O(m) with the
-   IPM's duals as potentials (Goldberg-Tarjan eps-optimality).  If the
-   rounded vector is not a certified feasible optimal circulation (which the
-   paper's uniqueness argument rules out w.h.p., but float64 can spoil), an
-   exact combinatorial correction replaces it and the event is reported.
+   Lemma 5.1), runs from the middle of the box;
+3. every iterate, the start included, is rounded edge-wise to the nearest
+   integer (the flow value is the rounded ``F``) and certified optimal in
+   O(m) with the iterate's duals as potentials (Goldberg-Tarjan
+   eps-optimality), and the IPM stops at the first iterate that certifies.
+   The certificate is exact on integral data, so that iterate's rounding
+   is the answer.  The IPM's own stop is the cap: the duality gap
+   ``m Delta = 1/(4 m M^2)``, below which on the central path every arc
+   whose dual slack is a nonzero multiple of ``Delta`` sits less than 1/2
+   from its bound, or its stall rule.  If the run reaches the cap with no
+   certified iterate (which the paper's uniqueness argument rules out
+   w.h.p., but float64 can spoil), an exact combinatorial correction
+   answers, and the result names the check that failed.
 
 Round accounting follows Theorem 1.1: ``Õ(sqrt(n))`` path-following iterations,
 each costing ``Õ(log M)`` rounds of matrix-vector products plus SDD solves.
-The ledger holds only what the interior point method charges;
-:func:`theorem_round_bound` is the bound to compare it with, never a charge.
+The ledger holds what the interior point method charges plus one
+``certificate`` round per examined iterate (each vertex checks its own
+conservation, bounds and reduced costs from the duals it holds and broadcasts
+one verdict bit); :func:`theorem_round_bound` is the bound to compare it
+with, never a charge.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.flow.baselines import successive_shortest_paths
 from repro.flow.lp_formulation import FlowLP, build_fixed_value_lp
 from repro.graphs.digraph import FlowNetwork
 from repro.lp.barrier_ipm import BarrierIPM
-from repro.lp.problem import LPSolution
 
 EdgeKey = Tuple[int, int]
 
@@ -70,6 +74,17 @@ class MinCostFlowResult:
     #: serving statistics of the plugged gram-solver bridge (None off the
     #: serving path); see :class:`repro.lp.gram.GramBridgeStats.as_dict`.
     gram_stats: Optional[Dict[str, Any]] = None
+    #: index of the IPM iterate whose rounding certified (the start is 0);
+    #: None when the exact correction answered
+    certified_iteration: Optional[int] = None
+    #: the check the returned iterate's rounding failed (see
+    #: ``_round_and_certify``); None when it certified
+    certificate_failure: Optional[str] = None
+    #: whether the returned iterate met the IPM's own stop (the ``m Delta``
+    #: gap and both residual tolerances).  The certificate usually passes
+    #: first, so a certified answer usually reads False; on a fallback,
+    #: False means the IPM stalled
+    converged: bool = False
 
 
 def theorem_round_bound(n: int, M: float) -> float:
@@ -80,41 +95,52 @@ def theorem_round_bound(n: int, M: float) -> float:
 
 
 def _round_and_certify(
-    network: FlowNetwork,
-    flow_lp: FlowLP,
-    solution: LPSolution,
-) -> Tuple[Dict[EdgeKey, float], float, bool]:
-    """Round the LP solution edge-wise and certify it; returns ``(flow, value, ok)``.
+    flow_lp: FlowLP, x: np.ndarray, y: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[str]]:
+    """Round an LP iterate edge-wise and certify it; returns ``(rounded, failure)``.
 
-    The value is the rounded ``F``.  ``ok`` means the rounded flow is
-    feasible, has that value and is optimal for the circulation LP, hence a
-    minimum cost maximum flow.  Optimality is certified in O(m) by
-    Goldberg-Tarjan eps-optimality with the LP duals as potentials (source
-    0): the reduced costs ``c - A y`` of the *integral* costs (``-R`` on
-    ``F``, the arc ``t -> s``) are the arc costs up to a potential
-    difference, so when every residual arc has reduced cost ``> -1/n``,
-    every residual cycle (at most ``n`` arcs) costs ``> -1``, hence ``>= 0``
-    -- and no negative residual cycle means optimal.  A flow short of the
-    maximum fails too: its augmenting path plus ``F`` is a residual cycle of
-    cost at most ``-1``.  A solution without duals is uncertified.
+    ``rounded`` is the iterate rounded to integers (edge flows in
+    :attr:`FlowLP.edge_keys` order, then ``F``).  ``failure`` is None when
+    the rounded flow is a minimum cost maximum flow of value ``F``, and
+    otherwise names the first check that failed: ``"no duals"``,
+    ``"capacity"`` (an arc outside ``[0, capacity]``), ``"conservation"``
+    (a vertex other than ``s`` and ``t`` out of balance), ``"value"`` (``F``
+    outside ``[0, U]`` or not the net flow out of ``s``) or ``"reduced
+    cost"``.  Optimality is certified by Goldberg-Tarjan eps-optimality with
+    the duals as potentials (source 0): the reduced costs ``c - A y`` of the
+    *integral* costs (``-R`` on ``F``, the arc ``t -> s``) are the arc costs
+    up to a potential difference, so when every residual arc has reduced
+    cost ``> -1/n``, every residual cycle (at most ``n`` arcs) costs
+    ``> -1``, hence ``>= 0`` -- and no negative residual cycle means
+    optimal.  A flow short of the maximum fails too: its augmenting path
+    plus ``F`` is a residual cycle of cost at most ``-1``.  Every check is
+    O(m) over :meth:`~repro.graphs.digraph.FlowNetwork.edge_array`.
     """
+    network = flow_lp.network
     # + 0.0 turns -0.0 into 0.0
-    x = np.round(solution.x) + 0.0
-    value = float(x[-1])
-    rounded = dict(zip(flow_lp.edge_keys, x[:-1].tolist()))
-    ok = (
-        solution.y is not None
-        and 0.0 <= value <= flow_lp.value_bound
-        and network.is_feasible_flow(rounded, tol=1e-6)
-        and math.isclose(network.flow_value(rounded), value, abs_tol=1e-6)
+    rounded = np.round(x) + 0.0
+    if y is None:
+        return rounded, "no duals"
+    flow, value = rounded[:-1], float(rounded[-1])
+    tail, head, capacity, cost = network.edge_array()
+    if not np.all((flow >= 0.0) & (flow <= capacity)):
+        return rounded, "capacity"
+    # rounded flows are integers, so the balances are exact
+    balance = np.bincount(head, flow, minlength=network.n) - np.bincount(
+        tail, flow, minlength=network.n
     )
-    if ok:
-        costs = np.append(network.costs(), -flow_lp.reward)
-        upper = np.append(network.capacities(), flow_lp.value_bound)
-        reduced = costs - flow_lp.problem.A @ solution.y
-        slack = 1.0 / network.n
-        ok = bool(np.all(reduced[x < upper] > -slack) and np.all(reduced[x > 0] < slack))
-    return rounded, value, ok
+    out_of_source = -balance[network.source]
+    balance[[network.source, network.sink]] = 0.0
+    if np.any(balance != 0.0):
+        return rounded, "conservation"
+    if not (0.0 <= value <= flow_lp.value_bound and out_of_source == value):
+        return rounded, "value"
+    reduced = np.append(cost, -flow_lp.reward) - flow_lp.problem.A @ y
+    upper = np.append(capacity, flow_lp.value_bound)
+    slack = 1.0 / network.n
+    if not (np.all(reduced[rounded < upper] > -slack) and np.all(reduced[rounded > 0.0] < slack)):
+        return rounded, "reduced cost"
+    return rounded, None
 
 
 def min_cost_max_flow(
@@ -147,11 +173,12 @@ def min_cost_max_flow(
         solves through the same bridge, built from ``A``
         (:func:`~repro.lp.gram.default_gram_solver`).
     """
-    # The perturbation has granularity Delta, and the LP stops at the duality
-    # gap m * Delta that rounds to the isolated optimum (module docstring,
-    # docs/substitutions.md section 6); encodings are sized to that gap.  The
-    # box is relaxed by a tiny delta because min-cut edges are saturated at
-    # every optimum, so the unrelaxed box has no strictly interior optimum.
+    # The perturbation has granularity Delta; the LP stops at its first
+    # certified iterate, capped by the duality gap m * Delta that rounds to
+    # the isolated optimum (module docstring, docs/substitutions.md section
+    # 6); encodings are sized to that gap.  The box is relaxed by a tiny
+    # delta because min-cut edges are saturated at every optimum, so the
+    # unrelaxed box has no strictly interior optimum.
     ledger = RoundLedger()
     m = max(1, network.m)
     M = max(2.0, network.max_capacity(), network.max_cost_magnitude())
@@ -169,17 +196,27 @@ def min_cost_max_flow(
         flow_lp.problem.gram_solver = bridge
 
     problem = flow_lp.problem
+
+    def certifies(x: np.ndarray, y: np.ndarray) -> bool:
+        # every vertex checks its own conservation, bounds and reduced costs
+        # from the duals it holds, then broadcasts one verdict bit
+        ledger.charge("certificate", 1.0, "round, check, broadcast one verdict bit")
+        return _round_and_certify(flow_lp, x, y)[1] is None
+
     solution = BarrierIPM(problem, comm=comm).solve(
-        (problem.lower + problem.upper) / 2.0, eps=stopping_gap
+        (problem.lower + problem.upper) / 2.0, eps=stopping_gap, accept=certifies
     )
-    fractional_cost = network.flow_cost(flow_lp.extract_flow(solution.x))
-    flow, value, ok = _round_and_certify(network, flow_lp, solution)
-    if not ok:
+    true_costs = network.edge_array()[3]
+    fractional_cost = float(true_costs @ solution.x[:-1])
+    rounded, failure = _round_and_certify(flow_lp, solution.x, solution.y)
+    if failure is None:
+        flow = flow_lp.extract_flow(rounded)
+        value, cost = float(rounded[-1]), float(true_costs @ rounded[:-1])
+    else:
         # Exact combinatorial correction (the event the paper's uniqueness
         # argument makes unlikely; reported so experiments can count it).
-        value, _cost, flow = successive_shortest_paths(network)
+        value, cost, flow = successive_shortest_paths(network)
 
-    cost = network.flow_cost(flow)
     if verify_against_baseline:
         base_value, base_cost, _ = successive_shortest_paths(network)
         if not math.isclose(base_value, value, abs_tol=1e-6) or cost > base_cost + 1e-6:
@@ -197,8 +234,11 @@ def min_cost_max_flow(
         cost=float(cost),
         rounds=ledger.total_rounds,
         lp_iterations=solution.iterations,
-        rounding_fallback=not ok,
+        rounding_fallback=failure is not None,
         fractional_cost=fractional_cost,
         ledger=ledger,
         gram_stats=gram_stats,
+        certified_iteration=solution.accepted_iteration if failure is None else None,
+        certificate_failure=failure,
+        converged=solution.converged,
     )

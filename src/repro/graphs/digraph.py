@@ -3,8 +3,7 @@
 A :class:`FlowNetwork` is a directed graph with positive integral capacities
 and integral costs, plus designated source ``s`` and sink ``t``.  It provides
 the LP building blocks used in Section 5 (the LP's column map and the
-edge-vertex incidence matrix through it) and flow feasibility / value / cost
-checks.
+edge-vertex incidence matrix through it) and a flow's value and cost.
 """
 
 from __future__ import annotations
@@ -221,26 +220,6 @@ class FlowNetwork:
         )
 
     # -- flow semantics ------------------------------------------------------------
-
-    def flow_conservation_violation(self, flow: Dict[Tuple[int, int], float]) -> float:
-        """Maximum absolute violation of conservation at non-terminal vertices."""
-        imbalance = np.zeros(self._n)
-        for (u, v), f in flow.items():
-            imbalance[u] -= f
-            imbalance[v] += f
-        mask = np.ones(self._n, dtype=bool)
-        mask[self.source] = False
-        mask[self.sink] = False
-        return float(np.max(np.abs(imbalance[mask]))) if mask.any() else 0.0
-
-    def is_feasible_flow(self, flow: Dict[Tuple[int, int], float], tol: float = 1e-6) -> bool:
-        """Check capacity and conservation constraints up to ``tol``."""
-        for key, f in flow.items():
-            if key not in self._edges:
-                return False
-            if f < -tol or f > self._edges[key].capacity + tol:
-                return False
-        return self.flow_conservation_violation(flow) <= tol
 
     def flow_value(self, flow: Dict[Tuple[int, int], float]) -> float:
         """Net flow out of the source."""

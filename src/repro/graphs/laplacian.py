@@ -29,6 +29,11 @@ import numpy as np
 from repro.graphs.graph import WeightedGraph
 from repro.linalg import sparse_backend
 
+#: eigensolver slack on each side of a certified ``(1 +/- eps)`` window; the
+#: library's :func:`is_spectral_sparsifier` and the served ``certify`` both
+#: accept ``1 - eps - slack <= lo`` and ``hi <= 1 + eps + slack``
+CERTIFICATION_SLACK = 1e-7
+
 
 def laplacian_norm(L, x: np.ndarray) -> float:
     """The ``||x||_L = sqrt(x^T L x)`` norm used in Theorems 1.3 and 2.3.
@@ -100,7 +105,7 @@ def spectral_approximation_factor(
 
 def is_spectral_sparsifier(graph: WeightedGraph, sparsifier: WeightedGraph, eps: float) -> bool:
     """Whether ``sparsifier`` is a ``(1 +/- eps)``-spectral sparsifier of ``graph``,
-    up to an eigensolver slack of ``1e-7`` on each side of the window."""
-    slack = 1e-7
+    up to :data:`CERTIFICATION_SLACK` on each side of the window."""
+    slack = CERTIFICATION_SLACK
     lo, hi = spectral_approximation_factor(graph, sparsifier)
     return lo >= 1.0 - eps - slack and hi <= 1.0 + eps + slack

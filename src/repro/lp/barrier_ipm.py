@@ -16,7 +16,11 @@ box with no feasible flow in hand.
 
 The run stops on the *measured* duality gap ``p^T z1 + q^T z2 <= eps`` with
 both residuals at most ``1e-9`` relative, and returns the duals ``y`` with
-``x`` so a caller can certify what it makes of the answer.  The
+``x`` so a caller can certify what it makes of the answer; on a stall it
+returns its best iterate, unconverged.  A caller that can certify an iterate
+passes that check as ``accept``: the run then returns the first iterate the
+check accepts, and the gap and the stall rule are only the cap (the flow
+pipeline stops at its first certified rounding this way).  The
 ``O(sqrt(m) log(m/eps))`` iteration bound is the Mizuno-Todd-Ye
 predictor-corrector's (``tests/lp/test_ipm.py`` holds a run to it);
 Mehrotra's heuristic carries no bound but needs tens of iterations in
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,7 +96,12 @@ class BarrierIPM:
             self.comm.matvec("A dy")
         return dx, dy, (r1 - z1 * dx) / p, (r2 + z2 * dx) / q
 
-    def solve(self, x0: np.ndarray, eps: float = 1e-8) -> LPSolution:
+    def solve(
+        self,
+        x0: np.ndarray,
+        eps: float = 1e-8,
+        accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    ) -> LPSolution:
         """Run from ``x0`` until the measured duality gap is ``<= eps``.
 
         ``x0`` must lie strictly inside the box; it need not satisfy
@@ -100,6 +109,13 @@ class BarrierIPM:
         (the flow pipeline starts at the middle of the box).  On a stall, or
         when a slack underflows, the best iterate is returned with
         ``converged=False`` instead of raising.
+
+        ``accept(x, y)``, when given, is asked about every iterate (the start
+        included) before anything else: the first iterate it accepts is
+        returned at once, with its index in
+        :attr:`~repro.lp.problem.LPSolution.accepted_iteration`.  The gap,
+        the stall rule and :data:`MAX_ITERATIONS` stay the cap; a run that
+        reaches it returns the best iterate unaccepted.
         """
         problem = self.problem
         if not eps > 0:
@@ -123,13 +139,10 @@ class BarrierIPM:
 
         self.report = IPMReport()
         best = (math.inf, x, y, math.inf)  # (merit, x, y, gap); merit <= 1 is converged
+        accepted_iteration = None
         since_best = 0
         while self.report.newton_iterations < MAX_ITERATIONS:
             p, q = x - lower, upper - x
-            with np.errstate(divide="ignore", over="ignore"):
-                theta = 1.0 / (z1 / p + z2 / q)
-            if not (np.all(p > 0) and np.all(q > 0) and np.all(np.isfinite(theta) & (theta > 0))):
-                break  # a slack underflowed: the Newton matrix is no longer defined
             r_p = problem.b - problem.AT @ x
             r_d = c - problem.A @ y - z1 + z2
             gap = float(p @ z1 + q @ z2)
@@ -138,6 +151,13 @@ class BarrierIPM:
                 float(np.max(np.abs(r_p), initial=0.0)) / tol_p,
                 float(np.max(np.abs(r_d))) / tol_d,
             )
+            if accept is not None and accept(x, y):
+                best, accepted_iteration = (merit, x, y, gap), self.report.newton_iterations
+                break
+            with np.errstate(divide="ignore", over="ignore"):
+                theta = 1.0 / (z1 / p + z2 / q)
+            if not (np.all(p > 0) and np.all(q > 0) and np.all(np.isfinite(theta) & (theta > 0))):
+                break  # a slack underflowed: the Newton matrix is no longer defined
             if merit < best[0]:
                 best, since_best = (merit, x, y, gap), 0
             else:
@@ -184,4 +204,5 @@ class BarrierIPM:
             rounds=rounds,
             converged=merit <= 1.0,
             duality_gap=gap,
+            accepted_iteration=accepted_iteration,
         )

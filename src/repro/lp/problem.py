@@ -103,3 +103,6 @@ class LPSolution:
     #: dual variables of ``A^T x = b``; a record without them cannot be
     #: certified optimal
     y: Optional[np.ndarray] = None
+    #: index of the iterate the caller's ``accept`` hook accepted (the start
+    #: is 0); None when no hook was given or none was accepted
+    accepted_iteration: Optional[int] = None

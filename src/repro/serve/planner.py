@@ -65,7 +65,7 @@ import numpy as np
 from repro.core import api
 from repro.flow.mincostflow import min_cost_max_flow
 from repro.graphs.digraph import FlowNetwork
-from repro.graphs.laplacian import spectral_approximation_factor
+from repro.graphs.laplacian import CERTIFICATION_SLACK, spectral_approximation_factor
 from repro.linalg.jl import resistance_sketch_dimension
 from repro.linalg.resistance import SketchedResistanceOracle
 from repro.linalg.sparse_backend import (
@@ -351,7 +351,6 @@ class QueryPlanner:
         cache: ArtifactCache,
         solver_seed: Optional[int] = 0,
         t_override: Optional[int] = None,
-        bundle_scale: float = 1.0,
         repair_enabled: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
         health: Optional[HealthStats] = None,
@@ -360,7 +359,6 @@ class QueryPlanner:
         self.cache = cache
         self.solver_seed = solver_seed
         self.t_override = t_override
-        self.bundle_scale = bundle_scale
         #: route short mutation deltas through low-rank artifact repair
         #: instead of invalidate-and-rebuild; ``False`` restores the
         #: pre-repair behaviour (every mutation rebuilds), which the mutation
@@ -646,7 +644,7 @@ class QueryPlanner:
             return
 
     def _solver_params(self) -> Tuple[Hashable, ...]:
-        return (self.solver_seed, self.t_override, self.bundle_scale)
+        return (self.solver_seed, self.t_override)
 
     def _execute_solve(
         self, entry: RegisteredGraph, batch: QueryBatch
@@ -660,7 +658,6 @@ class QueryPlanner:
                 graph,
                 seed=self.solver_seed,
                 t_override=self.t_override,
-                bundle_scale=self.bundle_scale,
                 # measuring kappa inverts L_G: that is the cached grounded
                 # artifact, never a second factorisation of the same matrix
                 grounded=lambda: self._grounded(entry)[0],
@@ -967,7 +964,6 @@ class QueryPlanner:
                 eps=eps,
                 seed=self.solver_seed,
                 t_override=self.t_override,
-                bundle_scale=self.bundle_scale,
             )
             return sparsifier_result, None
 
@@ -979,7 +975,7 @@ class QueryPlanner:
             lo, hi = window or spectral_approximation_factor(
                 graph, sparsifier_result.sparsifier
             )
-            slack = 1e-7
+            slack = CERTIFICATION_SLACK
             return CertificationReport(
                 ok=bool(lo >= 1.0 - eps - slack and hi <= 1.0 + eps + slack),
                 lo=float(lo),

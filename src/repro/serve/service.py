@@ -300,7 +300,7 @@ class LaplacianService(QueryFrontDoor):
     """Batched Laplacian query service over registered graphs.
 
     Parameters mirror :class:`BCCLaplacianSolver` preprocessing knobs
-    (``solver_seed``, ``t_override``, ``bundle_scale``); they are
+    (``solver_seed``, ``t_override``); they are
     part of every artifact's cache identity, so two services sharing one
     cache but configured differently never alias artifacts.
 
@@ -345,7 +345,6 @@ class LaplacianService(QueryFrontDoor):
         flush_policy: Optional[FlushPolicy] = None,
         solver_seed: Optional[int] = 0,
         t_override: Optional[int] = None,
-        bundle_scale: float = 1.0,
         auto_flush: bool = True,
         repair: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
@@ -363,7 +362,6 @@ class LaplacianService(QueryFrontDoor):
             self.cache,
             solver_seed=solver_seed,
             t_override=t_override,
-            bundle_scale=bundle_scale,
             repair_enabled=repair,
             resilience=self.resilience,
             health=self.health,

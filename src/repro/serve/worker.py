@@ -82,7 +82,6 @@ class WorkerConfig:
     name: str = "worker"
     solver_seed: Optional[int] = 0
     t_override: Optional[int] = None
-    bundle_scale: float = 1.0
     repair: bool = True
     max_batch: int = 64
     max_pending: Optional[int] = None
@@ -288,7 +287,6 @@ def worker_main(conn, config: WorkerConfig) -> None:
         ),
         solver_seed=config.solver_seed,
         t_override=config.t_override,
-        bundle_scale=config.bundle_scale,
         auto_flush=False,
         repair=config.repair,
         resilience=config.resilience,

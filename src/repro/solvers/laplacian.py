@@ -9,7 +9,7 @@ Chebyshev iteration of Corollary 2.4 with ``A = L_G``, ``B = (3/2) L_H`` and
 ``kappa = 3``; the only communication per iteration is one multiplication of
 ``L_G`` by a vector, costing ``O(log(nU/eps))`` bits per vertex.
 
-With experiment knobs (``t_override`` / ``bundle_scale``) the window of ``H``
+With the experiment knob ``t_override`` the window of ``H``
 is *measured* instead of assumed; ``kappa`` is then ``hi / lo`` inflated by
 :data:`KAPPA_MARGIN`, and the iteration runs for exactly
 :func:`~repro.solvers.chebyshev.chebyshev_iteration_count` steps -- the
@@ -280,7 +280,6 @@ class BCCLaplacianSolver:
         graph: WeightedGraph,
         seed: Optional[int] = None,
         t_override: Optional[int] = None,
-        bundle_scale: float = 1.0,
         exact_preconditioner: bool = False,
         grounded: Optional[Callable[[], GroundedLaplacianSolver]] = None,
     ) -> SolverPreprocessing:
@@ -317,11 +316,10 @@ class BCCLaplacianSolver:
                 eps=cls.SPARSIFIER_EPS,
                 seed=seed,
                 t_override=t_override,
-                bundle_scale=bundle_scale,
             )
             sparsifier = sparsifier_result.sparsifier
             ledger = sparsifier_result.ledger
-            if t_override is None and bundle_scale == 1.0:
+            if t_override is None:
                 # Paper parameters: H is a (1 +/- 1/2)-sparsifier whp, so
                 # B = (3/2) L_H satisfies L_G <= B <= 3 L_G (Corollary 2.4).
                 kappa = 3.0

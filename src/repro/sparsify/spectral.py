@@ -47,17 +47,17 @@ from repro.spanners.bundle import bundle_spanner
 EdgeKey = Tuple[int, int]
 
 
-def bundle_size(n: int, eps: float, scale: float = 1.0) -> int:
+def bundle_size(n: int, eps: float) -> int:
     """The paper's bundle size ``t = 400 log^2(n) / eps^2`` (line 1 of Algorithm 5).
 
-    ``scale`` scales the leading constant only; it exists because at
-    laptop-scale ``n`` the literal constant makes the bundle swallow the whole
-    graph (see ``docs/substitutions.md``, 1).  ``scale=1.0`` is the paper's value.
+    At laptop-scale ``n`` the literal constant makes the bundle swallow the
+    whole graph; ``spectral_sparsify(t_override=...)`` pins a smaller bundle
+    (see ``docs/substitutions.md``, 1).
     """
     if eps <= 0:
         raise ValueError(f"error parameter eps must be positive, got {eps}")
     n = max(2, int(n))
-    t = scale * 400.0 * (math.log2(n) ** 2) / (eps * eps)
+    t = 400.0 * (math.log2(n) ** 2) / (eps * eps)
     return max(1, math.ceil(t))
 
 
@@ -131,7 +131,6 @@ def spectral_sparsify(
     eps: float,
     seed: Optional[int] = None,
     t_override: Optional[int] = None,
-    bundle_scale: float = 1.0,
 ) -> SparsifierResult:
     """Algorithm 5: Broadcast-CONGEST spectral sparsification with ad-hoc sampling.
 
@@ -145,15 +144,16 @@ def spectral_sparsify(
         Weighted input graph (positive weights).
     eps:
         Target quality of the sparsifier.
-    t_override / bundle_scale:
-        Experiment knobs; the defaults follow the paper exactly.
+    t_override:
+        Experiment knob: the bundle size ``t`` instead of :func:`bundle_size`'s;
+        the default follows the paper exactly.
     """
     if graph.m == 0:
         return SparsifierResult(sparsifier=graph.copy())
     rng = np.random.default_rng(seed)
     n = graph.n
     k = stretch_parameter(n)
-    t = t_override if t_override is not None else bundle_size(n, eps, bundle_scale)
+    t = t_override if t_override is not None else bundle_size(n, eps)
 
     view = EdgeView.from_graph(graph)  # private mutable weight column
     base_m = view.base_m

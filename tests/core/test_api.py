@@ -182,7 +182,7 @@ class TestFacadesForwardEveryParameter:
         assert facade.rounds == direct.rounds
 
     @pytest.mark.parametrize(
-        "knobs", [{"t_override": 2}, {"bundle_scale": 0.05}], ids=["t_override", "bundle_scale"]
+        "knobs", [{"t_override": 2}, {}], ids=["t_override", "paper_bundle"]
     )
     def test_spectral_sparsifier(self, knobs):
         g = generators.random_weighted_graph(40, average_degree=8, seed=3)

@@ -1,15 +1,18 @@
 """End-to-end tests for the Theorem 1.1 min-cost max-flow pipeline."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reference_generators import is_feasible_flow
 from repro.graphs import generators
 from repro.graphs.digraph import FlowNetwork
 from repro.flow import (
     edmonds_karp_max_flow,
+    mincostflow,
     min_cost_max_flow,
     networkx_min_cost_max_flow,
     successive_shortest_paths,
@@ -26,7 +29,7 @@ class TestExactness:
         value, cost, _ = networkx_min_cost_max_flow(net)
         assert result.value == pytest.approx(value)
         assert result.cost == pytest.approx(cost)
-        assert net.is_feasible_flow(result.flow)
+        assert is_feasible_flow(net, result.flow)
 
     def test_flow_is_integral(self):
         net = generators.random_flow_network(10, seed=21, max_capacity=5, max_cost=4)
@@ -103,7 +106,7 @@ class TestTerminalArcs:
         result = min_cost_max_flow(net, seed=index)
         value, cost, _ = networkx_min_cost_max_flow(net)
         assert (result.value, result.cost) == (value, cost)
-        assert net.is_feasible_flow(result.flow)
+        assert is_feasible_flow(net, result.flow)
         assert net.flow_value(result.flow) == value
 
     def test_negative_cost_return_arc(self):
@@ -165,11 +168,11 @@ def count_fallbacks(families, **kwargs):
 
 
 class TestSeededFamilies:
-    """The LP stops at the duality gap the perturbation's isolation needs
-    (``docs/substitutions.md`` section 6), so the IPM's rounded flow is the
-    answer on (nearly) every network; the primal loop this engine replaced
-    fell back on about 40 %, and a fixed stopping gap fell back above m of
-    about 4 k."""
+    """The IPM stops at its first certified iterate, capped by the duality
+    gap the perturbation's isolation needs (``docs/substitutions.md``
+    section 6), so the IPM's rounded flow is the answer on every network;
+    the primal loop this engine replaced fell back on about 40 %, and a
+    fixed stopping gap fell back above m of about 4 k."""
 
     def test_exact_without_fallback(self):
         assert count_fallbacks(FAMILIES) == 0
@@ -194,10 +197,52 @@ class TestSeededFamilies:
         assert count_fallbacks(family) == 0
 
     @pytest.mark.slow
-    def test_large_families_exact_and_rarely_fall_back(self):
-        """At most 1 % of the 200 fall back (measured: two, the layered 32x24
-        networks at seeds 0 and 7, whose iterates stall near a gap of 2e-6)."""
-        assert count_fallbacks(SLOW_FAMILIES) <= 2
+    def test_large_families_exact_without_fallback(self):
+        """Every one of the 200 certifies an iterate: measured, 4 403 IPM
+        iterations in all, against 5 442 and two fallbacks (the layered 32x24
+        networks at seeds 0 and 7, whose iterates 26 and 27 certified) when
+        the IPM ran on to its own stop."""
+        assert count_fallbacks(SLOW_FAMILIES) == 0
+
+    def test_array_certificate_agrees_with_the_dict_reference(self, monkeypatch):
+        """Every iterate the 120 networks' runs examine gets the same verdict
+        from the O(m) array certificate and from the dict-based checks it
+        replaced (``is_feasible_flow`` and the flow value, then the reduced
+        costs)."""
+        verdicts = []
+        certify = mincostflow._round_and_certify
+
+        def cross_checked(flow_lp, x, y):
+            rounded, failure = certify(flow_lp, x, y)
+            verdicts.append((failure is None, reference_certifies(flow_lp, x, y)))
+            return rounded, failure
+
+        monkeypatch.setattr(mincostflow, "_round_and_certify", cross_checked)
+        assert count_fallbacks(FAMILIES) == 0
+        assert all(array == reference for array, reference in verdicts)
+        # both verdicts occur: every run certifies once after refusals
+        assert {array for array, _ in verdicts} == {True, False}
+
+
+def reference_certifies(flow_lp, x, y):
+    """The dict-based certificate the array one replaced, kept as its oracle."""
+    network = flow_lp.network
+    x = np.round(x) + 0.0
+    value = float(x[-1])
+    rounded = dict(zip(flow_lp.edge_keys, x[:-1].tolist()))
+    ok = (
+        y is not None
+        and 0.0 <= value <= flow_lp.value_bound
+        and is_feasible_flow(network, rounded, tol=1e-6)
+        and math.isclose(network.flow_value(rounded), value, abs_tol=1e-6)
+    )
+    if ok:
+        costs = np.append(network.costs(), -flow_lp.reward)
+        upper = np.append(network.capacities(), flow_lp.value_bound)
+        reduced = costs - flow_lp.problem.A @ y
+        slack = 1.0 / network.n
+        ok = bool(np.all(reduced[x < upper] > -slack) and np.all(reduced[x > 0] < slack))
+    return ok
 
 
 def expensive_witness_network():
@@ -219,6 +264,18 @@ def disconnected_network():
     return net
 
 
+#: hand-built iterates over ``expensive_witness_network`` -- arcs (0, 1),
+#: (1, 2), (1, 3), (2, 3), then ``F`` -- keyed by the first check each fails
+#: with zero duals; the rounding runs first, so 1.2 counts as 1.  The
+#: witness tests below fail the other two checks, "no duals" and "reduced
+#: cost"
+FAILING_ITERATES = {
+    "capacity": [1.2, 2.0, 0.0, 1.0, 1.0],
+    "conservation": [1.0, 0.0, 0.0, 1.0, 1.0],
+    "value": [1.0, 1.0, 0.0, 1.0, 0.0],
+}
+
+
 class TestOptimalityCertificate:
     @pytest.mark.parametrize("duals", [None, "zero"])
     def test_costly_max_flow_falls_back(self, monkeypatch, duals):
@@ -228,14 +285,15 @@ class TestOptimalityCertificate:
         value, witness = edmonds_karp_max_flow(net)
         assert witness[(1, 3)] == 1.0
 
-        def return_witness(self, x0, eps=1e-8):
+        def return_witness(self, x0, eps=1e-8, accept=None):
             x = np.array([witness[key] for key in net.edge_keys()] + [value])
             y = None if duals is None else np.zeros(self.problem.n)
             return LPSolution(x=x, objective=self.problem.objective(x), iterations=0, y=y)
 
         monkeypatch.setattr(BarrierIPM, "solve", return_witness)
         result = min_cost_max_flow(net, seed=0)
-        assert result.rounding_fallback
+        assert result.rounding_fallback and result.certified_iteration is None
+        assert result.certificate_failure == ("no duals" if duals is None else "reduced cost")
         assert result.cost == successive_shortest_paths(net)[1] == 0.0
 
     def test_flow_short_of_the_maximum_falls_back(self, monkeypatch):
@@ -243,18 +301,35 @@ class TestOptimalityCertificate:
         still refuses it, because its augmenting path plus ``F`` is a
         residual cycle of cost at most -1."""
 
-        def return_zero(self, x0, eps=1e-8):
+        def return_zero(self, x0, eps=1e-8, accept=None):
             x = np.zeros(self.problem.m)
             return LPSolution(x=x, objective=0.0, iterations=0, y=np.zeros(self.problem.n))
 
         monkeypatch.setattr(BarrierIPM, "solve", return_zero)
         result = min_cost_max_flow(expensive_witness_network(), seed=0)
-        assert result.rounding_fallback
+        assert result.rounding_fallback and result.certificate_failure == "reduced cost"
+        assert (result.value, result.cost) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("reason", FAILING_ITERATES)
+    def test_failed_check_is_named(self, monkeypatch, reason):
+        """A hand-built iterate that fails one check: the correction answers
+        and the result names the check."""
+
+        def return_iterate(self, x0, eps=1e-8, accept=None):
+            x = np.array(FAILING_ITERATES[reason])
+            return LPSolution(x=x, objective=0.0, iterations=0, y=np.zeros(self.problem.n))
+
+        monkeypatch.setattr(BarrierIPM, "solve", return_iterate)
+        result = min_cost_max_flow(expensive_witness_network(), seed=0)
+        assert result.certificate_failure == reason
+        assert result.rounding_fallback and result.certified_iteration is None
         assert (result.value, result.cost) == (1.0, 0.0)
 
     def test_ipm_answer_is_certified(self):
         result = min_cost_max_flow(expensive_witness_network(), seed=0)
         assert not result.rounding_fallback and result.cost == 0.0
+        assert result.certificate_failure is None
+        assert result.certified_iteration == result.lp_iterations
 
 
 class TestDiagnostics:
@@ -293,14 +368,30 @@ class TestDiagnostics:
         ids=["layered-6x5", "zero-max-flow"],
     )
     def test_ledger_holds_only_ipm_operations(self, net):
-        """One LP fixes the flow value: nothing charges a phase 1."""
+        """One LP fixes the flow value: nothing charges a phase 1; beside the
+        IPM's operations the ledger holds one round per certificate check."""
         result = min_cost_max_flow(net, seed=0)
         operations = {entry.operation for entry in result.ledger.entries}
-        assert operations == {"matvec", "laplacian_solve"}
+        assert operations == {"matvec", "laplacian_solve", "certificate"}
         assert result.rounds == result.ledger.total_rounds
         assert result.rounds == sum(
             entry.rounds for entry in result.ledger.entries if entry.operation == "matvec"
-        ) + 2 * result.lp_iterations
+        ) + 2 * result.lp_iterations + (result.lp_iterations + 1)
+
+    def test_rounds_are_iterations_plus_checks(self):
+        """On the ``flow`` workload's network an iteration is 18 rounds (two
+        Gram solves, four matvecs of 4 words) and every examined iterate, the
+        start and the certified one included, one more."""
+        result = min_cost_max_flow(generators.layered_flow_network(16, 12, seed=7), seed=1)
+        iterations = result.lp_iterations
+        by_operation = result.ledger.rounds_by_operation()
+        assert by_operation == {
+            "matvec": 16.0 * iterations,
+            "laplacian_solve": 2.0 * iterations,
+            "certificate": iterations + 1.0,
+        }
+        assert result.rounds == 18 * iterations + by_operation["certificate"]
+        assert result.certified_iteration == iterations and not result.rounding_fallback
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"

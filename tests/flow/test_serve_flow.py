@@ -14,12 +14,14 @@ from repro.lp.gram import GramSolverBridge
 from repro.serve import LaplacianService, flow_query
 
 #: network -> (lp_iterations, rounds) of the served run at seed 0, recorded
-#: when one LP began fixing the flow value (``docs/substitutions.md``
-#: section 6): every round is the IPM's
+#: when the IPM began stopping at its first certified iterate
+#: (``docs/substitutions.md`` section 6): the IPM's rounds plus one round per
+#: examined iterate (13 / 338, 14 / 308 and 18 / 324 when it ran on to its
+#: own stop)
 PINNED = {
-    "random-24": (lambda: generators.random_flow_network(24, seed=3), 13, 338.0),
-    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 14, 308.0),
-    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 18, 324.0),
+    "random-24": (lambda: generators.random_flow_network(24, seed=3), 8, 217.0),
+    "layered-6x5": (lambda: generators.layered_flow_network(6, 5, seed=3), 7, 162.0),
+    "layered-10x8": (lambda: generators.layered_flow_network(10, 8, seed=3), 15, 286.0),
 }
 
 
@@ -106,11 +108,13 @@ class TestServedFlow:
         assert warm.value.flow == cold.value.flow
 
     def test_suite_instance_is_pinned_without_fallback(self):
-        """The ``flow`` workload's own network: the IPM's rounded flow is the answer."""
+        """The ``flow`` workload's own network: the IPM's rounded flow is the
+        answer, certified at iteration 19 (24 iterations and 432 rounds when
+        the IPM ran on to its own stop)."""
         network = generators.layered_flow_network(16, 12, seed=7)
         run = min_cost_max_flow(network, seed=1)
-        assert run.lp_iterations == 24
-        assert run.rounds == pytest.approx(432.0, rel=1e-12)
+        assert run.lp_iterations == run.certified_iteration == 19
+        assert run.rounds == pytest.approx(362.0, rel=1e-12)
         assert run.cost == 747.0 and not run.rounding_fallback
 
     def test_symbolic_work_happens_once_per_solve(self, built, monkeypatch):

@@ -12,13 +12,17 @@ with ``src/`` (the components repair runs after the loop in both).
 It also holds what only tests use, moved out of ``src/``: the generators
 ``random_regular_expander``, ``weighted_graph_with_bounded_weights``,
 ``watts_strogatz``, ``path_graph``, ``cycle_graph``, ``star_graph`` and
-``barbell_graph``, and the graph queries ``degrees``, ``neighbours`` and
-``edge_list``.
+``barbell_graph``, the graph queries ``degrees``, ``neighbours`` and
+``edge_list``, and the dict-based flow checks ``flow_conservation_violation``
+and ``is_feasible_flow`` (the flow pipeline certifies over arrays).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.graphs.digraph import FlowNetwork
 from repro.graphs.generators import (
@@ -271,3 +275,29 @@ def to_networkx(graph: WeightedGraph):
 def edge_list(graph: WeightedGraph) -> list:
     """All edges as sorted ``(u, v, weight)`` triples with ``u < v``."""
     return [(edge.u, edge.v, edge.weight) for edge in graph.edges()]
+
+
+def flow_conservation_violation(
+    network: FlowNetwork, flow: Dict[Tuple[int, int], float]
+) -> float:
+    """Maximum absolute violation of conservation at non-terminal vertices."""
+    imbalance = np.zeros(network.n)
+    for (u, v), f in flow.items():
+        imbalance[u] -= f
+        imbalance[v] += f
+    mask = np.ones(network.n, dtype=bool)
+    mask[network.source] = False
+    mask[network.sink] = False
+    return float(np.max(np.abs(imbalance[mask]))) if mask.any() else 0.0
+
+
+def is_feasible_flow(
+    network: FlowNetwork, flow: Dict[Tuple[int, int], float], tol: float = 1e-6
+) -> bool:
+    """Check capacity and conservation constraints up to ``tol``."""
+    for (u, v), f in flow.items():
+        if not network.has_edge(u, v):
+            return False
+        if f < -tol or f > network.edge(u, v).capacity + tol:
+            return False
+    return flow_conservation_violation(network, flow) <= tol

@@ -202,3 +202,41 @@ class TestBarrierIPM:
         # Mizuno-Todd-Ye path following needs O(sqrt(m) log(m/eps)) Newton steps
         assert 0 < solution.iterations <= math.sqrt(problem.m) * math.log(problem.m / 1e-6)
         assert solution.rounds == comm.ledger.total_rounds > 0
+
+
+class TestAcceptHook:
+    def test_first_accepted_iterate_is_returned(self):
+        """The hook sees the start and every iterate after it; the run stops
+        at the first it accepts and returns that iterate, marked."""
+        problem, x0 = random_box_lp(25, 5, seed=4)
+        seen = []
+
+        def accept(x, y):
+            seen.append((x.copy(), y.copy()))
+            return len(seen) == 4
+
+        solution = BarrierIPM(problem).solve(x0, eps=1e-9, accept=accept)
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[0][0], x0)
+        np.testing.assert_array_equal(seen[0][1], np.zeros(problem.n))
+        np.testing.assert_array_equal(solution.x, seen[3][0])
+        np.testing.assert_array_equal(solution.y, seen[3][1])
+        assert solution.accepted_iteration == solution.iterations == 3
+        assert not solution.converged
+
+    def test_a_hook_that_never_accepts_changes_nothing(self):
+        """The cap is the run without a hook, iterate for iterate."""
+        problem, x0 = random_box_lp(25, 5, seed=5)
+        calls = []
+
+        def refuse(x, y):
+            calls.append(x)
+            return False
+
+        plain = BarrierIPM(problem).solve(x0, eps=1e-7)
+        hooked = BarrierIPM(problem).solve(x0, eps=1e-7, accept=refuse)
+        np.testing.assert_array_equal(hooked.x, plain.x)
+        np.testing.assert_array_equal(hooked.y, plain.y)
+        assert (hooked.iterations, hooked.converged) == (plain.iterations, True)
+        assert hooked.accepted_iteration is plain.accepted_iteration is None
+        assert len(calls) == plain.iterations + 1

@@ -5,6 +5,7 @@ import pytest
 
 import reference_dense
 from repro.graphs import generators
+from repro.graphs.laplacian import CERTIFICATION_SLACK
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.planner import (
     QueryPlanner,
@@ -130,7 +131,7 @@ class TestExecution:
         assert len(results) == 3
         assert all(r.value is results[0].value for r in results)
         report = results[0].value
-        slack = 1e-7
+        slack = CERTIFICATION_SLACK
         assert report.ok == (
             report.lo >= 0.5 - slack and report.hi <= 1.5 + slack
         )

@@ -18,7 +18,10 @@ from repro.serve import (
     resistance_query,
     solve_query,
 )
+from repro.graphs import laplacian
+from repro.graphs.laplacian import CERTIFICATION_SLACK, is_spectral_sparsifier
 from repro.linalg.sparse_backend import GroundedLaplacianSolver
+from repro.serve import planner
 from repro.solvers.laplacian import BCCLaplacianSolver
 
 
@@ -115,6 +118,28 @@ class TestResistanceAndCertify:
         assert report.ok
         assert report.sparsifier_edges > 0
         assert report.eps == 0.5
+
+    @pytest.mark.parametrize("outside", ["none", "lo", "hi"])
+    def test_certify_and_the_library_check_share_one_slack(self, graph, monkeypatch, outside):
+        """At a measured window of exactly ``1 +/- (eps + slack)`` the served
+        ``certify`` and ``is_spectral_sparsifier`` both accept; one float step
+        outside on either side, both refuse."""
+        eps = 0.3
+        lo, hi = 1.0 - eps - CERTIFICATION_SLACK, 1.0 + eps + CERTIFICATION_SLACK
+        if outside == "lo":
+            lo = np.nextafter(lo, 0.0)
+        elif outside == "hi":
+            hi = np.nextafter(hi, 2.0)
+
+        def window(*args, **kwargs):
+            return lo, hi
+
+        monkeypatch.setattr(laplacian, "spectral_approximation_factor", window)
+        monkeypatch.setattr(planner, "spectral_approximation_factor", window)
+        service = make_service()
+        report = service.certify(service.register(graph), eps=eps)
+        assert (report.lo, report.hi) == (lo, hi)
+        assert report.ok == is_spectral_sparsifier(graph, graph, eps) == (outside == "none")
 
 
 class TestCacheInvalidation:

@@ -17,7 +17,6 @@ class TestParameters:
     def test_bundle_size_formula(self):
         assert bundle_size(16, 1.0) == math.ceil(400 * 16)
         assert bundle_size(16, 0.5) == math.ceil(400 * 16 / 0.25)
-        assert bundle_size(16, 1.0, scale=0.01) == math.ceil(4 * 16)
 
     def test_bundle_size_rejects_bad_eps(self):
         with pytest.raises(ValueError):
